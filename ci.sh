@@ -106,17 +106,4 @@ cargo run --release -p bench --bin figures -- adaptive --csv "$CHAOS_TMP/adaptiv
 cmp "$CHAOS_TMP/adaptive1/adaptive.csv" "$CHAOS_TMP/adaptive2/adaptive.csv"
 cmp "$CHAOS_TMP/adaptive1/adaptive.csv" results/adaptive.csv
 
-echo "== deterministic parallel-step gate (SIMNET_PARALLEL) =="
-# The opt-in conservative parallel step must be byte-identical to the
-# serial engine on whole experiments: with SIMNET_PARALLEL set, every cell
-# in the run takes the windowed path, and the chaos (fault plans) and
-# trace (flight recorder) figures must still regenerate the committed
-# artifacts byte for byte.
-SIMNET_PARALLEL=8 cargo run --release -p bench --bin figures -- chaos --csv "$CHAOS_TMP/par_chaos" >/dev/null
-cmp "$CHAOS_TMP/par_chaos/chaos.csv" results/chaos.csv
-SIMNET_PARALLEL=8 cargo run --release -p bench --bin figures -- trace --csv "$CHAOS_TMP/par_trace" >/dev/null
-cp results/trace_chrome.json "$CHAOS_TMP/par_trace/trace_chrome.json"
-cmp "$CHAOS_TMP/par_trace/trace.csv" results/trace.csv
-cmp "$CHAOS_TMP/par_trace/trace_chrome.json" "$CHAOS_TMP/chrome_committed.json"
-
 echo "CI OK"

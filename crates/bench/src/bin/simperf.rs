@@ -11,12 +11,16 @@
 //! cargo run --release -p bench --features simperf-alloc --bin simperf
 //! ```
 //!
-//! Each workload is run **three times** and the best run (highest
-//! events/sec) is reported, so a stray scheduler hiccup on the first rep
-//! can't masquerade as a regression. `--check` compares against the
-//! committed `BENCH_simcore.json` without overwriting it and exits nonzero
-//! if any workload's events/sec dropped by more than 10% — CI runs this so
-//! regressions are enforced, not observed. Events-per-second comes from
+//! Each workload runs in a **fresh child process** (`simperf --cell NAME`,
+//! a re-exec of this binary), so its `peak_rss_bytes` is that cell's own
+//! `VmHWM` rather than the high-water mark of whatever ran before it.
+//! Inside the child the workload is run **three times** and the best run
+//! (highest events/sec) is reported, so a stray scheduler hiccup on the
+//! first rep can't masquerade as a regression. `--check` compares against
+//! the committed `BENCH_simcore.json` without overwriting it and exits
+//! nonzero if any workload's events/sec dropped by more than 10% or its
+//! peak RSS grew by more than 10% — CI runs this so regressions are
+//! enforced, not observed. Events-per-second comes from
 //! [`simnet::Sim::events_processed`]; the event *counts* are deterministic
 //! (same seeds ⇒ same events), so a count change without an intentional
 //! simulator change is itself a red flag.
@@ -39,8 +43,9 @@ use bench::simcore::{
 };
 use cliquemap::cell::Cell;
 
-/// Tolerated events/sec drop (and, with `simperf-alloc`, allocs/op growth)
-/// vs the committed baseline before `--check` fails the run.
+/// Tolerated events/sec drop, peak-RSS growth (and, with `simperf-alloc`,
+/// allocs/op growth) vs the committed baseline before `--check` fails the
+/// run.
 const REGRESSION_TOLERANCE: f64 = 0.10;
 
 /// Best-of-N repetitions per workload.
@@ -72,6 +77,17 @@ mod counting_alloc {
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             System.dealloc(ptr, layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // Forwarded, not left to the default alloc-then-memset: the
+            // backends' 32 MiB data regions are zeroed allocations the
+            // system allocator hands out as untouched pages, and writing
+            // them would put gigabytes into this build's RSS that the
+            // plain build never has.
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            System.alloc_zeroed(layout)
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -109,23 +125,36 @@ fn alloc_snapshot() -> (u64, u64) {
 
 const ALLOC_COUNTING: bool = cfg!(feature = "simperf-alloc");
 
+/// A macro cell: name, builder, simulated span.
+type CellDef = (&'static str, fn() -> Cell, SimDuration);
+
+/// The macro cells, in report order.
+const CELLS: [CellDef; 4] = [
+    ("ads_week", ads_cell, ADS_SPAN),
+    ("pony_ramp", pony_ramp_cell, PONY_SPAN),
+    ("ads_batched", batched_cell, BATCHED_SPAN),
+    ("cell950", cell950, CELL950_SPAN),
+];
+
+/// One workload's result: what a child measured, and equally one row of a
+/// baseline file.
 struct Sample {
-    name: &'static str,
+    name: String,
     events: u64,
     wall_s: f64,
     events_per_sec: f64,
-    /// Heap allocations per event over the run (0 without `simperf-alloc`).
-    allocs_per_op: f64,
+    /// Heap allocations per event over the run (`None` without
+    /// `simperf-alloc`, or in a baseline row that does not carry them).
+    allocs_per_op: Option<f64>,
     /// Heap bytes allocated per event over the run.
-    alloc_bytes_per_op: f64,
+    alloc_bytes_per_op: Option<f64>,
     /// High-water mark of queued events in the cell's event queue.
     queue_hwm: u64,
     /// `Pending` boxes sitting in the simulator freelist at end of run —
     /// the steady-state working set the pool is amortizing.
     pool_len: u64,
-    /// Process peak RSS in bytes after this workload (Linux `VmHWM`).
-    /// Process-wide and monotone, so workloads later in the list inherit
-    /// earlier peaks; the first cell to spike is the one that moves it.
+    /// Peak RSS in bytes of the child that ran this workload alone (Linux
+    /// `VmHWM`, over its three reps).
     peak_rss_bytes: u64,
 }
 
@@ -180,7 +209,7 @@ fn run_once(build: fn() -> Cell, sim_span: SimDuration) -> Rep {
 /// Best-of-[`REPS`]: the rep with the highest events/sec wins. Events,
 /// allocation counts, and queue/pool depths are deterministic across reps;
 /// wall time is not.
-fn run_workload(name: &'static str, build: fn() -> Cell, sim_span: SimDuration) -> Sample {
+fn run_workload(name: &str, build: fn() -> Cell, sim_span: SimDuration) -> Sample {
     let mut best: Option<Rep> = None;
     for i in 0..REPS {
         let rep = run_once(build, sim_span);
@@ -201,51 +230,51 @@ fn run_workload(name: &'static str, build: fn() -> Cell, sim_span: SimDuration) 
         }
     }
     let rep = best.expect("REPS >= 1");
+    let per_event = |n: u64| ALLOC_COUNTING.then(|| n as f64 / rep.events.max(1) as f64);
     Sample {
-        name,
+        name: name.to_string(),
         events: rep.events,
         wall_s: rep.wall_s,
         events_per_sec: rep.events as f64 / rep.wall_s.max(1e-9),
-        allocs_per_op: rep.allocs as f64 / rep.events.max(1) as f64,
-        alloc_bytes_per_op: rep.alloc_bytes as f64 / rep.events.max(1) as f64,
+        allocs_per_op: per_event(rep.allocs),
+        alloc_bytes_per_op: per_event(rep.alloc_bytes),
         queue_hwm: rep.queue_hwm,
         pool_len: rep.pool_len,
         peak_rss_bytes: peak_rss_bytes(),
     }
 }
 
-fn to_json(samples: &[Sample]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"simcore\",\n  \"workloads\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let alloc_fields = if ALLOC_COUNTING {
-            format!(
-                ", \"allocs_per_op\": {:.3}, \"alloc_bytes_per_op\": {:.1}",
-                s.allocs_per_op, s.alloc_bytes_per_op
-            )
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events\": {}, \"wall_s\": {:.3}, \"events_per_sec\": {:.0}{}, \"queue_hwm\": {}, \"pool_len\": {}, \"peak_rss_bytes\": {}}}{}\n",
-            s.name,
-            s.events,
-            s.wall_s,
-            s.events_per_sec,
-            alloc_fields,
-            s.queue_hwm,
-            s.pool_len,
-            s.peak_rss_bytes,
-            if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One workload as the single-line JSON object of a baseline file; also
+/// what a `--cell` child prints for its parent.
+fn row_json(s: &Sample) -> String {
+    let alloc_fields = match (s.allocs_per_op, s.alloc_bytes_per_op) {
+        (Some(allocs), Some(bytes)) => {
+            format!(", \"allocs_per_op\": {allocs:.3}, \"alloc_bytes_per_op\": {bytes:.1}")
+        }
+        _ => String::new(),
+    };
+    format!(
+        "{{\"name\": \"{}\", \"events\": {}, \"wall_s\": {:.3}, \"events_per_sec\": {:.0}{}, \"queue_hwm\": {}, \"pool_len\": {}, \"peak_rss_bytes\": {}}}",
+        s.name,
+        s.events,
+        s.wall_s,
+        s.events_per_sec,
+        alloc_fields,
+        s.queue_hwm,
+        s.pool_len,
+        s.peak_rss_bytes,
+    )
 }
 
-struct BaselineRow {
-    name: String,
-    events_per_sec: f64,
-    allocs_per_op: Option<f64>,
+fn to_json(samples: &[Sample]) -> String {
+    let rows: Vec<String> = samples
+        .iter()
+        .map(|s| format!("    {}", row_json(s)))
+        .collect();
+    format!(
+        "{{\n  \"bench\": \"simcore\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
 }
 
 /// Pull a `"field": <number>` value out of a single JSON line (no JSON
@@ -260,28 +289,44 @@ fn field_f64(line: &str, field: &str) -> Option<f64> {
     txt.parse().ok()
 }
 
-/// Minimal extraction of per-workload rows from a baseline file previously
-/// written by [`to_json`].
-fn parse_baseline(text: &str) -> Vec<BaselineRow> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            continue;
-        };
-        let Some(eps) = field_f64(line, "events_per_sec") else {
-            continue;
-        };
-        out.push(BaselineRow {
-            name: rest[..name_end].to_string(),
-            events_per_sec: eps,
-            allocs_per_op: field_f64(line, "allocs_per_op"),
-        });
-    }
-    out
+/// Read one [`row_json`] line back. Only the name and events/sec are
+/// required: older baselines carry fewer fields.
+fn parse_row(line: &str) -> Option<Sample> {
+    let rest = &line[line.find("\"name\": \"")? + 9..];
+    let name = rest[..rest.find('"')?].to_string();
+    let num = |field| field_f64(line, field);
+    Some(Sample {
+        name,
+        events: num("events").unwrap_or(0.0) as u64,
+        wall_s: num("wall_s").unwrap_or(0.0),
+        events_per_sec: num("events_per_sec")?,
+        allocs_per_op: num("allocs_per_op"),
+        alloc_bytes_per_op: num("alloc_bytes_per_op"),
+        queue_hwm: num("queue_hwm").unwrap_or(0.0) as u64,
+        pool_len: num("pool_len").unwrap_or(0.0) as u64,
+        peak_rss_bytes: num("peak_rss_bytes").unwrap_or(0.0) as u64,
+    })
+}
+
+/// Run cell `name` in a fresh child process and read its row back. The
+/// child's progress lines go straight to this process's stderr.
+fn run_in_child(name: &str) -> Sample {
+    let exe = std::env::current_exe().expect("own executable path");
+    let out = std::process::Command::new(exe)
+        .args(["--cell", name])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| panic!("spawn simperf --cell {name}: {e}"));
+    assert!(
+        out.status.success(),
+        "simperf --cell {name}: {}",
+        out.status
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout
+        .lines()
+        .find_map(parse_row)
+        .unwrap_or_else(|| panic!("simperf --cell {name} printed no row: {stdout:?}"))
 }
 
 fn main() {
@@ -293,25 +338,31 @@ fn main() {
         match a.as_str() {
             "--check" => check = true,
             "--out" => out_path = it.next().expect("--out FILE"),
-            other => panic!("unknown arg {other:?}; usage: simperf [--check] [--out FILE]"),
+            "--cell" => {
+                // Child mode: one cell, one row on stdout.
+                let name = it.next().expect("--cell NAME");
+                let &(name, build, span) = CELLS
+                    .iter()
+                    .find(|(n, ..)| *n == name)
+                    .unwrap_or_else(|| panic!("unknown cell {name:?}"));
+                println!("{}", row_json(&run_workload(name, build, span)));
+                return;
+            }
+            other => {
+                panic!("unknown arg {other:?}; usage: simperf [--check] [--out FILE] | --cell NAME")
+            }
         }
     }
 
-    let samples = vec![
-        run_workload("ads_week", ads_cell, ADS_SPAN),
-        run_workload("pony_ramp", pony_ramp_cell, PONY_SPAN),
-        run_workload("ads_batched", batched_cell, BATCHED_SPAN),
-        run_workload("cell950", cell950, CELL950_SPAN),
-    ];
+    let samples: Vec<Sample> = CELLS.iter().map(|(name, ..)| run_in_child(name)).collect();
     let mut total_events = 0u64;
     let mut total_wall = 0f64;
     for s in &samples {
-        if ALLOC_COUNTING {
+        if let (Some(allocs), Some(bytes)) = (s.allocs_per_op, s.alloc_bytes_per_op) {
             println!(
                 "{:<12} {:>12} events {:>8.2}s wall {:>12.0} events/s {:>8.3} allocs/op {:>8.1} B/op qhwm {} pool {} rss {}MiB",
-                s.name, s.events, s.wall_s, s.events_per_sec, s.allocs_per_op,
-                s.alloc_bytes_per_op, s.queue_hwm, s.pool_len,
-                s.peak_rss_bytes >> 20
+                s.name, s.events, s.wall_s, s.events_per_sec, allocs, bytes,
+                s.queue_hwm, s.pool_len, s.peak_rss_bytes >> 20
             );
         } else {
             println!(
@@ -339,7 +390,7 @@ fn main() {
     if check {
         let baseline = std::fs::read_to_string(&out_path)
             .unwrap_or_else(|e| panic!("--check needs baseline {out_path}: {e}"));
-        let parsed = parse_baseline(&baseline);
+        let parsed: Vec<Sample> = baseline.lines().filter_map(parse_row).collect();
         if parsed.is_empty() {
             // A corrupt or empty baseline must fail loudly, not gate nothing.
             eprintln!("[simperf] baseline {out_path} contains no workloads");
@@ -381,26 +432,43 @@ fn main() {
                     (ratio - 1.0) * 100.0
                 );
             }
+            // Peak RSS is each cell's own (fresh child), so it repeats to
+            // well under a percent; a baseline without the field gates
+            // nothing.
+            if row.peak_rss_bytes > 0 {
+                let limit = row.peak_rss_bytes as f64 * (1.0 + REGRESSION_TOLERANCE);
+                let (now_mib, base_mib) = (s.peak_rss_bytes >> 20, row.peak_rss_bytes >> 20);
+                if s.peak_rss_bytes as f64 > limit {
+                    eprintln!(
+                        "[simperf] RSS REGRESSION {}: {now_mib} MiB peak vs baseline {base_mib} MiB",
+                        row.name
+                    );
+                    failed = true;
+                } else {
+                    eprintln!(
+                        "[simperf] ok {}: {now_mib} MiB peak vs baseline {base_mib} MiB",
+                        row.name
+                    );
+                }
+            }
             // Allocation regressions are only gated when this build counts
             // them AND the baseline carries them. The absolute floor keeps
             // a near-zero baseline (pony_ramp rounds to 0.000 allocs/op)
             // gated: measurement dust passes, a real per-op allocation
             // creeping back in does not.
-            if let Some(base_allocs) = row.allocs_per_op {
-                if ALLOC_COUNTING {
-                    let limit = (base_allocs * (1.0 + REGRESSION_TOLERANCE)).max(0.05);
-                    if s.allocs_per_op > limit {
-                        eprintln!(
-                            "[simperf] ALLOC REGRESSION {}: {:.3} allocs/op vs baseline {:.3} (limit {:.3})",
-                            row.name, s.allocs_per_op, base_allocs, limit
-                        );
-                        failed = true;
-                    } else {
-                        eprintln!(
-                            "[simperf] ok {}: {:.3} allocs/op vs baseline {:.3} (limit {:.3})",
-                            row.name, s.allocs_per_op, base_allocs, limit
-                        );
-                    }
+            if let (Some(base_allocs), Some(allocs)) = (row.allocs_per_op, s.allocs_per_op) {
+                let limit = (base_allocs * (1.0 + REGRESSION_TOLERANCE)).max(0.05);
+                if allocs > limit {
+                    eprintln!(
+                        "[simperf] ALLOC REGRESSION {}: {:.3} allocs/op vs baseline {:.3} (limit {:.3})",
+                        row.name, allocs, base_allocs, limit
+                    );
+                    failed = true;
+                } else {
+                    eprintln!(
+                        "[simperf] ok {}: {:.3} allocs/op vs baseline {:.3} (limit {:.3})",
+                        row.name, allocs, base_allocs, limit
+                    );
                 }
             }
         }

@@ -36,10 +36,10 @@ pub const BATCHED_SPAN: SimDuration = SimDuration::from_millis(2030);
 /// this window is the cold-start herd: 10K clients fetching configs and
 /// connecting while the workload ramp is still near its floor, which is
 /// exactly the regime that used to livelock the config store (see
-/// `ConfigStoreNode` read coalescing). ~660K events, about a second per
-/// rep on a small CI box; the per-event cost is much higher than the
-/// small cells (4.3GiB of host state blows every cache), which is the
-/// point of gating on it.
+/// `ConfigStoreNode` read coalescing). ~660K events, under half a second
+/// per rep; the per-event cost is higher than the small cells' (0.7 GiB
+/// of host state spread over 10K clients does not stay in cache), which
+/// is the point of gating on it.
 pub const CELL950_SPAN: SimDuration = SimDuration::from_millis(50);
 
 /// F8-style Ads cell: batched production GETs + steady SETs with backfill

@@ -17,7 +17,7 @@ use simnet::{
 };
 
 use crate::backend::{BackendCfg, BackendNode};
-use crate::client::{ClientCfg, ClientNode};
+use crate::client::{ClientCfg, ClientIdentity, ClientNode};
 use crate::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use crate::workload::Workload;
 
@@ -285,6 +285,13 @@ impl Cell {
         let total = workloads.len();
         let cotenant = (spec.colocate_fraction.clamp(0.0, 1.0) * total as f64).round() as usize;
         let mut dedicated_placed = 0usize;
+        let mut client_cfg = spec.client.clone();
+        client_cfg.config_store = config_store;
+        client_cfg.doorbell_batching |= spec.doorbell_batching;
+        if let Some(a) = &spec.adaptive {
+            client_cfg.adaptive = Some(a.clone());
+        }
+        let client_cfg = Rc::new(client_cfg);
         for (i, workload) in workloads.into_iter().enumerate() {
             let host = if i < cotenant {
                 backend_hosts[i % backend_hosts.len()]
@@ -296,21 +303,21 @@ impl Cell {
                 dedicated_placed += 1;
                 *client_hosts.last().expect("pushed above")
             };
-            let mut cfg = spec.client.clone();
-            cfg.client_id = i as u32 + 1;
-            cfg.config_store = config_store;
-            cfg.doorbell_batching |= spec.doorbell_batching;
-            // Seed inside the gate: with adaptive off the builder draws
-            // nothing from the sim RNG, so existing schedules are
-            // bit-for-bit untouched.
-            if let Some(a) = &spec.adaptive {
-                cfg.adaptive = Some(a.clone());
-                cfg.adaptive_seed = sim.fork_rng().next_u64() ^ cfg.client_id as u64;
-            }
-            if cfg.transport == TransportKind::PonyExpress {
-                cfg.shared_pony = Some(pool_for(&mut pony_pools, host));
-            }
-            let id = sim.add_node(host, Box::new(ClientNode::new(cfg, workload)));
+            let client_id = i as u32 + 1;
+            let me = ClientIdentity {
+                client_id,
+                // Seed inside the gate: with adaptive off the builder draws
+                // nothing from the sim RNG, so existing schedules are
+                // bit-for-bit untouched.
+                adaptive_seed: match spec.adaptive {
+                    Some(_) => sim.fork_rng().next_u64() ^ client_id as u64,
+                    None => 0,
+                },
+                shared_pony: (client_cfg.transport == TransportKind::PonyExpress)
+                    .then(|| pool_for(&mut pony_pools, host)),
+            };
+            let node = ClientNode::new(client_cfg.clone(), me, workload);
+            let id = sim.add_node(host, Box::new(node));
             clients.push(id);
         }
 

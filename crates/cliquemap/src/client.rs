@@ -17,7 +17,8 @@
 //! * **batched access records** (§4.2) so backends can run LRU/ARC without
 //!   seeing the reads.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -25,7 +26,9 @@ use bytes::{Bytes, Pool};
 
 use rma::{PonyCfg, RmaOpTable, RmaStatus, Transport, TransportKind, WindowId};
 use rpc::{CallTable, RetryPolicy, RetryState, RpcCostModel, Status};
-use simnet::{Ctx, Deferred, Event, MetricId, Metrics, Node, NodeId, SimDuration, SimTime};
+use simnet::{
+    Ctx, Deferred, Event, IdMap, IdSet, MetricId, Metrics, Node, NodeId, SimDuration, SimTime,
+};
 
 use adaptive::{Controller, ControllerCfg};
 
@@ -84,11 +87,11 @@ fn strategy_path(s: LookupStrategy) -> adaptive::Path {
     }
 }
 
-/// Client configuration.
+/// Client configuration: everything the clients of one cell have in
+/// common. A [`ClientNode`] holds it behind an `Rc`, so 10K clients cost one
+/// copy; what differs per client is its [`ClientIdentity`].
 #[derive(Clone)]
 pub struct ClientCfg {
-    /// Identity baked into nominated versions.
-    pub client_id: u32,
     /// Lookup strategy.
     pub strategy: LookupStrategy,
     /// Client-side RMA transport (engine model for Pony).
@@ -147,20 +150,25 @@ pub struct ClientCfg {
     pub doorbell_batching: bool,
     /// Language-shim cost model (`None` = native C++ client).
     pub shim: Option<ShimSpec>,
-    /// Host-level Pony engine pool shared with co-located nodes.
-    pub shared_pony: Option<std::rc::Rc<std::cell::RefCell<rma::PonyHost>>>,
     /// Adaptive dataplane controller (`None` = fixed `strategy`, no
     /// demotion — the pre-controller client, byte for byte).
     pub adaptive: Option<ControllerCfg>,
-    /// Seed for the controller's explorer; the cell forks it off the sim
-    /// RNG only when `adaptive` is set.
+}
+
+/// What distinguishes one client from the others sharing its [`ClientCfg`].
+pub struct ClientIdentity {
+    /// Identity baked into nominated versions.
+    pub client_id: u32,
+    /// Seed for the adaptive controller's explorer; the cell forks it off
+    /// the sim RNG only when [`ClientCfg::adaptive`] is set.
     pub adaptive_seed: u64,
+    /// Host-level Pony engine pool shared with co-located nodes.
+    pub shared_pony: Option<Rc<RefCell<rma::PonyHost>>>,
 }
 
 impl Default for ClientCfg {
     fn default() -> Self {
         ClientCfg {
-            client_id: 1,
             strategy: LookupStrategy::TwoR,
             transport: TransportKind::PonyExpress,
             pony: PonyCfg::default(),
@@ -183,9 +191,7 @@ impl Default for ClientCfg {
             cache: None,
             hot_repl: None,
             shim: None,
-            shared_pony: None,
             adaptive: None,
-            adaptive_seed: 0,
         }
     }
 }
@@ -193,7 +199,6 @@ impl Default for ClientCfg {
 impl std::fmt::Debug for ClientCfg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientCfg")
-            .field("client_id", &self.client_id)
             .field("strategy", &self.strategy)
             .finish()
     }
@@ -248,8 +253,8 @@ struct GetState {
 impl GetState {
     /// A blank state for the recycling freelist (no capacity yet; it
     /// accrues on first use and is retained across reuses).
-    fn blank() -> GetState {
-        GetState {
+    fn blank() -> Box<GetState> {
+        Box::new(GetState {
             key: Bytes::new(),
             hash: 0,
             batch: None,
@@ -270,7 +275,7 @@ impl GetState {
             n_base: 0,
             consulted: 0,
             strategy: LookupStrategy::TwoR,
-        }
+        })
     }
 
     /// Reset for reuse, keeping the `replicas`/`votes` allocations.
@@ -327,12 +332,15 @@ struct MutationState {
     completed: bool,
 }
 
+/// Boxed states keep the `ops` B-tree's nodes (11 inline values each, and
+/// the root leaf outlives its last entry) a third the size; GET boxes
+/// recycle through `free_gets`.
 #[derive(Debug)]
 enum OpState {
     /// Waiting for config and/or geometry.
     Parked(ClientOp, Option<u64>),
-    Get(GetState),
-    Mutation(MutationState),
+    Get(Box<GetState>),
+    Mutation(Box<MutationState>),
 }
 
 #[derive(Debug)]
@@ -422,7 +430,8 @@ enum Work {
 
 /// The client node.
 pub struct ClientNode {
-    cfg: ClientCfg,
+    cfg: Rc<ClientCfg>,
+    client_id: u32,
     workload: Box<dyn Workload>,
     /// Client-side transport (public for harness engine sampling).
     pub transport: Transport,
@@ -436,27 +445,31 @@ pub struct ClientNode {
     /// per-op hot path.
     config: Option<Rc<CellConfig>>,
     config_refreshing: bool,
-    geometry: HashMap<NodeId, Geometry>,
-    connecting: HashSet<NodeId>,
-    pending_start: HashMap<u64, ClientOp>,
+    geometry: IdMap<NodeId, Geometry>,
+    connecting: IdSet<NodeId>,
+    pending_start: IdMap<u64, ClientOp>,
     ops: BTreeMap<u64, OpState>,
     /// Recycled [`GetState`]s: completed GETs return here so steady-state
     /// issue reuses their `replicas`/`votes` capacity (no allocation).
-    free_gets: Vec<GetState>,
-    /// Client-side lease cache (`cfg.cache`).
+    #[allow(clippy::vec_box)]
+    free_gets: Vec<Box<GetState>>,
+    /// Client-side lease cache (`cfg.cache`), built over the host's pool at
+    /// [`Event::Start`].
     ccache: Option<ClientCache>,
     /// Hot-key detector driving extended-replica routing (`cfg.hot_repl`).
-    hot: Option<HotKeyTracker>,
+    /// Boxed, like the controller: most cells run without either, and
+    /// inline they are 1.1 KB of every client.
+    hot: Option<Box<HotKeyTracker>>,
     /// Adaptive dataplane controller (`cfg.adaptive`).
-    adaptive: Option<Controller>,
-    batches: HashMap<u64, BatchState>,
+    adaptive: Option<Box<Controller>>,
+    batches: IdMap<u64, BatchState>,
     /// Doorbell-batching accumulator (active only inside a MultiGet /
     /// MultiSet expansion or a batch-completion demux).
     coalesce: BatchAccum,
     /// Outstanding batched RMA frames: batch tag -> member sub tags.
-    rma_batches: HashMap<u64, Vec<u64>>,
+    rma_batches: IdMap<u64, Vec<u64>>,
     /// Outstanding batched RPC frames: batch tag -> members.
-    rpc_batches: HashMap<u64, RpcBatch>,
+    rpc_batches: IdMap<u64, RpcBatch>,
     /// Monotonic batch-frame counter (tag allocator).
     next_batch_frame: u64,
     next_op_id: u64,
@@ -476,6 +489,7 @@ impl std::fmt::Debug for ClientNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientNode")
             .field("cfg", &self.cfg)
+            .field("client_id", &self.client_id)
             .field("in_flight", &self.in_flight)
             .finish()
     }
@@ -612,20 +626,24 @@ impl ClientMetricIds {
 
 impl ClientNode {
     /// Build a client that will drive `workload`.
-    pub fn new(cfg: ClientCfg, workload: Box<dyn Workload>) -> ClientNode {
-        let transport = match (cfg.transport, cfg.shared_pony.clone()) {
+    pub fn new(cfg: Rc<ClientCfg>, me: ClientIdentity, workload: Box<dyn Workload>) -> ClientNode {
+        let transport = match (cfg.transport, me.shared_pony) {
             (TransportKind::PonyExpress, Some(pool)) => Transport::pony_shared(pool),
             (TransportKind::PonyExpress, None) => Transport::pony(cfg.pony.clone()),
             (TransportKind::OneRma, _) => Transport::one_rma(),
             (TransportKind::Rdma, _) => Transport::rdma(),
         };
         ClientNode {
-            versions: VersionGen::new(cfg.client_id),
-            calls: CallTable::new(cfg.client_id as u64),
-            ccache: cfg.cache.clone().map(ClientCache::new),
-            hot: cfg.hot_repl.clone().map(HotKeyTracker::new),
+            client_id: me.client_id,
+            versions: VersionGen::new(me.client_id),
+            calls: CallTable::new(me.client_id as u64),
+            ccache: None,
+            hot: cfg
+                .hot_repl
+                .clone()
+                .map(|h| Box::new(HotKeyTracker::new(h))),
             adaptive: cfg.adaptive.clone().map(|a| {
-                let mut ctl = Controller::new(a, cfg.adaptive_seed);
+                let mut ctl = Controller::new(a, me.adaptive_seed);
                 // SCAR needs the programmable Pony Express NIC; on the
                 // hardware transports the server bounces every scan with
                 // Unsupported. Mask the arm rather than learn that from a
@@ -633,7 +651,7 @@ impl ClientNode {
                 if cfg.transport != TransportKind::PonyExpress {
                     ctl.set_arm_enabled(adaptive::Strategy::Scar, false);
                 }
-                ctl
+                Box::new(ctl)
             }),
             cfg,
             workload,
@@ -643,15 +661,15 @@ impl ClientNode {
             memo: VersionMemo::default(),
             config: None,
             config_refreshing: false,
-            geometry: HashMap::new(),
-            connecting: HashSet::new(),
-            pending_start: HashMap::new(),
+            geometry: IdMap::default(),
+            connecting: IdSet::default(),
+            pending_start: IdMap::default(),
             ops: BTreeMap::new(),
             free_gets: Vec::new(),
-            batches: HashMap::new(),
+            batches: IdMap::default(),
             coalesce: BatchAccum::default(),
-            rma_batches: HashMap::new(),
-            rpc_batches: HashMap::new(),
+            rma_batches: IdMap::default(),
+            rpc_batches: IdMap::default(),
             next_batch_frame: 0,
             next_op_id: 1,
             in_flight: 0,
@@ -1102,7 +1120,7 @@ impl ClientNode {
                 );
             }
             ClientOp::Cas { key, value } => {
-                let Some(expected) = self.memo.get(&key) else {
+                let Some(expected) = self.memo.get(hash) else {
                     self.complete_op(ctx, op_id, OpOutcome::Error, ctx.now());
                     return;
                 };
@@ -1130,7 +1148,7 @@ impl ClientNode {
     /// Complete a GET locally from the lease cache: no backend is
     /// contacted, no sub-ops issue. The op still passes through the normal
     /// completion path (trace, latency, batch accounting) and allocates
-    /// nothing (recycled [`GetState`], refcounted value).
+    /// nothing (recycled [`GetState`]; the value is not touched).
     fn complete_local_hit(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1142,7 +1160,7 @@ impl ClientNode {
     ) {
         let now = ctx.now();
         ctx.metrics().add_id(self.m().ccache_hits, 1);
-        self.memo.remember(&key, version);
+        self.memo.remember(hash, version);
         let mut state = self.free_gets.pop().unwrap_or_else(GetState::blank);
         state.key = key;
         state.hash = hash;
@@ -1613,13 +1631,12 @@ impl ClientNode {
                 .any(|(n, v)| n == from && matches!(v, Vote::Entry(ver, _) if ver == version));
             if agree >= read_quorum && from_is_member {
                 let (_, version, value) = get.data.take().expect("checked");
-                let key = get.key.clone();
                 let hash = get.hash;
-                self.memo.remember(&key, version);
+                self.memo.remember(hash, version);
                 self.note_access(op_id);
                 if let Some(cache) = self.ccache.as_mut() {
-                    // Lease-cache fill: the stored value shares the pooled
-                    // inbound frame (refcount bump, no copy).
+                    // Lease-cache fill: the cache copies the value, so the
+                    // inbound frame goes back to its sender's pool here.
                     cache.insert(hash, version, value, ctx.now());
                 } else {
                     let _ = value;
@@ -1681,7 +1698,6 @@ impl ClientNode {
                     .count() as u32;
                 if agree >= read_quorum {
                     get.cached_version = None;
-                    let key = get.key.clone();
                     let hash = get.hash;
                     let now = ctx.now();
                     let validated = self
@@ -1690,7 +1706,7 @@ impl ClientNode {
                         .is_some_and(|c| c.validate(hash, cv, now));
                     if validated {
                         ctx.metrics().add_id(self.m().ccache_validations, 1);
-                        self.memo.remember(&key, cv);
+                        self.memo.remember(hash, cv);
                         self.note_access(op_id);
                         ctx.metrics().add_id(self.m().get_hits, 1);
                         self.complete_op(ctx, op_id, OpOutcome::Hit, now);
@@ -1875,7 +1891,7 @@ impl ClientNode {
             failures: 0,
             completed: false,
         };
-        self.ops.insert(op_id, OpState::Mutation(state));
+        self.ops.insert(op_id, OpState::Mutation(Box::new(state)));
         let aux = match kind {
             MutationKind::Set => trace_aux::SET,
             MutationKind::Erase => trace_aux::ERASE,
@@ -2095,14 +2111,13 @@ impl ClientNode {
         let copies = m.replicas.len() as u32;
         if m.acks_base >= wq {
             m.completed = true;
-            let key = m.key.clone();
             let hash = m.hash;
             let version = m.version;
             let kind = m.kind;
             let value = m.value.clone();
             match kind {
-                MutationKind::Erase => self.memo.forget(&key),
-                _ => self.memo.remember(&key, version),
+                MutationKind::Erase => self.memo.forget(hash),
+                _ => self.memo.remember(hash, version),
             }
             if let Some(cache) = self.ccache.as_mut() {
                 // Write-through: the committed version replaces whatever
@@ -2480,10 +2495,9 @@ impl ClientNode {
             return;
         }
         let hash = get.hash;
-        let key = get.key.clone();
         match status {
             Status::Ok => {
-                self.memo.remember(&key, version);
+                self.memo.remember(hash, version);
                 if let Some(cache) = self.ccache.as_mut() {
                     cache.insert(hash, version, value, ctx.now());
                 }
@@ -2596,8 +2610,7 @@ impl ClientNode {
             Status::Ok => {
                 if let Some(resp) = messages::GetResp::decode(done.body) {
                     get.fallback_pending = 0;
-                    let key = resp.key.clone();
-                    self.memo.remember(&key, resp.version);
+                    self.memo.remember(hash, resp.version);
                     if let Some(cache) = self.ccache.as_mut() {
                         cache.insert(hash, resp.version, resp.value.clone(), ctx.now());
                     }
@@ -3126,6 +3139,11 @@ impl Node for ClientNode {
                 self.pool = ctx.pool();
                 self.calls.set_pool(self.pool.clone());
                 self.rma.set_pool(self.pool.clone());
+                self.ccache = self
+                    .cfg
+                    .cache
+                    .clone()
+                    .map(|c| ClientCache::with_pool(c, self.pool.clone()));
                 self.refresh_config(ctx);
                 self.schedule_next(ctx);
                 if let Some(interval) = self.cfg.access_flush {
@@ -3293,7 +3311,7 @@ impl Node for ClientNode {
     }
 
     fn label(&self) -> String {
-        format!("client[{}]", self.cfg.client_id)
+        format!("client[{}]", self.client_id)
     }
 }
 

@@ -8,9 +8,8 @@
 //! identical lease decisions):
 //!
 //! * **hit** — lease unexpired: the GET completes locally, touching no
-//!   backend. The hit path allocates nothing: the LRU is an intrusive
-//!   index-linked list over preallocated slots, and the stored value is a
-//!   refcount bump on the pooled inbound frame it was sliced from.
+//!   backend. The hit path allocates nothing: it probes a small
+//!   open-addressed index and relinks an intrusive index-linked LRU list.
 //! * **stale** — entry present, lease expired: the client runs a normal
 //!   quorum GET; if the read quorum's version equals the cached version the
 //!   entry is *validated* (lease renewed, served from cache — on the 2×R
@@ -23,10 +22,20 @@
 //! memcache-style deployments run with; quorum correctness is untouched
 //! because every cache fill and validation passes through the normal
 //! versioned read path.
+//!
+//! **Memory follows use.** A client that is allowed 128 entries but touches
+//! ten pays for ten: slot storage and the index start empty and grow by
+//! doubling up to `capacity`, never past it. The cache keeps its *own*
+//! right-sized copy of every value, taken from the pool it was given (the
+//! client host's), instead of a slice of the inbound frame: a slice would
+//! pin the sender's whole pooled frame — a 16-entry batch response for one
+//! cached member — for as long as the entry lives, so the resident bound is
+//! `capacity × value bytes`, and inbound frames go back to their sender's
+//! pool the moment the op completes.
 
-use std::collections::HashMap;
+use std::mem::size_of;
 
-use bytes::Bytes;
+use bytes::{Bytes, Pool};
 use simnet::{SimDuration, SimTime};
 
 use crate::hash::KeyHash;
@@ -35,7 +44,8 @@ use crate::version::VersionNumber;
 /// Client-cache configuration.
 #[derive(Debug, Clone)]
 pub struct ClientCacheCfg {
-    /// Maximum resident entries (slots are preallocated).
+    /// Maximum resident entries. A bound, not a reservation: storage grows
+    /// with occupancy.
     pub capacity: usize,
     /// Lease TTL in sim time.
     pub lease_ttl: SimDuration,
@@ -83,31 +93,53 @@ pub struct CacheStats {
     pub validations: u64,
     /// Entries dropped by the owner's own mutations.
     pub invalidations: u64,
-    /// Entries displaced by capacity pressure.
+    /// Entries displaced by capacity pressure, or by a refresh whose value
+    /// outgrew `max_value_len`.
     pub evictions: u64,
 }
 
 const NIL: u32 = u32::MAX;
 
+/// Slot storage never starts smaller than this (one allocation covers the
+/// first few fills).
+const MIN_SLOTS: usize = 4;
+
+/// The fields the hit/validate path reads, 48 bytes. The value lives in the
+/// parallel `values` array: lookups never touch it.
 #[derive(Debug)]
 struct Slot {
     hash: KeyHash,
     version: VersionNumber,
-    value: Bytes,
     lease: SimTime,
+    /// LRU neighbours while resident; `next` threads the free list while
+    /// not.
     prev: u32,
     next: u32,
 }
 
-/// Bounded LRU lease cache. All operations are O(1); none allocate after
-/// construction (slots, free list, and the hash map are preallocated; map
-/// churn reuses its capacity).
+/// Bounded LRU lease cache. All operations are O(1). Storage is grown on
+/// demand up to `capacity` entries; once it stops growing — at the latest
+/// at capacity — no operation allocates (value buffers cycle through the
+/// pool).
 #[derive(Debug)]
 pub struct ClientCache {
     cfg: ClientCacheCfg,
-    map: HashMap<KeyHash, u32>,
+    /// Where value copies come from and go back to.
+    pool: Pool,
+    /// Open-addressed (linear probing, backward-shift deletion) table of
+    /// slot numbers, `NIL` = empty. Empty until the first fill, then a
+    /// power of two at least twice the slot storage, so probes are short
+    /// and always end.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the home bucket is the top bits of the
+    /// mixed hash.
+    index_shift: u32,
     slots: Vec<Slot>,
-    free: Vec<u32>,
+    /// `values[i]` belongs to `slots[i]`.
+    values: Vec<Bytes>,
+    /// Head of the free-slot list (slots emptied by invalidation).
+    free: u32,
+    len: usize,
     head: u32,
     tail: u32,
     /// Running counters.
@@ -115,30 +147,26 @@ pub struct ClientCache {
 }
 
 impl ClientCache {
-    /// Build a cache with `cfg.capacity` preallocated slots.
+    /// An empty cache copying values into a pool of its own.
     pub fn new(cfg: ClientCacheCfg) -> ClientCache {
-        let cap = cfg.capacity.max(1);
-        let mut slots = Vec::with_capacity(cap);
-        let mut free = Vec::with_capacity(cap);
-        for i in 0..cap {
-            slots.push(Slot {
-                hash: 0,
-                version: VersionNumber::ZERO,
-                value: Bytes::new(),
-                lease: SimTime(0),
-                prev: NIL,
-                next: NIL,
-            });
-            free.push((cap - 1 - i) as u32);
-        }
+        ClientCache::with_pool(cfg, Pool::new())
+    }
+
+    /// An empty cache copying values into `pool` (the owning client host's,
+    /// so buffers recycle host-wide).
+    pub fn with_pool(cfg: ClientCacheCfg, pool: Pool) -> ClientCache {
         ClientCache {
-            map: HashMap::with_capacity(cap * 2),
-            slots,
-            free,
+            cfg,
+            pool,
+            index: Vec::new(),
+            index_shift: 0,
+            slots: Vec::new(),
+            values: Vec::new(),
+            free: NIL,
+            len: 0,
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
-            cfg,
         }
     }
 
@@ -149,20 +177,117 @@ impl ClientCache {
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
+    }
+
+    /// Bytes of slot, value-handle and index storage currently reserved
+    /// (value payloads live in the pool and are bounded by
+    /// `capacity × max_value_len` separately).
+    pub fn reserved_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<Slot>()
+            + self.values.capacity() * size_of::<Bytes>()
+            + self.index.capacity() * size_of::<u32>()
+    }
+
+    /// Upper bound of [`ClientCache::reserved_bytes`] for `capacity`
+    /// entries.
+    pub fn reserved_bytes_bound(capacity: usize) -> usize {
+        let slots = capacity.max(1);
+        slots * (size_of::<Slot>() + size_of::<Bytes>())
+            + (2 * slots).next_power_of_two() * size_of::<u32>()
     }
 
     /// Cached value for `hash` (test visibility; does not touch LRU order
     /// or stats).
     pub fn peek(&self, hash: KeyHash) -> Option<(VersionNumber, Bytes, SimTime)> {
-        let &slot = self.map.get(&hash)?;
+        let (_, slot) = self.find(hash)?;
         let s = &self.slots[slot as usize];
-        Some((s.version, s.value.clone(), s.lease))
+        Some((s.version, self.values[slot as usize].clone(), s.lease))
+    }
+
+    // ---- index -------------------------------------------------------------
+
+    /// Home bucket of `hash`. Key hashes are already uniform; the fold and
+    /// multiply only make sure small integers (tests) spread too.
+    #[inline]
+    fn home(&self, hash: KeyHash) -> usize {
+        let folded = hash as u64 ^ (hash >> 64) as u64;
+        (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
+    }
+
+    /// `(index position, slot)` of `hash`, if resident.
+    #[inline]
+    fn find(&self, hash: KeyHash) -> Option<(usize, u32)> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(hash);
+        loop {
+            let slot = self.index[pos];
+            if slot == NIL {
+                return None;
+            }
+            if self.slots[slot as usize].hash == hash {
+                return Some((pos, slot));
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Enter `slot` (whose hash is set and not yet indexed).
+    fn index_insert(&mut self, slot: u32) {
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(self.slots[slot as usize].hash);
+        while self.index[pos] != NIL {
+            pos = (pos + 1) & mask;
+        }
+        self.index[pos] = slot;
+    }
+
+    /// Empty index position `hole`, shifting later members of its probe run
+    /// back so every survivor stays reachable from its home bucket.
+    fn index_remove(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let slot = self.index[pos];
+            if slot == NIL {
+                break;
+            }
+            // `slot` may move into the hole unless its home lies cyclically
+            // in (hole, pos]: then the hole is before its probe start.
+            let home = self.home(self.slots[slot as usize].hash);
+            if (pos.wrapping_sub(home) & mask) >= (pos.wrapping_sub(hole) & mask) {
+                self.index[hole] = slot;
+                hole = pos;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    /// Double the slot storage (clamped to `capacity`) and rebuild the index
+    /// at twice that. Called only when every reserved slot is resident.
+    fn grow(&mut self) {
+        let cap = self.cfg.capacity.max(1);
+        let target = (self.slots.capacity() * 2).clamp(MIN_SLOTS.min(cap), cap);
+        self.slots.reserve_exact(target - self.slots.len());
+        self.values.reserve_exact(target - self.values.len());
+        // Sized from what was actually reserved: slots fill to their
+        // capacity before `grow` runs again, and the index must stay at
+        // most half full for probes to end.
+        let buckets = (2 * self.slots.capacity().min(cap)).next_power_of_two();
+        self.index = vec![NIL; buckets];
+        self.index_shift = 64 - buckets.trailing_zeros();
+        for slot in 0..self.slots.len() as u32 {
+            self.index_insert(slot);
+        }
     }
 
     // ---- intrusive LRU list ---------------------------------------------
@@ -199,12 +324,66 @@ impl ClientCache {
         self.head = i;
     }
 
+    /// Take the resident entry at (`pos`, `slot`) out of the index and the
+    /// LRU list and release its value; the slot is the caller's to reuse or
+    /// free.
+    fn detach(&mut self, pos: usize, slot: u32) {
+        self.index_remove(pos);
+        self.unlink(slot);
+        self.values[slot as usize] = Bytes::new();
+        self.len -= 1;
+    }
+
+    fn free_slot(&mut self, slot: u32) {
+        self.slots[slot as usize].next = self.free;
+        self.free = slot;
+    }
+
+    /// A slot for a new entry: a freed one, else a fresh one while under
+    /// `capacity`, else the LRU tail's.
+    fn vacant_slot(&mut self) -> u32 {
+        if self.free != NIL {
+            let slot = self.free;
+            self.free = self.slots[slot as usize].next;
+            return slot;
+        }
+        if self.slots.len() < self.cfg.capacity.max(1) {
+            if self.slots.len() == self.slots.capacity() {
+                self.grow();
+            }
+            self.slots.push(Slot {
+                hash: 0,
+                version: VersionNumber::ZERO,
+                lease: SimTime(0),
+                prev: NIL,
+                next: NIL,
+            });
+            self.values.push(Bytes::new());
+            return self.slots.len() as u32 - 1;
+        }
+        let victim = self.tail;
+        let (pos, _) = self
+            .find(self.slots[victim as usize].hash)
+            .expect("a full cache has an indexed tail");
+        self.detach(pos, victim);
+        self.stats.evictions += 1;
+        victim
+    }
+
+    /// The cache's own copy of `value`, in the smallest pool class that
+    /// holds it.
+    fn copy_in(&self, value: &[u8]) -> Bytes {
+        let mut buf = self.pool.get(value.len());
+        buf.extend_from_slice(value);
+        buf.freeze()
+    }
+
     // ---- operations ------------------------------------------------------
 
     /// Look up `hash` at sim time `now`, bumping recency on hit/stale.
     pub fn lookup(&mut self, hash: KeyHash, now: SimTime) -> Lookup {
         self.stats.lookups += 1;
-        let Some(&slot) = self.map.get(&hash) else {
+        let Some((_, slot)) = self.find(hash) else {
             self.stats.misses += 1;
             return Lookup::Miss;
         };
@@ -221,50 +400,50 @@ impl ClientCache {
     }
 
     /// Install (or refresh) `hash` at `version`, leasing until
-    /// `now + lease_ttl`. Oversized values are ignored. A refresh never
-    /// regresses the version: VersionNumbers totally order mutations
-    /// (backends resolve arrival races the same way), so a slow GET that
-    /// read the pre-mutation value must not clobber the owner's newer
-    /// write-through — it only renews the lease of the newer entry.
+    /// `now + lease_ttl`; the bytes are copied, `value` itself is released.
+    /// A refresh never regresses the version: VersionNumbers totally order
+    /// mutations (backends resolve arrival races the same way), so a slow
+    /// GET that read the pre-mutation value must not clobber the owner's
+    /// newer write-through — it only renews the lease of the newer entry.
+    /// Oversized values are not cached, and one that supersedes a cached
+    /// version drops that entry: keeping it would answer `Stale` with a
+    /// version no validation can match again until LRU reached it.
     pub fn insert(&mut self, hash: KeyHash, version: VersionNumber, value: Bytes, now: SimTime) {
+        let found = self.find(hash);
         if value.len() > self.cfg.max_value_len {
+            if let Some((pos, slot)) = found {
+                if version >= self.slots[slot as usize].version {
+                    self.detach(pos, slot);
+                    self.free_slot(slot);
+                    self.stats.evictions += 1;
+                }
+            }
             return;
         }
         let lease = now + self.cfg.lease_ttl;
-        if let Some(&slot) = self.map.get(&hash) {
-            let s = &mut self.slots[slot as usize];
-            if version < s.version {
-                return;
+        let slot = match found {
+            Some((_, slot)) => {
+                if version < self.slots[slot as usize].version {
+                    return;
+                }
+                self.unlink(slot);
+                // Released before the new copy is taken, so a same-class
+                // refresh gets its own buffer straight back.
+                self.values[slot as usize] = Bytes::new();
+                slot
             }
-            s.version = version;
-            s.value = value;
-            s.lease = lease;
-            self.unlink(slot);
-            self.push_front(slot);
-            self.stats.inserts += 1;
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
             None => {
-                // Capacity: displace the LRU tail.
-                let victim = self.tail;
-                debug_assert!(victim != NIL, "full cache has a tail");
-                self.unlink(victim);
-                let old_hash = self.slots[victim as usize].hash;
-                self.map.remove(&old_hash);
-                self.stats.evictions += 1;
-                victim
+                let slot = self.vacant_slot();
+                self.slots[slot as usize].hash = hash;
+                self.index_insert(slot);
+                self.len += 1;
+                slot
             }
         };
-        {
-            let s = &mut self.slots[slot as usize];
-            s.hash = hash;
-            s.version = version;
-            s.value = value;
-            s.lease = lease;
-        }
-        self.map.insert(hash, slot);
+        self.values[slot as usize] = self.copy_in(&value);
+        let s = &mut self.slots[slot as usize];
+        s.version = version;
+        s.lease = lease;
         self.push_front(slot);
         self.stats.inserts += 1;
     }
@@ -272,7 +451,7 @@ impl ClientCache {
     /// Renew the lease iff the cached version for `hash` equals
     /// `version` (quorum agreement observed). Returns whether it matched.
     pub fn validate(&mut self, hash: KeyHash, version: VersionNumber, now: SimTime) -> bool {
-        let Some(&slot) = self.map.get(&hash) else {
+        let Some((_, slot)) = self.find(hash) else {
             return false;
         };
         let lease = now + self.cfg.lease_ttl;
@@ -290,12 +469,11 @@ impl ClientCache {
     /// Drop `hash` (the owner mutated the key). Returns whether an entry
     /// was dropped.
     pub fn invalidate(&mut self, hash: KeyHash) -> bool {
-        let Some(slot) = self.map.remove(&hash) else {
+        let Some((pos, slot)) = self.find(hash) else {
             return false;
         };
-        self.unlink(slot);
-        self.slots[slot as usize].value = Bytes::new(); // release pooled frame
-        self.free.push(slot);
+        self.detach(pos, slot);
+        self.free_slot(slot);
         self.stats.invalidations += 1;
         true
     }
@@ -377,6 +555,64 @@ mod tests {
         });
         c.insert(1, v(1), Bytes::from(vec![0u8; 64]), at_ms(0));
         assert_eq!(c.lookup(1, at_ms(1)), Lookup::Miss);
+    }
+
+    #[test]
+    fn oversized_refresh_drops_the_entry() {
+        // A key whose value grew past the limit must not keep answering
+        // `Stale` with a version no quorum will confirm again.
+        let mut c = ClientCache::new(ClientCacheCfg {
+            capacity: 4,
+            lease_ttl: SimDuration::from_millis(10),
+            max_value_len: 4,
+        });
+        c.insert(1, v(5), Bytes::from_static(b"tiny"), at_ms(0));
+        c.insert(2, v(5), Bytes::from_static(b"stay"), at_ms(0));
+        c.insert(1, v(6), Bytes::from(vec![0u8; 64]), at_ms(1));
+        assert_eq!(c.peek(1), None, "the outgrown entry is gone");
+        assert_eq!(c.lookup(1, at_ms(20)), Lookup::Miss, "not Stale(v5)");
+        assert_eq!(c.len(), 1);
+        assert_eq!((c.stats.evictions, c.stats.invalidations), (1, 0));
+        // The freed slot is reused before the cache grows or evicts.
+        c.insert(3, v(1), Bytes::from_static(b"new"), at_ms(2));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.stats.evictions, 1);
+        // A slow GET carrying an *older* oversized value must not drop the
+        // newer entry (same gate as a normal refresh).
+        c.insert(2, v(4), Bytes::from(vec![0u8; 64]), at_ms(3));
+        assert_eq!(c.peek(2).map(|(ver, ..)| ver), Some(v(5)));
+    }
+
+    #[test]
+    fn storage_follows_occupancy_up_to_the_capacity_bound() {
+        for cap in [1usize, 2, 7, 128] {
+            let pool = Pool::new();
+            let mut c = ClientCache::with_pool(
+                ClientCacheCfg {
+                    capacity: cap,
+                    lease_ttl: SimDuration::from_millis(10),
+                    max_value_len: 1 << 20,
+                },
+                pool.clone(),
+            );
+            assert_eq!(c.reserved_bytes(), 0, "a fresh cache reserves nothing");
+            let bound = ClientCache::reserved_bytes_bound(cap);
+            let value = Bytes::from(vec![7u8; 300]);
+            for i in 0..cap as u128 {
+                c.insert(i, v(1), value.clone(), at_ms(0));
+                let (len, reserved) = (c.len(), c.reserved_bytes());
+                assert_eq!(len, i as usize + 1);
+                assert!(reserved <= bound, "cap {cap}: {reserved} > {bound}");
+                // Doubling: never more than twice what `len` entries need
+                // (four slots are the floor).
+                let need = ClientCache::reserved_bytes_bound(len.max(MIN_SLOTS).min(cap));
+                assert!(reserved <= 2 * need, "cap {cap} len {len}: {reserved}");
+            }
+            // Dropping the cache hands every value copy back to the pool.
+            let fresh = pool.stats().acquires - pool.stats().reuses;
+            drop(c);
+            assert_eq!(pool.idle_buffers() as u64, fresh, "every copy returned");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 
 use bytes::Bytes;
 
-use simnet::{SimDuration, SimRng, SimTime};
+use simnet::{IdMap, SimDuration, SimRng, SimTime};
 
+use crate::hash::KeyHash;
 use crate::version::VersionNumber;
 
 /// One logical client operation.
@@ -195,29 +196,31 @@ impl Workload for UniformWorkload {
 }
 
 /// Tracks memoized versions for CAS (`expected` comes from the last version
-/// this client observed for the key).
+/// this client observed for the key). Keyed by the key's 128-bit hash, which
+/// every caller already holds: half the entry of a `Bytes` key, and nothing
+/// to hash per op.
 #[derive(Debug, Default)]
 pub struct VersionMemo {
-    map: std::collections::HashMap<Bytes, VersionNumber>,
+    map: IdMap<KeyHash, VersionNumber>,
 }
 
 impl VersionMemo {
-    /// Remember the version last observed for `key`.
-    pub fn remember(&mut self, key: &Bytes, version: VersionNumber) {
+    /// Remember the version last observed for the key hashing to `hash`.
+    pub fn remember(&mut self, hash: KeyHash, version: VersionNumber) {
         if self.map.len() > 100_000 {
             self.map.clear();
         }
-        self.map.insert(key.clone(), version);
+        self.map.insert(hash, version);
     }
 
     /// The memoized version, if any.
-    pub fn get(&self, key: &Bytes) -> Option<VersionNumber> {
-        self.map.get(key).copied()
+    pub fn get(&self, hash: KeyHash) -> Option<VersionNumber> {
+        self.map.get(&hash).copied()
     }
 
     /// Forget a key (after ERASE).
-    pub fn forget(&mut self, key: &Bytes) {
-        self.map.remove(key);
+    pub fn forget(&mut self, hash: KeyHash) {
+        self.map.remove(&hash);
     }
 }
 
@@ -281,12 +284,12 @@ mod tests {
     #[test]
     fn version_memo_roundtrip() {
         let mut m = VersionMemo::default();
-        let k = Bytes::from_static(b"key");
-        assert_eq!(m.get(&k), None);
-        m.remember(&k, VersionNumber::new(1, 2, 3));
-        assert_eq!(m.get(&k), Some(VersionNumber::new(1, 2, 3)));
-        m.forget(&k);
-        assert_eq!(m.get(&k), None);
+        let k: KeyHash = 0xfeed_beef;
+        assert_eq!(m.get(k), None);
+        m.remember(k, VersionNumber::new(1, 2, 3));
+        assert_eq!(m.get(k), Some(VersionNumber::new(1, 2, 3)));
+        m.forget(k);
+        assert_eq!(m.get(k), None);
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! requests, remember in-flight metadata, and match responses. Timeouts use
 //! the same per-op timer token convention.
 
-use std::collections::HashMap;
-
 use bytes::{Bytes, Pool};
 
-use simnet::{NodeId, SimTime};
+use simnet::{IdMap, NodeId, SimTime};
 
 use crate::codec::{
     encode_batch_read_req_in, encode_batch_scar_req_in, encode_read_req_in, encode_scar_req_in,
@@ -71,7 +69,7 @@ pub struct OpCompletion {
 #[derive(Debug, Default)]
 pub struct RmaOpTable {
     next_id: u64,
-    outstanding: HashMap<u64, OutstandingOp>,
+    outstanding: IdMap<u64, OutstandingOp>,
     /// Frame-buffer pool requests are encoded into. Starts as a private
     /// pool; nodes swap in their host's shared pool at `Event::Start` via
     /// [`RmaOpTable::set_pool`].
@@ -83,7 +81,7 @@ impl RmaOpTable {
     pub fn new() -> RmaOpTable {
         RmaOpTable {
             next_id: 1,
-            outstanding: HashMap::new(),
+            outstanding: IdMap::default(),
             pool: Pool::new(),
         }
     }

@@ -6,11 +6,9 @@
 //! and periodically sweeps it for deadline expirations (or sets a per-call
 //! timer using [`CallTable::timer_token`]).
 
-use std::collections::HashMap;
-
 use bytes::{Bytes, Pool};
 
-use simnet::{NodeId, SimTime};
+use simnet::{IdMap, NodeId, SimTime};
 
 use crate::codec::{self, Request, Response, Status, PROTOCOL_VERSION};
 
@@ -54,7 +52,7 @@ pub struct Completion {
 #[derive(Debug, Default)]
 pub struct CallTable {
     next_id: u64,
-    outstanding: HashMap<u64, Outstanding>,
+    outstanding: IdMap<u64, Outstanding>,
     /// Frame-buffer pool requests are encoded into. Starts as a private
     /// pool; nodes swap in their host's shared pool at `Event::Start` via
     /// [`CallTable::set_pool`].
@@ -68,7 +66,7 @@ impl CallTable {
     pub fn new(auth: u64) -> CallTable {
         CallTable {
             next_id: 1,
-            outstanding: HashMap::new(),
+            outstanding: IdMap::default(),
             pool: Pool::new(),
             auth,
         }

@@ -8,7 +8,7 @@
 //! partitioned token namespace so several independent components inside one
 //! node never collide.
 
-use std::collections::HashMap;
+use crate::util::IdMap;
 
 /// A token-allocating map of pending continuations of type `T`.
 #[derive(Debug)]
@@ -16,7 +16,7 @@ pub struct Deferred<T> {
     base: u64,
     span: u64,
     next: u64,
-    pending: HashMap<u64, T>,
+    pending: IdMap<u64, T>,
 }
 
 impl<T> Deferred<T> {
@@ -29,7 +29,7 @@ impl<T> Deferred<T> {
             base,
             span,
             next: 0,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
         }
     }
 

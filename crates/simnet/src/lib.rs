@@ -77,4 +77,4 @@ pub use sim::{Ctx, FabricCfg, Sim};
 pub use stats::{Histogram, MetricId, Metrics, TimeSeries};
 pub use time::{serialization_delay, SimDuration, SimTime};
 pub use truetime::{TrueTime, TrueTimestamp};
-pub use util::{AntagonistNode, SinkNode};
+pub use util::{AntagonistNode, IdMap, IdSet, SinkNode};

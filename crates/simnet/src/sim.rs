@@ -115,21 +115,6 @@ struct NodeMeta {
     alive: bool,
 }
 
-/// Deterministic parallel-step state: configuration plus plain-field
-/// window statistics (never metrics — the parallel path must leave the
-/// metrics dump byte-identical to the serial path).
-#[derive(Debug, Clone, Copy)]
-struct ParallelState {
-    /// Host partitions the conservative window is reasoned over.
-    partitions: u32,
-    /// Windows executed so far.
-    windows: u64,
-    /// Events executed through the parallel path.
-    events: u64,
-    /// Largest single window (events).
-    max_window: u64,
-}
-
 /// The simulation world.
 pub struct Sim {
     now: SimTime,
@@ -157,9 +142,6 @@ pub struct Sim {
     node_skew: Vec<i64>,
     /// High-water mark of total queued events (fifo + calendar queue).
     queue_high_water: usize,
-    /// Opt-in deterministic parallel stepping; `None` (the default) leaves
-    /// [`Sim::run_until`] on the serial path.
-    parallel: Option<ParallelState>,
     fabric: FabricCfg,
     rng: SimRng,
     metrics: Metrics,
@@ -206,25 +188,9 @@ impl SimMetricIds {
 
 impl Sim {
     /// Create a simulation with the given fabric and RNG seed.
-    ///
-    /// The `SIMNET_PARALLEL` environment variable (a partition count > 0)
-    /// opts the new simulation into the deterministic parallel step, as if
-    /// [`Sim::set_parallel`] had been called — this is how whole-harness
-    /// runs (figures, CI gates) flip every cell to the parallel path
-    /// without threading a flag through each experiment.
     pub fn new(fabric: FabricCfg, seed: u64) -> Sim {
         let mut metrics = Metrics::new();
         let mids = SimMetricIds::resolve(&mut metrics);
-        let parallel = std::env::var("SIMNET_PARALLEL")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .filter(|&p| p > 0)
-            .map(|partitions| ParallelState {
-                partitions,
-                windows: 0,
-                events: 0,
-                max_window: 0,
-            });
         Sim {
             now: SimTime::ZERO,
             seq: 0,
@@ -237,7 +203,6 @@ impl Sim {
             node_objs: Vec::new(),
             node_skew: Vec::new(),
             queue_high_water: 0,
-            parallel,
             fabric,
             rng: SimRng::new(seed),
             metrics,
@@ -472,6 +437,12 @@ impl Sim {
         self.hosts.stats(id)
     }
 
+    /// Handle to a host's frame-buffer pool (harness-side reads of
+    /// [`Pool::stats`] / [`Pool::idle_buffers`]).
+    pub fn host_pool(&self, id: HostId) -> Pool {
+        self.hosts.pool(id)
+    }
+
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
         self.hosts.len()
@@ -649,17 +620,7 @@ impl Sim {
     }
 
     /// Run until the queue drains or the clock passes `deadline`.
-    ///
-    /// With parallel stepping enabled ([`Sim::set_parallel`] or the
-    /// `SIMNET_PARALLEL` environment variable) this drives
-    /// [`Sim::step_parallel`] windows instead of single steps; the two
-    /// paths are byte-identical by construction.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.parallel.is_some() {
-            while self.step_parallel(deadline) {}
-            self.now = self.now.max(deadline);
-            return;
-        }
         loop {
             if !self.fifo.is_empty() {
                 // Fifo events fire at exactly `now`; only run them inside
@@ -676,111 +637,6 @@ impl Sim {
             self.step();
         }
         self.now = self.now.max(deadline);
-    }
-
-    /// Time of the next pending event (same-time fifo events fire at
-    /// `now`), or `None` when the simulation is fully drained.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        if !self.fifo.is_empty() {
-            return Some(self.now);
-        }
-        self.queue.peek_at().map(SimTime)
-    }
-
-    /// Conservative parallel lookahead: the minimum latency any event on
-    /// one host needs to affect a *different* node — cross-fabric base
-    /// latency or loopback, whichever is smaller. Two events within one
-    /// lookahead window can only interact through same-host state, which
-    /// the deterministic `(at, seq)` merge order serializes anyway.
-    pub fn lookahead(&self) -> SimDuration {
-        let min = self.fabric.base_latency.min(self.fabric.loopback_latency);
-        if min > SimDuration::ZERO {
-            min
-        } else {
-            SimDuration(1)
-        }
-    }
-
-    /// Execute one conservative parallel window ending no later than
-    /// `deadline`; returns `false` when no event at or before `deadline`
-    /// remains.
-    ///
-    /// The window is the classic conservative-lookahead bound: an event
-    /// executing at time `t` cannot cause a new event on another host
-    /// before `t + lookahead` (the minimum link latency), so every event
-    /// in `[window_start, window_start + lookahead)` already exists when
-    /// the window opens and the per-host partitions are causally
-    /// independent within it. To keep the committed figures byte-identical
-    /// the merge order chosen is exactly the serial `(at, seq)` order —
-    /// the order any threaded executor must merge back to — and window
-    /// statistics go to plain fields, never metrics (see DESIGN.md).
-    pub fn step_parallel(&mut self, deadline: SimTime) -> bool {
-        let look = self.lookahead();
-        let start = match self.next_event_at() {
-            Some(at) if at <= deadline => at,
-            _ => return false,
-        };
-        // Half-open window, clipped so nothing past `deadline` runs.
-        let window_end = start
-            .0
-            .saturating_add(look.0)
-            .min(deadline.0.saturating_add(1));
-        let before = self.events;
-        loop {
-            if !self.fifo.is_empty() {
-                if self.now.0 >= window_end {
-                    break;
-                }
-            } else {
-                match self.queue.peek_at() {
-                    Some(at) if at < window_end => {}
-                    _ => break,
-                }
-            }
-            if !self.step() {
-                break;
-            }
-        }
-        let ran = self.events - before;
-        if let Some(p) = self.parallel.as_mut() {
-            p.windows += 1;
-            p.events += ran;
-            if ran > p.max_window {
-                p.max_window = ran;
-            }
-        }
-        ran > 0
-    }
-
-    /// Opt in to deterministic parallel stepping with `partitions` host
-    /// partitions (0 disables). Off by default; the parallel path is
-    /// byte-identical to the serial engine.
-    pub fn set_parallel(&mut self, partitions: u32) {
-        self.parallel = (partitions > 0).then_some(ParallelState {
-            partitions,
-            windows: 0,
-            events: 0,
-            max_window: 0,
-        });
-    }
-
-    /// Whether parallel stepping is enabled.
-    pub fn parallel_enabled(&self) -> bool {
-        self.parallel.is_some()
-    }
-
-    /// Configured partition count for the parallel path (0 = serial).
-    pub fn parallel_partitions(&self) -> u32 {
-        self.parallel.map_or(0, |p| p.partitions)
-    }
-
-    /// `(windows, events, max single window)` executed via the parallel
-    /// path since it was enabled.
-    pub fn parallel_stats(&self) -> (u64, u64, u64) {
-        match self.parallel {
-            Some(p) => (p.windows, p.events, p.max_window),
-            None => (0, 0, 0),
-        }
     }
 
     /// High-water mark of queued events (calendar queue + same-time fifo).
@@ -1782,42 +1638,6 @@ mod tests {
         assert!(sim.queue_high_water() >= 1);
         assert_eq!(sim.queue_len(), 0);
         assert!(sim.pending_pool_len() >= 1);
-    }
-
-    #[test]
-    fn parallel_step_matches_serial_ping_pong() {
-        // The conservative-window path must produce the exact same RTT
-        // sequence (and event count) as the serial engine.
-        let serial = {
-            let (mut sim, pinger, _) = two_host_sim();
-            sim.run_to_completion(1_000_000);
-            let rtts = sim
-                .with_node::<Pinger, _>(pinger, |p| p.rtts.clone())
-                .unwrap();
-            (rtts, sim.events_processed())
-        };
-        let parallel = {
-            let (mut sim, pinger, _) = two_host_sim();
-            sim.set_parallel(8);
-            assert!(sim.parallel_enabled());
-            // Drive via run_until (the parallel dispatch point) far past
-            // quiescence.
-            sim.run_until(SimTime(10_000_000));
-            let rtts = sim
-                .with_node::<Pinger, _>(pinger, |p| p.rtts.clone())
-                .unwrap();
-            (rtts, sim.events_processed())
-        };
-        assert_eq!(serial.0, parallel.0);
-        assert_eq!(serial.1, parallel.1);
-        let (mut sim, _, _) = two_host_sim();
-        sim.set_parallel(8);
-        sim.run_until(SimTime(10_000_000));
-        let (windows, events, max_window) = sim.parallel_stats();
-        assert!(windows >= 1);
-        assert_eq!(events, sim.events_processed());
-        assert!(max_window >= 1);
-        assert_eq!(sim.parallel_partitions(), 8);
     }
 
     #[test]
