@@ -92,7 +92,7 @@ fn ramp_cell(strategy: LookupStrategy, adaptive: bool, rate: f64) -> Cell {
     spec.seed = 2024;
     spec.clients_per_host = 2;
     if adaptive {
-        spec.adaptive = Some(adaptive_cfg());
+        spec.client.adaptive = Some(adaptive_cfg());
     }
     let workloads: Vec<Box<dyn Workload>> = (0..CLIENTS)
         .map(|_| {

@@ -73,7 +73,7 @@ impl BatchCost {
 pub fn measure(strategy: LookupStrategy, batched: bool, b: usize, span_ms: u64) -> BatchCost {
     let mut spec: CellSpec = base_spec(strategy, ReplicationMode::R32, 4);
     spec.seed = 23;
-    spec.doorbell_batching = batched;
+    spec.client.doorbell_batching = batched;
     let workloads: Vec<Box<dyn Workload>> = (0..4)
         .map(|_| {
             Box::new(FixedBatchGets {

@@ -149,7 +149,7 @@ fn build_chaos_cell(
     durable: bool,
 ) -> Cell {
     let mut spec: CellSpec = base_spec(strategy, ReplicationMode::R32, 4);
-    spec.adaptive = adaptive;
+    spec.client.adaptive = adaptive;
     if durable {
         spec.durability = Some(DurabilitySpec::default());
     }

@@ -21,45 +21,59 @@ pub mod simcore;
 
 pub use harness::{populate_cell, Report, WindowSampler};
 
-/// All experiment ids, in figure order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "f3", "f6", "f7", "f8", "f9", "f10", "f11", "f12", "f13", "f14", "f15", "f16", "f17", "f18",
-    "f19", "f20", "xa", "xb", "a1", "a2", "a3", "a4", "a5", "chaos", "trace", "skew", "batch",
-    "restart", "adaptive",
+/// An experiment's entry point.
+type Runner = fn() -> Report;
+
+/// Every experiment, in figure order: its id and entry point. The one
+/// table both [`ALL_EXPERIMENTS`] and [`run_experiment`] read, so an
+/// experiment cannot be listed but unrunnable.
+const EXPERIMENTS: [(&str, Runner); 29] = [
+    ("f3", experiments::f3::run),
+    ("f6", experiments::f6::run),
+    ("f7", experiments::f7::run),
+    ("f8", experiments::f8::run),
+    ("f9", experiments::f9::run),
+    ("f10", experiments::f10::run),
+    ("f11", experiments::f11::run),
+    ("f12", experiments::f12::run),
+    ("f13", experiments::f13::run),
+    ("f14", experiments::f14::run),
+    ("f15", experiments::f15::run),
+    ("f16", experiments::f16::run),
+    ("f17", experiments::f17::run),
+    ("f18", experiments::f18::run),
+    ("f19", experiments::f19::run),
+    ("f20", experiments::f20::run),
+    ("xa", experiments::xa::run),
+    ("xb", experiments::xb::run),
+    ("a1", experiments::ablations::a1),
+    ("a2", experiments::ablations::a2),
+    ("a3", experiments::ablations::a3),
+    ("a4", experiments::ablations::a4),
+    ("a5", experiments::ablations::a5),
+    ("chaos", experiments::chaos::run),
+    ("trace", experiments::trace::run),
+    ("skew", experiments::skew::run),
+    ("batch", experiments::batch::run),
+    ("restart", experiments::restart::run),
+    ("adaptive", experiments::adaptive::run),
 ];
+
+/// All experiment ids, in figure order.
+pub const ALL_EXPERIMENTS: &[&str] = &{
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// Run one experiment by id.
 pub fn run_experiment(id: &str) -> Report {
-    match id {
-        "f3" => experiments::f3::run(),
-        "f6" => experiments::f6::run(),
-        "f7" => experiments::f7::run(),
-        "f8" => experiments::f8::run(),
-        "f9" => experiments::f9::run(),
-        "f10" => experiments::f10::run(),
-        "f11" => experiments::f11::run(),
-        "f12" => experiments::f12::run(),
-        "f13" => experiments::f13::run(),
-        "f14" => experiments::f14::run(),
-        "f15" => experiments::f15::run(),
-        "f16" => experiments::f16::run(),
-        "f17" => experiments::f17::run(),
-        "f18" => experiments::f18::run(),
-        "f19" => experiments::f19::run(),
-        "f20" => experiments::f20::run(),
-        "xa" => experiments::xa::run(),
-        "xb" => experiments::xb::run(),
-        "a1" => experiments::ablations::a1(),
-        "a2" => experiments::ablations::a2(),
-        "a3" => experiments::ablations::a3(),
-        "a4" => experiments::ablations::a4(),
-        "a5" => experiments::ablations::a5(),
-        "chaos" => experiments::chaos::run(),
-        "trace" => experiments::trace::run(),
-        "skew" => experiments::skew::run(),
-        "batch" => experiments::batch::run(),
-        "restart" => experiments::restart::run(),
-        "adaptive" => experiments::adaptive::run(),
-        other => panic!("unknown experiment {other:?}; known: {ALL_EXPERIMENTS:?}"),
+    match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
+        Some((_, run)) => run(),
+        None => panic!("unknown experiment {id:?}; known: {ALL_EXPERIMENTS:?}"),
     }
 }

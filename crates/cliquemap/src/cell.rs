@@ -136,19 +136,10 @@ pub struct CellSpec {
     /// cells where the cold-start herd outruns the store's serve rate;
     /// off by default so existing figure schedules are untouched.
     pub config_read_coalescing: bool,
-    /// Doorbell batching (see [`ClientCfg::doorbell_batching`]): coalesce
-    /// each MultiGet/MultiSet's wire traffic into one frame per destination
-    /// host. Off by default so committed figures regenerate byte-identical.
-    pub doorbell_batching: bool,
     /// RAM-first durability (WAL + group commit + warm restart). `None`
     /// (the default) builds the cell without the subsystem entirely:
     /// committed figures regenerate byte-identical.
     pub durability: Option<DurabilitySpec>,
-    /// Per-client adaptive dataplane controller (online strategy selection
-    /// and gray-failure evasion). `None` (the default) keeps clients on the
-    /// fixed `client.strategy` with zero extra RNG draws: committed
-    /// figures regenerate byte-identical.
-    pub adaptive: Option<adaptive::ControllerCfg>,
 }
 
 impl Default for CellSpec {
@@ -165,9 +156,7 @@ impl Default for CellSpec {
             backend: BackendCfg::default(),
             client: ClientCfg::default(),
             config_read_coalescing: false,
-            doorbell_batching: false,
             durability: None,
-            adaptive: None,
         }
     }
 }
@@ -287,10 +276,6 @@ impl Cell {
         let mut dedicated_placed = 0usize;
         let mut client_cfg = spec.client.clone();
         client_cfg.config_store = config_store;
-        client_cfg.doorbell_batching |= spec.doorbell_batching;
-        if let Some(a) = &spec.adaptive {
-            client_cfg.adaptive = Some(a.clone());
-        }
         let client_cfg = Rc::new(client_cfg);
         for (i, workload) in workloads.into_iter().enumerate() {
             let host = if i < cotenant {
@@ -309,7 +294,7 @@ impl Cell {
                 // Seed inside the gate: with adaptive off the builder draws
                 // nothing from the sim RNG, so existing schedules are
                 // bit-for-bit untouched.
-                adaptive_seed: match spec.adaptive {
+                adaptive_seed: match client_cfg.adaptive {
                     Some(_) => sim.fork_rng().next_u64() ^ client_id as u64,
                     None => 0,
                 },
@@ -599,7 +584,7 @@ mod tests {
         ops: Vec<(u64, ClientOp)>,
     ) -> (Cell, Vec<(OpOutcome, u64)>) {
         let mut spec = small_spec(strategy, replication);
-        spec.doorbell_batching = true;
+        spec.client.doorbell_batching = true;
         let mut cell = Cell::build(spec, vec![script(ops)]);
         cell.run_for(SimDuration::from_secs(1));
         let done = completions(&mut cell);
@@ -649,7 +634,7 @@ mod tests {
     fn empty_batches_complete_immediately() {
         for batched in [false, true] {
             let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
-            spec.doorbell_batching = batched;
+            spec.client.doorbell_batching = batched;
             let mut cell = Cell::build(
                 spec,
                 vec![script(vec![
@@ -677,7 +662,7 @@ mod tests {
     fn duplicate_key_multiget_completes() {
         for batched in [false, true] {
             let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
-            spec.doorbell_batching = batched;
+            spec.client.doorbell_batching = batched;
             let mut cell = Cell::build(
                 spec,
                 vec![script(vec![
@@ -720,7 +705,7 @@ mod tests {
         for (strategy, phases) in [(LookupStrategy::TwoR, 2), (LookupStrategy::Scar, 1)] {
             let run = |batched: bool| {
                 let mut spec = small_spec(strategy, ReplicationMode::R32);
-                spec.doorbell_batching = batched;
+                spec.client.doorbell_batching = batched;
                 let mut cell = Cell::build(spec, vec![script(script_ops(&keys))]);
                 // Past the warm-up (sets + gets finish within a few ms) but
                 // before the MultiGet fires at ~100ms.
@@ -1119,7 +1104,7 @@ mod tests {
     fn adaptive_cell_is_deterministic() {
         let run = || {
             let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
-            spec.adaptive = Some(adaptive::ControllerCfg::default());
+            spec.client.adaptive = Some(adaptive::ControllerCfg::default());
             let ops: Vec<(u64, ClientOp)> = (0..40)
                 .map(|i| {
                     let k = format!("k{}", i % 8);
@@ -1149,6 +1134,48 @@ mod tests {
         assert_eq!(h1, h2, "strategy-choice stream diverged");
         assert_eq!(d1, d2);
         assert_eq!(c1, c2);
+    }
+
+    /// `spec.client.adaptive` alone must fork a distinct explorer seed per
+    /// client. With always-explore and an unreachable SLO a client's choice
+    /// stream is a pure function of its seed and decision count, so clients
+    /// that made equally many decisions share a hash iff they share a seed
+    /// (re-parked GETs re-choose, so the counts may differ by one or two).
+    #[test]
+    fn client_adaptive_cfg_forks_distinct_seeds() {
+        let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
+        spec.client.adaptive = Some(adaptive::ControllerCfg {
+            epsilon_inv: 1,
+            slo_ns: u64::MAX,
+            ..adaptive::ControllerCfg::default()
+        });
+        let wls = (0..4)
+            .map(|_| script((0..32).map(|i| (200, get(&format!("s{i}")))).collect()))
+            .collect();
+        let mut cell = Cell::build(spec, wls);
+        cell.run_for(SimDuration::from_secs(1));
+        let mut seen: Vec<(u64, u64)> = cell
+            .clients
+            .clone()
+            .into_iter()
+            .map(|c| {
+                cell.sim
+                    .with_node::<ClientNode, _>(c, |n| {
+                        let stats = n.adaptive_stats().expect("controller on");
+                        (stats.0, n.adaptive_choice_hash().expect("controller on"))
+                    })
+                    .expect("client alive")
+            })
+            .collect();
+        seen.sort_unstable();
+        assert!(
+            seen.windows(2).any(|w| w[0].0 == w[1].0),
+            "no two clients made equally many decisions: {seen:?}"
+        );
+        assert!(
+            seen.windows(2).all(|w| w[0] != w[1]),
+            "clients share an explorer seed: {seen:?}"
+        );
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn run_mode(
     spec.backend.store.max_data_capacity = 8 << 20;
     spec.backend.scan_interval = None;
     spec.client.strategy = strategy;
-    spec.doorbell_batching = batched;
+    spec.client.doorbell_batching = batched;
     let wl: Box<dyn Workload> = Box::new(ScriptWorkload::new(ops));
     let mut cell = Cell::build(spec, vec![wl]);
     cell.run_for(SimDuration::from_secs(2));

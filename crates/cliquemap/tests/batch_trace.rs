@@ -34,7 +34,7 @@ fn run_traced(strategy: LookupStrategy, batched: bool) -> (u64, Vec<OpTrace>) {
     spec.backend.store.max_data_capacity = 8 << 20;
     spec.backend.scan_interval = None;
     spec.client.strategy = strategy;
-    spec.doorbell_batching = batched;
+    spec.client.doorbell_batching = batched;
     let mut ops: Vec<(SimDuration, ClientOp)> = Vec::new();
     for i in 0..KEYS {
         ops.push((

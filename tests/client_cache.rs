@@ -313,10 +313,10 @@ fn cached_values_do_not_pin_backend_frames() {
     let mut spec = CellSpec {
         replication: ReplicationMode::R32,
         num_backends: 4,
-        doorbell_batching: true,
         ..CellSpec::default()
     };
     spec.backend.scan_interval = None;
+    spec.client.doorbell_batching = true;
     spec.client.strategy = LookupStrategy::Scar;
     spec.client.access_flush = None;
     spec.client.cache = Some(ClientCacheCfg {

@@ -42,7 +42,7 @@ fn fnv1a(text: &str) -> u64 {
     h
 }
 
-/// Golden outputs for shortened runs of the two `simperf` macro workloads.
+/// Golden outputs for shortened runs of two `bench::simcore` macro cells.
 /// These values were captured before the pooled wire-buffer conversion and
 /// must never drift: buffer pooling recycles allocations but is forbidden
 /// from changing a single event or metric. If an intentional simulator
@@ -58,7 +58,7 @@ const PONY_GOLDEN_EVENTS: u64 = 87_646;
 const PONY_GOLDEN_HASH: u64 = 0xf7c1_d2f0_43ae_826d;
 
 #[test]
-fn simperf_workloads_match_goldens() {
+fn simcore_cells_match_goldens() {
     type Run = (&'static str, fn() -> Cell, SimDuration);
     let runs: [Run; 2] = [
         (
@@ -244,4 +244,132 @@ fn cell950_seeded_runs_are_metric_identical() {
         "cell950 metric dumps diverged"
     );
     assert_eq!(dump_a, dump_b);
+}
+
+/// Doorbell batching under faults: the schedule no committed figure covers
+/// (`batch` runs without faults, `chaos` without batching). Lost batch
+/// frames, batch-member timeouts and the unbatched retries of batch members
+/// all run here, so the client's wire path cannot be restructured without
+/// these moving. The flight recorder is on (it never perturbs the schedule),
+/// so the per-sub-op trace attribution is pinned too. Rows are `(strategy,
+/// batched, events, fnv1a(metrics dump), fnv1a(trace dump))`; `adaptive` is
+/// the controller choosing per container.
+#[rustfmt::skip]
+const BATCH_FAULT_GOLDENS: &[(&str, bool, u64, u64, u64)] = &[
+    ("2xR", false, 200_404, 0x927a_a745_0817_98b5, 0x5f73_ef2a_67ca_67c9),
+    ("2xR", true, 58_326, 0x7609_9bf6_8b54_7d4f, 0x33f6_33f3_cf86_a24f),
+    ("SCAR", false, 152_697, 0x69d1_f139_ee10_6e03, 0xe76a_2686_d308_c95d),
+    ("SCAR", true, 52_586, 0xb085_b625_94e1_b819, 0xe279_89c7_4276_2ed8),
+    ("MSG", false, 74_285, 0xe2c3_fb13_1db1_9002, 0xae06_30a4_4c3d_b04c),
+    ("MSG", true, 29_923, 0x6b21_0cf9_d898_f7c0, 0xf2c9_0bc8_2b8b_cd74),
+    ("RPC", false, 90_117, 0xfd97_6735_55a2_02ee, 0xcc7c_bc64_2b45_b522),
+    ("RPC", true, 31_665, 0xcd35_8c8f_b85c_0ba8, 0xdcaf_fa63_7cbc_5898),
+    ("adaptive", false, 158_980, 0x1d47_78c5_3a30_5dea, 0xe2b6_eeec_adc5_9766),
+    ("adaptive", true, 49_103, 0xd3ec_6be8_451e_8093, 0xe6d3_f0ac_4270_19eb),
+];
+
+fn batch_fault_cell(strategy: Option<LookupStrategy>, batched: bool) -> Cell {
+    use simnet::{Fault, FaultPlan, HostSet, LinkImpairment};
+    use workloads::{ProductionGets, ProductionMultiSets};
+
+    let keys = 300u64;
+    let sizes = SizeDist::fixed(256);
+    let mut spec = CellSpec {
+        replication: ReplicationMode::R32,
+        num_backends: 3,
+        clients_per_host: 2,
+        seed: 1337,
+        host: HostCfg::default().no_cstates(),
+        ..CellSpec::default()
+    };
+    spec.backend.scan_interval = None;
+    spec.client.strategy = strategy.unwrap_or(LookupStrategy::TwoR);
+    spec.client.doorbell_batching = batched;
+    spec.client.adaptive = strategy
+        .is_none()
+        .then(bench::experiments::adaptive::adaptive_cfg);
+    spec.client.attempt_timeout = SimDuration::from_micros(500);
+    spec.client.retry.jitter = 0.5;
+    let day = SimDuration::from_millis(40);
+    let wls: Vec<Box<dyn Workload>> = vec![
+        Box::new(ProductionGets::ads("k", keys, 4_000.0, day)),
+        Box::new(ProductionGets::ads("k", keys, 4_000.0, day)),
+        Box::new(ProductionMultiSets::ads(
+            "k",
+            keys,
+            sizes.clone(),
+            1_500.0,
+            day,
+        )),
+    ];
+    let mut cell = Cell::build(spec, wls);
+    bench::populate_cell(&mut cell, "k", keys, &sizes);
+    let ms = |n: u64| SimTime(n * 1_000_000);
+    let mut plan = FaultPlan::new(0xBA7C);
+    plan.add(
+        ms(10),
+        ms(25),
+        Fault::Link {
+            src: HostSet::All,
+            dst: HostSet::All,
+            symmetric: false,
+            impair: LinkImpairment::loss(0.2),
+        },
+    );
+    plan.add(
+        ms(35),
+        ms(50),
+        Fault::CpuDead {
+            hosts: HostSet::one(cell.backend_hosts[1]),
+        },
+    );
+    cell.sim.install_fault_plan(&plan);
+    cell.sim.enable_tracing();
+    cell
+}
+
+#[test]
+fn batching_under_faults_matches_goldens() {
+    const STRATEGIES: [(&str, Option<LookupStrategy>); 5] = [
+        ("2xR", Some(LookupStrategy::TwoR)),
+        ("SCAR", Some(LookupStrategy::Scar)),
+        ("MSG", Some(LookupStrategy::Msg)),
+        ("RPC", Some(LookupStrategy::Rpc)),
+        ("adaptive", None),
+    ];
+    let mut got = Vec::new();
+    for (name, strategy) in STRATEGIES {
+        for batched in [false, true] {
+            let mut cell = batch_fault_cell(strategy, batched);
+            // Drain per 10 ms window, as the trace figure does, so the
+            // recorder's rings never wrap.
+            let mut traces = String::new();
+            for _ in 0..6 {
+                cell.run_for(SimDuration::from_millis(10));
+                traces.push_str(&simnet::obs::dump(&cell.sim.drain_traces()));
+            }
+            let m = cell.sim.metrics();
+            assert!(
+                m.counter("cm.retries") > 0 && m.counter("simnet.fault.frames_dropped") > 0,
+                "{name} batched={batched}: the faults never bit"
+            );
+            assert!(traces.len() > 100_000, "{name}: recorder saw nothing");
+            got.push((
+                name,
+                batched,
+                cell.sim.events_processed(),
+                fnv1a(&m.dump()),
+                fnv1a(&traces),
+            ));
+        }
+    }
+    let render: Vec<String> = got
+        .iter()
+        .map(|(s, b, e, h, t)| format!("    ({s:?}, {b}, {e}, {h:#018x}, {t:#018x}),"))
+        .collect();
+    assert!(
+        got == BATCH_FAULT_GOLDENS,
+        "batching x faults diverged from goldens; measured:\n{}",
+        render.join("\n")
+    );
 }

@@ -629,7 +629,7 @@ proptest! {
                 host: simnet::HostCfg::default().no_cstates(),
                 ..CellSpec::default()
             };
-            spec.adaptive = Some(adaptive::ControllerCfg::default());
+            spec.client.adaptive = Some(adaptive::ControllerCfg::default());
             let wls: Vec<Box<dyn Workload>> = (0..3)
                 .map(|_| {
                     Box::new(UniformWorkload::mix(200, 256, 0.8, 20_000.0, u64::MAX))
