@@ -614,12 +614,10 @@ impl BackendNode {
 
     fn finish_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req_id: u64, p: PreparedSet) {
         let status = self.store.commit_set(&p);
-        if status == Status::Ok && self.wal.is_some() {
-            // The prepared entry is the committed wire form; its parsed
-            // view is exactly the (key, value, version) that won.
-            if let Ok(e) = crate::layout::parse_data_entry(&p.entry_bytes) {
-                self.wal_append(ctx, durable::KIND_SET, e.key, e.data, e.version);
-            }
+        if status == Status::Ok {
+            // The prepared entry is the committed wire form: the key and
+            // value that won are the ones it was encoded from.
+            self.wal_append(ctx, durable::KIND_SET, p.key(), p.value(), p.version);
         }
         self.respond_rpc(ctx, src, req_id, status, Bytes::new());
         self.maybe_schedule_growth(ctx);
@@ -787,12 +785,7 @@ impl BackendNode {
         }
         let mids = *self.m();
         let w = self.wal.as_mut().expect("checked above");
-        let batch = w.gc.append(&durable::Record {
-            kind,
-            version: version.0,
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
+        let batch = w.gc.append_parts(kind, version.0, key, value);
         ctx.metrics().add_id(mids.wal_appends, 1);
         // Batch-join annotation: a traced mutation records how many
         // appends its fsync will cover (ENGINE marks are ignored by the

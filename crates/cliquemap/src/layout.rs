@@ -15,8 +15,6 @@
 //!                    key[key_len] | data[data_len] | checksum u64
 //! ```
 
-use bytes::{BufMut, BytesMut};
-
 use rma::WindowId;
 
 use crate::hash::KeyHash;
@@ -206,15 +204,15 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 pub fn encode_data_entry(key: &[u8], data: &[u8], version: VersionNumber) -> Vec<u8> {
     assert!(key.len() <= u16::MAX as usize, "key too large");
     assert!(data.len() <= u32::MAX as usize, "value too large");
-    let mut out = BytesMut::with_capacity(data_entry_size(key.len(), data.len()));
-    out.put_u16_le(key.len() as u16);
-    out.put_u32_le(data.len() as u32);
-    out.put_slice(&version.to_bytes());
-    out.put_slice(key);
-    out.put_slice(data);
+    let mut out = Vec::with_capacity(data_entry_size(key.len(), data.len()));
+    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    out.extend_from_slice(&version.to_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(data);
     let sum = checksum(&out);
-    out.put_u64_le(sum);
-    out.to_vec()
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
 }
 
 /// Validation failures when parsing a fetched DataEntry.

@@ -11,9 +11,10 @@
 //! back. `pick_among` serves associativity conflicts, where the victim must
 //! come from one specific bucket.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
-use simnet::SimRng;
+use simnet::{IdMap, SimRng};
 
 use crate::hash::KeyHash;
 
@@ -51,12 +52,48 @@ pub fn policy_by_name(name: &str, seed: u64) -> Box<dyn EvictionPolicy> {
     }
 }
 
+/// "No node": list ends and the empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One tracked key, linked into the recency list (or the free list, through
+/// `next` alone).
+#[derive(Debug, Clone, Copy)]
+struct LruNode {
+    key: KeyHash,
+    /// Value of the policy's clock at the key's last bump; strictly
+    /// increasing from list head to tail.
+    stamp: u64,
+    prev: u32,
+    next: u32,
+}
+
 /// Least-recently-used, with recency fed by batched access records.
-#[derive(Debug, Default)]
+///
+/// An intrusive doubly-linked list threaded through one `Vec` of nodes,
+/// least recent at the head, plus a key → node index: every operation is
+/// O(1) and none allocates once the node vector has grown to the live-key
+/// high-water mark.
+#[derive(Debug)]
 pub struct LruPolicy {
     stamp: u64,
-    by_key: HashMap<KeyHash, u64>,
-    by_stamp: BTreeMap<u64, KeyHash>,
+    nodes: Vec<LruNode>,
+    index: IdMap<KeyHash, u32>,
+    head: u32,
+    tail: u32,
+    free: u32,
+}
+
+impl Default for LruPolicy {
+    fn default() -> LruPolicy {
+        LruPolicy {
+            stamp: 0,
+            nodes: Vec::new(),
+            index: IdMap::default(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
+    }
 }
 
 impl LruPolicy {
@@ -65,47 +102,96 @@ impl LruPolicy {
         LruPolicy::default()
     }
 
-    fn bump(&mut self, key: KeyHash) {
-        self.stamp += 1;
-        if let Some(old) = self.by_key.insert(key, self.stamp) {
-            self.by_stamp.remove(&old);
+    fn unlink(&mut self, at: u32) {
+        let LruNode { prev, next, .. } = self.nodes[at as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
         }
-        self.by_stamp.insert(self.stamp, key);
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Link `at` in as the most recent key, stamped with the next tick.
+    fn push_tail(&mut self, at: u32) {
+        self.stamp += 1;
+        let old_tail = std::mem::replace(&mut self.tail, at);
+        let node = &mut self.nodes[at as usize];
+        node.stamp = self.stamp;
+        node.prev = old_tail;
+        node.next = NIL;
+        match old_tail {
+            NIL => self.head = at,
+            t => self.nodes[t as usize].next = at,
+        }
     }
 }
 
 impl EvictionPolicy for LruPolicy {
     fn on_insert(&mut self, key: KeyHash) {
-        self.bump(key);
+        let at = match self.index.entry(key) {
+            Entry::Occupied(e) => {
+                let at = *e.get();
+                self.unlink(at);
+                at
+            }
+            Entry::Vacant(e) => {
+                let node = LruNode {
+                    key,
+                    stamp: 0,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let at = match self.free {
+                    NIL => {
+                        self.nodes.push(node);
+                        (self.nodes.len() - 1) as u32
+                    }
+                    at => {
+                        self.free = self.nodes[at as usize].next;
+                        self.nodes[at as usize] = node;
+                        at
+                    }
+                };
+                *e.insert(at)
+            }
+        };
+        self.push_tail(at);
     }
 
     fn on_touch(&mut self, key: KeyHash) {
-        if self.by_key.contains_key(&key) {
-            self.bump(key);
+        if let Some(&at) = self.index.get(&key) {
+            self.unlink(at);
+            self.push_tail(at);
         }
     }
 
     fn on_remove(&mut self, key: KeyHash) {
-        if let Some(stamp) = self.by_key.remove(&key) {
-            self.by_stamp.remove(&stamp);
+        if let Some(at) = self.index.remove(&key) {
+            self.unlink(at);
+            self.nodes[at as usize].next = self.free;
+            self.free = at;
         }
     }
 
     fn victim(&mut self) -> Option<KeyHash> {
-        self.by_stamp.values().next().copied()
+        self.nodes.get(self.head as usize).map(|n| n.key)
     }
 
     fn pick_among(&mut self, candidates: &[KeyHash]) -> Option<KeyHash> {
         candidates
             .iter()
-            .filter_map(|k| self.by_key.get(k).map(|&s| (s, *k)))
-            .min()
-            .map(|(_, k)| k)
+            .filter_map(|k| self.index.get(k))
+            .map(|&at| &self.nodes[at as usize])
+            .min_by_key(|n| n.stamp)
+            .map(|n| n.key)
             .or_else(|| candidates.first().copied())
     }
 
     fn len(&self) -> usize {
-        self.by_key.len()
+        self.index.len()
     }
 }
 
@@ -573,9 +659,138 @@ impl HotKeyTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn keys(n: u128) -> Vec<KeyHash> {
         (1..=n).collect()
+    }
+
+    /// The LRU as it was before the intrusive list: a stamp per key and a
+    /// stamp-ordered map. Kept as the oracle the list must agree with.
+    #[derive(Debug, Default)]
+    struct StampLru {
+        stamp: u64,
+        by_key: HashMap<KeyHash, u64>,
+        by_stamp: BTreeMap<u64, KeyHash>,
+    }
+
+    impl StampLru {
+        fn bump(&mut self, key: KeyHash) {
+            self.stamp += 1;
+            if let Some(old) = self.by_key.insert(key, self.stamp) {
+                self.by_stamp.remove(&old);
+            }
+            self.by_stamp.insert(self.stamp, key);
+        }
+
+        fn on_touch(&mut self, key: KeyHash) {
+            if self.by_key.contains_key(&key) {
+                self.bump(key);
+            }
+        }
+
+        fn on_remove(&mut self, key: KeyHash) {
+            if let Some(stamp) = self.by_key.remove(&key) {
+                self.by_stamp.remove(&stamp);
+            }
+        }
+
+        fn victim(&self) -> Option<KeyHash> {
+            self.by_stamp.values().next().copied()
+        }
+
+        fn pick_among(&self, candidates: &[KeyHash]) -> Option<KeyHash> {
+            candidates
+                .iter()
+                .filter_map(|k| self.by_key.get(k).map(|&s| (s, *k)))
+                .min()
+                .map(|(_, k)| k)
+                .or_else(|| candidates.first().copied())
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum PolicyOp {
+        Insert(KeyHash),
+        Touch(KeyHash),
+        Remove(KeyHash),
+        /// Evict the current victim this many times, as capacity conflicts
+        /// do; 64 drains the policy.
+        Evict(u8),
+        PickAmong(Vec<KeyHash>),
+    }
+
+    /// A 64-key universe: re-inserts, touches of absent keys and emptying
+    /// the policy all occur within a few hundred steps.
+    fn policy_op() -> impl Strategy<Value = PolicyOp> {
+        let key = || (1u8..=64).prop_map(KeyHash::from);
+        prop_oneof![
+            key().prop_map(PolicyOp::Insert),
+            key().prop_map(PolicyOp::Insert),
+            key().prop_map(PolicyOp::Touch),
+            key().prop_map(PolicyOp::Remove),
+            key().prop_map(PolicyOp::Remove),
+            prop_oneof![Just(1u8), Just(1u8), Just(2u8), Just(64u8)].prop_map(PolicyOp::Evict),
+            proptest::collection::vec(key(), 0..6).prop_map(PolicyOp::PickAmong),
+        ]
+    }
+
+    /// Drive `policy` and the oracle with one op stream; FIFO is the same
+    /// oracle with touches withheld.
+    fn check_against_oracle(
+        policy: &mut dyn EvictionPolicy,
+        touches_count: bool,
+        ops: &[PolicyOp],
+    ) -> Result<(), proptest::TestCaseError> {
+        let mut oracle = StampLru::default();
+        let mut emptied = 0;
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                PolicyOp::Insert(k) => {
+                    policy.on_insert(*k);
+                    oracle.bump(*k);
+                }
+                PolicyOp::Touch(k) => {
+                    policy.on_touch(*k);
+                    if touches_count {
+                        oracle.on_touch(*k);
+                    }
+                }
+                PolicyOp::Remove(k) => {
+                    policy.on_remove(*k);
+                    oracle.on_remove(*k);
+                }
+                PolicyOp::Evict(n) => {
+                    for _ in 0..*n {
+                        prop_assert_eq!(policy.victim(), oracle.victim(), "step {}", step);
+                        let Some(v) = policy.victim() else { break };
+                        policy.on_remove(v);
+                        oracle.on_remove(v);
+                    }
+                }
+                PolicyOp::PickAmong(c) => {
+                    prop_assert_eq!(policy.pick_among(c), oracle.pick_among(c), "step {}", step);
+                }
+            }
+            prop_assert_eq!(policy.victim(), oracle.victim(), "step {}", step);
+            prop_assert_eq!(policy.len(), oracle.by_key.len(), "step {}", step);
+            emptied += usize::from(policy.is_empty() && step > 0);
+        }
+        prop_assert!(emptied > 0, "stream never emptied the policy");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn lru_and_fifo_match_the_stamp_map_oracle(
+            ops in proptest::collection::vec(policy_op(), 10_000..10_001),
+        ) {
+            check_against_oracle(&mut LruPolicy::new(), true, &ops)?;
+            check_against_oracle(&mut FifoPolicy::new(), false, &ops)?;
+        }
     }
 
     #[test]

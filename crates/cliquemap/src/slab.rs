@@ -14,7 +14,7 @@
 //! populated prefix of the data buffer, so on-demand region growth (§4.1
 //! reshaping) is just `set_capacity` with a larger value.
 
-use std::collections::HashMap;
+use simnet::IdMap;
 
 /// Default slab size: 64 KiB.
 pub const DEFAULT_SLAB_BYTES: usize = 64 * 1024;
@@ -50,8 +50,9 @@ pub struct SlabAllocator {
     class_slots: Vec<usize>,
     /// Per-class stack of slab indices that (may) have free slots.
     partial: Vec<Vec<usize>>,
-    /// All slabs ever carved, by slab index.
-    slabs: HashMap<usize, Slab>,
+    /// Every slab below the bump pointer, by slab index; `None` while the
+    /// slab sits in the free pool.
+    slabs: Vec<Option<Slab>>,
     /// Fully-free slab indices, available to any class.
     free_slabs: Vec<usize>,
     /// Bump pointer (bytes) for carving new slabs.
@@ -59,7 +60,7 @@ pub struct SlabAllocator {
     /// Populated capacity in bytes.
     capacity: usize,
     /// Huge allocations: start slab index -> slab count.
-    huge: HashMap<usize, usize>,
+    huge: IdMap<usize, usize>,
     /// Bytes currently allocated (slot-rounded).
     used: usize,
 }
@@ -84,11 +85,11 @@ impl SlabAllocator {
             slab_bytes,
             class_slots,
             partial: vec![Vec::new(); n],
-            slabs: HashMap::new(),
+            slabs: Vec::new(),
             free_slabs: Vec::new(),
             next_slab: 0,
             capacity,
-            huge: HashMap::new(),
+            huge: IdMap::default(),
             used: 0,
         }
     }
@@ -123,7 +124,7 @@ impl SlabAllocator {
         // Reuse a slot in a partially-filled slab of this class.
         while let Some(&slab_idx) = self.partial[class].last() {
             // Entries go stale when a slab empties and is repurposed; skip.
-            let Some(slab) = self.slabs.get_mut(&slab_idx) else {
+            let Some(slab) = self.slabs[slab_idx].as_mut() else {
                 self.partial[class].pop();
                 continue;
             };
@@ -145,14 +146,11 @@ impl SlabAllocator {
         let slots = (self.slab_bytes / slot_bytes) as u32;
         let mut free_slots: Vec<u32> = (1..slots).rev().collect();
         free_slots.shrink_to_fit();
-        self.slabs.insert(
-            slab_idx,
-            Slab {
-                class: class as u32,
-                free_slots,
-                live: 1,
-            },
-        );
+        self.slabs[slab_idx] = Some(Slab {
+            class: class as u32,
+            free_slots,
+            live: 1,
+        });
         if slots > 1 {
             self.partial[class].push(slab_idx);
         }
@@ -170,16 +168,13 @@ impl SlabAllocator {
         }
         let start = self.next_slab;
         self.next_slab += k;
-        for i in 0..k {
-            self.slabs.insert(
-                start + i,
-                Slab {
-                    class: HUGE,
-                    free_slots: Vec::new(),
-                    live: 1,
-                },
-            );
-        }
+        self.slabs.extend((0..k).map(|_| {
+            Some(Slab {
+                class: HUGE,
+                free_slots: Vec::new(),
+                live: 1,
+            })
+        }));
         self.huge.insert(start, k);
         self.used += k * self.slab_bytes;
         Ok((start * self.slab_bytes) as u64)
@@ -192,6 +187,7 @@ impl SlabAllocator {
         if (self.next_slab + 1) * self.slab_bytes <= self.capacity {
             let idx = self.next_slab;
             self.next_slab += 1;
+            self.slabs.push(None);
             return Ok(idx);
         }
         Err(AllocError::OutOfMemory)
@@ -204,16 +200,17 @@ impl SlabAllocator {
         if let Some(&k) = self.huge.get(&slab_idx) {
             debug_assert_eq!(offset % self.slab_bytes, 0);
             self.huge.remove(&slab_idx);
-            for i in 0..k {
-                self.slabs.remove(&(slab_idx + i));
-                self.free_slabs.push(slab_idx + i);
+            for i in slab_idx..slab_idx + k {
+                self.slabs[i] = None;
+                self.free_slabs.push(i);
             }
             self.used -= k * self.slab_bytes;
             return;
         }
         let slab = self
             .slabs
-            .get_mut(&slab_idx)
+            .get_mut(slab_idx)
+            .and_then(Option::as_mut)
             .expect("free of unallocated slab");
         let class = slab.class as usize;
         let slot_bytes = self.class_slots[class];
@@ -227,7 +224,7 @@ impl SlabAllocator {
         self.used -= slot_bytes;
         if slab.live == 0 {
             // Repurposing: the emptied slab returns to the shared pool.
-            self.slabs.remove(&slab_idx);
+            self.slabs[slab_idx] = None;
             self.free_slabs.push(slab_idx);
         } else {
             let was_full = slab.free_slots.is_empty();
@@ -274,8 +271,8 @@ impl SlabAllocator {
         match self.class_of(len) {
             Some(class) => {
                 self.partial[class].iter().any(|&i| {
-                    self.slabs
-                        .get(&i)
+                    self.slabs[i]
+                        .as_ref()
                         .is_some_and(|s| s.class == class as u32 && !s.free_slots.is_empty())
                 }) || !self.free_slabs.is_empty()
                     || (self.next_slab + 1) * self.slab_bytes <= self.capacity

@@ -13,11 +13,12 @@ use bytes::Bytes;
 
 use rma::{BufferId, RegionTable, ScarOutcome, ScarResolver, WindowId};
 use rpc::Status;
+use simnet::IdMap;
 
 use crate::hash::KeyHash;
 use crate::layout::{
     self, bucket_size, data_entry_size, encode_data_entry, parse_data_entry, IndexEntry, Pointer,
-    INDEX_ENTRY_BYTES,
+    CHECKSUM_BYTES, DATA_ENTRY_HEADER_BYTES, INDEX_ENTRY_BYTES,
 };
 use crate::messages::Geometry;
 use crate::policy::EvictionPolicy;
@@ -113,6 +114,8 @@ pub struct PreparedSet {
     pub version: VersionNumber,
     /// Serialized DataEntry (checksummed).
     pub entry_bytes: Vec<u8>,
+    /// Length of the key inside `entry_bytes`.
+    pub key_len: usize,
     /// Where in the data buffer the entry is being written.
     pub data_offset: u64,
     /// Pointer that will be published at commit.
@@ -120,6 +123,20 @@ pub struct PreparedSet {
     /// For CAS: the stored version the caller expects; re-validated at
     /// commit so two racing CAS ops can never both win.
     pub expected: Option<VersionNumber>,
+}
+
+impl PreparedSet {
+    /// The key being installed, borrowed from the entry it was encoded
+    /// into (no re-parse, no checksum pass).
+    pub fn key(&self) -> &[u8] {
+        &self.entry_bytes[DATA_ENTRY_HEADER_BYTES..DATA_ENTRY_HEADER_BYTES + self.key_len]
+    }
+
+    /// The value being installed, borrowed the same way.
+    pub fn value(&self) -> &[u8] {
+        let end = self.entry_bytes.len() - CHECKSUM_BYTES;
+        &self.entry_bytes[DATA_ENTRY_HEADER_BYTES + self.key_len..end]
+    }
 }
 
 /// Poison stamp written over freed DataEntries so stale pointer chases fail
@@ -143,7 +160,7 @@ pub struct BackendStore {
     /// RPC-only overflow table: bucket-displaced entries by hash, with a
     /// FIFO order for bounded capacity. Not RMA-accessible — exactly the
     /// MICA-style "send an RPC, still serve a hit" tradeoff of §4.2.
-    overflow: std::collections::HashMap<KeyHash, (Bytes, Bytes, VersionNumber)>,
+    overflow: IdMap<KeyHash, (Bytes, Bytes, VersionNumber)>,
     overflow_order: std::collections::VecDeque<KeyHash>,
     /// Stats counters.
     pub stats: StoreStats,
@@ -186,7 +203,7 @@ impl BackendStore {
             policy,
             live_entries: 0,
             resizing: false,
-            overflow: std::collections::HashMap::new(),
+            overflow: IdMap::default(),
             overflow_order: std::collections::VecDeque::new(),
             stats: StoreStats::default(),
         };
@@ -336,6 +353,7 @@ impl BackendStore {
             key_hash: hash,
             version,
             entry_bytes,
+            key_len: key.len(),
             data_offset,
             ptr,
             expected: None,

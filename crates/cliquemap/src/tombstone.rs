@@ -11,7 +11,9 @@
 //! reasoning about monotonicity: keys evicted from the cache are bounded
 //! above by the summary — "sometimes coarse-grained but never inconsistent".
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use simnet::IdMap;
 
 use crate::hash::KeyHash;
 use crate::version::VersionNumber;
@@ -20,7 +22,7 @@ use crate::version::VersionNumber;
 #[derive(Debug)]
 pub struct TombstoneCache {
     capacity: usize,
-    by_key: HashMap<KeyHash, VersionNumber>,
+    by_key: IdMap<KeyHash, VersionNumber>,
     order: VecDeque<KeyHash>,
     summary: VersionNumber,
 }
@@ -30,7 +32,7 @@ impl TombstoneCache {
     pub fn new(capacity: usize) -> TombstoneCache {
         TombstoneCache {
             capacity: capacity.max(1),
-            by_key: HashMap::new(),
+            by_key: IdMap::default(),
             order: VecDeque::new(),
             summary: VersionNumber::ZERO,
         }

@@ -29,12 +29,15 @@
 //!
 //! Torn tails are first-class: [`decode_stream`] drops a truncated or
 //! corrupt final record instead of failing, because a crash mid-device-
-//! write legitimately leaves one.
+//! write legitimately leaves one, and the first [`Media::commit`] after a
+//! tear cuts the torn suffix off before appending, as opening a real log
+//! for append does — so [`Media::wal_records`] is always what
+//! [`Media::recover`] replays.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// WAL record kind: a key/value set (or repair-set, CAS — anything that
 /// installs a value at a version).
@@ -45,6 +48,9 @@ pub const KIND_ERASE: u8 = 1;
 /// Fixed per-record framing bytes: `len` + `crc` + `kind` + `version` +
 /// `key_len`.
 pub const RECORD_HEADER: usize = 4 + 4 + 1 + 16 + 4;
+
+/// Body bytes before the key: `kind` + `version` + `key_len`.
+const BODY_FIXED: usize = RECORD_HEADER - 8;
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,37 +73,176 @@ impl Record {
     }
 }
 
-/// FNV-1a over `bytes` (the checksum guarding each record's body).
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
+/// One decoded WAL record borrowing its key and value from the log bytes.
+#[derive(Debug, Clone, Copy)]
+struct RecordRef<'a> {
+    kind: u8,
+    version: u128,
+    key: &'a [u8],
+    value: &'a [u8],
 }
 
-/// Append `rec`'s wire form to `buf`; returns the encoded length.
+impl RecordRef<'_> {
+    fn to_record(self) -> Record {
+        Record {
+            kind: self.kind,
+            version: self.version,
+            key: self.key.to_vec(),
+            value: self.value.to_vec(),
+        }
+    }
+}
+
+/// The checksum guarding each record's body: four independent 64-bit
+/// multiply-xor lanes over 32-byte strides (one multiply per 8 bytes, four
+/// in flight), folded to the 4-byte field. The length seeds the lanes so a
+/// short body is never confused with a zero-padded longer one; each lane
+/// step and each combining step is a bijection in the word it absorbs, so
+/// one changed word always changes the 64-bit state before the final fold.
+pub fn record_checksum(body: &[u8]) -> u32 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte lane"));
+    // The rotate keeps a flipped top bit from staying a top bit, where a
+    // second flip in the same lane would cancel it.
+    let absorb = |lane: u64, w: u64| (lane.rotate_left(29) ^ w).wrapping_mul(PRIME);
+    let seed = 0xcbf2_9ce4_8422_2325 ^ (body.len() as u64).wrapping_mul(PRIME);
+    let mut lanes = [
+        seed,
+        seed.rotate_left(16),
+        seed.rotate_left(32),
+        seed.rotate_left(48),
+    ];
+    let mut strides = body.chunks_exact(32);
+    for s in &mut strides {
+        for (lane, w) in lanes.iter_mut().zip(s.chunks_exact(8)) {
+            *lane = absorb(*lane, word(w));
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(strides.remainder().chunks(8)) {
+        let mut tail = [0u8; 8];
+        tail[..w.len()].copy_from_slice(w);
+        *lane = absorb(*lane, u64::from_le_bytes(tail));
+    }
+    let mut h = lanes[0];
+    for &lane in &lanes[1..] {
+        h = absorb(h, lane);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    (h ^ (h >> 32)) as u32
+}
+
+/// Append one record's wire form to `buf` straight from borrowed parts;
+/// returns the encoded length. This is the only encoder: each key and
+/// value byte is copied once, into `buf`, and checksummed once there.
 ///
 /// Layout (all integers little-endian):
 /// `[total_len u32][crc u32][kind u8][version u128][key_len u32][key][value]`
 /// where `total_len` counts everything including itself and `crc` is
-/// FNV-1a over the body (everything after the `crc` field).
-pub fn append_record(buf: &mut Vec<u8>, rec: &Record) -> usize {
-    let total = rec.encoded_len();
+/// [`record_checksum`] over the body (everything after the `crc` field).
+pub fn append_parts(buf: &mut Vec<u8>, kind: u8, version: u128, key: &[u8], value: &[u8]) -> usize {
+    let total = RECORD_HEADER + key.len() + value.len();
     buf.reserve(total);
     buf.extend_from_slice(&(total as u32).to_le_bytes());
     let crc_at = buf.len();
     buf.extend_from_slice(&[0u8; 4]);
-    let body_at = buf.len();
-    buf.push(rec.kind);
-    buf.extend_from_slice(&rec.version.to_le_bytes());
-    buf.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&rec.key);
-    buf.extend_from_slice(&rec.value);
-    let crc = fnv1a32(&buf[body_at..]);
+    buf.push(kind);
+    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    buf.extend_from_slice(key);
+    buf.extend_from_slice(value);
+    let crc = record_checksum(&buf[crc_at + 4..]);
     buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
     total
+}
+
+/// Append `rec`'s wire form to `buf` (see [`append_parts`]); returns the
+/// encoded length.
+pub fn append_record(buf: &mut Vec<u8>, rec: &Record) -> usize {
+    append_parts(buf, rec.kind, rec.version, &rec.key, &rec.value)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Records decoded on this thread, so tests can bound how much of a
+    /// log an operation walks.
+    static DECODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Decode the record at the front of `bytes`: the record and its encoded
+/// length, or `None` when the front is a torn record (truncated header,
+/// truncated body, impossible length or checksum mismatch). Never panics
+/// and never reads past a length it has not checked against `bytes`.
+fn decode_front(bytes: &[u8]) -> Option<(RecordRef<'_>, usize)> {
+    let total = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+    if total < RECORD_HEADER || bytes.len() < total {
+        return None;
+    }
+    let crc = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
+    let body = &bytes[8..total];
+    if record_checksum(body) != crc {
+        return None;
+    }
+    let key_len = u32::from_le_bytes(body[17..BODY_FIXED].try_into().ok()?) as usize;
+    let (key, value) = body[BODY_FIXED..].split_at_checked(key_len)?;
+    #[cfg(test)]
+    DECODED.with(|d| d.set(d.get() + 1));
+    let rec = RecordRef {
+        kind: body[0],
+        version: u128::from_le_bytes(body[1..17].try_into().ok()?),
+        key,
+        value,
+    };
+    Some((rec, total))
+}
+
+/// Streaming decoder over a log held as a sequence of byte chunks, each
+/// made of whole records: yields the intact records in log order and stops
+/// for good at the first torn one. The one WAL walker — [`decode_stream`],
+/// [`Media::prefix`], [`Media::flush_prefix`] and [`Media::recover`] all
+/// read the log through it, and none decodes more than it consumes.
+struct Walker<'a, I> {
+    chunks: I,
+    cur: &'a [u8],
+    /// Bytes of the intact records yielded so far.
+    consumed: usize,
+    /// Whether the walk ended at a torn record.
+    torn: bool,
+}
+
+impl<'a, I: Iterator<Item = &'a [u8]>> Walker<'a, I> {
+    fn new(chunks: I) -> Walker<'a, I> {
+        Walker {
+            chunks,
+            cur: &[],
+            consumed: 0,
+            torn: false,
+        }
+    }
+}
+
+impl<'a, I: Iterator<Item = &'a [u8]>> Iterator for Walker<'a, I> {
+    type Item = RecordRef<'a>;
+
+    fn next(&mut self) -> Option<RecordRef<'a>> {
+        if self.torn {
+            return None;
+        }
+        while self.cur.is_empty() {
+            self.cur = self.chunks.next()?;
+        }
+        match decode_front(self.cur) {
+            Some((rec, total)) => {
+                self.cur = &self.cur[total..];
+                self.consumed += total;
+                Some(rec)
+            }
+            None => {
+                self.torn = true;
+                None
+            }
+        }
+    }
 }
 
 /// Outcome of decoding a WAL byte stream.
@@ -115,52 +260,29 @@ pub struct DecodeTail {
 /// panics on corrupt input: a truncated header, a truncated body, or a
 /// checksum mismatch ends the decode at the last good record.
 pub fn decode_stream(bytes: &[u8]) -> (Vec<Record>, DecodeTail) {
-    let mut recs = Vec::new();
-    let mut at = 0usize;
-    while bytes.len() - at >= 4 {
-        let total = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        if total < RECORD_HEADER || bytes.len() - at < total {
-            return (
-                recs,
-                DecodeTail {
-                    consumed: at,
-                    torn: true,
-                },
-            );
+    let mut walk = Walker::new(std::iter::once(bytes));
+    let recs = walk.by_ref().map(|r| r.to_record()).collect();
+    let tail = DecodeTail {
+        consumed: walk.consumed,
+        torn: walk.torn,
+    };
+    (recs, tail)
+}
+
+/// The checkpoint map: key → (kind, version, value).
+type Snapshot = BTreeMap<Vec<u8>, (u8, u128, Vec<u8>)>;
+
+fn apply_parts(map: &mut Snapshot, kind: u8, version: u128, key: &[u8], value: &[u8]) {
+    match map.get_mut(key) {
+        Some(slot) => {
+            if version > slot.1 {
+                *slot = (kind, version, value.to_vec());
+            }
         }
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        let body = &bytes[at + 8..at + total];
-        if fnv1a32(body) != crc {
-            return (
-                recs,
-                DecodeTail {
-                    consumed: at,
-                    torn: true,
-                },
-            );
+        None => {
+            map.insert(key.to_vec(), (kind, version, value.to_vec()));
         }
-        let kind = body[0];
-        let version = u128::from_le_bytes(body[1..17].try_into().unwrap());
-        let key_len = u32::from_le_bytes(body[17..21].try_into().unwrap()) as usize;
-        if 21 + key_len > body.len() {
-            return (
-                recs,
-                DecodeTail {
-                    consumed: at,
-                    torn: true,
-                },
-            );
-        }
-        recs.push(Record {
-            kind,
-            version,
-            key: body[21..21 + key_len].to_vec(),
-            value: body[21 + key_len..].to_vec(),
-        });
-        at += total;
     }
-    let torn = at != bytes.len();
-    (recs, DecodeTail { consumed: at, torn })
 }
 
 /// Version-gated apply of one record onto a plain map — the reference
@@ -168,16 +290,7 @@ pub fn decode_stream(bytes: &[u8]) -> (Vec<Record>, DecodeTail) {
 /// forward in version; erases leave a tombstone version so a slower SET
 /// can't resurrect the key.
 pub fn apply_record(map: &mut BTreeMap<Vec<u8>, (u8, u128, Vec<u8>)>, rec: &Record) {
-    match map.get_mut(&rec.key) {
-        Some(slot) => {
-            if rec.version > slot.1 {
-                *slot = (rec.kind, rec.version, rec.value.clone());
-            }
-        }
-        None => {
-            map.insert(rec.key.clone(), (rec.kind, rec.version, rec.value.clone()));
-        }
-    }
+    apply_parts(map, rec.kind, rec.version, &rec.key, &rec.value);
 }
 
 /// What a process recovers from its [`Media`] at warm restart.
@@ -199,48 +312,90 @@ pub struct Recovery {
 /// checkpoint snapshot trickle flush maintains. Only
 /// [`Media::commit`] (a completed fsync) and [`Media::flush_prefix`] (a
 /// completed checkpoint write) mutate it, mirroring the device protocol.
+///
+/// The log is a queue of sealed batch buffers, each exactly as one fsync
+/// delivered it, plus a cursor into the oldest: a commit moves its batch
+/// in at the back, a trickle flush advances the cursor and drops whole
+/// batches off the front, and no byte is copied or re-decoded in between.
 #[derive(Debug, Clone, Default)]
 pub struct Media {
-    /// Durable WAL bytes (only ever appended by completed fsyncs,
-    /// truncated from the front by completed trickle flushes).
-    wal: Vec<u8>,
-    /// Records currently in `wal`.
+    /// Sealed batches, oldest first. Each holds whole records, except that
+    /// the newest may end in the torn record a power cut left.
+    segments: VecDeque<Vec<u8>>,
+    /// Offset of the oldest live record within `segments[0]` (everything
+    /// before it has been truncated into the snapshot).
+    head: usize,
+    /// Bytes of torn record at the end of the newest segment.
+    torn_bytes: usize,
+    /// Durable WAL bytes from the cursor on, torn suffix included.
+    wal_bytes: u64,
+    /// Intact records from the cursor on.
     wal_records: u64,
     /// Checkpoint: key → (kind, version, value). Tombstones are kept so a
     /// replayed erase still fences slower sets.
-    snapshot: BTreeMap<Vec<u8>, (u8, u128, Vec<u8>)>,
+    snapshot: Snapshot,
     /// Cumulative WAL bytes retired into the snapshot (log truncation).
     truncated_bytes: u64,
+}
+
+/// Walk the log from the cursor. A free function over the two fields so a
+/// caller can hold the walk while it mutates the snapshot.
+fn walk_log(segments: &VecDeque<Vec<u8>>, head: usize) -> Walker<'_, impl Iterator<Item = &[u8]>> {
+    let mut at = head;
+    Walker::new(segments.iter().map(move |s| &s[std::mem::take(&mut at)..]))
 }
 
 impl Media {
     /// Whether nothing has ever been made durable (a cold, first-boot
     /// media).
     pub fn is_empty(&self) -> bool {
-        self.wal.is_empty() && self.snapshot.is_empty()
+        self.wal_bytes == 0 && self.snapshot.is_empty()
     }
 
     /// Apply a completed fsync: `encoded` (one or more records of wire
     /// form, `records` of them) is now durable.
     pub fn commit(&mut self, encoded: &[u8], records: u64) {
-        self.wal.extend_from_slice(encoded);
+        self.commit_batch(encoded.to_vec(), records);
+    }
+
+    /// [`Media::commit`] of a batch the caller no longer needs: the
+    /// buffer itself becomes the log's newest segment. A log that ends in
+    /// a torn record is first cut back to its last intact one — what
+    /// opening a real WAL for append does — so nothing acknowledged as
+    /// durable ever lands behind bytes recovery cannot cross.
+    pub fn commit_batch(&mut self, encoded: Vec<u8>, records: u64) {
+        if self.torn_bytes > 0 {
+            let last = self
+                .segments
+                .back_mut()
+                .expect("torn bytes live in a segment");
+            last.truncate(last.len() - self.torn_bytes);
+            self.wal_bytes -= self.torn_bytes as u64;
+            self.torn_bytes = 0;
+        }
+        self.wal_bytes += encoded.len() as u64;
         self.wal_records += records;
+        if !encoded.is_empty() {
+            self.segments.push_back(encoded);
+        }
     }
 
     /// Crash-model variant of [`Media::commit`]: only the first `keep`
     /// bytes of the batch reached the platter (the device lost power mid
     /// transfer). Produces exactly the torn tail [`decode_stream`] drops.
     pub fn commit_partial(&mut self, encoded: &[u8], keep: usize) {
-        let keep = keep.min(encoded.len());
-        self.wal.extend_from_slice(&encoded[..keep]);
-        // Record count is unknowable mid-tear; recompute at recovery.
-        let (recs, _) = decode_stream(&self.wal);
-        self.wal_records = recs.len() as u64;
+        let kept = &encoded[..keep.min(encoded.len())];
+        // Record count is unknowable mid-tear; count what decodes.
+        let mut walk = Walker::new(std::iter::once(kept));
+        let records = walk.by_ref().count() as u64;
+        let torn_bytes = kept.len() - walk.consumed;
+        self.commit_batch(kept.to_vec(), records);
+        self.torn_bytes = torn_bytes;
     }
 
     /// Durable WAL length in bytes.
     pub fn wal_bytes(&self) -> u64 {
-        self.wal.len() as u64
+        self.wal_bytes
     }
 
     /// Records in the durable WAL.
@@ -262,41 +417,52 @@ impl Media {
     /// returns `(records, bytes)` without mutating anything. The trickle
     /// flusher sizes its checkpoint device write from this.
     pub fn prefix(&self, max_records: u64) -> (u64, u64) {
-        let (recs, _) = decode_stream(&self.wal);
-        let take = (recs.len() as u64).min(max_records);
-        let bytes: usize = recs[..take as usize].iter().map(|r| r.encoded_len()).sum();
-        (take, bytes as u64)
+        let cap = usize::try_from(max_records).unwrap_or(usize::MAX);
+        let mut walk = walk_log(&self.segments, self.head);
+        let records = walk.by_ref().take(cap).count() as u64;
+        (records, walk.consumed as u64)
     }
 
     /// Apply a completed trickle flush: fold the oldest `max_records` WAL
     /// records into the snapshot (version-gated) and truncate them off the
     /// log front. Returns `(records, bytes)` retired.
     pub fn flush_prefix(&mut self, max_records: u64) -> (u64, u64) {
-        let (recs, _) = decode_stream(&self.wal);
-        let take = (recs.len() as u64).min(max_records) as usize;
-        let bytes: usize = recs[..take].iter().map(|r| r.encoded_len()).sum();
-        for rec in &recs[..take] {
-            apply_record(&mut self.snapshot, rec);
+        let cap = usize::try_from(max_records).unwrap_or(usize::MAX);
+        let (records, bytes) = {
+            let mut walk = walk_log(&self.segments, self.head);
+            let mut records = 0u64;
+            for rec in walk.by_ref().take(cap) {
+                apply_parts(
+                    &mut self.snapshot,
+                    rec.kind,
+                    rec.version,
+                    rec.key,
+                    rec.value,
+                );
+                records += 1;
+            }
+            (records, walk.consumed)
+        };
+        // Advance the cursor, dropping the batches it leaves behind.
+        self.head += bytes;
+        while let Some(front) = self.segments.front() {
+            if self.head < front.len() {
+                break;
+            }
+            self.head -= front.len();
+            self.segments.pop_front();
         }
-        self.wal.drain(..bytes);
-        self.wal_records -= take as u64;
+        self.wal_records -= records;
+        self.wal_bytes -= bytes as u64;
         self.truncated_bytes += bytes as u64;
-        (take as u64, bytes as u64)
+        (records, bytes as u64)
     }
 
     /// Directly install a snapshot entry, as if an earlier trickle flush
     /// had checkpointed it. Harness/test seeding only — models a process
     /// that had been up (and flushing) long before the experiment window.
     pub fn install_snapshot(&mut self, kind: u8, version: u128, key: &[u8], value: &[u8]) {
-        apply_record(
-            &mut self.snapshot,
-            &Record {
-                kind,
-                version,
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-        );
+        apply_parts(&mut self.snapshot, kind, version, key, value);
     }
 
     /// Everything a warm restart replays: snapshot entries (in key order —
@@ -314,14 +480,13 @@ impl Media {
             })
             .collect();
         let from_snapshot = records.len() as u64;
-        let (wal_recs, tail) = decode_stream(&self.wal);
-        let from_wal = wal_recs.len() as u64;
-        records.extend(wal_recs);
+        let mut walk = walk_log(&self.segments, self.head);
+        records.extend(walk.by_ref().map(|r| r.to_record()));
         Recovery {
+            from_wal: records.len() as u64 - from_snapshot,
             records,
             from_snapshot,
-            from_wal,
-            torn_tail: tail.torn,
+            torn_tail: walk.torn,
         }
     }
 }
@@ -365,7 +530,13 @@ impl GroupCommit {
     /// Append one record to the pending batch; returns the batch's new
     /// record count (how many appends the next fsync will cover).
     pub fn append(&mut self, rec: &Record) -> u64 {
-        append_record(&mut self.pending, rec);
+        self.append_parts(rec.kind, rec.version, &rec.key, &rec.value)
+    }
+
+    /// [`GroupCommit::append`] from borrowed parts: the key and value are
+    /// copied exactly once, into the pending batch.
+    pub fn append_parts(&mut self, kind: u8, version: u128, key: &[u8], value: &[u8]) -> u64 {
+        append_parts(&mut self.pending, kind, version, key, value);
         self.pending_records += 1;
         self.stats.appends += 1;
         self.pending_records
@@ -404,16 +575,16 @@ impl GroupCommit {
     }
 
     /// The device transaction completed: the committing batch is durable.
-    /// Appends it to `media` and returns the number of records committed.
+    /// Moves it into `media` (the sealed buffer becomes the log's newest
+    /// segment) and returns the number of records committed.
     pub fn finish_commit(&mut self, media: &mut Media) -> u64 {
         debug_assert!(self.in_flight, "finish_commit without start_commit");
         let records = self.committing_records;
-        media.commit(&self.committing, records);
         self.stats.commits += 1;
         self.stats.committed_records += records;
         self.stats.committed_bytes += self.committing.len() as u64;
         self.stats.max_batch = self.stats.max_batch.max(records);
-        self.committing.clear();
+        media.commit_batch(std::mem::take(&mut self.committing), records);
         self.committing_records = 0;
         self.in_flight = false;
         records
@@ -467,13 +638,98 @@ mod tests {
             assert!(tail.torn, "cut={cut}");
             assert_eq!(tail.consumed, a_len);
         }
-        // A flipped body byte fails the checksum the same way.
-        let mut corrupt = buf.clone();
-        let n = corrupt.len();
-        corrupt[n - 1] ^= 0xff;
-        let (recs, tail) = decode_stream(&corrupt);
-        assert_eq!(recs, vec![a]);
-        assert!(tail.torn);
+        // Any flipped bit of the second record — length, checksum or body
+        // — fails it the same way.
+        for bit in a_len * 8..buf.len() * 8 {
+            let mut corrupt = buf.clone();
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+            let (recs, tail) = decode_stream(&corrupt);
+            assert_eq!(recs, vec![a.clone()], "bit={bit}");
+            assert!(tail.torn, "bit={bit}");
+        }
+    }
+
+    #[test]
+    fn checksum_sees_every_lane_and_the_length() {
+        // 100 bytes: three full 32-byte strides plus a 4-byte tail lane.
+        let body: Vec<u8> = (0..100u8).collect();
+        let base = record_checksum(&body);
+        for at in 0..body.len() {
+            let mut other = body.clone();
+            other[at] ^= 0x80;
+            assert_ne!(record_checksum(&other), base, "byte {at}");
+        }
+        // Top-bit flips in two words of one lane do not cancel.
+        let mut other = body.clone();
+        other[7] ^= 0x80;
+        other[39] ^= 0x80;
+        assert_ne!(record_checksum(&other), base);
+        // Zero padding is not the same body.
+        let mut padded = body.clone();
+        padded.push(0);
+        assert_ne!(record_checksum(&padded), base);
+        assert_ne!(record_checksum(&[]), record_checksum(&[0]));
+    }
+
+    #[test]
+    fn commit_after_torn_tail_is_recovered() {
+        let recs: Vec<Record> = (0..11u128)
+            .map(|v| rec(KIND_SET, v + 1, format!("k{v}").as_bytes(), b"payload"))
+            .collect();
+        let mut first = Vec::new();
+        let mut ends = Vec::new();
+        for r in &recs[..8] {
+            append_record(&mut first, r);
+            ends.push(first.len());
+        }
+        let mut second = Vec::new();
+        for r in &recs[8..] {
+            append_record(&mut second, r);
+        }
+        // Power cut inside record 5 of 8: records 1-4 are durable.
+        let mut media = Media::default();
+        media.commit_partial(&first, ends[3] + 9);
+        assert_eq!(media.wal_records(), 4);
+        assert!(media.recover().torn_tail);
+        // The next commit must land where recovery can reach it.
+        media.commit(&second, 3);
+        let r = media.recover();
+        let want: Vec<Record> = recs[..4].iter().chain(&recs[8..]).cloned().collect();
+        assert_eq!(r.records, want);
+        assert!(!r.torn_tail, "the torn suffix was cut off at append");
+        assert_eq!(media.wal_records(), 7);
+        assert_eq!(media.wal_bytes(), (ends[3] + second.len()) as u64);
+        assert_eq!(media.flush_prefix(u64::MAX), (7, media.truncated_bytes()));
+        assert_eq!((media.wal_records(), media.wal_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn trickle_decodes_only_what_it_flushes() {
+        // 50K records in 50 sealed batches.
+        let mut media = Media::default();
+        let mut gc = GroupCommit::default();
+        for v in 0..50_000u128 {
+            gc.append_parts(KIND_SET, v + 1, &(v as u32 % 5_000).to_le_bytes(), b"v");
+            if v % 1_000 == 999 {
+                gc.start_commit().expect("batch pending");
+                gc.finish_commit(&mut media);
+            }
+        }
+        // Each call walks the 256 records it reports, never the whole log.
+        let decoded = || DECODED.with(|d| d.get());
+        let t0 = decoded();
+        let peek = media.prefix(256);
+        let t1 = decoded();
+        let flushed = media.flush_prefix(256);
+        let t2 = decoded();
+        assert_eq!(peek, flushed);
+        assert_eq!(flushed.0, 256);
+        assert!(t1 - t0 <= 257, "prefix decoded {} records", t1 - t0);
+        assert!(t2 - t1 <= 257, "flush_prefix decoded {} records", t2 - t1);
+        assert_eq!(media.wal_records(), 50_000 - 256);
+        // Crossing a batch boundary drops the batch behind the cursor.
+        assert_eq!(media.flush_prefix(1_000).0, 1_000);
+        assert_eq!(media.recover().from_wal, 50_000 - 1_256);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! generators), used by experiments that need to overload a host's NIC —
 //! e.g. Figure 11's "~95 Gbps of competing demand" and Figure 12's
 //! client-side competing load. Also home to [`IdMap`], the cheap-hash map
-//! for tables keyed by ids the program itself allocates.
+//! for tables keyed by ids the program itself allocates or by keys that
+//! are already hashes.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -14,11 +15,13 @@ use crate::node::{Event, Node};
 use crate::sim::Ctx;
 use crate::time::{serialization_delay, SimDuration, SimTime};
 
-/// Hasher for keys that are a single integer the program itself allocated
-/// (op ids, call ids, timer tokens, [`NodeId`]s): one multiply by the 64-bit
-/// golden ratio, high half folded onto the low half so both the bucket bits
-/// and hashbrown's 7-bit tag see every input bit. No per-map random state,
-/// so iteration order is the same in every run. Not for keys that arrive
+/// Hasher for keys that are integers the program itself produced: ids it
+/// allocated (op ids, call ids, timer tokens, [`NodeId`]s, slab indices) and
+/// keys that already are uniform hashes (a 128-bit `KeyHash` — SipHashing a
+/// hash buys nothing). One multiply by the 64-bit golden ratio per 8 bytes,
+/// high half folded onto the low half so both the bucket bits and
+/// hashbrown's 7-bit tag see every input bit. No per-map random state, so
+/// iteration order is the same in every run. Not for raw keys that arrive
 /// from outside the program — it has no collision resistance.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
@@ -50,10 +53,12 @@ impl Hasher for IdHasher {
     }
 }
 
-/// `HashMap` over program-allocated integer ids (see [`IdHasher`]).
+/// `HashMap` over program-allocated ids or already-hashed keys (see
+/// [`IdHasher`]).
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// `HashSet` over program-allocated integer ids (see [`IdHasher`]).
+/// `HashSet` over program-allocated ids or already-hashed keys (see
+/// [`IdHasher`]).
 pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Swallows every frame it receives; counts bytes for verification.
