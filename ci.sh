@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI gate: build, tests, lints, format, the benchmark's smoke tests and
-# the figure reproducibility gate. Run from the repo root; any failure fails
-# the script.
+# Repo CI gate: build, tests, lints, format, rustdoc, the benchmark's smoke
+# tests and the figure reproducibility gate. Run from the repo root; any
+# failure fails the script.
 #
 #   ./ci.sh
 #
@@ -21,6 +21,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustfmt =="
 cargo fmt --all --check
+
+echo "== rustdoc =="
+# A doc comment that links to an item that is gone or private fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== benchmark smoke (every workload through the child path) =="
 cargo test --offline --manifest-path benchmark/Cargo.toml

@@ -251,7 +251,7 @@ mod tests {
             body: messages::GetReq {
                 key: Bytes::from_static(b"k"),
             }
-            .encode(),
+            .encode_in(&Pool::new()),
             ..set.clone()
         };
         let (status, body) = s.handle(&get);
@@ -264,7 +264,7 @@ mod tests {
                 key: Bytes::from_static(b"k"),
                 version: VersionNumber::new(2, 1, 1),
             }
-            .encode(),
+            .encode_in(&Pool::new()),
             ..set.clone()
         };
         assert_eq!(s.handle(&erase).0, Status::Ok);
@@ -328,7 +328,7 @@ mod tests {
             body: messages::GetReq {
                 key: Bytes::from_static(b"key-9"),
             }
-            .encode(),
+            .encode_in(&Pool::new()),
         };
         assert_eq!(s.handle(&get).0, Status::Ok);
         let _ = SimTime::ZERO;

@@ -108,13 +108,10 @@ pub(crate) fn a2_measure(tombstone_capacity: usize) -> u64 {
         let key = format!("fresh-{i}");
         let hash = hasher.hash(key.as_bytes());
         let v = VersionNumber::new(500_000, 2, i as u32);
-        match store.prepare_set(key.as_bytes(), b"value", hash, v) {
-            Ok(p) => {
-                store.write_data(p.data_offset, &p.entry_bytes);
-                let _ = store.commit_set(&p);
-            }
-            Err(rpc::Status::VersionRejected) => spurious += 1,
-            Err(e) => panic!("{e:?}"),
+        match store.install(key.as_bytes(), b"value", hash, v) {
+            rpc::Status::Ok => {}
+            rpc::Status::VersionRejected => spurious += 1,
+            e => panic!("{e:?}"),
         }
     }
     spurious
@@ -159,15 +156,12 @@ pub(crate) fn a3_measure(target_load: f64) -> f64 {
     for i in 0..inserts {
         let key = format!("lf-{i}");
         let hash = hasher.hash(key.as_bytes());
-        if let Ok(p) = store.prepare_set(
+        store.install(
             key.as_bytes(),
             b"v",
             hash,
             VersionNumber::new(1, 0, i as u32 + 1),
-        ) {
-            store.write_data(p.data_offset, &p.entry_bytes);
-            let _ = store.commit_set(&p);
-        }
+        );
     }
     store.stats.assoc_conflicts as f64 / inserts as f64
 }

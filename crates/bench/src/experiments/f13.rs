@@ -103,7 +103,7 @@ pub fn run() -> Report {
     let body = PrepareMaintenance {
         spare_node: spare.0,
     }
-    .encode();
+    .encode_in(&bytes::Pool::new());
     let at = SimTime(160_000_000);
     cell.sim.add_node(
         injector_host,

@@ -61,10 +61,7 @@ fn install_corpus(cell: &mut Cell, keys: std::ops::Range<u64>, sizes: &SizeDist)
                 while store.needs_data_growth() {
                     store.grow_data();
                 }
-                if let Ok(p) = store.prepare_set(&key, &value, hash, VersionNumber::new(1, 0, 1)) {
-                    store.write_data(p.data_offset, &p.entry_bytes);
-                    let _ = store.commit_set(&p);
-                }
+                store.install(&key, &value, hash, VersionNumber::new(1, 0, 1));
             })
             .expect("backend exists");
     }

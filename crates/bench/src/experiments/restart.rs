@@ -214,7 +214,7 @@ impl Node for Committer {
     }
 }
 
-/// Per-record cost (ns) of making [`AMORTIZE_TOTAL`] records durable in
+/// Per-record cost (ns) of making `AMORTIZE_TOTAL` records durable in
 /// groups of `batch`, on the default device profile.
 pub fn per_write_ns(batch: u64) -> u64 {
     let mut sim = Sim::new(FabricCfg::default(), 5);

@@ -105,11 +105,7 @@ fn install(cell: &mut Cell, backend: simnet::NodeId, key: &Bytes, value: &Bytes,
     let hash = DefaultHasher.hash(key);
     cell.sim
         .with_node::<BackendNode, _>(backend, |b| {
-            let store = b.store_mut();
-            if let Ok(p) = store.prepare_set(key, value, hash, v) {
-                store.write_data(p.data_offset, &p.entry_bytes);
-                let _ = store.commit_set(&p);
-            }
+            b.store_mut().install(key, value, hash, v);
         })
         .expect("backend exists");
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use bytes::{Bytes, Pool};
 
 use rma::{PonyCfg, PonyHost, RmaEnvelope, Transport, TransportKind};
-use rpc::{CallTable, Completion, RpcCostModel, Status};
+use rpc::{CallTable, Completion, Status};
 use simnet::{Ctx, Deferred, Event, MetricId, Metrics, Node, NodeId, SimDuration, SimTime};
 
 use crate::config::CellConfig;
@@ -26,6 +26,21 @@ use crate::hash::{DefaultHasher, KeyHash, KeyHasher};
 use crate::messages::{self, method};
 use crate::store::{BackendStore, CliqueScarResolver, PreparedSet, StoreCfg};
 use crate::version::{VersionGen, VersionNumber};
+use crate::wal::{REPLAY_NS_PER_RECORD, TRICKLE_RECORDS};
+use crate::{MSG_COST, RPC_COST};
+
+/// Index rebuild time per live entry, ns.
+const RESIZE_NS_PER_ENTRY: u64 = 100;
+/// Buckets per cohort-scan page.
+const SCAN_PAGE_BUCKETS: u64 = 64;
+/// Entries per migration chunk.
+const MIGRATE_BATCH: usize = 128;
+/// Client-id base (offset by the shard) of the versions a backend
+/// nominates when it repairs a dirty quorum.
+const REPAIR_CLIENT_ID: u32 = 0x8000_0000;
+/// How often to poll the config store for cell reconfigurations (the
+/// production system watches Chubby; we poll).
+const CONFIG_POLL: SimDuration = SimDuration::from_millis(100);
 
 /// Everything configurable about one backend task.
 #[derive(Clone)]
@@ -38,41 +53,26 @@ pub struct BackendCfg {
     pub transport: TransportKind,
     /// Pony Express engine configuration (used when transport is Pony).
     pub pony: PonyCfg,
-    /// Full-framework RPC cost model (mutations, control).
-    pub rpc_cost: RpcCostModel,
-    /// Lean two-sided messaging cost model (MSG_GET).
-    pub msg_cost: RpcCostModel,
     /// Number of timed chunks a SET's data bytes are written in.
     pub set_chunks: u32,
     /// Gap between consecutive chunks.
     pub chunk_gap: SimDuration,
     /// How often to check reshape/growth triggers.
     pub reshape_check: SimDuration,
-    /// Index rebuild time per live entry.
-    pub resize_ns_per_entry: u64,
     /// Cohort scan period (§5.4: "tens of seconds is typical"); `None`
     /// disables scanning.
     pub scan_interval: Option<SimDuration>,
-    /// Buckets per scan page.
-    pub scan_page_buckets: u64,
     /// The external config store, if the cell has one.
     pub config_store: Option<NodeId>,
     /// Pull repairs from the cohort right after (re)start (§5.4 en-masse).
     pub recover_on_start: bool,
     /// This task starts as a warm spare (no shard until a migration lands).
     pub is_spare: bool,
-    /// Entries per migration chunk.
-    pub migrate_batch: usize,
     /// Key hasher shared with clients.
     pub hasher: Arc<dyn KeyHasher>,
-    /// Identity used when nominating repair versions.
-    pub repair_client_id: u32,
     /// Host-level Pony engine pool shared with co-located nodes (set by
     /// the cell builder; `None` gives this node a private pool).
     pub shared_pony: Option<std::rc::Rc<std::cell::RefCell<PonyHost>>>,
-    /// How often to poll the config store for cell reconfigurations (the
-    /// production system watches Chubby; we poll). `None` disables.
-    pub config_poll: Option<SimDuration>,
     /// Load-aware hot-key replication (`None` disables): detect keys
     /// dominating this backend's serve load from access records and
     /// mutations, gated on engine occupancy, and seed extended replicas
@@ -93,22 +93,15 @@ impl Default for BackendCfg {
             policy: "lru".into(),
             transport: TransportKind::PonyExpress,
             pony: PonyCfg::default(),
-            rpc_cost: RpcCostModel::default(),
-            msg_cost: RpcCostModel::default().scaled(0.06),
             set_chunks: 2,
             chunk_gap: SimDuration::from_nanos(400),
             reshape_check: SimDuration::from_millis(50),
-            resize_ns_per_entry: 100,
             scan_interval: None,
-            scan_page_buckets: 64,
             config_store: None,
             recover_on_start: false,
             is_spare: false,
-            migrate_batch: 128,
             hasher: Arc::new(DefaultHasher),
-            repair_client_id: 0x8000_0000,
             shared_pony: None,
-            config_poll: Some(SimDuration::from_millis(100)),
             hot_repl: None,
             durable: None,
         }
@@ -340,7 +333,7 @@ impl BackendNode {
             (TransportKind::OneRma, _) => Transport::one_rma(),
             (TransportKind::Rdma, _) => Transport::rdma(),
         };
-        let repair_id = cfg.repair_client_id.wrapping_add(cfg.store.shard);
+        let repair_id = REPAIR_CLIENT_ID.wrapping_add(cfg.store.shard);
         BackendNode {
             store,
             transport,
@@ -456,9 +449,9 @@ impl BackendNode {
             // Messages still flow through the software NIC's engines (rx
             // here, tx on the response) before a server thread wakes up.
             self.transport.admit_serve(ctx.now(), req.body.len(), 0);
-            self.cfg.msg_cost.server_total(req.body.len(), 0)
+            MSG_COST.server_total(req.body.len(), 0)
         } else {
-            self.cfg.rpc_cost.server_total(req.body.len(), 0)
+            RPC_COST.server_total(req.body.len(), 0)
         };
         let trace = self.cur_trace;
         let tok = self.work.defer(Work::Dispatch { src, req, trace });
@@ -504,9 +497,7 @@ impl BackendNode {
                     self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
                     return;
                 };
-                let (pairs, done) = self
-                    .store
-                    .scan_page(scan_req.page, self.cfg.scan_page_buckets);
+                let (pairs, done) = self.store.scan_page(scan_req.page, SCAN_PAGE_BUCKETS);
                 let body = messages::ScanPage {
                     page: scan_req.page,
                     done,
@@ -550,40 +541,15 @@ impl BackendNode {
                 if is_repair {
                     ctx.metrics().add_id(self.m().repair_sets_in, 1);
                 }
-                if let Some(m) = &mut self.migration {
-                    // Mutations landing mid-migration are forwarded in the
-                    // trailing delta so the spare doesn't lose them.
-                    m.entries
-                        .push((set.key.clone(), set.value.clone(), set.version));
-                }
-                self.write_chunks(ctx, src, req.id, prepared);
+                self.write_chunks(ctx, src, req.id, prepared, 0);
             }
         }
     }
 
-    /// Stream the prepared entry's bytes in `set_chunks` timed pieces; the
-    /// final piece commits and responds.
-    fn write_chunks(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req_id: u64, prepared: PreparedSet) {
-        let chunks = self.cfg.set_chunks.max(1) as usize;
-        let chunk_len = prepared.entry_bytes.len().div_ceil(chunks);
-        let first = chunk_len.min(prepared.entry_bytes.len());
-        self.store
-            .write_data(prepared.data_offset, &prepared.entry_bytes[..first]);
-        if first >= prepared.entry_bytes.len() {
-            self.finish_set(ctx, src, req_id, prepared);
-        } else {
-            let tok = self.work.defer(Work::SetChunk {
-                src,
-                req_id,
-                prepared,
-                written: first,
-                trace: self.cur_trace,
-            });
-            ctx.set_timer(self.cfg.chunk_gap, tok);
-        }
-    }
-
-    fn continue_chunks(
+    /// Stream the prepared entry's bytes in `set_chunks` timed pieces,
+    /// `written` of them already in place; the final piece commits and
+    /// responds.
+    fn write_chunks(
         &mut self,
         ctx: &mut Ctx<'_>,
         src: NodeId,
@@ -591,14 +557,14 @@ impl BackendNode {
         prepared: PreparedSet,
         written: usize,
     ) {
-        let chunks = self.cfg.set_chunks.max(1) as usize;
-        let chunk_len = prepared.entry_bytes.len().div_ceil(chunks);
-        let next = (written + chunk_len).min(prepared.entry_bytes.len());
+        let len = prepared.entry_bytes.len();
+        let chunk_len = len.div_ceil(self.cfg.set_chunks.max(1) as usize);
+        let next = (written + chunk_len).min(len);
         self.store.write_data(
             prepared.data_offset + written as u64,
             &prepared.entry_bytes[written..next],
         );
-        if next >= prepared.entry_bytes.len() {
+        if next >= len {
             self.finish_set(ctx, src, req_id, prepared);
         } else {
             let tok = self.work.defer(Work::SetChunk {
@@ -617,7 +583,7 @@ impl BackendNode {
         if status == Status::Ok {
             // The prepared entry is the committed wire form: the key and
             // value that won are the ones it was encoded from.
-            self.wal_append(ctx, durable::KIND_SET, p.key(), p.value(), p.version);
+            self.committed(ctx, durable::KIND_SET, p.key(), p.value(), p.version);
         }
         self.respond_rpc(ctx, src, req_id, status, Bytes::new());
         self.maybe_schedule_growth(ctx);
@@ -631,7 +597,7 @@ impl BackendNode {
         let hash = self.cfg.hasher.hash(&erase.key);
         let status = self.store.erase(hash, erase.version);
         if status == Status::Ok {
-            self.wal_append(ctx, durable::KIND_ERASE, &erase.key, &[], erase.version);
+            self.committed(ctx, durable::KIND_ERASE, &erase.key, &[], erase.version);
         }
         self.respond_rpc(ctx, src, req.id, status, Bytes::new());
     }
@@ -647,8 +613,40 @@ impl BackendNode {
             .prepare_cas(&cas.key, &cas.value, hash, cas.expected, cas.new_version)
         {
             Err(status) => self.respond_rpc(ctx, src, req.id, status, Bytes::new()),
-            Ok(prepared) => self.write_chunks(ctx, src, req.id, prepared),
+            Ok(prepared) => self.write_chunks(ctx, src, req.id, prepared, 0),
         }
+    }
+
+    /// The pair stored under exactly `key`, if any (counted as a serve by
+    /// the hot-key detector either way).
+    fn lookup(&mut self, key: &[u8]) -> Option<(Bytes, Bytes, VersionNumber)> {
+        let hash = self.cfg.hasher.hash(key);
+        if let Some(t) = self.hot.as_mut() {
+            t.record(hash);
+        }
+        self.store
+            .fetch(hash)
+            .filter(|(stored, _, _)| stored == key)
+    }
+
+    /// Answer a single lookup: the pair as a `GetResp`, or `NotFound`.
+    fn respond_pair(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        src: NodeId,
+        req_id: u64,
+        pair: Option<(Bytes, Bytes, VersionNumber)>,
+    ) {
+        let Some((key, value, version)) = pair else {
+            return self.respond_rpc(ctx, src, req_id, Status::NotFound, Bytes::new());
+        };
+        let body = messages::GetResp {
+            key,
+            value,
+            version,
+        }
+        .encode_in(&self.pool);
+        self.respond_rpc(ctx, src, req_id, Status::Ok, body);
     }
 
     fn handle_get_rpc(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
@@ -656,22 +654,8 @@ impl BackendNode {
             self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
             return;
         };
-        let hash = self.cfg.hasher.hash(&get.key);
-        if let Some(t) = self.hot.as_mut() {
-            t.record(hash);
-        }
-        match self.store.fetch(hash) {
-            Some((key, value, version)) if key == get.key => {
-                let body = messages::GetResp {
-                    key,
-                    value,
-                    version,
-                }
-                .encode_in(&self.pool);
-                self.respond_rpc(ctx, src, req.id, Status::Ok, body);
-            }
-            _ => self.respond_rpc(ctx, src, req.id, Status::NotFound, Bytes::new()),
-        }
+        let pair = self.lookup(&get.key);
+        self.respond_pair(ctx, src, req.id, pair);
     }
 
     /// Vectored serve for a batched lookup frame: one dispatch already paid
@@ -683,26 +667,17 @@ impl BackendNode {
             return;
         };
         let mut entries = Vec::with_capacity(mget.keys.len());
-        for (sub, key) in mget.subs.iter().zip(&mget.keys) {
-            let hash = self.cfg.hasher.hash(key);
-            if let Some(t) = self.hot.as_mut() {
-                t.record(hash);
-            }
-            let entry = match self.store.fetch(hash) {
-                Some((stored, value, version)) if stored == *key => messages::MultiGetEntry {
-                    sub: *sub,
-                    status: Status::Ok as u8,
-                    version,
-                    value,
-                },
-                _ => messages::MultiGetEntry {
-                    sub: *sub,
-                    status: Status::NotFound as u8,
-                    version: VersionNumber::ZERO,
-                    value: Bytes::new(),
-                },
+        for (&sub, key) in mget.subs.iter().zip(&mget.keys) {
+            let (status, version, value) = match self.lookup(key) {
+                Some((_, value, version)) => (Status::Ok, version, value),
+                None => (Status::NotFound, VersionNumber::ZERO, Bytes::new()),
             };
-            entries.push(entry);
+            entries.push(messages::MultiGetEntry {
+                sub,
+                status: status as u8,
+                version,
+                value,
+            });
         }
         let body = messages::MultiGetResp { entries }.encode_in(&self.pool);
         self.respond_rpc(ctx, src, req.id, Status::Ok, body);
@@ -725,20 +700,7 @@ impl BackendNode {
             if let Some(t) = self.hot.as_mut() {
                 t.record(hash);
             }
-            let status = match self.store.prepare_set(key, value, hash, *version) {
-                Err(status) => status,
-                Ok(prepared) => {
-                    if let Some(m) = &mut self.migration {
-                        m.entries.push((key.clone(), value.clone(), *version));
-                    }
-                    self.store
-                        .write_data(prepared.data_offset, &prepared.entry_bytes);
-                    self.store.commit_set(&prepared)
-                }
-            };
-            if status == Status::Ok {
-                self.wal_append(ctx, durable::KIND_SET, key, value, *version);
-            }
+            let status = self.install(ctx, key, value, hash, *version);
             statuses.push((*sub, status as u8));
         }
         self.maybe_schedule_growth(ctx);
@@ -751,17 +713,55 @@ impl BackendNode {
             self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
             return;
         };
-        match self.store.fetch(fetch.key_hash) {
-            Some((key, value, version)) => {
-                let body = messages::GetResp {
-                    key,
-                    value,
-                    version,
-                }
-                .encode_in(&self.pool);
-                self.respond_rpc(ctx, src, req.id, Status::Ok, body);
-            }
-            None => self.respond_rpc(ctx, src, req.id, Status::NotFound, Bytes::new()),
+        let pair = self.store.fetch(fetch.key_hash);
+        self.respond_pair(ctx, src, req.id, pair);
+    }
+
+    // ---- The commit point ------------------------------------------------
+
+    /// Install a whole pair in one step and, if the store took it, settle
+    /// what the commit owes. Everything but the chunked SET/CAS handler
+    /// mutates through here; WAL replay alone calls the store directly, since
+    /// a replayed record is already on the log.
+    fn install(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        key: &[u8],
+        value: &[u8],
+        hash: KeyHash,
+        version: VersionNumber,
+    ) -> Status {
+        let status = self.store.install(key, value, hash, version);
+        if status == Status::Ok {
+            self.committed(ctx, durable::KIND_SET, key, value, version);
+        }
+        status
+    }
+
+    /// The one commit hook: what a mutation the store has just accepted
+    /// owes. With durability on, a WAL record. While this backend is
+    /// migrating its shard away, a place in what the spare receives — a
+    /// SET or CAS joins the migration's trailing delta, an ERASE is
+    /// forwarded as an ERASE at the same version (its tombstone also fences
+    /// the key's older copy if that chunk has yet to arrive).
+    fn committed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        kind: u8,
+        key: &[u8],
+        value: &[u8],
+        version: VersionNumber,
+    ) {
+        self.wal_append(ctx, kind, key, value, version);
+        let Some(m) = &mut self.migration else { return };
+        let key = Bytes::copy_from_slice(key);
+        if kind == durable::KIND_SET {
+            m.entries
+                .push((key, Bytes::copy_from_slice(value), version));
+        } else {
+            let spare = m.spare;
+            let body = messages::EraseReq { key, version }.encode_in(&self.pool);
+            self.call(ctx, spare, method::ERASE, body, tag::REPAIR);
         }
     }
 
@@ -780,13 +780,9 @@ impl BackendNode {
         value: &[u8],
         version: VersionNumber,
     ) {
-        if self.wal.is_none() {
-            return;
-        }
-        let mids = *self.m();
-        let w = self.wal.as_mut().expect("checked above");
+        let Some(w) = self.wal.as_mut() else { return };
         let batch = w.gc.append_parts(kind, version.0, key, value);
-        ctx.metrics().add_id(mids.wal_appends, 1);
+        ctx.metrics().add_id(self.m().wal_appends, 1);
         // Batch-join annotation: a traced mutation records how many
         // appends its fsync will cover (ENGINE marks are ignored by the
         // postmortem verdict, which keys on SERVER_CPU marks only).
@@ -837,7 +833,7 @@ impl BackendNode {
             let Some(w) = self.wal.as_mut() else { return };
             let mut issue = None;
             if !w.gc.in_flight() && w.trickle_inflight.is_none() {
-                let (records, bytes) = w.cfg.media.borrow().prefix(w.cfg.trickle_records);
+                let (records, bytes) = w.cfg.media.borrow().prefix(TRICKLE_RECORDS);
                 if records > 0 {
                     w.trickle_inflight = Some(records);
                     issue = Some(bytes);
@@ -877,10 +873,8 @@ impl BackendNode {
     /// shard.
     fn wal_replay(&mut self, ctx: &mut Ctx<'_>) {
         let mids = *self.m();
-        let (recovery, per_rec) = {
-            let Some(w) = self.wal.as_ref() else { return };
-            (w.cfg.media.borrow().recover(), w.cfg.replay_ns_per_record)
-        };
+        let Some(w) = self.wal.as_ref() else { return };
+        let recovery = w.cfg.media.borrow().recover();
         if recovery.records.is_empty() {
             return;
         }
@@ -892,17 +886,16 @@ impl BackendNode {
                 if self.store.erase(hash, version) == Status::Ok {
                     applied += 1;
                 }
-            } else if let Ok(p) = self.store.prepare_set(&rec.key, &rec.value, hash, version) {
-                self.store.write_data(p.data_offset, &p.entry_bytes);
-                if self.store.commit_set(&p) == Status::Ok {
-                    applied += 1;
-                }
+            } else if self.store.install(&rec.key, &rec.value, hash, version) == Status::Ok {
+                applied += 1;
             }
         }
         ctx.metrics().add_id(mids.wal_replayed, applied);
         // Replay is local CPU, charged in bulk — it delays this host's
         // first serves but needs no forward-progress gate.
-        ctx.charge_cpu(SimDuration(per_rec * recovery.records.len() as u64));
+        ctx.charge_cpu(SimDuration(
+            REPLAY_NS_PER_RECORD * recovery.records.len() as u64,
+        ));
     }
 
     // ---- Maintenance: reshaping ----------------------------------------
@@ -911,7 +904,7 @@ impl BackendNode {
         if self.store.needs_index_resize() && self.migration.is_none() {
             self.store.begin_index_resize();
             ctx.metrics().add_id(self.m().index_resizes, 1);
-            let dur = SimDuration(self.cfg.resize_ns_per_entry * self.store.live_entries().max(1));
+            let dur = SimDuration(RESIZE_NS_PER_ENTRY * self.store.live_entries().max(1));
             let tok = self.work.defer(Work::FinishResize);
             ctx.set_timer(dur, tok);
         }
@@ -1112,12 +1105,7 @@ impl BackendNode {
         for replica in config.replicas_for(shard) {
             if replica == me {
                 // Apply locally, directly (we are the repairer).
-                if let Ok(p) = self.store.prepare_set(&key, &value, hash, new_version) {
-                    self.store.write_data(p.data_offset, &p.entry_bytes);
-                    if self.store.commit_set(&p) == Status::Ok {
-                        self.wal_append(ctx, durable::KIND_SET, &key, &value, new_version);
-                    }
-                }
+                self.install(ctx, &key, &value, hash, new_version);
             } else {
                 self.call(ctx, replica, method::REPAIR_SET, body.clone(), tag::REPAIR);
             }
@@ -1184,17 +1172,7 @@ impl BackendNode {
             if self.hot_push_pending.len() < 64 {
                 self.hot_push_pending.push(hash);
             }
-            if let Some(store) = self.cfg.config_store {
-                if !self.retired && self.migration.is_none() {
-                    self.call(
-                        ctx,
-                        store,
-                        method::GET_CONFIG,
-                        Bytes::new(),
-                        tag::CONFIG_POLL,
-                    );
-                }
-            }
+            self.fetch_config(ctx);
             return;
         };
         let Some(extra) = self.hot.as_ref().map(|t| t.cfg().extra_copies) else {
@@ -1270,8 +1248,7 @@ impl BackendNode {
         };
         let new_config_id = new_config.config_id;
         let shard = self.store.shard();
-        let batch = self.cfg.migrate_batch.max(1);
-        let end = (m.cursor + batch).min(m.entries.len());
+        let end = (m.cursor + MIGRATE_BATCH).min(m.entries.len());
         let slice = m.entries[m.cursor..end].to_vec();
         let last = end >= m.entries.len();
         m.cursor = end;
@@ -1294,12 +1271,7 @@ impl BackendNode {
         };
         for (key, value, version) in &chunk.entries {
             let hash = self.cfg.hasher.hash(key);
-            if let Ok(p) = self.store.prepare_set(key, value, hash, *version) {
-                self.store.write_data(p.data_offset, &p.entry_bytes);
-                if self.store.commit_set(&p) == Status::Ok {
-                    self.wal_append(ctx, durable::KIND_SET, key, value, *version);
-                }
-            }
+            self.install(ctx, key, value, hash, *version);
             ctx.metrics().add_id(self.m().migrate_in_entries, 1);
         }
         if chunk.last {
@@ -1334,31 +1306,31 @@ impl BackendNode {
         self.retired = true;
     }
 
-    /// Poll the config store; adopt (and restamp) newer configurations so
-    /// clients validating bucket config ids converge after migrations.
-    fn config_poll(&mut self, ctx: &mut Ctx<'_>) {
+    /// Ask the config store for the current configuration (adopted, and
+    /// restamped into the buckets, when the answer arrives) — unless this
+    /// backend is handing its shard away.
+    fn fetch_config(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(store) = self.cfg.config_store {
             if !self.retired && self.migration.is_none() {
-                self.call(
-                    ctx,
-                    store,
-                    method::GET_CONFIG,
-                    Bytes::new(),
-                    tag::CONFIG_POLL,
-                );
+                let poll = tag::CONFIG_POLL;
+                self.call(ctx, store, method::GET_CONFIG, Bytes::new(), poll);
             }
         }
-        if let Some(poll) = self.cfg.config_poll {
-            let tok = self.work.defer(Work::ConfigPoll);
-            ctx.set_timer(poll, tok);
-        }
+    }
+
+    /// Poll the config store, so that clients validating bucket config ids
+    /// converge after migrations.
+    fn config_poll(&mut self, ctx: &mut Ctx<'_>) {
+        self.fetch_config(ctx);
+        let tok = self.work.defer(Work::ConfigPoll);
+        ctx.set_timer(CONFIG_POLL, tok);
     }
 
     // ---- Outgoing RPC plumbing ------------------------------------------
 
     fn call(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, m: u16, body: Bytes, user_tag: u64) {
         let deadline = ctx.now().nanos() + 50_000_000; // 50 ms
-        ctx.charge_cpu(self.cfg.rpc_cost.client_send);
+        ctx.charge_cpu(RPC_COST.client_send);
         let (id, wire) = self
             .calls
             .begin(dst, m, body, ctx.now(), deadline, user_tag);
@@ -1368,7 +1340,7 @@ impl BackendNode {
     }
 
     fn on_rpc_completion(&mut self, ctx: &mut Ctx<'_>, done: Completion) {
-        ctx.charge_cpu(self.cfg.rpc_cost.client_recv);
+        ctx.charge_cpu(RPC_COST.client_recv);
         match done.call.user_tag {
             t if t == tag::SCAN => {
                 if done.status == Status::Ok {
@@ -1396,20 +1368,7 @@ impl BackendNode {
                     .add_id(self.m().recovery_bytes, done.body.len() as u64);
                 if let Some(resp) = messages::GetResp::decode(done.body) {
                     let hash = self.cfg.hasher.hash(&resp.key);
-                    if let Ok(p) =
-                        self.store
-                            .prepare_set(&resp.key, &resp.value, hash, resp.version)
-                    {
-                        self.store.write_data(p.data_offset, &p.entry_bytes);
-                        if self.store.commit_set(&p) == Status::Ok {
-                            self.wal_append(
-                                ctx,
-                                durable::KIND_SET,
-                                &resp.key,
-                                &resp.value,
-                                resp.version,
-                            );
-                        }
+                    if self.install(ctx, &resp.key, &resp.value, hash, resp.version) == Status::Ok {
                         ctx.metrics().add_id(self.m().recovered_entries, 1);
                     }
                 }
@@ -1511,10 +1470,8 @@ impl Node for BackendNode {
                 if self.cfg.recover_on_start {
                     self.begin_scan(ctx, ScanMode::Pull);
                 }
-                if let Some(poll) = self.cfg.config_poll {
-                    let tok = self.work.defer(Work::ConfigPoll);
-                    ctx.set_timer(poll, tok);
-                }
+                let tok = self.work.defer(Work::ConfigPoll);
+                ctx.set_timer(CONFIG_POLL, tok);
                 if let Some(hot) = &self.cfg.hot_repl {
                     let tok = self.work.defer(Work::HotEpoch);
                     ctx.set_timer(hot.epoch, tok);
@@ -1576,7 +1533,7 @@ impl Node for BackendNode {
                             trace,
                         } => {
                             self.cur_trace = trace;
-                            self.continue_chunks(ctx, src, req_id, prepared, written);
+                            self.write_chunks(ctx, src, req_id, prepared, written);
                             self.cur_trace = 0;
                         }
                         Work::ReshapeCheck => self.reshape_check(ctx),
@@ -1735,7 +1692,10 @@ mod tests {
         assert_eq!(r1[0].1, Status::Ok);
         let p2 = sim.add_node(
             ph,
-            Box::new(Probe::new(backend, vec![(method::GET_RPC, get.encode())])),
+            Box::new(Probe::new(
+                backend,
+                vec![(method::GET_RPC, get.encode_in(&Pool::new()))],
+            )),
         );
         sim.run_for(SimDuration::from_millis(20));
         let r2 = sim
@@ -1770,7 +1730,10 @@ mod tests {
         };
         let p = sim.add_node(
             ph,
-            Box::new(Probe::new(backend, vec![(method::MSG_GET, get.encode())])),
+            Box::new(Probe::new(
+                backend,
+                vec![(method::MSG_GET, get.encode_in(&Pool::new()))],
+            )),
         );
         sim.run_for(SimDuration::from_millis(20));
         let msg_cpu = sim.host(simnet::HostId(0)).cpu_busy_ns - host_cpu_before;
@@ -1784,7 +1747,10 @@ mod tests {
         };
         let p2 = sim.add_node(
             ph,
-            Box::new(Probe::new(backend, vec![(method::GET_RPC, get2.encode())])),
+            Box::new(Probe::new(
+                backend,
+                vec![(method::GET_RPC, get2.encode_in(&Pool::new()))],
+            )),
         );
         sim.run_for(SimDuration::from_millis(20));
         let full_cpu = sim.host(simnet::HostId(0)).cpu_busy_ns - before_full;
@@ -1905,7 +1871,7 @@ mod tests {
             ph,
             Box::new(Probe::new(
                 backend,
-                vec![(method::ACCESS_RECORDS, touch.encode())],
+                vec![(method::ACCESS_RECORDS, touch.encode_in(&Pool::new()))],
             )),
         );
         sim.run_for(SimDuration::from_millis(5));

@@ -90,19 +90,13 @@ pub struct DurabilitySpec {
     pub device: DeviceCfg,
     /// Trickle-flush period (idle-slot checkpoint checks).
     pub trickle_interval: SimDuration,
-    /// Max WAL records checkpointed per trickle flush.
-    pub trickle_records: u64,
-    /// Warm-restart replay CPU cost per recovered record.
-    pub replay_ns_per_record: u64,
 }
 
 impl Default for DurabilitySpec {
     fn default() -> Self {
         DurabilitySpec {
             device: DeviceCfg::default(),
-            trickle_interval: SimDuration::from_millis(5),
-            trickle_records: 256,
-            replay_ns_per_record: 300,
+            trickle_interval: crate::wal::TRICKLE_INTERVAL,
         }
     }
 }
@@ -241,8 +235,6 @@ impl Cell {
                 cfg.durable = Some(crate::wal::DurableCfg {
                     media: m.clone(),
                     trickle_interval: d.trickle_interval,
-                    trickle_records: d.trickle_records,
-                    replay_ns_per_record: d.replay_ns_per_record,
                 });
                 media.push(m);
             }

@@ -41,6 +41,7 @@ use crate::policy::{HotKeyTracker, HotReplCfg};
 use crate::shim::ShimSpec;
 use crate::version::{VersionGen, VersionNumber};
 use crate::workload::{ClientOp, OpOutcome, Pacing, VersionMemo, Workload};
+use crate::{MSG_COST, RPC_COST};
 
 /// How the client performs lookups: 2×R (two sequential one-sided reads),
 /// SCAR (one programmable-NIC scan per replica), MSG (two-sided messaging —
@@ -59,6 +60,19 @@ fn strategy_path(s: LookupStrategy) -> adaptive::Path {
     }
 }
 
+/// Fixed client-library CPU per GET attempt.
+const GET_CPU: SimDuration = SimDuration::from_nanos(900);
+/// Fixed client-library CPU per mutation attempt.
+const SET_CPU: SimDuration = SimDuration::from_micros(2);
+/// Per-RMA-op client CPU (issue + completion handling).
+const RMA_OP_CPU: SimDuration = SimDuration::from_nanos(350);
+/// Per-key client CPU for a sub-op inside a coalesced container. A
+/// standalone GET/SET pays [`GET_CPU`]/[`SET_CPU`] — API entry, pacing, and
+/// completion arming included — but a doorbell-batched container pays that
+/// boundary cost once at expansion; each member only marshals its key/entry
+/// into the shared frame.
+const BATCHED_KEY_CPU: SimDuration = SimDuration::from_nanos(350);
+
 /// Client configuration: everything the clients of one cell have in
 /// common. A [`ClientNode`] holds it behind an `Rc`, so 10K clients cost one
 /// copy; what differs per client is its [`ClientIdentity`].
@@ -70,10 +84,6 @@ pub struct ClientCfg {
     pub transport: TransportKind,
     /// Pony engine configuration.
     pub pony: PonyCfg,
-    /// Full RPC cost model (mutations, control RPCs).
-    pub rpc_cost: RpcCostModel,
-    /// Lean messaging cost model (MSG lookups).
-    pub msg_cost: RpcCostModel,
     /// Retry budget shared by all op types.
     pub retry: RetryPolicy,
     /// Per-attempt sub-op timeout (RMA and RPC).
@@ -82,18 +92,6 @@ pub struct ClientCfg {
     pub config_store: NodeId,
     /// Key hasher (must match the backends').
     pub hasher: Arc<dyn KeyHasher>,
-    /// Fixed client-library CPU per GET attempt.
-    pub get_cpu: SimDuration,
-    /// Fixed client-library CPU per mutation attempt.
-    pub set_cpu: SimDuration,
-    /// Per-RMA-op client CPU (issue + completion handling).
-    pub rma_op_cpu: SimDuration,
-    /// Per-key client CPU for a sub-op inside a coalesced container. A
-    /// standalone GET/SET pays `get_cpu`/`set_cpu` — API entry, pacing,
-    /// and completion arming included — but a doorbell-batched container
-    /// pays that boundary cost once at expansion; each member only
-    /// marshals its key/entry into the shared frame.
-    pub batched_key_cpu: SimDuration,
     /// Access-record flush period (`None` disables recency reporting).
     pub access_flush: Option<SimDuration>,
     /// Open- or closed-loop issue pacing.
@@ -144,16 +142,10 @@ impl Default for ClientCfg {
             strategy: LookupStrategy::TwoR,
             transport: TransportKind::PonyExpress,
             pony: PonyCfg::default(),
-            rpc_cost: RpcCostModel::default(),
-            msg_cost: RpcCostModel::default().scaled(0.06),
             retry: RetryPolicy::default(),
             attempt_timeout: SimDuration::from_millis(2),
             config_store: NodeId(0),
             hasher: Arc::new(DefaultHasher),
-            get_cpu: SimDuration::from_nanos(900),
-            set_cpu: SimDuration::from_micros(2),
-            rma_op_cpu: SimDuration::from_nanos(350),
-            batched_key_cpu: SimDuration::from_nanos(350),
             access_flush: Some(SimDuration::from_millis(50)),
             pacing: Pacing::Open,
             max_in_flight: 256,
@@ -798,10 +790,10 @@ impl ClientNode {
     }
 
     /// The cost model a server-side lookup is billed at.
-    fn lookup_cost(&self, strategy: LookupStrategy) -> &RpcCostModel {
+    fn lookup_cost(&self, strategy: LookupStrategy) -> &'static RpcCostModel {
         match strategy {
-            LookupStrategy::Rpc => &self.cfg.rpc_cost,
-            _ => &self.cfg.msg_cost,
+            LookupStrategy::Rpc => &RPC_COST,
+            _ => &MSG_COST,
         }
     }
 
@@ -828,11 +820,11 @@ impl ClientNode {
     /// calibrated per-op costs this client charges — the same constants
     /// the simulator bills, so no per-charge-site bookkeeping is needed.
     fn strategy_cpu_ns(&self, strategy: LookupStrategy, consulted: u64) -> u64 {
-        let base = self.cfg.get_cpu.nanos();
+        let base = GET_CPU.nanos();
         match strategy {
             // Index read per consulted replica plus one data fetch.
-            LookupStrategy::TwoR => base + self.cfg.rma_op_cpu.nanos() * (consulted + 1),
-            LookupStrategy::Scar => base + self.cfg.rma_op_cpu.nanos() * consulted,
+            LookupStrategy::TwoR => base + RMA_OP_CPU.nanos() * (consulted + 1),
+            LookupStrategy::Scar => base + RMA_OP_CPU.nanos() * consulted,
             LookupStrategy::Msg | LookupStrategy::Rpc => {
                 let cost = self.lookup_cost(strategy);
                 base + cost.client_send.nanos() + cost.client_recv.nanos()
@@ -1001,12 +993,8 @@ impl ClientNode {
         if coalescing {
             self.coalesce.active = true;
             // The API boundary (entry, pacing, completion arming) is paid
-            // once per container; members then pay `batched_key_cpu` each.
-            let api = if gets {
-                self.cfg.get_cpu
-            } else {
-                self.cfg.set_cpu
-            };
+            // once per container; members then pay `BATCHED_KEY_CPU` each.
+            let api = if gets { GET_CPU } else { SET_CPU };
             self.charge(ctx, api, 0);
         }
         for sub_op in subs {
@@ -1255,15 +1243,14 @@ impl ClientNode {
             // Doorbell batching: the sub-op must issue inside the expansion
             // event so its wire traffic lands in the accumulator before the
             // flush. It pays only the per-key marshal cost — the container
-            // paid the API-boundary `get_cpu` once at expansion.
-            self.charge(ctx, self.cfg.batched_key_cpu, trace);
+            // paid the API-boundary `GET_CPU` once at expansion.
+            self.charge(ctx, BATCHED_KEY_CPU, trace);
             self.do_issue_attempt(ctx, op_id);
             return;
         }
-        ctx.metrics()
-            .add_id(self.m().cpu_ns, self.cfg.get_cpu.nanos());
+        ctx.metrics().add_id(self.m().cpu_ns, GET_CPU.nanos());
         let tok = self.work.defer(Work::IssueAttempt(op_id));
-        ctx.spawn_cpu_traced(self.cfg.get_cpu, tok, trace, simnet::obs::stage::CLIENT_CPU);
+        ctx.spawn_cpu_traced(GET_CPU, tok, trace, simnet::obs::stage::CLIENT_CPU);
     }
 
     fn do_issue_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
@@ -1423,7 +1410,7 @@ impl ClientNode {
 
     /// Put sub-op `tag` on the wire toward each of `dsts` — the one place
     /// that chooses between joining the doorbell accumulator and leaving
-    /// now as a single-op frame. Every RMA sub-op pays `rma_op_cpu` either
+    /// now as a single-op frame. Every RMA sub-op pays `RMA_OP_CPU` either
     /// way; a coalesced lookup or SET pays its send-side cost once per
     /// frame at flush instead of once per op here (that amortization IS
     /// the batching win on the MSG/RPC path).
@@ -1432,7 +1419,7 @@ impl ClientNode {
         let kind = sub.frame_kind();
         if matches!(kind, Some(FrameKind::Read | FrameKind::Scar)) {
             for _ in dsts {
-                self.charge(ctx, self.cfg.rma_op_cpu, trace);
+                self.charge(ctx, RMA_OP_CPU, trace);
             }
         }
         if let (true, Some(kind)) = (self.coalesce.active, kind) {
@@ -1496,7 +1483,7 @@ impl ClientNode {
                     }
                     .encode_in(&self.pool),
                 };
-                (kind.wire().0, self.cfg.rpc_cost.client_send, body)
+                (kind.wire().0, RPC_COST.client_send, body)
             }
         };
         // An RPC body encodes once and is shared across `dsts`.
@@ -1848,11 +1835,11 @@ impl ClientNode {
             _ => return,
         };
         // A coalesced MultiSet member pays only per-entry marshal; the
-        // container paid the `set_cpu` API boundary once at expansion.
+        // container paid the `SET_CPU` API boundary once at expansion.
         let issue_cpu = if self.coalesce.active && kind == MutationKind::Set {
-            self.cfg.batched_key_cpu
+            BATCHED_KEY_CPU
         } else {
-            self.cfg.set_cpu
+            SET_CPU
         };
         self.charge(ctx, issue_cpu, trace);
         let tt = ctx.truetime();
@@ -2181,7 +2168,7 @@ impl ClientNode {
             }
             // An access-record ack resolves nothing but still costs a
             // single-frame receive (uncounted, like every such receive).
-            IGNORE_TAG => ctx.charge_cpu(self.cfg.rpc_cost.client_recv),
+            IGNORE_TAG => ctx.charge_cpu(RPC_COST.client_recv),
             tag => {
                 let from = done.call.dst;
                 let Some(members) = self.frames.members(tag) else {
@@ -2198,7 +2185,7 @@ impl ClientNode {
                         // `client_recv` again (counted). Batch frames pay
                         // once, counted.
                         ctx.charge_cpu_traced(
-                            self.cfg.rpc_cost.client_recv,
+                            RPC_COST.client_recv,
                             rep_trace,
                             simnet::obs::stage::CLIENT_CPU,
                         );
@@ -2389,15 +2376,12 @@ impl ClientNode {
         };
         let batch = matches!(members, Members::Batch(..));
         let rep_trace = self.trace_of(ctx, members.tags()[0] >> 10);
-        // Client-side transport completion processing cost (a batch frame's
-        // own data/bucket segments are empty; its entries carry the bytes).
-        let entry_bytes = |d: &rma::BatchDone| d.data.len() + d.bucket.len();
-        let bytes = done.data.len() + done.bucket.len();
-        let bytes = bytes + done.subs.iter().map(entry_bytes).sum::<usize>();
+        // Client-side transport completion processing cost.
+        let bytes = done.results().map(|d| d.data.len() + d.bucket.len()).sum();
         let ready = self.transport.admit_completion(ctx.now(), bytes);
         ctx.trace_interval(rep_trace, simnet::obs::stage::ENGINE, ctx.now(), ready);
         // Engine occupancy is tracked; latency impact is folded into
-        // rma_op_cpu to keep the event count low. The admission backlog is
+        // RMA_OP_CPU to keep the event count low. The admission backlog is
         // the cheapest live proxy for remote engine pressure, so the
         // controller taps it here.
         if let Some(ctl) = self.adaptive.as_mut() {
@@ -2407,7 +2391,7 @@ impl ClientNode {
         // the NIC would report it (the Fig. 16 quantity).
         ctx.metrics().record_id(self.m().rma_rtt_ns, done.rtt_ns);
         let replica = done.op.dst;
-        if batch && done.subs.is_empty() {
+        if done.results().next().is_none() {
             // Defensive: a frame-level failure with no per-entry verdicts
             // fails every member's vote from this replica.
             for &sub in members.tags() {
@@ -2417,17 +2401,15 @@ impl ClientNode {
         }
         let rearm = batch && self.cfg.doorbell_batching && !self.coalesce.active;
         self.coalesce.active |= rearm;
-        let mut result = |sub: u64, status, bucket, data| {
-            let trace = self.trace_of(ctx, sub >> 10);
-            self.charge(ctx, self.cfg.rma_op_cpu, trace);
-            self.deliver(ctx, sub, replica, Verdict::Rma(status, bucket, data));
-        };
-        if batch {
-            for d in done.subs {
-                result(d.sub, d.status, d.bucket, d.data);
-            }
-        } else {
-            result(done.op.user_tag, done.status, done.bucket, done.data);
+        for d in done.into_results() {
+            let trace = self.trace_of(ctx, d.sub >> 10);
+            self.charge(ctx, RMA_OP_CPU, trace);
+            self.deliver(
+                ctx,
+                d.sub,
+                replica,
+                Verdict::Rma(d.status, d.bucket, d.data),
+            );
         }
         if rearm {
             self.coalesce_flush(ctx);

@@ -61,6 +61,17 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::sync::LazyLock;
+
+use rpc::RpcCostModel;
+
+/// Full-framework RPC cost model (mutations, control RPCs, the RPC lookup
+/// strategy), charged by clients and backends alike.
+pub(crate) static RPC_COST: LazyLock<RpcCostModel> = LazyLock::new(RpcCostModel::default);
+/// Lean two-sided messaging cost model (MSG lookups): the RPC model at 6 %.
+pub(crate) static MSG_COST: LazyLock<RpcCostModel> =
+    LazyLock::new(|| RpcCostModel::default().scaled(0.06));
+
 pub mod backend;
 pub mod cell;
 pub mod client;

@@ -91,7 +91,8 @@ impl SetReq {
         put_bytes(b, &self.value);
     }
 
-    /// Encode to a body.
+    /// Encode to an unpooled body. Kept for the benchmark's pinned API;
+    /// everything else encodes with [`Self::encode_in`].
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(24 + self.key.len() + self.value.len());
         self.write(&mut b);
@@ -131,22 +132,11 @@ pub struct EraseReq {
 }
 
 impl EraseReq {
-    fn write(&self, b: &mut BytesMut) {
-        b.put_u128_le(self.version.0);
-        put_bytes(b, &self.key);
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(20 + self.key.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
         let mut b = pool.get(20 + self.key.len());
-        self.write(&mut b);
+        b.put_u128_le(self.version.0);
+        put_bytes(&mut b, &self.key);
         b.freeze()
     }
 
@@ -176,24 +166,13 @@ pub struct CasReq {
 }
 
 impl CasReq {
-    fn write(&self, b: &mut BytesMut) {
-        b.put_u128_le(self.expected.0);
-        b.put_u128_le(self.new_version.0);
-        put_bytes(b, &self.key);
-        put_bytes(b, &self.value);
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(40 + self.key.len() + self.value.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
         let mut b = pool.get(40 + self.key.len() + self.value.len());
-        self.write(&mut b);
+        b.put_u128_le(self.expected.0);
+        b.put_u128_le(self.new_version.0);
+        put_bytes(&mut b, &self.key);
+        put_bytes(&mut b, &self.value);
         b.freeze()
     }
 
@@ -233,7 +212,8 @@ impl GetResp {
         put_bytes(b, &self.value);
     }
 
-    /// Encode to a body.
+    /// Encode to an unpooled body. Kept for the benchmark's pinned API;
+    /// everything else encodes with [`Self::encode_in`].
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(24 + self.key.len() + self.value.len());
         self.write(&mut b);
@@ -271,13 +251,6 @@ pub struct GetReq {
 }
 
 impl GetReq {
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(4 + self.key.len());
-        put_bytes(&mut b, &self.key);
-        b.freeze()
-    }
-
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
         let mut b = pool.get(4 + self.key.len());
@@ -301,13 +274,6 @@ pub struct FetchByHashReq {
 }
 
 impl FetchByHashReq {
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_u128_le(self.key_hash);
-        b.freeze()
-    }
-
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
         let mut b = pool.get(16);
@@ -334,24 +300,13 @@ pub struct AccessRecords {
 }
 
 impl AccessRecords {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let mut b = pool.get(4 + 16 * self.hashes.len());
         b.put_u32_le(self.hashes.len() as u32);
         for h in &self.hashes {
             b.put_u128_le(*h);
         }
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(4 + 16 * self.hashes.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(4 + 16 * self.hashes.len());
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -385,7 +340,9 @@ pub struct ScanPage {
 }
 
 impl ScanPage {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let mut b = pool.get(9 + 32 * self.pairs.len());
         b.put_u32_le(self.page);
         b.put_u8(self.done as u8);
         b.put_u32_le(self.pairs.len() as u32);
@@ -393,19 +350,6 @@ impl ScanPage {
             b.put_u128_le(*h);
             b.put_u128_le(v.0);
         }
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(9 + 32 * self.pairs.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(9 + 32 * self.pairs.len());
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -438,13 +382,6 @@ pub struct ScanReq {
 }
 
 impl ScanReq {
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(4);
-        b.put_u32_le(self.page);
-        b.freeze()
-    }
-
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
         let mut b = pool.get(4);
@@ -480,37 +417,24 @@ pub struct MigrateChunk {
 }
 
 impl MigrateChunk {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let len = 13
+            + self
+                .entries
+                .iter()
+                .map(|(k, v, _)| 24 + k.len() + v.len())
+                .sum::<usize>();
+        let mut b = pool.get(len);
         b.put_u8(self.last as u8);
         b.put_u32_le(self.shard);
         b.put_u32_le(self.new_config_id);
         b.put_u32_le(self.entries.len() as u32);
         for (k, v, ver) in &self.entries {
             b.put_u128_le(ver.0);
-            put_bytes(b, k);
-            put_bytes(b, v);
+            put_bytes(&mut b, k);
+            put_bytes(&mut b, v);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        13 + self
-            .entries
-            .iter()
-            .map(|(k, v, _)| 24 + k.len() + v.len())
-            .sum::<usize>()
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(self.encoded_len());
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -560,29 +484,15 @@ pub struct MultiGetReq {
 }
 
 impl MultiGetReq {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let len = 4 + self.keys.iter().map(|k| 12 + k.len()).sum::<usize>();
+        let mut b = pool.get(len);
         b.put_u32_le(self.keys.len() as u32);
         for (sub, k) in self.subs.iter().zip(&self.keys) {
             b.put_u64_le(*sub);
-            put_bytes(b, k);
+            put_bytes(&mut b, k);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + self.keys.iter().map(|k| 12 + k.len()).sum::<usize>()
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(self.encoded_len());
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -631,35 +541,21 @@ pub struct MultiGetResp {
 }
 
 impl MultiGetResp {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let len = 4 + self
+            .entries
+            .iter()
+            .map(|e| 29 + e.value.len())
+            .sum::<usize>();
+        let mut b = pool.get(len);
         b.put_u32_le(self.entries.len() as u32);
         for e in &self.entries {
             b.put_u64_le(e.sub);
             b.put_u8(e.status);
             b.put_u128_le(e.version.0);
-            put_bytes(b, &e.value);
+            put_bytes(&mut b, &e.value);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + self
-            .entries
-            .iter()
-            .map(|e| 29 + e.value.len())
-            .sum::<usize>()
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(self.encoded_len());
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -705,35 +601,21 @@ pub struct MultiSetReq {
 }
 
 impl MultiSetReq {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let len = 4 + self
+            .entries
+            .iter()
+            .map(|(k, v, _)| 32 + k.len() + v.len())
+            .sum::<usize>();
+        let mut b = pool.get(len);
         b.put_u32_le(self.entries.len() as u32);
         for (sub, (k, v, ver)) in self.subs.iter().zip(&self.entries) {
             b.put_u64_le(*sub);
             b.put_u128_le(ver.0);
-            put_bytes(b, k);
-            put_bytes(b, v);
+            put_bytes(&mut b, k);
+            put_bytes(&mut b, v);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + self
-            .entries
-            .iter()
-            .map(|(k, v, _)| 32 + k.len() + v.len())
-            .sum::<usize>()
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(self.encoded_len());
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -772,25 +654,14 @@ pub struct MultiSetResp {
 }
 
 impl MultiSetResp {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let mut b = pool.get(4 + 9 * self.statuses.len());
         b.put_u32_le(self.statuses.len() as u32);
         for (sub, s) in &self.statuses {
             b.put_u64_le(*sub);
             b.put_u8(*s);
         }
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(4 + 9 * self.statuses.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(4 + 9 * self.statuses.len());
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -821,13 +692,6 @@ pub struct PrepareMaintenance {
 }
 
 impl PrepareMaintenance {
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(4);
-        b.put_u32_le(self.spare_node);
-        b.freeze()
-    }
-
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
         let mut b = pool.get(4);
@@ -869,7 +733,9 @@ pub struct Geometry {
 }
 
 impl Geometry {
-    fn write(&self, b: &mut BytesMut) {
+    /// Encode to a body in a pooled buffer.
+    pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let mut b = pool.get(34);
         b.put_u32_le(self.config_id);
         b.put_u32_le(self.index_window);
         b.put_u32_le(self.index_generation);
@@ -878,19 +744,6 @@ impl Geometry {
         b.put_u32_le(self.data_window);
         b.put_u32_le(self.data_generation);
         b.put_u32_le(self.shard);
-    }
-
-    /// Encode to a body.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(34);
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(34);
-        self.write(&mut b);
         b.freeze()
     }
 
@@ -923,6 +776,8 @@ mod tests {
             value: Bytes::from_static(b"v-bytes"),
             version: VersionNumber::new(1, 2, 3),
         };
+        // The unpooled form the benchmark pins writes the same bytes.
+        assert_eq!(m.encode(), m.encode_in(&Pool::new()));
         assert_eq!(SetReq::decode(m.encode()), Some(m));
         assert_eq!(SetReq::decode(Bytes::from_static(b"xx")), None);
     }
@@ -933,7 +788,7 @@ mod tests {
             key: Bytes::from_static(b"gone"),
             version: VersionNumber::new(9, 9, 9),
         };
-        assert_eq!(EraseReq::decode(m.encode()), Some(m));
+        assert_eq!(EraseReq::decode(m.encode_in(&Pool::new())), Some(m));
     }
 
     #[test]
@@ -944,7 +799,7 @@ mod tests {
             expected: VersionNumber::new(1, 1, 1),
             new_version: VersionNumber::new(2, 2, 2),
         };
-        assert_eq!(CasReq::decode(m.encode()), Some(m));
+        assert_eq!(CasReq::decode(m.encode_in(&Pool::new())), Some(m));
     }
 
     #[test]
@@ -952,19 +807,20 @@ mod tests {
         let req = GetReq {
             key: Bytes::from_static(b"lookup-me"),
         };
-        assert_eq!(GetReq::decode(req.encode()), Some(req));
+        assert_eq!(GetReq::decode(req.encode_in(&Pool::new())), Some(req));
         let resp = GetResp {
             key: Bytes::from_static(b"lookup-me"),
             value: Bytes::from_static(b"found"),
             version: VersionNumber::new(5, 5, 5),
         };
+        assert_eq!(resp.encode(), resp.encode_in(&Pool::new()));
         assert_eq!(GetResp::decode(resp.encode()), Some(resp));
     }
 
     #[test]
     fn fetch_by_hash_roundtrip() {
         let m = FetchByHashReq { key_hash: 0xF00D };
-        assert_eq!(FetchByHashReq::decode(m.encode()), Some(m));
+        assert_eq!(FetchByHashReq::decode(m.encode_in(&Pool::new())), Some(m));
         assert_eq!(FetchByHashReq::decode(Bytes::from_static(b"short")), None);
     }
 
@@ -973,21 +829,24 @@ mod tests {
         let m = AccessRecords {
             hashes: vec![1, 2, 3, u128::MAX],
         };
-        assert_eq!(AccessRecords::decode(m.encode()), Some(m));
+        assert_eq!(AccessRecords::decode(m.encode_in(&Pool::new())), Some(m));
         let empty = AccessRecords::default();
-        assert_eq!(AccessRecords::decode(empty.encode()), Some(empty));
+        assert_eq!(
+            AccessRecords::decode(empty.encode_in(&Pool::new())),
+            Some(empty)
+        );
     }
 
     #[test]
     fn scan_roundtrips() {
         let req = ScanReq { page: 7 };
-        assert_eq!(ScanReq::decode(req.encode()), Some(req));
+        assert_eq!(ScanReq::decode(req.encode_in(&Pool::new())), Some(req));
         let page = ScanPage {
             page: 7,
             done: true,
             pairs: vec![(1, VersionNumber::new(1, 1, 1)), (2, VersionNumber::ZERO)],
         };
-        assert_eq!(ScanPage::decode(page.encode()), Some(page));
+        assert_eq!(ScanPage::decode(page.encode_in(&Pool::new())), Some(page));
     }
 
     #[test]
@@ -1009,7 +868,7 @@ mod tests {
                 ),
             ],
         };
-        assert_eq!(MigrateChunk::decode(m.encode()), Some(m));
+        assert_eq!(MigrateChunk::decode(m.encode_in(&Pool::new())), Some(m));
         // Truncated chunk fails cleanly.
         let wire = MigrateChunk {
             last: true,
@@ -1021,7 +880,7 @@ mod tests {
                 VersionNumber::ZERO,
             )],
         }
-        .encode();
+        .encode_in(&Pool::new());
         assert_eq!(MigrateChunk::decode(wire.slice(0..wire.len() - 1)), None);
     }
 
@@ -1037,7 +896,7 @@ mod tests {
             data_generation: 5,
             shard: 6,
         };
-        assert_eq!(Geometry::decode(g.encode()), Some(g));
+        assert_eq!(Geometry::decode(g.encode_in(&Pool::new())), Some(g));
         assert_eq!(Geometry::decode(Bytes::from_static(b"tiny")), None);
     }
 
@@ -1052,7 +911,7 @@ mod tests {
             value: Bytes::from_static(b"v"),
             version: VersionNumber::new(1, 2, 3),
         };
-        let mut wire = BytesMut::from(&set.encode()[..]);
+        let mut wire = BytesMut::from(&set.encode_in(&Pool::new())[..]);
         wire.extend_from_slice(b"\x09future-proof-extension");
         assert_eq!(SetReq::decode(wire.freeze()), Some(set));
 
@@ -1066,7 +925,7 @@ mod tests {
             data_generation: 5,
             shard: 6,
         };
-        let mut wire = BytesMut::from(&geom.encode()[..]);
+        let mut wire = BytesMut::from(&geom.encode_in(&Pool::new())[..]);
         wire.extend_from_slice(&[0xFF; 32]);
         assert_eq!(Geometry::decode(wire.freeze()), Some(geom));
     }
@@ -1087,7 +946,10 @@ mod tests {
     #[test]
     fn prepare_maintenance_roundtrip() {
         let m = PrepareMaintenance { spare_node: 42 };
-        assert_eq!(PrepareMaintenance::decode(m.encode()), Some(m));
+        assert_eq!(
+            PrepareMaintenance::decode(m.encode_in(&Pool::new())),
+            Some(m)
+        );
     }
 
     #[test]
@@ -1096,7 +958,7 @@ mod tests {
             subs: vec![100, 101],
             keys: vec![Bytes::from_static(b"a"), Bytes::from_static(b"bb")],
         };
-        assert_eq!(MultiGetReq::decode(req.encode()), Some(req));
+        assert_eq!(MultiGetReq::decode(req.encode_in(&Pool::new())), Some(req));
         let resp = MultiGetResp {
             entries: vec![
                 MultiGetEntry {
@@ -1113,10 +975,16 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(MultiGetResp::decode(resp.encode()), Some(resp));
+        assert_eq!(
+            MultiGetResp::decode(resp.encode_in(&Pool::new())),
+            Some(resp)
+        );
         // Empty batch roundtrips.
         let empty = MultiGetReq::default();
-        assert_eq!(MultiGetReq::decode(empty.encode()), Some(empty));
+        assert_eq!(
+            MultiGetReq::decode(empty.encode_in(&Pool::new())),
+            Some(empty)
+        );
     }
 
     #[test]
@@ -1136,11 +1004,14 @@ mod tests {
                 ),
             ],
         };
-        assert_eq!(MultiSetReq::decode(req.encode()), Some(req));
+        assert_eq!(MultiSetReq::decode(req.encode_in(&Pool::new())), Some(req));
         let resp = MultiSetResp {
             statuses: vec![(7, 0), (8, 2)],
         };
-        assert_eq!(MultiSetResp::decode(resp.encode()), Some(resp));
+        assert_eq!(
+            MultiSetResp::decode(resp.encode_in(&Pool::new())),
+            Some(resp)
+        );
     }
 
     #[test]
@@ -1163,7 +1034,7 @@ mod tests {
                 VersionNumber::ZERO,
             )],
         }
-        .encode();
+        .encode_in(&Pool::new());
         assert_eq!(MultiSetReq::decode(good.slice(0..good.len() - 1)), None);
     }
 }

@@ -549,6 +549,25 @@ impl BackendStore {
         Status::Ok
     }
 
+    /// SET in one step: admit, write the whole DataEntry, publish. The form
+    /// every caller wants except the RPC handler that streams the entry in
+    /// timed chunks between [`Self::prepare_set`] and [`Self::commit_set`].
+    pub fn install(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        hash: KeyHash,
+        version: VersionNumber,
+    ) -> Status {
+        match self.prepare_set(key, value, hash, version) {
+            Err(status) => status,
+            Ok(p) => {
+                self.write_data(p.data_offset, &p.entry_bytes);
+                self.commit_set(&p)
+            }
+        }
+    }
+
     /// Abandon a prepared SET (e.g. the backend is shutting down).
     pub fn abort_set(&mut self, p: &PreparedSet) {
         self.slab.free(p.data_offset, p.entry_bytes.len());
@@ -614,64 +633,44 @@ impl BackendStore {
         }
     }
 
+    /// The occupied IndexEntries of `buckets`, in bucket then slot order.
+    fn occupied(&self, buckets: std::ops::Range<u64>) -> impl Iterator<Item = IndexEntry> + '_ {
+        buckets
+            .flat_map(move |b| {
+                let raw = self.bucket_raw(b);
+                (0..layout::bucket_assoc(raw))
+                    .map(move |i| IndexEntry::decode(layout::bucket_slot(raw, i)))
+            })
+            .filter(IndexEntry::is_occupied)
+    }
+
     /// One page of (hash, version) pairs for cohort scans. Pages walk the
     /// bucket array; `page_size` is in buckets.
     pub fn scan_page(&self, page: u32, page_size: u64) -> (Vec<(KeyHash, VersionNumber)>, bool) {
         let start = page as u64 * page_size;
         let stop = (start + page_size).min(self.num_buckets);
-        let mut pairs = Vec::new();
-        for b in start..stop {
-            let raw = self.bucket_raw(b);
-            for i in 0..layout::bucket_assoc(raw) {
-                let e = IndexEntry::decode(layout::bucket_slot(raw, i));
-                if e.is_occupied() {
-                    pairs.push((e.key_hash, e.version));
-                }
-            }
-        }
-        (pairs, stop >= self.num_buckets)
+        let pairs = self.occupied(start..stop).map(|e| (e.key_hash, e.version));
+        (pairs.collect(), stop >= self.num_buckets)
     }
 
     /// Every live (hash, version) pair — the full local inventory used by
     /// cohort reconciliation.
     pub fn scan_all_pairs(&self) -> Vec<(KeyHash, VersionNumber)> {
         let mut out = Vec::with_capacity(self.live_entries as usize);
-        for b in 0..self.num_buckets {
-            let raw = self.bucket_raw(b);
-            for i in 0..layout::bucket_assoc(raw) {
-                let e = IndexEntry::decode(layout::bucket_slot(raw, i));
-                if e.is_occupied() {
-                    out.push((e.key_hash, e.version));
-                }
-            }
-        }
+        out.extend(
+            self.occupied(0..self.num_buckets)
+                .map(|e| (e.key_hash, e.version)),
+        );
         out
     }
 
     /// Every live pair (spare migration, tests). Order is bucket order.
     pub fn all_entries(&self) -> Vec<(Bytes, Bytes, VersionNumber)> {
         let mut out = Vec::with_capacity(self.live_entries as usize);
-        for b in 0..self.num_buckets {
-            let raw = self.bucket_raw(b);
-            let entries: Vec<IndexEntry> = (0..layout::bucket_assoc(raw))
-                .map(|i| IndexEntry::decode(layout::bucket_slot(raw, i)))
-                .filter(|e| e.is_occupied())
-                .collect();
-            for e in entries {
-                let raw = self.regions.read_buffer(
-                    self.data_buffer,
-                    e.ptr.offset as usize,
-                    e.ptr.len as usize,
-                );
-                if let Ok(parsed) = parse_data_entry(raw) {
-                    out.push((
-                        Bytes::copy_from_slice(parsed.key),
-                        Bytes::copy_from_slice(parsed.data),
-                        parsed.version,
-                    ));
-                }
-            }
-        }
+        out.extend(
+            self.occupied(0..self.num_buckets)
+                .filter_map(|e| self.read_pair(e.ptr)),
+        );
         out
     }
 
@@ -709,15 +708,7 @@ impl BackendStore {
         let bb = self.bucket_bytes();
         // Collect live entries from the old index.
         let mut live: Vec<IndexEntry> = Vec::with_capacity(self.live_entries as usize);
-        for b in 0..old_buckets {
-            let raw = self.bucket_raw(b);
-            for i in 0..layout::bucket_assoc(raw) {
-                let e = IndexEntry::decode(layout::bucket_slot(raw, i));
-                if e.is_occupied() {
-                    live.push(e);
-                }
-            }
-        }
+        live.extend(self.occupied(0..old_buckets));
         // Build the new index.
         let new_buffer = self.regions.alloc_buffer(new_buckets as usize * bb);
         let new_window =
@@ -770,24 +761,14 @@ impl BackendStore {
     /// is preserved; the data pool is rebuilt at `live * (1 + slack)`
     /// bytes, rounded up to whole slabs.
     pub fn compact_restart(&mut self, slack: f64) {
-        let entries: Vec<(KeyHash, VersionNumber, Vec<u8>)> = {
-            let mut out = Vec::with_capacity(self.live_entries as usize);
-            for b in 0..self.num_buckets {
-                let raw = self.bucket_raw(b);
-                let decoded: Vec<IndexEntry> = (0..layout::bucket_assoc(raw))
-                    .map(|i| IndexEntry::decode(layout::bucket_slot(raw, i)))
-                    .filter(|e| e.is_occupied())
-                    .collect();
-                for e in decoded {
-                    let bytes = self
-                        .regions
-                        .read_buffer(self.data_buffer, e.ptr.offset as usize, e.ptr.len as usize)
-                        .to_vec();
-                    out.push((e.key_hash, e.version, bytes));
-                }
-            }
-            out
-        };
+        let entries: Vec<(KeyHash, VersionNumber, Vec<u8>)> = self
+            .occupied(0..self.num_buckets)
+            .map(|e| {
+                let (at, len) = (e.ptr.offset as usize, e.ptr.len as usize);
+                let bytes = self.regions.read_buffer(self.data_buffer, at, len);
+                (e.key_hash, e.version, bytes.to_vec())
+            })
+            .collect();
         // Size the new pool on slot-rounded (size-class) footprints, plus
         // one slab of headroom per size class (each partially-filled class
         // pins a whole slab).
@@ -963,15 +944,7 @@ mod tests {
     }
 
     fn do_set(s: &mut BackendStore, key: &[u8], value: &[u8], ver: VersionNumber) -> Status {
-        let hash = DefaultHasher.hash(key);
-        match s.prepare_set(key, value, hash, ver) {
-            Ok(p) => {
-                s.write_data(p.data_offset, &p.entry_bytes);
-                s.commit_set(&p);
-                Status::Ok
-            }
-            Err(e) => e,
-        }
+        s.install(key, value, DefaultHasher.hash(key), ver)
     }
 
     #[test]

@@ -21,8 +21,18 @@ use std::rc::Rc;
 use durable::{GroupCommit, Media};
 use simnet::SimDuration;
 
+/// Default period at which the trickle flusher looks for an idle device
+/// slot — the one default [`crate::cell::DurabilitySpec`] and
+/// [`DurableCfg::new`] share.
+pub const TRICKLE_INTERVAL: SimDuration = SimDuration::from_millis(5);
+/// Max WAL records checkpointed per trickle flush (bounds both the
+/// checkpoint device write and the log-truncation step).
+pub(crate) const TRICKLE_RECORDS: u64 = 256;
+/// Replay CPU cost per recovered record at warm restart, ns.
+pub(crate) const REPLAY_NS_PER_RECORD: u64 = 300;
+
 /// Per-backend durability configuration.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct DurableCfg {
     /// The crash-surviving media (fsynced WAL + checkpoint snapshot). The
     /// cell builder keeps a handle to each backend's media so a reviver
@@ -31,31 +41,15 @@ pub struct DurableCfg {
     pub media: Rc<RefCell<Media>>,
     /// How often the trickle flusher looks for an idle device slot.
     pub trickle_interval: SimDuration,
-    /// Max WAL records checkpointed per trickle flush (bounds both the
-    /// checkpoint device write and the log-truncation step).
-    pub trickle_records: u64,
-    /// Replay CPU cost per recovered record at warm restart.
-    pub replay_ns_per_record: u64,
 }
 
 impl DurableCfg {
-    /// Durability against `media` with default trickle/replay parameters.
+    /// Durability against `media` at the default trickle period.
     pub fn new(media: Rc<RefCell<Media>>) -> DurableCfg {
         DurableCfg {
             media,
-            trickle_interval: SimDuration::from_millis(5),
-            trickle_records: 256,
-            replay_ns_per_record: 300,
+            trickle_interval: TRICKLE_INTERVAL,
         }
-    }
-}
-
-impl std::fmt::Debug for DurableCfg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableCfg")
-            .field("trickle_interval", &self.trickle_interval)
-            .field("trickle_records", &self.trickle_records)
-            .finish()
     }
 }
 

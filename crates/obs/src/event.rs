@@ -11,8 +11,8 @@
 
 /// Stage taxonomy: where an op's wall-clock time can go.
 ///
-/// The ids double as indices into [`Attribution::stages`]
-/// (`crate::attr::Attribution::stages`); keep them dense.
+/// The ids double as indices into
+/// [`Attribution::stages`](crate::attr::Attribution::stages); keep them dense.
 pub mod stage {
     /// Client-side CPU execution (issue path, response processing).
     pub const CLIENT_CPU: u8 = 0;

@@ -10,59 +10,52 @@ use simnet::{IdMap, NodeId, SimTime};
 
 use crate::codec::{
     encode_batch_read_req_in, encode_batch_scar_req_in, encode_read_req_in, encode_scar_req_in,
-    BatchDone, BatchReadEntry, BatchReadReq, BatchScarEntry, BatchScarReq, ReadReq, RmaEnvelope,
-    RmaStatus, ScarReq,
+    BatchDone, BatchReadEntry, BatchReadReq, BatchReadResp, BatchScarEntry, BatchScarReq,
+    BatchScarResp, ReadReq, RmaEnvelope, ScarReq,
 };
 use crate::region::WindowId;
 
 /// Token namespace base for RMA op deadline timers.
 pub const RMA_TIMER_BASE: u64 = 1 << 57;
 
-/// Which kind of op is in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// One-sided read.
-    Read,
-    /// Scan-and-Read.
-    Scar,
-    /// Doorbell-batched reads (one frame, many sub-reads).
-    BatchRead,
-    /// Doorbell-batched SCARs.
-    BatchScar,
-}
-
 /// Metadata for one in-flight RMA op.
 #[derive(Debug, Clone)]
 pub struct OutstandingOp {
     /// Target node.
     pub dst: NodeId,
-    /// Op kind.
-    pub kind: OpKind,
     /// Issue time.
     pub issued_at: SimTime,
     /// Caller context (which logical GET this belongs to, which replica...).
     pub user_tag: u64,
 }
 
-/// A finished RMA op handed back to the caller.
+/// A finished RMA op handed back to the caller. Its payload is a list of
+/// per-sub-op results whatever the frame shape: a single op is one result
+/// under its own `user_tag`, a batch one result per member.
 #[derive(Debug, Clone)]
 pub struct OpCompletion {
     /// The op id.
     pub op_id: u64,
-    /// Result status.
-    pub status: RmaStatus,
-    /// READ payload or SCAR data segment.
-    pub data: Bytes,
-    /// SCAR bucket segment (empty for READ).
-    pub bucket: Bytes,
     /// Original op metadata.
     pub op: OutstandingOp,
     /// Round-trip time in nanoseconds.
     pub rtt_ns: u64,
-    /// Per-sub-op results for batched ops (empty for single ops). The
-    /// frame-level `status`/`data`/`bucket` fields are `Ok`/empty — every
-    /// sub-op resolves through its own [`BatchDone`].
-    pub subs: Vec<BatchDone>,
+    /// A single op's result (no `Vec` on that path).
+    single: Option<BatchDone>,
+    /// A batch frame's results, in request order.
+    batch: Vec<BatchDone>,
+}
+
+impl OpCompletion {
+    /// The `(sub, status, bucket, data)` results this frame carried.
+    pub fn results(&self) -> impl Iterator<Item = &BatchDone> {
+        self.single.iter().chain(&self.batch)
+    }
+
+    /// [`Self::results`], by value.
+    pub fn into_results(self) -> impl Iterator<Item = BatchDone> {
+        self.single.into_iter().chain(self.batch)
+    }
 }
 
 /// Tracks in-flight RMA ops for one client node.
@@ -104,7 +97,7 @@ impl RmaOpTable {
         now: SimTime,
         user_tag: u64,
     ) -> (u64, Bytes) {
-        let op_id = self.alloc(dst, OpKind::Read, now, user_tag);
+        let op_id = self.alloc(dst, now, user_tag);
         let wire = encode_read_req_in(
             &ReadReq {
                 op_id,
@@ -131,7 +124,7 @@ impl RmaOpTable {
         now: SimTime,
         user_tag: u64,
     ) -> (u64, Bytes) {
-        let op_id = self.alloc(dst, OpKind::Scar, now, user_tag);
+        let op_id = self.alloc(dst, now, user_tag);
         let wire = encode_scar_req_in(
             &ScarReq {
                 op_id,
@@ -155,7 +148,7 @@ impl RmaOpTable {
         now: SimTime,
         user_tag: u64,
     ) -> (u64, Bytes) {
-        let op_id = self.alloc(dst, OpKind::BatchRead, now, user_tag);
+        let op_id = self.alloc(dst, now, user_tag);
         let wire = encode_batch_read_req_in(&BatchReadReq { op_id, entries }, &self.pool);
         (op_id, wire)
     }
@@ -171,7 +164,7 @@ impl RmaOpTable {
         now: SimTime,
         user_tag: u64,
     ) -> (u64, Bytes) {
-        let op_id = self.alloc(dst, OpKind::BatchScar, now, user_tag);
+        let op_id = self.alloc(dst, now, user_tag);
         let wire = encode_batch_scar_req_in(
             &BatchScarReq {
                 op_id,
@@ -184,14 +177,13 @@ impl RmaOpTable {
         (op_id, wire)
     }
 
-    fn alloc(&mut self, dst: NodeId, kind: OpKind, now: SimTime, user_tag: u64) -> u64 {
+    fn alloc(&mut self, dst: NodeId, now: SimTime, user_tag: u64) -> u64 {
         let op_id = self.next_id;
         self.next_id += 1;
         self.outstanding.insert(
             op_id,
             OutstandingOp {
                 dst,
-                kind,
                 issued_at: now,
                 user_tag,
             },
@@ -202,60 +194,31 @@ impl RmaOpTable {
     /// Route a decoded response envelope; `None` for requests or for late
     /// responses to ops already abandoned.
     pub fn complete(&mut self, env: RmaEnvelope, now: SimTime) -> Option<OpCompletion> {
-        match env {
-            RmaEnvelope::ReadResp(r) => {
-                let op = self.outstanding.remove(&r.op_id)?;
-                Some(OpCompletion {
-                    op_id: r.op_id,
-                    status: r.status,
-                    rtt_ns: now.since(op.issued_at).nanos(),
-                    data: r.data,
-                    bucket: Bytes::new(),
-                    op,
-                    subs: Vec::new(),
-                })
-            }
-            RmaEnvelope::ScarResp(r) => {
-                let op = self.outstanding.remove(&r.op_id)?;
-                Some(OpCompletion {
-                    op_id: r.op_id,
-                    status: r.status,
-                    rtt_ns: now.since(op.issued_at).nanos(),
-                    data: r.data,
-                    bucket: r.bucket,
-                    op,
-                    subs: Vec::new(),
-                })
-            }
-            RmaEnvelope::BatchReadResp(r) => {
-                let op = self.outstanding.remove(&r.op_id)?;
-                Some(OpCompletion {
-                    op_id: r.op_id,
-                    status: RmaStatus::Ok,
-                    rtt_ns: now.since(op.issued_at).nanos(),
-                    data: Bytes::new(),
-                    bucket: Bytes::new(),
-                    op,
-                    subs: r.entries,
-                })
-            }
-            RmaEnvelope::BatchScarResp(r) => {
-                let op = self.outstanding.remove(&r.op_id)?;
-                Some(OpCompletion {
-                    op_id: r.op_id,
-                    status: RmaStatus::Ok,
-                    rtt_ns: now.since(op.issued_at).nanos(),
-                    data: Bytes::new(),
-                    bucket: Bytes::new(),
-                    op,
-                    subs: r.entries,
-                })
+        let (op_id, single, batch) = match env {
+            RmaEnvelope::ReadResp(r) => (r.op_id, Some((r.status, Bytes::new(), r.data)), vec![]),
+            RmaEnvelope::ScarResp(r) => (r.op_id, Some((r.status, r.bucket, r.data)), vec![]),
+            RmaEnvelope::BatchReadResp(BatchReadResp { op_id, entries })
+            | RmaEnvelope::BatchScarResp(BatchScarResp { op_id, entries }) => {
+                (op_id, None, entries)
             }
             RmaEnvelope::ReadReq(_)
             | RmaEnvelope::ScarReq(_)
             | RmaEnvelope::BatchReadReq(_)
-            | RmaEnvelope::BatchScarReq(_) => None,
-        }
+            | RmaEnvelope::BatchScarReq(_) => return None,
+        };
+        let op = self.outstanding.remove(&op_id)?;
+        Some(OpCompletion {
+            op_id,
+            rtt_ns: now.since(op.issued_at).nanos(),
+            single: single.map(|(status, bucket, data)| BatchDone {
+                sub: op.user_tag,
+                status,
+                bucket,
+                data,
+            }),
+            batch,
+            op,
+        })
     }
 
     /// Abandon an op (deadline fired); returns its metadata if in flight.
@@ -286,7 +249,9 @@ impl RmaOpTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode, encode_read_resp, encode_scar_resp, ReadResp, ScarResp};
+    use crate::codec::{
+        decode, encode_read_resp, encode_scar_resp, BatchRespWriter, ReadResp, RmaStatus, ScarResp,
+    };
 
     #[test]
     fn read_issue_and_complete() {
@@ -310,7 +275,10 @@ mod tests {
         let done = t.complete(resp, SimTime(6_000)).unwrap();
         assert_eq!(done.rtt_ns, 5_000);
         assert_eq!(done.op.user_tag, 42);
-        assert_eq!(done.op.kind, OpKind::Read);
+        // A single op is one result under its own user tag.
+        let results: Vec<BatchDone> = done.into_results().collect();
+        assert_eq!(results.len(), 1);
+        assert_eq!((results[0].sub, &results[0].data[..]), (42, &b"abc"[..]));
         assert_eq!(t.in_flight(), 0);
     }
 
@@ -327,14 +295,14 @@ mod tests {
         }))
         .unwrap();
         let done = t.complete(resp, SimTime(100)).unwrap();
-        assert_eq!(done.status, RmaStatus::NoMatch);
-        assert_eq!(done.bucket.len(), 448);
-        assert_eq!(done.op.kind, OpKind::Scar);
+        let only = done.results().next().unwrap();
+        assert_eq!((only.sub, only.status), (7, RmaStatus::NoMatch));
+        assert_eq!(only.bucket.len(), 448);
+        assert_eq!(done.results().count(), 1);
     }
 
     #[test]
     fn batch_read_issue_and_complete() {
-        use crate::codec::encode_batch_read_resp;
         let mut t = RmaOpTable::new();
         let entries = vec![
             BatchReadEntry {
@@ -360,36 +328,21 @@ mod tests {
         };
         assert_eq!(req.op_id, op_id);
         assert_eq!(req.entries.len(), 2);
-        let resp = decode(encode_batch_read_resp(&crate::codec::BatchReadResp {
-            op_id,
-            entries: vec![
-                BatchDone {
-                    sub: 100,
-                    status: RmaStatus::Ok,
-                    bucket: Bytes::new(),
-                    data: Bytes::from_static(b"a"),
-                },
-                BatchDone {
-                    sub: 200,
-                    status: RmaStatus::OutOfBounds,
-                    bucket: Bytes::new(),
-                    data: Bytes::new(),
-                },
-            ],
-        }))
-        .unwrap();
+        let mut w = BatchRespWriter::read_resp(op_id, 2, 1, &Pool::new());
+        w.push(100, RmaStatus::Ok, &[], b"a");
+        w.push(200, RmaStatus::OutOfBounds, &[], &[]);
+        let resp = decode(w.finish()).unwrap();
         let done = t.complete(resp, SimTime(3_000)).unwrap();
-        assert_eq!(done.op.kind, OpKind::BatchRead);
         assert_eq!(done.op.user_tag, 77);
-        assert_eq!(done.subs.len(), 2);
-        assert_eq!(done.subs[0].sub, 100);
-        assert_eq!(done.subs[1].status, RmaStatus::OutOfBounds);
+        let results: Vec<BatchDone> = done.into_results().collect();
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].sub, 100);
+        assert_eq!(results[1].status, RmaStatus::OutOfBounds);
         assert_eq!(t.in_flight(), 0);
     }
 
     #[test]
     fn batch_scar_issue_and_complete() {
-        use crate::codec::encode_batch_scar_resp;
         let mut t = RmaOpTable::new();
         let entries = vec![BatchScarEntry {
             sub: 9,
@@ -398,20 +351,13 @@ mod tests {
             key_hash: 0xABCD,
         }];
         let (op_id, _wire) = t.begin_batch_scar(NodeId(2), WindowId(0), 1, entries, SimTime(0), 8);
-        let resp = decode(encode_batch_scar_resp(&crate::codec::BatchScarResp {
-            op_id,
-            entries: vec![BatchDone {
-                sub: 9,
-                status: RmaStatus::NoMatch,
-                bucket: Bytes::from_static(&[0; 448]),
-                data: Bytes::new(),
-            }],
-        }))
-        .unwrap();
+        let mut w = BatchRespWriter::scar_resp(op_id, 1, 448, &Pool::new());
+        w.push(9, RmaStatus::NoMatch, &[0; 448], &[]);
+        let resp = decode(w.finish()).unwrap();
         let done = t.complete(resp, SimTime(100)).unwrap();
-        assert_eq!(done.op.kind, OpKind::BatchScar);
-        assert_eq!(done.subs.len(), 1);
-        assert_eq!(done.subs[0].bucket.len(), 448);
+        let results: Vec<&BatchDone> = done.results().collect();
+        assert_eq!(results.len(), 1);
+        assert_eq!((results[0].sub, results[0].bucket.len()), (9, 448));
     }
 
     #[test]

@@ -221,7 +221,9 @@ pub enum RmaEnvelope {
 /// Wire-header overhead of RMA frames, for fabric accounting.
 pub const RMA_HEADER_BYTES: u64 = 32;
 
-fn write_read_req(b: &mut BytesMut, r: &ReadReq) {
+/// Encode a read request into a pooled buffer.
+pub fn encode_read_req_in(r: &ReadReq, pool: &Pool) -> Bytes {
+    let mut b = pool.get(31);
     b.put_u16_le(RMA_MAGIC);
     b.put_u8(KIND_READ_REQ);
     b.put_u64_le(r.op_id);
@@ -229,30 +231,6 @@ fn write_read_req(b: &mut BytesMut, r: &ReadReq) {
     b.put_u32_le(r.generation);
     b.put_u64_le(r.offset);
     b.put_u32_le(r.len);
-}
-
-fn write_scar_req(b: &mut BytesMut, r: &ScarReq) {
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(KIND_SCAR_REQ);
-    b.put_u64_le(r.op_id);
-    b.put_u32_le(r.index_window);
-    b.put_u32_le(r.index_generation);
-    b.put_u64_le(r.bucket_offset);
-    b.put_u32_le(r.bucket_len);
-    b.put_u128_le(r.key_hash);
-}
-
-/// Encode a read request.
-pub fn encode_read_req(r: &ReadReq) -> Bytes {
-    let mut b = BytesMut::with_capacity(31);
-    write_read_req(&mut b, r);
-    b.freeze()
-}
-
-/// Encode a read request into a pooled buffer.
-pub fn encode_read_req_in(r: &ReadReq, pool: &Pool) -> Bytes {
-    let mut b = pool.get(31);
-    write_read_req(&mut b, r);
     b.freeze()
 }
 
@@ -265,7 +243,8 @@ fn write_read_resp(b: &mut BytesMut, op_id: u64, status: RmaStatus, data: &[u8])
     b.extend_from_slice(data);
 }
 
-/// Encode a read response.
+/// Encode a read response from an owned [`ReadResp`] (unpooled). Kept for
+/// the benchmark's pinned API; the serving path is [`encode_read_resp_parts`].
 pub fn encode_read_resp(r: &ReadResp) -> Bytes {
     let mut b = BytesMut::with_capacity(16 + r.data.len());
     write_read_resp(&mut b, r.op_id, r.status, &r.data);
@@ -280,17 +259,17 @@ pub fn encode_read_resp_parts(op_id: u64, status: RmaStatus, data: &[u8], pool: 
     b.freeze()
 }
 
-/// Encode a SCAR request.
-pub fn encode_scar_req(r: &ScarReq) -> Bytes {
-    let mut b = BytesMut::with_capacity(47);
-    write_scar_req(&mut b, r);
-    b.freeze()
-}
-
 /// Encode a SCAR request into a pooled buffer.
 pub fn encode_scar_req_in(r: &ScarReq, pool: &Pool) -> Bytes {
     let mut b = pool.get(47);
-    write_scar_req(&mut b, r);
+    b.put_u16_le(RMA_MAGIC);
+    b.put_u8(KIND_SCAR_REQ);
+    b.put_u64_le(r.op_id);
+    b.put_u32_le(r.index_window);
+    b.put_u32_le(r.index_generation);
+    b.put_u64_le(r.bucket_offset);
+    b.put_u32_le(r.bucket_len);
+    b.put_u128_le(r.key_hash);
     b.freeze()
 }
 
@@ -305,7 +284,8 @@ fn write_scar_resp(b: &mut BytesMut, op_id: u64, status: RmaStatus, bucket: &[u8
     b.extend_from_slice(data);
 }
 
-/// Encode a SCAR response.
+/// Encode a SCAR response from an owned [`ScarResp`] (unpooled). Kept for
+/// the benchmark's pinned API; the serving path is [`encode_scar_resp_parts`].
 pub fn encode_scar_resp(r: &ScarResp) -> Bytes {
     let mut b = BytesMut::with_capacity(20 + r.bucket.len() + r.data.len());
     write_scar_resp(&mut b, r.op_id, r.status, &r.bucket, &r.data);
@@ -326,7 +306,9 @@ pub fn encode_scar_resp_parts(
     b.freeze()
 }
 
-fn write_batch_read_req(b: &mut BytesMut, r: &BatchReadReq) {
+/// Encode a batched read request into a pooled buffer.
+pub fn encode_batch_read_req_in(r: &BatchReadReq, pool: &Pool) -> Bytes {
+    let mut b = pool.get(15 + 28 * r.entries.len());
     b.put_u16_le(RMA_MAGIC);
     b.put_u8(KIND_BATCH_READ_REQ);
     b.put_u64_le(r.op_id);
@@ -338,23 +320,12 @@ fn write_batch_read_req(b: &mut BytesMut, r: &BatchReadReq) {
         b.put_u64_le(e.offset);
         b.put_u32_le(e.len);
     }
-}
-
-/// Encode a batched read request.
-pub fn encode_batch_read_req(r: &BatchReadReq) -> Bytes {
-    let mut b = BytesMut::with_capacity(15 + 28 * r.entries.len());
-    write_batch_read_req(&mut b, r);
     b.freeze()
 }
 
-/// Encode a batched read request into a pooled buffer.
-pub fn encode_batch_read_req_in(r: &BatchReadReq, pool: &Pool) -> Bytes {
-    let mut b = pool.get(15 + 28 * r.entries.len());
-    write_batch_read_req(&mut b, r);
-    b.freeze()
-}
-
-fn write_batch_scar_req(b: &mut BytesMut, r: &BatchScarReq) {
+/// Encode a batched SCAR request into a pooled buffer.
+pub fn encode_batch_scar_req_in(r: &BatchScarReq, pool: &Pool) -> Bytes {
+    let mut b = pool.get(23 + 36 * r.entries.len());
     b.put_u16_le(RMA_MAGIC);
     b.put_u8(KIND_BATCH_SCAR_REQ);
     b.put_u64_le(r.op_id);
@@ -367,76 +338,12 @@ fn write_batch_scar_req(b: &mut BytesMut, r: &BatchScarReq) {
         b.put_u32_le(e.bucket_len);
         b.put_u128_le(e.key_hash);
     }
-}
-
-/// Encode a batched SCAR request.
-pub fn encode_batch_scar_req(r: &BatchScarReq) -> Bytes {
-    let mut b = BytesMut::with_capacity(23 + 36 * r.entries.len());
-    write_batch_scar_req(&mut b, r);
     b.freeze()
 }
 
-/// Encode a batched SCAR request into a pooled buffer.
-pub fn encode_batch_scar_req_in(r: &BatchScarReq, pool: &Pool) -> Bytes {
-    let mut b = pool.get(23 + 36 * r.entries.len());
-    write_batch_scar_req(&mut b, r);
-    b.freeze()
-}
-
-fn write_batch_done(b: &mut BytesMut, kind: u8, op_id: u64, entries: &[BatchDone]) {
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(kind);
-    b.put_u64_le(op_id);
-    b.put_u32_le(entries.len() as u32);
-    for e in entries {
-        b.put_u64_le(e.sub);
-        b.put_u8(e.status as u8);
-        b.put_u32_le(e.bucket.len() as u32);
-        b.put_u32_le(e.data.len() as u32);
-        b.extend_from_slice(&e.bucket);
-        b.extend_from_slice(&e.data);
-    }
-}
-
-fn batch_done_len(entries: &[BatchDone]) -> usize {
-    15 + entries
-        .iter()
-        .map(|e| 17 + e.bucket.len() + e.data.len())
-        .sum::<usize>()
-}
-
-/// Encode a batched read response.
-pub fn encode_batch_read_resp(r: &BatchReadResp) -> Bytes {
-    let mut b = BytesMut::with_capacity(batch_done_len(&r.entries));
-    write_batch_done(&mut b, KIND_BATCH_READ_RESP, r.op_id, &r.entries);
-    b.freeze()
-}
-
-/// Encode a batched read response into a pooled buffer — the server's
-/// single-copy path (one frame for the whole status vector).
-pub fn encode_batch_read_resp_parts(op_id: u64, entries: &[BatchDone], pool: &Pool) -> Bytes {
-    let mut b = pool.get(batch_done_len(entries));
-    write_batch_done(&mut b, KIND_BATCH_READ_RESP, op_id, entries);
-    b.freeze()
-}
-
-/// Encode a batched SCAR response.
-pub fn encode_batch_scar_resp(r: &BatchScarResp) -> Bytes {
-    let mut b = BytesMut::with_capacity(batch_done_len(&r.entries));
-    write_batch_done(&mut b, KIND_BATCH_SCAR_RESP, r.op_id, &r.entries);
-    b.freeze()
-}
-
-/// Encode a batched SCAR response into a pooled buffer.
-pub fn encode_batch_scar_resp_parts(op_id: u64, entries: &[BatchDone], pool: &Pool) -> Bytes {
-    let mut b = pool.get(batch_done_len(entries));
-    write_batch_done(&mut b, KIND_BATCH_SCAR_RESP, op_id, entries);
-    b.freeze()
-}
-
-/// Incremental encoder for batched responses: the server appends each
-/// sub-op's status + payload straight from region memory into one pooled
-/// frame (single copy, no intermediate `BatchDone` allocation).
+/// The one encoder for batched responses, incremental: the server appends
+/// each sub-op's status + payload straight from region memory into one
+/// pooled frame (single copy, no intermediate `BatchDone` allocation).
 pub struct BatchRespWriter {
     b: BytesMut,
 }
@@ -646,6 +553,15 @@ pub fn decode(mut buf: Bytes) -> Option<RmaEnvelope> {
 mod tests {
     use super::*;
 
+    /// A batched response built the way the server builds it.
+    fn batch_resp(w: BatchRespWriter, entries: &[BatchDone]) -> Bytes {
+        let mut w = w;
+        for e in entries {
+            w.push(e.sub, e.status, &e.bucket, &e.data);
+        }
+        w.finish()
+    }
+
     #[test]
     fn read_req_roundtrip() {
         let r = ReadReq {
@@ -655,7 +571,10 @@ mod tests {
             offset: 4096,
             len: 1024,
         };
-        assert_eq!(decode(encode_read_req(&r)), Some(RmaEnvelope::ReadReq(r)));
+        assert_eq!(
+            decode(encode_read_req_in(&r, &Pool::new())),
+            Some(RmaEnvelope::ReadReq(r))
+        );
     }
 
     #[test]
@@ -679,7 +598,7 @@ mod tests {
             key_hash: 0xFEED_FACE_CAFE_BEEF_0123_4567_89AB_CDEF,
         };
         assert_eq!(
-            decode(encode_scar_req(&req)),
+            decode(encode_scar_req_in(&req, &Pool::new())),
             Some(RmaEnvelope::ScarReq(req))
         );
         let resp = ScarResp {
@@ -724,7 +643,7 @@ mod tests {
             ],
         };
         assert_eq!(
-            decode(encode_batch_read_req(&req)),
+            decode(encode_batch_read_req_in(&req, &Pool::new())),
             Some(RmaEnvelope::BatchReadReq(req))
         );
         let resp = BatchReadResp {
@@ -745,7 +664,10 @@ mod tests {
             ],
         };
         assert_eq!(
-            decode(encode_batch_read_resp(&resp)),
+            decode(batch_resp(
+                BatchRespWriter::read_resp(42, 2, 7, &Pool::new()),
+                &resp.entries
+            )),
             Some(RmaEnvelope::BatchReadResp(resp))
         );
     }
@@ -772,7 +694,7 @@ mod tests {
             ],
         };
         assert_eq!(
-            decode(encode_batch_scar_req(&req)),
+            decode(encode_batch_scar_req_in(&req, &Pool::new())),
             Some(RmaEnvelope::BatchScarReq(req))
         );
         let resp = BatchScarResp {
@@ -793,7 +715,10 @@ mod tests {
             ],
         };
         assert_eq!(
-            decode(encode_batch_scar_resp(&resp)),
+            decode(batch_resp(
+                BatchRespWriter::scar_resp(7, 2, 899, &Pool::new()),
+                &resp.entries
+            )),
             Some(RmaEnvelope::BatchScarResp(resp))
         );
     }
@@ -810,15 +735,13 @@ mod tests {
         b.extend_from_slice(&[0u8; 16]);
         assert_eq!(decode(b.freeze()), None);
         // Truncated batch response fails cleanly.
-        let wire = encode_batch_read_resp(&BatchReadResp {
-            op_id: 1,
-            entries: vec![BatchDone {
-                sub: 1,
-                status: RmaStatus::Ok,
-                bucket: Bytes::new(),
-                data: Bytes::from_static(b"abcdef"),
-            }],
-        });
+        let entry = BatchDone {
+            sub: 1,
+            status: RmaStatus::Ok,
+            bucket: Bytes::new(),
+            data: Bytes::from_static(b"abcdef"),
+        };
+        let wire = batch_resp(BatchRespWriter::read_resp(1, 1, 6, &Pool::new()), &[entry]);
         assert_eq!(decode(wire.slice(0..wire.len() - 2)), None);
     }
 

@@ -28,12 +28,11 @@ pub mod region;
 pub mod server;
 pub mod transport;
 
-pub use client::{OpCompletion, OpKind, OutstandingOp, RmaOpTable, RMA_TIMER_BASE};
+pub use client::{OpCompletion, OutstandingOp, RmaOpTable, RMA_TIMER_BASE};
 pub use codec::{
-    decode, encode_batch_read_req, encode_batch_scar_req, encode_read_req, encode_read_resp,
-    encode_scar_req, encode_scar_resp, BatchDone, BatchReadEntry, BatchReadReq, BatchReadResp,
-    BatchRespWriter, BatchScarEntry, BatchScarReq, BatchScarResp, ReadReq, ReadResp, RmaEnvelope,
-    RmaStatus, ScarReq, ScarResp, RMA_HEADER_BYTES, RMA_MAGIC,
+    decode, encode_read_resp, encode_scar_resp, BatchDone, BatchReadEntry, BatchReadReq,
+    BatchReadResp, BatchRespWriter, BatchScarEntry, BatchScarReq, BatchScarResp, ReadReq, ReadResp,
+    RmaEnvelope, RmaStatus, ScarReq, ScarResp, RMA_HEADER_BYTES, RMA_MAGIC,
 };
 pub use pony::{PonyCfg, PonyHost};
 pub use region::{BufferId, RegionTable, WindowId};

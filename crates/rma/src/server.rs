@@ -18,8 +18,8 @@ use bytes::{Bytes, Pool};
 use simnet::SimTime;
 
 use crate::codec::{
-    encode_read_resp_parts, encode_scar_resp_parts, BatchReadReq, BatchRespWriter, BatchScarReq,
-    ReadReq, RmaEnvelope, RmaStatus, ScarReq,
+    encode_read_resp_parts, encode_scar_resp_parts, BatchRespWriter, RmaEnvelope, RmaStatus,
+    ScarReq,
 };
 use crate::region::{RegionTable, WindowId};
 use crate::transport::Transport;
@@ -64,9 +64,75 @@ pub struct Served {
     pub response: Bytes,
 }
 
-/// Serve one decoded RMA request against backend memory. Responses are
-/// encoded straight from region memory into a buffer from `pool` — one
-/// copy, no intermediate allocations.
+/// What one sub-op resolved to: its wire status, the bucket and data
+/// segments borrowed from region memory, and how many IndexEntries the NIC
+/// examined (`None` when the op never reached a scan).
+type Resolved<'a> = (RmaStatus, &'a [u8], &'a [u8], Option<usize>);
+
+/// Resolve a one-sided read: the addressed bytes, or the status explaining
+/// why not.
+fn resolve_read(
+    regions: &RegionTable,
+    window: WindowId,
+    generation: u32,
+    offset: u64,
+    len: u32,
+) -> (RmaStatus, &[u8]) {
+    match regions.read_window_slice(window, generation, offset, len) {
+        Ok(data) => (RmaStatus::Ok, data),
+        Err(status) => (status, &[]),
+    }
+}
+
+/// Resolve a SCAR: fetch the bucket, scan it NIC-side, follow the matching
+/// entry's pointer into the data region.
+fn resolve_scar<'a>(
+    regions: &'a RegionTable,
+    resolver: &dyn ScarResolver,
+    scar_supported: bool,
+    r: &ScarReq,
+) -> Resolved<'a> {
+    if !scar_supported {
+        return (RmaStatus::Unsupported, &[], &[], None);
+    }
+    let (status, bucket) = resolve_read(
+        regions,
+        WindowId(r.index_window),
+        r.index_generation,
+        r.bucket_offset,
+        r.bucket_len,
+    );
+    if status != RmaStatus::Ok {
+        return (status, &[], &[], None);
+    }
+    match resolver.resolve(bucket, r.key_hash) {
+        ScarOutcome::Miss { entries_scanned } => {
+            (RmaStatus::NoMatch, bucket, &[], Some(entries_scanned))
+        }
+        ScarOutcome::Hit {
+            window,
+            generation,
+            offset,
+            len,
+            entries_scanned,
+        } => {
+            let (status, data) = resolve_read(regions, window, generation, offset, len);
+            (status, bucket, data, Some(entries_scanned))
+        }
+    }
+}
+
+/// Serve one decoded RMA request against backend memory. Every sub-op is
+/// resolved to borrowed region slices first; the frame shape then decides
+/// only the transport admission and the encoder. Responses are encoded
+/// straight from region memory into a buffer from `pool` — one copy, and
+/// for a single-op frame no other allocation.
+///
+/// Admission rule: a single-op frame is admitted for its own bytes, with
+/// `max(entries scanned, 1)` scans if it reached the scan and none if it
+/// did not. A batch frame is admitted **once**, for the sum of its members'
+/// bytes and — for a SCAR batch on a transport that supports SCAR —
+/// `max(Σ entries scanned, 1)` scans.
 ///
 /// Returns `None` for response envelopes (they are client-bound and should
 /// be routed to the client's op table instead).
@@ -78,121 +144,93 @@ pub fn serve(
     pool: &Pool,
     now: SimTime,
 ) -> Option<Served> {
-    match env {
-        RmaEnvelope::ReadReq(req) => Some(serve_read(req, regions, transport, pool, now)),
-        RmaEnvelope::ScarReq(req) => Some(serve_scar(req, regions, resolver, transport, pool, now)),
-        RmaEnvelope::BatchReadReq(req) => {
-            Some(serve_batch_read(req, regions, transport, pool, now))
+    let scar = transport.supports_scar();
+    Some(match env {
+        RmaEnvelope::ReadReq(r) => {
+            let (status, data) =
+                resolve_read(regions, WindowId(r.window), r.generation, r.offset, r.len);
+            Served {
+                ready_at: transport.admit_serve(now, data.len(), 0),
+                response: encode_read_resp_parts(r.op_id, status, data, pool),
+            }
         }
-        RmaEnvelope::BatchScarReq(req) => Some(serve_batch_scar(
-            req, regions, resolver, transport, pool, now,
-        )),
+        RmaEnvelope::ScarReq(r) => {
+            let (status, bucket, data, scanned) = resolve_scar(regions, resolver, scar, r);
+            let scans = scanned.map_or(0, |n| n.max(1));
+            Served {
+                ready_at: transport.admit_serve(now, bucket.len() + data.len(), scans),
+                response: encode_scar_resp_parts(r.op_id, status, bucket, data, pool),
+            }
+        }
+        RmaEnvelope::BatchReadReq(r) => {
+            let parts = r.entries.iter().map(|e| {
+                let (status, data) =
+                    resolve_read(regions, WindowId(e.window), e.generation, e.offset, e.len);
+                (e.sub, (status, &[][..], data, None))
+            });
+            serve_batch(
+                BatchRespWriter::read_resp,
+                r.op_id,
+                parts,
+                0,
+                transport,
+                pool,
+                now,
+            )
+        }
+        RmaEnvelope::BatchScarReq(r) => {
+            // Each member resolves as the single request it would have been.
+            let parts = r.entries.iter().map(|e| {
+                let single = ScarReq {
+                    op_id: e.sub,
+                    index_window: r.index_window,
+                    index_generation: r.index_generation,
+                    bucket_offset: e.bucket_offset,
+                    bucket_len: e.bucket_len,
+                    key_hash: e.key_hash,
+                };
+                (e.sub, resolve_scar(regions, resolver, scar, &single))
+            });
+            // A SCAR batch on an engine that can scan costs at least one.
+            let floor = usize::from(scar);
+            serve_batch(
+                BatchRespWriter::scar_resp,
+                r.op_id,
+                parts,
+                floor,
+                transport,
+                pool,
+                now,
+            )
+        }
         RmaEnvelope::ReadResp(_)
         | RmaEnvelope::ScarResp(_)
         | RmaEnvelope::BatchReadResp(_)
-        | RmaEnvelope::BatchScarResp(_) => None,
-    }
+        | RmaEnvelope::BatchScarResp(_) => return None,
+    })
 }
 
-/// Vectored serve for a doorbell-batched read frame: every sub-read
-/// executes against region memory, the transport is charged **once** for
-/// the aggregate payload, and the per-sub-op status vector travels back in
-/// one pooled response frame.
-fn serve_batch_read(
-    req: &BatchReadReq,
-    regions: &RegionTable,
+/// The batch frame shape: resolve every member, admit the transport once
+/// for the sums, and send the per-sub-op status vector back in one pooled
+/// frame started by `writer`.
+fn serve_batch<'a>(
+    writer: fn(u64, usize, usize, &Pool) -> BatchRespWriter,
+    op_id: u64,
+    parts: impl Iterator<Item = (u64, Resolved<'a>)>,
+    min_scans: usize,
     transport: &mut Transport,
     pool: &Pool,
     now: SimTime,
 ) -> Served {
-    let mut parts: Vec<(u64, RmaStatus, &[u8])> = Vec::with_capacity(req.entries.len());
-    let mut total = 0usize;
-    for e in &req.entries {
-        match regions.read_window_slice(WindowId(e.window), e.generation, e.offset, e.len) {
-            Ok(data) => {
-                total += data.len();
-                parts.push((e.sub, RmaStatus::Ok, data));
-            }
-            Err(s) => parts.push((e.sub, s, &[][..])),
-        }
+    let parts: Vec<(u64, Resolved<'a>)> = parts.collect();
+    let (mut total, mut scanned) = (0, 0);
+    for (_, (_, bucket, data, n)) in &parts {
+        total += bucket.len() + data.len();
+        scanned += n.unwrap_or(0);
     }
-    let ready_at = transport.admit_serve(now, total, 0);
-    let mut w = BatchRespWriter::read_resp(req.op_id, parts.len(), total, pool);
-    for (sub, status, data) in parts {
-        w.push(sub, status, &[], data);
-    }
-    Served {
-        ready_at,
-        response: w.finish(),
-    }
-}
-
-/// Vectored serve for a doorbell-batched SCAR frame: one engine admission
-/// covers every bucket fetch + scan + pointer chase in the batch.
-fn serve_batch_scar(
-    req: &BatchScarReq,
-    regions: &RegionTable,
-    resolver: &dyn ScarResolver,
-    transport: &mut Transport,
-    pool: &Pool,
-    now: SimTime,
-) -> Served {
-    if !transport.supports_scar() {
-        let ready_at = transport.admit_serve(now, 0, 0);
-        let mut w = BatchRespWriter::scar_resp(req.op_id, req.entries.len(), 0, pool);
-        for e in &req.entries {
-            w.push(e.sub, RmaStatus::Unsupported, &[], &[]);
-        }
-        return Served {
-            ready_at,
-            response: w.finish(),
-        };
-    }
-    // (status, bucket, data) per sub-op, resolved before the single
-    // aggregate transport admission.
-    let mut parts: Vec<(u64, RmaStatus, &[u8], &[u8])> = Vec::with_capacity(req.entries.len());
-    let mut total = 0usize;
-    let mut scanned = 0usize;
-    for e in &req.entries {
-        let bucket = match regions.read_window_slice(
-            WindowId(req.index_window),
-            req.index_generation,
-            e.bucket_offset,
-            e.bucket_len,
-        ) {
-            Ok(b) => b,
-            Err(s) => {
-                parts.push((e.sub, s, &[], &[]));
-                continue;
-            }
-        };
-        match resolver.resolve(bucket, e.key_hash) {
-            ScarOutcome::Miss { entries_scanned } => {
-                scanned += entries_scanned;
-                total += bucket.len();
-                parts.push((e.sub, RmaStatus::NoMatch, bucket, &[]));
-            }
-            ScarOutcome::Hit {
-                window,
-                generation,
-                offset,
-                len,
-                entries_scanned,
-            } => {
-                scanned += entries_scanned;
-                let (status, data) =
-                    match regions.read_window_slice(window, generation, offset, len) {
-                        Ok(d) => (RmaStatus::Ok, d),
-                        Err(s) => (s, &[][..]),
-                    };
-                total += bucket.len() + data.len();
-                parts.push((e.sub, status, bucket, data));
-            }
-        }
-    }
-    let ready_at = transport.admit_serve(now, total, scanned.max(1));
-    let mut w = BatchRespWriter::scar_resp(req.op_id, parts.len(), total, pool);
-    for (sub, status, bucket, data) in parts {
+    let ready_at = transport.admit_serve(now, total, scanned.max(min_scans));
+    let mut w = writer(op_id, parts.len(), total, pool);
+    for (sub, (status, bucket, data, _)) in parts {
         w.push(sub, status, bucket, data);
     }
     Served {
@@ -201,95 +239,10 @@ fn serve_batch_scar(
     }
 }
 
-fn serve_read(
-    req: &ReadReq,
-    regions: &RegionTable,
-    transport: &mut Transport,
-    pool: &Pool,
-    now: SimTime,
-) -> Served {
-    let (status, data) = match regions.read_window_slice(
-        WindowId(req.window),
-        req.generation,
-        req.offset,
-        req.len,
-    ) {
-        Ok(data) => (RmaStatus::Ok, data),
-        Err(s) => (s, &[][..]),
-    };
-    let ready_at = transport.admit_serve(now, data.len(), 0);
-    Served {
-        ready_at,
-        response: encode_read_resp_parts(req.op_id, status, data, pool),
-    }
-}
-
-fn serve_scar(
-    req: &ScarReq,
-    regions: &RegionTable,
-    resolver: &dyn ScarResolver,
-    transport: &mut Transport,
-    pool: &Pool,
-    now: SimTime,
-) -> Served {
-    if !transport.supports_scar() {
-        let ready_at = transport.admit_serve(now, 0, 0);
-        return Served {
-            ready_at,
-            response: encode_scar_resp_parts(req.op_id, RmaStatus::Unsupported, &[], &[], pool),
-        };
-    }
-    // Step 1: fetch the bucket.
-    let bucket = match regions.read_window_slice(
-        WindowId(req.index_window),
-        req.index_generation,
-        req.bucket_offset,
-        req.bucket_len,
-    ) {
-        Ok(b) => b,
-        Err(s) => {
-            let ready_at = transport.admit_serve(now, 0, 0);
-            return Served {
-                ready_at,
-                response: encode_scar_resp_parts(req.op_id, s, &[], &[], pool),
-            };
-        }
-    };
-    // Step 2: NIC-side scan.
-    match resolver.resolve(bucket, req.key_hash) {
-        ScarOutcome::Miss { entries_scanned } => {
-            let ready_at = transport.admit_serve(now, bucket.len(), entries_scanned.max(1));
-            Served {
-                ready_at,
-                response: encode_scar_resp_parts(req.op_id, RmaStatus::NoMatch, bucket, &[], pool),
-            }
-        }
-        ScarOutcome::Hit {
-            window,
-            generation,
-            offset,
-            len,
-            entries_scanned,
-        } => {
-            // Step 3: follow the pointer into the data region.
-            let (status, data) = match regions.read_window_slice(window, generation, offset, len) {
-                Ok(d) => (RmaStatus::Ok, d),
-                Err(s) => (s, &[][..]),
-            };
-            let ready_at =
-                transport.admit_serve(now, bucket.len() + data.len(), entries_scanned.max(1));
-            Served {
-                ready_at,
-                response: encode_scar_resp_parts(req.op_id, status, bucket, data, pool),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode, ReadResp};
+    use crate::codec::{decode, ReadReq, ReadResp};
     use crate::pony::PonyCfg;
 
     /// Toy layout for tests: bucket is a list of (u128 hash, u64 offset,

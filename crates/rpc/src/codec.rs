@@ -123,17 +123,8 @@ fn write_request(b: &mut BytesMut, req: &Request) {
     b.extend_from_slice(&req.body);
 }
 
-fn write_response(b: &mut BytesMut, resp: &Response) {
-    b.put_u16_le(RPC_MAGIC);
-    b.put_u8(KIND_RESPONSE);
-    b.put_u16_le(resp.version);
-    b.put_u8(resp.status as u8);
-    b.put_u64_le(resp.id);
-    b.put_u32_le(resp.body.len() as u32);
-    b.extend_from_slice(&resp.body);
-}
-
-/// Encode a request envelope.
+/// Encode a request envelope into an unpooled buffer (control-plane
+/// one-shots; also the form the benchmark pins).
 pub fn encode_request(req: &Request) -> Bytes {
     let mut b = BytesMut::with_capacity(35 + req.body.len());
     write_request(&mut b, req);
@@ -148,17 +139,16 @@ pub fn encode_request_in(req: &Request, pool: &Pool) -> Bytes {
     b.freeze()
 }
 
-/// Encode a response envelope.
-pub fn encode_response(resp: &Response) -> Bytes {
-    let mut b = BytesMut::with_capacity(18 + resp.body.len());
-    write_response(&mut b, resp);
-    b.freeze()
-}
-
 /// Encode a response envelope into a pooled buffer.
 pub fn encode_response_in(resp: &Response, pool: &Pool) -> Bytes {
     let mut b = pool.get(18 + resp.body.len());
-    write_response(&mut b, resp);
+    b.put_u16_le(RPC_MAGIC);
+    b.put_u8(KIND_RESPONSE);
+    b.put_u16_le(resp.version);
+    b.put_u8(resp.status as u8);
+    b.put_u64_le(resp.id);
+    b.put_u32_le(resp.body.len() as u32);
+    b.extend_from_slice(&resp.body);
     b.freeze()
 }
 
@@ -267,7 +257,7 @@ mod tests {
             id: 99,
             body: Bytes::from_static(&[1, 2, 3]),
         };
-        let wire = encode_response(&resp);
+        let wire = encode_response_in(&resp, &Pool::new());
         match decode(wire) {
             Some(Envelope::Response(got)) => assert_eq!(got, resp),
             other => panic!("bad decode: {other:?}"),
@@ -328,7 +318,6 @@ mod tests {
             body: Bytes::from_static(b"payload"),
         };
         let pooled_resp = encode_response_in(&resp, &pool);
-        assert_eq!(pooled_resp, encode_response(&resp));
         drop(pooled);
         drop(pooled_resp);
         assert_eq!(pool.idle_buffers(), 2, "frames recycle on drop");

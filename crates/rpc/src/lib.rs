@@ -29,9 +29,8 @@ pub mod retry;
 
 pub use call::{CallTable, Completion, Outstanding, CALL_TIMER_BASE};
 pub use codec::{
-    decode, encode_request, encode_request_in, encode_response, encode_response_in,
-    version_compatible, Envelope, Request, Response, Status, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION, RPC_MAGIC,
+    decode, encode_request, encode_request_in, encode_response_in, version_compatible, Envelope,
+    Request, Response, Status, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, RPC_MAGIC,
 };
 pub use cost::RpcCostModel;
 pub use retry::{RetryDecision, RetryPolicy, RetryState};

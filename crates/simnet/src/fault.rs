@@ -10,7 +10,7 @@
 //! * **partitions** — symmetric or asymmetric host-set cuts, sugar for a
 //!   100% drop link fault ([`Fault::Partition`]),
 //! * **gray failures** — CPU-slowdown stragglers (a multiplier applied in
-//!   [`Host::admit_cpu_scaled`](crate::host::Host::admit_cpu_scaled)) and
+//!   [`Hosts::admit_cpu_scaled`](crate::host::Hosts::admit_cpu_scaled)) and
 //!   the RMA-specific *CPU-dead* mode in which a host's memory stays
 //!   remotely readable while every process on it is frozen (Aguilera et
 //!   al., "The Impact of RDMA on Agreement"),
@@ -18,7 +18,7 @@
 //!   promotion and en-masse recovery, restarts going through the reviver
 //!   installed with [`Sim::set_fault_reviver`](crate::sim::Sim::set_fault_reviver).
 //!
-//! The plan compiles into a [`FaultState`] held by the
+//! The plan compiles into a `FaultState` held by the
 //! [`Sim`](crate::sim::Sim). Link and CPU faults are pure interval queries
 //! against the current time — they add no events to the queue — while
 //! crash/restart events are scheduled like any other event. All randomness

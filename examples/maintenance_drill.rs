@@ -59,7 +59,7 @@ fn main() {
     let body = PrepareMaintenance {
         spare_node: spare.0,
     }
-    .encode();
+    .encode_in(&bytes::Pool::new());
     let at = SimTime(cell.sim.now().nanos() + 10_000_000);
     cell.sim.add_node(
         injector_host,

@@ -457,17 +457,9 @@ fn cas_contention_exactly_one_winner() {
             let b = cell.backends[((shard + r) % 4) as usize];
             cell.sim
                 .with_node::<BackendNode, _>(b, |n| {
-                    let store = n.store_mut();
-                    let p = store
-                        .prepare_set(
-                            &key,
-                            b"initial",
-                            hash,
-                            cliquemap::version::VersionNumber::new(1, 0, 1),
-                        )
-                        .unwrap();
-                    store.write_data(p.data_offset, &p.entry_bytes);
-                    let _ = store.commit_set(&p);
+                    let v1 = cliquemap::version::VersionNumber::new(1, 0, 1);
+                    let status = n.store_mut().install(&key, b"initial", hash, v1);
+                    assert_eq!(status, rpc::Status::Ok);
                 })
                 .unwrap();
         }

@@ -80,13 +80,7 @@ proptest! {
                     let v = vec![key ^ 0x5A; value_len as usize];
                     let hash = hasher.hash(&k);
                     let ver = VersionNumber::new(version, 1, 1);
-                    let admitted = match store.prepare_set(&k, &v, hash, ver) {
-                        Ok(p) => {
-                            store.write_data(p.data_offset, &p.entry_bytes);
-                            store.commit_set(&p) == rpc::Status::Ok
-                        }
-                        Err(_) => false,
-                    };
+                    let admitted = store.install(&k, &v, hash, ver) == rpc::Status::Ok;
                     let model_admits = version > *floor.get(&key).unwrap_or(&0);
                     prop_assert_eq!(admitted, model_admits,
                         "set admission diverged for key {} v{}", key, version);
@@ -136,11 +130,8 @@ proptest! {
         for &key in &keys {
             let k = key.to_le_bytes();
             let hash = hasher.hash(&k);
-            let p = store
-                .prepare_set(&k, b"payload", hash, VersionNumber::new(1, 0, key as u32))
-                .unwrap();
-            store.write_data(p.data_offset, &p.entry_bytes);
-            prop_assert_eq!(store.commit_set(&p), rpc::Status::Ok);
+            let status = store.install(&k, b"payload", hash, VersionNumber::new(1, 0, key as u32));
+            prop_assert_eq!(status, rpc::Status::Ok);
         }
         store.begin_index_resize();
         store.finish_index_resize();
@@ -162,11 +153,7 @@ proptest! {
             let k = (i as u32).to_le_bytes();
             let v = vec![i as u8; len];
             let hash = hasher.hash(&k);
-            let p = store
-                .prepare_set(&k, &v, hash, VersionNumber::new(1, 0, i as u32 + 1))
-                .unwrap();
-            store.write_data(p.data_offset, &p.entry_bytes);
-            store.commit_set(&p);
+            store.install(&k, &v, hash, VersionNumber::new(1, 0, i as u32 + 1));
         }
         let live_before = store.live_entries();
         store.compact_restart(0.1);
@@ -318,40 +305,34 @@ proptest! {
         }
     }
 
-    /// RMA ReadReq roundtrip for arbitrary field values, through both the
-    /// plain and the pool-backed encoder.
+    /// RMA ReadReq roundtrip for arbitrary field values.
     #[test]
     fn rma_read_req_roundtrip(
         op_id in any::<u64>(), window in any::<u32>(), generation in any::<u32>(),
         offset in any::<u64>(), len in any::<u32>(),
     ) {
         let req = rma::ReadReq { op_id, window, generation, offset, len };
-        let plain = rma::encode_read_req(&req);
-        let pooled = rma::codec::encode_read_req_in(&req, &bytes::Pool::new());
-        prop_assert_eq!(&plain[..], &pooled[..], "pooled encoding diverged");
-        match rma::decode(plain) {
+        match rma::decode(rma::codec::encode_read_req_in(&req, &bytes::Pool::new())) {
             Some(rma::RmaEnvelope::ReadReq(got)) => prop_assert_eq!(got, req),
             other => prop_assert!(false, "{:?}", other),
         }
     }
 
-    /// RMA ReadResp roundtrip, plain vs pooled-parts encoder.
+    /// RMA ReadResp roundtrip through the serving path's encoder.
     #[test]
     fn rma_read_resp_roundtrip(
         op_id in any::<u64>(), status in (0u8..=5).prop_map(rma::RmaStatus::from_u8),
         data in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         let resp = rma::ReadResp { op_id, status, data: Bytes::from(data.clone()) };
-        let plain = rma::encode_read_resp(&resp);
-        let pooled = rma::codec::encode_read_resp_parts(op_id, status, &data, &bytes::Pool::new());
-        prop_assert_eq!(&plain[..], &pooled[..], "pooled encoding diverged");
-        match rma::decode(plain) {
+        let wire = rma::codec::encode_read_resp_parts(op_id, status, &data, &bytes::Pool::new());
+        match rma::decode(wire) {
             Some(rma::RmaEnvelope::ReadResp(got)) => prop_assert_eq!(got, resp),
             other => prop_assert!(false, "{:?}", other),
         }
     }
 
-    /// RMA ScarReq roundtrip, plain vs pooled encoder.
+    /// RMA ScarReq roundtrip.
     #[test]
     fn rma_scar_req_roundtrip(
         op_id in any::<u64>(), index_window in any::<u32>(), index_generation in any::<u32>(),
@@ -360,17 +341,14 @@ proptest! {
         let req = rma::ScarReq {
             op_id, index_window, index_generation, bucket_offset, bucket_len, key_hash,
         };
-        let plain = rma::encode_scar_req(&req);
-        let pooled = rma::codec::encode_scar_req_in(&req, &bytes::Pool::new());
-        prop_assert_eq!(&plain[..], &pooled[..], "pooled encoding diverged");
-        match rma::decode(plain) {
+        match rma::decode(rma::codec::encode_scar_req_in(&req, &bytes::Pool::new())) {
             Some(rma::RmaEnvelope::ScarReq(got)) => prop_assert_eq!(got, req),
             other => prop_assert!(false, "{:?}", other),
         }
     }
 
-    /// RMA ScarResp roundtrip, plain vs pooled-parts encoder. Bucket and
-    /// data are length-prefixed independently, so both must survive.
+    /// RMA ScarResp roundtrip. Bucket and data are length-prefixed
+    /// independently, so both must survive.
     #[test]
     fn rma_scar_resp_roundtrip(
         op_id in any::<u64>(), status in (0u8..=5).prop_map(rma::RmaStatus::from_u8),
@@ -383,11 +361,9 @@ proptest! {
             bucket: Bytes::from(bucket.clone()),
             data: Bytes::from(data.clone()),
         };
-        let plain = rma::encode_scar_resp(&resp);
-        let pooled =
+        let wire =
             rma::codec::encode_scar_resp_parts(op_id, status, &bucket, &data, &bytes::Pool::new());
-        prop_assert_eq!(&plain[..], &pooled[..], "pooled encoding diverged");
-        match rma::decode(plain) {
+        match rma::decode(wire) {
             Some(rma::RmaEnvelope::ScarResp(got)) => prop_assert_eq!(got, resp),
             other => prop_assert!(false, "{:?}", other),
         }
@@ -402,21 +378,19 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 1..64),
         cut_frac in 0.0f64..1.0,
     ) {
+        let pool = bytes::Pool::new();
         let frame = match kind {
-            0 => rma::encode_read_req(&rma::ReadReq {
+            0 => rma::codec::encode_read_req_in(&rma::ReadReq {
                 op_id, window: 3, generation: 7, offset: 40, len: payload.len() as u32,
-            }),
-            1 => rma::encode_read_resp(&rma::ReadResp {
-                op_id, status: rma::RmaStatus::Ok, data: Bytes::from(payload.clone()),
-            }),
-            2 => rma::encode_scar_req(&rma::ScarReq {
+            }, &pool),
+            1 => rma::codec::encode_read_resp_parts(op_id, rma::RmaStatus::Ok, &payload, &pool),
+            2 => rma::codec::encode_scar_req_in(&rma::ScarReq {
                 op_id, index_window: 1, index_generation: 2, bucket_offset: 64,
                 bucket_len: 128, key_hash: 0xfeed,
-            }),
-            _ => rma::encode_scar_resp(&rma::ScarResp {
-                op_id, status: rma::RmaStatus::NoMatch,
-                bucket: Bytes::from(payload.clone()), data: Bytes::new(),
-            }),
+            }, &pool),
+            _ => rma::codec::encode_scar_resp_parts(
+                op_id, rma::RmaStatus::NoMatch, &payload, &[], &pool,
+            ),
         };
         prop_assert!(rma::decode(frame.clone()).is_some(), "full frame must decode");
         let cut = ((frame.len() as f64) * cut_frac) as usize;

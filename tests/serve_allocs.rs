@@ -1,0 +1,127 @@
+//! Allocation gate on the unified serving paths: resolve-then-admit, the
+//! one completion shape and `BackendStore::install` add no heap calls.
+
+mod support;
+
+use std::hint::black_box;
+
+use bytes::{Bytes, Pool};
+use cliquemap::hash::{DefaultHasher, KeyHash, KeyHasher};
+use cliquemap::layout::bucket_size;
+use cliquemap::policy::LruPolicy;
+use cliquemap::store::{BackendStore, CliqueScarResolver, StoreCfg};
+use cliquemap::version::VersionNumber;
+use rma::{PonyCfg, ReadReq, RmaEnvelope, RmaOpTable, RmaStatus, ScarReq, ScarResp, Transport};
+use simnet::{NodeId, SimTime};
+use support::allocs;
+
+const KEYS: u64 = 256;
+
+fn key(i: u64) -> ([u8; 8], KeyHash) {
+    let k = i.to_le_bytes();
+    (k, DefaultHasher.hash(&k))
+}
+
+fn populated() -> BackendStore {
+    let mut store = BackendStore::new(StoreCfg::default(), Box::new(LruPolicy::new()));
+    for i in 0..KEYS {
+        let (k, hash) = key(i);
+        let status = store.install(&k, &[i as u8; 512], hash, VersionNumber::new(1, 1, 1));
+        assert_eq!(status, rpc::Status::Ok);
+    }
+    store
+}
+
+/// Single `ScarReq`/`ReadReq` frames and single-response completions: 0
+/// allocations per op once the pool holds a frame to recycle — the count
+/// measured on the parent commit (PR 14), before the serve paths merged.
+#[test]
+fn single_op_serve_and_completion_allocate_nothing() {
+    let store = populated();
+    let geo = store.geometry();
+    let bucket_len = bucket_size(geo.assoc as usize) as u32;
+    let mut frames = Vec::new();
+    for i in 0..KEYS {
+        let bucket_offset = store.bucket_offset(store.bucket_of(key(i).1));
+        frames.push(RmaEnvelope::ScarReq(ScarReq {
+            op_id: i,
+            index_window: geo.index_window,
+            index_generation: geo.index_generation,
+            bucket_offset,
+            bucket_len,
+            key_hash: key(i).1,
+        }));
+        frames.push(RmaEnvelope::ReadReq(ReadReq {
+            op_id: i,
+            window: geo.index_window,
+            generation: geo.index_generation,
+            offset: bucket_offset,
+            len: bucket_len,
+        }));
+    }
+    let pool = Pool::new();
+    let mut transport = Transport::pony(PonyCfg::default());
+    let mut serve_all = |now| {
+        for env in &frames {
+            let served = rma::serve(
+                env,
+                store.regions(),
+                &CliqueScarResolver,
+                &mut transport,
+                &pool,
+                now,
+            );
+            black_box(served.expect("requests are served"));
+        }
+    };
+    serve_all(SimTime(0));
+    let before = allocs();
+    serve_all(SimTime(1_000_000));
+    assert_eq!(allocs() - before, 0, "single-op serve allocated");
+
+    let mut table = RmaOpTable::new();
+    let responses: Vec<RmaEnvelope> = (0..KEYS)
+        .map(|i| {
+            let (op_id, _) =
+                table.begin_scar(NodeId(1), rma::WindowId(0), 1, 0, 64, 7, SimTime(0), i);
+            let resp = ScarResp {
+                op_id,
+                status: RmaStatus::Ok,
+                bucket: Bytes::from_static(&[1; 64]),
+                data: Bytes::from_static(b"data"),
+            };
+            rma::decode(rma::encode_scar_resp(&resp)).expect("valid frame")
+        })
+        .collect();
+    let before = allocs();
+    for (i, env) in responses.into_iter().enumerate() {
+        let done = table.complete(env, SimTime(5)).expect("in flight");
+        assert_eq!(done.results().count(), 1);
+        assert!(done.into_results().all(|d| d.sub == i as u64));
+    }
+    assert_eq!(allocs() - before, 0, "single-op completion allocated");
+}
+
+/// `install` is the prepare → write → commit triple and costs no more.
+#[test]
+fn install_allocates_no_more_than_the_triple_it_replaces() {
+    let overwrite_all = |one: &dyn Fn(&mut BackendStore, &[u8], KeyHash)| {
+        let mut store = populated();
+        let before = allocs();
+        for i in 0..KEYS {
+            let (k, hash) = key(i);
+            one(&mut store, &k, hash);
+        }
+        allocs() - before
+    };
+    let (value, v2) = ([3u8; 512], VersionNumber::new(2, 1, 1));
+    let triple = overwrite_all(&|store, k, hash| {
+        let p = store.prepare_set(k, &value, hash, v2).expect("roomy store");
+        store.write_data(p.data_offset, &p.entry_bytes);
+        assert_eq!(store.commit_set(&p), rpc::Status::Ok);
+    });
+    let install = overwrite_all(&|store, k, hash| {
+        assert_eq!(store.install(k, &value, hash, v2), rpc::Status::Ok);
+    });
+    assert!(install <= triple, "install {install} > triple {triple}");
+}
