@@ -38,7 +38,12 @@ pub(crate) fn fleet_resident(cell: &mut Cell) -> u64 {
         .iter()
         .map(|&b| {
             cell.sim
-                .with_node::<BackendNode, _>(b, |n| n.store().resident_bytes())
+                .with_node::<BackendNode, _>(b, |n| {
+                    // The timeline is the data region's: 4 K entries in 57 K
+                    // slots per backend never reshape the index.
+                    assert_eq!(n.store().stats.index_reshapes, 0);
+                    n.store().resident_bytes()
+                })
                 .unwrap_or(0)
         })
         .sum()

@@ -18,7 +18,7 @@ use simnet::IdMap;
 use crate::hash::KeyHash;
 use crate::layout::{
     self, bucket_size, data_entry_size, encode_data_entry, parse_data_entry, IndexEntry, Pointer,
-    CHECKSUM_BYTES, DATA_ENTRY_HEADER_BYTES, INDEX_ENTRY_BYTES,
+    CHECKSUM_BYTES, DATA_ENTRY_HEADER_BYTES,
 };
 use crate::messages::Geometry;
 use crate::policy::EvictionPolicy;
@@ -177,14 +177,23 @@ impl std::fmt::Debug for BackendStore {
     }
 }
 
+/// Allocate and register an index region of `num_buckets` zeroed buckets:
+/// a tiled buffer, one tile per bucket, so a bucket costs host memory only
+/// once something is written into it.
+fn alloc_index(regions: &mut RegionTable, num_buckets: u64, assoc: usize) -> (BufferId, WindowId) {
+    let bucket = vec![0u8; bucket_size(assoc)];
+    let buffer = regions.alloc_tiled_buffer(&bucket, num_buckets as usize);
+    let window = regions.register_window(buffer, 0, num_buckets * bucket.len() as u64);
+    (buffer, window)
+}
+
 impl BackendStore {
     /// Build a store: allocates the index region, the initially-populated
     /// data region, and registers RMA windows over both.
     pub fn new(cfg: StoreCfg, policy: Box<dyn EvictionPolicy>) -> BackendStore {
         let mut regions = RegionTable::new();
-        let index_bytes = cfg.num_buckets as usize * bucket_size(cfg.assoc as usize);
-        let index_buffer = regions.alloc_buffer(index_bytes);
-        let index_window = regions.register_window(index_buffer, 0, index_bytes as u64);
+        let (index_buffer, index_window) =
+            alloc_index(&mut regions, cfg.num_buckets, cfg.assoc as usize);
         let data_buffer = regions.alloc_buffer(cfg.data_capacity);
         let data_window = regions.register_window(data_buffer, 0, cfg.data_capacity as u64);
         let slab = crate::slab::SlabAllocator::with_slab_size(cfg.data_capacity, cfg.slab_bytes);
@@ -218,14 +227,8 @@ impl BackendStore {
     /// Stamp the config id into every bucket header, preserving the flags
     /// byte (the overflow hint must survive restamps).
     fn stamp_all_buckets(&mut self) {
-        let bb = self.bucket_bytes();
-        for b in 0..self.num_buckets {
-            self.regions.write(
-                self.index_buffer,
-                b as usize * bb,
-                &self.cfg.config_id.to_le_bytes(),
-            );
-        }
+        self.regions
+            .write_every_tile(self.index_buffer, 0, &self.cfg.config_id.to_le_bytes());
     }
 
     /// Re-derive overflow hint bits from the overflow side table (used
@@ -267,30 +270,22 @@ impl BackendStore {
         bucket * self.bucket_bytes() as u64
     }
 
+    /// A bucket is a tile of the index buffer: the store addresses it by
+    /// number, only RMA reads go through byte offsets.
     fn bucket_raw(&self, bucket: u64) -> &[u8] {
-        let bb = self.bucket_bytes();
-        self.regions
-            .read_buffer(self.index_buffer, bucket as usize * bb, bb)
+        self.regions.tile(self.index_buffer, bucket as usize)
+    }
+
+    fn bucket_raw_mut(&mut self, bucket: u64) -> &mut [u8] {
+        self.regions.tile_mut(self.index_buffer, bucket as usize)
     }
 
     fn write_slot(&mut self, bucket: u64, slot: usize, entry: &IndexEntry) {
-        let bb = self.bucket_bytes();
-        let at = bucket as usize * bb + layout::BUCKET_HEADER_BYTES + slot * INDEX_ENTRY_BYTES;
-        let mut raw = [0u8; INDEX_ENTRY_BYTES];
-        entry.encode_into(&mut raw);
-        self.regions.write(self.index_buffer, at, &raw);
+        entry.encode_into(layout::bucket_slot_mut(self.bucket_raw_mut(bucket), slot));
     }
 
     fn set_overflow(&mut self, bucket: u64, overflowed: bool) {
-        let bb = self.bucket_bytes();
-        let at = bucket as usize * bb + 4;
-        let flags = self.bucket_raw(bucket)[4];
-        let new = if overflowed {
-            flags | layout::BUCKET_FLAG_OVERFLOW
-        } else {
-            flags & !layout::BUCKET_FLAG_OVERFLOW
-        };
-        self.regions.write(self.index_buffer, at, &[new]);
+        layout::set_bucket_overflow(self.bucket_raw_mut(bucket), overflowed);
     }
 
     /// Look up an index entry by hash (server-side, no RMA semantics).
@@ -448,7 +443,7 @@ impl BackendStore {
         let raw = self
             .regions
             .read_buffer(self.data_buffer, ptr.offset as usize, ptr.len as usize);
-        let parsed = parse_data_entry(raw).ok()?;
+        let parsed = parse_data_entry(&raw).ok()?;
         Some((
             Bytes::copy_from_slice(parsed.key),
             Bytes::copy_from_slice(parsed.data),
@@ -705,17 +700,14 @@ impl BackendStore {
         assert!(self.resizing);
         let old_buckets = self.num_buckets;
         let new_buckets = old_buckets * 2;
-        let bb = self.bucket_bytes();
-        // Collect live entries from the old index.
+        // Collect live entries from the old index, then let it go: its
+        // window was revoked when the reshape began.
         let mut live: Vec<IndexEntry> = Vec::with_capacity(self.live_entries as usize);
         live.extend(self.occupied(0..old_buckets));
+        self.regions.realloc_buffer(self.index_buffer, 0);
         // Build the new index.
-        let new_buffer = self.regions.alloc_buffer(new_buckets as usize * bb);
-        let new_window =
-            self.regions
-                .register_window(new_buffer, 0, (new_buckets as usize * bb) as u64);
-        self.index_buffer = new_buffer;
-        self.index_window = new_window;
+        (self.index_buffer, self.index_window) =
+            alloc_index(&mut self.regions, new_buckets, self.cfg.assoc as usize);
         self.num_buckets = new_buckets;
         self.stamp_all_buckets();
         for e in live {
@@ -783,9 +775,9 @@ impl BackendStore {
             .max(1)
             + classes)
             * self.cfg.slab_bytes;
-        // Fresh data pool + window; the old window is implicitly dead (the
-        // process restarted), so revoke it.
-        self.regions.revoke_window(self.data_window);
+        // Fresh data pool + window. Every window over the old pool — the
+        // current one and each one `grow_data` left serving — is dead (the
+        // process restarted): reallocating revokes them all.
         self.regions.realloc_buffer(self.data_buffer, target);
         self.slab = crate::slab::SlabAllocator::with_slab_size(target, self.cfg.slab_bytes);
         self.data_window = self
@@ -795,18 +787,10 @@ impl BackendStore {
         // Re-place every entry; the index keeps its geometry, only pointers
         // change.
         for b in 0..self.num_buckets {
-            let bb = self.bucket_bytes();
-            let base = b as usize * bb;
             for i in 0..self.cfg.assoc as usize {
-                let at = base + layout::BUCKET_HEADER_BYTES + i * INDEX_ENTRY_BYTES;
-                let raw: [u8; INDEX_ENTRY_BYTES] = self
-                    .regions
-                    .read_buffer(self.index_buffer, at, INDEX_ENTRY_BYTES)
-                    .try_into()
-                    .expect("slice length");
-                if IndexEntry::decode(&raw).is_occupied() {
-                    self.regions
-                        .write(self.index_buffer, at, &[0u8; INDEX_ENTRY_BYTES]);
+                let slot = layout::bucket_slot(self.bucket_raw(b), i);
+                if IndexEntry::decode(slot).is_occupied() {
+                    self.write_slot(b, i, &IndexEntry::default());
                 }
             }
         }
@@ -933,6 +917,22 @@ mod tests {
                 data_capacity: 64 << 10,
                 max_data_capacity: 1 << 20,
                 slab_bytes: 4 << 10,
+                ..StoreCfg::default()
+            },
+            Box::new(LruPolicy::new()),
+        )
+    }
+
+    /// A 16 KiB data region that wants to grow once half full.
+    fn growable_store() -> BackendStore {
+        BackendStore::new(
+            StoreCfg {
+                num_buckets: 256,
+                assoc: 8,
+                data_capacity: 16 << 10,
+                max_data_capacity: 256 << 10,
+                slab_bytes: 4 << 10,
+                data_high_watermark: 0.5,
                 ..StoreCfg::default()
             },
             Box::new(LruPolicy::new()),
@@ -1133,6 +1133,21 @@ mod tests {
     }
 
     #[test]
+    fn reshape_releases_the_old_index() {
+        let mut s = small_store();
+        do_set(&mut s, b"k", b"v", v(1));
+        let index_bytes = |s: &BackendStore| s.num_buckets() * bucket_size(4) as u64;
+        let data_bytes = s.resident_bytes() - index_bytes(&s);
+        for _ in 0..3 {
+            s.begin_index_resize();
+            s.finish_index_resize();
+            assert_eq!(s.resident_bytes(), index_bytes(&s) + data_bytes);
+        }
+        assert_eq!(s.num_buckets(), 128);
+        assert!(s.fetch(DefaultHasher.hash(b"k")).is_some());
+    }
+
+    #[test]
     fn resize_changes_index_generation() {
         let mut s = small_store();
         let g0 = s.geometry();
@@ -1145,18 +1160,7 @@ mod tests {
 
     #[test]
     fn data_growth_registers_overlapping_window() {
-        let mut s = BackendStore::new(
-            StoreCfg {
-                num_buckets: 256,
-                assoc: 8,
-                data_capacity: 16 << 10,
-                max_data_capacity: 256 << 10,
-                slab_bytes: 4 << 10,
-                data_high_watermark: 0.5,
-                ..StoreCfg::default()
-            },
-            Box::new(LruPolicy::new()),
-        );
+        let mut s = growable_store();
         do_set(&mut s, b"old", b"old-value", v(1));
         let old_geom = s.geometry();
         // Fill past the watermark.
@@ -1181,6 +1185,33 @@ mod tests {
         let (_, _, e) = s.lookup(DefaultHasher.hash(b"new")).unwrap();
         assert_eq!(e.ptr.window, new_geom.data_window);
         assert_eq!(s.stats.data_growths, 1);
+    }
+
+    #[test]
+    fn restart_revokes_pre_growth_data_windows() {
+        let mut s = growable_store();
+        do_set(&mut s, b"old", b"old-value", v(1));
+        let (_, _, old) = s.lookup(DefaultHasher.hash(b"old")).unwrap();
+        for i in 0..3u32 {
+            let key = format!("f{i}");
+            do_set(&mut s, key.as_bytes(), &[1u8; 3000], v(i as u64 + 2));
+        }
+        assert!(s.needs_data_growth());
+        s.grow_data();
+        assert_ne!(s.geometry().data_window, old.ptr.window);
+        s.compact_restart(0.1);
+        // The pool moved: a pointer from before the restart — through the
+        // grown window or the one it superseded — must send the client back
+        // to RPC, not read whatever now sits at that offset.
+        for window in [old.ptr.window, old.ptr.window + 1] {
+            let generation = s.regions().window_generation(WindowId(window));
+            let read =
+                s.regions()
+                    .read_window(WindowId(window), generation, old.ptr.offset, old.ptr.len);
+            assert_eq!(read, Err(rma::RmaStatus::WindowRevoked), "window {window}");
+        }
+        let (_, value, _) = s.fetch(DefaultHasher.hash(b"old")).unwrap();
+        assert_eq!(&value[..], b"old-value");
     }
 
     #[test]
@@ -1259,14 +1290,46 @@ mod tests {
         }
     }
 
+    /// What a client's RMA read of `bucket` returns.
+    fn rma_bucket(s: &BackendStore, bucket: u64) -> Bytes {
+        let g = s.geometry();
+        let len = bucket_size(g.assoc as usize) as u32;
+        s.regions()
+            .read_window(
+                WindowId(g.index_window),
+                g.index_generation,
+                s.bucket_offset(bucket),
+                len,
+            )
+            .expect("index window serves")
+    }
+
+    #[test]
+    fn never_written_bucket_reads_stamped_and_vacant() {
+        let s = small_store();
+        for bucket in 0..s.num_buckets() {
+            let raw = rma_bucket(&s, bucket);
+            assert_eq!(layout::bucket_config_id(&raw), s.config_id());
+            assert!(raw[4..].iter().all(|&b| b == 0), "bucket {bucket}");
+            assert_eq!(&raw[..], s.bucket_raw(bucket));
+        }
+    }
+
     #[test]
     fn config_id_restamp() {
         let mut s = small_store();
         do_set(&mut s, b"k", b"v", v(1));
-        s.set_config_id(99);
         let hash = DefaultHasher.hash(b"k");
         let bucket = s.bucket_of(hash);
-        assert_eq!(layout::bucket_config_id(s.bucket_raw(bucket)), 99);
+        s.set_overflow(bucket, true);
+        s.set_config_id(99);
+        // Written and never-written buckets both carry the new id, over RMA
+        // and server-side.
+        for b in 0..s.num_buckets() {
+            assert_eq!(layout::bucket_config_id(&rma_bucket(&s, b)), 99);
+            assert_eq!(layout::bucket_config_id(s.bucket_raw(b)), 99);
+            assert_eq!(layout::bucket_overflowed(s.bucket_raw(b)), b == bucket);
+        }
         // Restamping must not clobber entries.
         assert!(s.fetch(hash).is_some());
         assert_eq!(s.geometry().config_id, 99);

@@ -13,6 +13,8 @@
 //! where SCAR exists *because* Pony Express is programmable enough to host
 //! application-provided logic.
 
+use std::borrow::Cow;
+
 use bytes::{Bytes, Pool};
 
 use simnet::SimTime;
@@ -65,9 +67,12 @@ pub struct Served {
 }
 
 /// What one sub-op resolved to: its wire status, the bucket and data
-/// segments borrowed from region memory, and how many IndexEntries the NIC
-/// examined (`None` when the op never reached a scan).
-type Resolved<'a> = (RmaStatus, &'a [u8], &'a [u8], Option<usize>);
+/// segments borrowed from region memory (owned only when a read straddled
+/// tiles), and how many IndexEntries the NIC examined (`None` when the op
+/// never reached a scan).
+type Resolved<'a> = (RmaStatus, Cow<'a, [u8]>, Cow<'a, [u8]>, Option<usize>);
+
+const NO_BYTES: Cow<'static, [u8]> = Cow::Borrowed(&[]);
 
 /// Resolve a one-sided read: the addressed bytes, or the status explaining
 /// why not.
@@ -77,10 +82,10 @@ fn resolve_read(
     generation: u32,
     offset: u64,
     len: u32,
-) -> (RmaStatus, &[u8]) {
+) -> (RmaStatus, Cow<'_, [u8]>) {
     match regions.read_window_slice(window, generation, offset, len) {
         Ok(data) => (RmaStatus::Ok, data),
-        Err(status) => (status, &[]),
+        Err(status) => (status, NO_BYTES),
     }
 }
 
@@ -93,7 +98,7 @@ fn resolve_scar<'a>(
     r: &ScarReq,
 ) -> Resolved<'a> {
     if !scar_supported {
-        return (RmaStatus::Unsupported, &[], &[], None);
+        return (RmaStatus::Unsupported, NO_BYTES, NO_BYTES, None);
     }
     let (status, bucket) = resolve_read(
         regions,
@@ -103,11 +108,11 @@ fn resolve_scar<'a>(
         r.bucket_len,
     );
     if status != RmaStatus::Ok {
-        return (status, &[], &[], None);
+        return (status, NO_BYTES, NO_BYTES, None);
     }
-    match resolver.resolve(bucket, r.key_hash) {
+    match resolver.resolve(&bucket, r.key_hash) {
         ScarOutcome::Miss { entries_scanned } => {
-            (RmaStatus::NoMatch, bucket, &[], Some(entries_scanned))
+            (RmaStatus::NoMatch, bucket, NO_BYTES, Some(entries_scanned))
         }
         ScarOutcome::Hit {
             window,
@@ -151,7 +156,7 @@ pub fn serve(
                 resolve_read(regions, WindowId(r.window), r.generation, r.offset, r.len);
             Served {
                 ready_at: transport.admit_serve(now, data.len(), 0),
-                response: encode_read_resp_parts(r.op_id, status, data, pool),
+                response: encode_read_resp_parts(r.op_id, status, &data, pool),
             }
         }
         RmaEnvelope::ScarReq(r) => {
@@ -159,14 +164,14 @@ pub fn serve(
             let scans = scanned.map_or(0, |n| n.max(1));
             Served {
                 ready_at: transport.admit_serve(now, bucket.len() + data.len(), scans),
-                response: encode_scar_resp_parts(r.op_id, status, bucket, data, pool),
+                response: encode_scar_resp_parts(r.op_id, status, &bucket, &data, pool),
             }
         }
         RmaEnvelope::BatchReadReq(r) => {
             let parts = r.entries.iter().map(|e| {
                 let (status, data) =
                     resolve_read(regions, WindowId(e.window), e.generation, e.offset, e.len);
-                (e.sub, (status, &[][..], data, None))
+                (e.sub, (status, NO_BYTES, data, None))
             });
             serve_batch(
                 BatchRespWriter::read_resp,
@@ -231,7 +236,7 @@ fn serve_batch<'a>(
     let ready_at = transport.admit_serve(now, total, scanned.max(min_scans));
     let mut w = writer(op_id, parts.len(), total, pool);
     for (sub, (status, bucket, data, _)) in parts {
-        w.push(sub, status, bucket, data);
+        w.push(sub, status, &bucket, &data);
     }
     Served {
         ready_at,

@@ -1,6 +1,7 @@
 //! A batch frame serves exactly what its members would have been served
 //! alone: same per-sub `(status, bucket, data)`, on Pony and on a hardware
-//! transport, with the transport admitted once for the summed bytes/scans.
+//! transport, with the transport admitted once for the summed bytes/scans —
+//! and the same again whether the index buffer is flat or tiled.
 
 use bytes::Pool;
 use proptest::prelude::*;
@@ -40,10 +41,15 @@ impl ScarResolver for Toy {
 
 /// Index window 0 (4 buckets), data window 1, revoked window 2. Bucket `b`
 /// holds key `10 + b` (a hit) and key `20 + b` (a pointer past the data
-/// window: the chase fails after a successful scan).
-fn world() -> (RegionTable, Toy) {
+/// window: the chase fails after a successful scan). The index is one tile
+/// per bucket when `tiled_index`.
+fn world(tiled_index: bool) -> (RegionTable, Toy) {
     let mut regions = RegionTable::new();
-    let ib = regions.alloc_buffer(4 * BUCKET as usize);
+    let ib = if tiled_index {
+        regions.alloc_tiled_buffer(&[0; BUCKET as usize], 4)
+    } else {
+        regions.alloc_buffer(4 * BUCKET as usize)
+    };
     regions.register_window(ib, 0, 4 * BUCKET as u64);
     let db = regions.alloc_buffer(256);
     let dw = regions.register_window(db, 0, 256);
@@ -108,10 +114,13 @@ proptest! {
     fn batch_read_equals_singles(
         subs in proptest::collection::vec((0u8..6, 0u64..300, 0u32..64), 1..12),
     ) {
-        let (regions, toy) = world();
-        for fresh in transports() {
+        let mut served = Vec::new();
+        for (tiled_index, fresh) in [false, true].into_iter().flat_map(|t| transports().map(|f| (t, f))) {
+            let (regions, toy) = world(tiled_index);
+            // Even subs read the index window (across buckets: a straddling
+            // read when it is tiled), odd ones the data window.
             let entries: Vec<BatchReadEntry> = subs.iter().enumerate().map(|(i, &(w, offset, len))| {
-                let (window, generation) = pick(&regions, 1, w);
+                let (window, generation) = pick(&regions, i as u32 % 2, w);
                 BatchReadEntry { sub: 100 + i as u64, window, generation, offset, len }
             }).collect();
             let mut singles = Vec::new();
@@ -127,7 +136,9 @@ proptest! {
             let bytes: usize = singles.iter().map(|(_, p)| p.2.len()).sum();
             prop_assert_eq!(ready_at, fresh().admit_serve(NOW, bytes, 0));
             prop_assert_eq!(t.sw_ops(), u64::from(t.pony.is_some()), "one admission per frame");
+            served.push((got, ready_at));
         }
+        prop_assert_eq!(&served[..2], &served[2..], "tiled index served differently");
     }
 
     #[test]
@@ -135,8 +146,9 @@ proptest! {
         frame_window in 0u8..6,
         subs in proptest::collection::vec((0u64..5, 0usize..3), 1..12),
     ) {
-        let (regions, toy) = world();
-        for fresh in transports() {
+        let mut served = Vec::new();
+        for (tiled_index, fresh) in [false, true].into_iter().flat_map(|t| transports().map(|f| (t, f))) {
+            let (regions, toy) = world(tiled_index);
             let (index_window, index_generation) = pick(&regions, 0, frame_window);
             // Bucket 4 is past the index window; key class 0 hits, 1 hits
             // with a dangling pointer, 2 misses.
@@ -173,6 +185,8 @@ proptest! {
             if !t.supports_scar() {
                 prop_assert!(got.iter().all(|(_, p)| p.0 == RmaStatus::Unsupported));
             }
+            served.push((got, ready_at));
         }
+        prop_assert_eq!(&served[..2], &served[2..], "tiled index served differently");
     }
 }
