@@ -271,6 +271,7 @@ struct BackendMetricIds {
     hot_demotions: MetricId,
     hot_pushes: MetricId,
     wal_appends: MetricId,
+    wal_absorbed: MetricId,
     wal_fsyncs: MetricId,
     wal_committed: MetricId,
     wal_replayed: MetricId,
@@ -305,6 +306,7 @@ impl BackendMetricIds {
             hot_demotions: m.handle("cm.backend.hot_demotions"),
             hot_pushes: m.handle("cm.backend.hot_pushes"),
             wal_appends: m.handle("cm.backend.wal_appends"),
+            wal_absorbed: m.handle("cm.backend.wal_absorbed"),
             wal_fsyncs: m.handle("cm.backend.wal_fsyncs"),
             wal_committed: m.handle("cm.backend.wal_committed"),
             wal_replayed: m.handle("cm.backend.wal_replayed"),
@@ -781,10 +783,15 @@ impl BackendNode {
         version: VersionNumber,
     ) {
         let Some(w) = self.wal.as_mut() else { return };
+        let before = w.gc.pending_records();
         let batch = w.gc.append_parts(kind, version.0, key, value);
         ctx.metrics().add_id(self.m().wal_appends, 1);
+        if batch == before {
+            // The append replaced a pending older version of its key.
+            ctx.metrics().add_id(self.m().wal_absorbed, 1);
+        }
         // Batch-join annotation: a traced mutation records how many
-        // appends its fsync will cover (ENGINE marks are ignored by the
+        // records its fsync will cover (ENGINE marks are ignored by the
         // postmortem verdict, which keys on SERVER_CPU marks only).
         ctx.trace_mark(self.cur_trace, simnet::obs::stage::ENGINE, batch);
         if let Some(done) = self.wal_kick(ctx) {
@@ -874,28 +881,30 @@ impl BackendNode {
     fn wal_replay(&mut self, ctx: &mut Ctx<'_>) {
         let mids = *self.m();
         let Some(w) = self.wal.as_ref() else { return };
-        let recovery = w.cfg.media.borrow().recover();
-        if recovery.records.is_empty() {
+        let (mut records, mut applied) = (0u64, 0u64);
+        // Borrowed straight from the snapshot and the log segments: a
+        // restart never holds a second copy of what it replays.
+        w.cfg
+            .media
+            .borrow()
+            .for_each_record(|kind, version, key, value| {
+                records += 1;
+                let hash = self.cfg.hasher.hash(key);
+                let version = VersionNumber(version);
+                let status = if kind == durable::KIND_ERASE {
+                    self.store.erase(hash, version)
+                } else {
+                    self.store.install(key, value, hash, version)
+                };
+                applied += u64::from(status == Status::Ok);
+            });
+        if records == 0 {
             return;
-        }
-        let mut applied = 0u64;
-        for rec in &recovery.records {
-            let hash = self.cfg.hasher.hash(&rec.key);
-            let version = VersionNumber(rec.version);
-            if rec.kind == durable::KIND_ERASE {
-                if self.store.erase(hash, version) == Status::Ok {
-                    applied += 1;
-                }
-            } else if self.store.install(&rec.key, &rec.value, hash, version) == Status::Ok {
-                applied += 1;
-            }
         }
         ctx.metrics().add_id(mids.wal_replayed, applied);
         // Replay is local CPU, charged in bulk — it delays this host's
         // first serves but needs no forward-progress gate.
-        ctx.charge_cpu(SimDuration(
-            REPLAY_NS_PER_RECORD * recovery.records.len() as u64,
-        ));
+        ctx.charge_cpu(SimDuration(REPLAY_NS_PER_RECORD * records));
     }
 
     // ---- Maintenance: reshaping ----------------------------------------

@@ -37,7 +37,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// WAL record kind: a key/value set (or repair-set, CAS — anything that
 /// installs a value at a version).
@@ -51,6 +52,12 @@ pub const RECORD_HEADER: usize = 4 + 4 + 1 + 16 + 4;
 
 /// Body bytes before the key: `kind` + `version` + `key_len`.
 const BODY_FIXED: usize = RECORD_HEADER - 8;
+
+/// Offsets of the fixed fields within an encoded record.
+const CRC_AT: usize = 4;
+const KIND_AT: usize = 8;
+const VERSION_AT: usize = 9;
+const KEY_LEN_AT: usize = 25;
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +107,13 @@ impl RecordRef<'_> {
 /// step and each combining step is a bijection in the word it absorbs, so
 /// one changed word always changes the 64-bit state before the final fold.
 pub fn record_checksum(body: &[u8]) -> u32 {
+    let h = hash64(body);
+    (h ^ (h >> 32)) as u32
+}
+
+/// The 64-bit state [`record_checksum`] folds; [`GroupCommit`] keys its
+/// pending index on this hash of a record's key bytes.
+fn hash64(body: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte lane"));
     // The rotate keeps a flipped top bit from staying a top bit, where a
@@ -128,8 +142,7 @@ pub fn record_checksum(body: &[u8]) -> u32 {
         h = absorb(h, lane);
     }
     h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    (h ^ (h >> 32)) as u32
+    h.wrapping_mul(0xff51_afd7_ed55_8ccd)
 }
 
 /// Append one record's wire form to `buf` straight from borrowed parts;
@@ -465,28 +478,40 @@ impl Media {
         apply_parts(&mut self.snapshot, kind, version, key, value);
     }
 
-    /// Everything a warm restart replays: snapshot entries (in key order —
-    /// order is irrelevant, versions gate), then WAL records in log order,
-    /// with any torn tail dropped.
-    pub fn recover(&self) -> Recovery {
-        let mut records: Vec<Record> = self
-            .snapshot
-            .iter()
-            .map(|(k, (kind, version, value))| Record {
-                kind: *kind,
-                version: *version,
-                key: k.clone(),
-                value: value.clone(),
-            })
-            .collect();
-        let from_snapshot = records.len() as u64;
+    /// Visit everything a warm restart replays, as borrowed
+    /// `(kind, version, key, value)` parts: snapshot entries (in key order
+    /// — order is irrelevant, versions gate), then WAL records in log
+    /// order. Returns whether a torn WAL tail was dropped. Nothing is
+    /// copied: replaying a large log costs no second copy of it.
+    pub fn for_each_record(&self, mut visit: impl FnMut(u8, u128, &[u8], &[u8])) -> bool {
+        for (key, (kind, version, value)) in &self.snapshot {
+            visit(*kind, *version, key, value);
+        }
         let mut walk = walk_log(&self.segments, self.head);
-        records.extend(walk.by_ref().map(|r| r.to_record()));
+        for rec in walk.by_ref() {
+            visit(rec.kind, rec.version, rec.key, rec.value);
+        }
+        walk.torn
+    }
+
+    /// [`Media::for_each_record`] collected into owned [`Record`]s, for
+    /// tests and tools that want to hold the recovery.
+    pub fn recover(&self) -> Recovery {
+        let mut records = Vec::new();
+        let torn_tail = self.for_each_record(|kind, version, key, value| {
+            records.push(Record {
+                kind,
+                version,
+                key: key.to_vec(),
+                value: value.to_vec(),
+            });
+        });
+        let from_snapshot = self.snapshot.len() as u64;
         Recovery {
             from_wal: records.len() as u64 - from_snapshot,
             records,
             from_snapshot,
-            torn_tail: walk.torn,
+            torn_tail,
         }
     }
 }
@@ -496,9 +521,13 @@ impl Media {
 pub struct GroupCommitStats {
     /// Records appended.
     pub appends: u64,
+    /// Appends that replaced a pending older version of their key instead
+    /// of growing the batch.
+    pub absorbed: u64,
     /// Commit (fsync) transactions completed.
     pub commits: u64,
-    /// Records made durable across all completed commits.
+    /// Records made durable across all completed commits (absorbed appends
+    /// are durable through the record that replaced them, and not counted).
     pub committed_records: u64,
     /// Bytes made durable across all completed commits.
     pub committed_bytes: u64,
@@ -515,31 +544,137 @@ pub struct GroupCommitStats {
 /// load the batch grows to whatever arrived during one fsync, and the
 /// per-record cost collapses by the batch factor.
 ///
+/// The pending batch is a dirty set, not an op log. Replay is
+/// version-gated ([`apply_record`]), so of one key's records in a batch
+/// only the newest can win; an append whose key is already pending at an
+/// older version therefore *absorbs* that record: it overwrites it in
+/// place when the encoded length is unchanged, and otherwise marks it dead
+/// and appends, the dead ranges being squeezed out when the batch is
+/// sealed. A batch is thus bounded by the distinct keys mutated during one
+/// device transaction, whatever the op rate, and recovers exactly what the
+/// unabsorbed batch would — per key; a *torn* absorbed batch is no longer
+/// a prefix of the op stream, only a subset of its keys' newest versions.
+///
 /// Both buffers are process RAM: a crash loses them (the un-fsynced tail).
 #[derive(Debug, Default)]
 pub struct GroupCommit {
     pending: Vec<u8>,
+    /// Live records in `pending`.
     pending_records: u64,
+    /// [`index_hash`] of a pending key → offset in `pending` of that key's
+    /// newest record. A second key with the same hash is never indexed.
+    index: HashMap<u64, usize>,
+    /// `(offset, len)` of the absorbed records still lying in `pending`.
+    dead: Vec<(usize, usize)>,
     committing: Vec<u8>,
     committing_records: u64,
     in_flight: bool,
     stats: GroupCommitStats,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// ANDed into every [`index_hash`] on this thread, so a test can make
+    /// keys collide.
+    static INDEX_HASH_MASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+}
+
+fn index_hash(key: &[u8]) -> u64 {
+    let h = hash64(key);
+    #[cfg(test)]
+    let h = h & INDEX_HASH_MASK.with(|m| m.get());
+    h
+}
+
+/// Length, version and key of the record at `at` in a buffer this process
+/// encoded itself: the bytes never left RAM, so no checksum pass.
+fn header_at(buf: &[u8], at: usize) -> (usize, u128, &[u8]) {
+    let rec = &buf[at..];
+    let u32_at =
+        |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4-byte field")) as usize;
+    let version = rec[VERSION_AT..KEY_LEN_AT]
+        .try_into()
+        .expect("16-byte version");
+    (
+        u32_at(0),
+        u128::from_le_bytes(version),
+        &rec[RECORD_HEADER..RECORD_HEADER + u32_at(KEY_LEN_AT)],
+    )
+}
+
+/// Rewrite the encoded record `rec` as a newer version of the same key
+/// with a value of the same length: kind, version, value and checksum
+/// change, the framing and key stay.
+fn overwrite_record(rec: &mut [u8], kind: u8, version: u128, value: &[u8]) {
+    rec[KIND_AT] = kind;
+    rec[VERSION_AT..KEY_LEN_AT].copy_from_slice(&version.to_le_bytes());
+    let value_at = rec.len() - value.len();
+    rec[value_at..].copy_from_slice(value);
+    let crc = record_checksum(&rec[KIND_AT..]);
+    rec[CRC_AT..KIND_AT].copy_from_slice(&crc.to_le_bytes());
+}
+
 impl GroupCommit {
     /// Append one record to the pending batch; returns the batch's new
-    /// record count (how many appends the next fsync will cover).
+    /// record count (how many records the next fsync will cover).
     pub fn append(&mut self, rec: &Record) -> u64 {
         self.append_parts(rec.kind, rec.version, &rec.key, &rec.value)
     }
 
     /// [`GroupCommit::append`] from borrowed parts: the key and value are
-    /// copied exactly once, into the pending batch.
+    /// copied exactly once, into the pending batch. The returned count
+    /// does not grow when the append absorbed a pending older version of
+    /// its key.
     pub fn append_parts(&mut self, kind: u8, version: u128, key: &[u8], value: &[u8]) -> u64 {
+        self.stats.appends += 1;
+        let end = self.pending.len();
+        match self.index.entry(index_hash(key)) {
+            Entry::Vacant(slot) => {
+                slot.insert(end);
+            }
+            Entry::Occupied(mut slot) => {
+                let at = *slot.get();
+                let (old_len, old_version, old_key) = header_at(&self.pending, at);
+                // Another key with this hash, or a late record no newer
+                // than the pending one, supersedes nothing: it is a plain
+                // append and the index keeps pointing at the newest.
+                if old_key == key && old_version < version {
+                    self.stats.absorbed += 1;
+                    if old_len == RECORD_HEADER + key.len() + value.len() {
+                        let rec = &mut self.pending[at..at + old_len];
+                        overwrite_record(rec, kind, version, value);
+                    } else {
+                        self.dead.push((at, old_len));
+                        slot.insert(end);
+                        append_parts(&mut self.pending, kind, version, key, value);
+                    }
+                    return self.pending_records;
+                }
+            }
+        }
         append_parts(&mut self.pending, kind, version, key, value);
         self.pending_records += 1;
-        self.stats.appends += 1;
         self.pending_records
+    }
+
+    /// Close the gaps absorbed records left in `pending`, live records
+    /// keeping their order: one left-to-right `copy_within` pass.
+    fn squeeze(&mut self) {
+        if self.dead.is_empty() {
+            return;
+        }
+        self.dead.sort_unstable();
+        // Sentinel hole: the last live run ends where the buffer does.
+        self.dead.push((self.pending.len(), 0));
+        let mut write = self.dead[0].0;
+        for hole in self.dead.windows(2) {
+            let live = hole[0].0 + hole[0].1..hole[1].0;
+            let moved = live.len();
+            self.pending.copy_within(live, write);
+            write += moved;
+        }
+        self.pending.truncate(write);
+        self.dead.clear();
     }
 
     /// Records waiting in the pending batch.
@@ -566,6 +701,8 @@ impl GroupCommit {
         if self.in_flight || self.pending_records == 0 {
             return None;
         }
+        self.squeeze();
+        self.index.clear();
         std::mem::swap(&mut self.pending, &mut self.committing);
         self.committing_records = self.pending_records;
         self.pending_records = 0;
@@ -741,9 +878,12 @@ mod tests {
         assert_eq!(records, 1);
         assert!(bytes > 0);
         // While that fsync is in flight, appends coalesce.
-        for v in 2..=5u128 {
-            gc.append(&rec(KIND_SET, v, b"a", b"x"));
+        for (v, key) in (2..=5u128).zip([b"a", b"b", b"c", b"d"]) {
+            gc.append(&rec(KIND_SET, v, key, b"x"));
         }
+        // A newer version of a key already in the batch replaces its
+        // record: the batch does not grow.
+        assert_eq!(gc.append(&rec(KIND_SET, 6, b"c", b"y")), 4);
         assert!(gc.start_commit().is_none(), "no overlap while in flight");
         assert_eq!(gc.finish_commit(&mut media), 1);
         assert_eq!(media.wal_records(), 1);
@@ -752,7 +892,132 @@ mod tests {
         gc.finish_commit(&mut media);
         assert_eq!(media.wal_records(), 5);
         let s = gc.stats();
-        assert_eq!((s.appends, s.commits, s.max_batch), (5, 2, 4));
+        assert_eq!(
+            (s.appends, s.absorbed, s.commits, s.max_batch),
+            (6, 1, 2, 4)
+        );
+        let c = &media.recover().records[3];
+        assert_eq!((c.version, c.value.as_slice()), (6, b"y".as_slice()));
+    }
+
+    /// Version-gated replay of everything `media` holds.
+    fn replayed(media: &Media) -> Snapshot {
+        let mut map = Snapshot::new();
+        media.for_each_record(|kind, version, key, value| {
+            apply_parts(&mut map, kind, version, key, value)
+        });
+        map
+    }
+
+    #[test]
+    fn pending_batch_is_bounded_by_distinct_keys() {
+        // 100,000 fixed-length SETs over 1,000 keys between two seals: the
+        // batch holds one record per key, not one per append.
+        let value = [7u8; 100];
+        let record_len = RECORD_HEADER + 4 + value.len();
+        let mut gc = GroupCommit::default();
+        for v in 0..100_000u32 {
+            let batch = gc.append_parts(
+                KIND_SET,
+                u128::from(v) + 1,
+                &(v % 1_000).to_le_bytes(),
+                &value,
+            );
+            assert!(batch <= 1_000);
+        }
+        assert_eq!(gc.pending_records(), 1_000);
+        assert_eq!(gc.stats().absorbed, 99_000);
+        assert!(gc.pending.capacity() <= 2 * 1_000 * record_len);
+        assert_eq!(
+            gc.start_commit(),
+            Some((1_000 * record_len as u64, 1_000)),
+            "the sealed batch is exactly one record per key"
+        );
+        let mut media = Media::default();
+        gc.finish_commit(&mut media);
+        // Each key recovers at the newest version appended for it.
+        let map = replayed(&media);
+        assert_eq!(map.len(), 1_000);
+        for (key, (_, version, _)) in &map {
+            let k = u32::from_le_bytes(key.as_slice().try_into().unwrap());
+            assert_eq!(*version, u128::from(99_000 + k) + 1);
+        }
+    }
+
+    #[test]
+    fn absorption_survives_index_hash_collisions() {
+        // Every key hashes alike: only the first key of a batch is indexed
+        // (and absorbs); every other key is a plain append. Nothing is
+        // lost or misattributed either way.
+        INDEX_HASH_MASK.with(|m| m.set(0));
+        let mut gc = GroupCommit::default();
+        let mut media = Media::default();
+        let mut want = Snapshot::new();
+        for v in 1..=40u128 {
+            let key = [b"first", b"other"][(v % 2) as usize];
+            let value = vec![v as u8; if v % 8 < 4 { 3 } else { 5 }];
+            gc.append_parts(KIND_SET, v, key, &value);
+            apply_parts(&mut want, KIND_SET, v, key, &value);
+            if v % 10 == 0 {
+                // "other" opened the batch, so it holds the index slot
+                // and one record; each of "first"'s five is a plain append.
+                let (_, records) = gc.start_commit().expect("batch pending");
+                assert_eq!(records, 1 + 5);
+                gc.finish_commit(&mut media);
+                assert_eq!(replayed(&media), want);
+            }
+        }
+        INDEX_HASH_MASK.with(|m| m.set(u64::MAX));
+        assert_eq!(gc.stats().absorbed, 4 * 4);
+        assert!(!media.recover().torn_tail);
+    }
+
+    #[test]
+    fn bit_flips_yield_a_prefix_and_stop_for_good() {
+        // A multi-record batch as group commit seals it: "b" overwritten
+        // in place, "c" regrown (dead + append, squeezed), an erase.
+        let mut gc = GroupCommit::default();
+        gc.append_parts(KIND_SET, 1, b"a", b"value-a");
+        gc.append_parts(KIND_SET, 2, b"b", b"value-b");
+        gc.append_parts(KIND_SET, 3, b"c", b"short");
+        gc.append_parts(KIND_SET, 4, b"b", b"VALUE-B");
+        gc.append_parts(KIND_SET, 5, b"c", b"a longer value");
+        gc.append_parts(KIND_ERASE, 6, b"d", b"");
+        gc.start_commit().expect("batch pending");
+        let log = gc.committing.clone();
+        let (intact, tail) = decode_stream(&log);
+        assert!(!tail.torn);
+        let keys: Vec<&[u8]> = intact.iter().map(|r| r.key.as_slice()).collect();
+        assert_eq!(keys, [b"a", b"b", b"c", b"d"]);
+        assert_eq!(intact[2], rec(KIND_SET, 5, b"c", b"a longer value"));
+        assert_eq!(intact[1], rec(KIND_SET, 4, b"b", b"VALUE-B"));
+        let ends: Vec<usize> = intact
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.encoded_len();
+                Some(*end)
+            })
+            .collect();
+        for bit in 0..log.len() * 8 {
+            let mut corrupt = log.clone();
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+            let (recs, tail) = decode_stream(&corrupt);
+            // Exactly the records before the flipped one, and nothing
+            // after it however intact the rest is.
+            let hit = ends.iter().position(|&end| bit / 8 < end).unwrap();
+            assert_eq!(recs, intact[..hit], "bit={bit}");
+            assert!(tail.torn, "bit={bit}");
+            assert_eq!(tail.consumed, hit.checked_sub(1).map_or(0, |i| ends[i]));
+            // The same through the media: counted, recovered, and cut off
+            // by the next commit.
+            let mut media = Media::default();
+            media.commit_partial(&corrupt, corrupt.len());
+            assert_eq!(media.wal_records(), hit as u64, "bit={bit}");
+            assert_eq!(media.recover().records, intact[..hit], "bit={bit}");
+            media.commit(&log[..ends[0]], 1);
+            assert_eq!(media.wal_records(), hit as u64 + 1, "bit={bit}");
+            assert!(!media.recover().torn_tail, "bit={bit}");
+        }
     }
 
     #[test]

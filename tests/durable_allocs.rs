@@ -31,12 +31,18 @@ fn borrowed_append_allocates_nothing() {
 
     // The group-commit batcher adds nothing of its own: over batches of
     // 1024 appends the only heap calls are the pending buffer's doublings
-    // (21 from empty to 1 MiB+) and the log's segment queue growing.
+    // (21 from empty to 1 MiB+), the log's segment queue growing and, in
+    // the first batch only, the pending-key index growing to 1024 keys.
+    // (Distinct keys within a batch: a repeated key would be absorbed
+    // into its pending record and never reach the log.)
     let mut gc = GroupCommit::default();
     let mut media = Media::default();
     let before = allocs();
     for v in 0..8 * 1024u128 {
-        gc.append_parts(KIND_SET, v + 1, KEY, &value);
+        let mut key = [0u8; KEY.len()];
+        key.copy_from_slice(KEY);
+        key[..2].copy_from_slice(&(v as u16 % 1024).to_le_bytes());
+        gc.append_parts(KIND_SET, v + 1, &key, &value);
         if v % 1024 == 1023 {
             gc.start_commit().expect("batch pending");
             gc.finish_commit(&mut media);
@@ -45,6 +51,35 @@ fn borrowed_append_allocates_nothing() {
     let per_append = (allocs() - before) as f64 / (8.0 * 1024.0);
     assert!(per_append < 0.03, "{per_append} allocations per append");
     assert_eq!(media.wal_records(), 8 * 1024);
+}
+
+#[test]
+fn replay_visitor_allocates_nothing() {
+    // A warm restart replays the snapshot and the log where they lie:
+    // no owned `Record`, no key or value `Vec`, whatever the log's size.
+    let value = vec![7u8; 1024];
+    let mut gc = GroupCommit::default();
+    let mut media = Media::default();
+    for v in 0..2_000u128 {
+        gc.append_parts(KIND_SET, v + 1, &(v as u32).to_le_bytes(), &value);
+        if v % 500 == 499 {
+            gc.start_commit().expect("batch pending");
+            gc.finish_commit(&mut media);
+        }
+    }
+    media.flush_prefix(300);
+    let before = allocs();
+    let (mut records, mut bytes) = (0u64, 0usize);
+    let torn = media.for_each_record(|_kind, _version, key, value| {
+        records += 1;
+        bytes += key.len() + value.len();
+    });
+    assert_eq!(allocs() - before, 0, "for_each_record allocated");
+    assert_eq!((records, bytes, torn), (2_000, 2_000 * 1028, false));
+    // The owned form, kept for tests, pays two blocks a record.
+    let before = allocs();
+    assert_eq!(media.recover().records.len(), 2_000);
+    assert!(allocs() - before >= 4_000);
 }
 
 const SETS: u64 = 2_000;
