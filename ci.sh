@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI gate: build, tests, lints, format, rustdoc, the benchmark's smoke
-# tests and the figure reproducibility gate. Run from the repo root; any
-# failure fails the script.
+# Repo CI gate: build, tests, the 10K-client footprint gate, lints, format,
+# rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
+# Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
 #
@@ -15,6 +15,10 @@ cargo build --release --workspace
 
 echo "== tests =="
 cargo test -q --workspace
+
+echo "== client footprint at 10K clients (release) =="
+# Minutes in debug, so tier-1 keeps only the 600-client gate of this file.
+cargo test --release -q --test client_footprint -- --ignored
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -18,6 +18,7 @@ use simnet::{
 
 use crate::backend::{BackendCfg, BackendNode};
 use crate::client::{ClientCfg, ClientIdentity, ClientNode};
+use crate::client_cache::SharedValues;
 use crate::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use crate::workload::Workload;
 
@@ -179,6 +180,8 @@ pub struct Cell {
     /// victim's handle into the reviver's template config so the
     /// replacement node replays the same media.
     pub media: Vec<Rc<RefCell<durable::Media>>>,
+    /// The lease caches' value table (`None` unless `client.cache` is set).
+    shared_values: Option<SharedValues>,
 }
 
 impl Cell {
@@ -269,6 +272,9 @@ impl Cell {
         let mut client_cfg = spec.client.clone();
         client_cfg.config_store = config_store;
         let client_cfg = Rc::new(client_cfg);
+        // One value table for all the cell's lease caches: clients reading
+        // one corpus cache the same versions.
+        let shared_values = client_cfg.cache.as_ref().map(|_| SharedValues::new());
         for (i, workload) in workloads.into_iter().enumerate() {
             let host = if i < cotenant {
                 backend_hosts[i % backend_hosts.len()]
@@ -292,6 +298,7 @@ impl Cell {
                 },
                 shared_pony: (client_cfg.transport == TransportKind::PonyExpress)
                     .then(|| pool_for(&mut pony_pools, host)),
+                shared_values: shared_values.clone(),
             };
             let node = ClientNode::new(client_cfg.clone(), me, workload);
             let id = sim.add_node(host, Box::new(node));
@@ -318,7 +325,14 @@ impl Cell {
             client_hosts,
             pony_pools,
             media,
+            shared_values,
         }
+    }
+
+    /// The value table the cell's lease caches share (`None` when
+    /// `client.cache` is off: nothing is built).
+    pub fn shared_values(&self) -> Option<&SharedValues> {
+        self.shared_values.as_ref()
     }
 
     /// Engine count on one host (1 when the host runs no Pony pool).
@@ -429,6 +443,23 @@ mod tests {
         cell.run_for(SimDuration::from_secs(1));
         let done = completions(&mut cell);
         (cell, done)
+    }
+
+    #[test]
+    fn value_table_exists_iff_the_cache_is_on() {
+        let spec = small_spec(LookupStrategy::Scar, ReplicationMode::R32);
+        let cell = Cell::build(spec, vec![script(vec![])]);
+        assert!(cell.shared_values().is_none(), "cache off: nothing built");
+        let mut spec = small_spec(LookupStrategy::Scar, ReplicationMode::R32);
+        spec.client.cache = Some(crate::client_cache::ClientCacheCfg::default());
+        let writer = script(vec![(0, set("k", "v"))]);
+        let reader = script(vec![(500, get("k"))]);
+        let mut cell = Cell::build(spec, vec![writer, reader]);
+        cell.run_for(SimDuration::from_millis(5));
+        // The writer's write-through copied the value in; the reader's
+        // fill of the same version found it there.
+        let stats = cell.shared_values().expect("cache on").stats();
+        assert_eq!((stats.copied, stats.shared, stats.entries), (1, 1, 1));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use simnet::{
 
 use adaptive::{Controller, ControllerCfg};
 
-use crate::client_cache::{ClientCache, ClientCacheCfg, Lookup};
+use crate::client_cache::{ClientCache, ClientCacheCfg, Lookup, SharedValues};
 use crate::config::{CellConfig, ReplicationMode};
 use crate::hash::{place, DefaultHasher, KeyHash, KeyHasher};
 use crate::layout::{self, bucket_size, parse_data_entry, Pointer};
@@ -134,6 +134,9 @@ pub struct ClientIdentity {
     pub adaptive_seed: u64,
     /// Host-level Pony engine pool shared with co-located nodes.
     pub shared_pony: Option<Rc<RefCell<rma::PonyHost>>>,
+    /// The cell's lease-cache value table (`None`: the cache, if any, keeps
+    /// a table of its own).
+    pub shared_values: Option<SharedValues>,
 }
 
 impl Default for ClientCfg {
@@ -534,9 +537,11 @@ pub struct ClientNode {
     /// issue reuses their `replicas`/`votes` capacity (no allocation).
     #[allow(clippy::vec_box)]
     free_gets: Vec<Box<GetState>>,
-    /// Client-side lease cache (`cfg.cache`), built over the host's pool at
-    /// [`Event::Start`].
+    /// Client-side lease cache (`cfg.cache`), built over the host's pool
+    /// and the cell's value table at [`Event::Start`].
     ccache: Option<ClientCache>,
+    /// The cell's value table, held for that moment.
+    shared_values: Option<SharedValues>,
     /// Hot-key detector driving extended-replica routing (`cfg.hot_repl`).
     /// Boxed, like the controller: most cells run without either, and
     /// inline they are 1.1 KB of every client.
@@ -715,6 +720,7 @@ impl ClientNode {
             versions: VersionGen::new(me.client_id),
             calls: CallTable::new(me.client_id as u64),
             ccache: None,
+            shared_values: me.shared_values,
             hot: cfg
                 .hot_repl
                 .clone()
@@ -2807,11 +2813,12 @@ impl Node for ClientNode {
                 self.pool = ctx.pool();
                 self.calls.set_pool(self.pool.clone());
                 self.rma.set_pool(self.pool.clone());
+                let shared = self.shared_values.clone().unwrap_or_default();
                 self.ccache = self
                     .cfg
                     .cache
                     .clone()
-                    .map(|c| ClientCache::with_pool(c, self.pool.clone()));
+                    .map(|c| ClientCache::with_shared(c, self.pool.clone(), shared));
                 self.refresh_config(ctx);
                 self.schedule_next(ctx);
                 if let Some(interval) = self.cfg.access_flush {

@@ -25,18 +25,28 @@
 //!
 //! **Memory follows use.** A client that is allowed 128 entries but touches
 //! ten pays for ten: slot storage and the index start empty and grow by
-//! doubling up to `capacity`, never past it. The cache keeps its *own*
-//! right-sized copy of every value, taken from the pool it was given (the
-//! client host's), instead of a slice of the inbound frame: a slice would
-//! pin the sender's whole pooled frame — a 16-entry batch response for one
-//! cached member — for as long as the entry lives, so the resident bound is
-//! `capacity × value bytes`, and inbound frames go back to their sender's
-//! pool the moment the op completes.
+//! doubling up to `capacity`, never past it. Value bytes are paid for once
+//! per distinct cached version per *cell*, not once per cache: §5.2 makes a
+//! version name exactly one SET, so two clients caching the same
+//! (key hash, version) hold the same bytes by construction, and every cache
+//! of a cell takes its values from one [`SharedValues`] table that keeps
+//! one refcounted buffer per resident pair (on `cell950` 94 % of fills find
+//! the pair already there). That one buffer is still a right-sized *copy*,
+//! taken from the first filler's pool (its client host's), never a slice of
+//! the inbound frame: a slice would pin the sender's whole pooled frame — a
+//! 16-entry batch response for one cached member — for as long as the entry
+//! lives, so the resident bound is `distinct cached versions × value
+//! bytes`, and inbound frames go back to their sender's pool the moment the
+//! op completes. An entry leaves the table, and its buffer goes home to its
+//! pool, with its last holder.
 
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::mem::size_of;
+use std::rc::Rc;
 
 use bytes::{Bytes, Pool};
-use simnet::{SimDuration, SimTime};
+use simnet::{IdMap, SimDuration, SimTime};
 
 use crate::hash::KeyHash;
 use crate::version::VersionNumber;
@@ -98,6 +108,125 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// What a [`SharedValues`] table holds and has done (the same
+/// size / hit / miss / evict surface [`CacheStats`] gives one cache).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SharedStats {
+    /// Distinct (key hash, version) pairs resident now.
+    pub entries: usize,
+    /// Most pairs ever resident at once.
+    pub entries_hwm: usize,
+    /// Value bytes held (one buffer per entry).
+    pub bytes: usize,
+    /// Fills that found their pair resident and took a handle to it.
+    pub shared: u64,
+    /// Fills that copied the value in (first holder of their pair).
+    pub copied: u64,
+    /// Handles given back, by eviction, invalidation, a newer version or a
+    /// dropped cache (`shared + copied − released` are held now; an entry
+    /// leaves with its last one).
+    pub released: u64,
+}
+
+#[derive(Debug, Default)]
+struct ValueTable {
+    /// The one buffer of each resident pair and how many cache entries
+    /// hold a handle to it (≥ 1, or the entry is gone).
+    map: IdMap<(KeyHash, VersionNumber), (Bytes, u32)>,
+    /// `map.capacity()` when it last grew (see [`ValueTable::make_room`]).
+    room: usize,
+    stats: SharedStats,
+}
+
+impl ValueTable {
+    /// Keep the map at most half full. Entries come and go at a steady
+    /// size, and hashbrown clears the tombstones that leaves behind in
+    /// place only below half of capacity — fuller, it reallocates to do it,
+    /// which would put an allocation into a cache that stopped growing.
+    fn make_room(&mut self) {
+        let need = 2 * (self.map.len() + 1);
+        if need > self.room {
+            self.map.reserve(need - self.map.len());
+            self.room = self.map.capacity();
+        }
+    }
+}
+
+/// Cell-wide table of cached values, interned by (key hash, version): the
+/// caches of one cell share one buffer per distinct cached version. A
+/// cheap-clone handle; the simulator is single-threaded. The table needs no
+/// cap of its own — every entry has a holder, so it is bounded by the sum
+/// of the caches' resident entries (≤ clients × `capacity`).
+#[derive(Debug, Clone, Default)]
+pub struct SharedValues(Rc<RefCell<ValueTable>>);
+
+/// A copy of `value` in the smallest class of `pool` that holds it.
+fn copy_in(pool: &Pool, value: &[u8]) -> Bytes {
+    let mut buf = pool.get(value.len());
+    buf.extend_from_slice(value);
+    buf.freeze()
+}
+
+impl SharedValues {
+    /// An empty table.
+    pub fn new() -> SharedValues {
+        SharedValues::default()
+    }
+
+    /// Size and traffic counters.
+    pub fn stats(&self) -> SharedStats {
+        self.0.borrow().stats
+    }
+
+    /// A handle to the value of (`hash`, `version`) for one more cache
+    /// entry: the resident buffer if some cache already holds the pair,
+    /// else a copy of `value` in the smallest class of `pool` that holds
+    /// it.
+    fn acquire(&self, hash: KeyHash, version: VersionNumber, value: &[u8], pool: &Pool) -> Bytes {
+        let table = &mut *self.0.borrow_mut();
+        table.make_room();
+        match table.map.entry((hash, version)) {
+            Entry::Occupied(mut e) => {
+                let (bytes, refs) = e.get_mut();
+                // The premise (§5.2): a version names exactly one SET.
+                debug_assert_eq!(&bytes[..], value, "one version, two values");
+                *refs += 1;
+                table.stats.shared += 1;
+                bytes.clone()
+            }
+            Entry::Vacant(e) => {
+                let bytes = copy_in(pool, value);
+                e.insert((bytes.clone(), 1));
+                let stats = &mut table.stats;
+                stats.copied += 1;
+                stats.bytes += value.len();
+                stats.entries += 1;
+                stats.entries_hwm = stats.entries_hwm.max(stats.entries);
+                bytes
+            }
+        }
+    }
+
+    /// One cache entry let go of (`hash`, `version`); the caller has
+    /// already dropped its handle, so the last release sends the buffer
+    /// home to its pool.
+    fn release(&self, hash: KeyHash, version: VersionNumber) {
+        let table = &mut *self.0.borrow_mut();
+        let Entry::Occupied(mut e) = table.map.entry((hash, version)) else {
+            debug_assert!(false, "released a value nobody acquired");
+            return;
+        };
+        let (bytes, refs) = e.get_mut();
+        *refs -= 1;
+        table.stats.released += 1;
+        if *refs == 0 {
+            table.stats.bytes -= bytes.len();
+            table.stats.entries -= 1;
+            e.remove();
+        }
+    }
+}
+
 const NIL: u32 = u32::MAX;
 
 /// Slot storage never starts smaller than this (one allocation covers the
@@ -120,12 +249,15 @@ struct Slot {
 /// Bounded LRU lease cache. All operations are O(1). Storage is grown on
 /// demand up to `capacity` entries; once it stops growing — at the latest
 /// at capacity — no operation allocates (value buffers cycle through the
-/// pool).
+/// pool, value-table entries through its settled map).
 #[derive(Debug)]
 pub struct ClientCache {
     cfg: ClientCacheCfg,
-    /// Where value copies come from and go back to.
+    /// Where the value copies this cache is first to take come from (and
+    /// go back to, whichever cache lets go last).
     pool: Pool,
+    /// The cell's value table (a lone cache has one to itself).
+    shared: SharedValues,
     /// Open-addressed (linear probing, backward-shift deletion) table of
     /// slot numbers, `NIL` = empty. Empty until the first fill, then a
     /// power of two at least twice the slot storage, so probes are short
@@ -155,9 +287,17 @@ impl ClientCache {
     /// An empty cache copying values into `pool` (the owning client host's,
     /// so buffers recycle host-wide).
     pub fn with_pool(cfg: ClientCacheCfg, pool: Pool) -> ClientCache {
+        ClientCache::with_shared(cfg, pool, SharedValues::new())
+    }
+
+    /// An empty cache whose values live in `shared` — one buffer per
+    /// (key hash, version) however many caches of the cell hold it, copied
+    /// into the pool of whichever cache fills it first.
+    pub fn with_shared(cfg: ClientCacheCfg, pool: Pool, shared: SharedValues) -> ClientCache {
         ClientCache {
             cfg,
             pool,
+            shared,
             index: Vec::new(),
             index_shift: 0,
             slots: Vec::new(),
@@ -186,8 +326,8 @@ impl ClientCache {
     }
 
     /// Bytes of slot, value-handle and index storage currently reserved
-    /// (value payloads live in the pool and are bounded by
-    /// `capacity × max_value_len` separately).
+    /// (value payloads live in pools, shared through the value table, and
+    /// are bounded by `capacity × max_value_len` separately).
     pub fn reserved_bytes(&self) -> usize {
         self.slots.capacity() * size_of::<Slot>()
             + self.values.capacity() * size_of::<Bytes>()
@@ -330,8 +470,23 @@ impl ClientCache {
     fn detach(&mut self, pos: usize, slot: u32) {
         self.index_remove(pos);
         self.unlink(slot);
-        self.values[slot as usize] = Bytes::new();
+        self.release_value(slot);
         self.len -= 1;
+    }
+
+    /// Drop resident `slot`'s handle to its value, then its claim on the
+    /// table entry (in that order: the last holder's release recycles the
+    /// buffer).
+    fn release_value(&mut self, slot: u32) {
+        self.values[slot as usize] = Bytes::new();
+        let s = &self.slots[slot as usize];
+        self.shared.release(s.hash, s.version);
+    }
+
+    /// Give resident `slot` (hash set) the value of `version`.
+    fn acquire_value(&mut self, slot: u32, version: VersionNumber, value: &[u8]) {
+        let hash = self.slots[slot as usize].hash;
+        self.values[slot as usize] = self.shared.acquire(hash, version, value, &self.pool);
     }
 
     fn free_slot(&mut self, slot: u32) {
@@ -368,14 +523,6 @@ impl ClientCache {
         self.detach(pos, victim);
         self.stats.evictions += 1;
         victim
-    }
-
-    /// The cache's own copy of `value`, in the smallest pool class that
-    /// holds it.
-    fn copy_in(&self, value: &[u8]) -> Bytes {
-        let mut buf = self.pool.get(value.len());
-        buf.extend_from_slice(value);
-        buf.freeze()
     }
 
     // ---- operations ------------------------------------------------------
@@ -423,13 +570,22 @@ impl ClientCache {
         let lease = now + self.cfg.lease_ttl;
         let slot = match found {
             Some((_, slot)) => {
-                if version < self.slots[slot as usize].version {
+                let cached = self.slots[slot as usize].version;
+                if version < cached {
                     return;
                 }
                 self.unlink(slot);
-                // Released before the new copy is taken, so a same-class
-                // refresh gets its own buffer straight back.
-                self.values[slot as usize] = Bytes::new();
+                // The version it already holds (a slow GET, a retried
+                // write-through) is a lease renewal: the bytes are here.
+                // Compared, not assumed — no SET stream gives one version
+                // two values, but the reference-model test does.
+                if version != cached || self.values[slot as usize] != value {
+                    // Released before the new value is taken, so a lone
+                    // holder's same-class refresh gets its buffer straight
+                    // back.
+                    self.release_value(slot);
+                    self.acquire_value(slot, version, &value);
+                }
                 slot
             }
             None => {
@@ -437,10 +593,10 @@ impl ClientCache {
                 self.slots[slot as usize].hash = hash;
                 self.index_insert(slot);
                 self.len += 1;
+                self.acquire_value(slot, version, &value);
                 slot
             }
         };
-        self.values[slot as usize] = self.copy_in(&value);
         let s = &mut self.slots[slot as usize];
         s.version = version;
         s.lease = lease;
@@ -476,6 +632,19 @@ impl ClientCache {
         self.free_slot(slot);
         self.stats.invalidations += 1;
         true
+    }
+}
+
+impl Drop for ClientCache {
+    /// A cache that goes away (its client crashed, or the run ended) gives
+    /// up every value it holds; buffers it held last go home to their pools.
+    fn drop(&mut self) {
+        let mut slot = self.head;
+        while slot != NIL {
+            let next = self.slots[slot as usize].next;
+            self.release_value(slot);
+            slot = next;
+        }
     }
 }
 
@@ -649,6 +818,51 @@ mod tests {
         // Equal version refreshes the lease (validation by value).
         c.insert(1, v(9), Bytes::from_static(b"new"), at_ms(5));
         assert_eq!(c.lookup(1, at_ms(14)), Lookup::Hit(v(9)));
+    }
+
+    #[test]
+    fn equal_version_refresh_touches_neither_table_nor_pool() {
+        let (pool, shared) = (Pool::new(), SharedValues::new());
+        let cfg = cache(2, 10).cfg.clone();
+        let mut c = ClientCache::with_shared(cfg, pool.clone(), shared.clone());
+        c.insert(1, v(9), Bytes::from_static(b"new"), at_ms(0));
+        let (acquires, table) = (pool.stats().acquires, shared.stats());
+        c.insert(1, v(9), Bytes::from_static(b"new"), at_ms(5));
+        assert_eq!(c.lookup(1, at_ms(14)), Lookup::Hit(v(9)), "lease renewed");
+        assert_eq!(c.stats.inserts, 2);
+        assert_eq!(pool.stats().acquires, acquires, "no second copy");
+        assert_eq!(shared.stats(), table, "no release, no re-acquire");
+    }
+
+    #[test]
+    fn caches_of_one_table_share_one_buffer_per_version() {
+        let (pool_a, pool_b, shared) = (Pool::new(), Pool::new(), SharedValues::new());
+        let cfg = cache(4, 10).cfg.clone();
+        let mut a = ClientCache::with_shared(cfg.clone(), pool_a.clone(), shared.clone());
+        let mut b = ClientCache::with_shared(cfg, pool_b.clone(), shared.clone());
+        let value = Bytes::from(vec![3u8; 700]);
+        a.insert(1, v(1), value.clone(), at_ms(0));
+        b.insert(1, v(1), value.clone(), at_ms(0));
+        let stats = shared.stats();
+        assert_eq!((stats.copied, stats.shared), (1, 1));
+        assert_eq!((stats.entries, stats.bytes), (1, 700));
+        assert_eq!(
+            pool_b.stats().acquires,
+            0,
+            "the second filler copies nothing"
+        );
+        assert_eq!(b.peek(1).unwrap().1, value);
+        // A newer version in one cache leaves the other's entry alone.
+        a.insert(1, v(2), Bytes::from(vec![4u8; 700]), at_ms(1));
+        assert_eq!(shared.stats().entries, 2);
+        assert_eq!(pool_a.idle_buffers(), 0, "b still holds a's first buffer");
+        // The last holder's release sends the buffer home — to a's pool.
+        assert!(b.invalidate(1));
+        assert_eq!((shared.stats().entries, shared.stats().released), (1, 2));
+        assert_eq!(pool_a.idle_buffers(), 1);
+        drop(a);
+        assert_eq!(shared.stats().entries, 0, "a dropped cache holds nothing");
+        assert_eq!((shared.stats().bytes, pool_a.idle_buffers()), (0, 2));
     }
 
     #[test]

@@ -198,29 +198,37 @@ impl Workload for UniformWorkload {
 /// Tracks memoized versions for CAS (`expected` comes from the last version
 /// this client observed for the key). Keyed by the key's 128-bit hash, which
 /// every caller already holds: half the entry of a `Bytes` key, and nothing
-/// to hash per op.
+/// to hash per op. Bounded at [`VersionMemo::CAP`] entries in two
+/// generations: when the current one fills, the previous one is dropped, so
+/// only keys not observed in the last `CAP / 2` remembers are forgotten.
 #[derive(Debug, Default)]
 pub struct VersionMemo {
-    map: IdMap<KeyHash, VersionNumber>,
+    current: IdMap<KeyHash, VersionNumber>,
+    previous: IdMap<KeyHash, VersionNumber>,
 }
 
 impl VersionMemo {
+    /// Most entries held (both generations).
+    pub const CAP: usize = 100_000;
+
     /// Remember the version last observed for the key hashing to `hash`.
     pub fn remember(&mut self, hash: KeyHash, version: VersionNumber) {
-        if self.map.len() > 100_000 {
-            self.map.clear();
+        if self.current.len() >= Self::CAP / 2 {
+            self.previous = std::mem::take(&mut self.current);
         }
-        self.map.insert(hash, version);
+        self.current.insert(hash, version);
     }
 
     /// The memoized version, if any.
     pub fn get(&self, hash: KeyHash) -> Option<VersionNumber> {
-        self.map.get(&hash).copied()
+        let hit = self.current.get(&hash).or_else(|| self.previous.get(&hash));
+        hit.copied()
     }
 
     /// Forget a key (after ERASE).
     pub fn forget(&mut self, hash: KeyHash) {
-        self.map.remove(&hash);
+        self.current.remove(&hash);
+        self.previous.remove(&hash);
     }
 }
 
@@ -288,6 +296,31 @@ mod tests {
         assert_eq!(m.get(k), None);
         m.remember(k, VersionNumber::new(1, 2, 3));
         assert_eq!(m.get(k), Some(VersionNumber::new(1, 2, 3)));
+        m.forget(k);
+        assert_eq!(m.get(k), None);
+    }
+
+    #[test]
+    fn version_memo_forgets_only_what_it_has_not_seen_lately() {
+        let mut m = VersionMemo::default();
+        let n = VersionMemo::CAP as u64 + 1;
+        for i in 0..n {
+            m.remember(i as KeyHash, VersionNumber::new(i + 1, 1, 0));
+        }
+        for i in n - VersionMemo::CAP as u64 / 2..n {
+            let seen = VersionNumber::new(i + 1, 1, 0);
+            assert_eq!(m.get(i as KeyHash), Some(seen), "key {i}");
+        }
+        assert!(m.current.len() + m.previous.len() <= VersionMemo::CAP);
+        assert_eq!(m.get(0), None, "the oldest generation is gone");
+        // A key re-observed after a rotation answers with the newer version
+        // and is forgotten from both generations at once.
+        let k = (n - 1) as KeyHash;
+        for i in 0..VersionMemo::CAP as u64 / 2 {
+            m.remember((n + i) as KeyHash, VersionNumber::new(1, 1, 0));
+        }
+        m.remember(k, VersionNumber::new(7, 7, 7));
+        assert_eq!(m.get(k), Some(VersionNumber::new(7, 7, 7)));
         m.forget(k);
         assert_eq!(m.get(k), None);
     }
