@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI gate: build, tests, the 10K-client footprint gate, lints, format,
-# rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
+# Repo CI gate: build, tests, the 10K-client footprint gate, the quorum
+# core's purity, lints, format, rustdoc, the benchmark's smoke tests and
+# the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -19,6 +20,15 @@ cargo test -q --workspace
 echo "== client footprint at 10K clients (release) =="
 # Minutes in debug, so tier-1 keeps only the 600-client gate of this file.
 cargo test --release -q --test client_footprint -- --ignored
+
+echo "== quorum core purity =="
+# The quorum rules stay sans-IO: above its test module, quorum.rs names
+# nothing of the simulator (tests/quorum_exhaustive.rs enumerates every
+# vote order only because the rules are a pure function).
+if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/quorum.rs | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
+    echo "crates/cliquemap/src/quorum.rs names simulator types outside its test module" >&2
+    exit 1
+fi
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

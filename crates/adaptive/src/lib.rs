@@ -44,10 +44,13 @@ use std::collections::BTreeMap;
 
 use obs::{BurnRate, Sketch};
 
-/// The four CliqueMap access strategies the controller arbitrates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The four CliqueMap access strategies the controller arbitrates, ordered
+/// as in [`Strategy::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Strategy {
     /// Two-sided-free RMA: index read then data read (2 RTT lower bound).
+    /// The paper's baseline, and so the default.
+    #[default]
     TwoR,
     /// Single-RTT speculative combined read per replica.
     Scar,

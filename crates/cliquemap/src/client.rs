@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use bytes::{Bytes, Pool};
 
@@ -38,6 +38,10 @@ use crate::hash::{place, DefaultHasher, KeyHash, KeyHasher};
 use crate::layout::{self, bucket_size, parse_data_entry, Pointer};
 use crate::messages::{self, method, Geometry};
 use crate::policy::{HotKeyTracker, HotReplCfg};
+use crate::quorum::{
+    consult_set, GetQuorum, GetRules, GetStep, MutationQuorum, MutationStep, Replica, Reply,
+    RetryReason, Vote, MAX_CONSULT,
+};
 use crate::shim::ShimSpec;
 use crate::version::{VersionGen, VersionNumber};
 use crate::workload::{ClientOp, OpOutcome, Pacing, VersionMemo, Workload};
@@ -51,12 +55,76 @@ use crate::{MSG_COST, RPC_COST};
 /// are exactly these, so the two crates share one type.
 pub use adaptive::Strategy as LookupStrategy;
 
-/// Which health path a GET strategy's responses travel: one-sided RMA ops
-/// are served by the remote NIC, MSG/RPC lookups by the remote CPU.
-fn strategy_path(s: LookupStrategy) -> adaptive::Path {
-    match s {
-        LookupStrategy::TwoR | LookupStrategy::Scar => adaptive::Path::Rma,
-        LookupStrategy::Msg | LookupStrategy::Rpc => adaptive::Path::Rpc,
+/// Everything the client knows about a lookup strategy; the wire path
+/// below is strategy-blind apart from reading its row.
+struct StrategyRow {
+    /// Which health path its responses travel: one-sided RMA ops are
+    /// served by the remote NIC, MSG/RPC lookups by the remote CPU.
+    path: adaptive::Path,
+    /// The data entry is a second read from one chosen voter (2×R), not
+    /// part of the index response.
+    data_is_separate: bool,
+    /// The index sub-op each consulted replica gets, from the key's bucket
+    /// extent and hash (`None`: one server does the whole lookup).
+    first: Option<fn(Pointer, KeyHash) -> SubOp>,
+    /// RPC method of a single lookup and of a coalesced frame of them.
+    methods: (u16, u16),
+    /// The cost model a server-side lookup is billed at.
+    cost: Option<&'static LazyLock<RpcCostModel>>,
+}
+
+/// One row per [`LookupStrategy`], in [`LookupStrategy::index`] order: 2×R,
+/// SCAR, MSG, RPC.
+const STRATEGIES: [StrategyRow; 4] = [
+    StrategyRow {
+        path: adaptive::Path::Rma,
+        data_is_separate: true,
+        first: Some(|bucket, _| SubOp::Read(bucket)),
+        methods: (0, 0),
+        cost: None,
+    },
+    StrategyRow {
+        path: adaptive::Path::Rma,
+        data_is_separate: false,
+        first: Some(SubOp::Scar),
+        methods: (0, 0),
+        cost: None,
+    },
+    StrategyRow {
+        path: adaptive::Path::Rpc,
+        data_is_separate: false,
+        first: None,
+        methods: (method::MSG_GET, method::MSG_MULTI_GET),
+        cost: Some(&MSG_COST),
+    },
+    StrategyRow {
+        path: adaptive::Path::Rpc,
+        data_is_separate: false,
+        first: None,
+        methods: (method::GET_RPC, method::MULTI_GET_RPC),
+        cost: Some(&RPC_COST),
+    },
+];
+
+fn strategy_row(s: LookupStrategy) -> &'static StrategyRow {
+    &STRATEGIES[s.index()]
+}
+
+impl StrategyRow {
+    fn cost(&self) -> &'static RpcCostModel {
+        self.cost.expect("only server-side lookups are billed")
+    }
+
+    /// Client CPU of one GET that consulted `consulted` replicas — the
+    /// controller's CPU/op signal, from the same calibrated constants the
+    /// simulator bills, so no per-charge-site bookkeeping is needed.
+    fn cpu_ns(&self, consulted: u64) -> u64 {
+        let fan_out = match self.cost {
+            Some(cost) => (cost.client_send + cost.client_recv).nanos(),
+            // An index read per consulted replica, plus 2×R's data fetch.
+            None => RMA_OP_CPU.nanos() * (consulted + self.data_is_separate as u64),
+        };
+        GET_CPU.nanos() + fan_out
     }
 }
 
@@ -171,110 +239,53 @@ impl std::fmt::Debug for ClientCfg {
     }
 }
 
-/// An index-fetch result from one replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Vote {
-    /// The bucket holds the key at this version.
-    Entry(VersionNumber, Pointer),
-    /// The bucket does not hold the key.
-    Absent,
-    /// The replica failed (RMA error, timeout, torn bucket).
-    Failed,
-}
-
-#[derive(Debug)]
-struct GetState {
+/// What every issued op carries, GET or mutation.
+#[derive(Debug, Default)]
+struct OpHeader {
     key: Bytes,
     hash: KeyHash,
     batch: Option<u64>,
     retry: RetryState,
     attempt: u64,
+    /// The key's replica set. A [`Replica`] of the quorum core is a
+    /// position in it.
     replicas: Vec<NodeId>,
-    /// Index-fetch results in arrival order (first responder first).
-    votes: Vec<(NodeId, Vote)>,
-    data_requested: bool,
-    data: Option<(NodeId, VersionNumber, Bytes)>,
-    /// Preferred-backend speculation failed last attempt; avoid this node.
-    avoid: Option<NodeId>,
-    /// Bucket overflow observed (RPC-fallback candidate).
-    saw_overflow: bool,
+    /// Prefix of `replicas` that is the base (quorum-bearing) set; any
+    /// suffix beyond it is extended hot-key copies that absorb load (and
+    /// receive mutations) but carry no quorum weight. At least 1.
+    n_base: u8,
+}
+
+impl OpHeader {
+    fn position(&self, replica: NodeId) -> Option<Replica> {
+        let at = self.replicas.iter().position(|&r| r == replica);
+        at.map(|i| i as Replica)
+    }
+}
+
+/// The default is the blank state of the recycling freelist (no `replicas`
+/// capacity yet; it accrues on first use and is retained across reuses).
+#[derive(Debug, Default)]
+struct GetState {
+    h: OpHeader,
+    quorum: GetQuorum,
+    /// The value behind the quorum's data input: a zero-copy slice of the
+    /// inbound frame (shares its pooled storage, no allocation).
+    data: Option<Bytes>,
     /// Waiting for geometry (re-CONNECT in flight) before the next attempt.
     waiting_geometry: bool,
-    /// Outstanding overflow-fallback RPCs (one per replica).
-    fallback_pending: u8,
-    /// Stale lease-cache version: if a read quorum agrees on it, the
-    /// cached value is validated and served without a data fetch.
-    cached_version: Option<VersionNumber>,
-    /// Prefix of `replicas` that is the base (quorum-bearing) set; any
-    /// suffix beyond it is extended hot-key copies that absorb load but
-    /// never count toward miss quorums.
-    n_base: u8,
-    /// Replicas actually consulted this attempt (hot-routed GETs consult
-    /// a subset of the extended set).
-    consulted: u8,
     /// The wire strategy resolved for this op at issue (fixed
     /// `cfg.strategy` without the adaptive controller).
     strategy: LookupStrategy,
 }
 
 impl GetState {
-    /// A blank state for the recycling freelist (no capacity yet; it
-    /// accrues on first use and is retained across reuses).
-    fn blank() -> Box<GetState> {
-        Box::new(GetState {
-            key: Bytes::new(),
-            hash: 0,
-            batch: None,
-            retry: RetryState {
-                attempts: 1,
-                started_at: SimTime(0),
-            },
-            attempt: 0,
-            replicas: Vec::new(),
-            votes: Vec::new(),
-            data_requested: false,
-            data: None,
-            avoid: None,
-            saw_overflow: false,
-            waiting_geometry: false,
-            fallback_pending: 0,
-            cached_version: None,
-            n_base: 0,
-            consulted: 0,
-            strategy: LookupStrategy::TwoR,
-        })
-    }
-
-    /// Reset for reuse, keeping the `replicas`/`votes` allocations.
-    fn clear_for_reuse(&mut self) {
-        self.key = Bytes::new();
-        self.batch = None;
-        self.attempt = 0;
-        self.replicas.clear();
-        self.votes.clear();
-        self.data_requested = false;
-        self.data = None;
-        self.avoid = None;
-        self.saw_overflow = false;
-        self.waiting_geometry = false;
-        self.fallback_pending = 0;
-        self.cached_version = None;
-        self.n_base = 0;
-        self.consulted = 0;
-        self.strategy = LookupStrategy::TwoR;
-    }
-
-    /// The replicas that voted an entry, first responder first.
-    fn entries(&self) -> impl Iterator<Item = (NodeId, VersionNumber, Pointer)> + '_ {
-        self.votes.iter().filter_map(|(n, v)| match v {
-            Vote::Entry(ver, ptr) => Some((*n, *ver, *ptr)),
-            _ => None,
-        })
-    }
-
-    /// How many replicas voted an entry at exactly `version`.
-    fn agree(&self, version: VersionNumber) -> u32 {
-        self.entries().filter(|(_, ver, _)| *ver == version).count() as u32
+    /// Reset for reuse, keeping the `replicas` allocation.
+    fn recycle(&mut self) {
+        let mut replicas = std::mem::take(&mut self.h.replicas);
+        replicas.clear();
+        *self = GetState::default();
+        self.h.replicas = replicas;
     }
 }
 
@@ -301,26 +312,12 @@ impl MutationKind {
 
 #[derive(Debug)]
 struct MutationState {
+    h: OpHeader,
     kind: MutationKind,
-    key: Bytes,
-    hash: KeyHash,
     value: Bytes,
     expected: Option<VersionNumber>,
     version: VersionNumber,
-    batch: Option<u64>,
-    retry: RetryState,
-    attempt: u64,
-    replicas: Vec<NodeId>,
-    /// Base (quorum-bearing) prefix of `replicas`; extended hot-key
-    /// copies receive the mutation but don't count toward quorums.
-    n_base: u8,
-    acks: u32,
-    rejects: u32,
-    /// Acks/rejects from base replicas only (quorum inputs).
-    acks_base: u32,
-    rejects_base: u32,
-    failures: u32,
-    completed: bool,
+    quorum: MutationQuorum,
 }
 
 /// Boxed states keep the `ops` B-tree's nodes (11 inline values each, and
@@ -332,6 +329,16 @@ enum OpState {
     Parked(ClientOp, Option<u64>),
     Get(Box<GetState>),
     Mutation(Box<MutationState>),
+}
+
+impl OpState {
+    fn header_mut(&mut self) -> Option<&mut OpHeader> {
+        match self {
+            OpState::Get(g) => Some(&mut g.h),
+            OpState::Mutation(m) => Some(&mut m.h),
+            OpState::Parked(..) => None,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -379,11 +386,9 @@ enum FrameKind {
     Read,
     /// `rma::BatchScar`.
     Scar,
-    /// `MSG_MULTI_GET`. MSG and RPC lookups never share a frame, so an
-    /// adaptive client cannot mislabel a frame's cost model.
-    MsgLookup,
-    /// `MULTI_GET_RPC`.
-    RpcLookup,
+    /// `MSG_MULTI_GET` or `MULTI_GET_RPC`. MSG and RPC lookups never share
+    /// a frame, so an adaptive client cannot mislabel a frame's cost model.
+    Lookup(LookupStrategy),
     /// `MULTI_SET`.
     Set,
 }
@@ -395,8 +400,7 @@ impl SubOp {
         match self {
             SubOp::Read(_) => Some(FrameKind::Read),
             SubOp::Scar(..) => Some(FrameKind::Scar),
-            SubOp::Lookup(_, LookupStrategy::Rpc) => Some(FrameKind::RpcLookup),
-            SubOp::Lookup(..) => Some(FrameKind::MsgLookup),
+            SubOp::Lookup(_, strategy) => Some(FrameKind::Lookup(*strategy)),
             SubOp::Mutate { kind, .. } if *kind == MutationKind::Set => Some(FrameKind::Set),
             SubOp::Mutate { .. } => None,
         }
@@ -579,22 +583,7 @@ impl std::fmt::Debug for ClientNode {
 
 const COMPLETION_LOG_CAP: usize = 100_000;
 
-/// Why an attempt failed (per-reason retry counters).
-#[derive(Debug, Clone, Copy)]
-enum RetryReason {
-    Inquorate,
-    Speculation,
-    ConfigMismatch,
-    TornRead,
-    MsgDecode,
-    MsgError,
-    MsgTimeout,
-    FallbackDecode,
-    FallbackError,
-    FallbackTimeout,
-    MutationFailures,
-}
-
+/// The counter behind each [`RetryReason`], in declaration order.
 const RETRY_REASONS: [(RetryReason, &str); 11] = [
     (RetryReason::Inquorate, "cm.retry.inquorate"),
     (RetryReason::Speculation, "cm.retry.speculation"),
@@ -655,10 +644,7 @@ struct ClientMetricIds {
 
 impl ClientMetricIds {
     fn resolve(m: &mut Metrics) -> ClientMetricIds {
-        let mut retry = [m.handle(RETRY_REASONS[0].1); RETRY_REASONS.len()];
-        for (i, (_, name)) in RETRY_REASONS.iter().enumerate() {
-            retry[i] = m.handle(name);
-        }
+        let retry = RETRY_REASONS.map(|(_, name)| m.handle(name));
         ClientMetricIds {
             overload_drops: m.handle("cm.client.overload_drops"),
             cpu_ns: m.handle("cm.client.cpu_ns"),
@@ -788,21 +774,6 @@ impl ClientNode {
         ctx.metrics().add_id(self.m().cpu_ns, cost.nanos());
     }
 
-    /// The configured read quorum (1 until the first config arrives).
-    fn read_quorum(&self) -> usize {
-        self.config
-            .as_ref()
-            .map_or(1, |c| c.replication.read_quorum() as usize)
-    }
-
-    /// The cost model a server-side lookup is billed at.
-    fn lookup_cost(&self, strategy: LookupStrategy) -> &'static RpcCostModel {
-        match strategy {
-            LookupStrategy::Rpc => &RPC_COST,
-            _ => &MSG_COST,
-        }
-    }
-
     // ---- adaptive controller bridge --------------------------------------
 
     /// Resolve the wire strategy for a GET about to issue. Fixed clients
@@ -820,22 +791,6 @@ impl ClientNode {
             }
         }
         ctl.choose(batch.is_some())
-    }
-
-    /// The controller's CPU/op signal: the op's actual fan-out times the
-    /// calibrated per-op costs this client charges — the same constants
-    /// the simulator bills, so no per-charge-site bookkeeping is needed.
-    fn strategy_cpu_ns(&self, strategy: LookupStrategy, consulted: u64) -> u64 {
-        let base = GET_CPU.nanos();
-        match strategy {
-            // Index read per consulted replica plus one data fetch.
-            LookupStrategy::TwoR => base + RMA_OP_CPU.nanos() * (consulted + 1),
-            LookupStrategy::Scar => base + RMA_OP_CPU.nanos() * consulted,
-            LookupStrategy::Msg | LookupStrategy::Rpc => {
-                let cost = self.lookup_cost(strategy);
-                base + cost.client_send.nanos() + cost.client_recv.nanos()
-            }
-        }
     }
 
     /// Running FNV-1a fingerprint of this client's strategy-choice stream
@@ -1100,7 +1055,7 @@ impl ClientNode {
         };
         // GETs need geometry for every replica (RMA addressing); mutations
         // are plain RPCs and can go immediately.
-        if is_get && strategy_path(strategy) == adaptive::Path::Rma {
+        if is_get && strategy_row(strategy).path == adaptive::Path::Rma {
             let (missing, nmissing, have_base) = self.geometry_gaps(replicas, n_base);
             // Proceed once a read quorum's worth of base connections
             // exist; a dead replica must not park reads forever (its vote
@@ -1117,13 +1072,13 @@ impl ClientNode {
         // issued ops). A valid lease completes the GET locally; a mutation
         // drops the owner's entry at issue, so a client can never read its
         // own stale write from the cache.
-        let mut cached_version = None;
+        let (mut cached_version, mut leased) = (None, None);
         if let Some(cache) = self.ccache.as_mut() {
             if is_get {
                 match cache.lookup(hash, ctx.now()) {
                     Lookup::Hit(version) => {
-                        self.complete_local_hit(ctx, op_id, key, hash, batch, version);
-                        return;
+                        ctx.metrics().add_id(self.m().ccache_hits, 1);
+                        leased = Some(version);
                     }
                     Lookup::Stale(version) => {
                         ctx.metrics().add_id(self.m().ccache_stale, 1);
@@ -1137,23 +1092,39 @@ impl ClientNode {
                 ctx.metrics().add_id(self.m().ccache_invalidations, 1);
             }
         }
+        let retry = self.cfg.retry.start(ctx.now());
+        let header = move |key, replicas| OpHeader {
+            key,
+            hash,
+            batch,
+            retry,
+            attempt: 0,
+            replicas,
+            n_base: n_base as u8,
+        };
         let (kind, key, value, expected) = match op {
             ClientOp::Get { key } => {
-                if nreplicas > n_base {
-                    ctx.metrics().add_id(self.m().hot_routed, 1);
+                let mut state = self.free_gets.pop().unwrap_or_default();
+                let mut recycled = std::mem::take(&mut state.h.replicas);
+                // A valid lease completes the GET locally: no backend is
+                // contacted, no sub-ops issue and nothing is allocated. The
+                // op still passes through the normal completion path
+                // (trace, latency, batch accounting).
+                if leased.is_none() {
+                    if nreplicas > n_base {
+                        ctx.metrics().add_id(self.m().hot_routed, 1);
+                    }
+                    recycled.extend_from_slice(replicas);
+                    state.quorum = GetQuorum::new(cached_version);
+                    state.strategy = strategy;
                 }
-                let mut state = self.free_gets.pop().unwrap_or_else(GetState::blank);
-                state.key = key;
-                state.hash = hash;
-                state.batch = batch;
-                state.retry = self.cfg.retry.start(ctx.now());
-                state.replicas.extend_from_slice(replicas);
-                state.cached_version = cached_version;
-                state.n_base = n_base as u8;
-                state.strategy = strategy;
+                state.h = header(key, recycled);
                 self.ops.insert(op_id, OpState::Get(state));
                 ctx.trace_open(self.trace_of(ctx, op_id), trace_aux::GET);
-                return self.issue_get_attempt(ctx, op_id);
+                return match leased {
+                    Some(version) => self.finish_hit(ctx, op_id, version, None, false),
+                    None => self.issue_get_attempt(ctx, op_id),
+                };
             }
             ClientOp::Set { key, value } => (MutationKind::Set, key, value, None),
             ClientOp::Erase { key } => (MutationKind::Erase, key, Bytes::new(), None),
@@ -1168,54 +1139,16 @@ impl ClientNode {
             }
         };
         let state = MutationState {
+            h: header(key, replicas.to_vec()),
             kind,
-            key,
-            hash,
             value,
             expected,
             version: VersionNumber::ZERO,
-            batch,
-            retry: self.cfg.retry.start(ctx.now()),
-            attempt: 0,
-            replicas: replicas.to_vec(),
-            n_base: n_base as u8,
-            acks: 0,
-            rejects: 0,
-            acks_base: 0,
-            rejects_base: 0,
-            failures: 0,
-            completed: false,
+            quorum: MutationQuorum::default(),
         };
         self.ops.insert(op_id, OpState::Mutation(Box::new(state)));
         ctx.trace_open(self.trace_of(ctx, op_id), kind.wire().1);
         self.issue_mutation_attempt(ctx, op_id);
-    }
-
-    /// Complete a GET locally from the lease cache: no backend is
-    /// contacted, no sub-ops issue. The op still passes through the normal
-    /// completion path (trace, latency, batch accounting) and allocates
-    /// nothing (recycled [`GetState`]; the value is not touched).
-    fn complete_local_hit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        op_id: u64,
-        key: Bytes,
-        hash: KeyHash,
-        batch: Option<u64>,
-        version: VersionNumber,
-    ) {
-        let now = ctx.now();
-        ctx.metrics().add_id(self.m().ccache_hits, 1);
-        self.memo.remember(hash, version);
-        let mut state = self.free_gets.pop().unwrap_or_else(GetState::blank);
-        state.key = key;
-        state.hash = hash;
-        state.batch = batch;
-        state.retry = self.cfg.retry.start(now);
-        self.ops.insert(op_id, OpState::Get(state));
-        ctx.trace_open(self.trace_of(ctx, op_id), trace_aux::GET);
-        ctx.metrics().add_id(self.m().get_hits, 1);
-        self.complete_op(ctx, op_id, OpOutcome::Hit, now);
     }
 
     /// Lease-cache counters (`None` when the cache is disabled).
@@ -1261,126 +1194,77 @@ impl ClientNode {
 
     fn do_issue_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
         let now = ctx.now();
-        let policy = self.cfg.retry;
-        let quorum = self.read_quorum();
+        let (Some(OpState::Get(get)), Some(config)) = (self.ops.get(&op_id), &self.config) else {
+            return;
+        };
+        let (mode, quorum) = (config.replication, config.replication.read_quorum());
         // The strategy was resolved at issue and rides the op state, so
         // retries keep the arm that will be credited at completion.
-        let strategy = match self.ops.get(&op_id) {
-            Some(OpState::Get(get)) => get.strategy,
-            _ => return,
-        };
+        let row = strategy_row(get.strategy);
         // A retry whose geometry was invalidated (reshape, growth, restart)
         // must re-learn it before burning another attempt — "failed RMA
         // operations may retry on new connections" (§3).
-        if strategy_path(strategy) == adaptive::Path::Rma {
-            let (missing, nmissing, have) = match self.ops.get(&op_id) {
-                Some(OpState::Get(get)) => {
-                    let n_base = (get.n_base as usize).clamp(1, get.replicas.len());
-                    self.geometry_gaps(&get.replicas, n_base)
-                }
-                _ => return,
-            };
-            if have < quorum {
-                let deadline_passed = match self.ops.get(&op_id) {
-                    Some(OpState::Get(get)) => now >= get.retry.deadline(&policy),
-                    _ => true,
-                };
-                if deadline_passed {
-                    ctx.metrics().add_id(self.m().op_errors, 1);
-                    self.complete_op(ctx, op_id, crate::workload::OpOutcome::Error, now);
-                    return;
-                }
-                for &m in &missing[..nmissing] {
-                    self.ensure_connect(ctx, m);
-                }
+        if row.path == adaptive::Path::Rma {
+            let (missing, nmissing, have) =
+                self.geometry_gaps(&get.h.replicas, get.h.n_base as usize);
+            let deadline_passed = now >= get.h.retry.deadline(&self.cfg.retry);
+            if have < quorum as usize && deadline_passed {
+                ctx.metrics().add_id(self.m().op_errors, 1);
+                return self.complete_op(ctx, op_id, OpOutcome::Error, now);
+            }
+            // Quorum-sufficient attempts proceed, but keep healing the
+            // stragglers in the background (a revived replica rejoins
+            // this way).
+            for &m in &missing[..nmissing] {
+                self.ensure_connect(ctx, m);
+            }
+            if have < quorum as usize {
                 if let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) {
                     get.waiting_geometry = true;
                 }
                 return;
             }
-            // Quorum-sufficient: proceed, but keep healing the stragglers
-            // in the background (a revived replica rejoins this way).
-            for &m in &missing[..nmissing] {
-                self.ensure_connect(ctx, m);
-            }
         }
         let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        get.votes.clear();
-        get.data_requested = false;
         get.data = None;
-        get.saw_overflow = false;
-        get.fallback_pending = 0;
-        get.attempt += 1;
-        let attempt = get.attempt;
-        let hash = get.hash;
-        let key = get.key.clone();
-        let n_base = (get.n_base as usize).clamp(1, get.replicas.len());
-        let mut replica_buf = [NodeId(0); 8];
-        let nreps = match self.config.as_ref().map(|c| c.replication) {
-            Some(ReplicationMode::R2Immutable) => {
-                // Immutable mode: consult one replica, alternating on retry.
-                let idx = ((attempt - 1) as usize) % get.replicas.len();
-                replica_buf[0] = get.replicas[idx];
-                1
+        get.h.attempt += 1;
+        let attempt = get.h.attempt;
+        let (hash, key) = (get.h.hash, get.h.key.clone());
+        let (n_replicas, n_base) = (get.h.replicas.len(), get.h.n_base as usize);
+        let immutable = mode == ReplicationMode::R2Immutable;
+        // Gray-failure evasion: the controller names the demoted replicas
+        // of a full consult set, floored at a read quorum (probe
+        // pass-throughs are its business).
+        let (replicas, adaptive) = (&get.h.replicas, self.adaptive.as_mut());
+        let demoted = |n| {
+            let mut ids = [0u32; MAX_CONSULT];
+            for (id, r) in ids.iter_mut().zip(replicas) {
+                *id = r.0;
             }
-            _ if get.replicas.len() > n_base => {
-                // Hot-routed GET: consult a read quorum's worth of base
-                // replicas (a rotating pair) plus one extended copy. Each
-                // base replica then serves ~2/(base) of the hot key's index
-                // reads instead of all of them, and data fetches spread
-                // across the whole extended set. Quorum still forms from
-                // agreeing versions regardless of which copies answered.
-                let ext_n = get.replicas.len() - n_base;
-                let spin = (attempt - 1) as usize + op_id as usize;
-                let b0 = spin % n_base;
-                replica_buf[0] = get.replicas[b0];
-                replica_buf[1] = get.replicas[(b0 + 1) % n_base];
-                replica_buf[2] = get.replicas[n_base + spin % ext_n];
-                3
-            }
-            _ => {
-                let n = get.replicas.len().min(replica_buf.len());
-                replica_buf[..n].copy_from_slice(&get.replicas[..n]);
-                // Gray-failure evasion: drop demoted replicas from the
-                // consult set, floored at a read quorum (probe
-                // pass-throughs are the controller's business). Only this
-                // full-set branch filters — the immutable and hot-routed
-                // branches already consult curated subsets.
-                match self.adaptive.as_mut() {
-                    Some(ctl) if n > 1 => {
-                        let mut ids = [0u32; 8];
-                        for (slot, r) in ids.iter_mut().zip(&replica_buf[..n]) {
-                            *slot = r.0;
-                        }
-                        let mask = ctl.skip_mask(&ids[..n], quorum, strategy_path(strategy));
-                        if mask == 0 {
-                            n
-                        } else {
-                            let mut kept = 0;
-                            for i in 0..n {
-                                if mask & (1 << i) == 0 {
-                                    replica_buf[kept] = replica_buf[i];
-                                    kept += 1;
-                                }
-                            }
-                            kept
-                        }
-                    }
-                    _ => n,
-                }
-            }
+            adaptive.map_or(0, |ctl| ctl.skip_mask(&ids[..n], quorum as usize, row.path))
         };
-        get.consulted = nreps as u8;
-        let replicas = &replica_buf[..nreps];
+        let (set, consulted) = consult_set(immutable, n_replicas, n_base, attempt, op_id, demoted);
+        let consulted = &set.map(|r| get.h.replicas[r as usize])[..consulted];
         let tag = sub_tag(op_id, attempt, 0);
-        if strategy_path(strategy) == adaptive::Path::Rpc {
-            return self.emit(ctx, &replicas[..1], tag, SubOp::Lookup(key, strategy));
-        }
-        for &r in replicas {
+        let Some(first) = row.first else {
+            get.quorum.begin_lookup();
+            let strategy = get.strategy;
+            return self.emit(ctx, &consulted[..1], tag, SubOp::Lookup(key, strategy));
+        };
+        get.quorum.begin(GetRules {
+            read_quorum: quorum as u8,
+            expected_votes: consulted.len() as u8,
+            n_base: n_base as u8,
+            n_replicas: n_replicas as u8,
+            data_is_separate: row.data_is_separate,
+            prefer_first_responder: self.cfg.prefer_first_responder,
+            fallback: self.cfg.rpc_fallback_on_overflow,
+        });
+        for &r in consulted {
             let Some(geom) = self.geometry.get(&r).copied() else {
-                self.record_vote(ctx, op_id, attempt, r, Vote::Failed);
+                self.on_vote(ctx, tag, r, Vote::Failed, false);
                 continue;
             };
             let len = bucket_size(geom.assoc as usize) as u32;
@@ -1390,11 +1274,7 @@ impl ClientNode {
                 offset: (hash as u64) % geom.num_buckets * len as u64,
                 len,
             };
-            let sub = match strategy {
-                LookupStrategy::Scar => SubOp::Scar(bucket, hash),
-                _ => SubOp::Read(bucket),
-            };
-            self.emit(ctx, &[r], tag, sub);
+            self.emit(ctx, &[r], tag, first(bucket, hash));
         }
     }
 
@@ -1455,14 +1335,11 @@ impl ClientNode {
                 }
                 return;
             }
-            SubOp::Lookup(key, strategy) => (
-                match strategy {
-                    LookupStrategy::Rpc => method::GET_RPC,
-                    _ => method::MSG_GET,
-                },
-                self.lookup_cost(strategy).client_send,
-                messages::GetReq { key }.encode_in(&self.pool),
-            ),
+            SubOp::Lookup(key, strategy) => {
+                let row = strategy_row(strategy);
+                let body = messages::GetReq { key }.encode_in(&self.pool);
+                (row.methods.0, row.cost().client_send, body)
+            }
             SubOp::Mutate {
                 kind,
                 key,
@@ -1528,97 +1405,70 @@ impl ClientNode {
         ctx.set_timer(self.cfg.attempt_timeout, RmaOpTable::timer_token(rma_id));
     }
 
-    /// Feed one replica's index result into the op and evaluate quorum.
-    fn record_vote(
+    /// Feed one replica's index vote on sub-op `tag` to the op's quorum and
+    /// act on its step.
+    fn on_vote(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        tag: u64,
+        replica: NodeId,
+        vote: Vote,
+        overflow: bool,
+    ) {
+        let (op_id, attempt, _) = split_tag(tag);
+        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
+            return;
+        };
+        if get.h.attempt != attempt {
+            return; // stale sub-op from an earlier attempt
+        }
+        // Any substantive answer (even an absent key) proves the path that
+        // carried it and resets that path's demotion streak.
+        if let (Some(ctl), true) = (self.adaptive.as_mut(), vote != Vote::Failed) {
+            ctl.record_success(replica.0, strategy_row(get.strategy).path);
+        }
+        let Some(from) = get.h.position(replica) else {
+            return;
+        };
+        let step = get.quorum.vote(from, vote, overflow);
+        self.run_get_step(ctx, op_id, step, None);
+    }
+
+    /// Execute the one step the quorum core returned for GET `op_id`.
+    /// `served` is the value of the server answer that decided a hit;
+    /// without one the hit was read one-sidedly and its value is in the op.
+    fn run_get_step(
         &mut self,
         ctx: &mut Ctx<'_>,
         op_id: u64,
-        attempt: u64,
-        replica: NodeId,
-        vote: Vote,
+        step: GetStep,
+        served: Option<Bytes>,
     ) {
         let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        if get.attempt != attempt {
-            return; // stale sub-op from an earlier attempt
-        }
-        // Any substantive answer (even NotFound) proves the path that
-        // carried it — the NIC for RMA votes, the CPU for MSG/RPC votes —
-        // and resets that path's demotion streak.
-        if !matches!(vote, Vote::Failed) {
-            let path = strategy_path(get.strategy);
-            if let Some(ctl) = self.adaptive.as_mut() {
-                ctl.record_success(replica.0, path);
+        match step {
+            GetStep::Wait => {}
+            GetStep::FetchData { from, ptr } => {
+                let node = get.h.replicas[from as usize];
+                let tag = sub_tag(op_id, get.h.attempt, 1);
+                // Issued while demuxing a batched index response, this
+                // re-coalesces into the follow-up frame.
+                self.emit(ctx, &[node], tag, SubOp::Read(ptr));
             }
-        }
-        if let Some(slot) = get.votes.iter_mut().find(|(n, _)| *n == replica) {
-            slot.1 = vote;
-        } else {
-            get.votes.push((replica, vote));
-        }
-        self.evaluate_get(ctx, op_id);
-    }
-
-    fn evaluate_get(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
-        let Some(config) = self.config.clone() else {
-            return;
-        };
-        let read_quorum = config.replication.read_quorum();
-        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
-            return;
-        };
-        let expected_votes = match config.replication {
-            ReplicationMode::R2Immutable => 1,
-            _ if get.consulted > 0 => get.consulted as usize,
-            _ => get.replicas.len(),
-        };
-        let n_base = (get.n_base as usize).clamp(1, get.replicas.len().max(1));
-        // 1. If we have validated data, try to quorum on its version.
-        if let Some((from, version, _)) = &get.data {
-            let from_is_member = get
-                .entries()
-                .any(|(n, ver, _)| n == *from && ver == *version);
-            if get.agree(*version) >= read_quorum && from_is_member {
-                let (_, version, value) = get.data.take().expect("checked");
-                let hash = get.hash;
-                self.memo.remember(hash, version);
-                self.note_access(op_id);
-                if let Some(cache) = self.ccache.as_mut() {
-                    // Lease-cache fill: the cache copies the value, so the
-                    // inbound frame goes back to its sender's pool here.
-                    cache.insert(hash, version, value, ctx.now());
-                } else {
-                    let _ = value;
+            GetStep::ValidateLease(version) => {
+                let cache = self.ccache.as_mut();
+                if cache.is_some_and(|c| c.validate(get.h.hash, version, ctx.now())) {
+                    ctx.metrics().add_id(self.m().ccache_validations, 1);
+                    return self.finish_hit(ctx, op_id, version, None, true);
                 }
-                ctx.metrics().add_id(self.m().get_hits, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Hit, ctx.now());
-                return;
+                let step = get.quorum.lease_gone();
+                self.run_get_step(ctx, op_id, step, None);
             }
-        }
-        // 2. Miss quorum: enough replicas affirmatively lack the key.
-        // Only base replicas count — an extended hot copy that hasn't
-        // received its repair push yet is absent without meaning the key
-        // doesn't exist.
-        let absents = get
-            .votes
-            .iter()
-            .filter(|(n, v)| matches!(v, Vote::Absent) && get.replicas[..n_base].contains(n))
-            .count() as u32;
-        if absents >= read_quorum {
-            if get.fallback_pending > 0 {
-                // Fallback verdicts still arriving: a straggling index vote
-                // must not launch a second round on top of this one.
-                return;
-            }
-            // Optional RPC fallback: an overflowed bucket may hide a
-            // server-side hit in some replica's overflow table (§4.2).
-            if get.saw_overflow && self.cfg.rpc_fallback_on_overflow {
-                let replicas = get.replicas.clone();
-                let key = get.key.clone();
-                let tag = sub_tag(op_id, get.attempt, 2);
-                get.saw_overflow = false; // only once per attempt
-                get.fallback_pending = replicas.len() as u8;
+            GetStep::Fallback => {
+                let replicas = get.h.replicas.clone();
+                let key = get.h.key.clone();
+                let tag = sub_tag(op_id, get.h.attempt, 2);
                 ctx.metrics().add_id(self.m().get_overflow_fallbacks, 1);
                 // The fallback round always travels as single-op RPCs.
                 let trace = self.trace_of(ctx, op_id);
@@ -1626,146 +1476,68 @@ impl ClientNode {
                     let body = messages::GetReq { key: key.clone() }.encode_in(&self.pool);
                     self.send_rpc(ctx, replica, method::GET_RPC, body, tag, trace);
                 }
-                return;
             }
-            // A quorum says the key is gone: drop any stale cached copy.
-            let hash = get.hash;
-            if get.cached_version.take().is_some() {
-                if let Some(cache) = self.ccache.as_mut() {
-                    cache.invalidate(hash);
-                }
+            GetStep::Hit(version) => {
+                let one_sided = served.is_none();
+                let value = served.or_else(|| get.data.take());
+                self.finish_hit(ctx, op_id, version, value, one_sided);
             }
-            ctx.metrics().add_id(self.m().get_misses, 1);
-            self.complete_op(ctx, op_id, OpOutcome::Miss, ctx.now());
-            return;
-        }
-        // 2.5 Stale-lease validation: when a read quorum already agrees on
-        // the version we hold cached, renew the lease and serve the cached
-        // value — on the 2×R path this skips the data read entirely; a
-        // SCAR whose inline data was served elsewhere short-circuits too.
-        let lease_open = get.data.is_none() && !get.data_requested;
-        if let Some(cv) = get
-            .cached_version
-            .filter(|&cv| lease_open && get.agree(cv) >= read_quorum)
-        {
-            get.cached_version = None;
-            let hash = get.hash;
-            let now = ctx.now();
-            let validated = self
-                .ccache
-                .as_mut()
-                .is_some_and(|c| c.validate(hash, cv, now));
-            if validated {
-                ctx.metrics().add_id(self.m().ccache_validations, 1);
-                self.memo.remember(hash, cv);
-                self.note_access(op_id);
-                ctx.metrics().add_id(self.m().get_hits, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Hit, now);
-                return;
-            }
-            // Entry evicted or replaced since lookup: fall through to the
-            // normal data-fetch path.
-        }
-        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
-            return;
-        };
-        // A stale-lease GET holds off its speculative data fetch while a
-        // read quorum on the cached version is still achievable: successful
-        // validation serves the cached value and saves the data round trip
-        // entirely, so fetching early would waste it. Once enough
-        // disagreeing/failed votes arrive that agreement is impossible, the
-        // normal fetch path resumes.
-        let validation_open = get.cached_version.is_some_and(|cv| {
-            let outstanding = expected_votes.saturating_sub(get.votes.len());
-            get.data.is_none()
-                && !get.data_requested
-                && get.agree(cv) as usize + outstanding >= read_quorum as usize
-        });
-        // 3. Preferred-backend selection: fetch data from the first entry
-        // vote (2xR only; SCAR responses carry data inline).
-        if get.strategy == LookupStrategy::TwoR && !get.data_requested && !validation_open {
-            let avoid = get.avoid;
-            let primary = get.replicas.first().copied();
-            let prefer_first = self.cfg.prefer_first_responder;
-            let candidate = get
-                .entries()
-                // Ablation hook: without first-responder preference, only
-                // the primary replica may serve the data fetch.
-                .filter(|(n, _, _)| prefer_first || Some(*n) == primary)
-                .find(|(n, _, _)| Some(*n) != avoid)
-                .or_else(|| {
-                    // Everyone has voted and the filters left no candidate
-                    // (only the avoided node has the entry, or the primary
-                    // failed in the no-preference ablation): fall back to
-                    // any entry vote.
-                    let all_voted = get.votes.len() >= expected_votes;
-                    get.entries().next().filter(|_| all_voted)
-                });
-            if let Some((node, _ver, ptr)) = candidate {
-                get.data_requested = true;
-                let tag = sub_tag(op_id, get.attempt, 1);
-                // Issued while demuxing a batched index response, this
-                // re-coalesces into the follow-up frame.
-                return self.emit(ctx, &[node], tag, SubOp::Read(ptr));
-            }
-        }
-        // 4. All votes in but no quorum achievable -> inquorate; retry.
-        if get.votes.len() >= expected_votes {
-            let entry_or_absent = get
-                .votes
-                .iter()
-                .filter(|(_, v)| !matches!(v, Vote::Failed))
-                .count() as u32;
-            let data_pending = get.data_requested && get.data.is_none();
-            if entry_or_absent < read_quorum {
-                // Too many failures: cannot reach quorum this attempt.
-                self.fail_attempt(ctx, op_id, RetryReason::Inquorate);
-            } else if !data_pending && get.data_requested {
-                // Data fetched but didn't quorum (speculation failed or
-                // torn): retry, avoiding the preferred backend.
-                self.fail_attempt(ctx, op_id, RetryReason::Speculation);
-            } else if !get.data_requested {
-                // All responses in, no data, no miss quorum: SCAR with no
-                // usable inline copy, or a hot-routed 2×R attempt whose
-                // only absents were extended copies (not yet pushed) while
-                // a base vote failed. Retry on a rotated subset.
-                self.fail_attempt(ctx, op_id, RetryReason::Inquorate);
-            }
+            GetStep::Miss => self.finish_miss(ctx, op_id),
+            GetStep::Retry(reason) => self.fail_attempt(ctx, op_id, reason),
         }
     }
 
-    fn note_access(&mut self, op_id: u64) {
-        if self.cfg.access_flush.is_none() {
-            return;
-        }
+    /// The one GET hit: remember the version, report a read the backends
+    /// did not see (`one_sided`) for their recency tracking, fill the lease
+    /// cache with `value` (`None`: the cached value itself was served),
+    /// count, complete.
+    fn finish_hit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        op_id: u64,
+        version: VersionNumber,
+        value: Option<Bytes>,
+        one_sided: bool,
+    ) {
         let Some(OpState::Get(get)) = self.ops.get(&op_id) else {
             return;
         };
-        let hash = get.hash;
-        for &r in &get.replicas {
-            self.access_buffer.entry(r).or_default().push(hash);
+        let hash = get.h.hash;
+        self.memo.remember(hash, version);
+        if one_sided && self.cfg.access_flush.is_some() {
+            for &r in &get.h.replicas {
+                self.access_buffer.entry(r).or_default().push(hash);
+            }
         }
+        if let (Some(cache), Some(value)) = (self.ccache.as_mut(), value) {
+            // The cache copies the value, so the inbound frame goes back
+            // to its sender's pool here.
+            cache.insert(hash, version, value, ctx.now());
+        }
+        ctx.metrics().add_id(self.m().get_hits, 1);
+        self.complete_op(ctx, op_id, OpOutcome::Hit, ctx.now());
+    }
+
+    /// The one GET miss: the cell says the key is gone, so the stale lease
+    /// entry the op found at issue goes too.
+    fn finish_miss(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
+        if let (Some(OpState::Get(get)), Some(cache)) = (self.ops.get(&op_id), &mut self.ccache) {
+            if get.quorum.holds_lease() {
+                cache.invalidate(get.h.hash);
+            }
+        }
+        ctx.metrics().add_id(self.m().get_misses, 1);
+        self.complete_op(ctx, op_id, OpOutcome::Miss, ctx.now());
     }
 
     fn fail_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64, reason: RetryReason) {
         ctx.metrics().add_id(self.m().retry_reason(reason), 1);
         let now = ctx.now();
         let policy = self.cfg.retry;
-        let Some(state) = self.ops.get_mut(&op_id) else {
+        let Some(h) = self.ops.get_mut(&op_id).and_then(OpState::header_mut) else {
             return;
         };
-        let retry = match state {
-            OpState::Get(g) => {
-                // Avoid the backend whose data failed to quorum.
-                if let Some((from, _, _)) = &g.data {
-                    g.avoid = Some(*from);
-                }
-                &mut g.retry
-            }
-            OpState::Mutation(m) => &mut m.retry,
-            OpState::Parked(..) => return,
-        };
-        match retry.on_failure_jittered(&policy, now, ctx.rng()) {
+        match h.retry.on_failure_jittered(&policy, now, ctx.rng()) {
             rpc::RetryDecision::RetryAfter(backoff) => {
                 ctx.metrics().add_id(self.m().retries, 1);
                 let trace = self.trace_of(ctx, op_id);
@@ -1792,33 +1564,27 @@ impl ClientNode {
     // ---- mutations -------------------------------------------------------
 
     /// Drop demoted replicas from a mutation's fan-out. Base-prefix sends
-    /// never fall below the write quorum; extended (hot) copies are skipped
-    /// whenever demoted, since they carry no quorum weight. Every skip is
-    /// charged to the caller as an up-front failure so the completion
-    /// arithmetic (`acks + rejects + failures >= copies`) still closes —
-    /// a skipped replica will never respond. `m.replicas` itself is left
+    /// never fall below the write quorum `wq`; extended (hot) copies are
+    /// skipped whenever demoted, since they carry no quorum weight. A
+    /// skipped replica will never respond, so the count of them goes to
+    /// the quorum as up-front failures. The op's `replicas` itself is left
     /// untouched, so base-prefix membership checks stay correct.
     fn filter_mutation_targets(
         &mut self,
         replicas: Vec<NodeId>,
         n_base: usize,
-    ) -> (Vec<NodeId>, u32) {
+        wq: usize,
+    ) -> (Vec<NodeId>, u8) {
         let Some(ctl) = self.adaptive.as_mut() else {
             return (replicas, 0);
         };
         if replicas.len() <= 1 || replicas.len() > 64 {
             return (replicas, 0);
         }
-        let wq = self
-            .config
-            .as_ref()
-            .map(|c| c.replication.write_quorum() as usize)
-            .unwrap_or(replicas.len());
-        let n_base = n_base.clamp(1, replicas.len());
         let ids: Vec<u32> = replicas[..n_base].iter().map(|r| r.0).collect();
         let mask = ctl.skip_mask(&ids, wq, adaptive::Path::Rpc);
         let mut kept = Vec::with_capacity(replicas.len());
-        let mut skipped = 0u32;
+        let mut skipped = 0;
         for (i, r) in replicas.into_iter().enumerate() {
             let skip = if i < n_base {
                 mask & (1 << i) != 0
@@ -1836,10 +1602,11 @@ impl ClientNode {
 
     fn issue_mutation_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
         let trace = self.trace_of(ctx, op_id);
-        let kind = match self.ops.get(&op_id) {
-            Some(OpState::Mutation(m)) => m.kind,
-            _ => return,
+        let (Some(OpState::Mutation(m)), Some(config)) = (self.ops.get(&op_id), &self.config)
+        else {
+            return;
         };
+        let (kind, write_quorum) = (m.kind, config.replication.write_quorum() as u8);
         // A coalesced MultiSet member pays only per-entry marshal; the
         // container paid the `SET_CPU` API boundary once at expansion.
         let issue_cpu = if self.coalesce.active && kind == MutationKind::Set {
@@ -1852,119 +1619,75 @@ impl ClientNode {
         let Some(OpState::Mutation(m)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        m.attempt += 1;
-        m.acks = 0;
-        m.rejects = 0;
-        m.acks_base = 0;
-        m.rejects_base = 0;
-        m.failures = 0;
+        m.h.attempt += 1;
         // Every attempt nominates a fresh, higher version (§5.2): retried
         // mutations eventually win. Batched or not, the nomination happens
         // in the same event, at the same truetime, in the same order.
         m.version = self.versions.nominate(tt);
-        let tag = sub_tag(op_id, m.attempt, 0);
+        let tag = sub_tag(op_id, m.h.attempt, 0);
         let sub = SubOp::Mutate {
             kind,
-            key: m.key.clone(),
+            key: m.h.key.clone(),
             value: m.value.clone(),
             version: m.version,
             expected: m.expected.unwrap_or(VersionNumber::ZERO),
         };
-        let (replicas, n_base) = (m.replicas.clone(), m.n_base as usize);
-        let (targets, skipped) = self.filter_mutation_targets(replicas, n_base);
-        if skipped > 0 {
-            if let Some(OpState::Mutation(m)) = self.ops.get_mut(&op_id) {
-                m.failures += skipped;
-            }
+        let (replicas, n_base) = (m.h.replicas.clone(), m.h.n_base);
+        let copies = replicas.len() as u8;
+        let (targets, skipped) =
+            self.filter_mutation_targets(replicas, n_base as usize, write_quorum as usize);
+        if let Some(OpState::Mutation(m)) = self.ops.get_mut(&op_id) {
+            m.quorum = MutationQuorum::begin(write_quorum, n_base, copies, skipped);
         }
         self.emit(ctx, &targets, tag, sub);
     }
 
-    fn on_mutation_response(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        op_id: u64,
-        attempt: u64,
-        status: Status,
-        from: NodeId,
-    ) {
-        let Some(config) = self.config.as_ref() else {
-            return;
-        };
-        let wq = config.replication.write_quorum();
+    /// One replica's verdict on a mutation: feed the write quorum and act
+    /// on its step.
+    fn on_mutation_reply(&mut self, ctx: &mut Ctx<'_>, tag: u64, from: NodeId, reply: Reply) {
+        let (op_id, attempt, _) = split_tag(tag);
         let Some(OpState::Mutation(m)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        if m.attempt != attempt || m.completed {
+        if m.h.attempt != attempt {
             return;
         }
-        // Only base replicas carry quorum weight; extended hot copies get
-        // the write (so their data stays fresh) but can neither ack a
-        // write quorum nor veto one.
-        let n_base = (m.n_base as usize).clamp(1, m.replicas.len());
-        let is_base = m.replicas[..n_base].contains(&from);
         // Any substantive verdict (even a version rejection) proves the
         // replica answered its RPC — reset its demotion streak.
-        if matches!(
-            status,
-            Status::Ok | Status::VersionRejected | Status::NotFound
-        ) {
-            if let Some(ctl) = self.adaptive.as_mut() {
-                ctl.record_success(from.0, adaptive::Path::Rpc);
-            }
+        if let (Some(ctl), true) = (self.adaptive.as_mut(), reply != Reply::Failure) {
+            ctl.record_success(from.0, adaptive::Path::Rpc);
         }
-        match status {
-            Status::Ok => {
-                m.acks += 1;
-                if is_base {
-                    m.acks_base += 1;
-                }
-            }
-            Status::VersionRejected | Status::NotFound => {
-                m.rejects += 1;
-                if is_base {
-                    m.rejects_base += 1;
-                }
-            }
-            _ => m.failures += 1,
-        }
-        let copies = m.replicas.len() as u32;
-        if m.acks_base >= wq {
-            m.completed = true;
-            let hash = m.hash;
-            let version = m.version;
-            let kind = m.kind;
-            let value = m.value.clone();
-            match kind {
-                MutationKind::Erase => self.memo.forget(hash),
-                _ => self.memo.remember(hash, version),
-            }
-            if let Some(cache) = self.ccache.as_mut() {
-                // Write-through: the committed version replaces whatever
-                // the issue-time invalidation left behind.
+        let base = m.h.position(from).is_some_and(|i| i < m.h.n_base);
+        let (hash, kind) = (m.h.hash, m.kind);
+        match m.quorum.reply(base, reply) {
+            MutationStep::Wait => {}
+            MutationStep::Done => {
+                let (version, value) = (m.version, m.value.clone());
                 match kind {
-                    MutationKind::Erase => {
-                        cache.invalidate(hash);
-                    }
-                    _ => cache.insert(hash, version, value, ctx.now()),
+                    MutationKind::Erase => self.memo.forget(hash),
+                    _ => self.memo.remember(hash, version),
                 }
+                if let Some(cache) = self.ccache.as_mut() {
+                    // Write-through: the committed version replaces whatever
+                    // the issue-time invalidation left behind.
+                    match kind {
+                        MutationKind::Erase => {
+                            cache.invalidate(hash);
+                        }
+                        _ => cache.insert(hash, version, value, ctx.now()),
+                    }
+                }
+                ctx.metrics().add_id(self.m().set_acked, 1);
+                self.complete_op(ctx, op_id, OpOutcome::Done, ctx.now());
             }
-            ctx.metrics().add_id(self.m().set_acked, 1);
-            self.complete_op(ctx, op_id, OpOutcome::Done, ctx.now());
-        } else if m.rejects_base > (n_base as u32).saturating_sub(wq) {
-            // A write quorum of acks is no longer possible: a newer version
-            // exists (or CAS expectation failed).
-            m.completed = true;
-            let hash = m.hash;
-            if let Some(cache) = self.ccache.as_mut() {
-                cache.invalidate(hash);
+            MutationStep::Superseded => {
+                if let Some(cache) = self.ccache.as_mut() {
+                    cache.invalidate(hash);
+                }
+                ctx.metrics().add_id(self.m().set_superseded, 1);
+                self.complete_op(ctx, op_id, OpOutcome::Superseded, ctx.now());
             }
-            ctx.metrics().add_id(self.m().set_superseded, 1);
-            self.complete_op(ctx, op_id, OpOutcome::Superseded, ctx.now());
-        } else if m.acks + m.rejects + m.failures >= copies {
-            // All responded, quorum unreachable due to failures: retry with
-            // a fresh version.
-            self.fail_attempt(ctx, op_id, RetryReason::MutationFailures);
+            MutationStep::Retry => self.fail_attempt(ctx, op_id, RetryReason::MutationFailures),
         }
     }
 
@@ -2045,7 +1768,7 @@ impl ClientNode {
             // one doorbell; per-sub attribution happens at demux).
             let trace = self.trace_of(ctx, subs[0] >> 10);
             let (now, pool) = (ctx.now(), &self.pool);
-            let (method_id, strategy, body) = match kind {
+            let (method_id, cost, body) = match kind {
                 FrameKind::Read => {
                     let btag = self.frames.register(kind, subs);
                     let op = self.rma.begin_batch_read(dst, reads, now, btag);
@@ -2060,22 +1783,19 @@ impl ClientNode {
                     continue;
                 }
                 // The RPC vectors echo the member tags on the wire too.
-                FrameKind::MsgLookup | FrameKind::RpcLookup => {
+                FrameKind::Lookup(strategy) => {
                     let subs = subs.clone();
                     let body = messages::MultiGetReq { subs, keys }.encode_in(pool);
-                    if kind == FrameKind::RpcLookup {
-                        (method::MULTI_GET_RPC, LookupStrategy::Rpc, body)
-                    } else {
-                        (method::MSG_MULTI_GET, LookupStrategy::Msg, body)
-                    }
+                    let row = strategy_row(strategy);
+                    (row.methods.1, row.cost(), body)
                 }
                 FrameKind::Set => {
                     let subs = subs.clone();
                     let body = messages::MultiSetReq { subs, entries }.encode_in(pool);
-                    (method::MULTI_SET, LookupStrategy::Rpc, body)
+                    (method::MULTI_SET, &*RPC_COST, body)
                 }
             };
-            self.charge(ctx, self.lookup_cost(strategy).client_send, trace);
+            self.charge(ctx, cost.client_send, trace);
             let btag = self.frames.register(kind, subs);
             self.send_rpc(ctx, dst, method_id, body, btag, trace);
         }
@@ -2197,11 +1917,13 @@ impl ClientNode {
                         );
                         let (op_id, attempt, phase) = split_tag(sub);
                         let get = match self.ops.get(&op_id) {
-                            Some(OpState::Get(g)) => Some((g.strategy, g.attempt == attempt)),
+                            Some(OpState::Get(g)) => {
+                                Some((strategy_row(g.strategy).cost, g.h.attempt == attempt))
+                            }
                             _ => None,
                         };
-                        if let (Some((strategy, true)), 0) = (get, phase) {
-                            self.charge(ctx, self.lookup_cost(strategy).client_recv, rep_trace);
+                        if let (Some((Some(cost), true)), 0) = (get, phase) {
+                            self.charge(ctx, cost.client_recv, rep_trace);
                         }
                         // Only lookups answer with a body; a mutation's
                         // verdict is its status.
@@ -2220,11 +1942,11 @@ impl ClientNode {
                     // failed or undecodable frame is an Internal verdict
                     // from this replica for every member.
                     Members::Batch(kind, subs) => {
-                        let strategy = match kind {
-                            FrameKind::MsgLookup => LookupStrategy::Msg,
-                            _ => LookupStrategy::Rpc,
+                        let cost = match kind {
+                            FrameKind::Lookup(strategy) => strategy_row(strategy).cost(),
+                            _ => &RPC_COST,
                         };
-                        self.charge(ctx, self.lookup_cost(strategy).client_recv, rep_trace);
+                        self.charge(ctx, cost.client_recv, rep_trace);
                         let mut demuxed = false;
                         if decoded && kind == FrameKind::Set {
                             if let Some(resp) = messages::MultiSetResp::decode(done.body) {
@@ -2255,118 +1977,57 @@ impl ClientNode {
         }
     }
 
-    /// Resolve one server-side lookup verdict against its GET — the shared
-    /// tail of the single MSG/RPC response and every batched sub-op.
-    fn apply_lookup_entry(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        op_id: u64,
-        attempt: u64,
-        status: Status,
-        version: VersionNumber,
-        value: Bytes,
-    ) {
-        let Some(OpState::Get(get)) = self.ops.get(&op_id) else {
-            return;
-        };
-        if get.attempt != attempt {
-            return;
-        }
-        let hash = get.hash;
-        match status {
-            Status::Ok => {
-                self.memo.remember(hash, version);
-                if let Some(cache) = self.ccache.as_mut() {
-                    cache.insert(hash, version, value, ctx.now());
-                }
-                ctx.metrics().add_id(self.m().get_hits, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Hit, ctx.now());
-            }
-            Status::NotFound => {
-                if let Some(cache) = self.ccache.as_mut() {
-                    cache.invalidate(hash);
-                }
-                ctx.metrics().add_id(self.m().get_misses, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Miss, ctx.now());
-            }
-            _ => self.fail_attempt(ctx, op_id, RetryReason::MsgError),
-        }
-    }
-
     /// Every sub-op outcome, from any frame shape on any wire path, lands
     /// here: `verdict` is what `replica` said (or failed to say) about the
-    /// sub-op `tag`.
+    /// sub-op `tag`. It becomes one input to the op's quorum.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, tag: u64, replica: NodeId, verdict: Verdict) {
         let (op_id, attempt, phase) = split_tag(tag);
         let verdict = match verdict {
             Verdict::Rma(status, bucket, data) => {
-                return self.route_rma_result(ctx, replica, tag, status, bucket, data);
+                return self.on_rma_result(ctx, replica, tag, status, bucket, data);
             }
             Verdict::Lost(adaptive::Path::Rma) => {
-                return self.record_vote(ctx, op_id, attempt, replica, Vote::Failed);
+                return self.on_vote(ctx, tag, replica, Vote::Failed, false);
             }
             rpc => rpc,
         };
-        match self.ops.get(&op_id) {
+        match self.ops.get_mut(&op_id) {
             Some(OpState::Mutation(_)) => {
                 // A lost frame is the verdict a failed RPC would have been.
-                let status = match verdict {
-                    Verdict::Rpc(status, ..) => status,
-                    _ => Status::Internal,
+                let reply = match verdict {
+                    Verdict::Rpc(Status::Ok, ..) => Reply::Ack,
+                    Verdict::Rpc(Status::VersionRejected | Status::NotFound, ..) => Reply::Reject,
+                    _ => Reply::Failure,
                 };
-                self.on_mutation_response(ctx, op_id, attempt, status, replica);
+                self.on_mutation_reply(ctx, tag, replica, reply);
             }
-            Some(OpState::Get(get)) if get.attempt == attempt => match (phase, verdict) {
-                (2, verdict) => self.on_fallback_verdict(ctx, op_id, verdict),
-                (_, Verdict::Rpc(status, version, value)) => {
-                    self.apply_lookup_entry(ctx, op_id, attempt, status, version, value)
+            // A server's answer: to an MSG/RPC lookup, or (phase 2) as one
+            // verdict of an overflow-fallback round.
+            Some(OpState::Get(get)) if get.h.attempt == attempt => {
+                let fallback = phase == 2;
+                let (answer, value) = match verdict {
+                    Verdict::Rpc(Status::Ok, version, value) => (Ok(Some(version)), Some(value)),
+                    Verdict::Rpc(Status::NotFound, ..) => (Ok(None), None),
+                    failure => {
+                        let (lookup, round) = match failure {
+                            Verdict::Garbled => {
+                                (RetryReason::MsgDecode, RetryReason::FallbackDecode)
+                            }
+                            Verdict::Lost(_) => {
+                                (RetryReason::MsgTimeout, RetryReason::FallbackTimeout)
+                            }
+                            _ => (RetryReason::MsgError, RetryReason::FallbackError),
+                        };
+                        (Err(if fallback { round } else { lookup }), None)
+                    }
+                };
+                let step = get.quorum.served(answer);
+                if fallback && matches!(step, GetStep::Hit(_)) {
+                    ctx.metrics().add_id(self.m().get_overflow_hits, 1);
                 }
-                (_, Verdict::Garbled) => self.fail_attempt(ctx, op_id, RetryReason::MsgDecode),
-                (_, _) => self.fail_attempt(ctx, op_id, RetryReason::MsgTimeout),
-            },
+                self.run_get_step(ctx, op_id, step, value);
+            }
             _ => {}
-        }
-    }
-
-    /// One replica's verdict in an overflow-fallback round (the caller has
-    /// checked the attempt). The round resolves once: on the first hit, or
-    /// when its last verdict is in — a lost call counts down like any other
-    /// answer, so R silent replicas fail the attempt once, not R times.
-    fn on_fallback_verdict(&mut self, ctx: &mut Ctx<'_>, op_id: u64, verdict: Verdict) {
-        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
-            return;
-        };
-        if get.fallback_pending == 0 {
-            return;
-        }
-        let hash = get.hash;
-        get.fallback_pending -= 1;
-        let exhausted = get.fallback_pending == 0;
-        let failure = match verdict {
-            Verdict::Rpc(Status::Ok, version, value) => {
-                get.fallback_pending = 0;
-                self.memo.remember(hash, version);
-                if let Some(cache) = self.ccache.as_mut() {
-                    cache.insert(hash, version, value, ctx.now());
-                }
-                ctx.metrics().add_id(self.m().get_hits, 1);
-                ctx.metrics().add_id(self.m().get_overflow_hits, 1);
-                return self.complete_op(ctx, op_id, OpOutcome::Hit, ctx.now());
-            }
-            Verdict::Rpc(Status::NotFound, ..) => {
-                // Affirmatively absent everywhere consulted.
-                if exhausted {
-                    ctx.metrics().add_id(self.m().get_misses, 1);
-                    self.complete_op(ctx, op_id, OpOutcome::Miss, ctx.now());
-                }
-                return;
-            }
-            Verdict::Garbled => RetryReason::FallbackDecode,
-            Verdict::Lost(_) => RetryReason::FallbackTimeout,
-            _ => RetryReason::FallbackError,
-        };
-        if exhausted {
-            self.fail_attempt(ctx, op_id, failure);
         }
     }
 
@@ -2451,9 +2112,10 @@ impl ClientNode {
         }
     }
 
-    /// Route one RMA result (a single op's completion or one batch entry)
-    /// to its per-strategy handler, applying the shared status policy.
-    fn route_rma_result(
+    /// One RMA result (a single op's completion or one batch entry): apply
+    /// the shared status policy, self-validate what came back, and turn it
+    /// into the op's next quorum input.
+    fn on_rma_result(
         &mut self,
         ctx: &mut Ctx<'_>,
         replica: NodeId,
@@ -2470,154 +2132,98 @@ impl ClientNode {
                 ctx.metrics().add_id(self.m().geometry_invalidations, 1);
                 self.geometry.remove(&replica);
             }
-            return self.record_vote(ctx, op_id, attempt, replica, Vote::Failed);
+            return self.on_vote(ctx, tag, replica, Vote::Failed, false);
         }
-        let strategy = match self.ops.get(&op_id) {
-            Some(OpState::Get(get)) => get.strategy,
-            _ => return,
+        let m = self.m();
+        let (torn_reads, hash_collisions) = (m.get_torn_reads, m.get_hash_collisions);
+        let (config_mismatches, stale_config) = (m.config_mismatches, m.stale_backend_config);
+        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
+            return;
         };
-        match (strategy, phase) {
-            (LookupStrategy::TwoR, 0) => match self.parse_bucket_vote(ctx, op_id, &data) {
-                Some(vote) => self.record_vote(ctx, op_id, attempt, replica, vote),
-                None => self.fail_attempt(ctx, op_id, RetryReason::ConfigMismatch),
-            },
-            (LookupStrategy::TwoR, 1) => self.on_data_response(ctx, op_id, attempt, replica, data),
-            (LookupStrategy::Scar, 0) => {
-                self.on_scar_response(ctx, op_id, attempt, replica, status, bucket, data)
+        let live = get.h.attempt == attempt;
+        let Some(from) = get.h.position(replica) else {
+            return;
+        };
+        if phase == 1 {
+            // The data read of a 2×R GET, validated end to end (§3 step 5).
+            if !live {
+                return;
             }
-            _ => {}
+            let version = match parse_value(&data, &get.h.key) {
+                // Torn read — rare, but normal (§3).
+                Err(_) => {
+                    ctx.metrics().add_id(torn_reads, 1);
+                    None
+                }
+                // 128-bit hash collision: affirmatively not our key.
+                Ok(None) => {
+                    ctx.metrics().add_id(hash_collisions, 1);
+                    return self.finish_miss(ctx, op_id);
+                }
+                Ok(Some((version, value))) => {
+                    get.data = Some(value);
+                    Some(version)
+                }
+            };
+            let step = get.quorum.data(from, version);
+            return self.run_get_step(ctx, op_id, step, None);
         }
-    }
-
-    /// Validate a fetched bucket (config id) and extract this replica's
-    /// vote. Returns `None` if the whole op failed (config refresh).
-    fn parse_bucket_vote(&mut self, ctx: &mut Ctx<'_>, op_id: u64, bucket: &[u8]) -> Option<Vote> {
+        // An index response. 2×R read the bucket as plain data; a SCAR
+        // returns the bucket and, on a match, the entry it points at.
+        let (bucket, inline) = match strategy_row(get.strategy).data_is_separate {
+            true => (data, Bytes::new()),
+            false => (bucket, data),
+        };
         if bucket.len() < layout::BUCKET_HEADER_BYTES {
-            return Some(Vote::Failed);
+            return self.on_vote(ctx, tag, replica, Vote::Failed, false);
         }
+        // Validate the bucket's config stamp against ours.
         let expected = self.config.as_ref().map(|c| c.config_id).unwrap_or(0);
-        let got = layout::bucket_config_id(bucket);
+        let got = layout::bucket_config_id(&bucket);
         if got > expected {
             // The backend knows a newer configuration than we do (e.g. it
-            // migrated its shard away): refresh and retry (§6.1).
-            ctx.metrics().add_id(self.m().config_mismatches, 1);
+            // migrated its shard away): refresh and retry (§6.1). Votes
+            // still outstanding may yet settle the op first.
+            ctx.metrics().add_id(config_mismatches, 1);
+            get.quorum.shun_data_source();
             self.refresh_config(ctx);
-            return None;
+            return self.fail_attempt(ctx, op_id, RetryReason::ConfigMismatch);
         }
         if got < expected {
             // The backend is lagging behind a config update that doesn't
             // concern it (we selected it from the *current* config, so its
             // data is still authoritative). Tolerate the stale stamp.
-            ctx.metrics().add_id(self.m().stale_backend_config, 1);
+            ctx.metrics().add_id(stale_config, 1);
         }
-        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
-            return Some(Vote::Failed);
-        };
-        if layout::bucket_overflowed(bucket) {
-            get.saw_overflow = true;
-        }
-        let (hit, _) = layout::scan_bucket(bucket, get.hash);
-        Some(match hit {
+        let vote = match layout::scan_bucket(&bucket, get.h.hash).0 {
             Some((_, e)) => Vote::Entry(e.version, e.ptr),
             None => Vote::Absent,
-        })
-    }
-
-    fn on_data_response(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        op_id: u64,
-        attempt: u64,
-        replica: NodeId,
-        data: Bytes,
-    ) {
-        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
-            return;
         };
-        if get.attempt != attempt {
-            return;
-        }
-        // End-to-end self-validation (§3 step 5): checksum, then full key.
-        match parse_data_entry(&data) {
-            Err(_) => {
-                // Torn read — rare, but normal (§3).
-                ctx.metrics().add_id(self.m().get_torn_reads, 1);
-                self.fail_attempt(ctx, op_id, RetryReason::TornRead);
-            }
-            Ok(entry) => {
-                if entry.key != &get.key[..] {
-                    // 128-bit hash collision: affirmatively not our key.
-                    ctx.metrics().add_id(self.m().get_hash_collisions, 1);
-                    ctx.metrics().add_id(self.m().get_misses, 1);
-                    self.complete_op(ctx, op_id, OpOutcome::Miss, ctx.now());
-                    return;
+        // Inline data: the first valid copy becomes the preferred one.
+        if live && status == RmaStatus::Ok && !inline.is_empty() && get.data.is_none() {
+            match parse_value(&inline, &get.h.key) {
+                Ok(Some((version, value))) => {
+                    get.quorum.inline_data(from, version);
+                    get.data = Some(value);
                 }
-                // Zero-copy: the value is served as a slice of the inbound
-                // frame (shares its pooled storage, no allocation).
-                let at = layout::DATA_ENTRY_HEADER_BYTES + entry.key.len();
-                let len = entry.data.len();
-                let value = data.slice(at..at + len);
-                get.data = Some((replica, entry.version, value));
-                self.evaluate_get(ctx, op_id);
+                Ok(None) => ctx.metrics().add_id(hash_collisions, 1),
+                Err(_) => ctx.metrics().add_id(torn_reads, 1),
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_scar_response(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        op_id: u64,
-        attempt: u64,
-        replica: NodeId,
-        status: RmaStatus,
-        bucket: Bytes,
-        data: Bytes,
-    ) {
-        let Some(vote) = self.parse_bucket_vote(ctx, op_id, &bucket) else {
-            self.fail_attempt(ctx, op_id, RetryReason::ConfigMismatch);
-            return;
-        };
-        // Inline data: first valid response becomes the preferred copy.
-        if status == RmaStatus::Ok && !data.is_empty() {
-            if let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) {
-                if get.attempt == attempt && get.data.is_none() {
-                    match parse_data_entry(&data) {
-                        Ok(entry) if entry.key == &get.key[..] => {
-                            // Zero-copy slice of the inbound frame.
-                            let at = layout::DATA_ENTRY_HEADER_BYTES + entry.key.len();
-                            let len = entry.data.len();
-                            let value = data.slice(at..at + len);
-                            get.data = Some((replica, entry.version, value));
-                        }
-                        Ok(_) => {
-                            ctx.metrics().add_id(self.m().get_hash_collisions, 1);
-                        }
-                        Err(_) => {
-                            ctx.metrics().add_id(self.m().get_torn_reads, 1);
-                        }
-                    }
-                }
-            }
-        }
-        self.record_vote(ctx, op_id, attempt, replica, vote);
+        let overflowed = layout::bucket_overflowed(&bucket);
+        self.on_vote(ctx, tag, replica, vote, overflowed);
     }
 
     // ---- completion ------------------------------------------------------
 
     fn complete_op(&mut self, ctx: &mut Ctx<'_>, op_id: u64, outcome: OpOutcome, at: SimTime) {
-        let Some(state) = self.ops.remove(&op_id) else {
+        let Some(mut state) = self.ops.remove(&op_id) else {
             return;
         };
         self.in_flight = self.in_flight.saturating_sub(1);
-        let (started, batch, is_get) = match &state {
-            OpState::Get(g) => (g.retry.started_at, g.batch, true),
-            OpState::Mutation(m) => (m.retry.started_at, m.batch, false),
-            OpState::Parked(..) => (at, None, false),
-        };
-        let arm_feedback = match &state {
-            OpState::Get(g) => Some((g.strategy, g.consulted as u64)),
-            _ => None,
+        let (started, batch) = match state.header_mut() {
+            Some(h) => (h.retry.started_at, h.batch),
+            None => (at, None),
         };
         ctx.trace_close(
             self.trace_of(ctx, op_id),
@@ -2625,14 +2231,17 @@ impl ClientNode {
             at,
             trace_aux::outcome_code(outcome),
         );
-        // Recycle GET state so the next op reuses its replicas/votes
-        // capacity instead of allocating fresh Vecs.
+        // A GET feeds the arm that served it, then recycles its state so
+        // the next op reuses the `replicas` capacity.
+        let mut arm_feedback = None;
         if let OpState::Get(mut g) = state {
+            arm_feedback = Some((g.strategy, g.quorum.rules().expected_votes as u64));
             if self.free_gets.len() < FREE_GETS_CAP {
-                g.clear_for_reuse();
+                g.recycle();
                 self.free_gets.push(g);
             }
         }
+        let is_get = arm_feedback.is_some();
         let latency = at.since(started);
         // The application-side caller observes pipe traversals in both
         // directions plus shim marshalling on the way in and out.
@@ -2647,13 +2256,9 @@ impl ClientNode {
         // latency plus the model-derived client CPU for the fan-out the op
         // really used. Mutations are strategy-independent (always RPC) and
         // carry no signal.
-        if let Some((strategy, consulted)) = arm_feedback {
-            if self.adaptive.is_some() {
-                let cpu = self.strategy_cpu_ns(strategy, consulted);
-                if let Some(ctl) = self.adaptive.as_mut() {
-                    ctl.observe(strategy, batch.is_some(), observed.nanos(), cpu);
-                }
-            }
+        if let (Some((strategy, consulted)), Some(ctl)) = (arm_feedback, self.adaptive.as_mut()) {
+            let cpu = strategy_row(strategy).cpu_ns(consulted);
+            ctl.observe(strategy, batch.is_some(), observed.nanos(), cpu);
         }
         if let Some(shim) = &self.cfg.shim {
             self.charge(ctx, shim.per_op_cpu(0), 0);
@@ -2794,6 +2399,18 @@ pub mod trace_aux {
             OpOutcome::Error => 5,
         }
     }
+}
+
+/// Self-validate a fetched data entry (§3 step 5: checksum, then full
+/// key). `Err`: torn. `Ok(None)`: intact, but another key's. Otherwise its
+/// version and its value — a zero-copy slice of the inbound frame.
+fn parse_value(data: &Bytes, key: &[u8]) -> Result<Option<(VersionNumber, Bytes)>, ()> {
+    let entry = parse_data_entry(data).map_err(|_| ())?;
+    if entry.key != key {
+        return Ok(None);
+    }
+    let at = layout::DATA_ENTRY_HEADER_BYTES + entry.key.len();
+    Ok(Some((entry.version, data.slice(at..at + entry.data.len()))))
 }
 
 /// Pack (op, attempt, phase) into a sub-op tag.
@@ -2944,25 +2561,6 @@ mod tests {
         for tag in [CONFIG_TAG, CONNECT_TAG, IGNORE_TAG] {
             assert_eq!(frames.members(tag), None);
         }
-    }
-
-    #[test]
-    fn agree_counts_entry_votes_at_one_version() {
-        let (v1, v2) = (VersionNumber(10), VersionNumber(20));
-        let mut get = GetState::blank();
-        assert_eq!(get.agree(v1), 0);
-        get.votes = vec![
-            (NodeId(1), Vote::Entry(v1, Pointer::default())),
-            (NodeId(2), Vote::Absent),
-            (NodeId(3), Vote::Entry(v2, Pointer::default())),
-            (NodeId(4), Vote::Failed),
-            (NodeId(5), Vote::Entry(v1, Pointer::default())),
-        ];
-        assert_eq!(get.agree(v1), 2);
-        assert_eq!(get.agree(v2), 1);
-        assert_eq!(get.agree(VersionNumber::ZERO), 0);
-        let responders: Vec<u32> = get.entries().map(|(n, _, _)| n.0).collect();
-        assert_eq!(responders, [1, 3, 5], "first responder first");
     }
 
     #[test]

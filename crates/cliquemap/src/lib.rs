@@ -27,7 +27,7 @@
 //! | §3 GET/SET basics | [`client`], [`backend`] |
 //! | §4.1 allocation & reshaping | [`slab`], [`store`] |
 //! | §4.2 eviction | [`policy`], [`tombstone`] |
-//! | §5 replication & quorums | [`config`], [`version`], [`client`] |
+//! | §5 replication & quorums | [`config`], [`version`], [`quorum`] (the rules), [`client`] (the I/O) |
 //! | §5.4 repairs | [`backend`] (cohort scans) |
 //! | §6.1 warm spares | [`backend`] (migration), [`cell`] |
 //! | §6.2 language shims | [`shim`] |
@@ -81,6 +81,7 @@ pub mod hash;
 pub mod layout;
 pub mod messages;
 pub mod policy;
+pub mod quorum;
 pub mod shim;
 pub mod slab;
 pub mod store;

@@ -1,13 +1,15 @@
-//! Overflow-fallback rounds under gray failure: when every replica is
-//! RMA-alive but CPU-dead (the paper's gray failure), a GET's index reads
-//! succeed, report an overflowed bucket, and the RPC fallback round it
-//! triggers goes unanswered. A lost round is *one* failed attempt — not one
-//! per silent replica — so the op spends its retry budget one attempt
-//! timeout at a time.
+//! Overflow-fallback rounds. Under gray failure — every replica RMA-alive
+//! but CPU-dead — a GET's index reads succeed, report an overflowed bucket,
+//! and the RPC fallback round it triggers goes unanswered: a lost round is
+//! *one* failed attempt, not one per silent replica, so the op spends its
+//! retry budget one attempt timeout at a time. And a round that every
+//! replica answers `NotFound` is a quorum miss like any other: it drops the
+//! stale lease-cache entry the GET set out to validate.
 
 use bytes::Bytes;
 use cliquemap::cell::{Cell, CellSpec};
 use cliquemap::client::{ClientNode, LookupStrategy};
+use cliquemap::client_cache::ClientCacheCfg;
 use cliquemap::config::ReplicationMode;
 use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload, Workload};
 use rma::TransportKind;
@@ -106,4 +108,67 @@ fn a_lost_fallback_round_fails_its_attempt_once() {
         doomed.iter().all(|&ns| ns >= floor),
         "an op gave up before {max_attempts} x {attempt_timeout:?}: {doomed:?}"
     );
+}
+
+#[test]
+fn a_miss_reached_through_the_fallback_round_drops_the_stale_lease() {
+    // One slot per index: `ov0` takes it, `ov1` lives in the overflow table
+    // and `ov2` keeps the bucket flagged overflowed once `ov1` is gone.
+    let mut spec = CellSpec {
+        replication: ReplicationMode::R32,
+        num_backends: 3,
+        ..CellSpec::default()
+    };
+    spec.backend.scan_interval = None;
+    spec.backend.store.num_buckets = 1;
+    spec.backend.store.assoc = 1;
+    spec.backend.store.overflow_capacity = 16;
+    spec.client.strategy = LookupStrategy::TwoR;
+    spec.client.rpc_fallback_on_overflow = true;
+    spec.client.access_flush = None;
+    spec.client.cache = Some(ClientCacheCfg {
+        lease_ttl: SimDuration::from_millis(1),
+        ..ClientCacheCfg::default()
+    });
+    let us = SimDuration::from_micros;
+    let value = Bytes::from_static(b"value");
+    // Client A fills the bucket — each SET's write-through caches the value
+    // under a 1 ms lease — and reads `ov1` at 10 ms, long after client B's
+    // ERASE at 5 ms: index votes absent, fallback verdicts NotFound.
+    let mut a: Vec<(SimDuration, ClientOp)> = (0..3)
+        .map(|i| {
+            let value = value.clone();
+            (us(100), ClientOp::Set { key: key(i), value })
+        })
+        .collect();
+    a.push((SimDuration::from_millis(10), ClientOp::Get { key: key(1) }));
+    let b = vec![(SimDuration::from_millis(5), ClientOp::Erase { key: key(1) })];
+    let wls: Vec<Box<dyn Workload>> = vec![
+        Box::new(ScriptWorkload::new(a)),
+        Box::new(ScriptWorkload::new(b)),
+    ];
+    let mut cell = Cell::build(spec, wls);
+    let peek = |cell: &mut Cell| {
+        cell.sim
+            .with_node::<ClientNode, _>(cell.clients[0], |c| {
+                (c.completions.clone(), c.cache_peek(&key(1)))
+            })
+            .expect("client alive")
+    };
+    cell.sim.run_until(SimTime(4_000_000));
+    let (done, cached) = peek(&mut cell);
+    assert_eq!(done.len(), 3, "{done:?}");
+    assert!(cached.is_some(), "the SET must write through to the cache");
+
+    cell.sim.run_until(SimTime(20_000_000));
+    let (done, cached) = peek(&mut cell);
+    assert_eq!(done.last().map(|d| d.0), Some(OpOutcome::Miss), "{done:?}");
+    let m = cell.sim.metrics();
+    assert_eq!(
+        m.counter("cm.get.overflow_fallbacks"),
+        1,
+        "the miss did not go through a fallback round"
+    );
+    assert_eq!(m.counter("cm.ccache.stale"), 1, "the lease had not expired");
+    assert_eq!(cached, None, "the miss left the stale lease entry behind");
 }

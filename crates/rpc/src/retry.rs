@@ -63,8 +63,9 @@ impl RetryPolicy {
     }
 }
 
-/// Dynamic per-operation retry bookkeeping.
-#[derive(Debug, Clone, Copy)]
+/// Dynamic per-operation retry bookkeeping. The default is a placeholder
+/// for state not yet started with [`RetryPolicy::start`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RetryState {
     /// Attempts made so far (>=1).
     pub attempts: u32,

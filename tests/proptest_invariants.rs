@@ -401,6 +401,77 @@ proptest! {
         );
     }
 
+    /// The frames whose decode feeds the client's quorum core — lookup
+    /// responses, batch status vectors, and the mutation requests backends
+    /// decode — survive truncation at every length and every single-bit
+    /// flip: no panic, no allocation sized by an unchecked count, and a
+    /// result that is `None` (a `Garbled` verdict, one retry, at the
+    /// client) or accounts for no more bytes than the frame holds.
+    #[test]
+    fn message_frames_survive_truncation_and_bit_flips(
+        key in proptest::collection::vec(any::<u8>(), 0..24),
+        value in proptest::collection::vec(any::<u8>(), 0..24),
+        n in 0usize..4,
+        version in any::<u64>(),
+    ) {
+        use cliquemap::messages::*;
+        let pool = bytes::Pool::new();
+        let (key, value) = (Bytes::from(key), Bytes::from(value));
+        let version = VersionNumber(version as u128);
+        let subs: Vec<u64> = (0..n as u64).collect();
+        let entries = subs.iter().map(|&sub| MultiGetEntry {
+            sub, status: (sub % 2) as u8, version, value: value.clone(),
+        }).collect();
+        let statuses = subs.iter().map(|&sub| (sub, (sub % 3) as u8)).collect();
+        // Each decoder reports the bytes its message accounts for.
+        type Sized = fn(Bytes) -> Option<usize>;
+        let frames: [(&str, Bytes, Sized); 6] = [
+            ("GetResp",
+             GetResp { key: key.clone(), value: value.clone(), version }.encode_in(&pool),
+             |b| GetResp::decode(b).map(|m| 24 + m.key.len() + m.value.len())),
+            ("MultiGetResp", MultiGetResp { entries }.encode_in(&pool), |b| {
+                let len = b.len();
+                let m = MultiGetResp::decode(b)?;
+                assert!(m.entries.capacity() * 29 <= len, "capacity from an unchecked count");
+                Some(4 + m.entries.iter().map(|e| 29 + e.value.len()).sum::<usize>())
+            }),
+            ("MultiSetResp", MultiSetResp { statuses }.encode_in(&pool), |b| {
+                let len = b.len();
+                let m = MultiSetResp::decode(b)?;
+                assert!(m.statuses.capacity() * 9 <= len, "capacity from an unchecked count");
+                Some(4 + 9 * m.statuses.len())
+            }),
+            ("SetReq",
+             SetReq { key: key.clone(), value: value.clone(), version }.encode_in(&pool),
+             |b| SetReq::decode(b).map(|m| 24 + m.key.len() + m.value.len())),
+            ("CasReq",
+             CasReq { key: key.clone(), value: value.clone(), expected: version, new_version: version }
+                 .encode_in(&pool),
+             |b| CasReq::decode(b).map(|m| 40 + m.key.len() + m.value.len())),
+            ("EraseReq", EraseReq { key: key.clone(), version }.encode_in(&pool),
+             |b| EraseReq::decode(b).map(|m| 20 + m.key.len())),
+        ];
+        for (name, frame, decode) in frames {
+            prop_assert_eq!(decode(frame.clone()), Some(frame.len()), "{}: full frame", name);
+            for cut in 0..frame.len() {
+                prop_assert!(decode(frame.slice(0..cut)).is_none(), "{} decoded at {}", name, cut);
+            }
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Some(accounted) = decode(Bytes::from(flipped)) {
+                    prop_assert!(accounted <= frame.len(), "{}: bit {} over-reads", name, bit);
+                }
+            }
+        }
+        // A vector frame claiming u32::MAX entries is rejected before any
+        // allocation is sized from the claim.
+        let huge = Bytes::from(u32::MAX.to_le_bytes().to_vec());
+        prop_assert!(MultiGetResp::decode(huge.clone()).is_none());
+        prop_assert!(MultiSetResp::decode(huge.clone()).is_none());
+        prop_assert!(MultiSetReq::decode(huge).is_none());
+    }
+
     /// Version ordering is total and the generator is monotonic under
     /// arbitrary TrueTime readings (including clock regressions).
     #[test]
