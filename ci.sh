@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client footprint gate, the quorum
-# core's purity, lints, format, rustdoc, the benchmark's smoke tests and
-# the figure reproducibility gate.
+# core's purity, the one-op-driver gate, lints, format, rustdoc, the
+# benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -27,6 +27,16 @@ echo "== quorum core purity =="
 # vote order only because the rules are a pure function).
 if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/quorum.rs | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
     echo "crates/cliquemap/src/quorum.rs names simulator types outside its test module" >&2
+    exit 1
+fi
+
+echo "== one op-driver =="
+# Whatever pulls ops from a `Workload` is an op-driver (pacing, admission,
+# retry, completion logging); the tree has one, so every system under
+# comparison pays the same client-side model.
+drivers=$(grep -rln 'workload\.next(' crates/*/src || true)
+if [ "$drivers" != "crates/cliquemap/src/client.rs" ]; then
+    echo "op-drivers outside crates/cliquemap/src/client.rs:" $drivers >&2
     exit 1
 fi
 

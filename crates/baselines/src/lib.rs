@@ -3,8 +3,10 @@
 //! * [`MemcacheGNode`] — "MemcacheG, a translation of Memcached using
 //!   Stubby RPC as its transport" (§2.1): a pure-RPC KVCS where every GET
 //!   pays the >50 CPU-µs framework floor on the serving path.
-//! * [`RpcKvcsClient`] — the matching client, paying the same framework
-//!   costs client-side.
+//! * [`memcacheg_cell`] — MemcacheG servers behind a config store, driven
+//!   by `cliquemap`'s `ClientNode` at `LookupStrategy::Rpc`: the tree has
+//!   one op-driver and one model of client-side RPC cost, so a comparison
+//!   against a CliqueMap cell differs in the server alone.
 //!
 //! The MSG lookup strategy (two-sided messaging, Fig. 7) is implemented in
 //! `cliquemap` itself (`LookupStrategy::Msg`) since it shares CliqueMap's
@@ -14,7 +16,5 @@
 #![forbid(unsafe_code)]
 
 pub mod memcacheg;
-pub mod rpc_client;
 
-pub use memcacheg::{MemcacheGCfg, MemcacheGNode};
-pub use rpc_client::{RpcClientCfg, RpcKvcsClient};
+pub use memcacheg::{memcacheg_cell, MemcacheGCell, MemcacheGCfg, MemcacheGNode};

@@ -11,33 +11,35 @@
 //! interface so the same workloads drive both systems.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use bytes::{Bytes, Pool};
 
+use cliquemap::client::{ClientCfg, ClientIdentity, ClientNode, LookupStrategy};
+use cliquemap::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use cliquemap::hash::{DefaultHasher, KeyHasher};
 use cliquemap::messages::{self, method};
 use cliquemap::policy::{EvictionPolicy, LruPolicy};
 use cliquemap::version::VersionNumber;
+use cliquemap::workload::Workload;
 use rpc::{RpcCostModel, Status};
-use simnet::{Ctx, Deferred, Event, MetricId, Node, NodeId, SimDuration};
+use simnet::{Ctx, Deferred, Event, FabricCfg, HostCfg, MetricId, Node, NodeId, Sim, SimDuration};
 
 /// MemcacheG server configuration.
 #[derive(Debug, Clone)]
 pub struct MemcacheGCfg {
     /// Byte budget for stored values (keys + values).
     pub capacity_bytes: usize,
-    /// RPC framework cost model.
-    pub rpc_cost: RpcCostModel,
-    /// Handler cost per operation beyond the framework.
-    pub handler_cost: SimDuration,
 }
+
+/// Handler cost per operation beyond the RPC framework's
+/// ([`RpcCostModel::default`], the same model `ClientNode` bills).
+const HANDLER_COST: SimDuration = SimDuration::from_micros(1);
 
 impl Default for MemcacheGCfg {
     fn default() -> Self {
         MemcacheGCfg {
             capacity_bytes: 64 << 20,
-            rpc_cost: RpcCostModel::default(),
-            handler_cost: SimDuration::from_micros(1),
         }
     }
 }
@@ -202,8 +204,8 @@ impl Node for MemcacheGNode {
                     },
                     &self.pool,
                 );
-                let cost = self.cfg.rpc_cost.server_total(req.body.len(), resp.len())
-                    + self.cfg.handler_cost;
+                let cost =
+                    RpcCostModel::default().server_total(req.body.len(), resp.len()) + HANDLER_COST;
                 let tok = self.pending.defer((frame.src, resp));
                 ctx.spawn_cpu(cost, tok);
             }
@@ -223,10 +225,209 @@ impl Node for MemcacheGNode {
     }
 }
 
+/// A MemcacheG deployment driven by the tree's one op-driver.
+pub struct MemcacheGCell {
+    /// The simulation world.
+    pub sim: Sim,
+    /// The MemcacheG servers, indexed by shard.
+    pub servers: Vec<NodeId>,
+    /// The clients, parallel to the workloads given.
+    pub clients: Vec<NodeId>,
+}
+
+/// Build `servers` MemcacheG nodes, a config store that lists them as the
+/// shards of an R=1 cell, and one [`ClientNode`] per workload reaching them
+/// by full RPC ([`LookupStrategy::Rpc`]), each node on a host of its own.
+/// `client` is the template for what an op-driver can be told (retry
+/// budget, attempt timeout, pacing, `max_in_flight`). Set against a
+/// CliqueMap cell, the comparison differs in the server alone: both sides
+/// pay the client cost model every figure uses.
+pub fn memcacheg_cell(
+    seed: u64,
+    host: HostCfg,
+    servers: usize,
+    client: ClientCfg,
+    workloads: Vec<Box<dyn Workload>>,
+) -> MemcacheGCell {
+    let mut sim = Sim::new(FabricCfg::default(), seed);
+    let place = |sim: &mut Sim, node: Box<dyn Node>| {
+        let h = sim.add_host(host.clone());
+        sim.add_node(h, node)
+    };
+    let servers: Vec<NodeId> = (0..servers)
+        .map(|_| {
+            let server = MemcacheGNode::new(MemcacheGCfg::default());
+            place(&mut sim, Box::new(server))
+        })
+        .collect();
+    let config = CellConfig {
+        config_id: 1,
+        replication: ReplicationMode::R1,
+        shards: servers.iter().map(|n| n.0).collect(),
+        spares: Vec::new(),
+    };
+    let config_store = place(&mut sim, Box::new(ConfigStoreNode::new(config)));
+    let cfg = Rc::new(ClientCfg {
+        strategy: LookupStrategy::Rpc,
+        config_store,
+        access_flush: None,
+        ..client
+    });
+    let clients = (1..)
+        .zip(workloads)
+        .map(|(client_id, workload)| {
+            let me = ClientIdentity {
+                client_id,
+                adaptive_seed: 0,
+                shared_pony: None,
+                shared_values: None,
+            };
+            place(
+                &mut sim,
+                Box::new(ClientNode::new(cfg.clone(), me, workload)),
+            )
+        })
+        .collect();
+    MemcacheGCell {
+        sim,
+        servers,
+        clients,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimTime;
+    use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload};
+    use rpc::RetryPolicy;
+
+    /// `servers` servers, one client running `ops` (gap in µs before each).
+    fn script_cell(
+        seed: u64,
+        servers: usize,
+        client: ClientCfg,
+        ops: Vec<(u64, ClientOp)>,
+    ) -> MemcacheGCell {
+        let timed = |(us, op)| (SimDuration::from_micros(us), op);
+        let workload = Box::new(ScriptWorkload::new(ops.into_iter().map(timed).collect()));
+        memcacheg_cell(seed, HostCfg::default(), servers, client, vec![workload])
+    }
+
+    fn outcomes(cell: &mut MemcacheGCell) -> Vec<OpOutcome> {
+        let log = |c: &mut ClientNode| c.completions.iter().map(|(o, _)| *o).collect();
+        cell.sim.with_node(cell.clients[0], log).unwrap()
+    }
+
+    fn get(key: &'static str) -> ClientOp {
+        let key = Bytes::from_static(key.as_bytes());
+        ClientOp::Get { key }
+    }
+
+    fn set(key: &'static str) -> ClientOp {
+        let key = Bytes::from_static(key.as_bytes());
+        let value = Bytes::from_static(b"v");
+        ClientOp::Set { key, value }
+    }
+
+    /// Three attempts, 1 ms each: a failing op gives up within ~3 ms.
+    fn three_attempts() -> ClientCfg {
+        ClientCfg {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
+            },
+            attempt_timeout: SimDuration::from_millis(1),
+            ..ClientCfg::default()
+        }
+    }
+
+    #[test]
+    fn set_get_roundtrip() {
+        let ops = vec![(1_000, set("k")), (500, get("k")), (600, get("missing"))];
+        let mut cell = script_cell(11, 1, ClientCfg::default(), ops);
+        // The client has its config by now; what is spent after is the ops'.
+        cell.sim.run_for(SimDuration::from_micros(900));
+        let hosts = [cell.servers[0], cell.clients[0]].map(|n| cell.sim.host_of(n));
+        let busy = |sim: &Sim| hosts.iter().map(|&h| sim.host(h).cpu_busy_ns).sum::<u64>();
+        let before = busy(&cell.sim);
+        cell.sim.run_for(SimDuration::from_secs(1));
+        use OpOutcome::{Done, Hit, Miss};
+        assert_eq!(outcomes(&mut cell), [Done, Hit, Miss]);
+        // The paper's quantity: every op pays the >50 CPU-µs framework
+        // floor, summed over client and server.
+        let per_op = (busy(&cell.sim) - before) / 3;
+        assert!(per_op >= 50_000, "{per_op} CPU-ns per op");
+    }
+
+    #[test]
+    fn rpc_get_far_slower_than_fabric_rtt() {
+        // The motivating observation: RPC cost eclipses the network time.
+        let mut cell = script_cell(11, 1, ClientCfg::default(), vec![(1_000, get("x"))]);
+        cell.sim.run_for(SimDuration::from_secs(1));
+        let h = cell.sim.metrics().hist_ref("cm.get.latency_ns").unwrap();
+        // Fabric RTT is ~4-5us; the RPC GET is several times above it.
+        assert!(h.percentile(50.0) > 25_000, "{}", h.percentile(50.0));
+    }
+
+    #[test]
+    fn timeout_retries_against_dead_server() {
+        let mut cell = script_cell(12, 1, three_attempts(), vec![(0, get("k"))]);
+        cell.sim.crash(cell.servers[0]);
+        cell.sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(outcomes(&mut cell), [OpOutcome::Error]);
+        assert!(cell.sim.metrics().counter("cm.retries") >= 1);
+        assert!(cell.sim.metrics().counter("cm.client.rpc_timeouts") >= 2);
+    }
+
+    #[test]
+    fn multiget_is_one_get_rpc_per_key() {
+        let keys = ["a", "b", "c", "d"];
+        let mut ops: Vec<_> = keys.iter().map(|k| (100, set(k))).collect();
+        let keys = keys.map(|k| Bytes::from_static(k.as_bytes()));
+        ops.push((100, ClientOp::MultiGet { keys: keys.into() }));
+        let mut cell = script_cell(13, 2, ClientCfg::default(), ops);
+        cell.sim.run_for(SimDuration::from_secs(1));
+        use OpOutcome::{Done, Hit};
+        assert_eq!(outcomes(&mut cell), [Done, Done, Done, Done, Hit]);
+        assert_eq!(cell.sim.metrics().counter("cm.get.hits"), 4);
+        // Four SETs and four GETs, spread over both shards by key hash.
+        let ops_of = |s: &mut MemcacheGNode| s.ops;
+        let served = cell.servers.clone().into_iter();
+        let served: Vec<u64> = served
+            .filter_map(|s| cell.sim.with_node(s, ops_of))
+            .collect();
+        assert_eq!(served.len(), 2);
+        assert_eq!(served.iter().sum::<u64>(), 4 + 4, "{served:?}");
+        assert!(served.iter().all(|&n| n > 0), "{served:?}");
+    }
+
+    #[test]
+    fn unimplemented_op_errors_and_frees_its_slot() {
+        // CAS is not part of the memcached interface: the server answers
+        // `Internal`, the client spends its retry budget and reports Error.
+        // At `max_in_flight` 1 the GET after it runs only if the slot was
+        // given back.
+        let key = Bytes::from_static(b"k");
+        let value = Bytes::from_static(b"w");
+        let cas = ClientOp::Cas { key, value };
+        let ops = vec![
+            (0, set("k")),
+            (200, get("k")),
+            (200, cas),
+            (10_000, get("k")),
+        ];
+        let client = ClientCfg {
+            max_in_flight: 1,
+            ..three_attempts()
+        };
+        let mut cell = script_cell(14, 1, client, ops);
+        cell.sim.run_for(SimDuration::from_secs(1));
+        use OpOutcome::{Done, Error, Hit};
+        assert_eq!(outcomes(&mut cell), [Done, Hit, Error, Hit]);
+        let m = cell.sim.metrics();
+        assert_eq!(m.counter("cm.retries"), 2);
+        assert_eq!(m.counter("cm.client.overload_drops"), 0);
+    }
 
     #[test]
     fn handle_set_get_erase() {
@@ -298,7 +499,6 @@ mod tests {
     fn lru_eviction_at_capacity() {
         let mut s = MemcacheGNode::new(MemcacheGCfg {
             capacity_bytes: 300,
-            ..MemcacheGCfg::default()
         });
         for i in 0..10u32 {
             let req = rpc::Request {
@@ -331,6 +531,5 @@ mod tests {
             .encode_in(&Pool::new()),
         };
         assert_eq!(s.handle(&get).0, Status::Ok);
-        let _ = SimTime::ZERO;
     }
 }

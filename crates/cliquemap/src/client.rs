@@ -503,8 +503,8 @@ impl Verdict {
 enum Work {
     /// Pacing timer: pull the next op from the workload.
     NextOp,
-    /// Issue a parked/new logical op (after shim ingress).
-    Start(u64),
+    /// A new logical op's start timer fired: admit and issue it.
+    Start(u64, ClientOp),
     /// Retry a logical op after backoff.
     Retry(u64),
     /// Flush batched access records.
@@ -535,7 +535,6 @@ pub struct ClientNode {
     config_refreshing: bool,
     geometry: IdMap<NodeId, Geometry>,
     connecting: IdSet<NodeId>,
-    pending_start: IdMap<u64, ClientOp>,
     ops: BTreeMap<u64, OpState>,
     /// Recycled [`GetState`]s: completed GETs return here so steady-state
     /// issue reuses their `replicas`/`votes` capacity (no allocation).
@@ -732,7 +731,6 @@ impl ClientNode {
             config_refreshing: false,
             geometry: IdMap::default(),
             connecting: IdSet::default(),
-            pending_start: IdMap::default(),
             ops: BTreeMap::new(),
             free_gets: Vec::new(),
             batches: IdMap::default(),
@@ -837,8 +835,9 @@ impl ClientNode {
                 self.workload_done = true;
             }
             Some((gap, op)) => {
-                let op_id = self.admit(op);
-                let tok = self.work.defer(Work::Start(op_id));
+                let op_id = self.next_op_id;
+                self.next_op_id += 1;
+                let tok = self.work.defer(Work::Start(op_id, op));
                 ctx.set_timer(gap, tok);
                 if self.cfg.pacing == Pacing::Open {
                     let tok = self.work.defer(Work::NextOp);
@@ -848,38 +847,19 @@ impl ClientNode {
         }
     }
 
-    fn admit(&mut self, op: ClientOp) -> u64 {
-        let op_id = self.next_op_id;
-        self.next_op_id += 1;
-        self.pending_start.insert(op_id, op);
-        op_id
-    }
-
-    fn start_op(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
-        // An op may arrive here via its start timer (from pending_start) or
-        // via MultiGet expansion (already parked with a batch id).
-        let parked = match self.pending_start.remove(&op_id) {
-            Some(op) => (op, None),
-            None => match self.ops.remove(&op_id) {
-                Some(OpState::Parked(op, batch)) => (op, batch),
-                Some(other) => {
-                    self.ops.insert(op_id, other);
-                    return;
-                }
-                None => return,
-            },
-        };
+    /// Admit a logical op under `max_in_flight` and issue it: a new op off
+    /// its start timer, or a MultiGet/MultiSet member with its `batch`.
+    fn start_op(&mut self, ctx: &mut Ctx<'_>, op_id: u64, op: ClientOp, batch: Option<u64>) {
         if self.in_flight >= self.cfg.max_in_flight {
             ctx.metrics().add_id(self.m().overload_drops, 1);
             // A dropped batch member must still resolve its container, or
             // the batch would leak and never complete.
-            if let (_, Some(batch_id)) = parked {
+            if let Some(batch_id) = batch {
                 let now = ctx.now();
                 self.batch_member_done(ctx, batch_id, OpOutcome::Error, now, SimDuration::ZERO);
             }
             return;
         }
-        let (op, batch) = parked;
         if let Some(shim) = &self.cfg.shim {
             self.charge(ctx, shim.per_op_cpu(Self::op_bytes(&op)), 0);
         }
@@ -961,8 +941,7 @@ impl ClientNode {
         for sub_op in subs {
             let sub = self.next_op_id;
             self.next_op_id += 1;
-            self.ops.insert(sub, OpState::Parked(sub_op, Some(op_id)));
-            self.start_op(ctx, sub);
+            self.start_op(ctx, sub, sub_op, Some(op_id));
         }
         if coalescing {
             self.coalesce_flush(ctx);
@@ -1537,7 +1516,7 @@ impl ClientNode {
         let Some(h) = self.ops.get_mut(&op_id).and_then(OpState::header_mut) else {
             return;
         };
-        match h.retry.on_failure_jittered(&policy, now, ctx.rng()) {
+        match h.retry.on_failure(&policy, now, ctx.rng()) {
             rpc::RetryDecision::RetryAfter(backoff) => {
                 ctx.metrics().add_id(self.m().retries, 1);
                 let trace = self.trace_of(ctx, op_id);
@@ -2460,7 +2439,7 @@ impl Node for ClientNode {
                 if let Some(work) = self.work.take(token) {
                     match work {
                         Work::NextOp => self.schedule_next(ctx),
-                        Work::Start(op) => self.start_op(ctx, op),
+                        Work::Start(id, op) => self.start_op(ctx, id, op, None),
                         Work::Retry(op) => self.retry_op(ctx, op),
                         Work::AccessFlush => self.flush_access_records(ctx),
                         Work::SendWire(dst, wire, trace) => ctx.send_traced(dst, wire, trace),

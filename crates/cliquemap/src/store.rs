@@ -48,8 +48,6 @@ pub struct StoreCfg {
     pub resize_load_factor: f64,
     /// Data utilization that triggers region growth.
     pub data_high_watermark: f64,
-    /// Multiplier for each data growth step.
-    pub data_growth_factor: f64,
     /// Entries kept in the RPC-only overflow side table (§4.2): KV pairs
     /// displaced by associativity conflicts stay servable over RPC. Zero
     /// disables the fallback.
@@ -69,7 +67,6 @@ impl Default for StoreCfg {
             tombstone_capacity: 4096,
             resize_load_factor: 0.7,
             data_high_watermark: 0.85,
-            data_growth_factor: 2.0,
             overflow_capacity: 1024,
         }
     }
@@ -138,6 +135,9 @@ impl PreparedSet {
         &self.entry_bytes[DATA_ENTRY_HEADER_BYTES + self.key_len..end]
     }
 }
+
+/// Multiplier for each data-region growth step.
+const DATA_GROWTH_FACTOR: usize = 2;
 
 /// Poison stamp written over freed DataEntries so stale pointer chases fail
 /// checksum validation rather than returning ghosts.
@@ -736,7 +736,7 @@ impl BackendStore {
     /// valid, so in-flight reads and stale pointers keep working; new
     /// entries use the new window and clients converge over time.
     pub fn grow_data(&mut self) {
-        let new_cap = ((self.slab.capacity() as f64 * self.cfg.data_growth_factor) as usize)
+        let new_cap = (self.slab.capacity() * DATA_GROWTH_FACTOR)
             .min(self.cfg.max_data_capacity)
             .max(self.slab.capacity() + self.cfg.slab_bytes);
         let new_cap = new_cap.min(self.cfg.max_data_capacity);

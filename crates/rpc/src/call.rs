@@ -3,8 +3,7 @@
 //!
 //! A [`CallTable`] lives inside any node that issues RPCs. The node encodes
 //! and sends requests through it, routes incoming response envelopes to it,
-//! and periodically sweeps it for deadline expirations (or sets a per-call
-//! timer using [`CallTable::timer_token`]).
+//! and sets a per-call deadline timer using [`CallTable::timer_token`].
 
 use bytes::{Bytes, Pool};
 
@@ -132,20 +131,6 @@ impl CallTable {
         self.outstanding.remove(&id)
     }
 
-    /// Sweep every call whose deadline has passed.
-    pub fn expire_all(&mut self, now: SimTime) -> Vec<(u64, Outstanding)> {
-        let overdue: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.deadline_ns != u64::MAX && o.deadline_ns <= now.nanos())
-            .map(|(&id, _)| id)
-            .collect();
-        overdue
-            .into_iter()
-            .map(|id| (id, self.outstanding.remove(&id).unwrap()))
-            .collect()
-    }
-
     /// Timer token to use for a call's deadline.
     pub fn timer_token(id: u64) -> u64 {
         CALL_TIMER_BASE + id
@@ -225,18 +210,6 @@ mod tests {
         let gone = t.expire(id).unwrap();
         assert_eq!(gone.user_tag, 5);
         assert!(t.expire(id).is_none());
-    }
-
-    #[test]
-    fn expire_all_respects_deadlines() {
-        let mut t = table();
-        t.begin(NodeId(1), 1, Bytes::new(), SimTime(0), 100, 1);
-        t.begin(NodeId(1), 1, Bytes::new(), SimTime(0), 200, 2);
-        t.begin(NodeId(1), 1, Bytes::new(), SimTime(0), u64::MAX, 3);
-        let expired = t.expire_all(SimTime(150));
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].1.user_tag, 1);
-        assert_eq!(t.in_flight(), 2);
     }
 
     #[test]

@@ -52,14 +52,8 @@ impl RpcCostModel {
         }
     }
 
-    /// Total client-side CPU for a request of `req_bytes` and response of
-    /// `resp_bytes`.
-    pub fn client_total(&self, req_bytes: usize, resp_bytes: usize) -> SimDuration {
-        self.client_send + self.client_recv + self.marshal(req_bytes) + self.marshal(resp_bytes)
-    }
-
-    /// Total server-side CPU for the same exchange (excluding the
-    /// application handler's own work).
+    /// Total server-side CPU for a request of `req_bytes` and a response
+    /// of `resp_bytes` (excluding the application handler's own work).
     pub fn server_total(&self, req_bytes: usize, resp_bytes: usize) -> SimDuration {
         self.server_dispatch + self.server_send + self.marshal(req_bytes) + self.marshal(resp_bytes)
     }
@@ -77,7 +71,7 @@ mod tests {
     #[test]
     fn empty_rpc_near_fifty_micros() {
         let m = RpcCostModel::default();
-        let total = m.client_total(0, 0) + m.server_total(0, 0);
+        let total = m.client_send + m.client_recv + m.server_total(0, 0);
         let us = total.micros();
         assert!((50..60).contains(&us), "empty RPC costs {us}us");
     }
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn scaling_halves_costs() {
         let m = RpcCostModel::default().scaled(0.5);
-        let total = m.client_total(0, 0) + m.server_total(0, 0);
+        let total = m.client_send + m.client_recv + m.server_total(0, 0);
         assert!((25..30).contains(&total.micros()), "{}", total);
     }
 }

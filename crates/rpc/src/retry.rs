@@ -21,13 +21,12 @@ pub struct RetryPolicy {
     pub max_backoff: SimDuration,
     /// Overall operation deadline from first issue.
     pub op_deadline: SimDuration,
-    /// Jitter fraction in `[0, 1]` applied by
-    /// [`RetryState::on_failure_jittered`]: each backoff is scaled by a
-    /// uniform draw from `[1 - jitter, 1]`. Zero (the default) disables
-    /// jitter and draws nothing from the RNG. Without jitter, clients that
-    /// fail together — the signature of a fault window, not of independent
-    /// load — retry together, and every backoff tier re-delivers the
-    /// original incast.
+    /// Jitter fraction in `[0, 1]` applied by [`RetryState::on_failure`]:
+    /// each backoff is scaled by a uniform draw from `[1 - jitter, 1]`.
+    /// Zero (the default) disables jitter and draws nothing from the RNG.
+    /// Without jitter, clients that fail together — the signature of a
+    /// fault window, not of independent load — retry together, and every
+    /// backoff tier re-delivers the original incast.
     pub jitter: f64,
 }
 
@@ -45,15 +44,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn no_retries(deadline: SimDuration) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            op_deadline: deadline,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Begin tracking an operation issued at `now`.
     pub fn start(&self, now: SimTime) -> RetryState {
         RetryState {
@@ -83,33 +73,17 @@ pub enum RetryDecision {
 }
 
 impl RetryState {
-    /// Account a failure at `now` and decide whether to retry. Backoff is
-    /// deterministic (no jitter); see [`RetryState::on_failure_jittered`]
-    /// for the storm-breaking variant.
-    pub fn on_failure(&mut self, policy: &RetryPolicy, now: SimTime) -> RetryDecision {
-        self.decide(policy, now, None)
-    }
-
-    /// Like [`RetryState::on_failure`] but with `policy.jitter` applied:
-    /// the backoff is scaled by a uniform draw from `[1 - jitter, 1]` so
-    /// clients whose attempts failed simultaneously (a fault window, a
-    /// partition heal) decorrelate instead of re-colliding at every
-    /// exponential tier. With `jitter == 0.0` this draws nothing from `rng`
-    /// and is exactly [`RetryState::on_failure`].
-    pub fn on_failure_jittered(
+    /// Account a failure at `now` and decide whether to retry. The backoff
+    /// is scaled by a uniform draw from `[1 - policy.jitter, 1]`, so clients
+    /// whose attempts failed simultaneously (a fault window, a partition
+    /// heal) decorrelate instead of re-colliding at every exponential tier.
+    /// With `jitter == 0.0` the schedule is deterministic and nothing is
+    /// drawn from `rng`.
+    pub fn on_failure(
         &mut self,
         policy: &RetryPolicy,
         now: SimTime,
         rng: &mut SimRng,
-    ) -> RetryDecision {
-        self.decide(policy, now, Some(rng))
-    }
-
-    fn decide(
-        &mut self,
-        policy: &RetryPolicy,
-        now: SimTime,
-        rng: Option<&mut SimRng>,
     ) -> RetryDecision {
         if self.attempts >= policy.max_attempts {
             return RetryDecision::GiveUp;
@@ -123,10 +97,8 @@ impl RetryState {
             (policy.base_backoff.nanos() as f64 * policy.multiplier.powi(exp as i32)) as u64;
         backoff_ns = backoff_ns.min(policy.max_backoff.nanos());
         if policy.jitter > 0.0 {
-            if let Some(rng) = rng {
-                let scale = 1.0 - policy.jitter.min(1.0) * rng.next_f64();
-                backoff_ns = (backoff_ns as f64 * scale).round() as u64;
-            }
+            let scale = 1.0 - policy.jitter.min(1.0) * rng.next_f64();
+            backoff_ns = (backoff_ns as f64 * scale).round() as u64;
         }
         let backoff = SimDuration(backoff_ns);
         // Don't schedule a retry beyond the deadline.
@@ -149,6 +121,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_then_gives_up() {
+        let rng = &mut SimRng::new(1);
         let policy = RetryPolicy {
             max_attempts: 4,
             base_backoff: SimDuration::from_micros(10),
@@ -160,7 +133,7 @@ mod tests {
         let mut st = policy.start(SimTime(0));
         let mut backoffs = Vec::new();
         let mut now = SimTime(0);
-        while let RetryDecision::RetryAfter(b) = st.on_failure(&policy, now) {
+        while let RetryDecision::RetryAfter(b) = st.on_failure(&policy, now, rng) {
             backoffs.push(b);
             now += b;
         }
@@ -180,9 +153,10 @@ mod tests {
             op_deadline: SimDuration::from_secs(10),
             ..RetryPolicy::default()
         };
+        let rng = &mut SimRng::new(1);
         let mut st = policy.start(SimTime(0));
-        st.on_failure(&policy, SimTime(0));
-        match st.on_failure(&policy, SimTime(0)) {
+        st.on_failure(&policy, SimTime(0), rng);
+        match st.on_failure(&policy, SimTime(0), rng) {
             RetryDecision::RetryAfter(b) => assert_eq!(b, SimDuration::from_micros(500)),
             d => panic!("{d:?}"),
         }
@@ -196,26 +170,31 @@ mod tests {
             base_backoff: SimDuration::from_micros(10),
             ..RetryPolicy::default()
         };
+        let rng = &mut SimRng::new(1);
         let mut st = policy.start(SimTime(0));
         // Past the deadline: give up immediately.
         assert_eq!(
-            st.on_failure(&policy, SimTime(60_000)),
+            st.on_failure(&policy, SimTime(60_000), rng),
             RetryDecision::GiveUp
         );
         // Within deadline but backoff would overshoot it.
         let mut st2 = policy.start(SimTime(0));
         st2.attempts = 3;
         assert_eq!(
-            st2.on_failure(&policy, SimTime(49_000)),
+            st2.on_failure(&policy, SimTime(49_000), rng),
             RetryDecision::GiveUp
         );
     }
 
     #[test]
     fn no_retries_policy() {
-        let policy = RetryPolicy::no_retries(SimDuration::from_millis(1));
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
         let mut st = policy.start(SimTime(0));
-        assert_eq!(st.on_failure(&policy, SimTime(0)), RetryDecision::GiveUp);
+        let decision = st.on_failure(&policy, SimTime(0), &mut SimRng::new(1));
+        assert_eq!(decision, RetryDecision::GiveUp);
     }
 
     #[test]
@@ -226,18 +205,16 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut rng = SimRng::new(42);
-        let mut plain = policy.start(SimTime(0));
-        let mut jittered = policy.start(SimTime(0));
+        let mut st = policy.start(SimTime(0));
         let mut now = SimTime(0);
-        loop {
-            let a = plain.on_failure(&policy, now);
-            let b = jittered.on_failure_jittered(&policy, now, &mut rng);
-            assert_eq!(a, b);
-            match a {
-                RetryDecision::RetryAfter(d) => now += d,
-                RetryDecision::GiveUp => break,
-            }
+        let mut backoffs = Vec::new();
+        while let RetryDecision::RetryAfter(d) = st.on_failure(&policy, now, &mut rng) {
+            backoffs.push(d.nanos());
+            now += d;
         }
+        // The exponential schedule, to the nanosecond: base 10 µs doubling.
+        let expected: Vec<u64> = (0..7).map(|i| 10_000u64 << i).collect();
+        assert_eq!(backoffs, expected);
         // And no randomness was consumed: the stream is untouched.
         assert_eq!(SimRng::new(42).next_u64(), rng.next_u64());
     }
@@ -259,7 +236,7 @@ mod tests {
         for _ in 0..clients {
             let mut rng = master.fork();
             let mut st = policy.start(SimTime(0));
-            match st.on_failure_jittered(&policy, SimTime(0), &mut rng) {
+            match st.on_failure(&policy, SimTime(0), &mut rng) {
                 RetryDecision::RetryAfter(b) => {
                     // Scaled into [0.5, 1.0]x of the base backoff.
                     assert!(b.nanos() >= 50_000 && b.nanos() <= 100_000, "{b}");
@@ -278,7 +255,7 @@ mod tests {
         for _ in 0..clients {
             let mut rng = master2.fork();
             let mut st = policy.start(SimTime(0));
-            match st.on_failure_jittered(&policy, SimTime(0), &mut rng) {
+            match st.on_failure(&policy, SimTime(0), &mut rng) {
                 RetryDecision::RetryAfter(b) => assert!(schedule.contains(&b.nanos())),
                 d => panic!("{d:?}"),
             }

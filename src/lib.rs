@@ -10,7 +10,7 @@
 //! | [`rpc`] | production-flavoured RPC substrate (~50 CPU-µs/op) |
 //! | [`rma`] | one-sided READ / SCAR, Pony Express, 1RMA, RDMA models |
 //! | [`cliquemap`] | the hybrid RMA/RPC caching system |
-//! | [`baselines`] | MemcacheG, the pure-RPC comparison point |
+//! | [`baselines`] | MemcacheG, the pure-RPC server, driven by `cliquemap`'s client |
 //! | [`workloads`] | Ads/Geo generators, mixes, ramps, antagonists |
 //! | `bench` | the figure-regeneration harness (named `bench`, which collides with rustc's built-in test framework path, so it is a direct dependency rather than a re-export) |
 

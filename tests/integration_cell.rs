@@ -7,11 +7,11 @@ use bytes::Bytes;
 
 use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec};
-use cliquemap::client::{ClientNode, LookupStrategy};
+use cliquemap::client::{ClientCfg, ClientNode, LookupStrategy};
 use cliquemap::config::ReplicationMode;
 use cliquemap::hash::{DefaultHasher, KeyHasher};
 use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload, UniformWorkload, Workload};
-use simnet::{FabricCfg, HostCfg, Sim, SimDuration};
+use simnet::{FabricCfg, HostCfg, SimDuration};
 use workloads::{Prefill, SizeDist};
 
 fn spec(strategy: LookupStrategy, replication: ReplicationMode) -> CellSpec {
@@ -50,16 +50,7 @@ fn cliquemap_gets_beat_memcacheg_by_an_order_of_magnitude() {
         .unwrap()
         .percentile(50.0);
 
-    // MemcacheG (pure RPC), same corpus shape.
-    let mut sim = Sim::new(FabricCfg::default(), 5);
-    let sh = sim.add_host(HostCfg::default().no_cstates());
-    let ch = sim.add_host(HostCfg::default().no_cstates());
-    let server = sim.add_node(
-        sh,
-        Box::new(baselines::MemcacheGNode::new(
-            baselines::MemcacheGCfg::default(),
-        )),
-    );
+    // MemcacheG (pure RPC), same corpus shape, same client library.
     // Populate then read.
     let mut ops: Vec<(SimDuration, ClientOp)> = (0..200u64)
         .map(|i| {
@@ -80,21 +71,19 @@ fn cliquemap_gets_beat_memcacheg_by_an_order_of_magnitude() {
             },
         ));
     }
-    let client = sim.add_node(
-        ch,
-        Box::new(baselines::RpcKvcsClient::new(
-            baselines::RpcClientCfg {
-                servers: vec![server],
-                ..baselines::RpcClientCfg::default()
-            },
-            Box::new(ScriptWorkload::new(ops)),
-        )),
+    let mut mcg = baselines::memcacheg_cell(
+        5,
+        HostCfg::default().no_cstates(),
+        1,
+        ClientCfg::default(),
+        vec![Box::new(ScriptWorkload::new(ops))],
     );
-    sim.run_for(SimDuration::from_secs(2));
-    let _ = client;
-    let mcg_p50 = sim
+    mcg.sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(mcg.sim.metrics().counter("cm.get.hits"), 2_000);
+    let mcg_p50 = mcg
+        .sim
         .metrics()
-        .hist_ref("mcg.get.latency_ns")
+        .hist_ref("cm.get.latency_ns")
         .unwrap()
         .percentile(50.0);
 

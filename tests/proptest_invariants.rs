@@ -403,10 +403,11 @@ proptest! {
 
     /// The frames whose decode feeds the client's quorum core — lookup
     /// responses, batch status vectors, and the mutation requests backends
-    /// decode — survive truncation at every length and every single-bit
-    /// flip: no panic, no allocation sized by an unchecked count, and a
-    /// result that is `None` (a `Garbled` verdict, one retry, at the
-    /// client) or accounts for no more bytes than the frame holds.
+    /// decode — and what carries them — the RPC envelopes and the batch
+    /// request frames — survive truncation at every length and every
+    /// single-bit flip: no panic, no allocation sized by an unchecked
+    /// count, and a result that is `None` (a `Garbled` verdict, one retry,
+    /// at the client) or accounts for no more bytes than the frame holds.
     #[test]
     fn message_frames_survive_truncation_and_bit_flips(
         key in proptest::collection::vec(any::<u8>(), 0..24),
@@ -423,9 +424,42 @@ proptest! {
             sub, status: (sub % 2) as u8, version, value: value.clone(),
         }).collect();
         let statuses = subs.iter().map(|&sub| (sub, (sub % 3) as u8)).collect();
+        let multi_get = MultiGetReq { subs: subs.clone(), keys: vec![key.clone(); n] };
+        let multi_set = MultiSetReq {
+            subs: subs.clone(),
+            entries: vec![(key.clone(), value.clone(), version); n],
+        };
+        let request = rpc::Request {
+            version: rpc::PROTOCOL_VERSION, method: method::SET, id: version.0 as u64,
+            auth: 7, deadline_ns: 1_000, body: value.clone(),
+        };
+        let response = rpc::Response {
+            version: rpc::PROTOCOL_VERSION, status: rpc::Status::Ok, id: version.0 as u64,
+            body: value.clone(),
+        };
         // Each decoder reports the bytes its message accounts for.
         type Sized = fn(Bytes) -> Option<usize>;
-        let frames: [(&str, Bytes, Sized); 6] = [
+        fn envelope(b: Bytes) -> Option<usize> {
+            Some(match rpc::decode(b)? {
+                rpc::Envelope::Request(r) => 35 + r.body.len(),
+                rpc::Envelope::Response(r) => 18 + r.body.len(),
+            })
+        }
+        let frames: [(&str, Bytes, Sized); 10] = [
+            ("rpc::Request", rpc::encode_request_in(&request, &pool), envelope),
+            ("rpc::Response", rpc::encode_response_in(&response, &pool), envelope),
+            ("MultiGetReq", multi_get.encode_in(&pool), |b| {
+                let len = b.len();
+                let m = MultiGetReq::decode(b)?;
+                assert!(m.keys.capacity() * 12 <= len, "capacity from an unchecked count");
+                Some(4 + m.keys.iter().map(|k| 12 + k.len()).sum::<usize>())
+            }),
+            ("MultiSetReq", multi_set.encode_in(&pool), |b| {
+                let len = b.len();
+                let m = MultiSetReq::decode(b)?;
+                assert!(m.entries.capacity() * 32 <= len, "capacity from an unchecked count");
+                Some(4 + m.entries.iter().map(|(k, v, _)| 32 + k.len() + v.len()).sum::<usize>())
+            }),
             ("GetResp",
              GetResp { key: key.clone(), value: value.clone(), version }.encode_in(&pool),
              |b| GetResp::decode(b).map(|m| 24 + m.key.len() + m.value.len())),
