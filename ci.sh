@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client footprint gate, the quorum
-# core's purity, the one-op-driver gate, lints, format, rustdoc, the
-# benchmark's smoke tests and the figure reproducibility gate.
+# core's purity, the one-op-driver and one-histogram gates, lints, format,
+# rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -37,6 +37,19 @@ echo "== one op-driver =="
 drivers=$(grep -rln 'workload\.next(' crates/*/src || true)
 if [ "$drivers" != "crates/cliquemap/src/client.rs" ]; then
     echo "op-drivers outside crates/cliquemap/src/client.rs:" $drivers >&2
+    exit 1
+fi
+
+echo "== one histogram =="
+# A percentile is read from the structure that recorded it: one latency
+# distribution in the tree, and every metric write goes through an id.
+quantiles=$(grep -rl 'fn quantile' crates/*/src || true)
+if [ "$quantiles" != "crates/obs/src/histogram.rs" ] || [ -e crates/obs/src/sketch.rs ]; then
+    echo "latency distributions outside crates/obs/src/histogram.rs:" $quantiles >&2
+    exit 1
+fi
+if grep -rnE 'metrics(_mut)?\(\)\s*\.(add|record|hist|push_series)\(' crates src tests examples; then
+    echo "by-name metric write (use Metrics::handle + the *_id writers)" >&2
     exit 1
 fi
 

@@ -8,8 +8,8 @@
 //! ## Signals
 //!
 //! * per-(strategy × batch-class) EWMA of end-to-end latency and client
-//!   CPU per op, plus a streaming [`obs::Sketch`] whose [`obs::Tap`]
-//!   answers p99 without cloning buckets;
+//!   CPU per op, plus an [`obs::Histogram`] of its latencies, read for
+//!   the arm's p99;
 //! * observed remote engine admission delay (EWMA), a congestion penalty
 //!   charged only to the RMA strategies that contend for the engine;
 //! * SLO burn rate ([`obs::BurnRate`]) over a decaying breach window;
@@ -20,12 +20,12 @@
 //!
 //! Exploit: pick the strategy minimizing `latency + cpu + engine_penalty`
 //! for the op's batch class, where `latency` is the EWMA normally and the
-//! sketch p99 while the SLO burn rate exceeds 1 (tail-aware mode). An
+//! arm histogram's p99 while the SLO burn rate exceeds 1 (tail-aware mode). An
 //! unvisited arm scores 0, so every arm is tried once before the scores
 //! mean anything. Explore: with probability `1/epsilon_inv` (suppressed
 //! while burning), pick uniformly — the trickle that keeps stale arms
 //! fresh after a regime change. Hysteresis comes from the EWMA horizon
-//! (`ewma_shift`) and the demote/promote counters, not from explicit
+//! (`EWMA_SHIFT`) and the demote/promote counters, not from explicit
 //! cooldown timers.
 //!
 //! ## Determinism
@@ -42,7 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::{BurnRate, Sketch};
+use obs::{BurnRate, Histogram};
 
 /// The four CliqueMap access strategies the controller arbitrates, ordered
 /// as in [`Strategy::ALL`].
@@ -86,20 +86,15 @@ impl Strategy {
 }
 
 /// Controller tuning knobs. The defaults are the constants documented in
-/// DESIGN.md §12; experiments override only `slo_ns`/`slo_budget`.
+/// DESIGN.md §12; experiments override only `slo_ns`.
 #[derive(Debug, Clone)]
 pub struct ControllerCfg {
     /// Explore with probability `1/epsilon_inv` per decision (0 disables
     /// exploration entirely). Kept rare — < 1% of ops — so exploration
     /// can never move the p99.
     pub epsilon_inv: u64,
-    /// EWMA horizon: `ewma += (v - ewma) >> ewma_shift`. Larger = more
-    /// hysteresis.
-    pub ewma_shift: u32,
     /// GET latency SLO threshold (ns); breaches feed the burn rate.
     pub slo_ns: u64,
-    /// Allowed breach fraction (the burn-rate denominator).
-    pub slo_budget: f64,
     /// Demote a replica after this many *consecutive* timeouts.
     pub demote_after: u32,
     /// Promote a demoted replica after this many successful probes.
@@ -113,15 +108,20 @@ impl Default for ControllerCfg {
     fn default() -> ControllerCfg {
         ControllerCfg {
             epsilon_inv: 128,
-            ewma_shift: 3,
             slo_ns: 20_000,
-            slo_budget: 0.01,
             demote_after: 3,
             promote_after: 2,
             probe_period: 64,
         }
     }
 }
+
+/// EWMA horizon: `ewma += (v - ewma) >> EWMA_SHIFT`. Larger = more
+/// hysteresis.
+const EWMA_SHIFT: u32 = 3;
+
+/// Allowed SLO breach fraction (the burn-rate denominator).
+const SLO_BUDGET: f64 = 0.01;
 
 /// Decay the burn window once it reaches this many ops (keeps the burn
 /// rate recent without a time base).
@@ -158,17 +158,17 @@ impl Path {
 struct Arm {
     ewma_lat: u64,
     ewma_cpu: u64,
-    sketch: Sketch,
+    latency: Histogram,
     n: u64,
 }
 
-fn ewma_update(ewma: &mut u64, v: u64, shift: u32, first: bool) {
+fn ewma_update(ewma: &mut u64, v: u64, first: bool) {
     if first {
         *ewma = v;
     } else if v >= *ewma {
-        *ewma += (v - *ewma) >> shift;
+        *ewma += (v - *ewma) >> EWMA_SHIFT;
     } else {
-        *ewma -= (*ewma - v) >> shift;
+        *ewma -= (*ewma - v) >> EWMA_SHIFT;
     }
 }
 
@@ -211,7 +211,7 @@ pub struct Controller {
 impl Controller {
     /// A controller with the given knobs, seeded from the sim RNG fork.
     pub fn new(cfg: ControllerCfg, seed: u64) -> Controller {
-        let burn = BurnRate::new(cfg.slo_budget);
+        let burn = BurnRate::new(SLO_BUDGET);
         Controller {
             cfg,
             rng: seed,
@@ -262,7 +262,7 @@ impl Controller {
             return 0; // unvisited arms win ties → initial sweep
         }
         let lat = if tail_mode {
-            arm.sketch.tap().p99
+            arm.latency.percentile(99.0)
         } else {
             arm.ewma_lat
         };
@@ -334,12 +334,11 @@ impl Controller {
 
     /// Feed one completed GET back into the arm it was served by.
     pub fn observe(&mut self, s: Strategy, batched: bool, latency_ns: u64, cpu_ns: u64) {
-        let shift = self.cfg.ewma_shift;
         let arm = &mut self.arms[batched as usize][s.index()];
         let first = arm.n == 0;
-        ewma_update(&mut arm.ewma_lat, latency_ns, shift, first);
-        ewma_update(&mut arm.ewma_cpu, cpu_ns, shift, first);
-        arm.sketch.record(latency_ns);
+        ewma_update(&mut arm.ewma_lat, latency_ns, first);
+        ewma_update(&mut arm.ewma_cpu, cpu_ns, first);
+        arm.latency.record(latency_ns);
         arm.n += 1;
         self.window_ops += 1;
         if latency_ns > self.cfg.slo_ns {
@@ -356,7 +355,7 @@ impl Controller {
     /// waited before the engine started serving it).
     pub fn observe_engine(&mut self, delay_ns: u64) {
         let first = self.engine_n == 0;
-        ewma_update(&mut self.engine_ewma, delay_ns, self.cfg.ewma_shift, first);
+        ewma_update(&mut self.engine_ewma, delay_ns, first);
         self.engine_n += 1;
     }
 
@@ -499,11 +498,6 @@ impl Controller {
     pub fn probes(&self) -> u64 {
         self.probes
     }
-
-    /// Replicas currently demoted.
-    pub fn demoted_now(&self) -> u64 {
-        self.health.values().filter(|h| h.broken != 0).count() as u64
-    }
 }
 
 #[cfg(test)]
@@ -600,6 +594,23 @@ mod tests {
             explored_before,
             "no exploration while burning"
         );
+    }
+
+    #[test]
+    fn tail_mode_score_is_the_arm_histograms_p99() {
+        // Zero CPU and an arm with no engine penalty: the score is the
+        // latency term alone.
+        let mut c = ctl();
+        let mut want = Histogram::new();
+        for i in 0..1_000u64 {
+            let lat = 5_000 + 37 * i;
+            c.observe(Strategy::Msg, false, lat, 0);
+            want.record(lat);
+        }
+        assert_eq!(c.score(false, Strategy::Msg, true), want.percentile(99.0));
+        let ewma = c.arms[0][Strategy::Msg.index()].ewma_lat;
+        assert_eq!(c.score(false, Strategy::Msg, false), ewma);
+        assert_ne!(ewma, want.percentile(99.0));
     }
 
     #[test]

@@ -49,6 +49,12 @@ struct Entry {
     version: VersionNumber,
 }
 
+#[derive(Clone, Copy)]
+struct McgMetricIds {
+    rpc_bytes: MetricId,
+    shed: MetricId,
+}
+
 /// The MemcacheG server node.
 pub struct MemcacheGNode {
     cfg: MemcacheGCfg,
@@ -62,8 +68,8 @@ pub struct MemcacheGNode {
     pub ops: u64,
     /// Evictions performed.
     pub evictions: u64,
-    /// Interned handle for `mcg.rpc_bytes`; resolved on [`Event::Start`].
-    rpc_bytes_id: Option<MetricId>,
+    /// Interned metric ids; resolved on [`Event::Start`].
+    mids: Option<McgMetricIds>,
     /// Frame-buffer pool responses are encoded into; swapped for the
     /// host-shared pool at [`Event::Start`].
     pool: Pool,
@@ -82,7 +88,7 @@ impl MemcacheGNode {
             pending: Deferred::responses(),
             ops: 0,
             evictions: 0,
-            rpc_bytes_id: None,
+            mids: None,
             pool: Pool::new(),
         }
     }
@@ -187,14 +193,25 @@ impl Node for MemcacheGNode {
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
             Event::Start => {
-                self.rpc_bytes_id = Some(ctx.metrics().handle("mcg.rpc_bytes"));
+                let m = ctx.metrics();
+                self.mids = Some(McgMetricIds {
+                    rpc_bytes: m.handle("mcg.rpc_bytes"),
+                    shed: m.handle("mcg.shed"),
+                });
                 self.pool = ctx.pool();
             }
             Event::Frame(frame) => {
                 let Some(rpc::Envelope::Request(req)) = rpc::decode(frame.payload) else {
                     return;
                 };
-                let (status, body) = self.handle(&req);
+                // Every response slot queued behind the CPU: answer now,
+                // before the request changes anything.
+                let shed = self.pending.is_full();
+                let (status, body) = if shed {
+                    (Status::Overloaded, Bytes::new())
+                } else {
+                    self.handle(&req)
+                };
                 let resp = rpc::encode_response_in(
                     &rpc::Response {
                         version: rpc::PROTOCOL_VERSION,
@@ -204,6 +221,12 @@ impl Node for MemcacheGNode {
                     },
                     &self.pool,
                 );
+                if shed {
+                    let shed_id = self.mids.expect("metric ids resolved at Start").shed;
+                    ctx.metrics().add_id(shed_id, 1);
+                    ctx.send(frame.src, resp);
+                    return;
+                }
                 let cost =
                     RpcCostModel::default().server_total(req.body.len(), resp.len()) + HANDLER_COST;
                 let tok = self.pending.defer((frame.src, resp));
@@ -211,7 +234,7 @@ impl Node for MemcacheGNode {
             }
             Event::CpuDone(tok) => {
                 if let Some((dst, resp)) = self.pending.take(tok) {
-                    let rpc_bytes = self.rpc_bytes_id.expect("metric ids resolved at Start");
+                    let rpc_bytes = self.mids.expect("metric ids resolved at Start").rpc_bytes;
                     ctx.metrics().add_id(rpc_bytes, resp.len() as u64);
                     ctx.send(dst, resp);
                 }

@@ -51,7 +51,7 @@ pub(crate) fn a1_measure(prefer: bool) -> (u64, u64) {
     cell.sim
         .add_node(victim_host, Box::new(AntagonistNode::new(tx_sink, 95.0)));
     cell.run_for(SimDuration::from_millis(20));
-    cell.sim.metrics_mut().hist("cm.get.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.get.latency_ns").clear();
     cell.run_for(SimDuration::from_millis(200));
     (
         crate::harness::pctl_ns(&cell, "cm.get.latency_ns", 50.0),
@@ -193,7 +193,7 @@ pub(crate) fn a4_measure(strategy: LookupStrategy, value: usize) -> u64 {
     let mut cell = Cell::build(spec, workloads);
     populate_cell(&mut cell, "x", 1, &SizeDist::fixed(value));
     cell.run_for(SimDuration::from_millis(20));
-    cell.sim.metrics_mut().hist("cm.get.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.get.latency_ns").clear();
     cell.run_for(SimDuration::from_millis(150));
     crate::harness::pctl_ns(&cell, "cm.get.latency_ns", 50.0)
 }

@@ -38,7 +38,7 @@ use workloads::{MixWorkload, SizeDist};
 
 use crate::experiments::base_spec;
 use crate::experiments::chaos::{chaos_cell_custom, MARKS};
-use crate::harness::{populate_cell, Report, WindowSampler};
+use crate::harness::{pctl_us, populate_cell, Report, WindowSampler};
 
 const KEYS: u64 = 2_000;
 const CLIENTS: usize = 10;
@@ -118,7 +118,7 @@ pub fn measure_ramp(name: &'static str, strategy: LookupStrategy, rate: f64) -> 
     let adaptive = name == "adaptive";
     let mut cell = ramp_cell(strategy, adaptive, rate);
     cell.run_for(SimDuration::from_millis(30));
-    cell.sim.metrics_mut().hist("cm.get.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.get.latency_ns").clear();
     let ops = |cell: &Cell| {
         cell.sim.metrics().counter("cm.get.completed")
             + cell.sim.metrics().counter("cm.set.completed")
@@ -128,7 +128,6 @@ pub fn measure_ramp(name: &'static str, strategy: LookupStrategy, rate: f64) -> 
     cell.run_for(SimDuration::from_millis(100));
     let completed = ops(&cell) - ops0;
     let cpu = cell.sim.metrics().counter("cm.client.cpu_ns") - cpu0;
-    let h = crate::harness::sketch_of(&cell, "cm.get.latency_ns");
     let choices = if adaptive {
         let mut decisions = 0u64;
         let mut counts = [0u64; 4];
@@ -152,8 +151,8 @@ pub fn measure_ramp(name: &'static str, strategy: LookupStrategy, rate: f64) -> 
     };
     RampPoint {
         name,
-        get_p50_us: h.percentile(50.0) as f64 / 1e3,
-        get_p99_us: h.percentile(99.0) as f64 / 1e3,
+        get_p50_us: pctl_us(&cell, "cm.get.latency_ns", 50.0),
+        get_p99_us: pctl_us(&cell, "cm.get.latency_ns", 99.0),
         client_ns_per_op: cpu as f64 / completed.max(1) as f64,
         completed,
         choices,

@@ -105,7 +105,7 @@ pub fn measure(strategy: LookupStrategy, batched: bool, b: usize, span_ms: u64) 
             .sum()
     };
     let busy0 = host_busy(&cell);
-    cell.sim.metrics_mut().hist("cm.get.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.get.latency_ns").clear();
     cell.run_for(SimDuration::from_millis(span_ms));
     let batches = (cell.sim.metrics().counter("cm.get.batches") - batches0).max(1);
     let sub_ops = (batches * b as u64).max(1);

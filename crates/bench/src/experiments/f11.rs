@@ -53,7 +53,7 @@ fn measure(replication: ReplicationMode, load: bool) -> (u64, u64) {
     }
     // Warm up (connections, speculation state), then measure.
     cell.run_for(SimDuration::from_millis(20));
-    cell.sim.metrics_mut().hist("cm.get.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.get.latency_ns").clear();
     cell.run_for(SimDuration::from_millis(200));
     (
         crate::harness::pctl_ns(&cell, "cm.get.latency_ns", 50.0),

@@ -36,7 +36,7 @@ fn measure(strategy: LookupStrategy, client_load: bool) -> u64 {
             .add_node(blaster_host, Box::new(AntagonistNode::new(sink, 30.0)));
     }
     cell.run_for(SimDuration::from_millis(20));
-    cell.sim.metrics_mut().hist("cm.get.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.get.latency_ns").clear();
     cell.run_for(SimDuration::from_millis(200));
     crate::harness::pctl_ns(&cell, "cm.get.latency_ns", 50.0)
 }

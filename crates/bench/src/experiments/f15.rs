@@ -50,7 +50,6 @@ pub(crate) fn build() -> (Cell, Vec<HostId>, Vec<HostId>) {
         op_cost: SimDuration::from_micros(3),
         per_kb: SimDuration::from_nanos(500),
         window: SimDuration::from_millis(1),
-        ..PonyCfg::default()
     };
     spec.backend.pony = pony.clone();
     spec.client.pony = pony;

@@ -37,8 +37,8 @@ pub(crate) fn run_mix(get_fraction: f64, value: usize, seed: u64) -> Cell {
     let mut cell = Cell::build(spec, workloads);
     populate_cell(&mut cell, "k", KEYS, &SizeDist::fixed(value));
     cell.run_for(SimDuration::from_millis(20));
-    cell.sim.metrics_mut().hist("cm.get.latency_ns").clear();
-    cell.sim.metrics_mut().hist("cm.set.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.get.latency_ns").clear();
+    crate::harness::hist_mut(&mut cell, "cm.set.latency_ns").clear();
     cell.run_for(SimDuration::from_millis(300));
     cell
 }

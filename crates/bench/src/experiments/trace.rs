@@ -5,7 +5,7 @@
 //! each 10ms window's completed ops are drained from the recorder,
 //! attributed across the stage taxonomy (client CPU, serialization,
 //! fabric, queueing, engine occupancy, server CPU, retry backoff), and
-//! rolled into per-stage quantile sketches. Every window also gets a
+//! rolled into per-stage histograms. Every window also gets a
 //! slow-op postmortem — the K worst ops with their dominant stage and
 //! fault-plan context — and a verdict line: what ate the tail.
 //!
@@ -20,7 +20,7 @@
 //! in `chrome://tracing` or Perfetto).
 
 use obs::event::stage;
-use obs::{attribute, Attribution, OpTrace, Postmortem, Sketch, Verdict};
+use obs::{attribute, Attribution, Histogram, OpTrace, Postmortem, Verdict};
 use simnet::{SimDuration, SimTime};
 
 use crate::experiments::chaos::{chaos_cell, MARKS};
@@ -35,8 +35,8 @@ pub struct TraceWindow {
     pub t_ms: u64,
     /// Ops completed (drained) in the window.
     pub ops: usize,
-    /// End-to-end latency sketch for the window.
-    pub e2e: Sketch,
+    /// End-to-end latency distribution of the window.
+    pub e2e: Histogram,
     /// Total nanoseconds charged to each stage across the window's ops.
     pub stage_ns: [u64; stage::COUNT],
     /// The window's diagnosis.
@@ -49,9 +49,9 @@ pub struct TraceWindow {
 pub struct TraceRun {
     /// Per-window rollups.
     pub windows: Vec<TraceWindow>,
-    /// Per-stage sketches over per-op stage time (nonzero components only,
-    /// so quantiles describe ops that actually touched the stage).
-    pub stage_sketch: Vec<Sketch>,
+    /// Per-stage distributions of per-op stage time (nonzero components
+    /// only, so quantiles describe ops that actually touched the stage).
+    pub stage_hist: Vec<Histogram>,
     /// Full traces of each window's worst ops (Chrome export corpus).
     pub slow: Vec<OpTrace>,
     /// Total ops drained.
@@ -68,7 +68,7 @@ pub fn collect(seed: u64, total: SimDuration) -> TraceRun {
     let windows = total.nanos() / window.nanos();
     let mut out = TraceRun {
         windows: Vec::new(),
-        stage_sketch: (0..stage::COUNT).map(|_| Sketch::default()).collect(),
+        stage_hist: (0..stage::COUNT).map(|_| Histogram::new()).collect(),
         slow: Vec::new(),
         traced_ops: 0,
         events: 0,
@@ -78,7 +78,7 @@ pub fn collect(seed: u64, total: SimDuration) -> TraceRun {
         cell.sim.run_until(end);
         let traces = cell.sim.drain_traces();
         let attrs: Vec<Attribution> = traces.iter().map(attribute).collect();
-        let mut e2e = Sketch::default();
+        let mut e2e = Histogram::new();
         let mut stage_ns = [0u64; stage::COUNT];
         for a in &attrs {
             // The acceptance invariant: attribution partitions the op's
@@ -93,7 +93,7 @@ pub fn collect(seed: u64, total: SimDuration) -> TraceRun {
             for (s, &ns) in a.stages.iter().enumerate() {
                 stage_ns[s] += ns;
                 if ns > 0 {
-                    out.stage_sketch[s].record(ns);
+                    out.stage_hist[s].record(ns);
                 }
             }
         }
@@ -183,7 +183,7 @@ pub fn render(tr: &TraceRun) -> Report {
     // committed CSV stable as the taxonomy grows (e.g. WAL stays silent in
     // this durability-off cell).
     for (s, sk) in tr
-        .stage_sketch
+        .stage_hist
         .iter()
         .enumerate()
         .filter(|(_, sk)| sk.count() > 0)

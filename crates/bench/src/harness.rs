@@ -8,7 +8,7 @@ use cliquemap::cell::Cell;
 use cliquemap::hash::{place, DefaultHasher, KeyHasher};
 use cliquemap::version::VersionNumber;
 use cliquemap::workload::UniformWorkload;
-use simnet::SimTime;
+use simnet::{Histogram, SimTime};
 use workloads::{Prefill, SizeDist};
 
 /// A printable experiment result: a title plus the figure's rows.
@@ -145,8 +145,7 @@ impl WindowSampler {
         let at = cell.sim.now();
         let mut hists = Vec::new();
         for name in &self.names {
-            let metrics = cell.sim.metrics_mut();
-            let h = metrics.hist(name);
+            let h = hist_mut(cell, name);
             let p = [
                 h.percentile(50.0),
                 h.percentile(90.0),
@@ -171,25 +170,22 @@ impl WindowSampler {
     }
 }
 
-/// Bridge a named histogram into a streaming quantile sketch
-/// ([`obs::Sketch`]). Every nonzero bucket is replayed at its
-/// representative value, so the sketch answers any quantile with the
-/// combined (histogram + sketch) relative-error bound. Returns an empty
-/// sketch when the histogram doesn't exist.
-pub fn sketch_of(cell: &Cell, name: &str) -> obs::Sketch {
-    let mut s = obs::Sketch::default();
-    if let Some(h) = cell.sim.metrics().hist_ref(name) {
-        for (i, count) in h.nonzero_buckets() {
-            s.record_n(simnet::Histogram::bucket_value(i), count);
-        }
-    }
-    s
+/// The named histogram for writing, created empty if nothing has recorded
+/// into it yet: what a warm-up discard (`.clear()`) or a test fixture
+/// needs.
+pub fn hist_mut<'a>(cell: &'a mut Cell, name: &str) -> &'a mut Histogram {
+    let metrics = cell.sim.metrics_mut();
+    let id = metrics.handle(name);
+    metrics.hist_id(id)
 }
 
-/// The one shared percentile helper (ns): experiments that used to carry
-/// private `pctl` copies all read quantiles through this sketch bridge.
+/// Percentile `p` (ns) of the named histogram, read from the structure the
+/// nodes recorded into; 0 when nothing has.
 pub fn pctl_ns(cell: &Cell, name: &str, p: f64) -> u64 {
-    sketch_of(cell, name).percentile(p)
+    cell.sim
+        .metrics()
+        .hist_ref(name)
+        .map_or(0, |h| h.percentile(p))
 }
 
 /// [`pctl_ns`] scaled to microseconds.
@@ -258,41 +254,20 @@ mod tests {
         assert_eq!(cell.op_errors(), 0);
     }
 
-    /// Fixture: the sketch bridge must agree with an exact sorted-Vec
-    /// quantile within the combined rank error of the HDR histogram
-    /// (bucket width ~3% at 5 sub-bucket bits) and the sketch (α = 1%).
     #[test]
-    fn sketch_bridge_matches_exact_quantiles() {
-        let spec = cliquemap::cell::CellSpec::default();
-        let mut cell = Cell::build(spec, vec![]);
-        // Latency-shaped fixture: a fast mode, a slow mode, a heavy tail.
-        let mut vals: Vec<u64> = Vec::new();
-        for i in 0..900u64 {
-            vals.push(8_000 + 13 * i);
-        }
-        for i in 0..90u64 {
-            vals.push(120_000 + 777 * i);
-        }
-        for i in 0..10u64 {
-            vals.push(3_000_000 + 50_000 * i);
-        }
-        for &v in &vals {
-            cell.sim.metrics_mut().record("fixture", v);
-        }
-        vals.sort_unstable();
-        let exact = |q: f64| {
-            let rank = ((q * vals.len() as f64).ceil() as usize).max(1);
-            vals[rank - 1] as f64
-        };
-        for &p in &[50.0, 90.0, 99.0, 99.9] {
-            let got = pctl_ns(&cell, "fixture", p) as f64;
-            let e = exact(p / 100.0);
-            assert!(
-                (got - e).abs() / e <= 0.05,
-                "p{p}: sketch {got} vs exact {e}"
+    fn pctl_reads_the_recorded_histogram() {
+        let mut cell = Cell::build(CellSpec::default(), vec![]);
+        let fixture = hist_mut(&mut cell, "fixture");
+        (0..1_000u64).for_each(|i| fixture.record(8_000 + 13 * i * i));
+        for p in [50.0, 90.0, 99.0, 99.9] {
+            let want = cell.sim.metrics().hist_ref("fixture").unwrap();
+            assert_eq!(pctl_ns(&cell, "fixture", p), want.percentile(p));
+            assert_eq!(
+                pctl_us(&cell, "fixture", p),
+                want.percentile(p) as f64 / 1e3
             );
         }
-        // Missing histogram: defined, empty answer.
+        assert!(pctl_ns(&cell, "fixture", 99.0) > pctl_ns(&cell, "fixture", 50.0));
         assert_eq!(pctl_ns(&cell, "no.such.hist", 99.0), 0);
     }
 
@@ -300,9 +275,10 @@ mod tests {
     fn window_sampler_clears_between_windows() {
         let spec = CellSpec::default();
         let mut cell = Cell::build(spec, vec![]);
-        cell.sim.metrics_mut().record("x", 100);
+        hist_mut(&mut cell, "x").record(100);
         let mut ws = WindowSampler::new(&["x"], &["c"]);
-        cell.sim.metrics_mut().add("c", 5);
+        let c = cell.sim.metrics_mut().handle("c");
+        cell.sim.metrics_mut().add_id(c, 5);
         let s1 = ws.sample(&mut cell);
         assert_eq!(s1.hists[0].2, 1);
         assert_eq!(s1.counters[0].1, 5);

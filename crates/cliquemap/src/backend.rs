@@ -264,6 +264,7 @@ struct BackendMetricIds {
     data_growths: MetricId,
     retired: MetricId,
     rpc_timeouts: MetricId,
+    shed: MetricId,
     access_records: MetricId,
     rpc_dropped_cpu_dead: MetricId,
     rma_dropped_cpu_dead: MetricId,
@@ -299,6 +300,7 @@ impl BackendMetricIds {
             data_growths: m.handle("cm.backend.data_growths"),
             retired: m.handle("cm.backend.retired"),
             rpc_timeouts: m.handle("cm.backend.rpc_timeouts"),
+            shed: m.handle("cm.backend.shed"),
             access_records: m.handle("cm.backend.access_records"),
             rpc_dropped_cpu_dead: m.handle("cm.backend.rpc_dropped_cpu_dead"),
             rma_dropped_cpu_dead: m.handle("cm.backend.rma_dropped_cpu_dead"),
@@ -442,6 +444,13 @@ impl BackendNode {
         }
         ctx.metrics()
             .add_id(self.m().rpc_bytes, req.body.len() as u64 + 35);
+        if self.work.is_full() {
+            // Every continuation slot is queued behind the CPU: answer now
+            // and let the caller's retry budget pace it.
+            ctx.metrics().add_id(self.m().shed, 1);
+            self.respond_rpc(ctx, src, req.id, Status::Overloaded, Bytes::new());
+            return;
+        }
         // Server framework CPU before the handler runs; the lean messaging
         // path (MSG_GET) charges far less — that difference is Fig. 7.
         // A batched frame pays this fixed cost ONCE for all its sub-ops

@@ -10,7 +10,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use simnet::{Ctx, Event, Node, NodeId, SimDuration};
+use simnet::{Ctx, Event, MetricId, Node, NodeId, SimDuration};
 
 use crate::hash::replicas;
 
@@ -207,6 +207,15 @@ pub struct ConfigStoreNode {
     /// committed figure CSVs pin the uncoalesced schedule.
     coalesce_reads: bool,
     serve_cost: SimDuration,
+    /// Interned metric ids; resolved on [`Event::Start`].
+    mids: Option<ConfigStoreMetricIds>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ConfigStoreMetricIds {
+    updates: MetricId,
+    coalesced: MetricId,
+    shed: MetricId,
 }
 
 impl ConfigStoreNode {
@@ -218,6 +227,7 @@ impl ConfigStoreNode {
             reads_queued: std::collections::HashMap::new(),
             coalesce_reads: false,
             serve_cost: SimDuration::from_micros(15),
+            mids: None,
         }
     }
 
@@ -241,13 +251,43 @@ impl ConfigStoreNode {
     }
 }
 
+fn response(ctx: &Ctx<'_>, id: u64, status: rpc::Status, body: Bytes) -> Bytes {
+    rpc::encode_response_in(
+        &rpc::Response {
+            version: rpc::PROTOCOL_VERSION,
+            status,
+            id,
+            body,
+        },
+        &ctx.pool(),
+    )
+}
+
 impl Node for ConfigStoreNode {
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
+            Event::Start => {
+                let m = ctx.metrics();
+                self.mids = Some(ConfigStoreMetricIds {
+                    updates: m.handle("config_store.updates"),
+                    coalesced: m.handle("config_store.coalesced"),
+                    shed: m.handle("config_store.shed"),
+                });
+            }
             Event::Frame(frame) => {
                 let Some(rpc::Envelope::Request(req)) = rpc::decode(frame.payload) else {
                     return;
                 };
+                let mids = self.mids.expect("metric ids resolved at Start");
+                if self.pending.is_full() {
+                    // Every serve slot is queued behind the CPU: answer now,
+                    // before the request changes anything, and let the
+                    // caller's retry budget pace it.
+                    let resp = response(ctx, req.id, rpc::Status::Overloaded, Bytes::new());
+                    ctx.metrics().add_id(mids.shed, 1);
+                    ctx.send(frame.src, resp);
+                    return;
+                }
                 let coalesce =
                     self.coalesce_reads && req.method == crate::messages::method::GET_CONFIG;
                 let (status, body) = match req.method {
@@ -255,7 +295,7 @@ impl Node for ConfigStoreNode {
                     crate::messages::method::UPDATE_CONFIG => match CellConfig::decode(req.body) {
                         Some(new_cfg) if new_cfg.config_id > self.config.config_id => {
                             self.config = new_cfg;
-                            ctx.metrics().add("config_store.updates", 1);
+                            ctx.metrics().add_id(mids.updates, 1);
                             (rpc::Status::Ok, Bytes::new())
                         }
                         Some(_) => (rpc::Status::VersionRejected, Bytes::new()),
@@ -263,15 +303,7 @@ impl Node for ConfigStoreNode {
                     },
                     _ => (rpc::Status::Internal, Bytes::new()),
                 };
-                let resp = rpc::encode_response_in(
-                    &rpc::Response {
-                        version: rpc::PROTOCOL_VERSION,
-                        status,
-                        id: req.id,
-                        body,
-                    },
-                    &ctx.pool(),
-                );
+                let resp = response(ctx, req.id, status, body);
                 if coalesce {
                     if let Some(&tok) = self.reads_queued.get(&frame.src) {
                         if let Some(slot) = self.pending.get_mut(tok) {
@@ -279,7 +311,7 @@ impl Node for ConfigStoreNode {
                             // in our CPU queue: answer the newest call id,
                             // reusing the already-queued serve slot.
                             *slot = (frame.src, resp);
-                            ctx.metrics().add("config_store.coalesced", 1);
+                            ctx.metrics().add_id(mids.coalesced, 1);
                             return;
                         }
                     }
@@ -412,78 +444,79 @@ mod tests {
         }
     }
 
+    /// One more [`GetConfigBurst`] of `burst` reads from host `from`, run
+    /// for `span`: every `(call id, status)` that came back.
+    fn burst(
+        sim: &mut simnet::Sim,
+        store: NodeId,
+        from: simnet::HostId,
+        burst: u64,
+        span: SimDuration,
+    ) -> Vec<(u64, rpc::Status)> {
+        let responses = Vec::new();
+        let probe = GetConfigBurst {
+            store,
+            burst,
+            responses,
+        };
+        let probe = sim.add_node(from, Box::new(probe));
+        sim.run_for(span);
+        sim.with_node::<GetConfigBurst, _>(probe, |p| p.responses.clone())
+            .unwrap()
+    }
+
+    /// `node` on a host of its own, plus a second host to probe it from.
+    fn store_sim(node: ConfigStoreNode) -> (simnet::Sim, NodeId, simnet::HostId) {
+        use simnet::{FabricCfg, HostCfg, Sim};
+        let mut sim = Sim::new(FabricCfg::default(), 11);
+        let sh = sim.add_host(HostCfg::default().no_cstates());
+        let store = sim.add_node(sh, Box::new(node));
+        let ph = sim.add_host(HostCfg::default().no_cstates());
+        (sim, store, ph)
+    }
+
     #[test]
     fn store_answers_every_read_by_default() {
-        use simnet::{FabricCfg, HostCfg, Sim};
-
         // Without opt-in coalescing, every request (retransmit or not)
         // gets its own served response — the schedule the committed
         // figure CSVs pin.
-        let mut sim = Sim::new(FabricCfg::default(), 11);
-        let sh = sim.add_host(HostCfg::default().no_cstates());
-        let store = sim.add_node(sh, Box::new(ConfigStoreNode::new(sample())));
-        let ph = sim.add_host(HostCfg::default().no_cstates());
-        let probe = sim.add_node(
-            ph,
-            Box::new(GetConfigBurst {
-                store,
-                burst: 4,
-                responses: Vec::new(),
-            }),
-        );
-        sim.run_for(SimDuration::from_millis(5));
-        let responses = sim
-            .with_node::<GetConfigBurst, _>(probe, |p| p.responses.clone())
-            .unwrap();
+        let (mut sim, store, ph) = store_sim(ConfigStoreNode::new(sample()));
+        let responses = burst(&mut sim, store, ph, 4, SimDuration::from_millis(5));
         assert_eq!(responses.len(), 4);
         assert_eq!(sim.metrics().counter("config_store.coalesced"), 0);
     }
 
     #[test]
-    fn store_coalesces_retransmitted_reads() {
-        use simnet::{FabricCfg, HostCfg, Sim};
+    fn full_store_answers_overloaded() {
+        // More uncoalesced reads than the store has response slots, landing
+        // far faster than 15µs apiece drains them: every slot is served, the
+        // overflow is answered `Overloaded` at once, and nothing is dropped.
+        let (mut sim, store, ph) = store_sim(ConfigStoreNode::new(sample()));
+        let responses = burst(&mut sim, store, ph, 70_000, SimDuration::from_secs(2));
+        let count = |status| responses.iter().filter(|r| r.1 == status).count();
+        let (served, shed) = (count(rpc::Status::Ok), count(rpc::Status::Overloaded));
+        assert_eq!(served + shed, 70_000);
+        assert!(served >= 1 << 16, "only {served} served");
+        assert!(shed > 0);
+        assert_eq!(sim.metrics().counter("config_store.shed"), shed as u64);
+    }
 
-        let mut sim = Sim::new(FabricCfg::default(), 11);
-        let sh = sim.add_host(HostCfg::default().no_cstates());
-        let store = sim.add_node(
-            sh,
-            Box::new(ConfigStoreNode::new(sample()).with_read_coalescing()),
-        );
-        let ph = sim.add_host(HostCfg::default().no_cstates());
-        let probe = sim.add_node(
-            ph,
-            Box::new(GetConfigBurst {
-                store,
-                burst: 4,
-                responses: Vec::new(),
-            }),
-        );
-        sim.run_for(SimDuration::from_millis(5));
+    #[test]
+    fn store_coalesces_retransmitted_reads() {
+        let node = ConfigStoreNode::new(sample()).with_read_coalescing();
+        let (mut sim, store, ph) = store_sim(node);
 
         // All four requests land inside the 15µs serve window, so the store
         // must queue exactly one CPU task and answer only the newest call id
         // — the other three are retransmits whose calls the client already
         // abandoned.
-        let responses = sim
-            .with_node::<GetConfigBurst, _>(probe, |p| p.responses.clone())
-            .unwrap();
+        let responses = burst(&mut sim, store, ph, 4, SimDuration::from_millis(5));
         assert_eq!(responses, vec![(4, rpc::Status::Ok)]);
         assert_eq!(sim.metrics().counter("config_store.coalesced"), 3);
 
         // The queued-read marker must be cleared once served: a later,
         // uncontended read is answered normally.
-        let probe2 = sim.add_node(
-            ph,
-            Box::new(GetConfigBurst {
-                store,
-                burst: 1,
-                responses: Vec::new(),
-            }),
-        );
-        sim.run_for(SimDuration::from_millis(5));
-        let responses2 = sim
-            .with_node::<GetConfigBurst, _>(probe2, |p| p.responses.clone())
-            .unwrap();
+        let responses2 = burst(&mut sim, store, ph, 1, SimDuration::from_millis(5));
         assert_eq!(responses2, vec![(1, rpc::Status::Ok)]);
     }
 }

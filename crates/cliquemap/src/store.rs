@@ -834,11 +834,6 @@ impl BackendStore {
         self.slab.used_bytes()
     }
 
-    /// Data region utilization.
-    pub fn data_utilization(&self) -> f64 {
-        self.slab.utilization()
-    }
-
     /// Live KV pairs.
     pub fn live_entries(&self) -> u64 {
         self.live_entries

@@ -3,9 +3,9 @@
 //! A zero-dependency observability subsystem for the CliqueMap simulator:
 //! structured per-op traces recorded into bounded per-host flight-recorder
 //! rings, a latency-attribution pass that decomposes each op's end-to-end
-//! time into a fixed stage taxonomy, streaming quantile sketches for
-//! per-stage aggregation, slow-op postmortems, an SLO burn-rate monitor,
-//! and Chrome trace-event JSON export.
+//! time into a fixed stage taxonomy, the tree's one latency [`Histogram`],
+//! slow-op postmortems, an SLO burn-rate monitor, and Chrome trace-event
+//! JSON export.
 //!
 //! ## Design constraints
 //!
@@ -28,16 +28,21 @@
 pub mod attr;
 pub mod chrome;
 pub mod event;
+pub mod histogram;
 pub mod recorder;
 pub mod report;
-pub mod sketch;
 
 pub use attr::{attribute, Attribution};
 pub use chrome::chrome_trace_json;
 pub use event::{kind, stage, TraceEvent};
+pub use histogram::Histogram;
 pub use recorder::{OpTrace, Recorder};
 pub use report::{BurnRate, Postmortem, Verdict};
-pub use sketch::{Sketch, Tap};
+
+/// Old name of [`Histogram`]. Only `benchmark/src/api.rs` still imports it
+/// (its pinned API names `obs::Sketch`); the `benchmark` PR that moves the
+/// pin drops this alias.
+pub type Sketch = Histogram;
 
 /// FNV-1a 64-bit hash (the repo's standard fingerprint for determinism
 /// golden tests).

@@ -25,17 +25,20 @@ pub struct PonyCfg {
     pub max_engines: u32,
     /// Fixed engine CPU cost to process one RMA op (issue or serve).
     pub op_cost: SimDuration,
-    /// Additional SCAR cost per IndexEntry scanned.
-    pub scan_per_entry: SimDuration,
     /// Per-kilobyte payload touch cost (copies, checksums).
     pub per_kb: SimDuration,
     /// Utilization accounting window.
     pub window: SimDuration,
-    /// Scale out when windowed utilization exceeds this.
-    pub high_watermark: f64,
-    /// Scale in when windowed utilization falls below this.
-    pub low_watermark: f64,
 }
+
+/// Additional SCAR cost per IndexEntry scanned.
+const SCAN_PER_ENTRY: SimDuration = SimDuration::from_nanos(15);
+
+/// Scale out when windowed utilization exceeds this.
+const HIGH_WATERMARK: f64 = 0.75;
+
+/// Scale in when windowed utilization falls below this.
+const LOW_WATERMARK: f64 = 0.25;
 
 impl Default for PonyCfg {
     fn default() -> Self {
@@ -45,11 +48,8 @@ impl Default for PonyCfg {
             min_engines: 1,
             max_engines: 4,
             op_cost: SimDuration::from_nanos(400),
-            scan_per_entry: SimDuration::from_nanos(15),
             per_kb: SimDuration::from_nanos(40),
             window: SimDuration::from_micros(100),
-            high_watermark: 0.75,
-            low_watermark: 0.25,
         }
     }
 }
@@ -114,7 +114,7 @@ impl PonyHost {
     /// and returns `payload_len` bytes.
     pub fn scar_cost(&self, entries: usize, payload_len: usize) -> SimDuration {
         self.cfg.op_cost
-            + self.cfg.scan_per_entry.saturating_mul(entries as u64)
+            + SCAN_PER_ENTRY.saturating_mul(entries as u64)
             + self.touch_cost(payload_len)
     }
 
@@ -133,12 +133,9 @@ impl PonyHost {
         } else {
             self.window_busy_ns as f64 / capacity_ns as f64
         };
-        if utilization > self.cfg.high_watermark
-            && (self.engines.len() as u32) < self.cfg.max_engines
-        {
+        if utilization > HIGH_WATERMARK && (self.engines.len() as u32) < self.cfg.max_engines {
             self.engines.push(now);
-        } else if utilization < self.cfg.low_watermark
-            && (self.engines.len() as u32) > self.cfg.min_engines
+        } else if utilization < LOW_WATERMARK && (self.engines.len() as u32) > self.cfg.min_engines
         {
             self.engines.pop();
         }

@@ -300,11 +300,6 @@ impl RegionTable {
         self.windows[id.0 as usize].generation
     }
 
-    /// Registered length of a window.
-    pub fn window_len(&self, id: WindowId) -> u64 {
-        self.windows[id.0 as usize].len
-    }
-
     /// Whether a window is currently serving.
     pub fn window_active(&self, id: WindowId) -> bool {
         !self.windows[id.0 as usize].revoked

@@ -58,11 +58,12 @@ impl<T> Deferred<T> {
     pub fn defer(&mut self, value: T) -> u64 {
         // A full namespace would otherwise spin forever below — every
         // candidate token is occupied. Fail loudly instead: this is always
-        // a node accepting work faster than it completes it (e.g. a server
-        // queueing one CPU task per request under a retry storm), and the
-        // fix belongs at that call site (coalesce, shed, or bound intake).
+        // a node accepting work faster than it completes it, and the fix
+        // belongs at that call site. A server queueing one CPU task per
+        // request checks [`Deferred::is_full`] at intake and sheds; for a
+        // client-side namespace overflow is a bug.
         assert!(
-            (self.pending.len() as u64) < self.span,
+            !self.is_full(),
             "Deferred namespace exhausted: {} continuations pending \
              (base={:#x}, span={}); the owning node is accepting work \
              unboundedly faster than it completes it",
@@ -115,6 +116,12 @@ impl<T> Deferred<T> {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
+
+    /// True when every token of the namespace is taken: the next
+    /// [`Deferred::defer`] would panic.
+    pub fn is_full(&self) -> bool {
+        self.pending.len() as u64 == self.span
+    }
 }
 
 #[cfg(test)]
@@ -161,7 +168,9 @@ mod tests {
         // (the allocator scans past still-live tokens).
         let mut d: Deferred<u32> = Deferred::new(0, 4);
         let toks: Vec<u64> = (0..4).map(|i| d.defer(i)).collect();
+        assert!(d.is_full());
         assert_eq!(d.take(toks[2]), Some(2));
+        assert!(!d.is_full());
         let t = d.defer(9);
         assert_eq!(t, toks[2]);
         assert_eq!(d.len(), 4);

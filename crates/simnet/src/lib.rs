@@ -36,7 +36,8 @@
 //! impl Node for Hello {
 //!     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
 //!         if let Event::Start = ev {
-//!             ctx.metrics().add("hello", 1);
+//!             let hello = ctx.metrics().handle("hello");
+//!             ctx.metrics().add_id(hello, 1);
 //!         }
 //!     }
 //! }

@@ -27,24 +27,25 @@ pub struct FabricCfg {
     pub base_latency: SimDuration,
     /// Maximum additional uniform jitter per frame.
     pub jitter: SimDuration,
-    /// Delivery latency between co-located nodes (kernel loopback / IPC).
-    pub loopback_latency: SimDuration,
-    /// Maximum transmission unit; larger payloads pay per-packet headers.
-    pub mtu: u32,
-    /// Per-packet header overhead in bytes (Ethernet + IP + transport).
-    pub header_bytes: u32,
 }
+
+/// Delivery latency between co-located nodes (kernel loopback / IPC).
+const LOOPBACK_LATENCY: SimDuration = SimDuration::from_micros(1);
+
+/// Maximum transmission unit; larger payloads pay per-packet headers. The
+/// paper's testbed uses a 5KB MTU so a 4KB value + framing fits in one
+/// frame.
+const MTU: u64 = 5_000;
+
+/// Per-packet header overhead in bytes (Ethernet + IP + transport).
+const HEADER_BYTES: u64 = 66;
 
 impl Default for FabricCfg {
     fn default() -> Self {
-        // The paper's testbed uses a 5KB MTU so a 4KB value + framing fits
-        // in one frame; base fabric RTT in modern datacenters is a few µs.
+        // Base fabric RTT in modern datacenters is a few µs.
         FabricCfg {
             base_latency: SimDuration::from_micros(2),
             jitter: SimDuration::from_nanos(300),
-            loopback_latency: SimDuration::from_micros(1),
-            mtu: 5_000,
-            header_bytes: 66,
         }
     }
 }
@@ -53,10 +54,9 @@ impl FabricCfg {
     /// Bytes charged on the wire for a payload of `len` bytes, including
     /// per-packet headers for each MTU-sized packet.
     pub fn wire_size(&self, len: usize) -> u64 {
-        let mtu = self.mtu.max(1) as u64;
         let len = len as u64;
-        let packets = len.div_ceil(mtu).max(1);
-        len + packets * self.header_bytes as u64
+        let packets = len.div_ceil(MTU).max(1);
+        len + packets * HEADER_BYTES
     }
 }
 
@@ -245,11 +245,6 @@ impl Sim {
         self.obs = Some(Box::new(obs::Recorder::new()));
     }
 
-    /// Whether a trace recorder is installed.
-    pub fn tracing_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Drain every completed (closed) trace from the flight recorder.
     /// Returns an empty vec when tracing is disabled. Events of still-open
     /// traces are retained until they close or exceed the recorder's
@@ -355,11 +350,6 @@ impl Sim {
                 self.fault_reviver = reviver;
             }
         }
-    }
-
-    /// Override the TrueTime uncertainty model.
-    pub fn set_truetime(&mut self, tt: TrueTime) {
-        self.truetime = tt;
     }
 
     /// Add a host; returns its id.
@@ -718,12 +708,6 @@ impl<'a> Ctx<'a> {
         self.send_wire_traced(dst, payload, wire, trace);
     }
 
-    /// Like [`Ctx::send`] but with an explicit wire size (used by protocol
-    /// layers that account their own header overheads).
-    pub fn send_wire(&mut self, dst: NodeId, payload: Bytes, wire_bytes: u64) {
-        self.send_wire_traced(dst, payload, wire_bytes, 0);
-    }
-
     /// The full send path: explicit wire size plus a trace id (0 = untraced).
     /// The trace id rides the frame out-of-band — it never changes wire
     /// size, timing, or any RNG draw, so a traced run's schedule is
@@ -749,7 +733,7 @@ impl<'a> Ctx<'a> {
         if src_host == dst_host {
             // Loopback (kernel IPC) is below the fault layer's fabric
             // model: link impairments never apply to co-located nodes.
-            let at = self.sim.now + self.sim.fabric.loopback_latency;
+            let at = self.sim.now + LOOPBACK_LATENCY;
             if trace != 0 {
                 let (t0, t1) = (self.sim.now.nanos(), at.nanos());
                 self.record_trace(src_host, trace, obs::stage::FABRIC, t0, t1, wire_bytes);

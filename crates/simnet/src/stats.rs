@@ -1,195 +1,15 @@
 //! Measurement infrastructure: histograms, counters, and time series.
 //!
 //! Every experiment in the benchmark harness reads its results out of a
-//! [`Metrics`] registry owned by the simulation. Histograms use HDR-style
-//! log-linear bucketing (per-power-of-two ranges subdivided linearly), which
-//! gives ≤ ~1.5% relative error on percentiles across the full `u64` range
-//! at a fixed, small memory cost.
+//! [`Metrics`] registry owned by the simulation. Its histograms are
+//! [`obs::Histogram`], re-exported here: the one latency distribution in
+//! the tree.
 
 use std::collections::BTreeMap;
-use std::fmt;
+
+pub use obs::Histogram;
 
 use crate::time::SimTime;
-
-const SUB_BUCKET_BITS: u32 = 5; // 32 linear sub-buckets per power of two
-const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
-
-/// Log-linear histogram of `u64` values (typically nanoseconds).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; 64 * SUB_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn index_of(value: u64) -> usize {
-        if value < SUB_BUCKETS as u64 {
-            return value as usize;
-        }
-        let msb = 63 - value.leading_zeros();
-        let shift = msb - SUB_BUCKET_BITS;
-        let sub = (value >> shift) as usize & (SUB_BUCKETS - 1);
-        ((msb - SUB_BUCKET_BITS + 1) as usize) * SUB_BUCKETS + sub
-    }
-
-    /// Representative (upper-bound) value of a bucket index, the inverse
-    /// of the bucketing function. Together with
-    /// [`Histogram::nonzero_buckets`] this lets external aggregators
-    /// (e.g. `obs::Sketch`) rebuild the distribution.
-    pub fn bucket_value(index: usize) -> u64 {
-        Self::value_of(index)
-    }
-
-    fn value_of(index: usize) -> u64 {
-        let tier = index / SUB_BUCKETS;
-        let sub = index % SUB_BUCKETS;
-        if tier == 0 {
-            return sub as u64;
-        }
-        let shift = (tier - 1) as u32;
-        ((SUB_BUCKETS + sub) as u64) << shift
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::index_of(value)] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Value at quantile `q` in `[0, 1]` (upper bucket bound; 0 when empty).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::value_of(i);
-            }
-        }
-        self.max
-    }
-
-    /// Shorthand for common percentiles: p in `{50, 90, 99, 999(=99.9)}`.
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.quantile(p / 100.0)
-    }
-
-    /// Number of observations strictly above `value` (SLO breach
-    /// counting). Resolution is the histogram's bucket width: values in
-    /// `value`'s own bucket are not counted.
-    pub fn count_above(&self, value: u64) -> u64 {
-        let idx = Self::index_of(value);
-        self.buckets[idx + 1..].iter().sum()
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Iterate nonzero `(bucket index, count)` pairs. Together with
-    /// [`Histogram::sum`], [`Histogram::min`] and [`Histogram::max`] this is
-    /// an exact serialization of the histogram's contents.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-    }
-
-    /// Reset to empty (used for per-window percentile timelines).
-    pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.0} p50={} p90={} p99={} p99.9={} max={}",
-            self.count,
-            self.mean(),
-            self.percentile(50.0),
-            self.percentile(90.0),
-            self.percentile(99.0),
-            self.percentile(99.9),
-            self.max()
-        )
-    }
-}
 
 /// A named time series of (time, value) samples.
 #[derive(Debug, Clone, Default)]
@@ -227,8 +47,7 @@ impl TimeSeries {
 /// Interned metric name: an index into the registry's slot tables.
 ///
 /// Obtained once from [`Metrics::handle`] and cached by the call site;
-/// recording through it is a bounds-checked `Vec` index instead of a
-/// `String` allocation plus `BTreeMap` walk. One id addresses a histogram,
+/// recording through it is a bounds-checked `Vec` index. One id addresses a histogram,
 /// a counter, and a series slot of the same name — whichever kinds the call
 /// sites actually write exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,11 +55,11 @@ pub struct MetricId(u32);
 
 /// Central registry of named metrics for one simulation run.
 ///
-/// The hot path is the id-based API ([`Metrics::handle`] +
-/// [`Metrics::record_id`] / [`Metrics::add_id`] / [`Metrics::push_series_id`]).
-/// The string API remains as a resolve-once shim: it interns the name on
-/// first use (the only allocation) and is a map lookup afterwards — fine for
-/// harness-side reads and cold paths, wasteful per-op.
+/// Every write goes through an id: [`Metrics::handle`] interns the name
+/// once (the only allocation), then [`Metrics::record_id`] /
+/// [`Metrics::add_id`] / [`Metrics::push_series_id`] index a slot. Reads
+/// are by name ([`Metrics::counter`], [`Metrics::hist_ref`],
+/// [`Metrics::series`]): a map lookup, for harnesses and tests.
 ///
 /// A name becomes visible to the `*_names` dumps only when first *written*;
 /// interning alone (`handle`) creates no metrics, so pre-resolving handles
@@ -315,28 +134,10 @@ impl Metrics {
             .push(t, v);
     }
 
-    /// Get-or-create a histogram by name.
-    pub fn hist(&mut self, name: &str) -> &mut Histogram {
-        let id = self.handle(name);
-        self.hist_id(id)
-    }
-
     /// Read a histogram if it exists.
     pub fn hist_ref(&self, name: &str) -> Option<&Histogram> {
         let &slot = self.names.get(name)?;
         self.hists[slot as usize].as_deref()
-    }
-
-    /// Record into a histogram by name (creates it on first use).
-    pub fn record(&mut self, name: &str, value: u64) {
-        let id = self.handle(name);
-        self.record_id(id, value);
-    }
-
-    /// Add to a counter by name.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        let id = self.handle(name);
-        self.add_id(id, delta);
     }
 
     /// Read a counter (0 if never written).
@@ -345,12 +146,6 @@ impl Metrics {
             Some(&slot) => self.counters[slot as usize],
             None => 0,
         }
-    }
-
-    /// Append to a time series by name.
-    pub fn push_series(&mut self, name: &str, t: SimTime, v: f64) {
-        let id = self.handle(name);
-        self.push_series_id(id, t, v);
     }
 
     /// Read a time series if it exists.
@@ -427,6 +222,9 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    // `Histogram` is `obs`'s (its own tests sit beside it); the cases here
+    // hold the re-export to the same behaviour through `simnet`'s API.
+
     #[test]
     fn empty_histogram_is_zeroes() {
         let h = Histogram::new();
@@ -466,8 +264,9 @@ mod tests {
     #[test]
     fn bucketing_roundtrip_error_bounded() {
         for &v in &[0u64, 1, 31, 32, 33, 1000, 123_456, 1 << 40, u64::MAX / 2] {
-            let idx = Histogram::index_of(v);
-            let back = Histogram::value_of(idx);
+            let mut h = Histogram::new();
+            h.record(v);
+            let back = h.quantile(1.0);
             assert!(back <= v);
             if v >= 32 {
                 let err = (v - back) as f64 / v as f64;
@@ -503,11 +302,12 @@ mod tests {
     #[test]
     fn metrics_registry() {
         let mut m = Metrics::new();
-        m.record("lat", 100);
-        m.record("lat", 200);
-        m.add("ops", 2);
-        m.push_series("qps", SimTime(0), 1.0);
-        m.push_series("qps", SimTime(10), 2.0);
+        let (lat, ops, qps) = (m.handle("lat"), m.handle("ops"), m.handle("qps"));
+        m.record_id(lat, 100);
+        m.record_id(lat, 200);
+        m.add_id(ops, 2);
+        m.push_series_id(qps, SimTime(0), 1.0);
+        m.push_series_id(qps, SimTime(10), 2.0);
         assert_eq!(m.hist_ref("lat").unwrap().count(), 2);
         assert_eq!(m.counter("ops"), 2);
         assert_eq!(m.counter("missing"), 0);
@@ -523,9 +323,10 @@ mod tests {
         let ops = m.handle("ops");
         assert_eq!(lat, m.handle("lat"), "handle must be idempotent");
         m.record_id(lat, 100);
-        m.record("lat", 200);
+        m.hist_id(lat).record(200);
         m.add_id(ops, 1);
-        m.add("ops", 2);
+        let ops_again = m.handle("ops");
+        m.add_id(ops_again, 2);
         let qps = m.handle("qps");
         m.push_series_id(qps, SimTime(5), 3.0);
         assert_eq!(m.hist_ref("lat").unwrap().count(), 2);
@@ -544,7 +345,8 @@ mod tests {
         assert_eq!(m.counter("never.written"), 0);
         assert!(m.hist_ref("never.written").is_none());
         // Writing one kind exposes only that kind.
-        m.add("ops", 1);
+        let ops = m.handle("ops");
+        m.add_id(ops, 1);
         assert_eq!(m.counter_names().collect::<Vec<_>>(), vec!["ops"]);
         assert_eq!(m.hist_names().count(), 0);
     }
@@ -552,9 +354,10 @@ mod tests {
     #[test]
     fn names_iterate_sorted_regardless_of_write_order() {
         let mut m = Metrics::new();
-        m.add("z.last", 1);
-        m.add("a.first", 1);
-        m.add("m.mid", 1);
+        for name in ["z.last", "a.first", "m.mid"] {
+            let id = m.handle(name);
+            m.add_id(id, 1);
+        }
         assert_eq!(
             m.counter_names().collect::<Vec<_>>(),
             vec!["a.first", "m.mid", "z.last"]

@@ -54,10 +54,10 @@ fn main() {
     let mut last_sets = 0u64;
     for w in 1..=8 {
         cell.run_for(window);
-        let m = cell.sim.metrics_mut();
-        let h = m.hist("cm.get.latency_ns");
+        let h = bench::harness::hist_mut(&mut cell, "cm.get.latency_ns");
         let (p50, p999) = (h.percentile(50.0), h.percentile(99.9));
         h.clear();
+        let m = cell.sim.metrics();
         let gets = m.counter("cm.get.completed") + m.counter("cm.get.batches");
         let sets = m.counter("cm.set.completed");
         println!(

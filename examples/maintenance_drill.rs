@@ -108,14 +108,14 @@ fn main() {
 }
 
 fn checkpoint(cell: &mut Cell, label: &str) {
-    let m = cell.sim.metrics_mut();
-    let h = m.hist("cm.get.latency_ns");
+    let h = bench::harness::hist_mut(cell, "cm.get.latency_ns");
     let line = format!(
         "p50={:.1}us p99.9={:.1}us",
         h.percentile(50.0) as f64 / 1e3,
         h.percentile(99.9) as f64 / 1e3
     );
     h.clear();
+    let m = cell.sim.metrics();
     let hits = m.counter("cm.get.hits");
     let misses = m.counter("cm.get.misses");
     println!("[{label}] {line} hits={hits} misses={misses}");
