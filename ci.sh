@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo CI gate: build, tests, the 10K-client footprint gate, the quorum
-# core's purity, the one-op-driver and one-histogram gates, lints, format,
+# Repo CI gate: build, tests, the 10K-client and durable-log footprint
+# gates, the quorum core's purity, the one-op-driver and one-histogram gates, lints, format,
 # rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
@@ -20,6 +20,10 @@ cargo test -q --workspace
 echo "== client footprint at 10K clients (release) =="
 # Minutes in debug, so tier-1 keeps only the 600-client gate of this file.
 cargo test --release -q --test client_footprint -- --ignored
+
+echo "== durable log footprint at mut_durable's shape (release) =="
+# ~540K replica-side appends in 1.5 simulated s: seconds in release.
+cargo test --release -q --test wal_footprint -- --ignored
 
 echo "== quorum core purity =="
 # The quorum rules stay sans-IO: above its test module, quorum.rs names

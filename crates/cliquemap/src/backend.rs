@@ -118,21 +118,26 @@ impl std::fmt::Debug for BackendCfg {
     }
 }
 
-/// Deferred continuations (CPU completions and timers).
+/// An RPC request whose server-side dispatch CPU is queued; when it is
+/// done the handler runs. One per admitted request: the namespace RPC
+/// intake sheds on when it is full.
+#[derive(Debug)]
+struct Dispatch {
+    src: NodeId,
+    req: rpc::Request,
+    trace: u64,
+}
+
+/// The backend's own deferred continuations (timers and device ops), in a
+/// namespace of their own so a full RPC intake cannot starve them.
 #[derive(Debug)]
 enum Work {
-    /// Send pre-encoded bytes (RMA response after transport delay, or an
-    /// RPC response after handler CPU). `trace` stamps the response frame
-    /// so the client's op trace sees the return path (0 = untraced).
+    /// Send pre-encoded bytes (an RMA response after transport delay).
+    /// `trace` stamps the response frame so the client's op trace sees the
+    /// return path (0 = untraced).
     Respond {
         dst: NodeId,
         bytes: Bytes,
-        trace: u64,
-    },
-    /// Server-side dispatch CPU done; run the handler.
-    Dispatch {
-        src: NodeId,
-        req: rpc::Request,
         trace: u64,
     },
     /// Write the next chunk of a prepared SET.
@@ -211,6 +216,7 @@ pub struct BackendNode {
     store: BackendStore,
     /// RMA transport state (public so harnesses can sample engine counts).
     pub transport: Transport,
+    dispatches: Deferred<Dispatch>,
     work: Deferred<Work>,
     calls: CallTable,
     versions: VersionGen,
@@ -341,7 +347,8 @@ impl BackendNode {
         BackendNode {
             store,
             transport,
-            work: Deferred::responses(),
+            dispatches: Deferred::responses(),
+            work: Deferred::aux1(),
             calls: CallTable::new(0xBAC0),
             versions: VersionGen::new(repair_id),
             scan: None,
@@ -444,9 +451,9 @@ impl BackendNode {
         }
         ctx.metrics()
             .add_id(self.m().rpc_bytes, req.body.len() as u64 + 35);
-        if self.work.is_full() {
-            // Every continuation slot is queued behind the CPU: answer now
-            // and let the caller's retry budget pace it.
+        if self.dispatches.is_full() {
+            // Every dispatch slot is queued behind the CPU: answer now and
+            // let the caller's retry budget pace it.
             ctx.metrics().add_id(self.m().shed, 1);
             self.respond_rpc(ctx, src, req.id, Status::Overloaded, Bytes::new());
             return;
@@ -465,7 +472,7 @@ impl BackendNode {
             RPC_COST.server_total(req.body.len(), 0)
         };
         let trace = self.cur_trace;
-        let tok = self.work.defer(Work::Dispatch { src, req, trace });
+        let tok = self.dispatches.defer(Dispatch { src, req, trace });
         ctx.spawn_cpu_traced(cost, tok, trace, simnet::obs::stage::SERVER_CPU);
     }
 
@@ -1535,14 +1542,13 @@ impl Node for BackendNode {
                 self.cur_trace = 0;
             }
             Event::Timer(token) | Event::CpuDone(token) => {
-                if let Some(work) = self.work.take(token) {
+                if let Some(Dispatch { src, req, trace }) = self.dispatches.take(token) {
+                    self.cur_trace = trace;
+                    self.dispatch(ctx, src, req);
+                    self.cur_trace = 0;
+                } else if let Some(work) = self.work.take(token) {
                     match work {
                         Work::Respond { dst, bytes, trace } => ctx.send_traced(dst, bytes, trace),
-                        Work::Dispatch { src, req, trace } => {
-                            self.cur_trace = trace;
-                            self.dispatch(ctx, src, req);
-                            self.cur_trace = 0;
-                        }
                         Work::SetChunk {
                             src,
                             req_id,
@@ -1605,6 +1611,9 @@ impl Node for BackendNode {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::messages::{Geometry, GetReq, GetResp, SetReq};
     use crate::version::VersionNumber;
@@ -1854,6 +1863,130 @@ mod tests {
         sim.run_for(SimDuration::from_millis(20));
         let status = sim.with_node::<OldClient, _>(c, |n| n.status).unwrap();
         assert_eq!(status, Some(Status::ProtocolMismatch));
+    }
+
+    /// Floods a backend with `flood` GET_RPCs, then sends one RMA read of
+    /// `read` and one SET, resending the SET for as long as it is shed.
+    struct Flood {
+        target: NodeId,
+        flood: u64,
+        read: rma::ReadReq,
+        set: Bytes,
+        /// Status of every flood response.
+        flood_statuses: Vec<Status>,
+        read_status: Option<rma::RmaStatus>,
+        set_status: Option<Status>,
+    }
+
+    impl Flood {
+        const SET_ID: u64 = 0;
+
+        fn request(method: u16, id: u64, body: Bytes) -> Bytes {
+            rpc::encode_request(&rpc::Request {
+                version: rpc::PROTOCOL_VERSION,
+                method,
+                id,
+                auth: 0,
+                deadline_ns: u64::MAX,
+                body,
+            })
+        }
+    }
+
+    impl Node for Flood {
+        fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
+            match ev {
+                Event::Start => {
+                    let get = GetReq {
+                        key: Bytes::from_static(b"absent"),
+                    }
+                    .encode_in(&Pool::new());
+                    for id in 1..=self.flood {
+                        ctx.send(
+                            self.target,
+                            Flood::request(method::GET_RPC, id, get.clone()),
+                        );
+                    }
+                    let read = rma::codec::encode_read_req_in(&self.read, &Pool::new());
+                    ctx.send(self.target, read);
+                    let set = Flood::request(method::SET, Flood::SET_ID, self.set.clone());
+                    ctx.send(self.target, set);
+                }
+                Event::Frame(frame) => {
+                    if let Some(RmaEnvelope::ReadResp(r)) = rma::decode(frame.payload.clone()) {
+                        self.read_status = Some(r.status);
+                    } else if let Some(rpc::Envelope::Response(r)) = rpc::decode(frame.payload) {
+                        if r.id != Flood::SET_ID {
+                            self.flood_statuses.push(r.status);
+                        } else if r.status == Status::Overloaded {
+                            let set = Flood::request(method::SET, Flood::SET_ID, self.set.clone());
+                            ctx.send(self.target, set);
+                        } else {
+                            self.set_status = Some(r.status);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn full_rpc_intake_leaves_rma_and_wal_continuations_running() {
+        // 70,000 RPCs in one burst fill the 65,536 dispatch slots. An RMA
+        // read's response timer, a SET's chunk write, its WAL commit and
+        // the trickle ticks are the backend's own continuations: none of
+        // them may wait on (or trip over) the full RPC intake.
+        let media = Rc::new(RefCell::new(durable::Media::default()));
+        let cfg = BackendCfg {
+            durable: Some(crate::wal::DurableCfg::new(media.clone())),
+            ..BackendCfg::default()
+        };
+        let (mut sim, backend) = backend_sim(cfg);
+        sim.enable_devices(simnet::DeviceCfg::default());
+        let g = sim
+            .with_node::<BackendNode, _>(backend, |b| b.store().geometry())
+            .unwrap();
+        let set = SetReq {
+            key: Bytes::from_static(b"durable"),
+            value: Bytes::from_static(b"value"),
+            version: v(1),
+        };
+        let flood = Flood {
+            target: backend,
+            flood: 70_000,
+            read: rma::ReadReq {
+                op_id: 1,
+                window: g.index_window,
+                generation: g.index_generation,
+                offset: 0,
+                len: 64,
+            },
+            set: set.encode(),
+            flood_statuses: Vec::new(),
+            read_status: None,
+            set_status: None,
+        };
+        let ph = sim.add_host(HostCfg::default().no_cstates());
+        let probe = sim.add_node(ph, Box::new(flood));
+        sim.run_for(SimDuration::from_secs(2));
+        let (statuses, read, set) = sim
+            .with_node::<Flood, _>(probe, |p| {
+                (p.flood_statuses.clone(), p.read_status, p.set_status)
+            })
+            .unwrap();
+        let count = |status| statuses.iter().filter(|&&s| s == status).count();
+        let (served, shed) = (count(Status::NotFound), count(Status::Overloaded));
+        assert_eq!(served + shed, 70_000);
+        assert!(
+            served >= 1 << 16 && shed > 0,
+            "{served} served, {shed} shed"
+        );
+        assert_eq!(read, Some(rma::RmaStatus::Ok));
+        assert_eq!(set, Some(Status::Ok));
+        let recovered = media.borrow().recover().records;
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].key, b"durable");
     }
 
     #[test]

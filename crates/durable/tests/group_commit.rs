@@ -175,7 +175,7 @@ fn torn_tail_is_dropped_not_fatal() {
         // Committing the remainder after a clean cut resumes normally.
         if consumed == cut {
             let mut resumed = media.clone();
-            resumed.commit(&full[cut..], 8 - whole.len() as u64);
+            resumed.commit(&full[cut..]);
             assert_eq!(resumed.recover().records.len(), 8);
         }
     }

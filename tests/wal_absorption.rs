@@ -6,76 +6,39 @@
 //! a fraction of what was appended, while the log still recovers every key
 //! at exactly the version its store ended on.
 
+mod storm;
+
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use cliquemap::backend::BackendNode;
-use cliquemap::cell::{Cell, CellSpec, DurabilitySpec};
-use cliquemap::client::LookupStrategy;
-use cliquemap::config::ReplicationMode;
-use cliquemap::workload::{ClientOp, ScriptWorkload, Workload};
-use simnet::SimDuration;
-
-const KEYS: u64 = 50;
-const SETS: u64 = 4_000;
-const GAP_US: u64 = 20;
-const VALUE_LEN: usize = 1024;
+use storm::{KEYS, SETS, VALUE_LEN};
 
 #[test]
 fn overwrite_storm_logs_a_fraction_of_what_it_appends() {
-    let mut spec = CellSpec {
-        replication: ReplicationMode::R32,
-        num_backends: 3,
-        ..CellSpec::default()
-    };
-    spec.backend.scan_interval = None;
-    spec.client.strategy = LookupStrategy::TwoR;
-    spec.client.access_flush = None;
-    // No trickle flush inside the run: `wal_bytes()` is then everything
-    // the group commits made durable.
-    spec.durability = Some(DurabilitySpec {
-        trickle_interval: SimDuration::from_secs(1),
-        ..DurabilitySpec::default()
-    });
-    let ops = (0..SETS)
-        .map(|i| {
-            let key = Bytes::from(format!("storm{:03}", i % KEYS));
-            let value = Bytes::from(vec![i as u8; VALUE_LEN]);
-            (
-                SimDuration::from_micros(GAP_US),
-                ClientOp::Set { key, value },
-            )
-        })
-        .collect();
-    let wl: Box<dyn Workload> = Box::new(ScriptWorkload::new(ops));
-    let mut cell = Cell::build(spec, vec![wl]);
-    // The storm, then time for the last group commit to land.
-    cell.run_for(SimDuration::from_micros(SETS * GAP_US) + SimDuration::from_millis(50));
-    assert_eq!(cell.op_errors(), 0);
-    assert_eq!(cell.sets_completed(), SETS);
+    let mut cell = storm::run();
 
     // Every replica-side SET was appended (and counted), most were
     // absorbed into a record already pending.
     let m = cell.sim.metrics();
     let appends = m.counter("cm.backend.wal_appends");
     let absorbed = m.counter("cm.backend.wal_absorbed");
+    let committed = m.counter("cm.backend.wal_committed");
     assert_eq!(appends, 3 * SETS);
     assert_eq!(
         appends - absorbed,
-        m.counter("cm.backend.wal_committed"),
+        committed,
         "every append is durable, through its own record or the one that absorbed it"
     );
 
     // 20 µs between SETs against a ~6 ms device transaction (4 ms fsync +
-    // 50 records at 25 MB/s): ~300 arrive per batch, over 50 keys. The
-    // parent commit logged every one of them (fraction 1.0); one record
-    // per pending key measures 0.175 here.
-    let appended_bytes = appends * (durable::RECORD_HEADER + "storm000".len() + VALUE_LEN) as u64;
-    let logged_bytes: u64 = cell.media.iter().map(|m| m.borrow().wal_bytes()).sum();
-    let fraction = logged_bytes as f64 / appended_bytes as f64;
+    // 50 records at 25 MB/s): ~300 arrive per batch, over 50 keys. Without
+    // absorption every one of them reached the device (fraction 1.0); one
+    // record per pending key measures 0.175 here. (Every record is
+    // `VALUE_LEN` bytes of value, so the share of bytes is the same.)
+    let fraction = committed as f64 / appends as f64;
     assert!(
         fraction < 0.25,
-        "{logged_bytes} of {appended_bytes} appended bytes reached the log ({fraction:.3})"
+        "{committed} of {appends} appended records reached the device ({fraction:.3}, {VALUE_LEN} B values)"
     );
 
     // What the absorbed log recovers is what the store holds: every key,
