@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
-# gates, the quorum core's purity, the one-op-driver and one-histogram gates, lints, format,
+# gates, the protocol cores' purity, the one-op-driver and one-histogram gates, lints, format,
 # rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
@@ -25,14 +25,17 @@ echo "== durable log footprint at mut_durable's shape (release) =="
 # ~540K replica-side appends in 1.5 simulated s: seconds in release.
 cargo test --release -q --test wal_footprint -- --ignored
 
-echo "== quorum core purity =="
-# The quorum rules stay sans-IO: above its test module, quorum.rs names
-# nothing of the simulator (tests/quorum_exhaustive.rs enumerates every
-# vote order only because the rules are a pure function).
-if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/quorum.rs | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
-    echo "crates/cliquemap/src/quorum.rs names simulator types outside its test module" >&2
-    exit 1
-fi
+echo "== protocol core purity =="
+# The quorum and repair rules stay sans-IO: above its test module, each core
+# names nothing of the simulator (tests/quorum_exhaustive.rs and
+# tests/repair_exhaustive.rs enumerate every vote order and every small
+# cohort only because the rules are pure functions).
+for core in crates/cliquemap/src/quorum.rs crates/cliquemap/src/repair.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$core" | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
+        echo "$core names simulator types outside its test module" >&2
+        exit 1
+    fi
+done
 
 echo "== one op-driver =="
 # Whatever pulls ops from a `Workload` is an op-driver (pacing, admission,

@@ -12,7 +12,6 @@
 //!   region growth (§4.1), periodic cohort scans, and en-masse recovery
 //!   after an unplanned restart.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::{Bytes, Pool};
@@ -24,6 +23,7 @@ use simnet::{Ctx, Deferred, Event, MetricId, Metrics, Node, NodeId, SimDuration,
 use crate::config::CellConfig;
 use crate::hash::{DefaultHasher, KeyHash, KeyHasher};
 use crate::messages::{self, method};
+use crate::repair::{self, Repair, Step};
 use crate::store::{BackendStore, CliqueScarResolver, PreparedSet, StoreCfg};
 use crate::version::{VersionGen, VersionNumber};
 use crate::wal::{REPLAY_NS_PER_RECORD, TRICKLE_RECORDS};
@@ -128,6 +128,10 @@ struct Dispatch {
     trace: u64,
 }
 
+/// What a request handler returns: `None` when the request body does not
+/// decode (`dispatch` answers it `Internal`).
+type Handled = Option<()>;
+
 /// The backend's own deferred continuations (timers and device ops), in a
 /// namespace of their own so a full RPC intake cannot starve them.
 #[derive(Debug)]
@@ -171,24 +175,6 @@ enum Work {
     WalTrickleDone,
 }
 
-/// Why this node is talking to its cohort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanMode {
-    /// Periodic scan: push repairs to dirty cohort members.
-    Push,
-    /// Post-restart recovery: pull missing data from the cohort.
-    Pull,
-}
-
-#[derive(Debug)]
-struct ScanState {
-    mode: ScanMode,
-    peers: Vec<NodeId>,
-    current: usize,
-    page: u32,
-    inventory: BTreeMap<KeyHash, VersionNumber>,
-}
-
 #[derive(Debug)]
 struct MigrationState {
     spare: NodeId,
@@ -198,16 +184,24 @@ struct MigrationState {
     sent_last: bool,
 }
 
-/// Call tags routing outgoing-RPC completions.
+/// Call tags routing outgoing-RPC completions. A tag's low byte is its
+/// kind; a `SCAN` page's tag carries its scan's generation above it.
 mod tag {
     pub const SCAN: u64 = 1;
     pub const FETCH: u64 = 2;
+    /// Best-effort sends whose answers nothing waits on (a lost REPAIR_SET
+    /// is caught by the next scan).
     pub const REPAIR: u64 = 3;
     pub const MIGRATE: u64 = 4;
     pub const CONFIG_FOR_MIGRATION: u64 = 5;
     pub const CONFIG_FOR_SCAN: u64 = 6;
     pub const UPDATE_CONFIG: u64 = 7;
     pub const CONFIG_POLL: u64 = 8;
+
+    /// The tag of a page request of scan `scan`.
+    pub fn scan(scan: u32) -> u64 {
+        SCAN | u64::from(scan) << 8
+    }
 }
 
 /// The backend task.
@@ -220,7 +214,8 @@ pub struct BackendNode {
     work: Deferred<Work>,
     calls: CallTable,
     versions: VersionGen,
-    scan: Option<ScanState>,
+    /// Cohort scans (§5.4): the core decides, this node sends.
+    repair: Repair,
     migration: Option<MigrationState>,
     config: Option<CellConfig>,
     growth_pending: bool,
@@ -262,6 +257,8 @@ struct BackendMetricIds {
     recovery_fetches: MetricId,
     recovered_entries: MetricId,
     repairs: MetricId,
+    repair_erases: MetricId,
+    stale_scan_pages: MetricId,
     migrations_started: MetricId,
     migrations_aborted: MetricId,
     migrate_in_entries: MetricId,
@@ -298,6 +295,8 @@ impl BackendMetricIds {
             recovery_fetches: m.handle("cm.backend.recovery_fetches"),
             recovered_entries: m.handle("cm.backend.recovered_entries"),
             repairs: m.handle("cm.backend.repairs"),
+            repair_erases: m.handle("cm.backend.repair_erases"),
+            stale_scan_pages: m.handle("cm.backend.stale_scan_pages"),
             migrations_started: m.handle("cm.backend.migrations_started"),
             migrations_aborted: m.handle("cm.backend.migrations_aborted"),
             migrate_in_entries: m.handle("cm.backend.migrate_in_entries"),
@@ -351,7 +350,7 @@ impl BackendNode {
             work: Deferred::aux1(),
             calls: CallTable::new(0xBAC0),
             versions: VersionGen::new(repair_id),
-            scan: None,
+            repair: Repair::default(),
             migration: None,
             config: None,
             growth_pending: false,
@@ -383,14 +382,9 @@ impl BackendNode {
         &mut self.store
     }
 
-    /// Current Pony engine count (1 for hardware transports).
-    pub fn engine_count(&self) -> u32 {
-        self.transport.engine_count()
-    }
-
-    fn defer_send(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, bytes: Bytes, delay: SimDuration) {
-        let trace = self.cur_trace;
-        let tok = self.work.defer(Work::Respond { dst, bytes, trace });
+    /// Run `work` after `delay`.
+    fn after(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, work: Work) {
+        let tok = self.work.defer(work);
         ctx.set_timer(delay, tok);
     }
 
@@ -438,7 +432,12 @@ impl BackendNode {
                 now,
                 served.ready_at,
             );
-            self.defer_send(ctx, src, served.response, delay);
+            let work = Work::Respond {
+                dst: src,
+                bytes: served.response,
+                trace: self.cur_trace,
+            };
+            self.after(ctx, delay, work);
         }
     }
 
@@ -476,17 +475,27 @@ impl BackendNode {
         ctx.spawn_cpu_traced(cost, tok, trace, simnet::obs::stage::SERVER_CPU);
     }
 
+    /// Run `req`'s handler; a body that does not decode, and an unknown
+    /// method, are answered `Internal`.
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
+        let id = req.id;
+        if self.handle(ctx, src, req).is_none() {
+            self.respond_rpc(ctx, src, id, Status::Internal, Bytes::new());
+        }
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
         match req.method {
             method::CONNECT => {
-                if self.store.is_resizing() {
-                    self.respond_rpc(ctx, src, req.id, Status::Stalled, Bytes::new());
+                let (status, body) = if self.store.is_resizing() {
+                    (Status::Stalled, Bytes::new())
                 } else if self.cfg.is_spare && !self.has_identity() {
-                    self.respond_rpc(ctx, src, req.id, Status::WrongShard, Bytes::new());
+                    (Status::WrongShard, Bytes::new())
                 } else {
-                    let g = self.store.geometry().encode_in(&self.pool);
-                    self.respond_rpc(ctx, src, req.id, Status::Ok, g);
-                }
+                    (Status::Ok, self.store.geometry().encode_in(&self.pool))
+                };
+                self.respond_rpc(ctx, src, req.id, status, body);
+                Some(())
             }
             method::SET | method::REPAIR_SET => self.handle_set(ctx, src, req),
             method::ERASE => self.handle_erase(ctx, src, req),
@@ -496,39 +505,33 @@ impl BackendNode {
             method::MULTI_SET => self.handle_multi_set(ctx, src, req),
             method::FETCH_BY_HASH => self.handle_fetch(ctx, src, req),
             method::ACCESS_RECORDS => {
-                if let Some(recs) = messages::AccessRecords::decode(req.body) {
-                    ctx.metrics()
-                        .add_id(self.m().access_records, recs.hashes.len() as u64);
-                    if let Some(t) = self.hot.as_mut() {
-                        for &h in &recs.hashes {
-                            t.record(h);
-                        }
-                    }
-                    self.store.apply_access_records(&recs.hashes);
-                    self.respond_rpc(ctx, src, req.id, Status::Ok, Bytes::new());
-                } else {
-                    self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
+                let recs = messages::AccessRecords::decode(req.body)?;
+                ctx.metrics()
+                    .add_id(self.m().access_records, recs.hashes.len() as u64);
+                for &h in &recs.hashes {
+                    self.note_serve(h);
                 }
+                self.store.apply_access_records(&recs.hashes);
+                self.respond_rpc(ctx, src, req.id, Status::Ok, Bytes::new());
+                Some(())
             }
             method::SCAN => {
-                let Some(scan_req) = messages::ScanReq::decode(req.body) else {
-                    self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-                    return;
-                };
-                let (pairs, done) = self.store.scan_page(scan_req.page, SCAN_PAGE_BUCKETS);
-                let body = messages::ScanPage {
-                    page: scan_req.page,
-                    done,
-                    pairs,
-                }
-                .encode_in(&self.pool);
+                let scan = messages::ScanReq::decode(req.body)?;
+                let page = self.store.scan_page(scan.page, SCAN_PAGE_BUCKETS);
+                let body = page.encode_in(&self.pool);
                 self.respond_rpc(ctx, src, req.id, Status::Ok, body);
+                Some(())
             }
             method::MIGRATE_CHUNK => self.handle_migrate_chunk(ctx, src, req),
             method::PREPARE_MAINTENANCE => self.handle_prepare_maintenance(ctx, src, req),
-            _ => {
-                self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            }
+            _ => None,
+        }
+    }
+
+    /// Count a serve of `hash` toward the hot-key detector, if it runs.
+    fn note_serve(&mut self, hash: KeyHash) {
+        if let Some(t) = self.hot.as_mut() {
+            t.record(hash);
         }
     }
 
@@ -536,17 +539,12 @@ impl BackendNode {
         self.store.shard() != u32::MAX
     }
 
-    fn handle_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
+    fn handle_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
         let is_repair = req.method == method::REPAIR_SET;
-        let Some(set) = messages::SetReq::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+        let set = messages::SetReq::decode(req.body)?;
         let hash = self.cfg.hasher.hash(&set.key);
         if !is_repair {
-            if let Some(t) = self.hot.as_mut() {
-                t.record(hash);
-            }
+            self.note_serve(hash);
         }
         match self
             .store
@@ -562,6 +560,7 @@ impl BackendNode {
                 self.write_chunks(ctx, src, req.id, prepared, 0);
             }
         }
+        Some(())
     }
 
     /// Stream the prepared entry's bytes in `set_chunks` timed pieces,
@@ -585,14 +584,14 @@ impl BackendNode {
         if next >= len {
             self.finish_set(ctx, src, req_id, prepared);
         } else {
-            let tok = self.work.defer(Work::SetChunk {
+            let work = Work::SetChunk {
                 src,
                 req_id,
                 prepared,
                 written: next,
                 trace: self.cur_trace,
-            });
-            ctx.set_timer(self.cfg.chunk_gap, tok);
+            };
+            self.after(ctx, self.cfg.chunk_gap, work);
         }
     }
 
@@ -607,24 +606,19 @@ impl BackendNode {
         self.maybe_schedule_growth(ctx);
     }
 
-    fn handle_erase(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(erase) = messages::EraseReq::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_erase(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
+        let erase = messages::EraseReq::decode(req.body)?;
         let hash = self.cfg.hasher.hash(&erase.key);
         let status = self.store.erase(hash, erase.version);
         if status == Status::Ok {
             self.committed(ctx, durable::KIND_ERASE, &erase.key, &[], erase.version);
         }
         self.respond_rpc(ctx, src, req.id, status, Bytes::new());
+        Some(())
     }
 
-    fn handle_cas(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(cas) = messages::CasReq::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_cas(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
+        let cas = messages::CasReq::decode(req.body)?;
         let hash = self.cfg.hasher.hash(&cas.key);
         match self
             .store
@@ -633,15 +627,14 @@ impl BackendNode {
             Err(status) => self.respond_rpc(ctx, src, req.id, status, Bytes::new()),
             Ok(prepared) => self.write_chunks(ctx, src, req.id, prepared, 0),
         }
+        Some(())
     }
 
     /// The pair stored under exactly `key`, if any (counted as a serve by
     /// the hot-key detector either way).
     fn lookup(&mut self, key: &[u8]) -> Option<(Bytes, Bytes, VersionNumber)> {
         let hash = self.cfg.hasher.hash(key);
-        if let Some(t) = self.hot.as_mut() {
-            t.record(hash);
-        }
+        self.note_serve(hash);
         self.store
             .fetch(hash)
             .filter(|(stored, _, _)| stored == key)
@@ -667,23 +660,18 @@ impl BackendNode {
         self.respond_rpc(ctx, src, req_id, Status::Ok, body);
     }
 
-    fn handle_get_rpc(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(get) = messages::GetReq::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_get_rpc(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
+        let get = messages::GetReq::decode(req.body)?;
         let pair = self.lookup(&get.key);
         self.respond_pair(ctx, src, req.id, pair);
+        Some(())
     }
 
     /// Vectored serve for a batched lookup frame: one dispatch already paid
     /// the per-request framework cost; each sub-op is now a plain store
     /// probe, and every verdict rides one pooled response frame.
-    fn handle_multi_get(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(mget) = messages::MultiGetReq::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_multi_get(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
+        let mget = messages::MultiGetReq::decode(req.body)?;
         let mut entries = Vec::with_capacity(mget.keys.len());
         for (&sub, key) in mget.subs.iter().zip(&mget.keys) {
             let (status, version, value) = match self.lookup(key) {
@@ -699,6 +687,7 @@ impl BackendNode {
         }
         let body = messages::MultiGetResp { entries }.encode_in(&self.pool);
         self.respond_rpc(ctx, src, req.id, Status::Ok, body);
+        Some(())
     }
 
     /// Vectored serve for a batched mutation frame. Unlike the single-SET
@@ -707,32 +696,26 @@ impl BackendNode {
     /// entry via the usual memory snapshot, but the batch itself commits
     /// each sub-op atomically within the dispatch event. Per-sub-op
     /// verdicts travel back in one status vector.
-    fn handle_multi_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(mset) = messages::MultiSetReq::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_multi_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
+        let mset = messages::MultiSetReq::decode(req.body)?;
         let mut statuses = Vec::with_capacity(mset.entries.len());
         for (sub, (key, value, version)) in mset.subs.iter().zip(&mset.entries) {
             let hash = self.cfg.hasher.hash(key);
-            if let Some(t) = self.hot.as_mut() {
-                t.record(hash);
-            }
+            self.note_serve(hash);
             let status = self.install(ctx, key, value, hash, *version);
             statuses.push((*sub, status as u8));
         }
         self.maybe_schedule_growth(ctx);
         let body = messages::MultiSetResp { statuses }.encode_in(&self.pool);
         self.respond_rpc(ctx, src, req.id, Status::Ok, body);
+        Some(())
     }
 
-    fn handle_fetch(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(fetch) = messages::FetchByHashReq::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_fetch(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
+        let fetch = messages::FetchByHashReq::decode(req.body)?;
         let pair = self.store.fetch(fetch.key_hash);
         self.respond_pair(ctx, src, req.id, pair);
+        Some(())
     }
 
     // ---- The commit point ------------------------------------------------
@@ -824,14 +807,9 @@ impl BackendNode {
     /// appends are pending. Returns the device completion time when a
     /// commit was actually issued.
     fn wal_kick(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
-        let started = match self.wal.as_mut() {
-            Some(w) => w.gc.start_commit(),
-            None => None,
-        };
-        started.map(|(bytes, _records)| {
-            let tok = self.work.defer(Work::WalCommitDone);
-            ctx.device_commit(bytes, tok)
-        })
+        let (bytes, _records) = self.wal.as_mut()?.gc.start_commit()?;
+        let tok = self.work.defer(Work::WalCommitDone);
+        Some(ctx.device_commit(bytes, tok))
     }
 
     /// The sealed batch's write+fsync completed: publish it to media and
@@ -852,35 +830,26 @@ impl BackendNode {
     /// ([`Work::WalTrickleDone`]) folds the prefix into the snapshot and
     /// truncates the log front, bounding WAL length and replay time.
     fn on_wal_trickle_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let (interval, issue) = {
-            let Some(w) = self.wal.as_mut() else { return };
-            let mut issue = None;
-            if !w.gc.in_flight() && w.trickle_inflight.is_none() {
-                let (records, bytes) = w.cfg.media.borrow().prefix(TRICKLE_RECORDS);
-                if records > 0 {
-                    w.trickle_inflight = Some(records);
-                    issue = Some(bytes);
-                }
+        let Some(w) = self.wal.as_mut() else { return };
+        let interval = w.cfg.trickle_interval;
+        if !w.gc.in_flight() && w.trickle_inflight.is_none() {
+            let (records, bytes) = w.cfg.media.borrow().prefix(TRICKLE_RECORDS);
+            if records > 0 {
+                w.trickle_inflight = Some(records);
+                let tok = self.work.defer(Work::WalTrickleDone);
+                ctx.device_commit(bytes, tok);
             }
-            (w.cfg.trickle_interval, issue)
-        };
-        if let Some(bytes) = issue {
-            let tok = self.work.defer(Work::WalTrickleDone);
-            ctx.device_commit(bytes, tok);
         }
-        let tok = self.work.defer(Work::WalTrickleTick);
-        ctx.set_timer(interval, tok);
+        self.after(ctx, interval, Work::WalTrickleTick);
     }
 
     fn on_wal_trickle_done(&mut self, ctx: &mut Ctx<'_>) {
         let mids = *self.m();
-        let mut flushed = 0;
-        if let Some(w) = self.wal.as_mut() {
-            if let Some(n) = w.trickle_inflight.take() {
-                let (records, _bytes) = w.cfg.media.borrow_mut().flush_prefix(n);
-                flushed = records;
-            }
-        }
+        let Some(w) = self.wal.as_mut() else { return };
+        let Some(n) = w.trickle_inflight.take() else {
+            return;
+        };
+        let (flushed, _bytes) = w.cfg.media.borrow_mut().flush_prefix(n);
         if flushed > 0 {
             ctx.metrics().add_id(mids.wal_trickled, flushed);
             ctx.metrics().add_id(mids.wal_fsyncs, 1);
@@ -930,12 +899,10 @@ impl BackendNode {
             self.store.begin_index_resize();
             ctx.metrics().add_id(self.m().index_resizes, 1);
             let dur = SimDuration(RESIZE_NS_PER_ENTRY * self.store.live_entries().max(1));
-            let tok = self.work.defer(Work::FinishResize);
-            ctx.set_timer(dur, tok);
+            self.after(ctx, dur, Work::FinishResize);
         }
         self.maybe_schedule_growth(ctx);
-        let tok = self.work.defer(Work::ReshapeCheck);
-        ctx.set_timer(self.cfg.reshape_check, tok);
+        self.after(ctx, self.cfg.reshape_check, Work::ReshapeCheck);
     }
 
     fn maybe_schedule_growth(&mut self, ctx: &mut Ctx<'_>) {
@@ -945,197 +912,99 @@ impl BackendNode {
         self.growth_pending = true;
         // Kernel memory operations have unpredictable duration; growth is
         // triggered by a high watermark and runs off the critical path.
-        let tok = self.work.defer(Work::GrowData);
-        ctx.set_timer(SimDuration::from_millis(2), tok);
+        self.after(ctx, SimDuration::from_millis(2), Work::GrowData);
     }
 
     // ---- Cohort scans & repairs (§5.4) ----------------------------------
 
     fn scan_tick(&mut self, ctx: &mut Ctx<'_>) {
-        if self.scan.is_none() && self.migration.is_none() && self.has_identity() {
-            self.begin_scan(ctx, ScanMode::Push);
+        if !self.repair.running() && self.migration.is_none() && self.has_identity() {
+            let step = self.repair.begin(repair::Mode::Push);
+            self.repair_steps(ctx, [step]);
         }
         if let Some(interval) = self.cfg.scan_interval {
-            let tok = self.work.defer(Work::ScanTick);
-            ctx.set_timer(interval, tok);
+            self.after(ctx, interval, Work::ScanTick);
         }
     }
 
-    fn begin_scan(&mut self, ctx: &mut Ctx<'_>, mode: ScanMode) {
-        // Need a current config to know the cohort.
-        let Some(store) = self.cfg.config_store else {
-            return;
-        };
-        let tag = match mode {
-            ScanMode::Push => tag::CONFIG_FOR_SCAN,
-            ScanMode::Pull => tag::CONFIG_FOR_SCAN | 0x100,
-        };
-        self.call(ctx, store, method::GET_CONFIG, Bytes::new(), tag);
-    }
-
-    fn cohort_of(&self, config: &CellConfig, me: NodeId) -> Vec<NodeId> {
-        let copies = config.replication.copies();
-        if copies <= 1 {
-            return Vec::new();
-        }
-        let n = config.num_shards();
-        let my_shard = self.store.shard();
-        if my_shard == u32::MAX || my_shard >= n {
-            return Vec::new();
-        }
-        // Backends whose replica sets overlap mine: shards within ±(R-1).
-        let mut peers = Vec::new();
-        for d in 1..copies {
-            for s in [(my_shard + d) % n, (my_shard + n - d) % n] {
-                let node = config.node_for(s);
-                if node != me && !peers.contains(&node) {
-                    peers.push(node);
+    /// Execute the repair core's steps, in the order it emitted them.
+    fn repair_steps(&mut self, ctx: &mut Ctx<'_>, steps: impl IntoIterator<Item = Step>) {
+        for step in steps {
+            match step {
+                Step::GetConfig => self.get_config(ctx, tag::CONFIG_FOR_SCAN),
+                Step::RequestPage { peer, page, scan } => {
+                    let body = messages::ScanReq { page }.encode_in(&self.pool);
+                    self.call(ctx, NodeId(peer), method::SCAN, body, tag::scan(scan));
                 }
-            }
-        }
-        peers
-    }
-
-    fn start_scan_with_config(&mut self, ctx: &mut Ctx<'_>, config: CellConfig, mode: ScanMode) {
-        let peers = self.cohort_of(&config, ctx.self_id());
-        self.config = Some(config);
-        if peers.is_empty() {
-            return;
-        }
-        self.scan = Some(ScanState {
-            mode,
-            peers,
-            current: 0,
-            page: 0,
-            inventory: BTreeMap::new(),
-        });
-        self.request_scan_page(ctx);
-    }
-
-    fn request_scan_page(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(scan) = &self.scan else { return };
-        let peer = scan.peers[scan.current];
-        let body = messages::ScanReq { page: scan.page }.encode_in(&self.pool);
-        self.call(ctx, peer, method::SCAN, body, tag::SCAN);
-    }
-
-    fn on_scan_page(&mut self, ctx: &mut Ctx<'_>, page: messages::ScanPage) {
-        let Some(scan) = &mut self.scan else { return };
-        for (h, v) in page.pairs {
-            let e = scan.inventory.entry(h).or_insert(v);
-            if v > *e {
-                *e = v;
-            }
-        }
-        if !page.done {
-            scan.page += 1;
-            self.request_scan_page(ctx);
-            return;
-        }
-        // Full inventory of this peer collected: reconcile.
-        let peer = scan.peers[scan.current];
-        let mode = scan.mode;
-        let inventory = std::mem::take(&mut scan.inventory);
-        self.reconcile_with_peer(ctx, peer, &inventory, mode);
-        let scan = self.scan.as_mut().expect("still scanning");
-        scan.current += 1;
-        scan.page = 0;
-        if scan.current >= scan.peers.len() {
-            self.scan = None;
-        } else {
-            self.request_scan_page(ctx);
-        }
-    }
-
-    /// Compare a peer's inventory against local state.
-    ///
-    /// Push mode: keys *we* hold that the peer should hold but is missing
-    /// or stale form a dirty quorum — repair by installing a fresh, higher
-    /// version at every replica (§5.4).
-    ///
-    /// Pull mode (post-restart): keys the *peer* holds that we should hold
-    /// but miss are fetched and installed locally.
-    fn reconcile_with_peer(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        peer: NodeId,
-        inventory: &BTreeMap<KeyHash, VersionNumber>,
-        mode: ScanMode,
-    ) {
-        let Some(config) = self.config.clone() else {
-            return;
-        };
-        match mode {
-            ScanMode::Push => {
-                let local = self.store.scan_all_pairs();
-                for (hash, local_version) in local {
-                    if !self.replica_holds(&config, peer, hash) {
+                Step::Fetch { peer, hash } => {
+                    let body = messages::FetchByHashReq { key_hash: hash }.encode_in(&self.pool);
+                    self.call(ctx, NodeId(peer), method::FETCH_BY_HASH, body, tag::FETCH);
+                }
+                Step::Pulled { fetches } => {
+                    ctx.metrics()
+                        .add_id(self.m().recovery_fetches, u64::from(fetches));
+                }
+                Step::Repair { hash } => {
+                    ctx.metrics().add_id(self.m().dirty_quorums, 1);
+                    self.repair_key(ctx, hash);
+                }
+                Step::EraseLocal { hash, version } => {
+                    // Erased through the commit hook: the WAL logs it, an
+                    // open migration forwards it.
+                    let Some((key, _, _)) = self.store.fetch(hash) else {
                         continue;
-                    }
-                    let peer_version = inventory.get(&hash).copied();
-                    let dirty = match peer_version {
-                        None => self.store.tombstones().get(hash).is_none(),
-                        Some(pv) => pv < local_version,
                     };
-                    if dirty {
-                        ctx.metrics().add_id(self.m().dirty_quorums, 1);
-                        self.repair_key(ctx, hash, &config);
+                    if self.store.erase(hash, version) == Status::Ok {
+                        self.committed(ctx, durable::KIND_ERASE, &key, &[], version);
+                        ctx.metrics().add_id(self.m().repair_erases, 1);
                     }
                 }
-            }
-            ScanMode::Pull => {
-                let me = ctx.self_id();
-                let mut fetches = 0u32;
-                for (&hash, &peer_version) in inventory {
-                    if !self.replica_holds(&config, me, hash) {
-                        continue;
-                    }
-                    let local = self
-                        .store
-                        .lookup(hash)
-                        .map(|(_, _, e)| e.version)
-                        .unwrap_or(VersionNumber::ZERO);
-                    if local < peer_version {
-                        let body =
-                            messages::FetchByHashReq { key_hash: hash }.encode_in(&self.pool);
-                        self.call(ctx, peer, method::FETCH_BY_HASH, body, tag::FETCH);
-                        fetches += 1;
-                    }
-                }
-                ctx.metrics()
-                    .add_id(self.m().recovery_fetches, fetches as u64);
+                Step::Done => {}
             }
         }
-    }
-
-    fn replica_holds(&self, config: &CellConfig, node: NodeId, hash: KeyHash) -> bool {
-        let shard = crate::hash::place(hash, config.num_shards(), 1).shard;
-        config.replicas_for(shard).contains(&node)
     }
 
     /// §5.4 repair: install the key at a fresh version N at all replicas.
-    fn repair_key(&mut self, ctx: &mut Ctx<'_>, hash: KeyHash, config: &CellConfig) {
+    fn repair_key(&mut self, ctx: &mut Ctx<'_>, hash: KeyHash) {
         let Some((key, value, _old_version)) = self.store.fetch(hash) else {
             return;
         };
-        let new_version = self.versions.nominate(ctx.truetime());
+        let version = self.versions.nominate(ctx.truetime());
+        let config = self.config.as_ref().expect("a scan runs under a config");
         let shard = crate::hash::place(hash, config.num_shards(), 1).shard;
+        let replicas = config.replicas_for(shard);
+        if replicas.contains(&ctx.self_id()) {
+            // Apply locally, directly (we are the repairer).
+            self.install(ctx, &key, &value, hash, version);
+        }
+        self.repair_sets(ctx, &replicas, key, value, version);
+        ctx.metrics().add_id(self.m().repairs, 1);
+    }
+
+    /// The one REPAIR_SET fan-out (§5.4 repair, hot-key copies): `key`'s
+    /// pair at `version` to every node of `replicas` but this one, in
+    /// order. Returns how many went out.
+    fn repair_sets(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        replicas: &[NodeId],
+        key: Bytes,
+        value: Bytes,
+        version: VersionNumber,
+    ) -> u64 {
         let me = ctx.self_id();
         let body = messages::SetReq {
-            key: key.clone(),
-            value: value.clone(),
-            version: new_version,
+            key,
+            value,
+            version,
         }
         .encode_in(&self.pool);
-        for replica in config.replicas_for(shard) {
-            if replica == me {
-                // Apply locally, directly (we are the repairer).
-                self.install(ctx, &key, &value, hash, new_version);
-            } else {
-                self.call(ctx, replica, method::REPAIR_SET, body.clone(), tag::REPAIR);
-            }
+        let mut sent = 0;
+        for &replica in replicas.iter().filter(|&&r| r != me) {
+            self.call(ctx, replica, method::REPAIR_SET, body.clone(), tag::REPAIR);
+            sent += 1;
         }
-        ctx.metrics().add_id(self.m().repairs, 1);
+        sent
     }
 
     // ---- Load-aware hot-key replication ---------------------------------
@@ -1181,8 +1050,7 @@ impl BackendNode {
             ctx.metrics()
                 .add_id(self.m().hot_demotions, decisions.demoted.len() as u64);
         }
-        let tok = self.work.defer(Work::HotEpoch);
-        ctx.set_timer(epoch, tok);
+        self.after(ctx, epoch, Work::HotEpoch);
     }
 
     /// Seed a newly promoted key's extended replicas with its *current*
@@ -1212,22 +1080,10 @@ impl BackendNode {
             return; // nothing stored here (e.g. promoted off SET churn)
         };
         let shard = crate::hash::place(hash, n, 1).shard;
-        let me = ctx.self_id();
-        let body = messages::SetReq {
-            key,
-            value,
-            version,
-        }
-        .encode_in(&self.pool);
-        let mut pushes = 0;
-        for i in 0..extra {
-            let replica = config.node_for((shard + base + i) % n);
-            if replica == me {
-                continue;
-            }
-            self.call(ctx, replica, method::REPAIR_SET, body.clone(), tag::REPAIR);
-            pushes += 1;
-        }
+        let extended: Vec<NodeId> = (0..extra)
+            .map(|i| config.node_for((shard + base + i) % n))
+            .collect();
+        let pushes = self.repair_sets(ctx, &extended, key, value, version);
         if pushes > 0 {
             ctx.metrics().add_id(self.m().hot_pushes, pushes);
         }
@@ -1235,14 +1091,16 @@ impl BackendNode {
 
     // ---- Warm-spare migration (§6.1) ------------------------------------
 
-    fn handle_prepare_maintenance(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(prep) = messages::PrepareMaintenance::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_prepare_maintenance(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        src: NodeId,
+        req: rpc::Request,
+    ) -> Handled {
+        let prep = messages::PrepareMaintenance::decode(req.body)?;
         if self.migration.is_some() {
             self.respond_rpc(ctx, src, req.id, Status::Overloaded, Bytes::new());
-            return;
+            return Some(());
         }
         self.respond_rpc(ctx, src, req.id, Status::Ok, Bytes::new());
         self.migration = Some(MigrationState {
@@ -1255,15 +1113,8 @@ impl BackendNode {
         ctx.metrics().add_id(self.m().migrations_started, 1);
         // Learn the current config so we can republish it with the spare
         // in our place.
-        if let Some(store) = self.cfg.config_store {
-            self.call(
-                ctx,
-                store,
-                method::GET_CONFIG,
-                Bytes::new(),
-                tag::CONFIG_FOR_MIGRATION,
-            );
-        }
+        self.get_config(ctx, tag::CONFIG_FOR_MIGRATION);
+        Some(())
     }
 
     fn send_next_migration_chunk(&mut self, ctx: &mut Ctx<'_>) {
@@ -1289,11 +1140,13 @@ impl BackendNode {
         self.call(ctx, spare, method::MIGRATE_CHUNK, body, tag::MIGRATE);
     }
 
-    fn handle_migrate_chunk(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) {
-        let Some(chunk) = messages::MigrateChunk::decode(req.body) else {
-            self.respond_rpc(ctx, src, req.id, Status::Internal, Bytes::new());
-            return;
-        };
+    fn handle_migrate_chunk(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        src: NodeId,
+        req: rpc::Request,
+    ) -> Handled {
+        let chunk = messages::MigrateChunk::decode(req.body)?;
         for (key, value, version) in &chunk.entries {
             let hash = self.cfg.hasher.hash(key);
             self.install(ctx, key, value, hash, *version);
@@ -1308,6 +1161,7 @@ impl BackendNode {
             ctx.metrics().add_id(self.m().takeovers, 1);
         }
         self.respond_rpc(ctx, src, req.id, Status::Ok, Bytes::new());
+        Some(())
     }
 
     fn finish_migration(&mut self, ctx: &mut Ctx<'_>) {
@@ -1320,13 +1174,8 @@ impl BackendNode {
             // mismatch in the bucket header and refresh their config —
             // discovering the spare without ever hitting a timeout (§6.1).
             self.store.set_config_id(config.config_id);
-            self.call(
-                ctx,
-                store,
-                method::UPDATE_CONFIG,
-                config.encode(),
-                tag::UPDATE_CONFIG,
-            );
+            let (body, t) = (config.encode(), tag::UPDATE_CONFIG);
+            self.call(ctx, store, method::UPDATE_CONFIG, body, t);
         }
         self.retired = true;
     }
@@ -1335,11 +1184,16 @@ impl BackendNode {
     /// restamped into the buckets, when the answer arrives) — unless this
     /// backend is handing its shard away.
     fn fetch_config(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.retired && self.migration.is_none() {
+            self.get_config(ctx, tag::CONFIG_POLL);
+        }
+    }
+
+    /// Ask the config store (if the cell has one) for the configuration;
+    /// `purpose` tags what the answer is for.
+    fn get_config(&mut self, ctx: &mut Ctx<'_>, purpose: u64) {
         if let Some(store) = self.cfg.config_store {
-            if !self.retired && self.migration.is_none() {
-                let poll = tag::CONFIG_POLL;
-                self.call(ctx, store, method::GET_CONFIG, Bytes::new(), poll);
-            }
+            self.call(ctx, store, method::GET_CONFIG, Bytes::new(), purpose);
         }
     }
 
@@ -1347,8 +1201,7 @@ impl BackendNode {
     /// converge after migrations.
     fn config_poll(&mut self, ctx: &mut Ctx<'_>) {
         self.fetch_config(ctx);
-        let tok = self.work.defer(Work::ConfigPoll);
-        ctx.set_timer(CONFIG_POLL, tok);
+        self.after(ctx, CONFIG_POLL, Work::ConfigPoll);
     }
 
     // ---- Outgoing RPC plumbing ------------------------------------------
@@ -1367,24 +1220,28 @@ impl BackendNode {
     fn on_rpc_completion(&mut self, ctx: &mut Ctx<'_>, done: Completion) {
         ctx.charge_cpu(RPC_COST.client_recv);
         match done.call.user_tag {
-            t if t == tag::SCAN => {
-                if done.status == Status::Ok {
-                    if let Some(page) = messages::ScanPage::decode(done.body) {
-                        self.on_scan_page(ctx, page);
-                        return;
+            t if t & 0xFF == tag::SCAN => {
+                let (scan, peer) = ((t >> 8) as u32, done.call.dst.0);
+                let ok = done.status == Status::Ok;
+                let steps = match ok.then(|| messages::ScanPage::decode(done.body)).flatten() {
+                    Some(page) => {
+                        let config = self.config.as_ref().expect("a scan runs under a config");
+                        let store = &self.store;
+                        let live = |hash| {
+                            store
+                                .lookup(hash)
+                                .map_or(VersionNumber::ZERO, |e| e.2.version)
+                        };
+                        let pairs = || store.scan_all_pairs();
+                        self.repair.page(scan, peer, page, config, pairs, live)
                     }
+                    // Peer unreachable or the page garbled.
+                    None => self.repair.page_failed(scan, peer),
+                };
+                if steps.is_empty() {
+                    ctx.metrics().add_id(self.m().stale_scan_pages, 1);
                 }
-                // Peer unreachable or garbled: abandon this peer.
-                if let Some(scan) = &mut self.scan {
-                    scan.current += 1;
-                    scan.page = 0;
-                    scan.inventory.clear();
-                    if scan.current >= scan.peers.len() {
-                        self.scan = None;
-                    } else {
-                        self.request_scan_page(ctx);
-                    }
-                }
+                self.repair_steps(ctx, steps);
             }
             t if t == tag::FETCH && done.status == Status::Ok => {
                 // Fabric bytes spent on peer repair (the quantity warm
@@ -1397,9 +1254,6 @@ impl BackendNode {
                         ctx.metrics().add_id(self.m().recovered_entries, 1);
                     }
                 }
-            }
-            t if t == tag::REPAIR => {
-                // Best-effort; failures will be caught by the next scan.
             }
             t if t == tag::MIGRATE => {
                 if done.status == Status::Ok {
@@ -1416,46 +1270,37 @@ impl BackendNode {
                     ctx.metrics().add_id(self.m().migrations_aborted, 1);
                 }
             }
-            t if t == tag::CONFIG_FOR_MIGRATION && done.status == Status::Ok => {
-                if let Some(mut config) = CellConfig::decode(done.body) {
-                    let my_shard = self.store.shard();
-                    let spare = self.migration.as_ref().map(|m| m.spare);
-                    if let Some(spare) = spare {
-                        config.reassign(my_shard, spare);
-                        config.spares.retain(|&s| s != spare.0);
-                        if let Some(m) = &mut self.migration {
-                            m.new_config = Some(config);
-                        }
+            t if done.call.method == method::GET_CONFIG && done.status == Status::Ok => {
+                let Some(mut config) = CellConfig::decode(done.body) else {
+                    return;
+                };
+                match t {
+                    tag::CONFIG_FOR_MIGRATION => {
+                        let Some(m) = &mut self.migration else { return };
+                        config.reassign(self.store.shard(), m.spare);
+                        config.spares.retain(|&s| s != m.spare.0);
+                        m.new_config = Some(config);
                         self.send_next_migration_chunk(ctx);
                     }
-                }
-            }
-            t if (t == tag::CONFIG_FOR_SCAN || t == (tag::CONFIG_FOR_SCAN | 0x100))
-                && done.status == Status::Ok =>
-            {
-                if let Some(config) = CellConfig::decode(done.body) {
-                    let mode = if t == tag::CONFIG_FOR_SCAN {
-                        ScanMode::Push
-                    } else {
-                        ScanMode::Pull
-                    };
-                    self.start_scan_with_config(ctx, config, mode);
-                }
-            }
-            t if t == tag::CONFIG_POLL && done.status == Status::Ok => {
-                if let Some(config) = CellConfig::decode(done.body) {
-                    if config.config_id > self.store.config_id() {
-                        ctx.metrics().add_id(self.m().config_adoptions, 1);
-                        self.store.set_config_id(config.config_id);
+                    tag::CONFIG_FOR_SCAN => {
+                        let me = ctx.self_id().0;
+                        let steps = self.repair.config(&config, self.store.shard(), me);
+                        self.config = Some(config);
+                        self.repair_steps(ctx, steps);
                     }
-                    self.config = Some(config);
+                    _ => {
+                        if config.config_id > self.store.config_id() {
+                            ctx.metrics().add_id(self.m().config_adoptions, 1);
+                            self.store.set_config_id(config.config_id);
+                        }
+                        self.config = Some(config);
+                    }
                 }
             }
             t if t == tag::UPDATE_CONFIG && self.retired => {
                 // Grace period: keep serving (self-invalidating) reads
                 // while clients converge to the spare, then exit.
-                let tok = self.work.defer(Work::Exit);
-                ctx.set_timer(SimDuration::from_millis(100), tok);
+                self.after(ctx, SimDuration::from_millis(100), Work::Exit);
             }
             _ => {}
         }
@@ -1469,37 +1314,25 @@ impl Node for BackendNode {
                 self.mids = Some(BackendMetricIds::resolve(ctx.metrics()));
                 self.pool = ctx.pool();
                 self.calls.set_pool(self.pool.clone());
-                let tok = self.work.defer(Work::ReshapeCheck);
-                ctx.set_timer(self.cfg.reshape_check, tok);
+                self.after(ctx, self.cfg.reshape_check, Work::ReshapeCheck);
                 if let Some(interval) = self.cfg.scan_interval {
-                    let tok = self.work.defer(Work::ScanTick);
-                    ctx.set_timer(interval, tok);
+                    self.after(ctx, interval, Work::ScanTick);
                 }
-                if self.wal.is_some() {
-                    assert!(
-                        ctx.device_enabled(),
-                        "durable backend requires Sim::enable_devices"
-                    );
+                if let Some(interval) = self.wal.as_ref().map(|w| w.cfg.trickle_interval) {
+                    let devices = ctx.device_enabled();
+                    assert!(devices, "durable backend requires Sim::enable_devices");
                     // Warm restart: replay local media first, so the Pull
                     // scan below only delta-repairs the un-fsynced tail.
                     self.wal_replay(ctx);
-                    let interval = self
-                        .wal
-                        .as_ref()
-                        .expect("checked above")
-                        .cfg
-                        .trickle_interval;
-                    let tok = self.work.defer(Work::WalTrickleTick);
-                    ctx.set_timer(interval, tok);
+                    self.after(ctx, interval, Work::WalTrickleTick);
                 }
                 if self.cfg.recover_on_start {
-                    self.begin_scan(ctx, ScanMode::Pull);
+                    let step = self.repair.begin(repair::Mode::Pull);
+                    self.repair_steps(ctx, [step]);
                 }
-                let tok = self.work.defer(Work::ConfigPoll);
-                ctx.set_timer(CONFIG_POLL, tok);
-                if let Some(hot) = &self.cfg.hot_repl {
-                    let tok = self.work.defer(Work::HotEpoch);
-                    ctx.set_timer(hot.epoch, tok);
+                self.after(ctx, CONFIG_POLL, Work::ConfigPoll);
+                if let Some(epoch) = self.cfg.hot_repl.as_ref().map(|h| h.epoch) {
+                    self.after(ctx, epoch, Work::HotEpoch);
                 }
             }
             Event::Frame(frame) => {
@@ -1518,26 +1351,21 @@ impl Node for BackendNode {
                 if let Some(env) = rma::decode(frame.payload.clone()) {
                     if cpu_dead && !self.transport.cpu_independent() {
                         ctx.metrics().add_id(self.m().rma_dropped_cpu_dead, 1);
-                        self.cur_trace = 0;
-                        return;
+                    } else {
+                        self.on_rma(ctx, src, env);
                     }
-                    self.on_rma(ctx, src, env);
-                    self.cur_trace = 0;
-                    return;
-                }
-                if cpu_dead {
+                } else if cpu_dead {
                     ctx.metrics().add_id(self.m().rpc_dropped_cpu_dead, 1);
-                    self.cur_trace = 0;
-                    return;
-                }
-                match rpc::decode(frame.payload) {
-                    Some(rpc::Envelope::Request(req)) => self.on_rpc_request(ctx, src, req),
-                    Some(rpc::Envelope::Response(resp)) => {
-                        if let Some(done) = self.calls.complete(resp, ctx.now()) {
-                            self.on_rpc_completion(ctx, done);
+                } else {
+                    match rpc::decode(frame.payload) {
+                        Some(rpc::Envelope::Request(req)) => self.on_rpc_request(ctx, src, req),
+                        Some(rpc::Envelope::Response(resp)) => {
+                            if let Some(done) = self.calls.complete(resp, ctx.now()) {
+                                self.on_rpc_completion(ctx, done);
+                            }
                         }
+                        None => {}
                     }
-                    None => {}
                 }
                 self.cur_trace = 0;
             }
@@ -1670,13 +1498,25 @@ mod tests {
         (sim, backend)
     }
 
+    /// Add a probe on host `ph` that sends `script` to `backend`, run the
+    /// sim for `ms` milliseconds, and return the probe's responses.
+    fn probe(
+        sim: &mut Sim,
+        ph: simnet::HostId,
+        backend: NodeId,
+        script: Vec<(u16, Bytes)>,
+        ms: u64,
+    ) -> Vec<(u16, Status, Bytes)> {
+        let probe = sim.add_node(ph, Box::new(Probe::new(backend, script)));
+        sim.run_for(SimDuration::from_millis(ms));
+        sim.with_node::<Probe, _>(probe, |p| p.responses.clone())
+            .unwrap()
+    }
+
     fn probe_run(cfg: BackendCfg, script: Vec<(u16, Bytes)>) -> Vec<(u16, Status, Bytes)> {
         let (mut sim, backend) = backend_sim(cfg);
         let ph = sim.add_host(HostCfg::default().no_cstates());
-        let probe = sim.add_node(ph, Box::new(Probe::new(backend, script)));
-        sim.run_for(SimDuration::from_millis(50));
-        sim.with_node::<Probe, _>(probe, |p| p.responses.clone())
-            .unwrap()
+        probe(&mut sim, ph, backend, script, 50)
     }
 
     fn v(n: u64) -> VersionNumber {
@@ -1708,26 +1548,10 @@ mod tests {
         // instead: set first, then get.
         let (mut sim, backend) = backend_sim(BackendCfg::default());
         let ph = sim.add_host(HostCfg::default().no_cstates());
-        let p1 = sim.add_node(
-            ph,
-            Box::new(Probe::new(backend, vec![(method::SET, set.encode())])),
-        );
-        sim.run_for(SimDuration::from_millis(20));
-        let r1 = sim
-            .with_node::<Probe, _>(p1, |p| p.responses.clone())
-            .unwrap();
+        let r1 = probe(&mut sim, ph, backend, vec![(method::SET, set.encode())], 20);
         assert_eq!(r1[0].1, Status::Ok);
-        let p2 = sim.add_node(
-            ph,
-            Box::new(Probe::new(
-                backend,
-                vec![(method::GET_RPC, get.encode_in(&Pool::new()))],
-            )),
-        );
-        sim.run_for(SimDuration::from_millis(20));
-        let r2 = sim
-            .with_node::<Probe, _>(p2, |p| p.responses.clone())
-            .unwrap();
+        let get = vec![(method::GET_RPC, get.encode_in(&Pool::new()))];
+        let r2 = probe(&mut sim, ph, backend, get, 20);
         assert_eq!(r2[0].1, Status::Ok);
         let resp = GetResp::decode(r2[0].2.clone()).unwrap();
         assert_eq!(&resp.value[..], b"value");
@@ -1745,46 +1569,20 @@ mod tests {
         };
         let (mut sim, backend) = backend_sim(BackendCfg::default());
         let ph = sim.add_host(HostCfg::default().no_cstates());
-        let setter = sim.add_node(
-            ph,
-            Box::new(Probe::new(backend, vec![(method::SET, set.encode())])),
-        );
-        sim.run_for(SimDuration::from_millis(20));
-        let _ = setter;
-        let host_cpu_before = sim.host(simnet::HostId(0)).cpu_busy_ns;
+        probe(&mut sim, ph, backend, vec![(method::SET, set.encode())], 20);
         let get = GetReq {
             key: Bytes::from_static(b"m"),
+        }
+        .encode_in(&Pool::new());
+        // Backend-host CPU a probe running `method` costs.
+        let mut cpu_of = |method| {
+            let before = sim.host(simnet::HostId(0)).cpu_busy_ns;
+            let r = probe(&mut sim, ph, backend, vec![(method, get.clone())], 20);
+            assert_eq!(r[0].1, Status::Ok);
+            sim.host(simnet::HostId(0)).cpu_busy_ns - before
         };
-        let p = sim.add_node(
-            ph,
-            Box::new(Probe::new(
-                backend,
-                vec![(method::MSG_GET, get.encode_in(&Pool::new()))],
-            )),
-        );
-        sim.run_for(SimDuration::from_millis(20));
-        let msg_cpu = sim.host(simnet::HostId(0)).cpu_busy_ns - host_cpu_before;
-        let r = sim
-            .with_node::<Probe, _>(p, |p| p.responses.clone())
-            .unwrap();
-        assert_eq!(r[0].1, Status::Ok);
-        let before_full = sim.host(simnet::HostId(0)).cpu_busy_ns;
-        let get2 = GetReq {
-            key: Bytes::from_static(b"m"),
-        };
-        let p2 = sim.add_node(
-            ph,
-            Box::new(Probe::new(
-                backend,
-                vec![(method::GET_RPC, get2.encode_in(&Pool::new()))],
-            )),
-        );
-        sim.run_for(SimDuration::from_millis(20));
-        let full_cpu = sim.host(simnet::HostId(0)).cpu_busy_ns - before_full;
-        let r2 = sim
-            .with_node::<Probe, _>(p2, |p| p.responses.clone())
-            .unwrap();
-        assert_eq!(r2[0].1, Status::Ok);
+        let msg_cpu = cpu_of(method::MSG_GET);
+        let full_cpu = cpu_of(method::GET_RPC);
         assert!(
             full_cpu > msg_cpu * 5,
             "full RPC {full_cpu}ns vs MSG {msg_cpu}ns"
@@ -1800,24 +1598,13 @@ mod tests {
         };
         let (mut sim, backend) = backend_sim(BackendCfg::default());
         let ph = sim.add_host(HostCfg::default().no_cstates());
-        sim.add_node(
-            ph,
-            Box::new(Probe::new(backend, vec![(method::SET, hi.encode())])),
-        );
-        sim.run_for(SimDuration::from_millis(20));
+        probe(&mut sim, ph, backend, vec![(method::SET, hi.encode())], 20);
         let lo = SetReq {
             key: Bytes::from_static(b"k"),
             value: Bytes::from_static(b"v5"),
             version: v(5),
         };
-        let p = sim.add_node(
-            ph,
-            Box::new(Probe::new(backend, vec![(method::SET, lo.encode())])),
-        );
-        sim.run_for(SimDuration::from_millis(20));
-        let r = sim
-            .with_node::<Probe, _>(p, |p| p.responses.clone())
-            .unwrap();
+        let r = probe(&mut sim, ph, backend, vec![(method::SET, lo.encode())], 20);
         assert_eq!(r[0].1, Status::VersionRejected);
     }
 
@@ -2008,24 +1795,14 @@ mod tests {
                 value: Bytes::from(vec![0u8; 1500]),
                 version: v(i as u64 + 1),
             };
-            sim.add_node(
-                ph,
-                Box::new(Probe::new(backend, vec![(method::SET, set.encode())])),
-            );
-            sim.run_for(SimDuration::from_millis(5));
+            probe(&mut sim, ph, backend, vec![(method::SET, set.encode())], 5);
         }
         // Touch key0 (otherwise the LRU victim).
         let touch = messages::AccessRecords {
             hashes: vec![hasher.hash(b"key0")],
         };
-        sim.add_node(
-            ph,
-            Box::new(Probe::new(
-                backend,
-                vec![(method::ACCESS_RECORDS, touch.encode_in(&Pool::new()))],
-            )),
-        );
-        sim.run_for(SimDuration::from_millis(5));
+        let touch = vec![(method::ACCESS_RECORDS, touch.encode_in(&Pool::new()))];
+        probe(&mut sim, ph, backend, touch, 5);
         // Insert more until evictions occur.
         for i in 10..14u32 {
             let set = SetReq {
@@ -2033,11 +1810,7 @@ mod tests {
                 value: Bytes::from(vec![0u8; 1500]),
                 version: v(i as u64 + 1),
             };
-            sim.add_node(
-                ph,
-                Box::new(Probe::new(backend, vec![(method::SET, set.encode())])),
-            );
-            sim.run_for(SimDuration::from_millis(5));
+            probe(&mut sim, ph, backend, vec![(method::SET, set.encode())], 5);
         }
         let (key0_alive, key1_alive, evictions) = sim
             .with_node::<BackendNode, _>(backend, |b| {

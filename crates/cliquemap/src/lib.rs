@@ -28,7 +28,7 @@
 //! | §4.1 allocation & reshaping | [`slab`], [`store`] |
 //! | §4.2 eviction | [`policy`], [`tombstone`] |
 //! | §5 replication & quorums | [`config`], [`version`], [`quorum`] (the rules), [`client`] (the I/O) |
-//! | §5.4 repairs | [`backend`] (cohort scans) |
+//! | §5.4 repairs | [`repair`] (the rules), [`backend`] (the I/O) |
 //! | §6.1 warm spares | [`backend`] (migration), [`cell`] |
 //! | §6.2 language shims | [`shim`] |
 //! | §6.3 SCAR | [`store`] (resolver), [`client`] |
@@ -82,6 +82,7 @@ pub mod layout;
 pub mod messages;
 pub mod policy;
 pub mod quorum;
+pub mod repair;
 pub mod shim;
 pub mod slab;
 pub mod store;

@@ -327,8 +327,11 @@ impl AccessRecords {
     }
 }
 
-/// One page of a cohort scan: (KeyHash, version) pairs (§5.4 — "detected
-/// via KeyHash exchange to minimize overhead").
+/// One page of a cohort scan: the (KeyHash, version) pairs of the live
+/// entries in its bucket range (§5.4 — "detected via KeyHash exchange to
+/// minimize overhead"), then the exact tombstones of keys in that range.
+/// The tombstone section is a trailing extension written only when
+/// non-empty, so a page without tombstones is the original format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanPage {
     /// Page being returned.
@@ -337,18 +340,48 @@ pub struct ScanPage {
     pub done: bool,
     /// The (hash, version) pairs in this page.
     pub pairs: Vec<(KeyHash, VersionNumber)>,
+    /// The (hash, erased-at version) tombstones in this page.
+    pub tombstones: Vec<(KeyHash, VersionNumber)>,
+}
+
+fn put_pairs(b: &mut BytesMut, pairs: &[(KeyHash, VersionNumber)]) {
+    b.put_u32_le(pairs.len() as u32);
+    for (h, v) in pairs {
+        b.put_u128_le(*h);
+        b.put_u128_le(v.0);
+    }
+}
+
+/// A `u32` count and that many (hash, version) pairs; `None` if the body
+/// cannot hold the count it claims.
+fn get_pairs(b: &mut Bytes) -> Option<Vec<(KeyHash, VersionNumber)>> {
+    if b.len() < 4 {
+        return None;
+    }
+    let n = b.get_u32_le() as usize;
+    if b.len() < n.saturating_mul(32) {
+        return None;
+    }
+    Some(
+        (0..n)
+            .map(|_| (b.get_u128_le(), VersionNumber(b.get_u128_le())))
+            .collect(),
+    )
 }
 
 impl ScanPage {
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(9 + 32 * self.pairs.len());
+        let extension = match self.tombstones.len() {
+            0 => 0,
+            n => 4 + 32 * n,
+        };
+        let mut b = pool.get(9 + 32 * self.pairs.len() + extension);
         b.put_u32_le(self.page);
         b.put_u8(self.done as u8);
-        b.put_u32_le(self.pairs.len() as u32);
-        for (h, v) in &self.pairs {
-            b.put_u128_le(*h);
-            b.put_u128_le(v.0);
+        put_pairs(&mut b, &self.pairs);
+        if extension > 0 {
+            put_pairs(&mut b, &self.tombstones);
         }
         b.freeze()
     }
@@ -360,17 +393,18 @@ impl ScanPage {
         }
         let page = body.get_u32_le();
         let done = body.get_u8() != 0;
-        let n = body.get_u32_le() as usize;
-        if body.len() < n.saturating_mul(32) {
-            return None;
-        }
-        let mut pairs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let h = body.get_u128_le();
-            let v = VersionNumber(body.get_u128_le());
-            pairs.push((h, v));
-        }
-        Some(ScanPage { page, done, pairs })
+        let pairs = get_pairs(&mut body)?;
+        let tombstones = if body.is_empty() {
+            Vec::new()
+        } else {
+            get_pairs(&mut body)?
+        };
+        Some(ScanPage {
+            page,
+            done,
+            pairs,
+            tombstones,
+        })
     }
 }
 
@@ -845,8 +879,15 @@ mod tests {
             page: 7,
             done: true,
             pairs: vec![(1, VersionNumber::new(1, 1, 1)), (2, VersionNumber::ZERO)],
+            tombstones: Vec::new(),
         };
-        assert_eq!(ScanPage::decode(page.encode_in(&Pool::new())), Some(page));
+        let erased = ScanPage {
+            tombstones: vec![(3, VersionNumber::new(2, 2, 2))],
+            ..page.clone()
+        };
+        for page in [page, erased] {
+            assert_eq!(ScanPage::decode(page.encode_in(&Pool::new())), Some(page));
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::layout::{
     self, bucket_size, data_entry_size, encode_data_entry, parse_data_entry, IndexEntry, Pointer,
     CHECKSUM_BYTES, DATA_ENTRY_HEADER_BYTES,
 };
-use crate::messages::Geometry;
+use crate::messages::{Geometry, ScanPage};
 use crate::policy::EvictionPolicy;
 use crate::tombstone::TombstoneCache;
 use crate::version::VersionNumber;
@@ -639,13 +639,22 @@ impl BackendStore {
             .filter(IndexEntry::is_occupied)
     }
 
-    /// One page of (hash, version) pairs for cohort scans. Pages walk the
-    /// bucket array; `page_size` is in buckets.
-    pub fn scan_page(&self, page: u32, page_size: u64) -> (Vec<(KeyHash, VersionNumber)>, bool) {
+    /// One page of a cohort scan. Pages walk the bucket array; `page_size`
+    /// is in buckets. A page carries the live (hash, version) pairs of its
+    /// buckets and the exact tombstones of keys that hash into them.
+    pub fn scan_page(&self, page: u32, page_size: u64) -> ScanPage {
         let start = page as u64 * page_size;
         let stop = (start + page_size).min(self.num_buckets);
         let pairs = self.occupied(start..stop).map(|e| (e.key_hash, e.version));
-        (pairs.collect(), stop >= self.num_buckets)
+        let in_page = |&(hash, _): &(KeyHash, _)| (start..stop).contains(&self.bucket_of(hash));
+        let mut tombstones: Vec<_> = self.tombstones.iter().filter(in_page).collect();
+        tombstones.sort_unstable();
+        ScanPage {
+            page,
+            done: stop >= self.num_buckets,
+            pairs: pairs.collect(),
+            tombstones,
+        }
     }
 
     /// Every live (hash, version) pair — the full local inventory used by
@@ -1215,19 +1224,28 @@ mod tests {
         for i in 0..20u32 {
             do_set(&mut s, format!("k{i}").as_bytes(), b"v", v(i as u64 + 1));
         }
+        let erased = DefaultHasher.hash(b"k0");
+        assert_eq!(s.erase(erased, v(100)), Status::Ok);
         let mut seen = std::collections::HashSet::new();
+        let mut tombstones = Vec::new();
         let mut page = 0;
         loop {
-            let (pairs, done) = s.scan_page(page, 4);
-            for (h, _) in pairs {
+            let p = s.scan_page(page, 4);
+            for (h, _) in p.pairs {
                 seen.insert(h);
             }
-            if done {
+            // A tombstone rides the page whose buckets its key hashes into.
+            for &(h, _) in &p.tombstones {
+                assert_eq!(s.bucket_of(h) / 4, page as u64);
+            }
+            tombstones.extend(p.tombstones);
+            if p.done {
                 break;
             }
             page += 1;
         }
-        assert_eq!(seen.len(), 20);
+        assert_eq!(seen.len(), 19);
+        assert_eq!(tombstones, [(erased, v(100))]);
     }
 
     #[test]

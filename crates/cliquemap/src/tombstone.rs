@@ -87,6 +87,12 @@ impl TombstoneCache {
         self.by_key.get(&key).copied()
     }
 
+    /// Every exact tombstone, in no particular order (cohort scans
+    /// exchange them; what the summary covers is not exchanged).
+    pub fn iter(&self) -> impl Iterator<Item = (KeyHash, VersionNumber)> + '_ {
+        self.by_key.iter().map(|(&k, &v)| (k, v))
+    }
+
     /// Drop a tombstone (the key was re-installed at a higher version).
     pub fn remove(&mut self, key: KeyHash) {
         self.by_key.remove(&key);

@@ -506,6 +506,61 @@ proptest! {
         prop_assert!(MultiSetReq::decode(huge).is_none());
     }
 
+    /// A cohort-scan page roundtrips with and without its trailing
+    /// tombstone section, and without one it is the original format byte
+    /// for byte. A page that carries tombstones survives truncation at every
+    /// length — `None`, except the cut where the section starts, which is
+    /// the same page without it — and every single-bit flip, and a count the
+    /// body cannot hold is rejected before anything is sized from it.
+    #[test]
+    fn scan_page_tombstones_survive_truncation_and_bit_flips(
+        page in any::<u32>(),
+        done in any::<bool>(),
+        pairs in proptest::collection::vec((any::<u128>(), any::<u128>()), 0..4),
+        tombstones in proptest::collection::vec((any::<u128>(), any::<u128>()), 1..4),
+    ) {
+        use cliquemap::messages::ScanPage;
+        let pool = bytes::Pool::new();
+        let versioned = |v: &[(u128, u128)]| -> Vec<_> {
+            v.iter().map(|&(h, v)| (h, VersionNumber(v))).collect()
+        };
+        let plain = ScanPage { page, done, pairs: versioned(&pairs), tombstones: Vec::new() };
+        let erased = ScanPage { tombstones: versioned(&tombstones), ..plain.clone() };
+        // The original format: page, done, a counted run of pairs.
+        let mut original = page.to_le_bytes().to_vec();
+        original.push(done as u8);
+        original.extend((pairs.len() as u32).to_le_bytes());
+        for (h, v) in &pairs {
+            original.extend(h.to_le_bytes());
+            original.extend(v.to_le_bytes());
+        }
+        let plain_wire = plain.encode_in(&pool);
+        prop_assert_eq!(&plain_wire[..], &original[..]);
+        prop_assert_eq!(ScanPage::decode(plain_wire), Some(plain.clone()));
+        let wire = erased.encode_in(&pool);
+        prop_assert_eq!(ScanPage::decode(wire.clone()), Some(erased.clone()));
+        for cut in 0..wire.len() {
+            if let Some(p) = ScanPage::decode(wire.slice(0..cut)) {
+                prop_assert!(cut == original.len() && p == plain, "decoded at {}", cut);
+            }
+        }
+        for bit in 0..wire.len() * 8 {
+            let mut flipped = wire.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Some(p) = ScanPage::decode(Bytes::from(flipped)) {
+                let entries = p.pairs.capacity() + p.tombstones.capacity();
+                prop_assert!(9 + 32 * entries <= wire.len(), "bit {} over-reads", bit);
+            }
+        }
+        // Counts that lie: u32::MAX pairs, or u32::MAX tombstones after none.
+        let head = [&page.to_le_bytes()[..], &[1]].concat();
+        let lie = u32::MAX.to_le_bytes();
+        let pairs_lie = [&head[..], &lie[..]].concat();
+        let tombstones_lie = [&head[..], &[0; 4], &lie[..]].concat();
+        prop_assert!(ScanPage::decode(Bytes::from(pairs_lie)).is_none());
+        prop_assert!(ScanPage::decode(Bytes::from(tombstones_lie)).is_none());
+    }
+
     /// Version ordering is total and the generator is monotonic under
     /// arbitrary TrueTime readings (including clock regressions).
     #[test]
