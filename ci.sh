@@ -18,7 +18,9 @@ echo "== tests =="
 cargo test -q --workspace
 
 echo "== client footprint at 10K clients (release) =="
-# Minutes in debug, so tier-1 keeps only the 600-client gate of this file.
+# One lease-cache buffer per distinct version, at most two configs and two
+# geometries per backend for the whole cell, no op parked past one CONNECT round.
+# Minutes in debug, so tier-1 keeps only the small-cell gates of this file.
 cargo test --release -q --test client_footprint -- --ignored
 
 echo "== durable log footprint at mut_durable's shape (release) =="

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use bytes::{Bytes, Pool};
 
-use cliquemap::client::{ClientCfg, ClientIdentity, ClientNode, LookupStrategy};
+use cliquemap::client::{ClientCfg, ClientIdentity, ClientNode, ClientShared, LookupStrategy};
 use cliquemap::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use cliquemap::hash::{DefaultHasher, KeyHasher};
 use cliquemap::messages::{self, method};
@@ -296,6 +296,7 @@ pub fn memcacheg_cell(
         access_flush: None,
         ..client
     });
+    let shared = ClientShared::default();
     let clients = (1..)
         .zip(workloads)
         .map(|(client_id, workload)| {
@@ -303,7 +304,7 @@ pub fn memcacheg_cell(
                 client_id,
                 adaptive_seed: 0,
                 shared_pony: None,
-                shared_values: None,
+                shared: shared.clone(),
             };
             place(
                 &mut sim,

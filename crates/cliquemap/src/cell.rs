@@ -17,7 +17,7 @@ use simnet::{
 };
 
 use crate::backend::{BackendCfg, BackendNode};
-use crate::client::{ClientCfg, ClientIdentity, ClientNode};
+use crate::client::{ClientCfg, ClientIdentity, ClientNode, ClientShared};
 use crate::client_cache::SharedValues;
 use crate::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use crate::workload::Workload;
@@ -180,8 +180,10 @@ pub struct Cell {
     /// victim's handle into the reviver's template config so the
     /// replacement node replays the same media.
     pub media: Vec<Rc<RefCell<durable::Media>>>,
-    /// The lease caches' value table (`None` unless `client.cache` is set).
-    shared_values: Option<SharedValues>,
+    /// What the clients hold the same way: interned configs and
+    /// geometries, metric handles, and the lease caches' value table (only
+    /// when `client.cache` is set).
+    client_shared: ClientShared,
 }
 
 impl Cell {
@@ -275,6 +277,7 @@ impl Cell {
         // One value table for all the cell's lease caches: clients reading
         // one corpus cache the same versions.
         let shared_values = client_cfg.cache.as_ref().map(|_| SharedValues::new());
+        let client_shared = ClientShared::new(shared_values);
         for (i, workload) in workloads.into_iter().enumerate() {
             let host = if i < cotenant {
                 backend_hosts[i % backend_hosts.len()]
@@ -298,7 +301,7 @@ impl Cell {
                 },
                 shared_pony: (client_cfg.transport == TransportKind::PonyExpress)
                     .then(|| pool_for(&mut pony_pools, host)),
-                shared_values: shared_values.clone(),
+                shared: client_shared.clone(),
             };
             let node = ClientNode::new(client_cfg.clone(), me, workload);
             let id = sim.add_node(host, Box::new(node));
@@ -325,14 +328,19 @@ impl Cell {
             client_hosts,
             pony_pools,
             media,
-            shared_values,
+            client_shared,
         }
     }
 
     /// The value table the cell's lease caches share (`None` when
     /// `client.cache` is off: nothing is built).
     pub fn shared_values(&self) -> Option<&SharedValues> {
-        self.shared_values.as_ref()
+        self.client_shared.values()
+    }
+
+    /// The tables every client of the cell shares.
+    pub fn client_shared(&self) -> &ClientShared {
+        &self.client_shared
     }
 
     /// Engine count on one host (1 when the host runs no Pony pool).

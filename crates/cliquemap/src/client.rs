@@ -17,8 +17,8 @@
 //! * **batched access records** (§4.2) so backends can run LRU/ARC without
 //!   seeing the reads.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{OnceCell, RefCell};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::{Arc, LazyLock};
 
@@ -202,9 +202,81 @@ pub struct ClientIdentity {
     pub adaptive_seed: u64,
     /// Host-level Pony engine pool shared with co-located nodes.
     pub shared_pony: Option<Rc<RefCell<rma::PonyHost>>>,
-    /// The cell's lease-cache value table (`None`: the cache, if any, keeps
-    /// a table of its own).
-    pub shared_values: Option<SharedValues>,
+    /// The tables this client holds the same way as the rest of its cell
+    /// (`ClientShared::default()` outside a cell: a cell of one).
+    pub shared: ClientShared,
+}
+
+/// What every client of a cell holds the same way, stored once per cell:
+/// the decoded configs clients hold and the geometries backends advertised
+/// at CONNECT, each interned by content; the metric handles; and the lease
+/// caches' value table. Each client still decides which config and which
+/// geometry per backend it holds, and when it refreshes or drops one, so
+/// its staleness is its own — only the bytes are shared. Host-side only:
+/// nothing simulated reads a table. No cap: one entry per distinct config
+/// or advertised geometry, and the tables never shrink.
+#[derive(Clone, Default)]
+pub struct ClientShared(Rc<SharedTables>);
+
+#[derive(Default)]
+struct SharedTables {
+    values: Option<SharedValues>,
+    configs: RefCell<Vec<Rc<CellConfig>>>,
+    geometries: RefCell<(Vec<Geometry>, HashMap<Geometry, GeomId>)>,
+    mids: OnceCell<ClientMetricIds>,
+}
+
+/// A row of [`ClientShared`]'s geometry table.
+#[derive(Debug, Clone, Copy)]
+struct GeomId(u32);
+
+impl ClientShared {
+    /// Tables for one cell's clients; `values` is its lease caches' value
+    /// table (`None`: each cache keeps a table of its own).
+    pub fn new(values: Option<SharedValues>) -> ClientShared {
+        let tables = SharedTables {
+            values,
+            ..SharedTables::default()
+        };
+        ClientShared(Rc::new(tables))
+    }
+
+    /// The lease caches' value table, if the cell has one.
+    pub fn values(&self) -> Option<&SharedValues> {
+        self.0.values.as_ref()
+    }
+
+    /// Distinct configs some client of the cell has held.
+    pub fn configs(&self) -> usize {
+        self.0.configs.borrow().len()
+    }
+
+    /// Distinct geometries some client of the cell has held.
+    pub fn geometries(&self) -> usize {
+        self.0.geometries.borrow().0.len()
+    }
+
+    fn intern_config(&self, config: CellConfig) -> Rc<CellConfig> {
+        let mut configs = self.0.configs.borrow_mut();
+        // A handful of generations per run: a scan beats a map.
+        if let Some(held) = configs.iter().find(|c| ***c == config) {
+            return held.clone();
+        }
+        configs.push(Rc::new(config));
+        configs.last().expect("pushed above").clone()
+    }
+
+    fn intern_geometry(&self, geom: Geometry) -> GeomId {
+        let (all, ids) = &mut *self.0.geometries.borrow_mut();
+        *ids.entry(geom).or_insert_with(|| {
+            all.push(geom);
+            GeomId(all.len() as u32 - 1)
+        })
+    }
+
+    fn geometry(&self, id: GeomId) -> Geometry {
+        self.0.geometries.borrow().0[id.0 as usize]
+    }
 }
 
 impl Default for ClientCfg {
@@ -320,26 +392,42 @@ struct MutationState {
     quorum: MutationQuorum,
 }
 
-/// Boxed states keep the `ops` B-tree's nodes (11 inline values each, and
-/// the root leaf outlives its last entry) a third the size; GET boxes
-/// recycle through `free_gets`.
+/// An issued op. Boxed states keep the `ops` B-tree's nodes (11 inline
+/// values each, and the root leaf outlives its last entry) at 16 B a slot;
+/// GET boxes recycle through `free_gets`.
 #[derive(Debug)]
 enum OpState {
-    /// Waiting for config and/or geometry.
-    Parked(ClientOp, Option<u64>),
     Get(Box<GetState>),
     Mutation(Box<MutationState>),
 }
 
 impl OpState {
-    fn header_mut(&mut self) -> Option<&mut OpHeader> {
+    fn header_mut(&mut self) -> &mut OpHeader {
         match self {
-            OpState::Get(g) => Some(&mut g.h),
-            OpState::Mutation(m) => Some(&mut m.h),
-            OpState::Parked(..) => None,
+            OpState::Get(g) => &mut g.h,
+            OpState::Mutation(m) => &mut m.h,
         }
     }
 }
+
+/// An admitted op not yet issued: it waits for the cell config, or for a
+/// read quorum of its replicas' geometry.
+#[derive(Debug)]
+struct Parked {
+    key: Bytes,
+    /// Empty unless a SET or CAS.
+    value: Bytes,
+    /// `None`: a GET.
+    kind: Option<MutationKind>,
+    batch: Option<u64>,
+    /// Admission time: its deadline runs from here.
+    since: SimTime,
+}
+
+// One `ops` slot; per-client state is multiplied by 10,000 (DESIGN.md §8).
+const _: () = assert!(std::mem::size_of::<OpState>() == 16);
+// One client; per-client state is multiplied by 10,000 (DESIGN.md §8).
+const _: () = assert!(std::mem::size_of::<ClientNode>() <= 880);
 
 #[derive(Debug)]
 struct BatchState {
@@ -533,9 +621,16 @@ pub struct ClientNode {
     /// per-op hot path.
     config: Option<Rc<CellConfig>>,
     config_refreshing: bool,
-    geometry: IdMap<NodeId, Geometry>,
+    geometry: IdMap<NodeId, GeomId>,
     connecting: IdSet<NodeId>,
+    /// The cell's interned configs, geometries, metric handles and lease
+    /// value table.
+    shared: ClientShared,
+    /// Issued ops.
     ops: BTreeMap<u64, OpState>,
+    /// Admitted ops waiting to issue (empty, and unallocated, outside cold
+    /// start and first contact with a backend).
+    parked: BTreeMap<u64, Parked>,
     /// Recycled [`GetState`]s: completed GETs return here so steady-state
     /// issue reuses their `replicas`/`votes` capacity (no allocation).
     #[allow(clippy::vec_box)]
@@ -543,8 +638,6 @@ pub struct ClientNode {
     /// Client-side lease cache (`cfg.cache`), built over the host's pool
     /// and the cell's value table at [`Event::Start`].
     ccache: Option<ClientCache>,
-    /// The cell's value table, held for that moment.
-    shared_values: Option<SharedValues>,
     /// Hot-key detector driving extended-replica routing (`cfg.hot_repl`).
     /// Boxed, like the controller: most cells run without either, and
     /// inline they are 1.1 KB of every client.
@@ -563,8 +656,6 @@ pub struct ClientNode {
     access_buffer: BTreeMap<NodeId, Vec<KeyHash>>,
     /// Completed-op log for tests (bounded).
     pub completions: Vec<(OpOutcome, u64)>,
-    /// Interned metric handles; resolved on [`Event::Start`].
-    mids: Option<ClientMetricIds>,
     /// Frame-buffer pool bodies are encoded into; swapped for the
     /// host-shared pool at [`Event::Start`].
     pool: Pool,
@@ -598,7 +689,8 @@ const RETRY_REASONS: [(RetryReason, &str); 11] = [
 ];
 
 /// Interned handles for every metric the client writes per-op; resolved
-/// once at [`Event::Start`] so the GET/SET hot paths never touch a name.
+/// once per cell, at the first client's [`Event::Start`], so the GET/SET
+/// hot paths never touch a name.
 #[derive(Clone, Copy)]
 struct ClientMetricIds {
     overload_drops: MetricId,
@@ -705,7 +797,7 @@ impl ClientNode {
             versions: VersionGen::new(me.client_id),
             calls: CallTable::new(me.client_id as u64),
             ccache: None,
-            shared_values: me.shared_values,
+            shared: me.shared,
             hot: cfg
                 .hot_repl
                 .clone()
@@ -732,6 +824,7 @@ impl ClientNode {
             geometry: IdMap::default(),
             connecting: IdSet::default(),
             ops: BTreeMap::new(),
+            parked: BTreeMap::new(),
             free_gets: Vec::new(),
             batches: IdMap::default(),
             coalesce: BatchAccum::default(),
@@ -741,7 +834,6 @@ impl ClientNode {
             workload_done: false,
             access_buffer: BTreeMap::new(),
             completions: Vec::new(),
-            mids: None,
             pool: Pool::new(),
         }
     }
@@ -749,7 +841,29 @@ impl ClientNode {
     /// Cached metric handles (resolved before any op can run).
     #[inline]
     fn m(&self) -> &ClientMetricIds {
-        self.mids.as_ref().expect("metric ids resolved at Start")
+        self.shared
+            .0
+            .mids
+            .get()
+            .expect("metric ids resolved at Start")
+    }
+
+    /// The cell config this client holds (`None` before the first one
+    /// arrives). Clients holding the same config hold the same `Rc`.
+    pub fn config(&self) -> Option<&Rc<CellConfig>> {
+        self.config.as_ref()
+    }
+
+    /// The geometry this client holds for `backend`, if it has connected.
+    pub fn geometry_of(&self, backend: NodeId) -> Option<Geometry> {
+        let id = *self.geometry.get(&backend)?;
+        Some(self.shared.geometry(id))
+    }
+
+    /// When the longest-waiting of the admitted ops that wait for config or
+    /// geometry was admitted (`None`: no op waits).
+    pub fn parked_since(&self) -> Option<SimTime> {
+        self.parked.values().map(|p| p.since).min()
     }
 
     /// The trace id for a logical op: `(node + 1) << 40 | op_id` — globally
@@ -863,43 +977,39 @@ impl ClientNode {
         if let Some(shim) = &self.cfg.shim {
             self.charge(ctx, shim.per_op_cpu(Self::op_bytes(&op)), 0);
         }
-        match op {
-            op @ (ClientOp::MultiGet { .. } | ClientOp::MultiSet { .. }) => {
-                self.expand_batch(ctx, op_id, op);
+        let (key, value, kind) = match op {
+            ClientOp::MultiGet { keys } => {
+                let subs = keys.into_iter().map(|key| ClientOp::Get { key });
+                return self.expand_batch(ctx, op_id, subs.collect(), true);
             }
-            other => {
-                self.in_flight += 1;
-                self.ops.insert(op_id, OpState::Parked(other, batch));
-                self.try_issue(ctx, op_id);
+            ClientOp::MultiSet { entries } => {
+                let subs = entries
+                    .into_iter()
+                    .map(|(key, value)| ClientOp::Set { key, value });
+                return self.expand_batch(ctx, op_id, subs.collect(), false);
             }
-        }
+            ClientOp::Get { key } => (key, Bytes::new(), None),
+            ClientOp::Set { key, value } => (key, value, Some(MutationKind::Set)),
+            ClientOp::Erase { key } => (key, Bytes::new(), Some(MutationKind::Erase)),
+            ClientOp::Cas { key, value } => (key, value, Some(MutationKind::Cas)),
+        };
+        self.in_flight += 1;
+        let since = ctx.now();
+        let p = Parked {
+            key,
+            value,
+            kind,
+            batch,
+            since,
+        };
+        self.try_issue(ctx, op_id, p);
     }
 
-    /// Expand a MultiGet/MultiSet container into per-key sub-ops sharing a
-    /// [`BatchState`]. With doorbell batching on, the sub-ops' wire traffic
-    /// coalesces into one frame per destination host, flushed at the end of
-    /// the expansion.
-    fn expand_batch(&mut self, ctx: &mut Ctx<'_>, op_id: u64, op: ClientOp) {
-        let (subs, gets): (Vec<ClientOp>, bool) = match op {
-            ClientOp::MultiGet { keys } => (
-                keys.into_iter().map(|key| ClientOp::Get { key }).collect(),
-                true,
-            ),
-            ClientOp::MultiSet { entries } => (
-                entries
-                    .into_iter()
-                    .map(|(key, value)| ClientOp::Set { key, value })
-                    .collect(),
-                false,
-            ),
-            other => {
-                // Not a batch container; issue it as a plain op.
-                self.in_flight += 1;
-                self.ops.insert(op_id, OpState::Parked(other, None));
-                self.try_issue(ctx, op_id);
-                return;
-            }
-        };
+    /// Expand a MultiGet (`gets`) or MultiSet container into its per-key
+    /// sub-ops, sharing a [`BatchState`]. With doorbell batching on, the
+    /// sub-ops' wire traffic coalesces into one frame per destination host,
+    /// flushed at the end of the expansion.
+    fn expand_batch(&mut self, ctx: &mut Ctx<'_>, op_id: u64, subs: Vec<ClientOp>, gets: bool) {
         if subs.is_empty() {
             // A zero-key batch resolves vacuously: it still reports a batch
             // completion (latency 0) so callers and pacing see it finish.
@@ -958,34 +1068,16 @@ impl ClientNode {
         }
     }
 
-    /// Try to move a parked op into flight; parks again if config or
-    /// geometry is missing (re-tried when they arrive).
-    fn try_issue(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
-        let Some(OpState::Parked(op, batch)) = self.ops.get(&op_id) else {
-            return;
-        };
-        let op = op.clone();
-        let batch = *batch;
-        let key = match &op {
-            ClientOp::Get { key }
-            | ClientOp::Set { key, .. }
-            | ClientOp::Erase { key }
-            | ClientOp::Cas { key, .. } => key.clone(),
-            ClientOp::MultiGet { .. } | ClientOp::MultiSet { .. } => {
-                // Containers expand at start; one that lands here anyway
-                // (defensive) expands now instead of crashing the client.
-                self.ops.remove(&op_id);
-                self.in_flight = self.in_flight.saturating_sub(1);
-                self.expand_batch(ctx, op_id, op);
-                return;
-            }
-        };
-        let hash = self.cfg.hasher.hash(&key);
-        let is_get = matches!(op, ClientOp::Get { .. });
+    /// Move an admitted op into flight, or park it until config or a read
+    /// quorum's geometry arrives (`release_parked` tries again). A GET
+    /// still short of geometry `retry.op_deadline` after admission fails.
+    fn try_issue(&mut self, ctx: &mut Ctx<'_>, op_id: u64, p: Parked) {
         let Some(config) = self.config.clone() else {
             self.refresh_config(ctx);
-            return; // stays parked; released by config arrival
+            self.parked.insert(op_id, p);
+            return;
         };
+        let (hash, is_get, batch) = (self.cfg.hasher.hash(&p.key), p.kind.is_none(), p.batch);
         let shard = place(hash, config.num_shards(), 1).shard;
         // Load-aware hot-key replication: feed the detector with the
         // client's own op stream; promoted keys get `extra_copies` more
@@ -1039,11 +1131,19 @@ impl ClientNode {
             // Proceed once a read quorum's worth of base connections
             // exist; a dead replica must not park reads forever (its vote
             // simply fails). Keep trying to connect to the stragglers.
+            let short = have_base < config.replication.read_quorum() as usize;
+            if short && ctx.now() >= p.since + self.cfg.retry.op_deadline {
+                // The read quorum never answered CONNECT: the same deadline
+                // an issued attempt waiting for geometry meets.
+                ctx.metrics().add_id(self.m().op_errors, 1);
+                return self.finish_op(ctx, op_id, p.since, batch, true, OpOutcome::Error);
+            }
             for &m in &missing[..nmissing] {
                 self.ensure_connect(ctx, m);
             }
-            if have_base < config.replication.read_quorum() as usize {
-                return; // stays parked; released by CONNECT completion
+            if short {
+                self.parked.insert(op_id, p);
+                return; // released by CONNECT completion
             }
         }
         // Client-side lease cache: consulted only once the op is actually
@@ -1081,46 +1181,40 @@ impl ClientNode {
             replicas,
             n_base: n_base as u8,
         };
-        let (kind, key, value, expected) = match op {
-            ClientOp::Get { key } => {
-                let mut state = self.free_gets.pop().unwrap_or_default();
-                let mut recycled = std::mem::take(&mut state.h.replicas);
-                // A valid lease completes the GET locally: no backend is
-                // contacted, no sub-ops issue and nothing is allocated. The
-                // op still passes through the normal completion path
-                // (trace, latency, batch accounting).
-                if leased.is_none() {
-                    if nreplicas > n_base {
-                        ctx.metrics().add_id(self.m().hot_routed, 1);
-                    }
-                    recycled.extend_from_slice(replicas);
-                    state.quorum = GetQuorum::new(cached_version);
-                    state.strategy = strategy;
+        let Some(kind) = p.kind else {
+            let mut state = self.free_gets.pop().unwrap_or_default();
+            let mut recycled = std::mem::take(&mut state.h.replicas);
+            // A valid lease completes the GET locally: no backend is
+            // contacted, no sub-ops issue and nothing is allocated. The
+            // op still passes through the normal completion path
+            // (trace, latency, batch accounting).
+            if leased.is_none() {
+                if nreplicas > n_base {
+                    ctx.metrics().add_id(self.m().hot_routed, 1);
                 }
-                state.h = header(key, recycled);
-                self.ops.insert(op_id, OpState::Get(state));
-                ctx.trace_open(self.trace_of(ctx, op_id), trace_aux::GET);
-                return match leased {
-                    Some(version) => self.finish_hit(ctx, op_id, version, None, false),
-                    None => self.issue_get_attempt(ctx, op_id),
-                };
+                recycled.extend_from_slice(replicas);
+                state.quorum = GetQuorum::new(cached_version);
+                state.strategy = strategy;
             }
-            ClientOp::Set { key, value } => (MutationKind::Set, key, value, None),
-            ClientOp::Erase { key } => (MutationKind::Erase, key, Bytes::new(), None),
-            ClientOp::Cas { key, value } => match self.memo.get(hash) {
-                Some(expected) => (MutationKind::Cas, key, value, Some(expected)),
-                None => return self.complete_op(ctx, op_id, OpOutcome::Error, ctx.now()),
+            state.h = header(p.key, recycled);
+            self.ops.insert(op_id, OpState::Get(state));
+            ctx.trace_open(self.trace_of(ctx, op_id), trace_aux::GET);
+            return match leased {
+                Some(version) => self.finish_hit(ctx, op_id, version, None, false),
+                None => self.issue_get_attempt(ctx, op_id),
+            };
+        };
+        let expected = match kind {
+            MutationKind::Cas => match self.memo.get(hash) {
+                None => return self.finish_op(ctx, op_id, p.since, batch, false, OpOutcome::Error),
+                known => known,
             },
-            // Unreachable in practice (containers expanded above), but
-            // degrade gracefully rather than crashing the whole client.
-            ClientOp::MultiGet { .. } | ClientOp::MultiSet { .. } => {
-                return self.complete_op(ctx, op_id, OpOutcome::Error, ctx.now());
-            }
+            _ => None,
         };
         let state = MutationState {
-            h: header(key, replicas.to_vec()),
+            h: header(p.key, replicas.to_vec()),
             kind,
-            value,
+            value: p.value,
             expected,
             version: VersionNumber::ZERO,
             quorum: MutationQuorum::default(),
@@ -1189,7 +1283,7 @@ impl ClientNode {
             let deadline_passed = now >= get.h.retry.deadline(&self.cfg.retry);
             if have < quorum as usize && deadline_passed {
                 ctx.metrics().add_id(self.m().op_errors, 1);
-                return self.complete_op(ctx, op_id, OpOutcome::Error, now);
+                return self.complete_op(ctx, op_id, OpOutcome::Error);
             }
             // Quorum-sufficient attempts proceed, but keep healing the
             // stragglers in the background (a revived replica rejoins
@@ -1242,7 +1336,7 @@ impl ClientNode {
             fallback: self.cfg.rpc_fallback_on_overflow,
         });
         for &r in consulted {
-            let Some(geom) = self.geometry.get(&r).copied() else {
+            let Some(geom) = self.geometry_of(r) else {
                 self.on_vote(ctx, tag, r, Vote::Failed, false);
                 continue;
             };
@@ -1494,7 +1588,7 @@ impl ClientNode {
             cache.insert(hash, version, value, ctx.now());
         }
         ctx.metrics().add_id(self.m().get_hits, 1);
-        self.complete_op(ctx, op_id, OpOutcome::Hit, ctx.now());
+        self.complete_op(ctx, op_id, OpOutcome::Hit);
     }
 
     /// The one GET miss: the cell says the key is gone, so the stale lease
@@ -1506,14 +1600,14 @@ impl ClientNode {
             }
         }
         ctx.metrics().add_id(self.m().get_misses, 1);
-        self.complete_op(ctx, op_id, OpOutcome::Miss, ctx.now());
+        self.complete_op(ctx, op_id, OpOutcome::Miss);
     }
 
     fn fail_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64, reason: RetryReason) {
         ctx.metrics().add_id(self.m().retry_reason(reason), 1);
         let now = ctx.now();
         let policy = self.cfg.retry;
-        let Some(h) = self.ops.get_mut(&op_id).and_then(OpState::header_mut) else {
+        let Some(h) = self.ops.get_mut(&op_id).map(OpState::header_mut) else {
             return;
         };
         match h.retry.on_failure(&policy, now, ctx.rng()) {
@@ -1526,7 +1620,7 @@ impl ClientNode {
             }
             rpc::RetryDecision::GiveUp => {
                 ctx.metrics().add_id(self.m().op_errors, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Error, now);
+                self.complete_op(ctx, op_id, OpOutcome::Error);
             }
         }
     }
@@ -1535,7 +1629,6 @@ impl ClientNode {
         match self.ops.get(&op_id) {
             Some(OpState::Get(_)) => self.issue_get_attempt(ctx, op_id),
             Some(OpState::Mutation(_)) => self.issue_mutation_attempt(ctx, op_id),
-            Some(OpState::Parked(..)) => self.try_issue(ctx, op_id),
             None => {}
         }
     }
@@ -1657,14 +1750,14 @@ impl ClientNode {
                     }
                 }
                 ctx.metrics().add_id(self.m().set_acked, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Done, ctx.now());
+                self.complete_op(ctx, op_id, OpOutcome::Done);
             }
             MutationStep::Superseded => {
                 if let Some(cache) = self.ccache.as_mut() {
                     cache.invalidate(hash);
                 }
                 ctx.metrics().add_id(self.m().set_superseded, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Superseded, ctx.now());
+                self.complete_op(ctx, op_id, OpOutcome::Superseded);
             }
             MutationStep::Retry => self.fail_attempt(ctx, op_id, RetryReason::MutationFailures),
         }
@@ -1807,15 +1900,27 @@ impl ClientNode {
         ctx.set_timer(self.cfg.attempt_timeout, CallTable::timer_token(id));
     }
 
-    fn release_parked(&mut self, ctx: &mut Ctx<'_>) {
-        let parked: Vec<u64> = self
-            .ops
-            .iter()
-            .filter(|(_, s)| matches!(s, OpState::Parked(..)))
-            .map(|(&id, _)| id)
+    /// Fail every parked op `retry.op_deadline` past its admission. With
+    /// the config store unreachable no config arrives to release them, so
+    /// each config timeout applies the deadline `try_issue` applies.
+    fn expire_parked(&mut self, ctx: &mut Ctx<'_>) {
+        let (now, deadline) = (ctx.now(), self.cfg.retry.op_deadline);
+        let expired: Vec<_> = self
+            .parked
+            .extract_if(.., |_, p| now >= p.since + deadline)
             .collect();
-        for id in parked {
-            self.try_issue(ctx, id);
+        for (id, p) in expired {
+            ctx.metrics().add_id(self.m().op_errors, 1);
+            let is_get = p.kind.is_none();
+            self.finish_op(ctx, id, p.since, p.batch, is_get, OpOutcome::Error);
+        }
+    }
+
+    fn release_parked(&mut self, ctx: &mut Ctx<'_>) {
+        // Every parked op tries again, in admission order; what still
+        // cannot go parks again.
+        for (id, p) in std::mem::take(&mut self.parked) {
+            self.try_issue(ctx, id, p);
         }
         // GET attempts stalled on geometry re-learning.
         let waiting: Vec<u64> = self
@@ -1849,7 +1954,7 @@ impl ClientNode {
                             self.geometry.clear();
                             self.connecting.clear();
                         }
-                        self.config = Some(Rc::new(config));
+                        self.config = Some(self.shared.intern_config(config));
                         self.release_parked(ctx);
                     }
                 }
@@ -1861,7 +1966,8 @@ impl ClientNode {
                         // Validate the backend agrees with our config.
                         let ours = self.config.as_ref().map(|c| c.config_id);
                         if ours == Some(geom.config_id) {
-                            self.geometry.insert(done.call.dst, geom);
+                            let id = self.shared.intern_geometry(geom);
+                            self.geometry.insert(done.call.dst, id);
                         } else {
                             self.refresh_config(ctx);
                         }
@@ -2195,50 +2301,64 @@ impl ClientNode {
 
     // ---- completion ------------------------------------------------------
 
-    fn complete_op(&mut self, ctx: &mut Ctx<'_>, op_id: u64, outcome: OpOutcome, at: SimTime) {
+    fn complete_op(&mut self, ctx: &mut Ctx<'_>, op_id: u64, outcome: OpOutcome) {
         let Some(mut state) = self.ops.remove(&op_id) else {
             return;
         };
+        let h = state.header_mut();
+        let (started, batch) = (h.retry.started_at, h.batch);
+        let is_get = matches!(state, OpState::Get(_));
+        if let OpState::Get(mut g) = state {
+            // Feed the arm that actually served this GET: the
+            // caller-observed latency plus the model-derived client CPU for
+            // the fan-out the op really used. Mutations are
+            // strategy-independent (always RPC) and carry no signal.
+            let observed = ctx.now().since(started) + self.shim_overhead();
+            if let Some(ctl) = self.adaptive.as_mut() {
+                let cpu = strategy_row(g.strategy).cpu_ns(g.quorum.rules().expected_votes as u64);
+                ctl.observe(g.strategy, batch.is_some(), observed.nanos(), cpu);
+            }
+            // Recycle the state so the next op reuses its `replicas`
+            // capacity.
+            if self.free_gets.len() < FREE_GETS_CAP {
+                g.recycle();
+                self.free_gets.push(g);
+            }
+        }
+        self.finish_op(ctx, op_id, started, batch, is_get, outcome);
+    }
+
+    /// What the application-side caller observes beyond the client library:
+    /// pipe traversals in both directions plus shim marshalling on the way
+    /// in and out.
+    fn shim_overhead(&self) -> SimDuration {
+        self.cfg.shim.as_ref().map_or(SimDuration::ZERO, |s| {
+            s.round_trip_overhead() + s.per_op_cpu(0).saturating_mul(2)
+        })
+    }
+
+    /// The one completion of an admitted op — issued (through
+    /// [`Self::complete_op`]) or failed while parked — started at `started`,
+    /// a member of `batch` if any.
+    fn finish_op(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        op_id: u64,
+        started: SimTime,
+        batch: Option<u64>,
+        is_get: bool,
+        outcome: OpOutcome,
+    ) {
+        let at = ctx.now();
         self.in_flight = self.in_flight.saturating_sub(1);
-        let (started, batch) = match state.header_mut() {
-            Some(h) => (h.retry.started_at, h.batch),
-            None => (at, None),
-        };
         ctx.trace_close(
             self.trace_of(ctx, op_id),
             started,
             at,
             trace_aux::outcome_code(outcome),
         );
-        // A GET feeds the arm that served it, then recycles its state so
-        // the next op reuses the `replicas` capacity.
-        let mut arm_feedback = None;
-        if let OpState::Get(mut g) = state {
-            arm_feedback = Some((g.strategy, g.quorum.rules().expected_votes as u64));
-            if self.free_gets.len() < FREE_GETS_CAP {
-                g.recycle();
-                self.free_gets.push(g);
-            }
-        }
-        let is_get = arm_feedback.is_some();
-        let latency = at.since(started);
-        // The application-side caller observes pipe traversals in both
-        // directions plus shim marshalling on the way in and out.
-        let shim_overhead = self
-            .cfg
-            .shim
-            .as_ref()
-            .map(|s| s.round_trip_overhead() + s.per_op_cpu(0).saturating_mul(2))
-            .unwrap_or(SimDuration::ZERO);
-        let observed = latency + shim_overhead;
-        // Feed the arm that actually served this GET: the caller-observed
-        // latency plus the model-derived client CPU for the fan-out the op
-        // really used. Mutations are strategy-independent (always RPC) and
-        // carry no signal.
-        if let (Some((strategy, consulted)), Some(ctl)) = (arm_feedback, self.adaptive.as_mut()) {
-            let cpu = strategy_row(strategy).cpu_ns(consulted);
-            ctl.observe(strategy, batch.is_some(), observed.nanos(), cpu);
-        }
+        let shim_overhead = self.shim_overhead();
+        let observed = at.since(started) + shim_overhead;
         if let Some(shim) = &self.cfg.shim {
             self.charge(ctx, shim.per_op_cpu(0), 0);
         }
@@ -2405,11 +2525,12 @@ impl Node for ClientNode {
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
             Event::Start => {
-                self.mids = Some(ClientMetricIds::resolve(ctx.metrics()));
+                let mids = &self.shared.0.mids;
+                mids.get_or_init(|| ClientMetricIds::resolve(ctx.metrics()));
                 self.pool = ctx.pool();
                 self.calls.set_pool(self.pool.clone());
                 self.rma.set_pool(self.pool.clone());
-                let shared = self.shared_values.clone().unwrap_or_default();
+                let shared = self.shared.values().cloned().unwrap_or_default();
                 self.ccache = self
                     .cfg
                     .cache
@@ -2457,6 +2578,7 @@ impl Node for ClientNode {
                         match call.user_tag {
                             CONFIG_TAG => {
                                 self.config_refreshing = false;
+                                self.expire_parked(ctx);
                                 self.refresh_config(ctx);
                             }
                             CONNECT_TAG => {

@@ -746,7 +746,7 @@ impl PrepareMaintenance {
 
 /// Geometry advertised at CONNECT time: everything a client needs to issue
 /// RMA reads against this backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     /// Cell configuration id the backend believes in.
     pub config_id: u32,

@@ -588,3 +588,92 @@ fn erase_makes_forward_progress_with_a_replica_down() {
     assert_eq!(done[1].0, OpOutcome::Done, "ERASE stalled: {done:?}");
     assert_eq!(done[2].0, OpOutcome::Miss, "erase didn't take: {done:?}");
 }
+
+fn client_log(cell: &mut Cell) -> Vec<(OpOutcome, u64)> {
+    cell.sim
+        .with_node::<ClientNode, _>(cell.clients[0], |c| c.completions.clone())
+        .unwrap()
+}
+
+fn shard_of(key: &[u8]) -> usize {
+    cliquemap::hash::place(DefaultHasher.hash(key), 4, 1).shard as usize
+}
+
+/// R=3.2 over 4 backends: two of key `dark`'s three replicas crash at
+/// 100 µs, before the client has connected to any backend, and `op` issues
+/// at 1 ms. The crashed replicas never answer CONNECT, so the op never
+/// gets a read quorum's geometry. Returns the client's completions and
+/// `cm.op_errors` after 1 s.
+fn read_with_quorum_down_before_first_contact(
+    strategy: LookupStrategy,
+    op: ClientOp,
+) -> (Vec<(OpOutcome, u64)>, u64) {
+    let mut cell = Cell::build(
+        spec(strategy, ReplicationMode::R32),
+        vec![script(vec![(1_000, op)])],
+    );
+    cell.run_for(SimDuration::from_micros(100));
+    let shard = shard_of(b"dark");
+    for r in 0..2 {
+        cell.sim.crash(cell.backends[(shard + r) % 4]);
+    }
+    cell.run_for(SimDuration::from_secs(1));
+    (client_log(&mut cell), cell.op_errors())
+}
+
+#[test]
+fn a_get_waiting_for_geometry_fails_at_its_deadline() {
+    let deadline = rpc::RetryPolicy::default().op_deadline.nanos();
+    // A key with a read quorum alive: its replicas hold one crashed node.
+    let lit = (0..)
+        .map(|i| Bytes::from(format!("lit{i}")))
+        .find(|k| shard_of(k) == (shard_of(b"dark") + 2) % 4)
+        .unwrap();
+    let dark = Bytes::from_static(b"dark");
+    for strategy in [LookupStrategy::TwoR, LookupStrategy::Scar] {
+        let single = ClientOp::Get { key: dark.clone() };
+        let multi = ClientOp::MultiGet {
+            keys: vec![dark.clone(), lit.clone()],
+        };
+        for op in [single, multi] {
+            let what = format!("{strategy:?} {op:?}");
+            let (done, op_errors) = read_with_quorum_down_before_first_contact(strategy, op);
+            assert_eq!(done.len(), 1, "{what}: never completed");
+            assert_eq!(done[0].0, OpOutcome::Error, "{what}");
+            assert!(done[0].1 >= deadline, "{what}: failed early: {done:?}");
+            assert_eq!(op_errors, 1, "{what}");
+        }
+    }
+}
+
+#[test]
+fn ops_waiting_for_config_fail_at_their_deadline() {
+    // The config store is down before the client's first config arrives:
+    // a GET and a SET admitted at 1 ms wait for a config that never comes.
+    let deadline = rpc::RetryPolicy::default().op_deadline.nanos();
+    let key = Bytes::from_static(b"k");
+    let ops = vec![
+        (1_000, ClientOp::Get { key: key.clone() }),
+        (
+            0,
+            ClientOp::Set {
+                key,
+                value: Bytes::from_static(b"v"),
+            },
+        ),
+    ];
+    let mut cell = Cell::build(
+        spec(LookupStrategy::TwoR, ReplicationMode::R32),
+        vec![script(ops)],
+    );
+    cell.sim.crash(cell.config_store);
+    cell.run_for(SimDuration::from_secs(1));
+    let done = client_log(&mut cell);
+    assert_eq!(done.len(), 2, "{done:?}");
+    assert!(
+        done.iter()
+            .all(|&(o, ns)| o == OpOutcome::Error && ns >= deadline),
+        "{done:?}"
+    );
+    assert_eq!(cell.op_errors(), 2);
+}
