@@ -28,11 +28,12 @@ echo "== durable log footprint at mut_durable's shape (release) =="
 cargo test --release -q --test wal_footprint -- --ignored
 
 echo "== protocol core purity =="
-# The quorum and repair rules stay sans-IO: above its test module, each core
-# names nothing of the simulator (tests/quorum_exhaustive.rs and
-# tests/repair_exhaustive.rs enumerate every vote order and every small
-# cohort only because the rules are pure functions).
-for core in crates/cliquemap/src/quorum.rs crates/cliquemap/src/repair.rs; do
+# The quorum, repair and handoff rules stay sans-IO: above its test module,
+# each core names nothing of the simulator (tests/quorum_exhaustive.rs,
+# tests/repair_exhaustive.rs and tests/handoff_exhaustive.rs enumerate every
+# vote order, every small cohort and every few writes around a handoff only
+# because the rules are pure functions).
+for core in crates/cliquemap/src/{quorum,repair,handoff}.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$core" | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
         echo "$core names simulator types outside its test module" >&2
         exit 1

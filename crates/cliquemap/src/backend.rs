@@ -21,6 +21,7 @@ use rpc::{CallTable, Completion, Status};
 use simnet::{Ctx, Deferred, Event, MetricId, Metrics, Node, NodeId, SimDuration, SimTime};
 
 use crate::config::CellConfig;
+use crate::handoff::{self, Admit, Handoff};
 use crate::hash::{DefaultHasher, KeyHash, KeyHasher};
 use crate::messages::{self, method};
 use crate::repair::{self, Repair, Step};
@@ -33,14 +34,15 @@ use crate::{MSG_COST, RPC_COST};
 const RESIZE_NS_PER_ENTRY: u64 = 100;
 /// Buckets per cohort-scan page.
 const SCAN_PAGE_BUCKETS: u64 = 64;
-/// Entries per migration chunk.
-const MIGRATE_BATCH: usize = 128;
 /// Client-id base (offset by the shard) of the versions a backend
 /// nominates when it repairs a dirty quorum.
 const REPAIR_CLIENT_ID: u32 = 0x8000_0000;
 /// How often to poll the config store for cell reconfigurations (the
 /// production system watches Chubby; we poll).
 const CONFIG_POLL: SimDuration = SimDuration::from_millis(100);
+/// How long a backend that handed its shard to a spare keeps serving
+/// (self-invalidating) reads while clients converge, before it exits.
+const GRACE: SimDuration = SimDuration::from_millis(100);
 
 /// Everything configurable about one backend task.
 #[derive(Clone)]
@@ -160,8 +162,8 @@ enum Work {
     GrowData,
     /// Periodic cohort scan kick-off.
     ScanTick,
-    /// Planned exit after a migration grace period.
-    Exit,
+    /// The handoff's grace period is over.
+    GraceExpired,
     /// Periodic config-store poll.
     ConfigPoll,
     /// Hot-key epoch boundary: measure occupancy, promote/demote, push
@@ -175,15 +177,6 @@ enum Work {
     WalTrickleDone,
 }
 
-#[derive(Debug)]
-struct MigrationState {
-    spare: NodeId,
-    entries: Vec<(Bytes, Bytes, VersionNumber)>,
-    cursor: usize,
-    new_config: Option<CellConfig>,
-    sent_last: bool,
-}
-
 /// Call tags routing outgoing-RPC completions. A tag's low byte is its
 /// kind; a `SCAN` page's tag carries its scan's generation above it.
 mod tag {
@@ -192,10 +185,10 @@ mod tag {
     /// Best-effort sends whose answers nothing waits on (a lost REPAIR_SET
     /// is caught by the next scan).
     pub const REPAIR: u64 = 3;
-    pub const MIGRATE: u64 = 4;
-    pub const CONFIG_FOR_MIGRATION: u64 = 5;
+    pub const CHUNK: u64 = 4;
+    pub const CONFIG_FOR_HANDOFF: u64 = 5;
     pub const CONFIG_FOR_SCAN: u64 = 6;
-    pub const UPDATE_CONFIG: u64 = 7;
+    pub const PUBLISH: u64 = 7;
     pub const CONFIG_POLL: u64 = 8;
 
     /// The tag of a page request of scan `scan`.
@@ -216,11 +209,10 @@ pub struct BackendNode {
     versions: VersionGen,
     /// Cohort scans (§5.4): the core decides, this node sends.
     repair: Repair,
-    migration: Option<MigrationState>,
+    /// Warm-spare handoff (§6.1): the core decides, this node sends.
+    handoff: Handoff,
     config: Option<CellConfig>,
     growth_pending: bool,
-    /// Set once this node has migrated away and is about to exit.
-    retired: bool,
     /// Trace id of the request currently being handled (0 outside a traced
     /// request). Set from the inbound frame / continuation, read by
     /// [`BackendNode::respond_rpc`] so responses carry the op's trace.
@@ -244,83 +236,59 @@ pub struct BackendNode {
     wal: Option<crate::wal::WalEngine>,
 }
 
-/// Interned handles for every metric the backend writes; resolved once at
-/// [`Event::Start`] so serving paths (RMA, RPC) never touch a metric name.
-#[derive(Clone, Copy)]
-struct BackendMetricIds {
-    rpc_bytes: MetricId,
-    rma_ops: MetricId,
-    repair_sets_in: MetricId,
-    index_resizes: MetricId,
-    index_resizes_done: MetricId,
-    dirty_quorums: MetricId,
-    recovery_fetches: MetricId,
-    recovered_entries: MetricId,
-    repairs: MetricId,
-    repair_erases: MetricId,
-    stale_scan_pages: MetricId,
-    migrations_started: MetricId,
-    migrations_aborted: MetricId,
-    migrate_in_entries: MetricId,
-    takeovers: MetricId,
-    config_adoptions: MetricId,
-    data_growths: MetricId,
-    retired: MetricId,
-    rpc_timeouts: MetricId,
-    shed: MetricId,
-    access_records: MetricId,
-    rpc_dropped_cpu_dead: MetricId,
-    rma_dropped_cpu_dead: MetricId,
-    hot_promotions: MetricId,
-    hot_demotions: MetricId,
-    hot_pushes: MetricId,
-    wal_appends: MetricId,
-    wal_absorbed: MetricId,
-    wal_fsyncs: MetricId,
-    wal_committed: MetricId,
-    wal_replayed: MetricId,
-    wal_trickled: MetricId,
-    recovery_bytes: MetricId,
+/// Declares [`BackendMetricIds`]: one interned handle per `field: "name"`.
+macro_rules! metric_ids {
+    ($($field:ident: $name:literal,)*) => {
+        /// Interned handles for every metric the backend writes; resolved
+        /// once at [`Event::Start`] so serving paths (RMA, RPC) never touch
+        /// a metric name.
+        #[derive(Clone, Copy)]
+        struct BackendMetricIds {
+            $($field: MetricId,)*
+        }
+
+        impl BackendMetricIds {
+            fn resolve(m: &mut Metrics) -> BackendMetricIds {
+                BackendMetricIds { $($field: m.handle($name),)* }
+            }
+        }
+    };
 }
 
-impl BackendMetricIds {
-    fn resolve(m: &mut Metrics) -> BackendMetricIds {
-        BackendMetricIds {
-            rpc_bytes: m.handle("cm.rpc_bytes"),
-            rma_ops: m.handle("cm.backend.rma_ops"),
-            repair_sets_in: m.handle("cm.backend.repair_sets_in"),
-            index_resizes: m.handle("cm.backend.index_resizes"),
-            index_resizes_done: m.handle("cm.backend.index_resizes_done"),
-            dirty_quorums: m.handle("cm.backend.dirty_quorums"),
-            recovery_fetches: m.handle("cm.backend.recovery_fetches"),
-            recovered_entries: m.handle("cm.backend.recovered_entries"),
-            repairs: m.handle("cm.backend.repairs"),
-            repair_erases: m.handle("cm.backend.repair_erases"),
-            stale_scan_pages: m.handle("cm.backend.stale_scan_pages"),
-            migrations_started: m.handle("cm.backend.migrations_started"),
-            migrations_aborted: m.handle("cm.backend.migrations_aborted"),
-            migrate_in_entries: m.handle("cm.backend.migrate_in_entries"),
-            takeovers: m.handle("cm.backend.takeovers"),
-            config_adoptions: m.handle("cm.backend.config_adoptions"),
-            data_growths: m.handle("cm.backend.data_growths"),
-            retired: m.handle("cm.backend.retired"),
-            rpc_timeouts: m.handle("cm.backend.rpc_timeouts"),
-            shed: m.handle("cm.backend.shed"),
-            access_records: m.handle("cm.backend.access_records"),
-            rpc_dropped_cpu_dead: m.handle("cm.backend.rpc_dropped_cpu_dead"),
-            rma_dropped_cpu_dead: m.handle("cm.backend.rma_dropped_cpu_dead"),
-            hot_promotions: m.handle("cm.backend.hot_promotions"),
-            hot_demotions: m.handle("cm.backend.hot_demotions"),
-            hot_pushes: m.handle("cm.backend.hot_pushes"),
-            wal_appends: m.handle("cm.backend.wal_appends"),
-            wal_absorbed: m.handle("cm.backend.wal_absorbed"),
-            wal_fsyncs: m.handle("cm.backend.wal_fsyncs"),
-            wal_committed: m.handle("cm.backend.wal_committed"),
-            wal_replayed: m.handle("cm.backend.wal_replayed"),
-            wal_trickled: m.handle("cm.backend.wal_trickled"),
-            recovery_bytes: m.handle("cm.backend.recovery_bytes"),
-        }
-    }
+metric_ids! {
+    rpc_bytes: "cm.rpc_bytes",
+    rma_ops: "cm.backend.rma_ops",
+    repair_sets_in: "cm.backend.repair_sets_in",
+    index_resizes: "cm.backend.index_resizes",
+    index_resizes_done: "cm.backend.index_resizes_done",
+    dirty_quorums: "cm.backend.dirty_quorums",
+    recovery_fetches: "cm.backend.recovery_fetches",
+    recovered_entries: "cm.backend.recovered_entries",
+    repairs: "cm.backend.repairs",
+    repair_erases: "cm.backend.repair_erases",
+    stale_scan_pages: "cm.backend.stale_scan_pages",
+    migrations_started: "cm.backend.migrations_started",
+    migrations_aborted: "cm.backend.migrations_aborted",
+    migrate_in_entries: "cm.backend.migrate_in_entries",
+    takeovers: "cm.backend.takeovers",
+    config_adoptions: "cm.backend.config_adoptions",
+    data_growths: "cm.backend.data_growths",
+    exits: "cm.backend.retired",
+    rpc_timeouts: "cm.backend.rpc_timeouts",
+    shed: "cm.backend.shed",
+    access_records: "cm.backend.access_records",
+    rpc_dropped_cpu_dead: "cm.backend.rpc_dropped_cpu_dead",
+    rma_dropped_cpu_dead: "cm.backend.rma_dropped_cpu_dead",
+    hot_promotions: "cm.backend.hot_promotions",
+    hot_demotions: "cm.backend.hot_demotions",
+    hot_pushes: "cm.backend.hot_pushes",
+    wal_appends: "cm.backend.wal_appends",
+    wal_absorbed: "cm.backend.wal_absorbed",
+    wal_fsyncs: "cm.backend.wal_fsyncs",
+    wal_committed: "cm.backend.wal_committed",
+    wal_replayed: "cm.backend.wal_replayed",
+    wal_trickled: "cm.backend.wal_trickled",
+    recovery_bytes: "cm.backend.recovery_bytes",
 }
 
 impl std::fmt::Debug for BackendNode {
@@ -351,10 +319,9 @@ impl BackendNode {
             calls: CallTable::new(0xBAC0),
             versions: VersionGen::new(repair_id),
             repair: Repair::default(),
-            migration: None,
+            handoff: Handoff::default(),
             config: None,
             growth_pending: false,
-            retired: false,
             cur_trace: 0,
             mids: None,
             hot: cfg.hot_repl.clone().map(crate::policy::HotKeyTracker::new),
@@ -497,9 +464,14 @@ impl BackendNode {
                 self.respond_rpc(ctx, src, req.id, status, body);
                 Some(())
             }
-            method::SET | method::REPAIR_SET => self.handle_set(ctx, src, req),
-            method::ERASE => self.handle_erase(ctx, src, req),
-            method::CAS => self.handle_cas(ctx, src, req),
+            method::SET | method::REPAIR_SET | method::CAS => self.handle_set(ctx, src, req),
+            method::ERASE => {
+                let erase = messages::EraseReq::decode(req.body)?;
+                let hash = self.cfg.hasher.hash(&erase.key);
+                let status = self.apply(ctx, &erase.key, hash, None, erase.version);
+                self.respond_rpc(ctx, src, req.id, status, Bytes::new());
+                Some(())
+            }
             method::GET_RPC | method::MSG_GET => self.handle_get_rpc(ctx, src, req),
             method::MULTI_GET_RPC | method::MSG_MULTI_GET => self.handle_multi_get(ctx, src, req),
             method::MULTI_SET => self.handle_multi_set(ctx, src, req),
@@ -523,7 +495,18 @@ impl BackendNode {
                 Some(())
             }
             method::MIGRATE_CHUNK => self.handle_migrate_chunk(ctx, src, req),
-            method::PREPARE_MAINTENANCE => self.handle_prepare_maintenance(ctx, src, req),
+            method::PREPARE_MAINTENANCE => {
+                let prep = messages::PrepareMaintenance::decode(req.body)?;
+                let store = &self.store;
+                let step = self
+                    .handoff
+                    .prepare(prep.spare_node, || store.fetchable_entries());
+                let busy = step == handoff::Step::Busy;
+                let status = if busy { Status::Overloaded } else { Status::Ok };
+                self.respond_rpc(ctx, src, req.id, status, Bytes::new());
+                self.step_handoff(ctx, |_| Some(step));
+                Some(())
+            }
             _ => None,
         }
     }
@@ -539,26 +522,33 @@ impl BackendNode {
         self.store.shard() != u32::MAX
     }
 
+    /// SET, REPAIR_SET and CAS: prepare the entry and stream it in; a
+    /// prepare the store refuses is answered at once.
     fn handle_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
-        let is_repair = req.method == method::REPAIR_SET;
-        let set = messages::SetReq::decode(req.body)?;
-        let hash = self.cfg.hasher.hash(&set.key);
-        if !is_repair {
-            self.note_serve(hash);
-        }
-        match self
-            .store
-            .prepare_set(&set.key, &set.value, hash, set.version)
-        {
-            Err(status) => {
-                self.respond_rpc(ctx, src, req.id, status, Bytes::new());
+        let prepared = if req.method == method::CAS {
+            let cas = messages::CasReq::decode(req.body)?;
+            let hash = self.cfg.hasher.hash(&cas.key);
+            let (expected, version) = (cas.expected, cas.new_version);
+            self.store
+                .prepare_cas(&cas.key, &cas.value, hash, expected, version)
+        } else {
+            let is_repair = req.method == method::REPAIR_SET;
+            let set = messages::SetReq::decode(req.body)?;
+            let hash = self.cfg.hasher.hash(&set.key);
+            if !is_repair {
+                self.note_serve(hash);
             }
-            Ok(prepared) => {
-                if is_repair {
-                    ctx.metrics().add_id(self.m().repair_sets_in, 1);
-                }
-                self.write_chunks(ctx, src, req.id, prepared, 0);
+            let prepared = self
+                .store
+                .prepare_set(&set.key, &set.value, hash, set.version);
+            if is_repair && prepared.is_ok() {
+                ctx.metrics().add_id(self.m().repair_sets_in, 1);
             }
+            prepared
+        };
+        match prepared {
+            Err(status) => self.respond_rpc(ctx, src, req.id, status, Bytes::new()),
+            Ok(prepared) => self.write_chunks(ctx, src, req.id, prepared, 0),
         }
         Some(())
     }
@@ -596,38 +586,19 @@ impl BackendNode {
     }
 
     fn finish_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req_id: u64, p: PreparedSet) {
-        let status = self.store.commit_set(&p);
+        let status = if self.handoff.admit() == Admit::Reject {
+            self.store.abort_set(&p);
+            Status::WrongShard
+        } else {
+            self.store.commit_set(&p)
+        };
         if status == Status::Ok {
             // The prepared entry is the committed wire form: the key and
             // value that won are the ones it was encoded from.
-            self.committed(ctx, durable::KIND_SET, p.key(), p.value(), p.version);
+            self.committed(ctx, p.key(), Some(p.value()), p.version);
         }
         self.respond_rpc(ctx, src, req_id, status, Bytes::new());
         self.maybe_schedule_growth(ctx);
-    }
-
-    fn handle_erase(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
-        let erase = messages::EraseReq::decode(req.body)?;
-        let hash = self.cfg.hasher.hash(&erase.key);
-        let status = self.store.erase(hash, erase.version);
-        if status == Status::Ok {
-            self.committed(ctx, durable::KIND_ERASE, &erase.key, &[], erase.version);
-        }
-        self.respond_rpc(ctx, src, req.id, status, Bytes::new());
-        Some(())
-    }
-
-    fn handle_cas(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
-        let cas = messages::CasReq::decode(req.body)?;
-        let hash = self.cfg.hasher.hash(&cas.key);
-        match self
-            .store
-            .prepare_cas(&cas.key, &cas.value, hash, cas.expected, cas.new_version)
-        {
-            Err(status) => self.respond_rpc(ctx, src, req.id, status, Bytes::new()),
-            Ok(prepared) => self.write_chunks(ctx, src, req.id, prepared, 0),
-        }
-        Some(())
     }
 
     /// The pair stored under exactly `key`, if any (counted as a serve by
@@ -702,7 +673,7 @@ impl BackendNode {
         for (sub, (key, value, version)) in mset.subs.iter().zip(&mset.entries) {
             let hash = self.cfg.hasher.hash(key);
             self.note_serve(hash);
-            let status = self.install(ctx, key, value, hash, *version);
+            let status = self.apply(ctx, key, hash, Some(value), *version);
             statuses.push((*sub, status as u8));
         }
         self.maybe_schedule_growth(ctx);
@@ -720,50 +691,51 @@ impl BackendNode {
 
     // ---- The commit point ------------------------------------------------
 
-    /// Install a whole pair in one step and, if the store took it, settle
-    /// what the commit owes. Everything but the chunked SET/CAS handler
-    /// mutates through here; WAL replay alone calls the store directly, since
-    /// a replayed record is already on the log.
-    fn install(
+    /// Commit one mutation in one step — a pair, or an ERASE when `value`
+    /// is `None` — and, if the store took it, settle what the commit owes.
+    /// Every mutation but the chunked SET/CAS handler's
+    /// ([`Self::finish_set`]) commits through here; WAL replay alone calls
+    /// the store directly, since a replayed record is already on the log.
+    /// Both ask the handoff first: once this backend has cut its last chunk
+    /// to a spare, a mutation is refused `WrongShard` and the store never
+    /// sees it.
+    fn apply(
         &mut self,
         ctx: &mut Ctx<'_>,
         key: &[u8],
-        value: &[u8],
         hash: KeyHash,
+        value: Option<&[u8]>,
         version: VersionNumber,
     ) -> Status {
-        let status = self.store.install(key, value, hash, version);
+        if self.handoff.admit() == Admit::Reject {
+            return Status::WrongShard;
+        }
+        let status = match value {
+            Some(value) => self.store.install(key, value, hash, version),
+            None => self.store.erase(hash, version),
+        };
         if status == Status::Ok {
-            self.committed(ctx, durable::KIND_SET, key, value, version);
+            self.committed(ctx, key, value, version);
         }
         status
     }
 
     /// The one commit hook: what a mutation the store has just accepted
-    /// owes. With durability on, a WAL record. While this backend is
-    /// migrating its shard away, a place in what the spare receives — a
-    /// SET or CAS joins the migration's trailing delta, an ERASE is
-    /// forwarded as an ERASE at the same version (its tombstone also fences
-    /// the key's older copy if that chunk has yet to arrive).
+    /// owes. With durability on, a WAL record; while a handoff is open, a
+    /// place in its delta.
     fn committed(
         &mut self,
         ctx: &mut Ctx<'_>,
-        kind: u8,
         key: &[u8],
-        value: &[u8],
+        value: Option<&[u8]>,
         version: VersionNumber,
     ) {
-        self.wal_append(ctx, kind, key, value, version);
-        let Some(m) = &mut self.migration else { return };
-        let key = Bytes::copy_from_slice(key);
-        if kind == durable::KIND_SET {
-            m.entries
-                .push((key, Bytes::copy_from_slice(value), version));
-        } else {
-            let spare = m.spare;
-            let body = messages::EraseReq { key, version }.encode_in(&self.pool);
-            self.call(ctx, spare, method::ERASE, body, tag::REPAIR);
-        }
+        let kind = match value {
+            Some(_) => durable::KIND_SET,
+            None => durable::KIND_ERASE,
+        };
+        self.wal_append(ctx, kind, key, value.unwrap_or_default(), version);
+        self.handoff.committed(key, value, version);
     }
 
     // ---- RAM-first durability (WAL + group commit + warm restart) -------
@@ -895,7 +867,7 @@ impl BackendNode {
     // ---- Maintenance: reshaping ----------------------------------------
 
     fn reshape_check(&mut self, ctx: &mut Ctx<'_>) {
-        if self.store.needs_index_resize() && self.migration.is_none() {
+        if self.store.needs_index_resize() && self.handoff.idle() {
             self.store.begin_index_resize();
             ctx.metrics().add_id(self.m().index_resizes, 1);
             let dur = SimDuration(RESIZE_NS_PER_ENTRY * self.store.live_entries().max(1));
@@ -918,7 +890,7 @@ impl BackendNode {
     // ---- Cohort scans & repairs (§5.4) ----------------------------------
 
     fn scan_tick(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.repair.running() && self.migration.is_none() && self.has_identity() {
+        if !self.repair.running() && self.handoff.idle() && self.has_identity() {
             let step = self.repair.begin(repair::Mode::Push);
             self.repair_steps(ctx, [step]);
         }
@@ -949,13 +921,12 @@ impl BackendNode {
                     self.repair_key(ctx, hash);
                 }
                 Step::EraseLocal { hash, version } => {
-                    // Erased through the commit hook: the WAL logs it, an
-                    // open migration forwards it.
+                    // Erased through the commit point: the WAL logs it, an
+                    // open handoff forwards it.
                     let Some((key, _, _)) = self.store.fetch(hash) else {
                         continue;
                     };
-                    if self.store.erase(hash, version) == Status::Ok {
-                        self.committed(ctx, durable::KIND_ERASE, &key, &[], version);
+                    if self.apply(ctx, &key, hash, None, version) == Status::Ok {
                         ctx.metrics().add_id(self.m().repair_erases, 1);
                     }
                 }
@@ -975,7 +946,7 @@ impl BackendNode {
         let replicas = config.replicas_for(shard);
         if replicas.contains(&ctx.self_id()) {
             // Apply locally, directly (we are the repairer).
-            self.install(ctx, &key, &value, hash, version);
+            self.apply(ctx, &key, hash, Some(&value), version);
         }
         self.repair_sets(ctx, &replicas, key, value, version);
         ctx.metrics().add_id(self.m().repairs, 1);
@@ -1089,57 +1060,50 @@ impl BackendNode {
         }
     }
 
-    // ---- Warm-spare migration (§6.1) ------------------------------------
+    // ---- Warm-spare handoff (§6.1) --------------------------------------
 
-    fn handle_prepare_maintenance(
+    /// Feed the handoff core one input and execute the step it returns.
+    fn step_handoff(
         &mut self,
         ctx: &mut Ctx<'_>,
-        src: NodeId,
-        req: rpc::Request,
-    ) -> Handled {
-        let prep = messages::PrepareMaintenance::decode(req.body)?;
-        if self.migration.is_some() {
-            self.respond_rpc(ctx, src, req.id, Status::Overloaded, Bytes::new());
-            return Some(());
-        }
-        self.respond_rpc(ctx, src, req.id, Status::Ok, Bytes::new());
-        self.migration = Some(MigrationState {
-            spare: NodeId(prep.spare_node),
-            entries: self.store.all_entries(),
-            cursor: 0,
-            new_config: None,
-            sent_last: false,
-        });
-        ctx.metrics().add_id(self.m().migrations_started, 1);
-        // Learn the current config so we can republish it with the spare
-        // in our place.
-        self.get_config(ctx, tag::CONFIG_FOR_MIGRATION);
-        Some(())
-    }
-
-    fn send_next_migration_chunk(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(m) = &mut self.migration else { return };
-        let Some(new_config) = &m.new_config else {
+        input: impl FnOnce(&mut Handoff) -> Option<handoff::Step>,
+    ) {
+        use handoff::Step;
+        let Some(step) = input(&mut self.handoff) else {
             return;
         };
-        let new_config_id = new_config.config_id;
-        let shard = self.store.shard();
-        let end = (m.cursor + MIGRATE_BATCH).min(m.entries.len());
-        let slice = m.entries[m.cursor..end].to_vec();
-        let last = end >= m.entries.len();
-        m.cursor = end;
-        m.sent_last = last;
-        let spare = m.spare;
-        let body = messages::MigrateChunk {
-            last,
-            shard,
-            new_config_id,
-            entries: slice,
+        match step {
+            Step::Busy => {}
+            Step::GetConfig => {
+                ctx.metrics().add_id(self.m().migrations_started, 1);
+                self.get_config(ctx, tag::CONFIG_FOR_HANDOFF);
+            }
+            Step::SendChunk(spare, chunk) => {
+                let body = chunk.encode_in(&self.pool);
+                self.call(ctx, NodeId(spare), method::MIGRATE_CHUNK, body, tag::CHUNK);
+            }
+            Step::Publish(config) => {
+                // Restamp our buckets with the new config id: clients that
+                // still RMA-read from us during the handoff see a config
+                // mismatch in the bucket header and refresh their config —
+                // discovering the spare without ever hitting a timeout (§6.1).
+                self.store.set_config_id(config.config_id);
+                if let Some(store) = self.cfg.config_store {
+                    let body = config.encode();
+                    self.call(ctx, store, method::UPDATE_CONFIG, body, tag::PUBLISH);
+                }
+            }
+            Step::StartGrace => self.after(ctx, GRACE, Work::GraceExpired),
+            Step::Exit => {
+                ctx.metrics().add_id(self.m().exits, 1);
+                ctx.exit_self();
+            }
+            Step::Aborted => ctx.metrics().add_id(self.m().migrations_aborted, 1),
         }
-        .encode_in(&self.pool);
-        self.call(ctx, spare, method::MIGRATE_CHUNK, body, tag::MIGRATE);
     }
 
+    /// The spare's side: install a chunk through the commit point and, on
+    /// the last one, adopt the shard.
     fn handle_migrate_chunk(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1149,8 +1113,12 @@ impl BackendNode {
         let chunk = messages::MigrateChunk::decode(req.body)?;
         for (key, value, version) in &chunk.entries {
             let hash = self.cfg.hasher.hash(key);
-            self.install(ctx, key, value, hash, *version);
+            self.apply(ctx, key, hash, Some(value), *version);
             ctx.metrics().add_id(self.m().migrate_in_entries, 1);
+        }
+        for (key, version) in &chunk.erased {
+            let hash = self.cfg.hasher.hash(key);
+            self.apply(ctx, key, hash, None, *version);
         }
         if chunk.last {
             // Adopt the shard identity; restamp buckets with the new config
@@ -1164,27 +1132,11 @@ impl BackendNode {
         Some(())
     }
 
-    fn finish_migration(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(m) = self.migration.take() else {
-            return;
-        };
-        if let (Some(config), Some(store)) = (m.new_config, self.cfg.config_store) {
-            // Restamp our buckets with the new config id: clients that
-            // still RMA-read from us during the handoff see a config
-            // mismatch in the bucket header and refresh their config —
-            // discovering the spare without ever hitting a timeout (§6.1).
-            self.store.set_config_id(config.config_id);
-            let (body, t) = (config.encode(), tag::UPDATE_CONFIG);
-            self.call(ctx, store, method::UPDATE_CONFIG, body, t);
-        }
-        self.retired = true;
-    }
-
     /// Ask the config store for the current configuration (adopted, and
     /// restamped into the buckets, when the answer arrives) — unless this
     /// backend is handing its shard away.
     fn fetch_config(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.retired && self.migration.is_none() {
+        if self.handoff.idle() {
             self.get_config(ctx, tag::CONFIG_POLL);
         }
     }
@@ -1248,39 +1200,26 @@ impl BackendNode {
                 // restart shrinks to the un-fsynced delta).
                 ctx.metrics()
                     .add_id(self.m().recovery_bytes, done.body.len() as u64);
-                if let Some(resp) = messages::GetResp::decode(done.body) {
-                    let hash = self.cfg.hasher.hash(&resp.key);
-                    if self.install(ctx, &resp.key, &resp.value, hash, resp.version) == Status::Ok {
+                if let Some(r) = messages::GetResp::decode(done.body) {
+                    let hash = self.cfg.hasher.hash(&r.key);
+                    if self.apply(ctx, &r.key, hash, Some(&r.value[..]), r.version) == Status::Ok {
                         ctx.metrics().add_id(self.m().recovered_entries, 1);
                     }
                 }
             }
-            t if t == tag::MIGRATE => {
-                if done.status == Status::Ok {
-                    let sent_last = self.migration.as_ref().is_some_and(|m| m.sent_last);
-                    if sent_last {
-                        self.finish_migration(ctx);
-                    } else {
-                        self.send_next_migration_chunk(ctx);
-                    }
-                } else {
-                    // Spare failed mid-migration: abandon (a future
-                    // PREPARE_MAINTENANCE can retry with another spare).
-                    self.migration = None;
-                    ctx.metrics().add_id(self.m().migrations_aborted, 1);
-                }
-            }
+            // A failed chunk aborts (a later PREPARE_MAINTENANCE can try
+            // another spare).
+            tag::CHUNK if done.status == Status::Ok => self.step_handoff(ctx, Handoff::chunk_acked),
+            tag::CHUNK => self.step_handoff(ctx, Handoff::chunk_failed),
+            tag::PUBLISH => self.step_handoff(ctx, Handoff::published),
             t if done.call.method == method::GET_CONFIG && done.status == Status::Ok => {
-                let Some(mut config) = CellConfig::decode(done.body) else {
+                let Some(config) = CellConfig::decode(done.body) else {
                     return;
                 };
                 match t {
-                    tag::CONFIG_FOR_MIGRATION => {
-                        let Some(m) = &mut self.migration else { return };
-                        config.reassign(self.store.shard(), m.spare);
-                        config.spares.retain(|&s| s != m.spare.0);
-                        m.new_config = Some(config);
-                        self.send_next_migration_chunk(ctx);
+                    tag::CONFIG_FOR_HANDOFF => {
+                        let shard = self.store.shard();
+                        self.step_handoff(ctx, |h| h.config(config, shard));
                     }
                     tag::CONFIG_FOR_SCAN => {
                         let me = ctx.self_id().0;
@@ -1296,11 +1235,6 @@ impl BackendNode {
                         self.config = Some(config);
                     }
                 }
-            }
-            t if t == tag::UPDATE_CONFIG && self.retired => {
-                // Grace period: keep serving (self-invalidating) reads
-                // while clients converge to the spare, then exit.
-                self.after(ctx, SimDuration::from_millis(100), Work::Exit);
             }
             _ => {}
         }
@@ -1401,10 +1335,7 @@ impl Node for BackendNode {
                             }
                         }
                         Work::ScanTick => self.scan_tick(ctx),
-                        Work::Exit => {
-                            ctx.metrics().add_id(self.m().retired, 1);
-                            ctx.exit_self();
-                        }
+                        Work::GraceExpired => self.step_handoff(ctx, Handoff::grace_expired),
                         Work::ConfigPoll => self.config_poll(ctx),
                         Work::HotEpoch => self.on_hot_epoch(ctx),
                         Work::WalCommitDone => self.on_wal_commit_done(ctx),
@@ -1415,7 +1346,7 @@ impl Node for BackendNode {
                     if let Some(call) = self.calls.expire(call_id) {
                         ctx.metrics().add_id(self.m().rpc_timeouts, 1);
                         // Synthesize a failed completion so state machines
-                        // (scan, migration) advance rather than stall.
+                        // (scan, handoff) advance rather than stall.
                         self.on_rpc_completion(
                             ctx,
                             Completion {

@@ -385,6 +385,8 @@ impl MutationKind {
 #[derive(Debug)]
 struct MutationState {
     h: OpHeader,
+    /// The config `h.replicas` was resolved under.
+    config_id: u32,
     kind: MutationKind,
     value: Bytes,
     expected: Option<VersionNumber>,
@@ -1213,6 +1215,7 @@ impl ClientNode {
         };
         let state = MutationState {
             h: header(p.key, replicas.to_vec()),
+            config_id: config.config_id,
             kind,
             value: p.value,
             expected,
@@ -1688,9 +1691,23 @@ impl ClientNode {
         };
         self.charge(ctx, issue_cpu, trace);
         let tt = ctx.truetime();
-        let Some(OpState::Mutation(m)) = self.ops.get_mut(&op_id) else {
+        let (Some(OpState::Mutation(m)), Some(config)) = (self.ops.get_mut(&op_id), &self.config)
+        else {
             return;
         };
+        if m.config_id != config.config_id {
+            // The shard moved since the replica list was resolved (a
+            // `WrongShard` answer refreshed the config): resolve it again,
+            // as wide as before.
+            let shard = place(m.h.hash, config.num_shards(), 1).shard;
+            let mut buf = [NodeId(0); 8];
+            let n = config.replicas_n_buf(shard, m.h.replicas.len() as u32, &mut buf);
+            let base = config.replication.copies().min(config.num_shards()) as usize;
+            m.h.replicas.clear();
+            m.h.replicas.extend_from_slice(&buf[..n]);
+            m.h.n_base = base.min(n) as u8;
+            m.config_id = config.config_id;
+        }
         m.h.attempt += 1;
         // Every attempt nominates a fresh, higher version (§5.2): retried
         // mutations eventually win. Batched or not, the nomination happens
@@ -2082,6 +2099,12 @@ impl ClientNode {
                 let reply = match verdict {
                     Verdict::Rpc(Status::Ok, ..) => Reply::Ack,
                     Verdict::Rpc(Status::VersionRejected | Status::NotFound, ..) => Reply::Reject,
+                    // The replica handed its shard away: learn who holds
+                    // it before the retry.
+                    Verdict::Rpc(Status::WrongShard, ..) => {
+                        self.refresh_config(ctx);
+                        Reply::Failure
+                    }
                     _ => Reply::Failure,
                 };
                 self.on_mutation_reply(ctx, tag, replica, reply);

@@ -134,9 +134,10 @@ impl CellConfig {
     }
 
     /// Replace the node serving `shard` (spare takeover / restart on a new
-    /// task) and bump the configuration id.
-    pub fn reassign(&mut self, shard: u32, node: NodeId) {
-        self.shards[shard as usize] = node.0;
+    /// task) with the node whose id is `node`, and bump the configuration
+    /// id.
+    pub fn reassign(&mut self, shard: u32, node: u32) {
+        self.shards[shard as usize] = node;
         self.config_id += 1;
     }
 
@@ -376,7 +377,7 @@ mod tests {
     #[test]
     fn reassign_bumps_config_id() {
         let mut c = sample();
-        c.reassign(1, NodeId(20));
+        c.reassign(1, 20);
         assert_eq!(c.config_id, 6);
         assert_eq!(c.node_for(1), NodeId(20));
     }

@@ -29,7 +29,7 @@
 //! | §4.2 eviction | [`policy`], [`tombstone`] |
 //! | §5 replication & quorums | [`config`], [`version`], [`quorum`] (the rules), [`client`] (the I/O) |
 //! | §5.4 repairs | [`repair`] (the rules), [`backend`] (the I/O) |
-//! | §6.1 warm spares | [`backend`] (migration), [`cell`] |
+//! | §6.1 warm spares | [`handoff`] (the rules), [`backend`] (the I/O), [`cell`] |
 //! | §6.2 language shims | [`shim`] |
 //! | §6.3 SCAR | [`store`] (resolver), [`client`] |
 //! | §6.4 R=2/Immutable | [`config`], [`client`] |
@@ -77,6 +77,7 @@ pub mod cell;
 pub mod client;
 pub mod client_cache;
 pub mod config;
+pub mod handoff;
 pub mod hash;
 pub mod layout;
 pub mod messages;

@@ -434,9 +434,11 @@ impl ScanReq {
     }
 }
 
-/// A chunk of KV pairs migrating to a warm spare (§6.1) or repairing a
-/// restarted backend. The final chunk carries the identity the receiver
-/// adopts: the shard number and the new cell config id.
+/// A chunk of a shard handing off to a warm spare (§6.1). The final chunk
+/// carries the identity the receiver adopts: the shard number and the new
+/// cell config id. Keys erased while the handoff was open ride a trailing
+/// section written only when non-empty, so a chunk without erases is the
+/// original format.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MigrateChunk {
     /// Whether this is the final chunk.
@@ -448,17 +450,24 @@ pub struct MigrateChunk {
     pub new_config_id: u32,
     /// Full KV pairs with their versions.
     pub entries: Vec<(Bytes, Bytes, VersionNumber)>,
+    /// Erased keys with their erase versions.
+    pub erased: Vec<(Bytes, VersionNumber)>,
 }
 
 impl MigrateChunk {
     /// Encode to a body in a pooled buffer.
     pub fn encode_in(&self, pool: &Pool) -> Bytes {
+        let extension = match self.erased.len() {
+            0 => 0,
+            _ => 4 + self.erased.iter().map(|(k, _)| 20 + k.len()).sum::<usize>(),
+        };
         let len = 13
             + self
                 .entries
                 .iter()
                 .map(|(k, v, _)| 24 + k.len() + v.len())
-                .sum::<usize>();
+                .sum::<usize>()
+            + extension;
         let mut b = pool.get(len);
         b.put_u8(self.last as u8);
         b.put_u32_le(self.shard);
@@ -468,6 +477,13 @@ impl MigrateChunk {
             b.put_u128_le(ver.0);
             put_bytes(&mut b, k);
             put_bytes(&mut b, v);
+        }
+        if extension > 0 {
+            b.put_u32_le(self.erased.len() as u32);
+            for (k, ver) in &self.erased {
+                b.put_u128_le(ver.0);
+                put_bytes(&mut b, k);
+            }
         }
         b.freeze()
     }
@@ -497,11 +513,31 @@ impl MigrateChunk {
             let v = get_bytes(&mut body)?;
             entries.push((k, v, ver));
         }
+        let mut erased = Vec::new();
+        if !body.is_empty() {
+            if body.len() < 4 {
+                return None;
+            }
+            let n = body.get_u32_le() as usize;
+            // version(16) + a length prefix(4) at least, as above.
+            if body.len() < n.saturating_mul(20) {
+                return None;
+            }
+            erased.reserve_exact(n);
+            for _ in 0..n {
+                if body.len() < 16 {
+                    return None;
+                }
+                let ver = VersionNumber(body.get_u128_le());
+                erased.push((get_bytes(&mut body)?, ver));
+            }
+        }
         Some(MigrateChunk {
             last,
             shard,
             new_config_id,
             entries,
+            erased,
         })
     }
 }
@@ -908,18 +944,24 @@ mod tests {
                     VersionNumber::new(2, 2, 2),
                 ),
             ],
+            erased: Vec::new(),
         };
-        assert_eq!(MigrateChunk::decode(m.encode_in(&Pool::new())), Some(m));
+        let erasing = MigrateChunk {
+            erased: vec![(Bytes::from_static(b"c"), VersionNumber::new(3, 3, 3))],
+            ..m.clone()
+        };
+        for m in [m, erasing] {
+            assert_eq!(MigrateChunk::decode(m.encode_in(&Pool::new())), Some(m));
+        }
         // Truncated chunk fails cleanly.
         let wire = MigrateChunk {
             last: true,
-            shard: 0,
-            new_config_id: 0,
             entries: vec![(
                 Bytes::from_static(b"k"),
                 Bytes::from_static(b"v"),
                 VersionNumber::ZERO,
             )],
+            ..MigrateChunk::default()
         }
         .encode_in(&Pool::new());
         assert_eq!(MigrateChunk::decode(wire.slice(0..wire.len() - 1)), None);

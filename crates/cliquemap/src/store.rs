@@ -678,6 +678,17 @@ impl BackendStore {
         out
     }
 
+    /// Every pair [`Self::fetch`] serves (a warm-spare handoff's snapshot):
+    /// [`Self::all_entries`], then the RPC-only overflow table's pairs by
+    /// ascending key hash.
+    pub fn fetchable_entries(&self) -> Vec<(Bytes, Bytes, VersionNumber)> {
+        let mut out = self.all_entries();
+        let mut overflow: Vec<_> = self.overflow.iter().collect();
+        overflow.sort_unstable_by_key(|&(&hash, _)| hash);
+        out.extend(overflow.into_iter().map(|(_, pair)| pair.clone()));
+        out
+    }
+
     // ---- Reshaping ------------------------------------------------------
 
     /// Whether the index has crossed its reshape load factor.

@@ -561,6 +561,74 @@ proptest! {
         prop_assert!(ScanPage::decode(Bytes::from(tombstones_lie)).is_none());
     }
 
+    /// A handoff chunk roundtrips with and without its trailing `erased`
+    /// section, and without one it is the original format byte for byte. A
+    /// chunk that carries erases survives truncation at every length —
+    /// `None`, except the cut where the section starts, which is the same
+    /// chunk without it — and every single-bit flip, and a count the body
+    /// cannot hold is rejected before anything is sized from it.
+    #[test]
+    fn migrate_chunk_erases_survive_truncation_and_bit_flips(
+        last in any::<bool>(),
+        shard in any::<u32>(),
+        config_id in any::<u32>(),
+        entries in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..6),
+             proptest::collection::vec(any::<u8>(), 0..6),
+             any::<u128>()),
+            0..3),
+        erased in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..6), any::<u128>()), 1..3),
+    ) {
+        use cliquemap::messages::MigrateChunk;
+        let pool = bytes::Pool::new();
+        let entries: Vec<_> = entries
+            .into_iter()
+            .map(|(k, v, ver)| (Bytes::from(k), Bytes::from(v), VersionNumber(ver)))
+            .collect();
+        let erased = erased.into_iter().map(|(k, ver)| (Bytes::from(k), VersionNumber(ver)));
+        let plain = MigrateChunk { last, shard, new_config_id: config_id, entries, erased: Vec::new() };
+        let erasing = MigrateChunk { erased: erased.collect(), ..plain.clone() };
+        // The original format: last, shard, config id, then a counted run
+        // of (version, length-prefixed key, length-prefixed value).
+        let mut original = vec![last as u8];
+        original.extend(shard.to_le_bytes());
+        original.extend(config_id.to_le_bytes());
+        original.extend((plain.entries.len() as u32).to_le_bytes());
+        for (k, v, ver) in &plain.entries {
+            original.extend(ver.0.to_le_bytes());
+            for field in [k, v] {
+                original.extend((field.len() as u32).to_le_bytes());
+                original.extend(&field[..]);
+            }
+        }
+        let plain_wire = plain.encode_in(&pool);
+        prop_assert_eq!(&plain_wire[..], &original[..]);
+        prop_assert_eq!(MigrateChunk::decode(plain_wire), Some(plain.clone()));
+        let wire = erasing.encode_in(&pool);
+        prop_assert_eq!(MigrateChunk::decode(wire.clone()), Some(erasing.clone()));
+        for cut in 0..wire.len() {
+            if let Some(c) = MigrateChunk::decode(wire.slice(0..cut)) {
+                prop_assert!(cut == original.len() && c == plain, "decoded at {}", cut);
+            }
+        }
+        for bit in 0..wire.len() * 8 {
+            let mut flipped = wire.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Some(c) = MigrateChunk::decode(Bytes::from(flipped)) {
+                let sized = 13 + 24 * c.entries.capacity() + 20 * c.erased.capacity();
+                prop_assert!(sized <= wire.len(), "bit {} over-reads", bit);
+            }
+        }
+        // Counts that lie: u32::MAX entries, or u32::MAX erases after none.
+        let head = [&[last as u8][..], &shard.to_le_bytes(), &config_id.to_le_bytes()].concat();
+        let lie = u32::MAX.to_le_bytes();
+        let entries_lie = [&head[..], &lie[..]].concat();
+        let erased_lie = [&head[..], &[0; 4], &lie[..]].concat();
+        prop_assert!(MigrateChunk::decode(Bytes::from(entries_lie)).is_none());
+        prop_assert!(MigrateChunk::decode(Bytes::from(erased_lie)).is_none());
+    }
+
     /// Version ordering is total and the generator is monotonic under
     /// arbitrary TrueTime readings (including clock regressions).
     #[test]
