@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
-# gates, the protocol cores' purity, the one-op-driver and one-histogram gates, lints, format,
-# rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
+# gates, the protocol cores' purity, the one-op-driver, one-backend-builder
+# and one-histogram gates, lints, format, rustdoc, the benchmark's smoke
+# tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -47,6 +48,17 @@ echo "== one op-driver =="
 drivers=$(grep -rln 'workload\.next(' crates/*/src || true)
 if [ "$drivers" != "crates/cliquemap/src/client.rs" ]; then
     echo "op-drivers outside crates/cliquemap/src/client.rs:" $drivers >&2
+    exit 1
+fi
+
+echo "== one place builds a backend =="
+# The cell assigns every backend its identity, at build and at restart
+# alike (`Cell::restart_backend`, `Cell::backend_reviver`); only the
+# backend's own unit tests build one by hand.
+builders=$(grep -rl 'BackendNode::new(' crates src tests examples | sort | xargs || true)
+if [ "$builders" != "crates/cliquemap/src/backend.rs crates/cliquemap/src/cell.rs" ] ||
+    sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/backend.rs | grep -q 'BackendNode::new('; then
+    echo "backends built outside crates/cliquemap/src/cell.rs:" $builders >&2
     exit 1
 fi
 

@@ -15,6 +15,7 @@ use std::rc::Rc;
 
 use bytes::{Bytes, Pool};
 
+use cliquemap::cell::{PonyCfg, Transport};
 use cliquemap::client::{ClientCfg, ClientIdentity, ClientNode, ClientShared, LookupStrategy};
 use cliquemap::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use cliquemap::hash::{DefaultHasher, KeyHasher};
@@ -303,7 +304,7 @@ pub fn memcacheg_cell(
             let me = ClientIdentity {
                 client_id,
                 adaptive_seed: 0,
-                shared_pony: None,
+                transport: Transport::pony(PonyCfg::default()),
                 shared: shared.clone(),
             };
             place(

@@ -20,18 +20,16 @@
 //! * crash/restart → repair byte burst, then full recovery: availability
 //!   in the final windows is back to (at least) the pre-fault level.
 
-use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec, DurabilitySpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
-use cliquemap::wal::DurableCfg;
 use cliquemap::workload::Workload;
 use rma::TransportKind;
 use simnet::{Fault, FaultPlan, HostSet, LinkImpairment, SimDuration, SimTime};
 use workloads::{MixWorkload, SizeDist};
 
 use crate::experiments::base_spec;
-use crate::harness::{populate_cell, Report, WindowSampler};
+use crate::harness::{checkpoint_media, populate_cell, Report, WindowSampler};
 
 const KEYS: u64 = 2_000;
 const CLIENTS: usize = 10;
@@ -156,8 +154,7 @@ fn build_chaos_cell(
     spec.seed = seed;
     spec.num_spares = 1;
     spec.clients_per_host = 2;
-    spec.backend.transport = TransportKind::Rdma;
-    spec.client.transport = TransportKind::Rdma;
+    spec.transport = TransportKind::Rdma;
     // Short attempt timeouts so impairments surface at this timescale, and
     // decorrelated retries so every heal isn't greeted by a retry storm.
     spec.client.attempt_timeout = SimDuration::from_micros(500);
@@ -165,7 +162,6 @@ fn build_chaos_cell(
     // Periodic cohort scans so divergence introduced by the fault windows
     // is repaired, not just papered over by quorums.
     spec.backend.scan_interval = Some(SimDuration::from_millis(20));
-    let mut template = spec.backend.clone();
     let workloads: Vec<Box<dyn Workload>> = (0..CLIENTS)
         .map(|_| {
             Box::new(MixWorkload::new(
@@ -182,33 +178,18 @@ fn build_chaos_cell(
     let mut cell = Cell::build(spec, workloads);
     populate_cell(&mut cell, "k", KEYS, &SizeDist::fixed(512));
     if durable {
-        // The victim had been up (and trickle-flushing) long before this
-        // 340ms window: seed its media with a checkpoint of the populated
-        // corpus, exactly as the restart figure's warm mode does.
-        let entries = cell
-            .sim
-            .with_node::<BackendNode, _>(cell.backends[VICTIM], |b| b.store().all_entries())
-            .expect("victim exists");
-        let media = cell.media[VICTIM].clone();
-        let mut m = media.borrow_mut();
-        for (k, v, ver) in &entries {
-            m.install_snapshot(durable::KIND_SET, ver.0, k, v);
-        }
+        // The victim had been up long before this 340ms window, as in the
+        // restart figure's warm mode.
+        checkpoint_media(&mut cell, VICTIM);
     }
     // Round-trip the plan through its text codec before installing: the
     // serialized form is the contract (a chaos run is its plan file).
     let plan = chaos_plan(&cell);
     let plan = FaultPlan::decode(&plan.encode()).expect("fault plan codec roundtrip");
     cell.sim.install_fault_plan(&plan);
-    template.store.shard = VICTIM as u32;
-    template.store.config_id = 1;
-    template.config_store = Some(cell.config_store);
-    template.recover_on_start = true;
-    if durable {
-        template.durable = Some(DurableCfg::new(cell.media[VICTIM].clone()));
-    }
+    let revive = cell.backend_reviver(VICTIM, true);
     cell.sim
-        .set_fault_reviver(move |_| Some(Box::new(BackendNode::new(template.clone()))));
+        .set_fault_reviver(move |_| Some(Box::new(revive())));
     cell
 }
 
@@ -319,6 +300,7 @@ pub fn run() -> Report {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use cliquemap::backend::BackendNode;
     use cliquemap::client::ClientNode;
     use cliquemap::hash::{place, DefaultHasher, KeyHasher};
     use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload};
@@ -497,12 +479,10 @@ mod tests {
         let mut spec: CellSpec = base_spec(LookupStrategy::TwoR, ReplicationMode::R32, 4);
         spec.seed = 4242;
         spec.clients_per_host = 2;
-        spec.backend.transport = TransportKind::Rdma;
-        spec.client.transport = TransportKind::Rdma;
+        spec.transport = TransportKind::Rdma;
         spec.client.attempt_timeout = SimDuration::from_micros(500);
         spec.client.retry.jitter = 0.5;
         spec.backend.scan_interval = Some(SimDuration::from_millis(10));
-        let mut template = spec.backend.clone();
         let clients = 6usize;
         let key = |c: usize| Bytes::from(format!("soak-{c}"));
         let v2 = |c: usize| Bytes::from(format!("value-2-of-{c}"));
@@ -561,12 +541,9 @@ mod tests {
             },
         );
         cell.sim.install_fault_plan(&plan);
-        template.store.shard = 2;
-        template.store.config_id = 1;
-        template.config_store = Some(cell.config_store);
-        template.recover_on_start = true;
+        let revive = cell.backend_reviver(2, true);
         cell.sim
-            .set_fault_reviver(move |_| Some(Box::new(BackendNode::new(template.clone()))));
+            .set_fault_reviver(move |_| Some(Box::new(revive())));
         cell.run_for(SimDuration::from_millis(260));
 
         let n = cell.backends.len() as u32;

@@ -7,7 +7,6 @@
 //! latency barely moves — warm sparing "effectively hides planned
 //! maintenance".
 
-use cliquemap::backend::BackendCfg;
 use cliquemap::cell::{Cell, CellSpec, InjectorNode};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
@@ -22,14 +21,13 @@ use crate::harness::{populate_cell, Report, WindowSampler};
 const KEYS: u64 = 2_000;
 const CLIENTS: usize = 10;
 
-pub(crate) fn maintenance_cell(seed: u64) -> (Cell, BackendCfg) {
+pub(crate) fn maintenance_cell(seed: u64) -> Cell {
     let mut spec: CellSpec = base_spec(LookupStrategy::TwoR, ReplicationMode::R32, 4);
     spec.seed = seed;
     spec.num_spares = 1;
     spec.clients_per_host = 2;
     // Short retry timeouts so failover is visible at this timescale.
     spec.client.attempt_timeout = SimDuration::from_micros(500);
-    let backend_template = spec.backend.clone();
     let workloads: Vec<Box<dyn Workload>> = (0..CLIENTS)
         .map(|_| {
             Box::new(MixWorkload::new(
@@ -45,7 +43,7 @@ pub(crate) fn maintenance_cell(seed: u64) -> (Cell, BackendCfg) {
         .collect();
     let mut cell = Cell::build(spec, workloads);
     populate_cell(&mut cell, "k", KEYS, &SizeDist::fixed(512));
-    (cell, backend_template)
+    cell
 }
 
 pub(crate) fn timeline(
@@ -95,7 +93,7 @@ pub fn run() -> Report {
         "f13",
         "Planned maintenance via warm spares at steady load (latency + RPC byte timeline)",
     );
-    let (mut cell, _template) = maintenance_cell(37);
+    let mut cell = maintenance_cell(37);
     // Notify backend 0 of planned maintenance at t=150ms (relative to the
     // 10ms warm-up): migrate to the spare.
     let injector_host = cell.sim.add_host(simnet::HostCfg::default());

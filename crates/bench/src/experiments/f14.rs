@@ -6,7 +6,6 @@
 //! *down* while the cell is degraded, because clients that observed the
 //! connection failure stop sending the third index fetch.
 
-use cliquemap::backend::BackendNode;
 use cliquemap::cell::InjectorNode;
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
@@ -21,7 +20,7 @@ pub fn run() -> Report {
         "f14",
         "Unplanned maintenance: crash, restart, and cohort repairs (latency + RPC bytes)",
     );
-    let (mut cell, mut template) = maintenance_cell(41);
+    let mut cell = maintenance_cell(41);
     let _ = (
         LookupStrategy::TwoR,
         ReplicationMode::R32,
@@ -67,12 +66,7 @@ pub fn run() -> Report {
     phase(&mut cell, &mut report, restart_at, SimDuration::ZERO, &[]);
     // Restart: a fresh backend task at the same address with an empty
     // store that recovers from the cohort.
-    template.store.shard = 0;
-    template.store.config_id = 1;
-    template.config_store = Some(cell.config_store);
-    template.recover_on_start = true;
-    cell.sim
-        .revive(victim, Box::new(BackendNode::new(template)));
+    cell.restart_backend(0, true);
     report.line("-- restart + repairs --".to_string());
     phase(
         &mut cell,

@@ -44,15 +44,13 @@ pub(crate) fn build() -> (Cell, Vec<HostId>, Vec<HostId>) {
     // Engines sized so the ramp's peak pushes a host's pool past the
     // scale-out watermark (the paper's engines run much higher absolute op
     // rates; the offered-load : engine-capacity ratio is what matters).
-    let pony = PonyCfg {
+    spec.pony = PonyCfg {
         min_engines: 1,
         max_engines: 4,
         op_cost: SimDuration::from_micros(3),
         per_kb: SimDuration::from_nanos(500),
         window: SimDuration::from_millis(1),
     };
-    spec.backend.pony = pony.clone();
-    spec.client.pony = pony;
     let workloads: Vec<Box<dyn Workload>> = (0..CLIENTS)
         .map(|_| {
             Box::new(RampWorkload {

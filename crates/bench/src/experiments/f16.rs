@@ -23,8 +23,7 @@ pub(crate) fn build(seed: u64) -> Cell {
     let mut spec: CellSpec = base_spec(LookupStrategy::TwoR, ReplicationMode::R1, 8);
     spec.seed = seed;
     spec.host = HostCfg::with_gbps(50.0); // C-states enabled
-    spec.backend.transport = TransportKind::OneRma;
-    spec.client.transport = TransportKind::OneRma;
+    spec.transport = TransportKind::OneRma;
     spec.clients_per_host = 2;
     spec.client.max_in_flight = 4096;
     let workloads: Vec<Box<dyn Workload>> = (0..8)

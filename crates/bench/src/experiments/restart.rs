@@ -19,13 +19,12 @@ use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec, DurabilitySpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
-use cliquemap::wal::DurableCfg;
 use cliquemap::workload::Workload;
 use simnet::{Ctx, DeviceCfg, Event, FabricCfg, HostCfg, Node, Sim, SimDuration, SimTime};
 use workloads::{MixWorkload, SizeDist};
 
 use crate::experiments::base_spec;
-use crate::harness::{populate_cell, Report};
+use crate::harness::{checkpoint_media, populate_cell, Report};
 
 const KEYS: u64 = 2_000;
 const VALUE_BYTES: usize = 256;
@@ -74,7 +73,6 @@ fn victim_live(cell: &mut Cell) -> u64 {
 /// Run one restart timeline and distill the recovery measurements.
 fn run_mode(warm: bool) -> ModeResult {
     let spec = restart_spec(warm);
-    let template = spec.backend.clone();
     let workloads: Vec<Box<dyn Workload>> = (0..CLIENTS)
         .map(|_| {
             Box::new(MixWorkload::new(
@@ -91,17 +89,7 @@ fn run_mode(warm: bool) -> ModeResult {
     let mut cell = Cell::build(spec, workloads);
     populate_cell(&mut cell, "k", KEYS, &SizeDist::fixed(VALUE_BYTES));
     if warm {
-        // The victim had been up (and trickle-flushing) long before this
-        // window: its checkpoint snapshot holds the populated corpus.
-        let entries = cell
-            .sim
-            .with_node::<BackendNode, _>(cell.backends[VICTIM], |b| b.store().all_entries())
-            .expect("victim exists");
-        let media = cell.media[VICTIM].clone();
-        let mut m = media.borrow_mut();
-        for (k, v, ver) in &entries {
-            m.install_snapshot(durable::KIND_SET, ver.0, k, v);
-        }
+        checkpoint_media(&mut cell, VICTIM);
     }
     let mode = if warm { "warm" } else { "cold" };
     let mut rows = Vec::new();
@@ -128,16 +116,8 @@ fn run_mode(warm: bool) -> ModeResult {
             rows.push(format!("# {mode} crash t={CRASH_MS}ms live={pre_live}"));
         }
         if dead && now_ms >= RESTART_MS {
-            let mut cfg = template.clone();
-            cfg.store.shard = VICTIM as u32;
-            cfg.store.config_id = 1;
-            cfg.config_store = Some(cell.config_store);
-            cfg.recover_on_start = true;
-            if warm {
-                cfg.durable = Some(DurableCfg::new(cell.media[VICTIM].clone()));
-            }
             restart_repair_base = cell.sim.metrics().counter("cm.backend.recovery_bytes");
-            cell.sim.revive(victim, Box::new(BackendNode::new(cfg)));
+            cell.restart_backend(VICTIM, true);
             dead = false;
             rows.push(format!("# {mode} restart t={RESTART_MS}ms"));
         }

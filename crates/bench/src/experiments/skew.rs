@@ -123,15 +123,13 @@ fn build_cell(s: f64, cache: bool, repl: bool) -> Cell {
     spec.client.access_flush = Some(SimDuration::from_millis(5));
     // Engines pinned at one per host so occupancy is the contended
     // resource: the hot shard must queue, not quietly scale out.
-    let pony = PonyCfg {
+    spec.pony = PonyCfg {
         min_engines: 1,
         max_engines: 1,
         op_cost: SimDuration::from_micros(20),
         per_kb: SimDuration::from_nanos(500),
         window: SimDuration::from_millis(1),
     };
-    spec.backend.pony = pony.clone();
-    spec.client.pony = pony;
     if cache {
         spec.client.cache = Some(ClientCacheCfg {
             capacity: 512,

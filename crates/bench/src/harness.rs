@@ -101,6 +101,20 @@ pub fn populate_cell(cell: &mut Cell, prefix: &str, keys: u64, sizes: &SizeDist)
     }
 }
 
+/// Seed backend `i`'s media with a checkpoint of everything its store
+/// holds: a backend that had been up (and trickle-flushing) long before
+/// the window a run measures. Needs a durable cell.
+pub fn checkpoint_media(cell: &mut Cell, i: usize) {
+    let entries = cell
+        .sim
+        .with_node::<BackendNode, _>(cell.backends[i], |b| b.store().all_entries())
+        .expect("backend exists");
+    let mut m = cell.media[i].borrow_mut();
+    for (k, v, ver) in &entries {
+        m.install_snapshot(durable::KIND_SET, ver.0, k, v);
+    }
+}
+
 fn install(cell: &mut Cell, backend: simnet::NodeId, key: &Bytes, value: &Bytes, v: VersionNumber) {
     let hash = DefaultHasher.hash(key);
     cell.sim

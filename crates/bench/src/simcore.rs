@@ -61,15 +61,13 @@ pub fn pony_ramp_cell() -> Cell {
     spec.colocate_fraction = 0.5;
     spec.clients_per_host = 1;
     spec.client.max_in_flight = 4096;
-    let pony = PonyCfg {
+    spec.pony = PonyCfg {
         min_engines: 1,
         max_engines: 4,
         op_cost: SimDuration::from_micros(3),
         per_kb: SimDuration::from_nanos(500),
         window: SimDuration::from_millis(1),
     };
-    spec.backend.pony = pony.clone();
-    spec.client.pony = pony;
     let wls: Vec<Box<dyn Workload>> = (0..20)
         .map(|_| {
             Box::new(RampWorkload {

@@ -16,18 +16,18 @@ use std::sync::Arc;
 
 use bytes::{Bytes, Pool};
 
-use rma::{PonyCfg, PonyHost, RmaEnvelope, Transport, TransportKind};
+use rma::{RmaEnvelope, Transport};
 use rpc::{CallTable, Completion, Status};
 use simnet::{Ctx, Deferred, Event, MetricId, Metrics, Node, NodeId, SimDuration, SimTime};
 
 use crate::config::CellConfig;
 use crate::handoff::{self, Admit, Handoff};
-use crate::hash::{DefaultHasher, KeyHash, KeyHasher};
+use crate::hash::{KeyHash, KeyHasher};
 use crate::messages::{self, method};
 use crate::repair::{self, Repair, Step};
 use crate::store::{BackendStore, CliqueScarResolver, PreparedSet, StoreCfg};
 use crate::version::{VersionGen, VersionNumber};
-use crate::wal::{REPLAY_NS_PER_RECORD, TRICKLE_RECORDS};
+use crate::wal::{DurableCfg, REPLAY_NS_PER_RECORD, TRICKLE_RECORDS};
 use crate::{MSG_COST, RPC_COST};
 
 /// Index rebuild time per live entry, ns.
@@ -37,6 +37,8 @@ const SCAN_PAGE_BUCKETS: u64 = 64;
 /// Client-id base (offset by the shard) of the versions a backend
 /// nominates when it repairs a dirty quorum.
 const REPAIR_CLIENT_ID: u32 = 0x8000_0000;
+/// The store's shard while the backend is a warm spare.
+const NO_SHARD: u32 = u32::MAX;
 /// How often to poll the config store for cell reconfigurations (the
 /// production system watches Chubby; we poll).
 const CONFIG_POLL: SimDuration = SimDuration::from_millis(100);
@@ -44,17 +46,11 @@ const CONFIG_POLL: SimDuration = SimDuration::from_millis(100);
 /// (self-invalidating) reads while clients converge, before it exits.
 const GRACE: SimDuration = SimDuration::from_millis(100);
 
-/// Everything configurable about one backend task.
-#[derive(Clone)]
+/// What every backend of a cell has in common (the cell's template).
+#[derive(Clone, Debug)]
 pub struct BackendCfg {
-    /// Store geometry and policies.
+    /// Store geometry and policies (shard and config id are the node's).
     pub store: StoreCfg,
-    /// Eviction policy name (`lru`, `arc`, `fifo`, `random`).
-    pub policy: String,
-    /// RMA transport this backend serves on.
-    pub transport: TransportKind,
-    /// Pony Express engine configuration (used when transport is Pony).
-    pub pony: PonyCfg,
     /// Number of timed chunks a SET's data bytes are written in.
     pub set_chunks: u32,
     /// Gap between consecutive chunks.
@@ -64,60 +60,48 @@ pub struct BackendCfg {
     /// Cohort scan period (§5.4: "tens of seconds is typical"); `None`
     /// disables scanning.
     pub scan_interval: Option<SimDuration>,
-    /// The external config store, if the cell has one.
-    pub config_store: Option<NodeId>,
-    /// Pull repairs from the cohort right after (re)start (§5.4 en-masse).
-    pub recover_on_start: bool,
-    /// This task starts as a warm spare (no shard until a migration lands).
-    pub is_spare: bool,
-    /// Key hasher shared with clients.
-    pub hasher: Arc<dyn KeyHasher>,
-    /// Host-level Pony engine pool shared with co-located nodes (set by
-    /// the cell builder; `None` gives this node a private pool).
-    pub shared_pony: Option<std::rc::Rc<std::cell::RefCell<PonyHost>>>,
     /// Load-aware hot-key replication (`None` disables): detect keys
     /// dominating this backend's serve load from access records and
     /// mutations, gated on engine occupancy, and seed extended replicas
     /// via REPAIR_SET pushes so hot-routed clients find fresh copies.
     pub hot_repl: Option<crate::policy::HotReplCfg>,
-    /// RAM-first durability (`None` disables — the default): committed
-    /// mutations are appended to a per-backend WAL group-committed to the
-    /// host's timed storage device, a trickle flusher checkpoints the log,
-    /// and a restart replays the attached media before delta-repairing
-    /// from peers. Requires [`simnet::Sim::enable_devices`].
-    pub durable: Option<crate::wal::DurableCfg>,
 }
 
 impl Default for BackendCfg {
     fn default() -> Self {
         BackendCfg {
             store: StoreCfg::default(),
-            policy: "lru".into(),
-            transport: TransportKind::PonyExpress,
-            pony: PonyCfg::default(),
             set_chunks: 2,
             chunk_gap: SimDuration::from_nanos(400),
             reshape_check: SimDuration::from_millis(50),
             scan_interval: None,
-            config_store: None,
-            recover_on_start: false,
-            is_spare: false,
-            hasher: Arc::new(DefaultHasher),
-            shared_pony: None,
             hot_repl: None,
-            durable: None,
         }
     }
 }
 
-impl std::fmt::Debug for BackendCfg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackendCfg")
-            .field("shard", &self.store.shard)
-            .field("transport", &self.transport)
-            .field("is_spare", &self.is_spare)
-            .finish()
-    }
+/// What distinguishes one backend from the others sharing its
+/// [`BackendCfg`]: what the cell assigns it when it builds or restarts it.
+#[derive(Clone)]
+pub struct BackendIdentity {
+    /// The shard served; `None` is a warm spare (no shard until a
+    /// migration lands).
+    pub shard: Option<u32>,
+    /// The external config store, if the cell has one.
+    pub config_store: Option<NodeId>,
+    /// The RMA transport of the backend's host (a Pony Express transport
+    /// shares the host's engine pool).
+    pub transport: Transport,
+    /// RAM-first durability (`None` disables — the default): committed
+    /// mutations are appended to a WAL on the attached media,
+    /// group-committed to the host's timed storage device, a trickle
+    /// flusher checkpoints the log, and a restart replays the media before
+    /// delta-repairing from peers. Requires [`simnet::Sim::enable_devices`].
+    pub durable: Option<DurableCfg>,
+    /// Key hasher shared with clients.
+    pub hasher: Arc<dyn KeyHasher>,
+    /// Pull repairs from the cohort right after (re)start (§5.4 en-masse).
+    pub recover: bool,
 }
 
 /// An RPC request whose server-side dispatch CPU is queued; when it is
@@ -200,6 +184,9 @@ mod tag {
 /// The backend task.
 pub struct BackendNode {
     cfg: BackendCfg,
+    hasher: Arc<dyn KeyHasher>,
+    config_store: Option<NodeId>,
+    recover: bool,
     store: BackendStore,
     /// RMA transport state (public so harnesses can sample engine counts).
     pub transport: Transport,
@@ -231,7 +218,7 @@ pub struct BackendNode {
     /// Frame-buffer pool every response/request is encoded into; swapped
     /// for the host-shared pool at [`Event::Start`].
     pool: Pool,
-    /// WAL group-commit engine (`cfg.durable`); `None` leaves every
+    /// WAL group-commit engine (`BackendIdentity::durable`); `None` leaves every
     /// mutation path exactly as it was before durability existed.
     wal: Option<crate::wal::WalEngine>,
 }
@@ -300,20 +287,22 @@ impl std::fmt::Debug for BackendNode {
 }
 
 impl BackendNode {
-    /// Build a backend from its configuration.
-    pub fn new(cfg: BackendCfg) -> BackendNode {
-        let policy = crate::policy::policy_by_name(&cfg.policy, cfg.store.shard as u64 + 1);
-        let store = BackendStore::new(cfg.store.clone(), policy);
-        let transport = match (cfg.transport, cfg.shared_pony.clone()) {
-            (TransportKind::PonyExpress, Some(pool)) => Transport::pony_shared(pool),
-            (TransportKind::PonyExpress, None) => Transport::pony(cfg.pony.clone()),
-            (TransportKind::OneRma, _) => Transport::one_rma(),
-            (TransportKind::Rdma, _) => Transport::rdma(),
+    /// Build backend `me` of a cell whose backends share `cfg`. It starts
+    /// at the cell's first configuration (config id 1).
+    pub fn new(cfg: BackendCfg, me: BackendIdentity) -> BackendNode {
+        let store_cfg = StoreCfg {
+            shard: me.shard.unwrap_or(NO_SHARD),
+            config_id: 1,
+            ..cfg.store.clone()
         };
-        let repair_id = REPAIR_CLIENT_ID.wrapping_add(cfg.store.shard);
+        let repair_id = REPAIR_CLIENT_ID.wrapping_add(store_cfg.shard);
+        let store = BackendStore::new(store_cfg, Box::new(crate::policy::LruPolicy::new()));
         BackendNode {
+            hasher: me.hasher,
+            config_store: me.config_store,
+            recover: me.recover,
             store,
-            transport,
+            transport: me.transport,
             dispatches: Deferred::responses(),
             work: Deferred::aux1(),
             calls: CallTable::new(0xBAC0),
@@ -328,7 +317,7 @@ impl BackendNode {
             hot_busy_mark: 0,
             hot_push_pending: Vec::new(),
             pool: Pool::new(),
-            wal: cfg.durable.clone().map(crate::wal::WalEngine::new),
+            wal: me.durable.map(crate::wal::WalEngine::new),
             cfg,
         }
     }
@@ -456,7 +445,7 @@ impl BackendNode {
             method::CONNECT => {
                 let (status, body) = if self.store.is_resizing() {
                     (Status::Stalled, Bytes::new())
-                } else if self.cfg.is_spare && !self.has_identity() {
+                } else if !self.has_identity() {
                     (Status::WrongShard, Bytes::new())
                 } else {
                     (Status::Ok, self.store.geometry().encode_in(&self.pool))
@@ -467,7 +456,7 @@ impl BackendNode {
             method::SET | method::REPAIR_SET | method::CAS => self.handle_set(ctx, src, req),
             method::ERASE => {
                 let erase = messages::EraseReq::decode(req.body)?;
-                let hash = self.cfg.hasher.hash(&erase.key);
+                let hash = self.hasher.hash(&erase.key);
                 let status = self.apply(ctx, &erase.key, hash, None, erase.version);
                 self.respond_rpc(ctx, src, req.id, status, Bytes::new());
                 Some(())
@@ -519,7 +508,7 @@ impl BackendNode {
     }
 
     fn has_identity(&self) -> bool {
-        self.store.shard() != u32::MAX
+        self.store.shard() != NO_SHARD
     }
 
     /// SET, REPAIR_SET and CAS: prepare the entry and stream it in; a
@@ -527,14 +516,14 @@ impl BackendNode {
     fn handle_set(&mut self, ctx: &mut Ctx<'_>, src: NodeId, req: rpc::Request) -> Handled {
         let prepared = if req.method == method::CAS {
             let cas = messages::CasReq::decode(req.body)?;
-            let hash = self.cfg.hasher.hash(&cas.key);
+            let hash = self.hasher.hash(&cas.key);
             let (expected, version) = (cas.expected, cas.new_version);
             self.store
                 .prepare_cas(&cas.key, &cas.value, hash, expected, version)
         } else {
             let is_repair = req.method == method::REPAIR_SET;
             let set = messages::SetReq::decode(req.body)?;
-            let hash = self.cfg.hasher.hash(&set.key);
+            let hash = self.hasher.hash(&set.key);
             if !is_repair {
                 self.note_serve(hash);
             }
@@ -604,7 +593,7 @@ impl BackendNode {
     /// The pair stored under exactly `key`, if any (counted as a serve by
     /// the hot-key detector either way).
     fn lookup(&mut self, key: &[u8]) -> Option<(Bytes, Bytes, VersionNumber)> {
-        let hash = self.cfg.hasher.hash(key);
+        let hash = self.hasher.hash(key);
         self.note_serve(hash);
         self.store
             .fetch(hash)
@@ -671,7 +660,7 @@ impl BackendNode {
         let mset = messages::MultiSetReq::decode(req.body)?;
         let mut statuses = Vec::with_capacity(mset.entries.len());
         for (sub, (key, value, version)) in mset.subs.iter().zip(&mset.entries) {
-            let hash = self.cfg.hasher.hash(key);
+            let hash = self.hasher.hash(key);
             self.note_serve(hash);
             let status = self.apply(ctx, key, hash, Some(value), *version);
             statuses.push((*sub, status as u8));
@@ -846,7 +835,7 @@ impl BackendNode {
             .borrow()
             .for_each_record(|kind, version, key, value| {
                 records += 1;
-                let hash = self.cfg.hasher.hash(key);
+                let hash = self.hasher.hash(key);
                 let version = VersionNumber(version);
                 let status = if kind == durable::KIND_ERASE {
                     self.store.erase(hash, version)
@@ -1088,7 +1077,7 @@ impl BackendNode {
                 // mismatch in the bucket header and refresh their config —
                 // discovering the spare without ever hitting a timeout (§6.1).
                 self.store.set_config_id(config.config_id);
-                if let Some(store) = self.cfg.config_store {
+                if let Some(store) = self.config_store {
                     let body = config.encode();
                     self.call(ctx, store, method::UPDATE_CONFIG, body, tag::PUBLISH);
                 }
@@ -1112,12 +1101,12 @@ impl BackendNode {
     ) -> Handled {
         let chunk = messages::MigrateChunk::decode(req.body)?;
         for (key, value, version) in &chunk.entries {
-            let hash = self.cfg.hasher.hash(key);
+            let hash = self.hasher.hash(key);
             self.apply(ctx, key, hash, Some(value), *version);
             ctx.metrics().add_id(self.m().migrate_in_entries, 1);
         }
         for (key, version) in &chunk.erased {
-            let hash = self.cfg.hasher.hash(key);
+            let hash = self.hasher.hash(key);
             self.apply(ctx, key, hash, None, *version);
         }
         if chunk.last {
@@ -1125,7 +1114,6 @@ impl BackendNode {
             // id so clients validate correctly against us.
             self.store.set_shard(chunk.shard);
             self.store.set_config_id(chunk.new_config_id);
-            self.cfg.is_spare = false;
             ctx.metrics().add_id(self.m().takeovers, 1);
         }
         self.respond_rpc(ctx, src, req.id, Status::Ok, Bytes::new());
@@ -1144,7 +1132,7 @@ impl BackendNode {
     /// Ask the config store (if the cell has one) for the configuration;
     /// `purpose` tags what the answer is for.
     fn get_config(&mut self, ctx: &mut Ctx<'_>, purpose: u64) {
-        if let Some(store) = self.cfg.config_store {
+        if let Some(store) = self.config_store {
             self.call(ctx, store, method::GET_CONFIG, Bytes::new(), purpose);
         }
     }
@@ -1201,7 +1189,7 @@ impl BackendNode {
                 ctx.metrics()
                     .add_id(self.m().recovery_bytes, done.body.len() as u64);
                 if let Some(r) = messages::GetResp::decode(done.body) {
-                    let hash = self.cfg.hasher.hash(&r.key);
+                    let hash = self.hasher.hash(&r.key);
                     if self.apply(ctx, &r.key, hash, Some(&r.value[..]), r.version) == Status::Ok {
                         ctx.metrics().add_id(self.m().recovered_entries, 1);
                     }
@@ -1260,7 +1248,7 @@ impl Node for BackendNode {
                     self.wal_replay(ctx);
                     self.after(ctx, interval, Work::WalTrickleTick);
                 }
-                if self.cfg.recover_on_start {
+                if self.recover {
                     let step = self.repair.begin(repair::Mode::Pull);
                     self.repair_steps(ctx, [step]);
                 }
@@ -1374,6 +1362,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
+    use crate::hash::DefaultHasher;
     use crate::messages::{Geometry, GetReq, GetResp, SetReq};
     use crate::version::VersionNumber;
     use simnet::{FabricCfg, HostCfg, Sim};
@@ -1422,10 +1411,20 @@ mod tests {
         }
     }
 
-    fn backend_sim(cfg: BackendCfg) -> (Sim, NodeId) {
+    /// A backend of its own cell: shard 0, a private Pony engine pool, no
+    /// config store.
+    fn backend_sim(cfg: BackendCfg, durable: Option<DurableCfg>) -> (Sim, NodeId) {
         let mut sim = Sim::new(FabricCfg::default(), 7);
         let bh = sim.add_host(HostCfg::default().no_cstates());
-        let backend = sim.add_node(bh, Box::new(BackendNode::new(cfg)));
+        let me = BackendIdentity {
+            shard: Some(0),
+            config_store: None,
+            transport: Transport::pony(rma::PonyCfg::default()),
+            durable,
+            hasher: Arc::new(DefaultHasher),
+            recover: false,
+        };
+        let backend = sim.add_node(bh, Box::new(BackendNode::new(cfg, me)));
         (sim, backend)
     }
 
@@ -1445,7 +1444,7 @@ mod tests {
     }
 
     fn probe_run(cfg: BackendCfg, script: Vec<(u16, Bytes)>) -> Vec<(u16, Status, Bytes)> {
-        let (mut sim, backend) = backend_sim(cfg);
+        let (mut sim, backend) = backend_sim(cfg, None);
         let ph = sim.add_host(HostCfg::default().no_cstates());
         probe(&mut sim, ph, backend, script, 50)
     }
@@ -1477,7 +1476,7 @@ mod tests {
         // Requests are issued concurrently; the SET's chunked write keeps
         // it in flight past the GET's dispatch, so run two probes serially
         // instead: set first, then get.
-        let (mut sim, backend) = backend_sim(BackendCfg::default());
+        let (mut sim, backend) = backend_sim(BackendCfg::default(), None);
         let ph = sim.add_host(HostCfg::default().no_cstates());
         let r1 = probe(&mut sim, ph, backend, vec![(method::SET, set.encode())], 20);
         assert_eq!(r1[0].1, Status::Ok);
@@ -1498,7 +1497,7 @@ mod tests {
             value: Bytes::from_static(b"x"),
             version: v(1),
         };
-        let (mut sim, backend) = backend_sim(BackendCfg::default());
+        let (mut sim, backend) = backend_sim(BackendCfg::default(), None);
         let ph = sim.add_host(HostCfg::default().no_cstates());
         probe(&mut sim, ph, backend, vec![(method::SET, set.encode())], 20);
         let get = GetReq {
@@ -1527,7 +1526,7 @@ mod tests {
             value: Bytes::from_static(b"v10"),
             version: v(10),
         };
-        let (mut sim, backend) = backend_sim(BackendCfg::default());
+        let (mut sim, backend) = backend_sim(BackendCfg::default(), None);
         let ph = sim.add_host(HostCfg::default().no_cstates());
         probe(&mut sim, ph, backend, vec![(method::SET, hi.encode())], 20);
         let lo = SetReq {
@@ -1541,7 +1540,7 @@ mod tests {
 
     #[test]
     fn ancient_protocol_version_rejected() {
-        let (mut sim, backend) = backend_sim(BackendCfg::default());
+        let (mut sim, backend) = backend_sim(BackendCfg::default(), None);
         let ph = sim.add_host(HostCfg::default().no_cstates());
         // Hand-roll a request with protocol version 0.
         struct OldClient {
@@ -1656,11 +1655,8 @@ mod tests {
         // the trickle ticks are the backend's own continuations: none of
         // them may wait on (or trip over) the full RPC intake.
         let media = Rc::new(RefCell::new(durable::Media::default()));
-        let cfg = BackendCfg {
-            durable: Some(crate::wal::DurableCfg::new(media.clone())),
-            ..BackendCfg::default()
-        };
-        let (mut sim, backend) = backend_sim(cfg);
+        let durable = DurableCfg::new(media.clone());
+        let (mut sim, backend) = backend_sim(BackendCfg::default(), Some(durable));
         sim.enable_devices(simnet::DeviceCfg::default());
         let g = sim
             .with_node::<BackendNode, _>(backend, |b| b.store().geometry())
@@ -1716,7 +1712,7 @@ mod tests {
         cfg.store.data_capacity = 16 << 10;
         cfg.store.max_data_capacity = 16 << 10;
         cfg.store.slab_bytes = 4 << 10;
-        let (mut sim, backend) = backend_sim(cfg);
+        let (mut sim, backend) = backend_sim(cfg, None);
         let ph = sim.add_host(HostCfg::default().no_cstates());
         let hasher = DefaultHasher;
         // Install 8 keys of 1.5KB (capacity ~10 slots of 2K).

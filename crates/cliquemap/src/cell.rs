@@ -9,17 +9,22 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use bytes::Bytes;
-use rma::{PonyHost, TransportKind};
+use rma::PonyHost;
+/// The transport types [`CellSpec`] and the node identities name.
+pub use rma::{PonyCfg, Transport, TransportKind};
 use simnet::{
     Ctx, DeviceCfg, Event, FabricCfg, HostCfg, HostId, Node, NodeId, Sim, SimDuration, SimTime,
 };
 
-use crate::backend::{BackendCfg, BackendNode};
+use crate::backend::{BackendCfg, BackendIdentity, BackendNode};
 use crate::client::{ClientCfg, ClientIdentity, ClientNode, ClientShared};
 use crate::client_cache::SharedValues;
 use crate::config::{CellConfig, ConfigStoreNode, ReplicationMode};
+use crate::hash::{DefaultHasher, KeyHasher};
+use crate::wal::DurableCfg;
 use crate::workload::Workload;
 
 /// A one-shot control-plane injector: sends a single RPC (e.g.
@@ -82,9 +87,9 @@ impl Node for InjectorNode {
 
 /// Per-cell RAM-first durability: gives every backend a WAL on its host's
 /// timed storage device (see [`crate::wal`]). The cell builder keeps a
-/// handle to each backend's [`durable::Media`] in [`Cell::media`] so
-/// restart harnesses can hand the same media to a reviver's replacement
-/// node — which is what makes its restart warm.
+/// handle to each backend's [`durable::Media`] in [`Cell::media`], and
+/// [`Cell::restart_backend`] hands the same media to the replacement node —
+/// which is what makes its restart warm.
 #[derive(Clone, Debug)]
 pub struct DurabilitySpec {
     /// Storage device timing model installed on every host.
@@ -102,7 +107,10 @@ impl Default for DurabilitySpec {
     }
 }
 
-/// Declarative description of a cell.
+/// Declarative description of a cell: the choices every node of the cell
+/// must agree on, stated once, and a template for each kind of node. What
+/// differs per node (shard, client id, host transport, media) the builder
+/// assigns.
 pub struct CellSpec {
     /// Simulation seed.
     pub seed: u64,
@@ -112,6 +120,13 @@ pub struct CellSpec {
     pub host: HostCfg,
     /// Replication mode.
     pub replication: ReplicationMode,
+    /// The RMA protocol every host speaks.
+    pub transport: TransportKind,
+    /// Pony Express engine configuration of every host's engine pool (used
+    /// when the transport is Pony Express).
+    pub pony: PonyCfg,
+    /// Key hasher every client and backend places keys with (§6.5).
+    pub hasher: Arc<dyn KeyHasher>,
     /// Number of primary backends (== shards).
     pub num_backends: u32,
     /// Number of warm spares.
@@ -122,9 +137,9 @@ pub struct CellSpec {
     /// fleet mixes dedicated client hosts with co-tenant ones). 0 = all
     /// clients on their own hosts; 1 = all co-tenant.
     pub colocate_fraction: f64,
-    /// Backend template (shard/config-id/identity fields are overridden).
+    /// Backend template.
     pub backend: BackendCfg,
-    /// Client template (client-id/config-store fields are overridden).
+    /// Client template (the config-store field is overridden).
     pub client: ClientCfg,
     /// Coalesce retransmitted GET_CONFIGs at the config store (see
     /// [`ConfigStoreNode::with_read_coalescing`]). Required for macro
@@ -144,6 +159,9 @@ impl Default for CellSpec {
             fabric: FabricCfg::default(),
             host: HostCfg::default(),
             replication: ReplicationMode::R32,
+            transport: TransportKind::PonyExpress,
+            pony: PonyCfg::default(),
+            hasher: Arc::new(DefaultHasher),
             num_backends: 3,
             num_spares: 0,
             clients_per_host: 1,
@@ -176,14 +194,15 @@ pub struct Cell {
     /// for engine-count sampling.
     pub pony_pools: HashMap<HostId, Rc<RefCell<PonyHost>>>,
     /// Per-backend durable media, parallel to `backends` (empty unless
-    /// [`CellSpec::durability`] was set). Restart harnesses clone the
-    /// victim's handle into the reviver's template config so the
-    /// replacement node replays the same media.
+    /// [`CellSpec::durability`] was set). [`Cell::restart_backend`] hands
+    /// the victim's media to its replacement, which replays it.
     pub media: Vec<Rc<RefCell<durable::Media>>>,
-    /// What the clients hold the same way: interned configs and
-    /// geometries, metric handles, and the lease caches' value table (only
-    /// when `client.cache` is set).
+    /// What the clients hold the same way: the hasher, interned configs
+    /// and geometries, metric handles, and the lease caches' value table
+    /// (only when `client.cache` is set).
     client_shared: ClientShared,
+    /// The spec the cell was built from: restarts build from it again.
+    spec: CellSpec,
 }
 
 impl Cell {
@@ -194,20 +213,6 @@ impl Cell {
         if let Some(d) = &spec.durability {
             sim.enable_devices(d.device.clone());
         }
-        let mut media = Vec::new();
-        // Pony Express is a host-level service: all nodes on a host share
-        // one engine pool.
-        let mut pony_pools: HashMap<HostId, Rc<RefCell<PonyHost>>> = HashMap::new();
-        let pony_cfg = spec.backend.pony.clone();
-        let pool_for = move |pools: &mut HashMap<HostId, Rc<RefCell<PonyHost>>>,
-                             host: HostId|
-              -> Rc<RefCell<PonyHost>> {
-            pools
-                .entry(host)
-                .or_insert_with(|| Rc::new(RefCell::new(PonyHost::new(pony_cfg.clone()))))
-                .clone()
-        };
-
         // The config store occupies node id 0 on its own host; it is
         // populated with the real configuration once all ids are known.
         let cs_host = sim.add_host(spec.host.clone());
@@ -221,73 +226,54 @@ impl Cell {
             cs_node = cs_node.with_read_coalescing();
         }
         let config_store = sim.add_node(cs_host, Box::new(cs_node));
+        // One value table for all the cell's lease caches: clients reading
+        // one corpus cache the same versions.
+        let shared_values = spec.client.cache.as_ref().map(|_| SharedValues::new());
+        let client_shared = ClientShared::new(spec.hasher.clone(), shared_values);
+        let mut cell = Cell {
+            sim,
+            config_store,
+            backends: Vec::new(),
+            spares: Vec::new(),
+            clients: Vec::new(),
+            backend_hosts: Vec::new(),
+            client_hosts: Vec::new(),
+            pony_pools: HashMap::new(),
+            media: Vec::new(),
+            client_shared,
+            spec,
+        };
 
-        // Backends: one host each.
-        let mut backends = Vec::new();
-        let mut backend_hosts = Vec::new();
-        for shard in 0..spec.num_backends {
-            let host = sim.add_host(spec.host.clone());
-            let mut cfg = spec.backend.clone();
-            cfg.store.shard = shard;
-            cfg.store.config_id = 1;
-            cfg.config_store = Some(config_store);
-            cfg.is_spare = false;
-            if cfg.transport == TransportKind::PonyExpress {
-                cfg.shared_pony = Some(pool_for(&mut pony_pools, host));
-            }
-            if let Some(d) = &spec.durability {
-                let m = Rc::new(RefCell::new(durable::Media::default()));
-                cfg.durable = Some(crate::wal::DurableCfg {
-                    media: m.clone(),
-                    trickle_interval: d.trickle_interval,
-                });
-                media.push(m);
-            }
-            let id = sim.add_node(host, Box::new(BackendNode::new(cfg)));
-            backends.push(id);
-            backend_hosts.push(host);
+        // Backends, then warm spares (no shard identity yet).
+        for shard in 0..cell.spec.num_backends {
+            let (id, host) = cell.add_backend(Some(shard));
+            cell.backends.push(id);
+            cell.backend_hosts.push(host);
         }
-
-        // Warm spares: hosts of their own, no shard identity yet.
-        let mut spares = Vec::new();
-        for _ in 0..spec.num_spares {
-            let host = sim.add_host(spec.host.clone());
-            let mut cfg = spec.backend.clone();
-            cfg.store.shard = u32::MAX;
-            cfg.store.config_id = 1;
-            cfg.config_store = Some(config_store);
-            cfg.is_spare = true;
-            if cfg.transport == TransportKind::PonyExpress {
-                cfg.shared_pony = Some(pool_for(&mut pony_pools, host));
-            }
-            let id = sim.add_node(host, Box::new(BackendNode::new(cfg)));
-            spares.push(id);
+        for _ in 0..cell.spec.num_spares {
+            let (id, _) = cell.add_backend(None);
+            cell.spares.push(id);
         }
 
         // Clients: packed onto hosts, possibly co-tenant with backends.
-        let mut clients = Vec::new();
-        let mut client_hosts = Vec::new();
-        let per_host = spec.clients_per_host.max(1) as usize;
+        let per_host = cell.spec.clients_per_host.max(1) as usize;
         let total = workloads.len();
-        let cotenant = (spec.colocate_fraction.clamp(0.0, 1.0) * total as f64).round() as usize;
+        let colocate = cell.spec.colocate_fraction.clamp(0.0, 1.0);
+        let cotenant = (colocate * total as f64).round() as usize;
         let mut dedicated_placed = 0usize;
-        let mut client_cfg = spec.client.clone();
+        let mut client_cfg = cell.spec.client.clone();
         client_cfg.config_store = config_store;
         let client_cfg = Rc::new(client_cfg);
-        // One value table for all the cell's lease caches: clients reading
-        // one corpus cache the same versions.
-        let shared_values = client_cfg.cache.as_ref().map(|_| SharedValues::new());
-        let client_shared = ClientShared::new(shared_values);
         for (i, workload) in workloads.into_iter().enumerate() {
             let host = if i < cotenant {
-                backend_hosts[i % backend_hosts.len()]
+                cell.backend_hosts[i % cell.backend_hosts.len()]
             } else {
                 if dedicated_placed.is_multiple_of(per_host) {
-                    let h = sim.add_host(spec.host.clone());
-                    client_hosts.push(h);
+                    let h = cell.sim.add_host(cell.spec.host.clone());
+                    cell.client_hosts.push(h);
                 }
                 dedicated_placed += 1;
-                *client_hosts.last().expect("pushed above")
+                *cell.client_hosts.last().expect("pushed above")
             };
             let client_id = i as u32 + 1;
             let me = ClientIdentity {
@@ -296,40 +282,99 @@ impl Cell {
                 // nothing from the sim RNG, so existing schedules are
                 // bit-for-bit untouched.
                 adaptive_seed: match client_cfg.adaptive {
-                    Some(_) => sim.fork_rng().next_u64() ^ client_id as u64,
+                    Some(_) => cell.sim.fork_rng().next_u64() ^ client_id as u64,
                     None => 0,
                 },
-                shared_pony: (client_cfg.transport == TransportKind::PonyExpress)
-                    .then(|| pool_for(&mut pony_pools, host)),
-                shared: client_shared.clone(),
+                transport: cell.transport(host),
+                shared: cell.client_shared.clone(),
             };
             let node = ClientNode::new(client_cfg.clone(), me, workload);
-            let id = sim.add_node(host, Box::new(node));
-            clients.push(id);
+            cell.clients.push(cell.sim.add_node(host, Box::new(node)));
         }
 
         // Install the real configuration.
         let config = CellConfig {
             config_id: 1,
-            replication: spec.replication,
-            shards: backends.iter().map(|n| n.0).collect(),
-            spares: spares.iter().map(|n| n.0).collect(),
+            replication: cell.spec.replication,
+            shards: cell.backends.iter().map(|n| n.0).collect(),
+            spares: cell.spares.iter().map(|n| n.0).collect(),
         };
-        sim.with_node::<ConfigStoreNode, _>(config_store, |cs| cs.set_config(config))
+        cell.sim
+            .with_node::<ConfigStoreNode, _>(config_store, |cs| cs.set_config(config))
             .expect("config store exists");
+        cell
+    }
 
-        Cell {
-            sim,
-            config_store,
-            backends,
-            spares,
-            clients,
-            backend_hosts,
-            client_hosts,
-            pony_pools,
-            media,
-            client_shared,
+    /// A node's transport on `host`: Pony Express nodes share their host's
+    /// engine pool, made on first use.
+    fn transport(&mut self, host: HostId) -> Transport {
+        match self.spec.transport {
+            TransportKind::PonyExpress => {
+                let pony = &self.spec.pony;
+                let pool = self
+                    .pony_pools
+                    .entry(host)
+                    .or_insert_with(|| Rc::new(RefCell::new(PonyHost::new(pony.clone()))));
+                Transport::pony_shared(pool.clone())
+            }
+            TransportKind::OneRma => Transport::one_rma(),
+            TransportKind::Rdma => Transport::rdma(),
         }
+    }
+
+    /// Add backend `shard` (`None`: a warm spare) on a host of its own;
+    /// only a shard gets media.
+    fn add_backend(&mut self, shard: Option<u32>) -> (NodeId, HostId) {
+        let host = self.sim.add_host(self.spec.host.clone());
+        if shard.is_some() && self.spec.durability.is_some() {
+            self.media.push(Rc::default());
+        }
+        let me = self.identity(shard, host, false);
+        let node = BackendNode::new(self.spec.backend.clone(), me);
+        (self.sim.add_node(host, Box::new(node)), host)
+    }
+
+    /// What the cell assigns backend `shard` on `host`, at build and
+    /// restart alike: the host's transport, the shard's media when the cell
+    /// is durable, the cell's config store and hasher.
+    fn identity(&mut self, shard: Option<u32>, host: HostId, recover: bool) -> BackendIdentity {
+        let durable = self
+            .spec
+            .durability
+            .as_ref()
+            .zip(shard)
+            .map(|(d, s)| DurableCfg {
+                media: self.media[s as usize].clone(),
+                trickle_interval: d.trickle_interval,
+            });
+        BackendIdentity {
+            shard,
+            config_store: Some(self.config_store),
+            transport: self.transport(host),
+            durable,
+            hasher: self.spec.hasher.clone(),
+            recover,
+        }
+    }
+
+    /// Backend `i` as the cell built it, pulling repairs from its cohort
+    /// at start when `recover` is set (§5.4): a closure that owns what it
+    /// needs, so a fault plan's reviver can rebuild it at every restart.
+    pub fn backend_reviver(
+        &mut self,
+        i: usize,
+        recover: bool,
+    ) -> impl Fn() -> BackendNode + 'static {
+        let me = self.identity(Some(i as u32), self.backend_hosts[i], recover);
+        let cfg = self.spec.backend.clone();
+        move || BackendNode::new(cfg.clone(), me.clone())
+    }
+
+    /// Revive crashed backend `i` as the cell built it: the same host
+    /// engine pool, its media, the cell's first config.
+    pub fn restart_backend(&mut self, i: usize, recover: bool) {
+        let node = self.backend_reviver(i, recover)();
+        self.sim.revive(self.backends[i], Box::new(node));
     }
 
     /// The value table the cell's lease caches share (`None` when
@@ -800,13 +845,12 @@ mod tests {
 
     #[test]
     fn overflow_rpc_fallback_serves_displaced_keys() {
-        // Tiny 1-slot buckets force associativity displacement; with the
-        // fallback enabled, a GET of a displaced key still hits via RPC.
+        // Tiny 1-slot buckets force associativity displacement; a GET of a
+        // displaced key still hits via the RPC fallback (§4.2).
         let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R1);
         spec.backend.store.num_buckets = 1;
         spec.backend.store.assoc = 1;
         spec.backend.store.overflow_capacity = 16;
-        spec.client.rpc_fallback_on_overflow = true;
         // Write enough same-shard keys that some are displaced, then read
         // them all back.
         let mut ops = Vec::new();
@@ -828,12 +872,11 @@ mod tests {
     }
 
     #[test]
-    fn overflow_fallback_disabled_means_misses() {
+    fn without_an_overflow_table_displaced_keys_miss() {
         let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R1);
         spec.backend.store.num_buckets = 1;
         spec.backend.store.assoc = 1;
-        spec.backend.store.overflow_capacity = 16;
-        spec.client.rpc_fallback_on_overflow = false;
+        spec.backend.store.overflow_capacity = 0;
         let mut ops = Vec::new();
         for i in 0..6u32 {
             ops.push((100, set(&format!("ov{i}"), "value")));
@@ -845,7 +888,7 @@ mod tests {
         cell.run_for(SimDuration::from_secs(1));
         assert!(
             cell.misses() > 0,
-            "displaced keys should miss without fallback"
+            "displaced keys should miss without an overflow table"
         );
     }
 
@@ -873,7 +916,6 @@ mod tests {
         spec.backend.reshape_check = SimDuration::from_millis(5);
         // A bucket can still overflow between reshape checks; the RPC
         // fallback keeps those keys servable.
-        spec.client.rpc_fallback_on_overflow = true;
         let mut ops = Vec::new();
         // 300 inserts (vs ~128 initial slots per backend) interleaved with
         // reads of earlier keys.
@@ -973,13 +1015,12 @@ mod tests {
 
     /// End-to-end warm restart: with durability on, a backend's committed
     /// SETs survive its crash via WAL replay from the attached media —
-    /// before any peer repair can possibly have run (recover_on_start is
-    /// off here, so local replay is the *only* recovery path).
+    /// before any peer repair can possibly have run (the restart does not
+    /// recover, so local replay is the *only* recovery path).
     #[test]
     fn warm_restart_replays_wal_without_peer_repair() {
         let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
         spec.durability = Some(DurabilitySpec::default());
-        let template = spec.backend.clone();
         let mut ops = Vec::new();
         for i in 0..40u32 {
             ops.push((100, set(&format!("wal{i}"), "durable-value")));
@@ -990,7 +1031,6 @@ mod tests {
         cell.run_for(SimDuration::from_millis(100));
         assert_eq!(cell.op_errors(), 0);
         let victim = cell.backends[1];
-        let shard = 1u32;
         let pre = cell
             .sim
             .with_node::<BackendNode, _>(victim, |b| b.store().live_entries())
@@ -1007,15 +1047,7 @@ mod tests {
         );
         // Crash and revive with the SAME media, peer repair disabled.
         cell.sim.crash(victim);
-        let mut cfg = template;
-        cfg.store.shard = shard;
-        cfg.store.config_id = 1;
-        cfg.config_store = Some(cell.config_store);
-        cfg.recover_on_start = false;
-        cfg.durable = Some(crate::wal::DurableCfg::new(
-            cell.media[shard as usize].clone(),
-        ));
-        cell.sim.revive(victim, Box::new(BackendNode::new(cfg)));
+        cell.restart_backend(1, false);
         cell.run_for(SimDuration::from_millis(50));
         let post = cell
             .sim
@@ -1039,23 +1071,8 @@ mod tests {
                     .collect::<Vec<_>>()
             })
             .expect("victim alive");
-        let mut cfg2 = BackendCfg {
-            store: crate::store::StoreCfg {
-                shard,
-                config_id: 1,
-                ..small_spec(LookupStrategy::TwoR, ReplicationMode::R32)
-                    .backend
-                    .store
-            },
-            recover_on_start: false,
-            config_store: Some(cell.config_store),
-            ..small_spec(LookupStrategy::TwoR, ReplicationMode::R32).backend
-        };
-        cfg2.durable = Some(crate::wal::DurableCfg::new(
-            cell.media[shard as usize].clone(),
-        ));
         cell.sim.crash(victim);
-        cell.sim.revive(victim, Box::new(BackendNode::new(cfg2)));
+        cell.restart_backend(1, false);
         cell.run_for(SimDuration::from_millis(50));
         let dump_twice = cell
             .sim
@@ -1068,6 +1085,56 @@ mod tests {
             })
             .expect("victim alive");
         assert_eq!(dump_once, dump_twice, "replay is not idempotent");
+    }
+
+    /// A restart builds the node the cell built: on the host's engine pool,
+    /// at shard `i` and config id 1, replaying the shard's media, trickling
+    /// at the spec's period (1 s here, not the 5 ms default).
+    #[test]
+    fn a_restart_matches_the_build() {
+        let mut spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
+        spec.durability = Some(DurabilitySpec {
+            trickle_interval: SimDuration::from_secs(1),
+            ..DurabilitySpec::default()
+        });
+        let ops = (0..40u32).map(|i| (100, set(&format!("r{i}"), "v")));
+        let mut cell = Cell::build(spec, vec![script(ops.collect())]);
+        cell.run_for(SimDuration::from_millis(100));
+        let (i, victim) = (1, cell.backends[1]);
+        let live = |cell: &mut Cell| {
+            let live = cell
+                .sim
+                .with_node::<BackendNode, _>(victim, |b| b.store().live_entries());
+            live.expect("victim alive")
+        };
+        let pre = live(&mut cell);
+        let records = cell.media[i].borrow().wal_records();
+        assert!(pre > 0 && records > 0, "nothing durable to replay");
+        cell.sim.crash(victim);
+        cell.restart_backend(i, false);
+        cell.run_for(SimDuration::from_millis(800));
+        let pool = cell.pony_pools[&cell.backend_hosts[i]].clone();
+        let built = cell.sim.with_node::<BackendNode, _>(victim, |b| {
+            let own = b.transport.pony.as_ref().expect("a Pony cell");
+            (
+                Rc::ptr_eq(own, &pool),
+                b.store().shard(),
+                b.store().config_id(),
+            )
+        });
+        assert_eq!(
+            built,
+            Some((true, i as u32, 1)),
+            "(host pool, shard, config id)"
+        );
+        assert_eq!(live(&mut cell), pre);
+        let m = cell.sim.metrics();
+        assert!(m.counter("cm.backend.wal_replayed") >= records);
+        assert_eq!(
+            m.counter("cm.backend.wal_trickled"),
+            0,
+            "a trickle before 1 s"
+        );
     }
 
     /// Durability off is the byte-identical default: the same cell with

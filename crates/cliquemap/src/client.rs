@@ -24,7 +24,7 @@ use std::sync::{Arc, LazyLock};
 
 use bytes::{Bytes, Pool};
 
-use rma::{PonyCfg, RmaOpTable, RmaStatus, Transport, TransportKind};
+use rma::{RmaOpTable, RmaStatus, Transport};
 use rpc::{CallTable, RetryPolicy, RetryState, RpcCostModel, Status};
 use simnet::{
     Ctx, Deferred, Event, IdMap, IdSet, MetricId, Metrics, Node, NodeId, SimDuration, SimTime,
@@ -148,26 +148,18 @@ const BATCHED_KEY_CPU: SimDuration = SimDuration::from_nanos(350);
 pub struct ClientCfg {
     /// Lookup strategy.
     pub strategy: LookupStrategy,
-    /// Client-side RMA transport (engine model for Pony).
-    pub transport: TransportKind,
-    /// Pony engine configuration.
-    pub pony: PonyCfg,
     /// Retry budget shared by all op types.
     pub retry: RetryPolicy,
     /// Per-attempt sub-op timeout (RMA and RPC).
     pub attempt_timeout: SimDuration,
     /// The cell's config store.
     pub config_store: NodeId,
-    /// Key hasher (must match the backends').
-    pub hasher: Arc<dyn KeyHasher>,
     /// Access-record flush period (`None` disables recency reporting).
     pub access_flush: Option<SimDuration>,
     /// Open- or closed-loop issue pacing.
     pub pacing: Pacing,
     /// Maximum concurrently outstanding logical ops (open loop).
     pub max_in_flight: usize,
-    /// RPC fallback on overflowed buckets (§4.2).
-    pub rpc_fallback_on_overflow: bool,
     /// Fetch data from the first replica whose index response arrives
     /// (§5.1 preferred-backend selection). Disabling it always fetches
     /// from the key's primary replica — the ablation showing why the
@@ -200,26 +192,27 @@ pub struct ClientIdentity {
     /// Seed for the adaptive controller's explorer; the cell forks it off
     /// the sim RNG only when [`ClientCfg::adaptive`] is set.
     pub adaptive_seed: u64,
-    /// Host-level Pony engine pool shared with co-located nodes.
-    pub shared_pony: Option<Rc<RefCell<rma::PonyHost>>>,
+    /// The RMA transport of the client's host (a Pony Express transport
+    /// shares the host's engine pool).
+    pub transport: Transport,
     /// The tables this client holds the same way as the rest of its cell
     /// (`ClientShared::default()` outside a cell: a cell of one).
     pub shared: ClientShared,
 }
 
 /// What every client of a cell holds the same way, stored once per cell:
-/// the decoded configs clients hold and the geometries backends advertised
-/// at CONNECT, each interned by content; the metric handles; and the lease
-/// caches' value table. Each client still decides which config and which
+/// the key hasher; the decoded configs clients hold and the geometries
+/// backends advertised at CONNECT, each interned by content; the metric
+/// handles; and the lease caches' value table. Each client still decides which config and which
 /// geometry per backend it holds, and when it refreshes or drops one, so
 /// its staleness is its own — only the bytes are shared. Host-side only:
 /// nothing simulated reads a table. No cap: one entry per distinct config
 /// or advertised geometry, and the tables never shrink.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ClientShared(Rc<SharedTables>);
 
-#[derive(Default)]
 struct SharedTables {
+    hasher: Arc<dyn KeyHasher>,
     values: Option<SharedValues>,
     configs: RefCell<Vec<Rc<CellConfig>>>,
     geometries: RefCell<(Vec<Geometry>, HashMap<Geometry, GeomId>)>,
@@ -230,15 +223,24 @@ struct SharedTables {
 #[derive(Debug, Clone, Copy)]
 struct GeomId(u32);
 
+impl Default for ClientShared {
+    fn default() -> Self {
+        ClientShared::new(Arc::new(DefaultHasher), None)
+    }
+}
+
 impl ClientShared {
-    /// Tables for one cell's clients; `values` is its lease caches' value
-    /// table (`None`: each cache keeps a table of its own).
-    pub fn new(values: Option<SharedValues>) -> ClientShared {
-        let tables = SharedTables {
+    /// Tables for one cell's clients, which hash keys with `hasher`;
+    /// `values` is its lease caches' value table (`None`: each cache keeps
+    /// a table of its own).
+    pub fn new(hasher: Arc<dyn KeyHasher>, values: Option<SharedValues>) -> ClientShared {
+        ClientShared(Rc::new(SharedTables {
+            hasher,
             values,
-            ..SharedTables::default()
-        };
-        ClientShared(Rc::new(tables))
+            configs: RefCell::default(),
+            geometries: RefCell::default(),
+            mids: OnceCell::new(),
+        }))
     }
 
     /// The lease caches' value table, if the cell has one.
@@ -283,16 +285,12 @@ impl Default for ClientCfg {
     fn default() -> Self {
         ClientCfg {
             strategy: LookupStrategy::TwoR,
-            transport: TransportKind::PonyExpress,
-            pony: PonyCfg::default(),
             retry: RetryPolicy::default(),
             attempt_timeout: SimDuration::from_millis(2),
             config_store: NodeId(0),
-            hasher: Arc::new(DefaultHasher),
             access_flush: Some(SimDuration::from_millis(50)),
             pacing: Pacing::Open,
             max_in_flight: 256,
-            rpc_fallback_on_overflow: false,
             prefer_first_responder: true,
             doorbell_batching: false,
             cache: None,
@@ -788,12 +786,7 @@ impl ClientMetricIds {
 impl ClientNode {
     /// Build a client that will drive `workload`.
     pub fn new(cfg: Rc<ClientCfg>, me: ClientIdentity, workload: Box<dyn Workload>) -> ClientNode {
-        let transport = match (cfg.transport, me.shared_pony) {
-            (TransportKind::PonyExpress, Some(pool)) => Transport::pony_shared(pool),
-            (TransportKind::PonyExpress, None) => Transport::pony(cfg.pony.clone()),
-            (TransportKind::OneRma, _) => Transport::one_rma(),
-            (TransportKind::Rdma, _) => Transport::rdma(),
-        };
+        let scar = me.transport.supports_scar();
         ClientNode {
             client_id: me.client_id,
             versions: VersionGen::new(me.client_id),
@@ -810,14 +803,14 @@ impl ClientNode {
                 // hardware transports the server bounces every scan with
                 // Unsupported. Mask the arm rather than learn that from a
                 // stream of doomed ops.
-                if cfg.transport != TransportKind::PonyExpress {
+                if !scar {
                     ctl.set_arm_enabled(adaptive::Strategy::Scar, false);
                 }
                 Box::new(ctl)
             }),
             cfg,
             workload,
-            transport,
+            transport: me.transport,
             rma: RmaOpTable::new(),
             work: Deferred::aux1(),
             memo: VersionMemo::default(),
@@ -1079,7 +1072,7 @@ impl ClientNode {
             self.parked.insert(op_id, p);
             return;
         };
-        let (hash, is_get, batch) = (self.cfg.hasher.hash(&p.key), p.kind.is_none(), p.batch);
+        let (hash, is_get, batch) = (self.shared.0.hasher.hash(&p.key), p.kind.is_none(), p.batch);
         let shard = place(hash, config.num_shards(), 1).shard;
         // Load-aware hot-key replication: feed the detector with the
         // client's own op stream; promoted keys get `extra_copies` more
@@ -1240,7 +1233,7 @@ impl ClientNode {
     /// Inspect the cached entry for a key regardless of lease state
     /// (harness/test visibility; `None` when absent or cache disabled).
     pub fn cache_peek(&self, key: &[u8]) -> Option<(VersionNumber, Bytes)> {
-        let hash = self.cfg.hasher.hash(key);
+        let hash = self.shared.0.hasher.hash(key);
         self.ccache
             .as_ref()
             .and_then(|c| c.peek(hash))
@@ -1336,7 +1329,6 @@ impl ClientNode {
             n_replicas: n_replicas as u8,
             data_is_separate: row.data_is_separate,
             prefer_first_responder: self.cfg.prefer_first_responder,
-            fallback: self.cfg.rpc_fallback_on_overflow,
         });
         for &r in consulted {
             let Some(geom) = self.geometry_of(r) else {

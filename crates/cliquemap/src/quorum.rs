@@ -105,8 +105,6 @@ pub struct GetRules {
     pub data_is_separate: bool,
     /// Fetch data from the first entry voter (§5.1); off, only the primary.
     pub prefer_first_responder: bool,
-    /// Overflowed buckets get an RPC fallback round before a miss.
-    pub fallback: bool,
 }
 
 /// One GET's quorum state. [`GetQuorum::begin`] starts each attempt; the
@@ -288,7 +286,7 @@ impl GetQuorum {
                 // A straggling vote must not launch a second round.
                 return GetStep::Wait;
             }
-            if self.saw_overflow && self.rules.fallback {
+            if self.saw_overflow {
                 self.saw_overflow = false;
                 self.serving = self.rules.n_replicas;
                 return GetStep::Fallback;

@@ -10,7 +10,7 @@
 //! recovery scan — which then only *delta*-repairs the un-fsynced tail
 //! instead of re-fetching the whole shard over the fabric.
 //!
-//! Wholly opt-in: [`crate::backend::BackendCfg::durable`] is `None` by
+//! Wholly opt-in: [`crate::backend::BackendIdentity::durable`] is `None` by
 //! default, and with it off no WAL type is ever constructed, no device op
 //! issued, and every schedule is byte-identical to a build without the
 //! subsystem.

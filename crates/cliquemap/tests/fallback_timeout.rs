@@ -31,14 +31,12 @@ fn a_lost_fallback_round_fails_its_attempt_once() {
         num_backends: 3,
         ..CellSpec::default()
     };
-    spec.backend.transport = TransportKind::Rdma;
+    spec.transport = TransportKind::Rdma;
     spec.backend.scan_interval = None;
     spec.backend.store.num_buckets = 1;
     spec.backend.store.assoc = 1;
     spec.backend.store.overflow_capacity = 16;
-    spec.client.transport = TransportKind::Rdma;
     spec.client.strategy = LookupStrategy::TwoR;
-    spec.client.rpc_fallback_on_overflow = true;
     spec.client.access_flush = None;
     let (max_attempts, attempt_timeout) =
         (spec.client.retry.max_attempts, spec.client.attempt_timeout);
@@ -124,7 +122,6 @@ fn a_miss_reached_through_the_fallback_round_drops_the_stale_lease() {
     spec.backend.store.assoc = 1;
     spec.backend.store.overflow_capacity = 16;
     spec.client.strategy = LookupStrategy::TwoR;
-    spec.client.rpc_fallback_on_overflow = true;
     spec.client.access_flush = None;
     spec.client.cache = Some(ClientCacheCfg {
         lease_ttl: SimDuration::from_millis(1),

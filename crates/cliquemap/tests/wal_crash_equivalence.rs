@@ -17,7 +17,6 @@ use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
 use cliquemap::hash::{DefaultHasher, KeyHasher};
 use cliquemap::version::VersionNumber;
-use cliquemap::wal::DurableCfg;
 use cliquemap::workload::{ClientOp, ScriptWorkload, Workload};
 use proptest::prelude::*;
 use simnet::SimDuration;
@@ -85,7 +84,6 @@ fn store_states(cell: &mut Cell, nkeys: u64) -> Vec<Vec<KeyState>> {
 /// warm-restart it after the stream drains.
 fn run_stream(nkeys: u64, nops: u64, crash_us: Option<u64>) -> Vec<Vec<KeyState>> {
     let spec = durable_spec();
-    let template = spec.backend.clone();
     let wl: Box<dyn Workload> = Box::new(ScriptWorkload::new(build_sets(nkeys, nops)));
     let mut cell = Cell::build(spec, vec![wl]);
     let stream_us = nops * GAP_US;
@@ -99,13 +97,7 @@ fn run_stream(nkeys: u64, nops: u64, crash_us: Option<u64>) -> Vec<Vec<KeyState>
             // Let the remaining SETs complete against the two live
             // replicas of the victim's cohorts.
             cell.run_for(SimDuration::from_micros(stream_us - at + 10_000));
-            let mut cfg = template;
-            cfg.store.shard = VICTIM as u32;
-            cfg.store.config_id = 1;
-            cfg.config_store = Some(cell.config_store);
-            cfg.recover_on_start = true;
-            cfg.durable = Some(DurableCfg::new(cell.media[VICTIM].clone()));
-            cell.sim.revive(victim, Box::new(BackendNode::new(cfg)));
+            cell.restart_backend(VICTIM, true);
             // WAL replay is synchronous at Start; the Pull delta repair
             // needs a few round trips plus CPU. 300ms is generous.
             cell.run_for(SimDuration::from_millis(300));

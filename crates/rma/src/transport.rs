@@ -35,8 +35,9 @@ pub enum TransportKind {
 /// The Pony engine pool is behind `Rc<RefCell<..>>` because Pony Express is
 /// a *host-level* service (Snap): every process on a machine shares one set
 /// of engines. Co-located nodes are handed the same pool, so co-tenant
-/// hosts aggregate load exactly as the paper's Fig. 15 fleet does.
-#[derive(Debug)]
+/// hosts aggregate load exactly as the paper's Fig. 15 fleet does. A clone
+/// shares the engine pool.
+#[derive(Debug, Clone)]
 pub struct Transport {
     /// Protocol in use.
     pub kind: TransportKind,

@@ -9,10 +9,8 @@
 use cliquemap::cell::{Cell, CellSpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
-use cliquemap::hash::PrefixShardHasher;
 use cliquemap::workload::Workload;
 use simnet::SimDuration;
-use std::sync::Arc;
 use workloads::{ProductionGets, ProductionSets, SizeDist};
 
 const SEGMENTS: u64 = 5_000;
@@ -27,9 +25,9 @@ fn main() {
     spec.client.strategy = LookupStrategy::Scar;
     spec.client.max_in_flight = 2048;
     // §6.5's customizable hash functions: every key shares the "k" prefix
-    // here, so use the default hasher; a real Geo deployment could pick
-    // PrefixShardHasher to co-locate a metro area's segments.
-    let _available_if_needed = Arc::new(PrefixShardHasher { prefix_len: 3 });
+    // here, so keep the default hasher; a real Geo deployment could set
+    // `CellSpec::hasher` to a `PrefixShardHasher` to co-locate a metro
+    // area's segments.
 
     let day = SimDuration::from_millis(250);
     let sizes = SizeDist::geo();

@@ -10,7 +10,6 @@
 
 use bytes::Bytes;
 
-use cliquemap::backend::{BackendCfg, BackendNode};
 use cliquemap::cell::{Cell, CellSpec, InjectorNode};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
@@ -31,7 +30,6 @@ fn main() {
     };
     spec.client.strategy = LookupStrategy::TwoR;
     spec.client.attempt_timeout = SimDuration::from_micros(500);
-    let backend_template: BackendCfg = spec.backend.clone();
 
     let workloads: Vec<Box<dyn Workload>> = (0..6)
         .map(|_| {
@@ -82,16 +80,10 @@ fn main() {
     assert_eq!(m.counter("cm.backend.takeovers"), 1);
 
     // Phase 3: unplanned crash of another backend, restart with recovery.
-    let victim = cell.backends[2];
-    cell.sim.crash(victim);
+    cell.sim.crash(cell.backends[2]);
     cell.run_for(SimDuration::from_millis(100));
     checkpoint(&mut cell, "one replica down (quorum still serves)");
-    let mut replacement = backend_template;
-    replacement.store.shard = 2;
-    replacement.config_store = Some(cell.config_store);
-    replacement.recover_on_start = true;
-    cell.sim
-        .revive(victim, Box::new(BackendNode::new(replacement)));
+    cell.restart_backend(2, true);
     cell.run_for(SimDuration::from_millis(300));
     checkpoint(&mut cell, "after restart + cohort repairs");
     let m = cell.sim.metrics();

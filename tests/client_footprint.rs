@@ -198,7 +198,6 @@ fn a_client_that_has_not_reconnected_keeps_its_stale_geometry() {
     };
     spec.backend.scan_interval = None;
     spec.client.access_flush = None;
-    let template = spec.backend.clone();
     let get = |ms| {
         let op = ClientOp::Get {
             key: Bytes::from_static(b"k"),
@@ -215,11 +214,7 @@ fn a_client_that_has_not_reconnected_keeps_its_stale_geometry() {
         .with_node::<BackendNode, _>(backend, |b| b.store().geometry())
         .unwrap();
     cell.sim.crash(backend);
-    let mut cfg = template;
-    cfg.store.shard = 0;
-    cfg.store.config_id = 1;
-    cfg.config_store = Some(cell.config_store);
-    cell.sim.revive(backend, Box::new(BackendNode::new(cfg)));
+    cell.restart_backend(0, false);
     let after = cell
         .sim
         .with_node::<BackendNode, _>(backend, |b| {

@@ -366,9 +366,7 @@ fn customizable_hash_functions_colocate_prefixed_keys() {
     use cliquemap::hash::PrefixShardHasher;
     use std::sync::Arc;
     let mut s = spec(LookupStrategy::TwoR, ReplicationMode::R1);
-    let hasher = Arc::new(PrefixShardHasher { prefix_len: 4 });
-    s.backend.hasher = hasher.clone();
-    s.client.hasher = hasher;
+    s.hasher = Arc::new(PrefixShardHasher { prefix_len: 4 });
     let mut ops: Vec<(u64, ClientOp)> = (0..20u64)
         .map(|i| {
             (

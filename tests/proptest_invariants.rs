@@ -698,8 +698,7 @@ proptest! {
             ..CellSpec::default()
         };
         spec.client.strategy = LookupStrategy::TwoR;
-        spec.backend.transport = rma::TransportKind::Rdma;
-        spec.client.transport = rma::TransportKind::Rdma;
+        spec.transport = rma::TransportKind::Rdma;
         spec.client.attempt_timeout = SimDuration::from_micros(500);
         spec.client.retry.jitter = 0.5;
         spec.backend.scan_interval = Some(SimDuration::from_millis(10));

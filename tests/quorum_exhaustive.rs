@@ -384,7 +384,6 @@ fn r32(data_is_separate: bool) -> GetRules {
         n_replicas: 3,
         data_is_separate,
         prefer_first_responder: true,
-        fallback: false,
     }
 }
 
@@ -562,10 +561,7 @@ fn every_order_of_an_overflow_fallback_round() {
                 classes[acode / 9],
             ];
             let mut q = GetQuorum::new(None);
-            q.begin(GetRules {
-                fallback: true,
-                ..r32(true)
-            });
+            q.begin(GetRules { ..r32(true) });
             let start = Round {
                 q,
                 voted: 0,

@@ -137,20 +137,13 @@ proptest! {
         let node = cell.backends[victim];
         cell.sim.crash(node);
         cell.run_for(SimDuration::from_millis(50));
-        // Restart with an empty store + recovery.
-        let mut cfg = cliquemap::backend::BackendCfg {
-            config_store: Some(cell.config_store),
-            recover_on_start: true,
-            scan_interval: Some(SimDuration::from_millis(60)),
-            ..cliquemap::backend::BackendCfg::default()
-        };
-        cfg.store.shard = victim as u32;
         let live_before = cell
             .sim
             .with_node::<BackendNode, _>(node, |n| n.store().live_entries())
             .unwrap();
         prop_assert!(live_before > 0);
-        cell.sim.revive(node, Box::new(BackendNode::new(cfg)));
+        // Restart with an empty store + recovery.
+        cell.restart_backend(victim, true);
         cell.run_for(SimDuration::from_secs(3));
         let recovered = cell
             .sim

@@ -16,7 +16,6 @@ use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec, DurabilitySpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
-use cliquemap::wal::DurableCfg;
 use cliquemap::workload::{ClientOp, ScriptWorkload, Workload};
 use durable::Media;
 use simnet::SimDuration;
@@ -61,7 +60,6 @@ fn trickled_snapshot_and_compacted_log_restore_the_store() {
     spec.client.strategy = LookupStrategy::TwoR;
     spec.client.access_flush = None;
     spec.durability = Some(DurabilitySpec::default());
-    let template = spec.backend.clone();
     let ops = (0..BURSTS * BURST_SETS)
         .map(|i| {
             let gap = if i > 0 && i % BURST_SETS == 0 {
@@ -123,13 +121,7 @@ fn trickled_snapshot_and_compacted_log_restore_the_store() {
     // Crash, and revive on the same media with peer repair off: replaying
     // the snapshot and the log is the only way back.
     cell.sim.crash(victim);
-    let mut cfg = template;
-    cfg.store.shard = VICTIM as u32;
-    cfg.store.config_id = 1;
-    cfg.config_store = Some(cell.config_store);
-    cfg.recover_on_start = false;
-    cfg.durable = Some(DurableCfg::new(media.clone()));
-    cell.sim.revive(victim, Box::new(BackendNode::new(cfg)));
+    cell.restart_backend(VICTIM, false);
     cell.run_for(SimDuration::from_millis(10));
     assert!(stored(&mut cell, victim) == before, "revived store differs");
 }
