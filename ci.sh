@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
-# gates, the protocol cores' purity, the one-op-driver, one-backend-builder
-# and one-histogram gates, lints, format, rustdoc, the benchmark's smoke
-# tests and the figure reproducibility gate.
+# gates, the protocol cores' purity, the one-op-driver, one-op-fate,
+# one-backend-builder and one-histogram gates, lints, format, rustdoc, the
+# benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -29,12 +29,14 @@ echo "== durable log footprint at mut_durable's shape (release) =="
 cargo test --release -q --test wal_footprint -- --ignored
 
 echo "== protocol core purity =="
-# The quorum, repair and handoff rules stay sans-IO: above its test module,
-# each core names nothing of the simulator (tests/quorum_exhaustive.rs,
-# tests/repair_exhaustive.rs and tests/handoff_exhaustive.rs enumerate every
-# vote order, every small cohort and every few writes around a handoff only
-# because the rules are pure functions).
-for core in crates/cliquemap/src/{quorum,repair,handoff}.rs; do
+# The quorum, repair, handoff and attempt rules stay sans-IO: above its
+# test module, each core names nothing of the simulator
+# (tests/quorum_exhaustive.rs, tests/repair_exhaustive.rs,
+# tests/handoff_exhaustive.rs and tests/attempt_exhaustive.rs enumerate
+# every vote order, every small cohort, every few writes around a handoff
+# and every order of an op's lifecycle inputs only because the rules are
+# pure functions).
+for core in crates/cliquemap/src/{quorum,repair,handoff,attempt}.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$core" | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
         echo "$core names simulator types outside its test module" >&2
         exit 1
@@ -48,6 +50,15 @@ echo "== one op-driver =="
 drivers=$(grep -rln 'workload\.next(' crates/*/src || true)
 if [ "$drivers" != "crates/cliquemap/src/client.rs" ]; then
     echo "op-drivers outside crates/cliquemap/src/client.rs:" $drivers >&2
+    exit 1
+fi
+
+echo "== one place decides an op's fate =="
+# The deadline and the retry budget are applied by the attempt core
+# (crates/cliquemap/src/attempt.rs); the client hands it the policy and
+# acts on its steps.
+if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/client.rs | grep -nE 'op_deadline|max_attempts'; then
+    echo "crates/cliquemap/src/client.rs applies the retry policy itself" >&2
     exit 1
 fi
 

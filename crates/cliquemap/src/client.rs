@@ -25,13 +25,14 @@ use std::sync::{Arc, LazyLock};
 use bytes::{Bytes, Pool};
 
 use rma::{RmaOpTable, RmaStatus, Transport};
-use rpc::{CallTable, RetryPolicy, RetryState, RpcCostModel, Status};
+use rpc::{CallTable, RetryPolicy, RpcCostModel, Status};
 use simnet::{
     Ctx, Deferred, Event, IdMap, IdSet, MetricId, Metrics, Node, NodeId, SimDuration, SimTime,
 };
 
 use adaptive::{Controller, ControllerCfg};
 
+use crate::attempt::{Attempt, Batch, Step};
 use crate::client_cache::{ClientCache, ClientCacheCfg, Lookup, SharedValues};
 use crate::config::{CellConfig, ReplicationMode};
 use crate::hash::{place, DefaultHasher, KeyHash, KeyHasher};
@@ -315,8 +316,8 @@ struct OpHeader {
     key: Bytes,
     hash: KeyHash,
     batch: Option<u64>,
-    retry: RetryState,
-    attempt: u64,
+    /// Its lifecycle: the attempt core's state.
+    attempt: Attempt,
     /// The key's replica set. A [`Replica`] of the quorum core is a
     /// position in it.
     replicas: Vec<NodeId>,
@@ -342,8 +343,6 @@ struct GetState {
     /// The value behind the quorum's data input: a zero-copy slice of the
     /// inbound frame (shares its pooled storage, no allocation).
     data: Option<Bytes>,
-    /// Waiting for geometry (re-CONNECT in flight) before the next attempt.
-    waiting_geometry: bool,
     /// The wire strategy resolved for this op at issue (fixed
     /// `cfg.strategy` without the adaptive controller).
     strategy: LookupStrategy,
@@ -420,31 +419,14 @@ struct Parked {
     /// `None`: a GET.
     kind: Option<MutationKind>,
     batch: Option<u64>,
-    /// Admission time: its deadline runs from here.
-    since: SimTime,
+    /// Its lifecycle from admission.
+    attempt: Attempt,
 }
 
 // One `ops` slot; per-client state is multiplied by 10,000 (DESIGN.md §8).
 const _: () = assert!(std::mem::size_of::<OpState>() == 16);
 // One client; per-client state is multiplied by 10,000 (DESIGN.md §8).
 const _: () = assert!(std::mem::size_of::<ClientNode>() <= 880);
-
-#[derive(Debug)]
-struct BatchState {
-    remaining: usize,
-    started: SimTime,
-    failed: bool,
-    /// A sub-op write lost to a newer version (mutation batches).
-    superseded: bool,
-    /// A sub-op GET found its key (lookup batches).
-    any_hit: bool,
-    /// True for MultiGet containers, false for MultiSet (selects the
-    /// latency/throughput metric family the finished batch reports to).
-    gets: bool,
-    /// Strategy chosen once per container (adaptive mode decides at
-    /// expansion; members inherit so a coalesced frame is never mixed).
-    strategy: LookupStrategy,
-}
 
 /// What an issue site wants on the wire for one sub-op; [`ClientNode::emit`]
 /// turns it into a single-op frame or a member of a coalesced one.
@@ -593,7 +575,7 @@ enum Work {
     NextOp,
     /// A new logical op's start timer fired: admit and issue it.
     Start(u64, ClientOp),
-    /// Retry a logical op after backoff.
+    /// A logical op's backoff is over: issue its next attempt.
     Retry(u64),
     /// Flush batched access records.
     AccessFlush,
@@ -644,7 +626,10 @@ pub struct ClientNode {
     hot: Option<Box<HotKeyTracker>>,
     /// Adaptive dataplane controller (`cfg.adaptive`).
     adaptive: Option<Box<Controller>>,
-    batches: IdMap<u64, BatchState>,
+    /// Open MultiGet/MultiSet containers, each with the strategy chosen
+    /// once for it (adaptive mode decides at expansion; members inherit so
+    /// a coalesced frame is never mixed).
+    batches: IdMap<u64, (Batch, LookupStrategy)>,
     /// Doorbell-batching accumulator (active only inside a MultiGet /
     /// MultiSet expansion or a batch-completion demux).
     coalesce: BatchAccum,
@@ -688,96 +673,69 @@ const RETRY_REASONS: [(RetryReason, &str); 11] = [
     (RetryReason::MutationFailures, "cm.retry.mutation_failures"),
 ];
 
-/// Interned handles for every metric the client writes per-op; resolved
-/// once per cell, at the first client's [`Event::Start`], so the GET/SET
-/// hot paths never touch a name.
-#[derive(Clone, Copy)]
-struct ClientMetricIds {
-    overload_drops: MetricId,
-    cpu_ns: MetricId,
-    op_errors: MetricId,
-    get_hits: MetricId,
-    get_misses: MetricId,
-    get_overflow_fallbacks: MetricId,
-    get_overflow_hits: MetricId,
-    get_torn_reads: MetricId,
-    get_hash_collisions: MetricId,
-    get_batches: MetricId,
-    get_completed: MetricId,
-    set_batches: MetricId,
-    set_completed: MetricId,
-    rma_frames: MetricId,
-    set_acked: MetricId,
-    set_superseded: MetricId,
-    retries: MetricId,
-    rpc_bytes: MetricId,
-    config_refreshes: MetricId,
-    config_mismatches: MetricId,
-    stale_backend_config: MetricId,
-    geometry_invalidations: MetricId,
-    access_flushes: MetricId,
-    rma_timeouts: MetricId,
-    rpc_timeouts: MetricId,
-    rma_rtt_ns: MetricId,
-    getkey_latency_ns: MetricId,
-    get_latency_ns: MetricId,
-    set_latency_ns: MetricId,
-    ccache_hits: MetricId,
-    ccache_stale: MetricId,
-    ccache_misses: MetricId,
-    ccache_validations: MetricId,
-    ccache_invalidations: MetricId,
-    hot_promotions: MetricId,
-    hot_demotions: MetricId,
-    hot_routed: MetricId,
-    retry: [MetricId; RETRY_REASONS.len()],
+/// Declares [`ClientMetricIds`]: one interned handle per `field: "name"`,
+/// plus one per [`RetryReason`].
+macro_rules! metric_ids {
+    ($($field:ident: $name:literal,)*) => {
+        /// Interned handles for every metric the client writes per-op;
+        /// resolved once per cell, at the first client's [`Event::Start`],
+        /// so the GET/SET hot paths never touch a name.
+        #[derive(Clone, Copy)]
+        struct ClientMetricIds {
+            $($field: MetricId,)*
+            retry: [MetricId; RETRY_REASONS.len()],
+        }
+
+        impl ClientMetricIds {
+            fn resolve(m: &mut Metrics) -> ClientMetricIds {
+                let retry = RETRY_REASONS.map(|(_, name)| m.handle(name));
+                ClientMetricIds { $($field: m.handle($name),)* retry }
+            }
+        }
+    };
+}
+
+metric_ids! {
+    overload_drops: "cm.client.overload_drops",
+    cpu_ns: "cm.client.cpu_ns",
+    op_errors: "cm.op_errors",
+    get_hits: "cm.get.hits",
+    get_misses: "cm.get.misses",
+    get_overflow_fallbacks: "cm.get.overflow_fallbacks",
+    get_overflow_hits: "cm.get.overflow_hits",
+    get_torn_reads: "cm.get.torn_reads",
+    get_hash_collisions: "cm.get.hash_collisions",
+    get_batches: "cm.get.batches",
+    get_completed: "cm.get.completed",
+    set_batches: "cm.set.batches",
+    set_completed: "cm.set.completed",
+    rma_frames: "cm.client.rma_frames",
+    set_acked: "cm.set.acked",
+    set_superseded: "cm.set.superseded",
+    retries: "cm.retries",
+    rpc_bytes: "cm.rpc_bytes",
+    config_refreshes: "cm.client.config_refreshes",
+    config_mismatches: "cm.client.config_mismatches",
+    stale_backend_config: "cm.client.stale_backend_config",
+    geometry_invalidations: "cm.client.geometry_invalidations",
+    access_flushes: "cm.client.access_flushes",
+    rma_timeouts: "cm.client.rma_timeouts",
+    rpc_timeouts: "cm.client.rpc_timeouts",
+    rma_rtt_ns: "cm.rma.rtt_ns",
+    getkey_latency_ns: "cm.getkey.latency_ns",
+    get_latency_ns: "cm.get.latency_ns",
+    set_latency_ns: "cm.set.latency_ns",
+    ccache_hits: "cm.ccache.hits",
+    ccache_stale: "cm.ccache.stale",
+    ccache_misses: "cm.ccache.misses",
+    ccache_validations: "cm.ccache.validations",
+    ccache_invalidations: "cm.ccache.invalidations",
+    hot_promotions: "cm.client.hot_promotions",
+    hot_demotions: "cm.client.hot_demotions",
+    hot_routed: "cm.client.hot_routed_gets",
 }
 
 impl ClientMetricIds {
-    fn resolve(m: &mut Metrics) -> ClientMetricIds {
-        let retry = RETRY_REASONS.map(|(_, name)| m.handle(name));
-        ClientMetricIds {
-            overload_drops: m.handle("cm.client.overload_drops"),
-            cpu_ns: m.handle("cm.client.cpu_ns"),
-            op_errors: m.handle("cm.op_errors"),
-            get_hits: m.handle("cm.get.hits"),
-            get_misses: m.handle("cm.get.misses"),
-            get_overflow_fallbacks: m.handle("cm.get.overflow_fallbacks"),
-            get_overflow_hits: m.handle("cm.get.overflow_hits"),
-            get_torn_reads: m.handle("cm.get.torn_reads"),
-            get_hash_collisions: m.handle("cm.get.hash_collisions"),
-            get_batches: m.handle("cm.get.batches"),
-            get_completed: m.handle("cm.get.completed"),
-            set_batches: m.handle("cm.set.batches"),
-            set_completed: m.handle("cm.set.completed"),
-            rma_frames: m.handle("cm.client.rma_frames"),
-            set_acked: m.handle("cm.set.acked"),
-            set_superseded: m.handle("cm.set.superseded"),
-            retries: m.handle("cm.retries"),
-            rpc_bytes: m.handle("cm.rpc_bytes"),
-            config_refreshes: m.handle("cm.client.config_refreshes"),
-            config_mismatches: m.handle("cm.client.config_mismatches"),
-            stale_backend_config: m.handle("cm.client.stale_backend_config"),
-            geometry_invalidations: m.handle("cm.client.geometry_invalidations"),
-            access_flushes: m.handle("cm.client.access_flushes"),
-            rma_timeouts: m.handle("cm.client.rma_timeouts"),
-            rpc_timeouts: m.handle("cm.client.rpc_timeouts"),
-            rma_rtt_ns: m.handle("cm.rma.rtt_ns"),
-            getkey_latency_ns: m.handle("cm.getkey.latency_ns"),
-            get_latency_ns: m.handle("cm.get.latency_ns"),
-            set_latency_ns: m.handle("cm.set.latency_ns"),
-            ccache_hits: m.handle("cm.ccache.hits"),
-            ccache_stale: m.handle("cm.ccache.stale"),
-            ccache_misses: m.handle("cm.ccache.misses"),
-            ccache_validations: m.handle("cm.ccache.validations"),
-            ccache_invalidations: m.handle("cm.ccache.invalidations"),
-            hot_promotions: m.handle("cm.client.hot_promotions"),
-            hot_demotions: m.handle("cm.client.hot_demotions"),
-            hot_routed: m.handle("cm.client.hot_routed_gets"),
-            retry,
-        }
-    }
-
     fn retry_reason(&self, reason: RetryReason) -> MetricId {
         self.retry[reason as usize]
     }
@@ -858,7 +816,10 @@ impl ClientNode {
     /// When the longest-waiting of the admitted ops that wait for config or
     /// geometry was admitted (`None`: no op waits).
     pub fn parked_since(&self) -> Option<SimTime> {
-        self.parked.values().map(|p| p.since).min()
+        self.parked
+            .values()
+            .map(|p| SimTime(p.attempt.started()))
+            .min()
     }
 
     /// The trace id for a logical op: `(node + 1) << 40 | op_id` — globally
@@ -892,10 +853,8 @@ impl ClientNode {
         let Some(ctl) = self.adaptive.as_mut() else {
             return self.cfg.strategy;
         };
-        if let Some(bid) = batch {
-            if let Some(bs) = self.batches.get(&bid) {
-                return bs.strategy;
-            }
+        if let Some(&(_, strategy)) = batch.and_then(|bid| self.batches.get(&bid)) {
+            return strategy;
         }
         ctl.choose(batch.is_some())
     }
@@ -964,8 +923,7 @@ impl ClientNode {
             // A dropped batch member must still resolve its container, or
             // the batch would leak and never complete.
             if let Some(batch_id) = batch {
-                let now = ctx.now();
-                self.batch_member_done(ctx, batch_id, OpOutcome::Error, now, SimDuration::ZERO);
+                self.batch_member_done(ctx, batch_id, OpOutcome::Error, SimDuration::ZERO);
             }
             return;
         }
@@ -989,19 +947,19 @@ impl ClientNode {
             ClientOp::Cas { key, value } => (key, value, Some(MutationKind::Cas)),
         };
         self.in_flight += 1;
-        let since = ctx.now();
+        let attempt = Attempt::admit(ctx.now().nanos());
         let p = Parked {
             key,
             value,
             kind,
             batch,
-            since,
+            attempt,
         };
         self.try_issue(ctx, op_id, p);
     }
 
     /// Expand a MultiGet (`gets`) or MultiSet container into its per-key
-    /// sub-ops, sharing a [`BatchState`]. With doorbell batching on, the
+    /// sub-ops, sharing a [`Batch`]. With doorbell batching on, the
     /// sub-ops' wire traffic coalesces into one frame per destination host,
     /// flushed at the end of the expansion.
     fn expand_batch(&mut self, ctx: &mut Ctx<'_>, op_id: u64, subs: Vec<ClientOp>, gets: bool) {
@@ -1023,18 +981,8 @@ impl ClientNode {
             Some(ctl) if gets => ctl.choose(true),
             _ => self.cfg.strategy,
         };
-        self.batches.insert(
-            op_id,
-            BatchState {
-                remaining: subs.len(),
-                started: ctx.now(),
-                failed: false,
-                superseded: false,
-                any_hit: false,
-                gets,
-                strategy,
-            },
-        );
+        let batch = Batch::new(subs.len(), ctx.now().nanos(), gets);
+        self.batches.insert(op_id, (batch, strategy));
         let coalescing = self.cfg.doorbell_batching && !self.coalesce.active;
         if coalescing {
             self.coalesce.active = true;
@@ -1064,13 +1012,14 @@ impl ClientNode {
     }
 
     /// Move an admitted op into flight, or park it until config or a read
-    /// quorum's geometry arrives (`release_parked` tries again). A GET
-    /// still short of geometry `retry.op_deadline` after admission fails.
-    fn try_issue(&mut self, ctx: &mut Ctx<'_>, op_id: u64, p: Parked) {
+    /// quorum's geometry arrives (`release_parked` tries again); the
+    /// attempt core decides which, and when the op's deadline fails it.
+    fn try_issue(&mut self, ctx: &mut Ctx<'_>, op_id: u64, mut p: Parked) {
+        let (now, policy) = (ctx.now().nanos(), self.cfg.retry);
         let Some(config) = self.config.clone() else {
             self.refresh_config(ctx);
-            self.parked.insert(op_id, p);
-            return;
+            let step = p.attempt.ready(now, &policy, true);
+            return self.run_step(ctx, op_id, step, Some(p));
         };
         let (hash, is_get, batch) = (self.shared.0.hasher.hash(&p.key), p.kind.is_none(), p.batch);
         let shard = place(hash, config.num_shards(), 1).shard;
@@ -1119,105 +1068,100 @@ impl ClientNode {
         } else {
             self.cfg.strategy
         };
-        // GETs need geometry for every replica (RMA addressing); mutations
+        // GETs need geometry for every replica (RMA addressing), and go
+        // once a read quorum's worth of base connections exist; mutations
         // are plain RPCs and can go immediately.
-        if is_get && strategy_row(strategy).path == adaptive::Path::Rma {
-            let (missing, nmissing, have_base) = self.geometry_gaps(replicas, n_base);
-            // Proceed once a read quorum's worth of base connections
-            // exist; a dead replica must not park reads forever (its vote
-            // simply fails). Keep trying to connect to the stragglers.
-            let short = have_base < config.replication.read_quorum() as usize;
-            if short && ctx.now() >= p.since + self.cfg.retry.op_deadline {
-                // The read quorum never answered CONNECT: the same deadline
-                // an issued attempt waiting for geometry meets.
-                ctx.metrics().add_id(self.m().op_errors, 1);
-                return self.finish_op(ctx, op_id, p.since, batch, true, OpOutcome::Error);
-            }
-            for &m in &missing[..nmissing] {
-                self.ensure_connect(ctx, m);
-            }
-            if short {
-                self.parked.insert(op_id, p);
-                return; // released by CONNECT completion
-            }
-        }
-        // Client-side lease cache: consulted only once the op is actually
-        // leaving the parked state (so cache counters reconcile 1:1 with
-        // issued ops). A valid lease completes the GET locally; a mutation
-        // drops the owner's entry at issue, so a client can never read its
-        // own stale write from the cache.
-        let (mut cached_version, mut leased) = (None, None);
-        if let Some(cache) = self.ccache.as_mut() {
-            if is_get {
-                match cache.lookup(hash, ctx.now()) {
-                    Lookup::Hit(version) => {
-                        ctx.metrics().add_id(self.m().ccache_hits, 1);
-                        leased = Some(version);
-                    }
-                    Lookup::Stale(version) => {
-                        ctx.metrics().add_id(self.m().ccache_stale, 1);
-                        cached_version = Some(version);
-                    }
-                    Lookup::Miss => {
-                        ctx.metrics().add_id(self.m().ccache_misses, 1);
-                    }
-                }
-            } else if cache.invalidate(hash) {
+        let rq = config.replication.read_quorum() as usize;
+        let (missing, nmissing, short) = match strategy_row(strategy).path {
+            adaptive::Path::Rma if is_get => self.geometry_gaps(replicas, n_base, rq),
+            _ => ([NodeId(0); 8], 0, false),
+        };
+        // Client-side lease cache: a mutation drops the owner's entry at
+        // issue, so a client can never read its own stale write from the
+        // cache.
+        let mut expected = None;
+        if let Some(kind) = p.kind {
+            if self.ccache.as_mut().is_some_and(|c| c.invalidate(hash)) {
                 ctx.metrics().add_id(self.m().ccache_invalidations, 1);
             }
+            if kind == MutationKind::Cas {
+                expected = self.memo.get(hash);
+                if expected.is_none() {
+                    // Nothing to expect: refused, not given up on (no
+                    // `cm.op_errors`), latency from admission.
+                    return self.complete(ctx, op_id, OpOutcome::Error, Some(p));
+                }
+            }
         }
-        let retry = self.cfg.retry.start(ctx.now());
+        let step = p.attempt.ready(now, &policy, short);
+        self.heal(ctx, step, &missing[..nmissing]);
+        if !matches!(step, Step::Issue(_)) {
+            return self.run_step(ctx, op_id, step, Some(p));
+        }
+        // A GET consults the lease cache only once it actually leaves the
+        // parked state (so cache counters reconcile 1:1 with issued ops).
+        let (mut cached_version, mut leased) = (None, None);
+        if let (Some(cache), true) = (self.ccache.as_mut(), is_get) {
+            match cache.lookup(hash, ctx.now()) {
+                Lookup::Hit(version) => {
+                    ctx.metrics().add_id(self.m().ccache_hits, 1);
+                    leased = Some(version);
+                }
+                Lookup::Stale(version) => {
+                    ctx.metrics().add_id(self.m().ccache_stale, 1);
+                    cached_version = Some(version);
+                }
+                Lookup::Miss => {
+                    ctx.metrics().add_id(self.m().ccache_misses, 1);
+                }
+            }
+        }
         let header = move |key, replicas| OpHeader {
             key,
             hash,
             batch,
-            retry,
-            attempt: 0,
+            attempt: p.attempt,
             replicas,
             n_base: n_base as u8,
         };
-        let Some(kind) = p.kind else {
-            let mut state = self.free_gets.pop().unwrap_or_default();
-            let mut recycled = std::mem::take(&mut state.h.replicas);
-            // A valid lease completes the GET locally: no backend is
-            // contacted, no sub-ops issue and nothing is allocated. The
-            // op still passes through the normal completion path
-            // (trace, latency, batch accounting).
-            if leased.is_none() {
-                if nreplicas > n_base {
-                    ctx.metrics().add_id(self.m().hot_routed, 1);
+        let (state, aux) = match p.kind {
+            None => {
+                let mut state = self.free_gets.pop().unwrap_or_default();
+                let mut recycled = std::mem::take(&mut state.h.replicas);
+                // A valid lease completes the GET locally: no backend is
+                // contacted, no sub-ops issue and nothing is allocated. The
+                // op still passes through the normal completion path
+                // (trace, latency, batch accounting).
+                if leased.is_none() {
+                    if nreplicas > n_base {
+                        ctx.metrics().add_id(self.m().hot_routed, 1);
+                    }
+                    recycled.extend_from_slice(replicas);
+                    state.quorum = GetQuorum::new(cached_version);
+                    state.strategy = strategy;
                 }
-                recycled.extend_from_slice(replicas);
-                state.quorum = GetQuorum::new(cached_version);
-                state.strategy = strategy;
+                state.h = header(p.key, recycled);
+                (OpState::Get(state), trace_aux::GET)
             }
-            state.h = header(p.key, recycled);
-            self.ops.insert(op_id, OpState::Get(state));
-            ctx.trace_open(self.trace_of(ctx, op_id), trace_aux::GET);
-            return match leased {
-                Some(version) => self.finish_hit(ctx, op_id, version, None, false),
-                None => self.issue_get_attempt(ctx, op_id),
-            };
+            Some(kind) => {
+                let state = MutationState {
+                    h: header(p.key, replicas.to_vec()),
+                    config_id: config.config_id,
+                    kind,
+                    value: p.value,
+                    expected,
+                    version: VersionNumber::ZERO,
+                    quorum: MutationQuorum::default(),
+                };
+                (OpState::Mutation(Box::new(state)), kind.wire().1)
+            }
         };
-        let expected = match kind {
-            MutationKind::Cas => match self.memo.get(hash) {
-                None => return self.finish_op(ctx, op_id, p.since, batch, false, OpOutcome::Error),
-                known => known,
-            },
-            _ => None,
-        };
-        let state = MutationState {
-            h: header(p.key, replicas.to_vec()),
-            config_id: config.config_id,
-            kind,
-            value: p.value,
-            expected,
-            version: VersionNumber::ZERO,
-            quorum: MutationQuorum::default(),
-        };
-        self.ops.insert(op_id, OpState::Mutation(Box::new(state)));
-        ctx.trace_open(self.trace_of(ctx, op_id), kind.wire().1);
-        self.issue_mutation_attempt(ctx, op_id);
+        self.ops.insert(op_id, state);
+        ctx.trace_open(self.trace_of(ctx, op_id), aux);
+        match leased {
+            Some(version) => self.finish_hit(ctx, op_id, version, None, false),
+            None => self.issue_attempt(ctx, op_id),
+        }
     }
 
     /// Lease-cache counters (`None` when the cache is disabled).
@@ -1242,10 +1186,17 @@ impl ClientNode {
 
     // ---- GET path --------------------------------------------------------
 
-    /// A GET attempt first pays client-library CPU on a real core (so op
-    /// rate is CPU-bound at saturation and idle hosts pay C-state exits —
-    /// the Fig. 16/17 low-load latency hump), then issues its sub-ops.
-    fn issue_get_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
+    /// Send op `op_id`'s next attempt on its way, at issue and when a
+    /// backoff ends. A mutation goes now. A GET attempt first pays
+    /// client-library CPU on a real core (so op rate is CPU-bound at
+    /// saturation and idle hosts pay C-state exits — the Fig. 16/17
+    /// low-load latency hump), then issues its sub-ops.
+    fn issue_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
+        match self.ops.get(&op_id) {
+            Some(OpState::Get(_)) => {}
+            Some(OpState::Mutation(_)) => return self.issue_mutation_attempt(ctx, op_id),
+            None => return,
+        }
         let trace = self.trace_of(ctx, op_id);
         if self.coalesce.active {
             // Doorbell batching: the sub-op must issue inside the expansion
@@ -1262,7 +1213,6 @@ impl ClientNode {
     }
 
     fn do_issue_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
-        let now = ctx.now();
         let (Some(OpState::Get(get)), Some(config)) = (self.ops.get(&op_id), &self.config) else {
             return;
         };
@@ -1273,33 +1223,24 @@ impl ClientNode {
         // A retry whose geometry was invalidated (reshape, growth, restart)
         // must re-learn it before burning another attempt — "failed RMA
         // operations may retry on new connections" (§3).
-        if row.path == adaptive::Path::Rma {
-            let (missing, nmissing, have) =
-                self.geometry_gaps(&get.h.replicas, get.h.n_base as usize);
-            let deadline_passed = now >= get.h.retry.deadline(&self.cfg.retry);
-            if have < quorum as usize && deadline_passed {
-                ctx.metrics().add_id(self.m().op_errors, 1);
-                return self.complete_op(ctx, op_id, OpOutcome::Error);
-            }
-            // Quorum-sufficient attempts proceed, but keep healing the
-            // stragglers in the background (a revived replica rejoins
-            // this way).
-            for &m in &missing[..nmissing] {
-                self.ensure_connect(ctx, m);
-            }
-            if have < quorum as usize {
-                if let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) {
-                    get.waiting_geometry = true;
-                }
-                return;
-            }
-        }
+        let (replicas, n_base) = (&get.h.replicas, get.h.n_base as usize);
+        let (missing, nmissing, short) = match row.path {
+            adaptive::Path::Rma => self.geometry_gaps(replicas, n_base, quorum as usize),
+            adaptive::Path::Rpc => ([NodeId(0); 8], 0, false),
+        };
+        let (now, policy) = (ctx.now().nanos(), self.cfg.retry);
+        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
+            return;
+        };
+        let step = get.h.attempt.ready(now, &policy, short);
+        self.heal(ctx, step, &missing[..nmissing]);
+        let Step::Issue(attempt) = step else {
+            return self.run_step(ctx, op_id, step, None);
+        };
         let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
             return;
         };
         get.data = None;
-        get.h.attempt += 1;
-        let attempt = get.h.attempt;
         let (hash, key) = (get.h.hash, get.h.key.clone());
         let (n_replicas, n_base) = (get.h.replicas.len(), get.h.n_base as usize);
         let immutable = mode == ReplicationMode::R2Immutable;
@@ -1346,9 +1287,15 @@ impl ClientNode {
         }
     }
 
-    /// Which of `replicas` still lack geometry, and how many of the base
-    /// (quorum-bearing) prefix already have it.
-    fn geometry_gaps(&self, replicas: &[NodeId], n_base: usize) -> ([NodeId; 8], usize, usize) {
+    /// Which of `replicas` still lack geometry (the first of the returned
+    /// count), and whether fewer than a read quorum `rq` of the base
+    /// (quorum-bearing) prefix have it.
+    fn geometry_gaps(
+        &self,
+        replicas: &[NodeId],
+        n_base: usize,
+        rq: usize,
+    ) -> ([NodeId; 8], usize, bool) {
         let mut missing = [NodeId(0); 8];
         let (mut nmissing, mut have_base) = (0, 0);
         for (i, r) in replicas.iter().enumerate() {
@@ -1359,7 +1306,18 @@ impl ClientNode {
                 have_base += 1;
             }
         }
-        (missing, nmissing, have_base)
+        (missing, nmissing, have_base < rq)
+    }
+
+    /// Keep connecting to the replicas an op is `missing` unless its
+    /// `step` ended it: a dead replica must not park reads forever (its
+    /// vote simply fails), and a revived one rejoins this way.
+    fn heal(&mut self, ctx: &mut Ctx<'_>, step: Step, missing: &[NodeId]) {
+        if !matches!(step, Step::Complete(_)) {
+            for &m in missing {
+                self.ensure_connect(ctx, m);
+            }
+        }
     }
 
     /// Put sub-op `tag` on the wire toward each of `dsts` — the one place
@@ -1487,7 +1445,7 @@ impl ClientNode {
         let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        if get.h.attempt != attempt {
+        if get.h.attempt.number() != attempt {
             return; // stale sub-op from an earlier attempt
         }
         // Any substantive answer (even an absent key) proves the path that
@@ -1519,7 +1477,7 @@ impl ClientNode {
             GetStep::Wait => {}
             GetStep::FetchData { from, ptr } => {
                 let node = get.h.replicas[from as usize];
-                let tag = sub_tag(op_id, get.h.attempt, 1);
+                let tag = sub_tag(op_id, get.h.attempt.number(), 1);
                 // Issued while demuxing a batched index response, this
                 // re-coalesces into the follow-up frame.
                 self.emit(ctx, &[node], tag, SubOp::Read(ptr));
@@ -1536,7 +1494,7 @@ impl ClientNode {
             GetStep::Fallback => {
                 let replicas = get.h.replicas.clone();
                 let key = get.h.key.clone();
-                let tag = sub_tag(op_id, get.h.attempt, 2);
+                let tag = sub_tag(op_id, get.h.attempt.number(), 2);
                 ctx.metrics().add_id(self.m().get_overflow_fallbacks, 1);
                 // The fallback round always travels as single-op RPCs.
                 let trace = self.trace_of(ctx, op_id);
@@ -1551,7 +1509,7 @@ impl ClientNode {
                 self.finish_hit(ctx, op_id, version, value, one_sided);
             }
             GetStep::Miss => self.finish_miss(ctx, op_id),
-            GetStep::Retry(reason) => self.fail_attempt(ctx, op_id, reason),
+            GetStep::Retry(reason) => self.retry(ctx, op_id, reason),
         }
     }
 
@@ -1583,7 +1541,7 @@ impl ClientNode {
             cache.insert(hash, version, value, ctx.now());
         }
         ctx.metrics().add_id(self.m().get_hits, 1);
-        self.complete_op(ctx, op_id, OpOutcome::Hit);
+        self.settle(ctx, op_id, OpOutcome::Hit);
     }
 
     /// The one GET miss: the cell says the key is gone, so the stale lease
@@ -1595,36 +1553,53 @@ impl ClientNode {
             }
         }
         ctx.metrics().add_id(self.m().get_misses, 1);
-        self.complete_op(ctx, op_id, OpOutcome::Miss);
+        self.settle(ctx, op_id, OpOutcome::Miss);
     }
 
-    fn fail_attempt(&mut self, ctx: &mut Ctx<'_>, op_id: u64, reason: RetryReason) {
+    /// The live attempt of op `op_id` failed for `reason`.
+    fn retry(&mut self, ctx: &mut Ctx<'_>, op_id: u64, reason: RetryReason) {
         ctx.metrics().add_id(self.m().retry_reason(reason), 1);
-        let now = ctx.now();
-        let policy = self.cfg.retry;
-        let Some(h) = self.ops.get_mut(&op_id).map(OpState::header_mut) else {
-            return;
-        };
-        match h.retry.on_failure(&policy, now, ctx.rng()) {
-            rpc::RetryDecision::RetryAfter(backoff) => {
+        let (now, policy) = (ctx.now().nanos(), self.cfg.retry);
+        if let Some(state) = self.ops.get_mut(&op_id) {
+            let attempt = &mut state.header_mut().attempt;
+            let step = attempt.failed(now, &policy, || ctx.rng().next_f64());
+            self.run_step(ctx, op_id, step, None);
+        }
+    }
+
+    /// Op `op_id` settled with `outcome`.
+    fn settle(&mut self, ctx: &mut Ctx<'_>, op_id: u64, outcome: OpOutcome) {
+        if let Some(state) = self.ops.get_mut(&op_id) {
+            let step = state.header_mut().attempt.settled(outcome);
+            self.run_step(ctx, op_id, step, None);
+        }
+    }
+
+    /// Act on a step of op `op_id`'s attempt core (`parked`: the op is
+    /// not issued). An `Issue` is acted on where the attempt leaves.
+    fn run_step(&mut self, ctx: &mut Ctx<'_>, op_id: u64, step: Step, parked: Option<Parked>) {
+        match step {
+            Step::Wait | Step::Issue(_) => {}
+            Step::Park => {
+                // An issued op is parked in its core, and stays in `ops`.
+                if let Some(p) = parked {
+                    self.parked.insert(op_id, p);
+                }
+            }
+            Step::Backoff(ns) => {
                 ctx.metrics().add_id(self.m().retries, 1);
+                let (now, backoff) = (ctx.now(), SimDuration(ns));
                 let trace = self.trace_of(ctx, op_id);
                 ctx.trace_interval(trace, simnet::obs::stage::RETRY, now, now + backoff);
                 let tok = self.work.defer(Work::Retry(op_id));
                 ctx.set_timer(backoff, tok);
             }
-            rpc::RetryDecision::GiveUp => {
-                ctx.metrics().add_id(self.m().op_errors, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Error);
+            Step::Complete(outcome) => {
+                if outcome == OpOutcome::Error {
+                    ctx.metrics().add_id(self.m().op_errors, 1);
+                }
+                self.complete(ctx, op_id, outcome, parked);
             }
-        }
-    }
-
-    fn retry_op(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
-        match self.ops.get(&op_id) {
-            Some(OpState::Get(_)) => self.issue_get_attempt(ctx, op_id),
-            Some(OpState::Mutation(_)) => self.issue_mutation_attempt(ctx, op_id),
-            None => {}
         }
     }
 
@@ -1682,7 +1657,7 @@ impl ClientNode {
             SET_CPU
         };
         self.charge(ctx, issue_cpu, trace);
-        let tt = ctx.truetime();
+        let (tt, now, policy) = (ctx.truetime(), ctx.now().nanos(), self.cfg.retry);
         let (Some(OpState::Mutation(m)), Some(config)) = (self.ops.get_mut(&op_id), &self.config)
         else {
             return;
@@ -1700,12 +1675,14 @@ impl ClientNode {
             m.h.n_base = base.min(n) as u8;
             m.config_id = config.config_id;
         }
-        m.h.attempt += 1;
+        let Step::Issue(attempt) = m.h.attempt.ready(now, &policy, false) else {
+            return;
+        };
         // Every attempt nominates a fresh, higher version (§5.2): retried
         // mutations eventually win. Batched or not, the nomination happens
         // in the same event, at the same truetime, in the same order.
         m.version = self.versions.nominate(tt);
-        let tag = sub_tag(op_id, m.h.attempt, 0);
+        let tag = sub_tag(op_id, attempt, 0);
         let sub = SubOp::Mutate {
             kind,
             key: m.h.key.clone(),
@@ -1730,7 +1707,7 @@ impl ClientNode {
         let Some(OpState::Mutation(m)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        if m.h.attempt != attempt {
+        if m.h.attempt.number() != attempt {
             return;
         }
         // Any substantive verdict (even a version rejection) proves the
@@ -1759,16 +1736,16 @@ impl ClientNode {
                     }
                 }
                 ctx.metrics().add_id(self.m().set_acked, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Done);
+                self.settle(ctx, op_id, OpOutcome::Done);
             }
             MutationStep::Superseded => {
                 if let Some(cache) = self.ccache.as_mut() {
                     cache.invalidate(hash);
                 }
                 ctx.metrics().add_id(self.m().set_superseded, 1);
-                self.complete_op(ctx, op_id, OpOutcome::Superseded);
+                self.settle(ctx, op_id, OpOutcome::Superseded);
             }
-            MutationStep::Retry => self.fail_attempt(ctx, op_id, RetryReason::MutationFailures),
+            MutationStep::Retry => self.retry(ctx, op_id, RetryReason::MutationFailures),
         }
     }
 
@@ -1909,39 +1886,20 @@ impl ClientNode {
         ctx.set_timer(self.cfg.attempt_timeout, CallTable::timer_token(id));
     }
 
-    /// Fail every parked op `retry.op_deadline` past its admission. With
-    /// the config store unreachable no config arrives to release them, so
-    /// each config timeout applies the deadline `try_issue` applies.
-    fn expire_parked(&mut self, ctx: &mut Ctx<'_>) {
-        let (now, deadline) = (ctx.now(), self.cfg.retry.op_deadline);
-        let expired: Vec<_> = self
-            .parked
-            .extract_if(.., |_, p| now >= p.since + deadline)
-            .collect();
-        for (id, p) in expired {
-            ctx.metrics().add_id(self.m().op_errors, 1);
-            let is_get = p.kind.is_none();
-            self.finish_op(ctx, id, p.since, p.batch, is_get, OpOutcome::Error);
-        }
-    }
-
     fn release_parked(&mut self, ctx: &mut Ctx<'_>) {
         // Every parked op tries again, in admission order; what still
         // cannot go parks again.
         for (id, p) in std::mem::take(&mut self.parked) {
             self.try_issue(ctx, id, p);
         }
-        // GET attempts stalled on geometry re-learning.
-        let waiting: Vec<u64> = self
+        // Then the issued GETs parked on geometry re-learning.
+        let parked: Vec<u64> = self
             .ops
             .iter()
-            .filter(|(_, s)| matches!(s, OpState::Get(g) if g.waiting_geometry))
+            .filter(|(_, s)| matches!(s, OpState::Get(g) if g.h.attempt.parked()))
             .map(|(&id, _)| id)
             .collect();
-        for id in waiting {
-            if let Some(OpState::Get(g)) = self.ops.get_mut(&id) {
-                g.waiting_geometry = false;
-            }
+        for id in parked {
             self.do_issue_attempt(ctx, id);
         }
     }
@@ -2011,9 +1969,10 @@ impl ClientNode {
                         );
                         let (op_id, attempt, phase) = split_tag(sub);
                         let get = match self.ops.get(&op_id) {
-                            Some(OpState::Get(g)) => {
-                                Some((strategy_row(g.strategy).cost, g.h.attempt == attempt))
-                            }
+                            Some(OpState::Get(g)) => Some((
+                                strategy_row(g.strategy).cost,
+                                g.h.attempt.number() == attempt,
+                            )),
                             _ => None,
                         };
                         if let (Some((Some(cost), true)), 0) = (get, phase) {
@@ -2103,7 +2062,7 @@ impl ClientNode {
             }
             // A server's answer: to an MSG/RPC lookup, or (phase 2) as one
             // verdict of an overflow-fallback round.
-            Some(OpState::Get(get)) if get.h.attempt == attempt => {
+            Some(OpState::Get(get)) if get.h.attempt.number() == attempt => {
                 let fallback = phase == 2;
                 let (answer, value) = match verdict {
                     Verdict::Rpc(Status::Ok, version, value) => (Ok(Some(version)), Some(value)),
@@ -2240,7 +2199,7 @@ impl ClientNode {
         let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        let live = get.h.attempt == attempt;
+        let live = get.h.attempt.number() == attempt;
         let Some(from) = get.h.position(replica) else {
             return;
         };
@@ -2287,7 +2246,7 @@ impl ClientNode {
             ctx.metrics().add_id(config_mismatches, 1);
             get.quorum.shun_data_source();
             self.refresh_config(ctx);
-            return self.fail_attempt(ctx, op_id, RetryReason::ConfigMismatch);
+            return self.retry(ctx, op_id, RetryReason::ConfigMismatch);
         }
         if got < expected {
             // The backend is lagging behind a config update that doesn't
@@ -2316,19 +2275,25 @@ impl ClientNode {
 
     // ---- completion ------------------------------------------------------
 
-    fn complete_op(&mut self, ctx: &mut Ctx<'_>, op_id: u64, outcome: OpOutcome) {
-        let Some(mut state) = self.ops.remove(&op_id) else {
-            return;
+    /// The one completion of an admitted op: issued (its state leaves
+    /// `ops`) or failed while parked (`p`).
+    fn complete(&mut self, ctx: &mut Ctx<'_>, op_id: u64, outcome: OpOutcome, p: Option<Parked>) {
+        let (attempt, batch, is_get, get) = match p {
+            Some(p) => (p.attempt, p.batch, p.kind.is_none(), None),
+            None => match self.ops.remove(&op_id) {
+                None => return,
+                Some(OpState::Mutation(m)) => (m.h.attempt, m.h.batch, false, None),
+                Some(OpState::Get(g)) => (g.h.attempt, g.h.batch, true, Some(g)),
+            },
         };
-        let h = state.header_mut();
-        let (started, batch) = (h.retry.started_at, h.batch);
-        let is_get = matches!(state, OpState::Get(_));
-        if let OpState::Get(mut g) = state {
+        let (at, started) = (ctx.now(), SimTime(attempt.started()));
+        let shim_overhead = self.shim_overhead();
+        let observed = at.since(started) + shim_overhead;
+        if let Some(mut g) = get {
             // Feed the arm that actually served this GET: the
             // caller-observed latency plus the model-derived client CPU for
             // the fan-out the op really used. Mutations are
             // strategy-independent (always RPC) and carry no signal.
-            let observed = ctx.now().since(started) + self.shim_overhead();
             if let Some(ctl) = self.adaptive.as_mut() {
                 let cpu = strategy_row(g.strategy).cpu_ns(g.quorum.rules().expected_votes as u64);
                 ctl.observe(g.strategy, batch.is_some(), observed.nanos(), cpu);
@@ -2340,40 +2305,9 @@ impl ClientNode {
                 self.free_gets.push(g);
             }
         }
-        self.finish_op(ctx, op_id, started, batch, is_get, outcome);
-    }
-
-    /// What the application-side caller observes beyond the client library:
-    /// pipe traversals in both directions plus shim marshalling on the way
-    /// in and out.
-    fn shim_overhead(&self) -> SimDuration {
-        self.cfg.shim.as_ref().map_or(SimDuration::ZERO, |s| {
-            s.round_trip_overhead() + s.per_op_cpu(0).saturating_mul(2)
-        })
-    }
-
-    /// The one completion of an admitted op — issued (through
-    /// [`Self::complete_op`]) or failed while parked — started at `started`,
-    /// a member of `batch` if any.
-    fn finish_op(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        op_id: u64,
-        started: SimTime,
-        batch: Option<u64>,
-        is_get: bool,
-        outcome: OpOutcome,
-    ) {
-        let at = ctx.now();
         self.in_flight = self.in_flight.saturating_sub(1);
-        ctx.trace_close(
-            self.trace_of(ctx, op_id),
-            started,
-            at,
-            trace_aux::outcome_code(outcome),
-        );
-        let shim_overhead = self.shim_overhead();
-        let observed = at.since(started) + shim_overhead;
+        let trace = self.trace_of(ctx, op_id);
+        ctx.trace_close(trace, started, at, trace_aux::outcome_code(outcome));
         if let Some(shim) = &self.cfg.shim {
             self.charge(ctx, shim.per_op_cpu(0), 0);
         }
@@ -2383,10 +2317,19 @@ impl ClientNode {
                     ctx.metrics()
                         .record_id(self.m().getkey_latency_ns, observed.nanos());
                 }
-                self.batch_member_done(ctx, batch_id, outcome, at, shim_overhead);
+                self.batch_member_done(ctx, batch_id, outcome, shim_overhead);
             }
             None => self.report_finished(ctx, is_get, false, outcome, observed.nanos()),
         }
+    }
+
+    /// What the application-side caller observes beyond the client library:
+    /// pipe traversals in both directions plus shim marshalling on the way
+    /// in and out.
+    fn shim_overhead(&self) -> SimDuration {
+        self.cfg.shim.as_ref().map_or(SimDuration::ZERO, |s| {
+            s.round_trip_overhead() + s.per_op_cpu(0).saturating_mul(2)
+        })
     }
 
     /// A caller-visible op — a single, or a whole container — finished:
@@ -2422,34 +2365,16 @@ impl ClientNode {
         ctx: &mut Ctx<'_>,
         batch_id: u64,
         outcome: OpOutcome,
-        at: SimTime,
         shim_overhead: SimDuration,
     ) {
-        let Some(b) = self.batches.get_mut(&batch_id) else {
+        let Some((batch, _)) = self.batches.get_mut(&batch_id) else {
             return;
         };
-        b.remaining -= 1;
-        b.failed |= !outcome.ok();
-        b.superseded |= outcome == OpOutcome::Superseded;
-        b.any_hit |= outcome == OpOutcome::Hit;
-        if b.remaining > 0 {
+        let Some(outcome) = batch.member_done(outcome) else {
             return;
-        }
-        let b = self.batches.remove(&batch_id).expect("present above");
-        // The container outcome is an order-independent aggregate of its
-        // sub-ops: sub-op completion order differs between the batched and
-        // unbatched wire paths (frame demux vs per-op responses) and must
-        // not leak into observable results. Any failure dominates; a GET
-        // batch is a Hit when any key resolved; a mutation batch reports
-        // Superseded when any write lost to a newer version.
-        let outcome = match (b.failed, b.gets) {
-            (true, _) => OpOutcome::Error,
-            (false, true) if b.any_hit => OpOutcome::Hit,
-            (false, true) => OpOutcome::Miss,
-            (false, false) if b.superseded => OpOutcome::Superseded,
-            (false, false) => OpOutcome::Done,
         };
-        let latency = at.since(b.started) + shim_overhead;
+        let (b, _) = self.batches.remove(&batch_id).expect("present above");
+        let latency = ctx.now().since(SimTime(b.started)) + shim_overhead;
         self.report_finished(ctx, b.gets, true, outcome, latency.nanos());
     }
 
@@ -2459,10 +2384,9 @@ impl ClientNode {
                 // Closed-loop callers behind a shim can't issue the next op
                 // until the response crosses the pipe back and the next
                 // request is marshalled — the Fig. 6a rate gap.
-                Some(shim) => {
-                    let delay = shim.round_trip_overhead() + shim.per_op_cpu(0).saturating_mul(2);
+                Some(_) => {
                     let tok = self.work.defer(Work::NextOp);
-                    ctx.set_timer(delay, tok);
+                    ctx.set_timer(self.shim_overhead(), tok);
                 }
                 None => self.schedule_next(ctx),
             }
@@ -2576,7 +2500,7 @@ impl Node for ClientNode {
                     match work {
                         Work::NextOp => self.schedule_next(ctx),
                         Work::Start(id, op) => self.start_op(ctx, id, op, None),
-                        Work::Retry(op) => self.retry_op(ctx, op),
+                        Work::Retry(op) => self.issue_attempt(ctx, op),
                         Work::AccessFlush => self.flush_access_records(ctx),
                         Work::SendWire(dst, wire, trace) => ctx.send_traced(dst, wire, trace),
                         Work::IssueAttempt(op) => self.do_issue_attempt(ctx, op),
@@ -2593,7 +2517,13 @@ impl Node for ClientNode {
                         match call.user_tag {
                             CONFIG_TAG => {
                                 self.config_refreshing = false;
-                                self.expire_parked(ctx);
+                                // Nothing arrived to release the parked ops:
+                                // each meets its deadline here, in order.
+                                let (now, policy) = (ctx.now().nanos(), self.cfg.retry);
+                                for (id, mut p) in std::mem::take(&mut self.parked) {
+                                    let step = p.attempt.ready(now, &policy, true);
+                                    self.run_step(ctx, id, step, Some(p));
+                                }
                                 self.refresh_config(ctx);
                             }
                             CONNECT_TAG => {

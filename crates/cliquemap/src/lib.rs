@@ -25,6 +25,7 @@
 //! |---|---|
 //! | §3 layout & self-validation | [`layout`], [`hash`] |
 //! | §3 GET/SET basics | [`client`], [`backend`] |
+//! | §3 retries under a deadline and a budget | [`attempt`] (the rules), [`client`] (the I/O) |
 //! | §4.1 allocation & reshaping | [`slab`], [`store`] |
 //! | §4.2 eviction | [`policy`], [`tombstone`] |
 //! | §5 replication & quorums | [`config`], [`version`], [`quorum`] (the rules), [`client`] (the I/O) |
@@ -72,6 +73,7 @@ pub(crate) static RPC_COST: LazyLock<RpcCostModel> = LazyLock::new(RpcCostModel:
 pub(crate) static MSG_COST: LazyLock<RpcCostModel> =
     LazyLock::new(|| RpcCostModel::default().scaled(0.06));
 
+pub mod attempt;
 pub mod backend;
 pub mod cell;
 pub mod client;

@@ -71,14 +71,6 @@ impl Status {
             _ => Status::Internal,
         }
     }
-
-    /// Whether a client should retry an op that ended with this status.
-    pub fn is_retryable(self) -> bool {
-        matches!(
-            self,
-            Status::Overloaded | Status::WrongShard | Status::Stalled
-        )
-    }
 }
 
 /// A decoded RPC request.
@@ -330,16 +322,6 @@ mod tests {
             assert_eq!(s as u8, v);
         }
         assert_eq!(Status::from_u8(200), Status::Internal);
-    }
-
-    #[test]
-    fn retryable_statuses() {
-        assert!(Status::Overloaded.is_retryable());
-        assert!(Status::WrongShard.is_retryable());
-        assert!(Status::Stalled.is_retryable());
-        assert!(!Status::Ok.is_retryable());
-        assert!(!Status::VersionRejected.is_retryable());
-        assert!(!Status::Unauthenticated.is_retryable());
     }
 
     #[test]

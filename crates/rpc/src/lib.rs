@@ -16,8 +16,9 @@
 //! * [`Deferred`] — continuation storage keyed by CPU-completion tokens,
 //!   so handlers run *after* their modelled CPU cost;
 //! * [`RpcCostModel`] — where the 50 µs goes;
-//! * [`RetryPolicy`] — attempt budgets + exponential backoff + deadlines,
-//!   shared with the CliqueMap client's layered retry scheme.
+//! * [`RetryPolicy`] — an attempt budget, exponential backoff and a
+//!   deadline, with the schedule they grant; the CliqueMap client's attempt
+//!   core applies it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,5 +34,5 @@ pub use codec::{
     Request, Response, Status, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, RPC_MAGIC,
 };
 pub use cost::RpcCostModel;
-pub use retry::{RetryDecision, RetryPolicy, RetryState};
+pub use retry::RetryPolicy;
 pub use simnet::deferred::Deferred;

@@ -1,12 +1,13 @@
 //! Retry policy: attempt budgets, exponential backoff, and deadlines.
 //!
 //! CliqueMap clients "transparently retry GET/SET operations ... subject to
-//! both a user-specified deadline and retry count" (§3). The policy object
-//! is shared by the CliqueMap client library and the RPC layer; retries
-//! happen *at the layer appropriate to the error*, but the budget is always
-//! accounted against one [`RetryState`] per logical operation.
+//! both a user-specified deadline and retry count" (§3). This is the
+//! configuration of that rule and its arithmetic: the deadline and the
+//! backoff schedule a policy grants. The CliqueMap client's attempt core
+//! (`cliquemap::attempt`) is the one place that applies it to an op, one
+//! budget per logical operation.
 
-use simnet::{SimDuration, SimRng, SimTime};
+use simnet::SimDuration;
 
 /// Static retry configuration for a class of operations.
 #[derive(Debug, Clone, Copy)]
@@ -21,8 +22,8 @@ pub struct RetryPolicy {
     pub max_backoff: SimDuration,
     /// Overall operation deadline from first issue.
     pub op_deadline: SimDuration,
-    /// Jitter fraction in `[0, 1]` applied by [`RetryState::on_failure`]:
-    /// each backoff is scaled by a uniform draw from `[1 - jitter, 1]`.
+    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a uniform
+    /// draw from `[1 - jitter, 1]`.
     /// Zero (the default) disables jitter and draws nothing from the RNG.
     /// Without jitter, clients that fail together — the signature of a
     /// fault window, not of independent load — retry together, and every
@@ -44,84 +45,60 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Begin tracking an operation issued at `now`.
-    pub fn start(&self, now: SimTime) -> RetryState {
-        RetryState {
-            attempts: 1,
-            started_at: now,
-        }
-    }
-}
-
-/// Dynamic per-operation retry bookkeeping. The default is a placeholder
-/// for state not yet started with [`RetryPolicy::start`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RetryState {
-    /// Attempts made so far (>=1).
-    pub attempts: u32,
-    /// When the first attempt was issued.
-    pub started_at: SimTime,
-}
-
-/// Decision for what to do after a failed attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryDecision {
-    /// Try again after this backoff.
-    RetryAfter(SimDuration),
-    /// Budget exhausted — surface the error to the caller.
-    GiveUp,
-}
-
-impl RetryState {
-    /// Account a failure at `now` and decide whether to retry. The backoff
-    /// is scaled by a uniform draw from `[1 - policy.jitter, 1]`, so clients
-    /// whose attempts failed simultaneously (a fault window, a partition
-    /// heal) decorrelate instead of re-colliding at every exponential tier.
-    /// With `jitter == 0.0` the schedule is deterministic and nothing is
-    /// drawn from `rng`.
-    pub fn on_failure(
-        &mut self,
-        policy: &RetryPolicy,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> RetryDecision {
-        if self.attempts >= policy.max_attempts {
-            return RetryDecision::GiveUp;
-        }
-        let elapsed = now.since(self.started_at);
-        if elapsed >= policy.op_deadline {
-            return RetryDecision::GiveUp;
-        }
-        let exp = (self.attempts - 1).min(30);
-        let mut backoff_ns =
-            (policy.base_backoff.nanos() as f64 * policy.multiplier.powi(exp as i32)) as u64;
-        backoff_ns = backoff_ns.min(policy.max_backoff.nanos());
-        if policy.jitter > 0.0 {
-            let scale = 1.0 - policy.jitter.min(1.0) * rng.next_f64();
-            backoff_ns = (backoff_ns as f64 * scale).round() as u64;
-        }
-        let backoff = SimDuration(backoff_ns);
-        // Don't schedule a retry beyond the deadline.
-        if elapsed + backoff >= policy.op_deadline {
-            return RetryDecision::GiveUp;
-        }
-        self.attempts += 1;
-        RetryDecision::RetryAfter(backoff)
+    /// The deadline (ns) of an op whose clock started at `started` (ns).
+    pub fn deadline(&self, started: u64) -> u64 {
+        started + self.op_deadline.nanos()
     }
 
-    /// Absolute deadline of the operation under `policy`.
-    pub fn deadline(&self, policy: &RetryPolicy) -> SimTime {
-        self.started_at + policy.op_deadline
+    /// The backoff (ns) after an attempt that failed at `now`, for an op
+    /// whose clock started at `started` and that has been granted `granted`
+    /// backoffs so far; `None` when the attempt budget or the deadline
+    /// gives up. The exponential schedule is scaled by `1 - jitter *
+    /// draw()`, so clients that failed together (a fault window, a
+    /// partition heal) decorrelate instead of re-colliding at every tier;
+    /// `draw` (uniform in `[0, 1)`) is called only when `jitter` is
+    /// non-zero and the budget has not given up first.
+    pub fn backoff(
+        &self,
+        granted: u32,
+        started: u64,
+        now: u64,
+        draw: impl FnOnce() -> f64,
+    ) -> Option<u64> {
+        let deadline = self.deadline(started);
+        if granted + 1 >= self.max_attempts || now >= deadline {
+            return None;
+        }
+        let exp = granted.min(30) as i32;
+        let backoff = self.base_backoff.nanos() as f64 * self.multiplier.powi(exp);
+        let mut backoff = (backoff as u64).min(self.max_backoff.nanos());
+        if self.jitter > 0.0 {
+            let scale = 1.0 - self.jitter.min(1.0) * draw();
+            backoff = (backoff as f64 * scale).round() as u64;
+        }
+        // No retry is scheduled at or past the deadline.
+        (now + backoff < deadline).then_some(backoff)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::SimRng;
+
+    /// The backoffs granted to an op started at 0 that fails again the
+    /// moment each backoff ends, until the policy gives up.
+    fn schedule(policy: &RetryPolicy, rng: &mut SimRng) -> Vec<u64> {
+        let (mut now, mut backoffs) = (0, Vec::new());
+        while let Some(b) = policy.backoff(backoffs.len() as u32, 0, now, || rng.next_f64()) {
+            backoffs.push(b);
+            now += b;
+        }
+        backoffs
+    }
 
     #[test]
     fn backoff_grows_then_gives_up() {
-        let rng = &mut SimRng::new(1);
         let policy = RetryPolicy {
             max_attempts: 4,
             base_backoff: SimDuration::from_micros(10),
@@ -130,17 +107,9 @@ mod tests {
             op_deadline: SimDuration::from_secs(1),
             ..RetryPolicy::default()
         };
-        let mut st = policy.start(SimTime(0));
-        let mut backoffs = Vec::new();
-        let mut now = SimTime(0);
-        while let RetryDecision::RetryAfter(b) = st.on_failure(&policy, now, rng) {
-            backoffs.push(b);
-            now += b;
-        }
-        assert_eq!(backoffs.len(), 3); // 4 attempts => 3 retries
-        assert_eq!(backoffs[0], SimDuration::from_micros(10));
-        assert_eq!(backoffs[1], SimDuration::from_micros(20));
-        assert_eq!(backoffs[2], SimDuration::from_micros(40));
+        // 4 attempts => 3 retries.
+        let backoffs = schedule(&policy, &mut SimRng::new(1));
+        assert_eq!(backoffs, [10_000, 20_000, 40_000]);
     }
 
     #[test]
@@ -153,13 +122,7 @@ mod tests {
             op_deadline: SimDuration::from_secs(10),
             ..RetryPolicy::default()
         };
-        let rng = &mut SimRng::new(1);
-        let mut st = policy.start(SimTime(0));
-        st.on_failure(&policy, SimTime(0), rng);
-        match st.on_failure(&policy, SimTime(0), rng) {
-            RetryDecision::RetryAfter(b) => assert_eq!(b, SimDuration::from_micros(500)),
-            d => panic!("{d:?}"),
-        }
+        assert_eq!(policy.backoff(1, 0, 0, || unreachable!()), Some(500_000));
     }
 
     #[test]
@@ -170,20 +133,12 @@ mod tests {
             base_backoff: SimDuration::from_micros(10),
             ..RetryPolicy::default()
         };
-        let rng = &mut SimRng::new(1);
-        let mut st = policy.start(SimTime(0));
         // Past the deadline: give up immediately.
-        assert_eq!(
-            st.on_failure(&policy, SimTime(60_000), rng),
-            RetryDecision::GiveUp
-        );
-        // Within deadline but backoff would overshoot it.
-        let mut st2 = policy.start(SimTime(0));
-        st2.attempts = 3;
-        assert_eq!(
-            st2.on_failure(&policy, SimTime(49_000), rng),
-            RetryDecision::GiveUp
-        );
+        assert_eq!(policy.backoff(0, 0, 60_000, || 0.0), None);
+        // Within the deadline, but the backoff (40 µs at the third grant)
+        // would overshoot it.
+        assert_eq!(policy.backoff(2, 0, 49_000, || 0.0), None);
+        assert_eq!(policy.backoff(2, 0, 0, || 0.0), Some(40_000));
     }
 
     #[test]
@@ -192,9 +147,7 @@ mod tests {
             max_attempts: 1,
             ..RetryPolicy::default()
         };
-        let mut st = policy.start(SimTime(0));
-        let decision = st.on_failure(&policy, SimTime(0), &mut SimRng::new(1));
-        assert_eq!(decision, RetryDecision::GiveUp);
+        assert_eq!(policy.backoff(0, 0, 0, || unreachable!()), None);
     }
 
     #[test]
@@ -205,67 +158,49 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut rng = SimRng::new(42);
-        let mut st = policy.start(SimTime(0));
-        let mut now = SimTime(0);
-        let mut backoffs = Vec::new();
-        while let RetryDecision::RetryAfter(d) = st.on_failure(&policy, now, &mut rng) {
-            backoffs.push(d.nanos());
-            now += d;
-        }
         // The exponential schedule, to the nanosecond: base 10 µs doubling.
         let expected: Vec<u64> = (0..7).map(|i| 10_000u64 << i).collect();
-        assert_eq!(backoffs, expected);
+        assert_eq!(schedule(&policy, &mut rng), expected);
         // And no randomness was consumed: the stream is untouched.
         assert_eq!(SimRng::new(42).next_u64(), rng.next_u64());
     }
 
     #[test]
     fn jittered_clients_decorrelate() {
-        // Model a retry storm: many clients whose first attempts all fail
-        // at the same instant. With jitter, their second attempts must
-        // spread out instead of landing on one tick.
+        // A retry storm: many clients whose first attempts all fail at the
+        // same instant. With jitter, their second attempts must spread out
+        // instead of landing on one tick.
         let policy = RetryPolicy {
             jitter: 0.5,
             base_backoff: SimDuration::from_micros(100),
             op_deadline: SimDuration::from_secs(1),
             ..RetryPolicy::default()
         };
-        let mut master = SimRng::new(7);
-        let mut schedule = std::collections::BTreeSet::new();
-        let clients = 64;
-        for _ in 0..clients {
-            let mut rng = master.fork();
-            let mut st = policy.start(SimTime(0));
-            match st.on_failure(&policy, SimTime(0), &mut rng) {
-                RetryDecision::RetryAfter(b) => {
-                    // Scaled into [0.5, 1.0]x of the base backoff.
-                    assert!(b.nanos() >= 50_000 && b.nanos() <= 100_000, "{b}");
-                    schedule.insert(b.nanos());
-                }
-                d => panic!("{d:?}"),
-            }
-        }
+        let first_backoffs = |seed| {
+            let mut master = SimRng::new(seed);
+            (0..64)
+                .map(|_| {
+                    let mut rng = master.fork();
+                    policy.backoff(0, 0, 0, || rng.next_f64()).expect("a retry")
+                })
+                .collect::<Vec<_>>()
+        };
+        let backoffs = first_backoffs(7);
+        // Scaled into [0.5, 1.0]x of the base backoff.
+        assert!(backoffs.iter().all(|b| (50_000..=100_000).contains(b)));
+        let ticks: std::collections::BTreeSet<_> = backoffs.iter().collect();
         assert!(
-            schedule.len() > clients / 2,
+            ticks.len() > 32,
             "retry instants collapsed onto {} ticks",
-            schedule.len()
+            ticks.len()
         );
         // Determinism: the same seeds produce the same schedule.
-        let mut master2 = SimRng::new(7);
-        for _ in 0..clients {
-            let mut rng = master2.fork();
-            let mut st = policy.start(SimTime(0));
-            match st.on_failure(&policy, SimTime(0), &mut rng) {
-                RetryDecision::RetryAfter(b) => assert!(schedule.contains(&b.nanos())),
-                d => panic!("{d:?}"),
-            }
-        }
+        assert_eq!(first_backoffs(7), backoffs);
     }
 
     #[test]
     fn deadline_accessor() {
         let policy = RetryPolicy::default();
-        let st = policy.start(SimTime(1_000));
-        assert_eq!(st.deadline(&policy), SimTime(1_000) + policy.op_deadline);
+        assert_eq!(policy.deadline(1_000), 1_000 + policy.op_deadline.nanos());
     }
 }

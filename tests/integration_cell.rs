@@ -8,7 +8,7 @@ use bytes::Bytes;
 use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec};
 use cliquemap::client::{ClientCfg, ClientNode, LookupStrategy};
-use cliquemap::config::ReplicationMode;
+use cliquemap::config::{ConfigStoreNode, ReplicationMode};
 use cliquemap::hash::{DefaultHasher, KeyHasher};
 use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload, UniformWorkload, Workload};
 use simnet::{FabricCfg, HostCfg, SimDuration};
@@ -674,4 +674,42 @@ fn ops_waiting_for_config_fail_at_their_deadline() {
         "{done:?}"
     );
     assert_eq!(cell.op_errors(), 2);
+}
+
+#[test]
+fn a_parked_op_reports_latency_and_meets_its_deadline_from_issue() {
+    // ROADMAP 9(vi), pinned: an op's latency and deadline clocks restart
+    // when it leaves parking, so parked time is neither charged nor
+    // counted. An MSG GET admitted at 1 ms parks until the config store,
+    // down from the start, comes back at 90 ms; every backend is down, so
+    // it retries until its budget fails it — past admission + deadline,
+    // yet reporting less than a deadline of latency. Item 9 flips this.
+    let deadline = rpc::RetryPolicy::default().op_deadline;
+    let get = ClientOp::Get {
+        key: Bytes::from_static(b"k"),
+    };
+    let mut cell = Cell::build(
+        spec(LookupStrategy::Msg, ReplicationMode::R32),
+        vec![script(vec![(1_000, get)])],
+    );
+    cell.sim.crash(cell.config_store);
+    for b in cell.backends.clone() {
+        cell.sim.crash(b);
+    }
+    cell.run_for(SimDuration::from_millis(90));
+    let config = cell
+        .sim
+        .with_node::<ConfigStoreNode, _>(cell.config_store, |cs| cs.config().clone())
+        .unwrap();
+    cell.sim
+        .revive(cell.config_store, Box::new(ConfigStoreNode::new(config)));
+    // Still open at admission + deadline (101 ms).
+    cell.run_for(SimDuration::from_millis(11));
+    assert!(client_log(&mut cell).is_empty());
+    cell.run_for(SimDuration::from_secs(1));
+    let done = client_log(&mut cell);
+    assert_eq!(done.len(), 1, "{done:?}");
+    assert_eq!(done[0].0, OpOutcome::Error);
+    assert!(done[0].1 < deadline.nanos(), "{done:?}");
+    assert_eq!(cell.op_errors(), 1);
 }
