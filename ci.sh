@@ -20,8 +20,10 @@ cargo test -q --workspace
 
 echo "== client footprint at 10K clients (release) =="
 # One lease-cache buffer per distinct version, at most two configs and two
-# geometries per backend for the whole cell, no op parked past one CONNECT round.
-# Minutes in debug, so tier-1 keeps only the small-cell gates of this file.
+# geometries per backend for the whole cell, no op parked past one CONNECT
+# round, and an event queue within its fixed wheel plus 256 B per event of
+# its high-water mark. Minutes in debug, so tier-1 keeps only the
+# small-cell gates of this file.
 cargo test --release -q --test client_footprint -- --ignored
 
 echo "== durable log footprint at mut_durable's shape (release) =="

@@ -8,17 +8,27 @@
 //! completions), while a thin far tail (retry timers, chaos acts,
 //! revival and backfill schedules) stretches out to seconds.
 //!
-//! Layout:
+//! Layout — a fixed wheel over one dynamic slot arena:
 //!
+//! * **Slot arena** — every queued payload lives in one `slots` vector,
+//!   its `(at, seq)` and list link at the same index of a parallel
+//!   `links` vector. A popped event's slot goes on a free list that the
+//!   next push reuses, so the arena is as large as the most events ever
+//!   queued at once (the high-water mark), whatever the windows they were
+//!   spread over.
 //! * **Wheel** — `NUM_BUCKETS` time buckets of `BUCKET_NS` nanoseconds
 //!   each, covering a rotating horizon of `HORIZON_NS` from the drain
-//!   front. Insertion into the wheel is O(1): shift, mask, push.
-//! * **Drain lane** — the bucket currently being consumed, sorted
-//!   *descending* by `(at, seq)` once per window so `pop` is a `Vec::pop`
-//!   from the end and a same-window insert is a binary-search splice.
-//! * **Overflow heap** — events beyond the wheel horizon. Far-future
-//!   events are rare, so heap discipline is paid only by the tail. As the
-//!   horizon advances, the overflow prefix migrates into the wheel.
+//!   front. A bucket is a `u32` list head threaded through the slots'
+//!   `next` links: insertion is O(1) (shift, mask, link) and an empty
+//!   bucket holds nothing but its head.
+//! * **Drain lane** — the window currently being consumed, as 24-byte
+//!   `(at, seq, slot)` keys sorted *descending* once per window so `pop`
+//!   is a `Vec::pop` from the end and a same-window insert is a
+//!   binary-search splice. Sorting and splicing move keys, never payloads.
+//! * **Overflow heap** — keys of events beyond the wheel horizon.
+//!   Far-future events are rare, so heap discipline is paid only by the
+//!   tail. As the horizon advances, the overflow prefix migrates into the
+//!   wheel.
 //!
 //! Total order is **`(at, seq)`** — time, then a stable sequence number
 //! assigned at schedule time — exactly the order the `BinaryHeap` it
@@ -26,6 +36,9 @@
 //! (FIFO), which the engine's zero-delay fast path and every committed
 //! figure CSV depend on. The proptest in `tests/` holds this queue to
 //! byte-exact pop-order agreement with a reference heap.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Log2 of the wheel bucket width in nanoseconds (2048ns ≈ the fabric
 /// base latency). Power of two: bucket index is shift + mask, no division.
@@ -40,31 +53,48 @@ const NUM_BUCKETS: usize = 4096;
 const BUCKET_MASK: usize = NUM_BUCKETS - 1;
 /// Rotating horizon covered by the wheel, in nanoseconds.
 const HORIZON_NS: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+/// End of a slot list (an empty bucket, or an exhausted free list).
+const NIL: u32 = u32::MAX;
 
-/// One queued event: its firing time, its stable tie-break sequence, and
-/// the payload.
-#[derive(Debug)]
-struct Entry<T> {
+/// What the drain lane and the overflow heap order: an event's firing
+/// time, its stable tie-break sequence, and the slot holding its payload.
+#[derive(Clone, Copy, Debug)]
+struct Key {
     at: u64,
     seq: u64,
-    item: T,
+    slot: u32,
 }
 
-impl<T> PartialEq for Entry<T> {
+// The drain sort, the drain splice and every heap sift move keys, not
+// payloads: a key stays 24 bytes whatever the queue carries.
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for Entry<T> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
+}
+
+/// The ordering half of an arena slot, kept apart from the payloads so a
+/// window load walks 24-byte links, not whole events. `next` links a
+/// queued event into its wheel bucket (unused while its key sits in the
+/// drain lane or the overflow heap), and an idle slot into the free list.
+#[derive(Clone, Copy)]
+struct Link {
+    at: u64,
+    seq: u64,
+    next: u32,
 }
 
 /// A calendar/ladder priority queue popping in `(at, seq)` order.
@@ -72,14 +102,21 @@ impl<T> Ord for Entry<T> {
 /// Generic over the payload so the ordering machinery can be tested (and
 /// property-tested) without dragging the engine's `Pending` type along.
 pub struct CalendarQueue<T> {
-    /// Wheel buckets; unsorted within a bucket.
-    buckets: Vec<Vec<Entry<T>>>,
+    /// Every queued payload, plus the idle slots (`None`) popped events
+    /// left.
+    slots: Vec<Option<T>>,
+    /// Each slot's time, sequence and list link, index for index.
+    links: Vec<Link>,
+    /// Head of the idle-slot list through `Link::next`.
+    free: u32,
+    /// Wheel buckets: the head of each bucket's slot list, unsorted.
+    heads: Vec<u32>,
     /// One bit per bucket: non-empty. Scanned word-wise to find the next
-    /// occupied window without touching `NUM_BUCKETS` `Vec` headers.
+    /// occupied window without touching `NUM_BUCKETS` list heads.
     occupied: Vec<u64>,
     /// The window being consumed, sorted descending by `(at, seq)` so the
     /// minimum is at the end.
-    drain: Vec<Entry<T>>,
+    drain: Vec<Key>,
     /// Exclusive upper bound of the drain window. Every drained entry is
     /// `< drain_end`; every wheel/overflow entry is `>= drain_end` at the
     /// time it is filed (entries inserted *into* a non-empty drain may be
@@ -94,7 +131,7 @@ pub struct CalendarQueue<T> {
     /// Entries at or past it go to the overflow heap.
     wheel_limit: u64,
     /// Far-future events, min-first by `(at, seq)`.
-    overflow: std::collections::BinaryHeap<std::cmp::Reverse<Entry<T>>>,
+    overflow: BinaryHeap<Reverse<Key>>,
     /// Total queued events.
     len: usize,
     /// Largest `len` ever observed (capacity planning / regression diffs).
@@ -110,17 +147,18 @@ impl<T> Default for CalendarQueue<T> {
 impl<T> CalendarQueue<T> {
     /// An empty queue with its drain front at t=0.
     pub fn new() -> CalendarQueue<T> {
-        let mut buckets = Vec::with_capacity(NUM_BUCKETS);
-        buckets.resize_with(NUM_BUCKETS, Vec::new);
         CalendarQueue {
-            buckets,
+            slots: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; NUM_BUCKETS],
             occupied: vec![0u64; NUM_BUCKETS / 64],
             drain: Vec::new(),
             drain_end: 0,
             wheel_pos: 0,
             wheel_len: 0,
             wheel_limit: HORIZON_NS,
-            overflow: std::collections::BinaryHeap::new(),
+            overflow: BinaryHeap::new(),
             len: 0,
             high_water: 0,
         }
@@ -144,6 +182,26 @@ impl<T> CalendarQueue<T> {
         self.high_water
     }
 
+    /// Arena slots holding no event: storage the next pushes reuse before
+    /// the arena grows.
+    #[inline]
+    pub(crate) fn idle_slots(&self) -> usize {
+        self.slots.len() - self.len
+    }
+
+    /// Host bytes the queue holds: the slot arena, the drain lane, the
+    /// overflow heap, the bucket heads and the occupancy bitmap, counted
+    /// at their capacities.
+    pub fn reserved_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slots.capacity() * size_of::<Option<T>>()
+            + self.links.capacity() * size_of::<Link>()
+            + self.drain.capacity() * size_of::<Key>()
+            + self.overflow.capacity() * size_of::<Reverse<Key>>()
+            + self.heads.capacity() * size_of::<u32>()
+            + self.occupied.capacity() * size_of::<u64>()
+    }
+
     /// Insert an event. `seq` must be unique across live entries (the
     /// engine's global schedule counter guarantees it); `(at, seq)` is the
     /// total order.
@@ -152,34 +210,34 @@ impl<T> CalendarQueue<T> {
         if self.len > self.high_water {
             self.high_water = self.len;
         }
-        let e = Entry { at, seq, item };
+        let slot = self.alloc(at, seq, item);
+        let key = Key { at, seq, slot };
         if at < self.drain_end {
             // Into the active window: splice at the descending-sort
             // position. Same-window inserts are the zero/near-zero-delay
             // events the engine produces in bursts; they land at or near
-            // the tail (pop end) so the splice shifts few elements.
-            let pos = self
-                .drain
-                .partition_point(|p| (p.at, p.seq) > (e.at, e.seq));
-            self.drain.insert(pos, e);
+            // the tail (pop end) so the splice shifts few keys.
+            let pos = self.drain.partition_point(|p| *p > key);
+            self.drain.insert(pos, key);
         } else if at < self.wheel_limit {
-            let idx = (at >> BUCKET_SHIFT) as usize & BUCKET_MASK;
-            self.buckets[idx].push(e);
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-            self.wheel_len += 1;
+            self.file(slot);
         } else {
-            self.overflow.push(std::cmp::Reverse(e));
+            self.overflow.push(Reverse(key));
         }
     }
 
     /// Remove and return the earliest event as `(at, seq, item)`.
+    // Inlined so the payload moves from its slot straight into the
+    // caller's binding: returned out of line, the engine's 80-byte
+    // `Pending` was copied twice more and stalled on store forwarding.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         if !self.ensure_drain() {
             return None;
         }
-        let e = self.drain.pop().expect("ensure_drain loaded a window");
+        let key = self.drain.pop().expect("ensure_drain loaded a window");
         self.len -= 1;
-        Some((e.at, e.seq, e.item))
+        Some((key.at, key.seq, self.release(key.slot)))
     }
 
     /// Firing time of the earliest event without removing it. `&mut`
@@ -208,6 +266,45 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Store a payload in an idle slot, or in a new one if none is idle.
+    fn alloc(&mut self, at: u64, seq: u64, item: T) -> u32 {
+        let link = Link { at, seq, next: NIL };
+        if self.free != NIL {
+            let idx = self.free;
+            self.free = self.links[idx as usize].next;
+            self.links[idx as usize] = link;
+            self.slots[idx as usize] = Some(item);
+            idx
+        } else {
+            let idx = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event arena exceeds u32 slots");
+            self.links.push(link);
+            self.slots.push(Some(item));
+            idx
+        }
+    }
+
+    /// Take a popped event's payload and put its slot on the free list.
+    fn release(&mut self, idx: u32) -> T {
+        self.links[idx as usize].next = self.free;
+        self.free = idx;
+        self.slots[idx as usize]
+            .take()
+            .expect("a queued slot holds its payload")
+    }
+
+    /// Link a slot into the wheel bucket of its firing time.
+    fn file(&mut self, idx: u32) {
+        let s = &mut self.links[idx as usize];
+        let b = (s.at >> BUCKET_SHIFT) as usize & BUCKET_MASK;
+        s.next = self.heads[b];
+        self.heads[b] = idx;
+        self.occupied[b >> 6] |= 1u64 << (b & 63);
+        self.wheel_len += 1;
+    }
+
     /// Make the drain lane non-empty, rotating the wheel (and migrating
     /// the overflow prefix) as needed. Returns `false` iff the queue is
     /// empty.
@@ -218,7 +315,7 @@ impl<T> CalendarQueue<T> {
         if self.wheel_len == 0 {
             // Wheel dry: jump the window straight to the overflow head
             // instead of sweeping empty buckets.
-            let Some(std::cmp::Reverse(head)) = self.overflow.peek() else {
+            let Some(Reverse(head)) = self.overflow.peek() else {
                 return false;
             };
             let start = (head.at >> BUCKET_SHIFT) << BUCKET_SHIFT;
@@ -232,20 +329,36 @@ impl<T> CalendarQueue<T> {
         // cyclically from wheel_pos. All wheel entries lie within one
         // revolution of the horizon, so the first occupied bucket is the
         // earliest window.
-        let idx = self.next_occupied(self.wheel_pos);
-        let steps = (idx.wrapping_sub(self.wheel_pos)) & BUCKET_MASK;
+        let b = self.next_occupied(self.wheel_pos);
+        let steps = (b.wrapping_sub(self.wheel_pos)) & BUCKET_MASK;
         let window_start = self.drain_end + (steps as u64) * BUCKET_NS;
-        std::mem::swap(&mut self.drain, &mut self.buckets[idx]);
-        self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        self.wheel_len -= self.drain.len();
+        let mut idx = std::mem::replace(&mut self.heads[b], NIL);
+        self.occupied[b >> 6] &= !(1u64 << (b & 63));
+        // Counting the window's payloads reads each one's tag off the
+        // list's dependent chain of links, so the payloads are in cache by
+        // the time they pop: at `cell950`'s depth (47 K events) the arena
+        // is megabytes and each pop would otherwise miss.
+        let mut loaded = 0;
+        while idx != NIL {
+            let s = self.links[idx as usize];
+            loaded += usize::from(self.slots[idx as usize].is_some());
+            self.drain.push(Key {
+                at: s.at,
+                seq: s.seq,
+                slot: idx,
+            });
+            idx = s.next;
+        }
+        debug_assert_eq!(loaded, self.drain.len(), "a filed slot lost its payload");
+        self.wheel_len -= loaded;
         // Unique (at, seq) keys: unstable sort is deterministic.
         self.drain.sort_unstable_by(|a, b| b.cmp(a));
         debug_assert!(self
             .drain
             .iter()
-            .all(|e| { e.at >= window_start && e.at < window_start + BUCKET_NS }));
+            .all(|k| { k.at >= window_start && k.at < window_start + BUCKET_NS }));
         self.drain_end = window_start + BUCKET_NS;
-        self.wheel_pos = (idx + 1) & BUCKET_MASK;
+        self.wheel_pos = (b + 1) & BUCKET_MASK;
         self.wheel_limit = self.drain_end + HORIZON_NS;
         self.migrate_overflow();
         true
@@ -255,16 +368,13 @@ impl<T> CalendarQueue<T> {
     /// bucket. Must run each time `wheel_limit` advances, or a later wheel
     /// insert could pop before an earlier overflow event.
     fn migrate_overflow(&mut self) {
-        while let Some(std::cmp::Reverse(head)) = self.overflow.peek() {
+        while let Some(Reverse(head)) = self.overflow.peek() {
             if head.at >= self.wheel_limit {
                 break;
             }
-            let std::cmp::Reverse(e) = self.overflow.pop().expect("peeked");
-            debug_assert!(e.at >= self.drain_end);
-            let idx = (e.at >> BUCKET_SHIFT) as usize & BUCKET_MASK;
-            self.buckets[idx].push(e);
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-            self.wheel_len += 1;
+            let Reverse(key) = self.overflow.pop().expect("peeked");
+            debug_assert!(key.at >= self.drain_end);
+            self.file(key.slot);
         }
     }
 
@@ -368,6 +478,49 @@ mod tests {
         assert_eq!(q.high_water(), 10);
         q.push(1, 99, 0);
         assert_eq!(q.high_water(), 10);
+    }
+
+    #[test]
+    fn footprint_follows_high_water_not_windows_touched() {
+        // Budget: the fixed wheel (one `u32` head per bucket plus the
+        // occupancy bitmap) and 256 B per event of high-water mark — room
+        // for each such event's slot, its key in the drain lane and `Vec`
+        // doubling slack on both. Storage sized by the windows a burst
+        // ever touched breaks it: 4,096 buckets that once held 128 entries
+        // would be 4,096 × 3 KiB.
+        const WHEEL_BYTES: usize = NUM_BUCKETS * 4 + NUM_BUCKETS / 8;
+        const PER_EVENT: usize = 256;
+        const BURST: u64 = 128;
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut popped = 0u64;
+        // A burst into window w + 1 while window w's drains: at most two
+        // bursts live, in every one of the wheel's buckets and past a full
+        // revolution.
+        for w in 0..NUM_BUCKETS as u64 + 64 {
+            let start = (w + 1) * BUCKET_NS;
+            for j in 0..BURST {
+                q.push(start + (j * 997) % BUCKET_NS, seq, seq);
+                seq += 1;
+            }
+            assert!(q.len() as u64 <= 2 * BURST);
+            let budget = WHEEL_BYTES + PER_EVENT * q.high_water();
+            assert!(
+                q.reserved_bytes() <= budget,
+                "window {w}: {} B reserved for a high-water mark of {} (budget {budget} B)",
+                q.reserved_bytes(),
+                q.high_water()
+            );
+            while q.peek_at().is_some_and(|at| at < start) {
+                let (at, s, item) = q.pop().expect("peeked");
+                assert_eq!(item, s, "a reused slot returned another event's payload");
+                assert!(at < start);
+                popped += 1;
+            }
+        }
+        assert_eq!(q.high_water(), 2 * BURST as usize);
+        assert_eq!(popped + q.len() as u64, seq);
+        assert!(q.idle_slots() <= 2 * BURST as usize);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! one buffer per pair. They hold the same cell config and the same
 //! geometry per backend; the cell keeps one copy of each distinct one, and
 //! a client that has not refreshed or re-connected still holds its own
-//! stale one.
+//! stale one. At 10,000 clients the cell's event queue, too, holds what is
+//! queued, not what its busiest windows once held.
 
 use std::rc::Rc;
 
@@ -233,6 +234,15 @@ fn a_client_that_has_not_reconnected_keeps_its_stale_geometry() {
     assert_eq!(cell.client_shared().geometries(), 2);
 }
 
+/// The calendar queue's fixed wheel: a `u32` list head per bucket and the
+/// occupancy bitmap, 4,096 buckets.
+const QUEUE_WHEEL_BYTES: usize = 4_096 * 4 + 4_096 / 8;
+/// Host bytes the event queue may hold per event of its high-water mark:
+/// a 104 B arena slot and its 24 B sort key, with room for `Vec` growth.
+/// `cell950` holds 197; bucket `Vec`s that keep the capacity of the
+/// largest burst they ever held, plus boxed payloads, held 473.
+const QUEUE_BYTES_PER_EVENT: usize = 256;
+
 /// The 10,000-client gate (`ci.sh` runs it in release; minutes in debug).
 #[test]
 #[ignore = "release-only: cargo test --release --test client_footprint -- --ignored"]
@@ -252,6 +262,15 @@ fn cell950_caches_hold_thousands_of_values_not_a_hundred_thousand() {
     assert!(
         geometries <= 2 * cell.backends.len(),
         "{geometries} geometries"
+    );
+    // The event queue holds what is queued: its fixed wheel plus a
+    // per-event budget of its high-water mark, however many windows the
+    // run's MultiGet bursts have touched.
+    let queued = cell.sim.queue_high_water();
+    let reserved = cell.sim.queue_reserved_bytes();
+    assert!(
+        reserved <= QUEUE_WHEEL_BYTES + QUEUE_BYTES_PER_EVENT * queued,
+        "event queue holds {reserved} B for a high-water mark of {queued} events"
     );
     // The ramp never stops, so some op is always in first contact with a
     // backend; none waits longer than one CONNECT round.

@@ -881,8 +881,9 @@ use std::collections::BinaryHeap;
 use simnet::CalendarQueue;
 
 /// Scripted queue actions: `kind` selects push-near / push-mid / push-far /
-/// push-tie / pop, `mag` scales the push distance so scripts exercise
-/// same-bucket splices, wheel-window rotation, and far-future overflow.
+/// push-tie / pop / burst, `mag` scales the push distance so scripts
+/// exercise same-bucket splices, wheel-window rotation, far-future overflow
+/// and, through bursts, the reuse of the slots popped events left.
 fn queue_script() -> impl Strategy<Value = Vec<(u8, u32)>> {
     proptest::collection::vec((any::<u8>(), any::<u32>()), 1..400)
 }
@@ -893,7 +894,9 @@ proptest! {
     /// The calendar queue must pop in exactly the reference heap's
     /// `(time, seq)` order: same-timestamp FIFO ties resolve by seq,
     /// bucket-window rotation never reorders, and events migrating back
-    /// from the far-future overflow heap land in their correct slots.
+    /// from the far-future overflow heap land in their correct slots. Every
+    /// payload is its own `seq`, so a slot handed to two events at once
+    /// shows as a payload that does not match its key.
     #[test]
     fn calendar_queue_matches_reference_heap(script in queue_script()) {
         let mut q: CalendarQueue<u64> = CalendarQueue::new();
@@ -902,7 +905,7 @@ proptest! {
         let mut last_at = 0u64;
         let mut seq = 0u64;
         for (kind, mag) in script {
-            let at = match kind % 5 {
+            let at = match kind % 6 {
                 // Near: same or adjacent 2048ns bucket.
                 0 => now + (mag as u64 % 2_048),
                 // Mid: inside the ~8.4ms wheel horizon.
@@ -911,6 +914,29 @@ proptest! {
                 2 => now + 8_500_000 + (mag as u64 % 200_000_000),
                 // Tie: exact same timestamp as the previous push.
                 3 => last_at.max(now),
+                // Burst: 1-256 pushes into one 2048ns window — the one
+                // draining now, or one of the next 15 — with a pop after
+                // every `every`th push, so popped slots are reused within
+                // the burst and the window drains while it fills.
+                4 => {
+                    let (n, ahead) = (1 + mag as u64 % 256, (mag as u64 >> 8) % 16);
+                    let every = 1 + (mag as u64 >> 12) % 4;
+                    let window = (now / 2_048 + ahead) * 2_048;
+                    for i in 0..n {
+                        let at = now.max(window + (i * 733 + (mag as u64 >> 14)) % 2_048);
+                        q.push(at, seq, seq);
+                        h.push(Reverse((at, seq)));
+                        seq += 1;
+                        if i % every == every - 1 {
+                            let got = q.pop();
+                            let want = h.pop().map(|Reverse((at, s))| (at, s, s));
+                            prop_assert_eq!(got, want);
+                            now = got.expect("just pushed").0;
+                        }
+                    }
+                    prop_assert_eq!(q.len(), h.len());
+                    continue;
+                }
                 // Pop and cross-check against the reference.
                 _ => {
                     let got = q.pop();
