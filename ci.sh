@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' purity, the one-op-driver, one-op-fate,
-# one-backend-builder and one-histogram gates, lints, format, rustdoc, the
-# benchmark's smoke tests and the figure reproducibility gate.
+# one-backend-builder, in-flight-continuation and one-histogram gates,
+# lints, format, rustdoc, the benchmark's smoke tests and the figure
+# reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -72,6 +73,16 @@ builders=$(grep -rl 'BackendNode::new(' crates src tests examples | sort | xargs
 if [ "$builders" != "crates/cliquemap/src/backend.rs crates/cliquemap/src/cell.rs" ] ||
     sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/backend.rs | grep -q 'BackendNode::new('; then
     echo "backends built outside crates/cliquemap/src/cell.rs:" $builders >&2
+    exit 1
+fi
+
+echo "== in-flight frames are continuations =="
+# A node keeps its outstanding RMA ops and RPC calls as typed records in a
+# `Deferred::in_flight` namespace: the token is the wire id and the attempt
+# timer's token, and the enum in the record says what the answer resolves.
+# No second call table, timer-token base or packed call tag comes back.
+if grep -rnE 'CallTable|RmaOpTable|user_tag|TIMER_BASE|BATCH_TAG_BIT' crates src tests examples; then
+    echo "in-flight frames tracked outside a Deferred namespace" >&2
     exit 1
 fi
 

@@ -24,7 +24,7 @@ use cliquemap::policy::{EvictionPolicy, LruPolicy};
 use cliquemap::version::VersionNumber;
 use cliquemap::workload::Workload;
 use rpc::{RpcCostModel, Status};
-use simnet::{Ctx, Deferred, Event, FabricCfg, HostCfg, MetricId, Node, NodeId, Sim, SimDuration};
+use simnet::{Ctx, Deferred, Event, FabricCfg, HostCfg, Node, NodeId, Sim, SimDuration};
 
 /// MemcacheG server configuration.
 #[derive(Debug, Clone)]
@@ -50,10 +50,11 @@ struct Entry {
     version: VersionNumber,
 }
 
-#[derive(Clone, Copy)]
-struct McgMetricIds {
-    rpc_bytes: MetricId,
-    shed: MetricId,
+simnet::metric_ids! {
+    struct McgMetricIds {
+        rpc_bytes: "mcg.rpc_bytes",
+        shed: "mcg.shed",
+    }
 }
 
 /// The MemcacheG server node.
@@ -194,11 +195,7 @@ impl Node for MemcacheGNode {
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
             Event::Start => {
-                let m = ctx.metrics();
-                self.mids = Some(McgMetricIds {
-                    rpc_bytes: m.handle("mcg.rpc_bytes"),
-                    shed: m.handle("mcg.shed"),
-                });
+                self.mids = Some(McgMetricIds::resolve(ctx.metrics()));
                 self.pool = ctx.pool();
             }
             Event::Frame(frame) => {

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use bytes::{Bytes, Pool};
 
 use rma::{RmaEnvelope, Transport};
-use rpc::{CallTable, Completion, Status};
-use simnet::{Ctx, Deferred, Event, MetricId, Metrics, Node, NodeId, SimDuration, SimTime};
+use rpc::Status;
+use simnet::{Ctx, Deferred, Event, Node, NodeId, SimDuration, SimTime};
 
 use crate::config::CellConfig;
 use crate::handoff::{self, Admit, Handoff};
@@ -161,24 +161,39 @@ enum Work {
     WalTrickleDone,
 }
 
-/// Call tags routing outgoing-RPC completions. A tag's low byte is its
-/// kind; a `SCAN` page's tag carries its scan's generation above it.
-mod tag {
-    pub const SCAN: u64 = 1;
-    pub const FETCH: u64 = 2;
-    /// Best-effort sends whose answers nothing waits on (a lost REPAIR_SET
-    /// is caught by the next scan).
-    pub const REPAIR: u64 = 3;
-    pub const CHUNK: u64 = 4;
-    pub const CONFIG_FOR_HANDOFF: u64 = 5;
-    pub const CONFIG_FOR_SCAN: u64 = 6;
-    pub const PUBLISH: u64 = 7;
-    pub const CONFIG_POLL: u64 = 8;
+/// What an outgoing call's answer resolves. It is kept, with the peer the
+/// call went to, under the call's [`Deferred::in_flight`] token; a call
+/// whose timer fires first is answered `Internal`, so the scan and handoff
+/// cores advance rather than stall.
+#[derive(Debug)]
+enum Call {
+    /// A page of the scan of this generation.
+    Scan(u32),
+    /// A key fetched by hash for a Pull scan.
+    Fetch,
+    /// A REPAIR_SET: nothing waits on its answer (a lost one is caught by
+    /// the next scan).
+    Repair,
+    /// A handoff chunk.
+    Chunk,
+    /// GET_CONFIG, for this purpose.
+    Config(ConfigFor),
+    /// UPDATE_CONFIG publishing a handoff's configuration.
+    Publish,
+}
 
-    /// The tag of a page request of scan `scan`.
-    pub fn scan(scan: u32) -> u64 {
-        SCAN | u64::from(scan) << 8
-    }
+// One in-flight call's record.
+const _: () = assert!(std::mem::size_of::<(NodeId, Call)>() == 12);
+
+/// What a GET_CONFIG answer is for.
+#[derive(Debug)]
+enum ConfigFor {
+    /// A handoff about to cut over.
+    Handoff,
+    /// A scan about to start.
+    Scan,
+    /// The periodic poll (or a hot-key push waiting for a config).
+    Poll,
 }
 
 /// The backend task.
@@ -192,7 +207,8 @@ pub struct BackendNode {
     pub transport: Transport,
     dispatches: Deferred<Dispatch>,
     work: Deferred<Work>,
-    calls: CallTable,
+    /// Outgoing calls in flight, with the peer each went to.
+    calls: Deferred<(NodeId, Call)>,
     versions: VersionGen,
     /// Cohort scans (§5.4): the core decides, this node sends.
     repair: Repair,
@@ -223,59 +239,45 @@ pub struct BackendNode {
     wal: Option<crate::wal::WalEngine>,
 }
 
-/// Declares [`BackendMetricIds`]: one interned handle per `field: "name"`.
-macro_rules! metric_ids {
-    ($($field:ident: $name:literal,)*) => {
-        /// Interned handles for every metric the backend writes; resolved
-        /// once at [`Event::Start`] so serving paths (RMA, RPC) never touch
-        /// a metric name.
-        #[derive(Clone, Copy)]
-        struct BackendMetricIds {
-            $($field: MetricId,)*
-        }
-
-        impl BackendMetricIds {
-            fn resolve(m: &mut Metrics) -> BackendMetricIds {
-                BackendMetricIds { $($field: m.handle($name),)* }
-            }
-        }
-    };
-}
-
-metric_ids! {
-    rpc_bytes: "cm.rpc_bytes",
-    rma_ops: "cm.backend.rma_ops",
-    repair_sets_in: "cm.backend.repair_sets_in",
-    index_resizes: "cm.backend.index_resizes",
-    index_resizes_done: "cm.backend.index_resizes_done",
-    dirty_quorums: "cm.backend.dirty_quorums",
-    recovery_fetches: "cm.backend.recovery_fetches",
-    recovered_entries: "cm.backend.recovered_entries",
-    repairs: "cm.backend.repairs",
-    repair_erases: "cm.backend.repair_erases",
-    stale_scan_pages: "cm.backend.stale_scan_pages",
-    migrations_started: "cm.backend.migrations_started",
-    migrations_aborted: "cm.backend.migrations_aborted",
-    migrate_in_entries: "cm.backend.migrate_in_entries",
-    takeovers: "cm.backend.takeovers",
-    config_adoptions: "cm.backend.config_adoptions",
-    data_growths: "cm.backend.data_growths",
-    exits: "cm.backend.retired",
-    rpc_timeouts: "cm.backend.rpc_timeouts",
-    shed: "cm.backend.shed",
-    access_records: "cm.backend.access_records",
-    rpc_dropped_cpu_dead: "cm.backend.rpc_dropped_cpu_dead",
-    rma_dropped_cpu_dead: "cm.backend.rma_dropped_cpu_dead",
-    hot_promotions: "cm.backend.hot_promotions",
-    hot_demotions: "cm.backend.hot_demotions",
-    hot_pushes: "cm.backend.hot_pushes",
-    wal_appends: "cm.backend.wal_appends",
-    wal_absorbed: "cm.backend.wal_absorbed",
-    wal_fsyncs: "cm.backend.wal_fsyncs",
-    wal_committed: "cm.backend.wal_committed",
-    wal_replayed: "cm.backend.wal_replayed",
-    wal_trickled: "cm.backend.wal_trickled",
-    recovery_bytes: "cm.backend.recovery_bytes",
+simnet::metric_ids! {
+    /// Interned handles for every metric the backend writes; resolved once
+    /// at [`Event::Start`] so serving paths (RMA, RPC) never touch a metric
+    /// name.
+    struct BackendMetricIds {
+        rpc_bytes: "cm.rpc_bytes",
+        rma_ops: "cm.backend.rma_ops",
+        repair_sets_in: "cm.backend.repair_sets_in",
+        index_resizes: "cm.backend.index_resizes",
+        index_resizes_done: "cm.backend.index_resizes_done",
+        dirty_quorums: "cm.backend.dirty_quorums",
+        recovery_fetches: "cm.backend.recovery_fetches",
+        recovered_entries: "cm.backend.recovered_entries",
+        repairs: "cm.backend.repairs",
+        repair_erases: "cm.backend.repair_erases",
+        stale_scan_pages: "cm.backend.stale_scan_pages",
+        migrations_started: "cm.backend.migrations_started",
+        migrations_aborted: "cm.backend.migrations_aborted",
+        migrate_in_entries: "cm.backend.migrate_in_entries",
+        takeovers: "cm.backend.takeovers",
+        config_adoptions: "cm.backend.config_adoptions",
+        data_growths: "cm.backend.data_growths",
+        exits: "cm.backend.retired",
+        rpc_timeouts: "cm.backend.rpc_timeouts",
+        shed: "cm.backend.shed",
+        access_records: "cm.backend.access_records",
+        rpc_dropped_cpu_dead: "cm.backend.rpc_dropped_cpu_dead",
+        rma_dropped_cpu_dead: "cm.backend.rma_dropped_cpu_dead",
+        hot_promotions: "cm.backend.hot_promotions",
+        hot_demotions: "cm.backend.hot_demotions",
+        hot_pushes: "cm.backend.hot_pushes",
+        wal_appends: "cm.backend.wal_appends",
+        wal_absorbed: "cm.backend.wal_absorbed",
+        wal_fsyncs: "cm.backend.wal_fsyncs",
+        wal_committed: "cm.backend.wal_committed",
+        wal_replayed: "cm.backend.wal_replayed",
+        wal_trickled: "cm.backend.wal_trickled",
+        recovery_bytes: "cm.backend.recovery_bytes",
+    }
 }
 
 impl std::fmt::Debug for BackendNode {
@@ -305,7 +307,7 @@ impl BackendNode {
             transport: me.transport,
             dispatches: Deferred::responses(),
             work: Deferred::aux1(),
-            calls: CallTable::new(0xBAC0),
+            calls: Deferred::in_flight(),
             versions: VersionGen::new(repair_id),
             repair: Repair::default(),
             handoff: Handoff::default(),
@@ -892,14 +894,14 @@ impl BackendNode {
     fn repair_steps(&mut self, ctx: &mut Ctx<'_>, steps: impl IntoIterator<Item = Step>) {
         for step in steps {
             match step {
-                Step::GetConfig => self.get_config(ctx, tag::CONFIG_FOR_SCAN),
+                Step::GetConfig => self.get_config(ctx, ConfigFor::Scan),
                 Step::RequestPage { peer, page, scan } => {
                     let body = messages::ScanReq { page }.encode_in(&self.pool);
-                    self.call(ctx, NodeId(peer), method::SCAN, body, tag::scan(scan));
+                    self.call(ctx, NodeId(peer), method::SCAN, body, Call::Scan(scan));
                 }
                 Step::Fetch { peer, hash } => {
                     let body = messages::FetchByHashReq { key_hash: hash }.encode_in(&self.pool);
-                    self.call(ctx, NodeId(peer), method::FETCH_BY_HASH, body, tag::FETCH);
+                    self.call(ctx, NodeId(peer), method::FETCH_BY_HASH, body, Call::Fetch);
                 }
                 Step::Pulled { fetches } => {
                     ctx.metrics()
@@ -961,7 +963,7 @@ impl BackendNode {
         .encode_in(&self.pool);
         let mut sent = 0;
         for &replica in replicas.iter().filter(|&&r| r != me) {
-            self.call(ctx, replica, method::REPAIR_SET, body.clone(), tag::REPAIR);
+            self.call(ctx, replica, method::REPAIR_SET, body.clone(), Call::Repair);
             sent += 1;
         }
         sent
@@ -1065,11 +1067,11 @@ impl BackendNode {
             Step::Busy => {}
             Step::GetConfig => {
                 ctx.metrics().add_id(self.m().migrations_started, 1);
-                self.get_config(ctx, tag::CONFIG_FOR_HANDOFF);
+                self.get_config(ctx, ConfigFor::Handoff);
             }
             Step::SendChunk(spare, chunk) => {
                 let body = chunk.encode_in(&self.pool);
-                self.call(ctx, NodeId(spare), method::MIGRATE_CHUNK, body, tag::CHUNK);
+                self.call(ctx, NodeId(spare), method::MIGRATE_CHUNK, body, Call::Chunk);
             }
             Step::Publish(config) => {
                 // Restamp our buckets with the new config id: clients that
@@ -1079,7 +1081,7 @@ impl BackendNode {
                 self.store.set_config_id(config.config_id);
                 if let Some(store) = self.config_store {
                     let body = config.encode();
-                    self.call(ctx, store, method::UPDATE_CONFIG, body, tag::PUBLISH);
+                    self.call(ctx, store, method::UPDATE_CONFIG, body, Call::Publish);
                 }
             }
             Step::StartGrace => self.after(ctx, GRACE, Work::GraceExpired),
@@ -1125,15 +1127,16 @@ impl BackendNode {
     /// backend is handing its shard away.
     fn fetch_config(&mut self, ctx: &mut Ctx<'_>) {
         if self.handoff.idle() {
-            self.get_config(ctx, tag::CONFIG_POLL);
+            self.get_config(ctx, ConfigFor::Poll);
         }
     }
 
     /// Ask the config store (if the cell has one) for the configuration;
-    /// `purpose` tags what the answer is for.
-    fn get_config(&mut self, ctx: &mut Ctx<'_>, purpose: u64) {
+    /// `purpose` is what the answer is for.
+    fn get_config(&mut self, ctx: &mut Ctx<'_>, purpose: ConfigFor) {
         if let Some(store) = self.config_store {
-            self.call(ctx, store, method::GET_CONFIG, Bytes::new(), purpose);
+            let call = Call::Config(purpose);
+            self.call(ctx, store, method::GET_CONFIG, Bytes::new(), call);
         }
     }
 
@@ -1146,24 +1149,40 @@ impl BackendNode {
 
     // ---- Outgoing RPC plumbing ------------------------------------------
 
-    fn call(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, m: u16, body: Bytes, user_tag: u64) {
-        let deadline = ctx.now().nanos() + 50_000_000; // 50 ms
+    /// Send a call to `dst` under a 50 ms timer; the request id is the
+    /// call's token, which the answer and the timer each claim once.
+    fn call(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, m: u16, body: Bytes, call: Call) {
+        let timeout = SimDuration::from_millis(50);
         ctx.charge_cpu(RPC_COST.client_send);
-        let (id, wire) = self
-            .calls
-            .begin(dst, m, body, ctx.now(), deadline, user_tag);
+        let id = self.calls.defer((dst, call));
+        let req = rpc::Request {
+            version: rpc::PROTOCOL_VERSION,
+            method: m,
+            id,
+            auth: 0xBAC0,
+            deadline_ns: ctx.now().nanos() + timeout.nanos(),
+            body,
+        };
+        let wire = rpc::encode_request_in(&req, &self.pool);
         ctx.metrics().add_id(self.m().rpc_bytes, wire.len() as u64);
         ctx.send(dst, wire);
-        ctx.set_timer(SimDuration(50_000_000), CallTable::timer_token(id));
+        ctx.set_timer(timeout, id);
     }
 
-    fn on_rpc_completion(&mut self, ctx: &mut Ctx<'_>, done: Completion) {
+    /// The answer to `call` from `peer` (`Internal` when its timer fired).
+    fn on_answer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        peer: NodeId,
+        call: Call,
+        status: Status,
+        body: Bytes,
+    ) {
         ctx.charge_cpu(RPC_COST.client_recv);
-        match done.call.user_tag {
-            t if t & 0xFF == tag::SCAN => {
-                let (scan, peer) = ((t >> 8) as u32, done.call.dst.0);
-                let ok = done.status == Status::Ok;
-                let steps = match ok.then(|| messages::ScanPage::decode(done.body)).flatten() {
+        match call {
+            Call::Scan(scan) => {
+                let (ok, peer) = (status == Status::Ok, peer.0);
+                let steps = match ok.then(|| messages::ScanPage::decode(body)).flatten() {
                     Some(page) => {
                         let config = self.config.as_ref().expect("a scan runs under a config");
                         let store = &self.store;
@@ -1183,12 +1202,12 @@ impl BackendNode {
                 }
                 self.repair_steps(ctx, steps);
             }
-            t if t == tag::FETCH && done.status == Status::Ok => {
+            Call::Fetch if status == Status::Ok => {
                 // Fabric bytes spent on peer repair (the quantity warm
                 // restart shrinks to the un-fsynced delta).
                 ctx.metrics()
-                    .add_id(self.m().recovery_bytes, done.body.len() as u64);
-                if let Some(r) = messages::GetResp::decode(done.body) {
+                    .add_id(self.m().recovery_bytes, body.len() as u64);
+                if let Some(r) = messages::GetResp::decode(body) {
                     let hash = self.hasher.hash(&r.key);
                     if self.apply(ctx, &r.key, hash, Some(&r.value[..]), r.version) == Status::Ok {
                         ctx.metrics().add_id(self.m().recovered_entries, 1);
@@ -1197,25 +1216,25 @@ impl BackendNode {
             }
             // A failed chunk aborts (a later PREPARE_MAINTENANCE can try
             // another spare).
-            tag::CHUNK if done.status == Status::Ok => self.step_handoff(ctx, Handoff::chunk_acked),
-            tag::CHUNK => self.step_handoff(ctx, Handoff::chunk_failed),
-            tag::PUBLISH => self.step_handoff(ctx, Handoff::published),
-            t if done.call.method == method::GET_CONFIG && done.status == Status::Ok => {
-                let Some(config) = CellConfig::decode(done.body) else {
+            Call::Chunk if status == Status::Ok => self.step_handoff(ctx, Handoff::chunk_acked),
+            Call::Chunk => self.step_handoff(ctx, Handoff::chunk_failed),
+            Call::Publish => self.step_handoff(ctx, Handoff::published),
+            Call::Config(purpose) if status == Status::Ok => {
+                let Some(config) = CellConfig::decode(body) else {
                     return;
                 };
-                match t {
-                    tag::CONFIG_FOR_HANDOFF => {
+                match purpose {
+                    ConfigFor::Handoff => {
                         let shard = self.store.shard();
                         self.step_handoff(ctx, |h| h.config(config, shard));
                     }
-                    tag::CONFIG_FOR_SCAN => {
+                    ConfigFor::Scan => {
                         let me = ctx.self_id().0;
                         let steps = self.repair.config(&config, self.store.shard(), me);
                         self.config = Some(config);
                         self.repair_steps(ctx, steps);
                     }
-                    _ => {
+                    ConfigFor::Poll => {
                         if config.config_id > self.store.config_id() {
                             ctx.metrics().add_id(self.m().config_adoptions, 1);
                             self.store.set_config_id(config.config_id);
@@ -1224,7 +1243,7 @@ impl BackendNode {
                     }
                 }
             }
-            _ => {}
+            Call::Fetch | Call::Repair | Call::Config(_) => {}
         }
     }
 }
@@ -1235,7 +1254,6 @@ impl Node for BackendNode {
             Event::Start => {
                 self.mids = Some(BackendMetricIds::resolve(ctx.metrics()));
                 self.pool = ctx.pool();
-                self.calls.set_pool(self.pool.clone());
                 self.after(ctx, self.cfg.reshape_check, Work::ReshapeCheck);
                 if let Some(interval) = self.cfg.scan_interval {
                     self.after(ctx, interval, Work::ScanTick);
@@ -1282,8 +1300,8 @@ impl Node for BackendNode {
                     match rpc::decode(frame.payload) {
                         Some(rpc::Envelope::Request(req)) => self.on_rpc_request(ctx, src, req),
                         Some(rpc::Envelope::Response(resp)) => {
-                            if let Some(done) = self.calls.complete(resp, ctx.now()) {
-                                self.on_rpc_completion(ctx, done);
+                            if let Some((peer, call)) = self.calls.take(resp.id) {
+                                self.on_answer(ctx, peer, call, resp.status, resp.body);
                             }
                         }
                         None => {}
@@ -1330,22 +1348,11 @@ impl Node for BackendNode {
                         Work::WalTrickleTick => self.on_wal_trickle_tick(ctx),
                         Work::WalTrickleDone => self.on_wal_trickle_done(ctx),
                     }
-                } else if let Some(call_id) = CallTable::call_of_timer(token) {
-                    if let Some(call) = self.calls.expire(call_id) {
-                        ctx.metrics().add_id(self.m().rpc_timeouts, 1);
-                        // Synthesize a failed completion so state machines
-                        // (scan, handoff) advance rather than stall.
-                        self.on_rpc_completion(
-                            ctx,
-                            Completion {
-                                id: call_id,
-                                status: Status::Internal,
-                                body: Bytes::new(),
-                                rtt_ns: 0,
-                                call,
-                            },
-                        );
-                    }
+                } else if let Some((peer, call)) = self.calls.take(token) {
+                    ctx.metrics().add_id(self.m().rpc_timeouts, 1);
+                    // A failed answer, so the scan and handoff cores advance
+                    // rather than stall.
+                    self.on_answer(ctx, peer, call, Status::Internal, Bytes::new());
                 }
             }
         }
@@ -1367,10 +1374,10 @@ mod tests {
     use crate::version::VersionNumber;
     use simnet::{FabricCfg, HostCfg, Sim};
 
-    /// A minimal RPC probe: sends scripted requests, records responses.
+    /// A minimal RPC probe: sends scripted requests (request `i` under id
+    /// `i`), records responses.
     struct Probe {
         target: NodeId,
-        calls: CallTable,
         script: Vec<(u16, Bytes)>,
         /// (method, status, body) per completed call, in completion order.
         responses: Vec<(u16, Status, Bytes)>,
@@ -1380,7 +1387,6 @@ mod tests {
         fn new(target: NodeId, script: Vec<(u16, Bytes)>) -> Probe {
             Probe {
                 target,
-                calls: CallTable::new(1),
                 script,
                 responses: Vec::new(),
             }
@@ -1391,19 +1397,22 @@ mod tests {
         fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
             match ev {
                 Event::Start => {
-                    for (i, (m, body)) in self.script.clone().into_iter().enumerate() {
-                        let (_, wire) =
-                            self.calls
-                                .begin(self.target, m, body, ctx.now(), u64::MAX, i as u64);
-                        ctx.send(self.target, wire);
+                    for (i, (method, body)) in self.script.clone().into_iter().enumerate() {
+                        let req = rpc::Request {
+                            version: rpc::PROTOCOL_VERSION,
+                            method,
+                            id: i as u64,
+                            auth: 1,
+                            deadline_ns: u64::MAX,
+                            body,
+                        };
+                        ctx.send(self.target, rpc::encode_request(&req));
                     }
                 }
                 Event::Frame(frame) => {
                     if let Some(rpc::Envelope::Response(resp)) = rpc::decode(frame.payload) {
-                        if let Some(done) = self.calls.complete(resp, ctx.now()) {
-                            self.responses
-                                .push((done.call.method, done.status, done.body));
-                        }
+                        let method = self.script[resp.id as usize].0;
+                        self.responses.push((method, resp.status, resp.body));
                     }
                 }
                 _ => {}

@@ -24,11 +24,12 @@ use std::sync::{Arc, LazyLock};
 
 use bytes::{Bytes, Pool};
 
-use rma::{RmaOpTable, RmaStatus, Transport};
-use rpc::{CallTable, RetryPolicy, RpcCostModel, Status};
-use simnet::{
-    Ctx, Deferred, Event, IdMap, IdSet, MetricId, Metrics, Node, NodeId, SimDuration, SimTime,
+use rma::codec::{
+    encode_batch_read_req_in, encode_batch_scar_req_in, encode_read_req_in, encode_scar_req_in,
 };
+use rma::{RmaStatus, Transport};
+use rpc::{RetryPolicy, RpcCostModel, Status};
+use simnet::{Ctx, Deferred, Event, IdMap, IdSet, MetricId, Node, NodeId, SimDuration, SimTime};
 
 use adaptive::{Controller, ControllerCfg};
 
@@ -426,7 +427,7 @@ struct Parked {
 // One `ops` slot; per-client state is multiplied by 10,000 (DESIGN.md §8).
 const _: () = assert!(std::mem::size_of::<OpState>() == 16);
 // One client; per-client state is multiplied by 10,000 (DESIGN.md §8).
-const _: () = assert!(std::mem::size_of::<ClientNode>() <= 880);
+const _: () = assert!(std::mem::size_of::<ClientNode>() <= 784);
 
 /// What an issue site wants on the wire for one sub-op; [`ClientNode::emit`]
 /// turns it into a single-op frame or a member of a coalesced one.
@@ -491,60 +492,77 @@ struct BatchAccum {
     frames: BTreeMap<(FrameKind, u32), Vec<(u64, SubOp)>>,
 }
 
-/// Distinguishes batch-frame user tags from per-sub-op tags. Control tags
-/// (`CONFIG_TAG` etc.) also carry this bit, so they are always excluded
-/// *before* the bit is tested.
-const BATCH_TAG_BIT: u64 = 1 << 63;
-
-/// The sub-ops riding one wire frame.
-#[derive(Debug, PartialEq)]
-enum Members {
-    /// A single-op frame: the frame's user tag is its one member's sub tag.
-    One([u64; 1]),
-    /// A registered batch frame and its member sub tags.
-    Batch(FrameKind, Vec<u64>),
+/// A control call: what its answer resolves.
+#[derive(Debug)]
+enum Control {
+    /// `GET_CONFIG` to the config store.
+    Config,
+    /// `CONNECT` to a backend: its geometry.
+    Connect,
+    /// An `ACCESS_RECORDS` flush: nothing waits on its ack.
+    Ack,
 }
 
-impl Members {
-    fn tags(&self) -> &[u64] {
+/// One frame in flight, kept under the [`Deferred::in_flight`] token that
+/// is both its wire id and its attempt timer's token: where it went, when,
+/// and what its answer resolves.
+#[derive(Debug)]
+enum Flight {
+    /// A control call to a node, issued at a time.
+    Control(Control, NodeId, SimTime),
+    /// A single-op frame on a path to a node, issued at a time: its one
+    /// sub-op's tag.
+    Sub(adaptive::Path, NodeId, SimTime, u64),
+    /// A doorbell-batched frame to a node: its issue time (ns), then its
+    /// members' sub tags in wire order. The time rides the member list so
+    /// that no record holds a slice beside a time, which keeps every record
+    /// at 24 B.
+    Batch(FrameKind, NodeId, Box<[u64]>),
+}
+
+// One in-flight record, the size of a record of the RMA op table it
+// replaces; per-client state is multiplied by 10,000 (DESIGN.md §8).
+const _: () = assert!(std::mem::size_of::<Flight>() == 24);
+
+impl Flight {
+    fn dst(&self) -> NodeId {
         match self {
-            Members::One(tag) => tag,
-            Members::Batch(_, subs) => subs,
+            Flight::Control(_, dst, _) | Flight::Sub(_, dst, ..) | Flight::Batch(_, dst, _) => *dst,
+        }
+    }
+
+    fn issued_at(&self) -> SimTime {
+        match self {
+            Flight::Control(_, _, at) | Flight::Sub(_, _, at, _) => *at,
+            Flight::Batch(_, _, stamped) => SimTime(stamped[0]),
+        }
+    }
+
+    /// The wire path the frame travels.
+    fn path(&self) -> adaptive::Path {
+        match self {
+            Flight::Sub(path, ..) => *path,
+            Flight::Batch(FrameKind::Read | FrameKind::Scar, ..) => adaptive::Path::Rma,
+            _ => adaptive::Path::Rpc,
+        }
+    }
+
+    /// The sub-ops the frame carries (none for a control call).
+    fn members(&self) -> &[u64] {
+        match self {
+            Flight::Control(..) => &[],
+            Flight::Sub(.., sub) => std::slice::from_ref(sub),
+            Flight::Batch(_, _, stamped) => &stamped[1..],
         }
     }
 }
 
-/// Outstanding wire frames under one view: a frame and its members. Only
-/// batch frames are stored; a single-op frame is recognized by its tag, so
-/// the unbatched path never touches the table.
-#[derive(Debug, Default)]
-struct Frames {
-    /// Monotonic batch-frame counter (tag allocator).
-    next: u64,
-    batches: IdMap<u64, (FrameKind, Vec<u64>)>,
-}
-
-impl Frames {
-    /// Register an outgoing batch frame; returns its user tag.
-    fn register(&mut self, kind: FrameKind, subs: Vec<u64>) -> u64 {
-        let tag = BATCH_TAG_BIT | self.next;
-        self.next += 1;
-        self.batches.insert(tag, (kind, subs));
-        tag
-    }
-
-    /// Claim the members of the frame tagged `tag`, once: control tags and
-    /// unknown (already claimed) batch tags have none.
-    fn members(&mut self, tag: u64) -> Option<Members> {
-        if tag >= IGNORE_TAG {
-            None
-        } else if tag & BATCH_TAG_BIT != 0 {
-            let (kind, subs) = self.batches.remove(&tag)?;
-            Some(Members::Batch(kind, subs))
-        } else {
-            Some(Members::One([tag]))
-        }
-    }
+/// Claim the record an answer on `path` resolves, once: `None` for a token
+/// already claimed (a late or duplicate answer) and for a record of the
+/// other path, which stays in flight.
+fn claim(flights: &mut Deferred<Flight>, id: u64, path: adaptive::Path) -> Option<Flight> {
+    let on_path = flights.get(id)?.path() == path;
+    on_path.then(|| flights.take(id)).flatten()
 }
 
 /// What one replica said — or failed to say — about one sub-op.
@@ -593,8 +611,8 @@ pub struct ClientNode {
     workload: Box<dyn Workload>,
     /// Client-side transport (public for harness engine sampling).
     pub transport: Transport,
-    rma: RmaOpTable,
-    calls: CallTable,
+    /// Frames in flight: RMA ops and RPC calls, one record per frame.
+    flights: Deferred<Flight>,
     work: Deferred<Work>,
     versions: VersionGen,
     memo: VersionMemo,
@@ -633,8 +651,6 @@ pub struct ClientNode {
     /// Doorbell-batching accumulator (active only inside a MultiGet /
     /// MultiSet expansion or a batch-completion demux).
     coalesce: BatchAccum,
-    /// Outstanding batch frames.
-    frames: Frames,
     next_op_id: u64,
     in_flight: usize,
     workload_done: bool,
@@ -673,66 +689,51 @@ const RETRY_REASONS: [(RetryReason, &str); 11] = [
     (RetryReason::MutationFailures, "cm.retry.mutation_failures"),
 ];
 
-/// Declares [`ClientMetricIds`]: one interned handle per `field: "name"`,
-/// plus one per [`RetryReason`].
-macro_rules! metric_ids {
-    ($($field:ident: $name:literal,)*) => {
-        /// Interned handles for every metric the client writes per-op;
-        /// resolved once per cell, at the first client's [`Event::Start`],
-        /// so the GET/SET hot paths never touch a name.
-        #[derive(Clone, Copy)]
-        struct ClientMetricIds {
-            $($field: MetricId,)*
-            retry: [MetricId; RETRY_REASONS.len()],
-        }
-
-        impl ClientMetricIds {
-            fn resolve(m: &mut Metrics) -> ClientMetricIds {
-                let retry = RETRY_REASONS.map(|(_, name)| m.handle(name));
-                ClientMetricIds { $($field: m.handle($name),)* retry }
-            }
-        }
-    };
-}
-
-metric_ids! {
-    overload_drops: "cm.client.overload_drops",
-    cpu_ns: "cm.client.cpu_ns",
-    op_errors: "cm.op_errors",
-    get_hits: "cm.get.hits",
-    get_misses: "cm.get.misses",
-    get_overflow_fallbacks: "cm.get.overflow_fallbacks",
-    get_overflow_hits: "cm.get.overflow_hits",
-    get_torn_reads: "cm.get.torn_reads",
-    get_hash_collisions: "cm.get.hash_collisions",
-    get_batches: "cm.get.batches",
-    get_completed: "cm.get.completed",
-    set_batches: "cm.set.batches",
-    set_completed: "cm.set.completed",
-    rma_frames: "cm.client.rma_frames",
-    set_acked: "cm.set.acked",
-    set_superseded: "cm.set.superseded",
-    retries: "cm.retries",
-    rpc_bytes: "cm.rpc_bytes",
-    config_refreshes: "cm.client.config_refreshes",
-    config_mismatches: "cm.client.config_mismatches",
-    stale_backend_config: "cm.client.stale_backend_config",
-    geometry_invalidations: "cm.client.geometry_invalidations",
-    access_flushes: "cm.client.access_flushes",
-    rma_timeouts: "cm.client.rma_timeouts",
-    rpc_timeouts: "cm.client.rpc_timeouts",
-    rma_rtt_ns: "cm.rma.rtt_ns",
-    getkey_latency_ns: "cm.getkey.latency_ns",
-    get_latency_ns: "cm.get.latency_ns",
-    set_latency_ns: "cm.set.latency_ns",
-    ccache_hits: "cm.ccache.hits",
-    ccache_stale: "cm.ccache.stale",
-    ccache_misses: "cm.ccache.misses",
-    ccache_validations: "cm.ccache.validations",
-    ccache_invalidations: "cm.ccache.invalidations",
-    hot_promotions: "cm.client.hot_promotions",
-    hot_demotions: "cm.client.hot_demotions",
-    hot_routed: "cm.client.hot_routed_gets",
+simnet::metric_ids! {
+    /// Interned handles for every metric the client writes per-op, one per
+    /// [`RetryReason`] among them; resolved once per cell, at the first
+    /// client's [`Event::Start`], so the GET/SET hot paths never touch a
+    /// name.
+    struct ClientMetricIds {
+        [retry]: RETRY_REASONS,
+        overload_drops: "cm.client.overload_drops",
+        cpu_ns: "cm.client.cpu_ns",
+        op_errors: "cm.op_errors",
+        get_hits: "cm.get.hits",
+        get_misses: "cm.get.misses",
+        get_overflow_fallbacks: "cm.get.overflow_fallbacks",
+        get_overflow_hits: "cm.get.overflow_hits",
+        get_torn_reads: "cm.get.torn_reads",
+        get_hash_collisions: "cm.get.hash_collisions",
+        get_batches: "cm.get.batches",
+        get_completed: "cm.get.completed",
+        set_batches: "cm.set.batches",
+        set_completed: "cm.set.completed",
+        rma_frames: "cm.client.rma_frames",
+        set_acked: "cm.set.acked",
+        set_superseded: "cm.set.superseded",
+        retries: "cm.retries",
+        rpc_bytes: "cm.rpc_bytes",
+        config_refreshes: "cm.client.config_refreshes",
+        config_mismatches: "cm.client.config_mismatches",
+        stale_backend_config: "cm.client.stale_backend_config",
+        geometry_invalidations: "cm.client.geometry_invalidations",
+        access_flushes: "cm.client.access_flushes",
+        rma_timeouts: "cm.client.rma_timeouts",
+        rpc_timeouts: "cm.client.rpc_timeouts",
+        rma_rtt_ns: "cm.rma.rtt_ns",
+        getkey_latency_ns: "cm.getkey.latency_ns",
+        get_latency_ns: "cm.get.latency_ns",
+        set_latency_ns: "cm.set.latency_ns",
+        ccache_hits: "cm.ccache.hits",
+        ccache_stale: "cm.ccache.stale",
+        ccache_misses: "cm.ccache.misses",
+        ccache_validations: "cm.ccache.validations",
+        ccache_invalidations: "cm.ccache.invalidations",
+        hot_promotions: "cm.client.hot_promotions",
+        hot_demotions: "cm.client.hot_demotions",
+        hot_routed: "cm.client.hot_routed_gets",
+    }
 }
 
 impl ClientMetricIds {
@@ -748,7 +749,6 @@ impl ClientNode {
         ClientNode {
             client_id: me.client_id,
             versions: VersionGen::new(me.client_id),
-            calls: CallTable::new(me.client_id as u64),
             ccache: None,
             shared: me.shared,
             hot: cfg
@@ -769,7 +769,7 @@ impl ClientNode {
             cfg,
             workload,
             transport: me.transport,
-            rma: RmaOpTable::new(),
+            flights: Deferred::in_flight(),
             work: Deferred::aux1(),
             memo: VersionMemo::default(),
             config: None,
@@ -781,7 +781,6 @@ impl ClientNode {
             free_gets: Vec::new(),
             batches: IdMap::default(),
             coalesce: BatchAccum::default(),
-            frames: Frames::default(),
             next_op_id: 1,
             in_flight: 0,
             workload_done: false,
@@ -1169,11 +1168,6 @@ impl ClientNode {
         self.ccache.as_ref().map(|c| c.stats)
     }
 
-    /// Currently promoted hot keys (0 when hot replication is disabled).
-    pub fn hot_keys(&self) -> usize {
-        self.hot.as_ref().map(|t| t.hot_len()).unwrap_or(0)
-    }
-
     /// Inspect the cached entry for a key regardless of lease state
     /// (harness/test visibility; `None` when absent or cache disabled).
     pub fn cache_peek(&self, key: &[u8]) -> Option<(VersionNumber, Bytes)> {
@@ -1341,23 +1335,37 @@ impl ClientNode {
             }
             return;
         }
-        let now = ctx.now();
         let (method_id, send_cost, body) = match sub {
             SubOp::Read(at) => {
-                let (w, g) = (at.window_id(), at.generation);
                 for &dst in dsts {
-                    let op = self.rma.begin_read(dst, w, g, at.offset, at.len, now, tag);
-                    self.send_rma(ctx, dst, op, trace);
+                    let flight = Flight::Sub(adaptive::Path::Rma, dst, ctx.now(), tag);
+                    self.send_rma(ctx, flight, trace, |op_id, pool| {
+                        let req = rma::ReadReq {
+                            op_id,
+                            window: at.window,
+                            generation: at.generation,
+                            offset: at.offset,
+                            len: at.len,
+                        };
+                        encode_read_req_in(&req, pool)
+                    });
                 }
                 return;
             }
-            SubOp::Scar(at, hash) => {
-                let (w, g) = (at.window_id(), at.generation);
+            SubOp::Scar(at, key_hash) => {
                 for &dst in dsts {
-                    let op = self
-                        .rma
-                        .begin_scar(dst, w, g, at.offset, at.len, hash, now, tag);
-                    self.send_rma(ctx, dst, op, trace);
+                    let flight = Flight::Sub(adaptive::Path::Rma, dst, ctx.now(), tag);
+                    self.send_rma(ctx, flight, trace, |op_id, pool| {
+                        let req = rma::ScarReq {
+                            op_id,
+                            index_window: at.window,
+                            index_generation: at.generation,
+                            bucket_offset: at.offset,
+                            bucket_len: at.len,
+                            key_hash,
+                        };
+                        encode_scar_req_in(&req, pool)
+                    });
                 }
                 return;
             }
@@ -1398,14 +1406,24 @@ impl ClientNode {
         // An RPC body encodes once and is shared across `dsts`.
         for &dst in dsts {
             self.charge(ctx, send_cost, trace);
-            self.send_rpc(ctx, dst, method_id, body.clone(), tag, trace);
+            let flight = Flight::Sub(adaptive::Path::Rpc, dst, ctx.now(), tag);
+            self.send_rpc(ctx, flight, method_id, body.clone(), trace);
         }
     }
 
-    /// Send one RMA frame (single or batched) through the client-side
-    /// transport and arm its attempt timer.
-    fn send_rma(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, op: (u64, Bytes), trace: u64) {
-        let (rma_id, wire) = op;
+    /// Put RMA frame `flight` (single or batched) in flight: its record's
+    /// token is the op id `encode` writes into the request. The frame goes
+    /// through the client-side transport, then its attempt timer is armed.
+    fn send_rma(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        flight: Flight,
+        trace: u64,
+        encode: impl FnOnce(u64, &Pool) -> Bytes,
+    ) {
+        let dst = flight.dst();
+        let op_id = self.flights.defer(flight);
+        let wire = encode(op_id, &self.pool);
         // Every RMA wire frame (single or batched) counts once — the
         // frames-per-batch economics of doorbell batching read from here.
         ctx.metrics().add_id(self.m().rma_frames, 1);
@@ -1428,7 +1446,7 @@ impl ClientNode {
             let tok = self.work.defer(Work::SendWire(dst, wire, trace));
             ctx.set_timer(delay, tok);
         }
-        ctx.set_timer(self.cfg.attempt_timeout, RmaOpTable::timer_token(rma_id));
+        ctx.set_timer(self.cfg.attempt_timeout, op_id);
     }
 
     /// Feed one replica's index vote on sub-op `tag` to the op's quorum and
@@ -1500,7 +1518,8 @@ impl ClientNode {
                 let trace = self.trace_of(ctx, op_id);
                 for replica in replicas {
                     let body = messages::GetReq { key: key.clone() }.encode_in(&self.pool);
-                    self.send_rpc(ctx, replica, method::GET_RPC, body, tag, trace);
+                    let flight = Flight::Sub(adaptive::Path::Rpc, replica, ctx.now(), tag);
+                    self.send_rpc(ctx, flight, method::GET_RPC, body, trace);
                 }
             }
             GetStep::Hit(version) => {
@@ -1751,20 +1770,33 @@ impl ClientNode {
 
     // ---- RPC plumbing ----------------------------------------------------
 
-    /// Send one RPC frame carrying user tag `tag` (a sub-op tag, a batch
-    /// frame tag, or a control tag) and arm its attempt timer.
+    /// Put RPC frame `flight` in flight: its record's token is the request
+    /// id. The request, stamped with this client's id and the attempt's
+    /// deadline, goes out, then its attempt timer is armed.
     fn send_rpc(
         &mut self,
         ctx: &mut Ctx<'_>,
-        dst: NodeId,
-        m: u16,
+        flight: Flight,
+        method: u16,
         body: Bytes,
-        tag: u64,
         trace: u64,
     ) {
-        let deadline = ctx.now().nanos() + self.cfg.attempt_timeout.nanos();
-        let (id, wire) = self.calls.begin(dst, m, body, ctx.now(), deadline, tag);
-        ctx.metrics().add_id(self.m().rpc_bytes, wire.len() as u64);
+        // Config refreshes are not counted in `cm.rpc_bytes`.
+        let counted = !matches!(flight, Flight::Control(Control::Config, ..));
+        let dst = flight.dst();
+        let id = self.flights.defer(flight);
+        let req = rpc::Request {
+            version: rpc::PROTOCOL_VERSION,
+            method,
+            id,
+            auth: self.client_id as u64,
+            deadline_ns: ctx.now().nanos() + self.cfg.attempt_timeout.nanos(),
+            body,
+        };
+        let wire = rpc::encode_request_in(&req, &self.pool);
+        if counted {
+            ctx.metrics().add_id(self.m().rpc_bytes, wire.len() as u64);
+        }
         if trace != 0 && ctx.peer_cpu_dead(dst) {
             ctx.trace_mark(
                 trace,
@@ -1773,7 +1805,7 @@ impl ClientNode {
             );
         }
         ctx.send_traced(dst, wire, trace);
-        ctx.set_timer(self.cfg.attempt_timeout, CallTable::timer_token(id));
+        ctx.set_timer(self.cfg.attempt_timeout, id);
     }
 
     /// Flush the doorbell-batching accumulator: one wire frame, one
@@ -1785,15 +1817,17 @@ impl ClientNode {
         for ((kind, dst), members) in std::mem::take(&mut self.coalesce.frames) {
             let dst = NodeId(dst);
             // One pass sorts the members into the frame's wire vector (the
-            // others stay empty and unallocated).
-            let mut subs = Vec::with_capacity(members.len());
+            // others stay empty and unallocated) and, behind the issue time,
+            // into the frame's record.
+            let mut stamped = Vec::with_capacity(members.len() + 1);
+            stamped.push(ctx.now().nanos());
             let (mut reads, mut scars) = (Vec::new(), Vec::new());
             let (mut keys, mut entries) = (Vec::new(), Vec::new());
             // All sub-ops aimed at one replica share its geometry entry, so
             // the first SCAR's (window, generation) speaks for the frame.
             let mut scar_at = Pointer::default();
             for (sub, s) in members {
-                subs.push(sub);
+                stamped.push(sub);
                 match s {
                     SubOp::Read(at) => reads.push(rma::BatchReadEntry {
                         sub,
@@ -1824,38 +1858,47 @@ impl ClientNode {
             }
             // The frame is traced under its first member's op (a batch is
             // one doorbell; per-sub attribution happens at demux).
-            let trace = self.trace_of(ctx, subs[0] >> 10);
-            let (now, pool) = (ctx.now(), &self.pool);
+            let trace = self.trace_of(ctx, stamped[1] >> 10);
+            let flight = Flight::Batch(kind, dst, stamped.into_boxed_slice());
+            let (pool, subs) = (&self.pool, flight.members());
             let (method_id, cost, body) = match kind {
                 FrameKind::Read => {
-                    let btag = self.frames.register(kind, subs);
-                    let op = self.rma.begin_batch_read(dst, reads, now, btag);
-                    self.send_rma(ctx, dst, op, trace);
+                    self.send_rma(ctx, flight, trace, |op_id, pool| {
+                        let req = rma::BatchReadReq {
+                            op_id,
+                            entries: reads,
+                        };
+                        encode_batch_read_req_in(&req, pool)
+                    });
                     continue;
                 }
                 FrameKind::Scar => {
-                    let btag = self.frames.register(kind, subs);
-                    let (w, g) = (scar_at.window_id(), scar_at.generation);
-                    let op = self.rma.begin_batch_scar(dst, w, g, scars, now, btag);
-                    self.send_rma(ctx, dst, op, trace);
+                    self.send_rma(ctx, flight, trace, |op_id, pool| {
+                        let req = rma::BatchScarReq {
+                            op_id,
+                            index_window: scar_at.window,
+                            index_generation: scar_at.generation,
+                            entries: scars,
+                        };
+                        encode_batch_scar_req_in(&req, pool)
+                    });
                     continue;
                 }
                 // The RPC vectors echo the member tags on the wire too.
                 FrameKind::Lookup(strategy) => {
-                    let subs = subs.clone();
+                    let subs = subs.to_vec();
                     let body = messages::MultiGetReq { subs, keys }.encode_in(pool);
                     let row = strategy_row(strategy);
                     (row.methods.1, row.cost(), body)
                 }
                 FrameKind::Set => {
-                    let subs = subs.clone();
+                    let subs = subs.to_vec();
                     let body = messages::MultiSetReq { subs, entries }.encode_in(pool);
                     (method::MULTI_SET, &*RPC_COST, body)
                 }
             };
             self.charge(ctx, cost.client_send, trace);
-            let btag = self.frames.register(kind, subs);
-            self.send_rpc(ctx, dst, method_id, body, btag, trace);
+            self.send_rpc(ctx, flight, method_id, body, trace);
         }
     }
 
@@ -1864,7 +1907,8 @@ impl ClientNode {
             return;
         }
         self.connecting.insert(backend);
-        self.send_rpc(ctx, backend, method::CONNECT, Bytes::new(), CONNECT_TAG, 0);
+        let flight = Flight::Control(Control::Connect, backend, ctx.now());
+        self.send_rpc(ctx, flight, method::CONNECT, Bytes::new(), 0);
     }
 
     fn refresh_config(&mut self, ctx: &mut Ctx<'_>) {
@@ -1873,17 +1917,8 @@ impl ClientNode {
         }
         self.config_refreshing = true;
         ctx.metrics().add_id(self.m().config_refreshes, 1);
-        let deadline = ctx.now().nanos() + self.cfg.attempt_timeout.nanos();
-        let (id, wire) = self.calls.begin(
-            self.cfg.config_store,
-            method::GET_CONFIG,
-            Bytes::new(),
-            ctx.now(),
-            deadline,
-            CONFIG_TAG,
-        );
-        ctx.send(self.cfg.config_store, wire);
-        ctx.set_timer(self.cfg.attempt_timeout, CallTable::timer_token(id));
+        let flight = Flight::Control(Control::Config, self.cfg.config_store, ctx.now());
+        self.send_rpc(ctx, flight, method::GET_CONFIG, Bytes::new(), 0);
     }
 
     fn release_parked(&mut self, ctx: &mut Ctx<'_>) {
@@ -1904,12 +1939,14 @@ impl ClientNode {
         }
     }
 
-    fn on_rpc_completion(&mut self, ctx: &mut Ctx<'_>, done: rpc::Completion) {
-        match done.call.user_tag {
-            CONFIG_TAG => {
+    /// The answer to RPC `flight` came back with `status` and `body`.
+    fn on_rpc_answer(&mut self, ctx: &mut Ctx<'_>, flight: Flight, status: Status, body: Bytes) {
+        let from = flight.dst();
+        match flight {
+            Flight::Control(Control::Config, ..) => {
                 self.config_refreshing = false;
-                if done.status == Status::Ok {
-                    if let Some(config) = CellConfig::decode(done.body) {
+                if status == Status::Ok {
+                    if let Some(config) = CellConfig::decode(body) {
                         // A new config invalidates geometry learned from
                         // nodes that changed roles.
                         let changed = self
@@ -1926,104 +1963,96 @@ impl ClientNode {
                     }
                 }
             }
-            CONNECT_TAG => {
-                self.connecting.remove(&done.call.dst);
-                if done.status == Status::Ok {
-                    if let Some(geom) = Geometry::decode(done.body) {
+            Flight::Control(Control::Connect, ..) => {
+                self.connecting.remove(&from);
+                if status == Status::Ok {
+                    if let Some(geom) = Geometry::decode(body) {
                         // Validate the backend agrees with our config.
                         let ours = self.config.as_ref().map(|c| c.config_id);
                         if ours == Some(geom.config_id) {
                             let id = self.shared.intern_geometry(geom);
-                            self.geometry.insert(done.call.dst, id);
+                            self.geometry.insert(from, id);
                         } else {
                             self.refresh_config(ctx);
                         }
                     }
-                } else if done.status == Status::WrongShard {
+                } else if status == Status::WrongShard {
                     self.refresh_config(ctx);
                 }
                 self.release_parked(ctx);
             }
             // An access-record ack resolves nothing but still costs a
             // single-frame receive (uncounted, like every such receive).
-            IGNORE_TAG => ctx.charge_cpu(RPC_COST.client_recv),
-            tag => {
-                let from = done.call.dst;
-                let Some(members) = self.frames.members(tag) else {
-                    return;
+            Flight::Control(Control::Ack, ..) => ctx.charge_cpu(RPC_COST.client_recv),
+            Flight::Sub(.., sub) => {
+                let rep_trace = self.trace_of(ctx, sub >> 10);
+                // Model-cost quirk, pinned by the committed CSVs: a
+                // single-op frame's receive is billed at full RPC cost but
+                // not counted in `cm.client.cpu_ns`, and a live MSG/RPC
+                // lookup then pays its strategy's `client_recv` again
+                // (counted). Batch frames pay once, counted.
+                ctx.charge_cpu_traced(
+                    RPC_COST.client_recv,
+                    rep_trace,
+                    simnet::obs::stage::CLIENT_CPU,
+                );
+                let (op_id, attempt, phase) = split_tag(sub);
+                let get = match self.ops.get(&op_id) {
+                    Some(OpState::Get(g)) => Some((
+                        strategy_row(g.strategy).cost,
+                        g.h.attempt.number() == attempt,
+                    )),
+                    _ => None,
                 };
-                let rep_trace = self.trace_of(ctx, members.tags()[0] >> 10);
-                let decoded = done.status == Status::Ok;
-                match members {
-                    Members::One([sub]) => {
-                        // Model-cost quirk, pinned by the committed CSVs: a
-                        // single-op frame's receive is billed at full RPC
-                        // cost but not counted in `cm.client.cpu_ns`, and a
-                        // live MSG/RPC lookup then pays its strategy's
-                        // `client_recv` again (counted). Batch frames pay
-                        // once, counted.
-                        ctx.charge_cpu_traced(
-                            RPC_COST.client_recv,
-                            rep_trace,
-                            simnet::obs::stage::CLIENT_CPU,
-                        );
-                        let (op_id, attempt, phase) = split_tag(sub);
-                        let get = match self.ops.get(&op_id) {
-                            Some(OpState::Get(g)) => Some((
-                                strategy_row(g.strategy).cost,
-                                g.h.attempt.number() == attempt,
-                            )),
-                            _ => None,
-                        };
-                        if let (Some((Some(cost), true)), 0) = (get, phase) {
-                            self.charge(ctx, cost.client_recv, rep_trace);
-                        }
-                        // Only lookups answer with a body; a mutation's
-                        // verdict is its status.
-                        let verdict = if decoded && get.is_some() {
-                            match messages::GetResp::decode(done.body) {
-                                Some(resp) => Verdict::Rpc(Status::Ok, resp.version, resp.value),
-                                None => Verdict::Garbled,
-                            }
-                        } else {
-                            Verdict::status(done.status)
-                        };
-                        self.deliver(ctx, sub, from, verdict);
+                if let (Some((Some(cost), true)), 0) = (get, phase) {
+                    self.charge(ctx, cost.client_recv, rep_trace);
+                }
+                // Only lookups answer with a body; a mutation's verdict is
+                // its status.
+                let verdict = if status == Status::Ok && get.is_some() {
+                    match messages::GetResp::decode(body) {
+                        Some(resp) => Verdict::Rpc(Status::Ok, resp.version, resp.value),
+                        None => Verdict::Garbled,
                     }
-                    // One receive-side charge for the whole frame, then
-                    // per-member resolution identical to the single path. A
-                    // failed or undecodable frame is an Internal verdict
-                    // from this replica for every member.
-                    Members::Batch(kind, subs) => {
-                        let cost = match kind {
-                            FrameKind::Lookup(strategy) => strategy_row(strategy).cost(),
-                            _ => &RPC_COST,
-                        };
-                        self.charge(ctx, cost.client_recv, rep_trace);
-                        let mut demuxed = false;
-                        if decoded && kind == FrameKind::Set {
-                            if let Some(resp) = messages::MultiSetResp::decode(done.body) {
-                                demuxed = true;
-                                for (sub, s) in resp.statuses {
-                                    let verdict = Verdict::status(Status::from_u8(s));
-                                    self.deliver(ctx, sub, from, verdict);
-                                }
-                            }
-                        } else if decoded {
-                            if let Some(resp) = messages::MultiGetResp::decode(done.body) {
-                                demuxed = true;
-                                for e in resp.entries {
-                                    let status = Status::from_u8(e.status);
-                                    let verdict = Verdict::Rpc(status, e.version, e.value);
-                                    self.deliver(ctx, e.sub, from, verdict);
-                                }
-                            }
+                } else {
+                    Verdict::status(status)
+                };
+                self.deliver(ctx, sub, from, verdict);
+            }
+            // One receive-side charge for the whole frame, then per-member
+            // resolution identical to the single path. A failed or
+            // undecodable frame is an Internal verdict from this replica
+            // for every member.
+            Flight::Batch(kind, _, ref stamped) => {
+                let subs = &stamped[1..];
+                let rep_trace = self.trace_of(ctx, subs[0] >> 10);
+                let cost = match kind {
+                    FrameKind::Lookup(strategy) => strategy_row(strategy).cost(),
+                    _ => &RPC_COST,
+                };
+                self.charge(ctx, cost.client_recv, rep_trace);
+                let (decoded, mut demuxed) = (status == Status::Ok, false);
+                if decoded && kind == FrameKind::Set {
+                    if let Some(resp) = messages::MultiSetResp::decode(body) {
+                        demuxed = true;
+                        for (sub, s) in resp.statuses {
+                            let verdict = Verdict::status(Status::from_u8(s));
+                            self.deliver(ctx, sub, from, verdict);
                         }
-                        if !demuxed {
-                            for sub in subs {
-                                self.deliver(ctx, sub, from, Verdict::status(Status::Internal));
-                            }
+                    }
+                } else if decoded {
+                    if let Some(resp) = messages::MultiGetResp::decode(body) {
+                        demuxed = true;
+                        for e in resp.entries {
+                            let status = Status::from_u8(e.status);
+                            let verdict = Verdict::Rpc(status, e.version, e.value);
+                            self.deliver(ctx, e.sub, from, verdict);
                         }
+                    }
+                }
+                if !demuxed {
+                    for &sub in subs.iter() {
+                        self.deliver(ctx, sub, from, Verdict::status(Status::Internal));
                     }
                 }
             }
@@ -2096,14 +2125,15 @@ impl ClientNode {
     /// frame, then per-member routing. Data fetches that the demux of a
     /// *batch* frame triggers (2×R) re-coalesce into a follow-up frame; a
     /// single-op frame never re-arms coalescing.
-    fn on_rma_completion(&mut self, ctx: &mut Ctx<'_>, done: rma::OpCompletion) {
-        let Some(members) = self.frames.members(done.op.user_tag) else {
+    fn on_rma_answer(&mut self, ctx: &mut Ctx<'_>, answer: rma::RmaAnswer) {
+        let Some(flight) = claim(&mut self.flights, answer.op_id, adaptive::Path::Rma) else {
             return;
         };
-        let batch = matches!(members, Members::Batch(..));
-        let rep_trace = self.trace_of(ctx, members.tags()[0] >> 10);
+        let members = flight.members();
+        let batch = matches!(flight, Flight::Batch(..));
+        let rep_trace = self.trace_of(ctx, members[0] >> 10);
         // Client-side transport completion processing cost.
-        let bytes = done.results().map(|d| d.data.len() + d.bucket.len()).sum();
+        let bytes = answer.payload_bytes();
         let ready = self.transport.admit_completion(ctx.now(), bytes);
         ctx.trace_interval(rep_trace, simnet::obs::stage::ENGINE, ctx.now(), ready);
         // Engine occupancy is tracked; latency impact is folded into
@@ -2115,19 +2145,20 @@ impl ClientNode {
         }
         // Fabric + target-serve round trip, as a hardware timestamper on
         // the NIC would report it (the Fig. 16 quantity).
-        ctx.metrics().record_id(self.m().rma_rtt_ns, done.rtt_ns);
-        let replica = done.op.dst;
-        if done.results().next().is_none() {
+        let rtt = ctx.now().since(flight.issued_at());
+        ctx.metrics().record_id(self.m().rma_rtt_ns, rtt.nanos());
+        let replica = flight.dst();
+        if answer.is_empty() {
             // Defensive: a frame-level failure with no per-entry verdicts
             // fails every member's vote from this replica.
-            for &sub in members.tags() {
+            for &sub in members {
                 self.deliver(ctx, sub, replica, Verdict::Lost(adaptive::Path::Rma));
             }
             return;
         }
         let rearm = batch && self.cfg.doorbell_batching && !self.coalesce.active;
         self.coalesce.active |= rearm;
-        for d in done.into_results() {
+        for d in answer.into_results(members[0]) {
             let trace = self.trace_of(ctx, d.sub >> 10);
             self.charge(ctx, RMA_OP_CPU, trace);
             self.deliver(
@@ -2150,7 +2181,7 @@ impl ClientNode {
     fn on_frame_lost(
         &mut self,
         ctx: &mut Ctx<'_>,
-        tag: u64,
+        members: &[u64],
         dst: NodeId,
         issued_at: SimTime,
         path: adaptive::Path,
@@ -2158,16 +2189,48 @@ impl ClientNode {
         if let Some(ctl) = self.adaptive.as_mut() {
             ctl.record_timeout(dst.0, path);
         }
-        let Some(members) = self.frames.members(tag) else {
-            return;
-        };
-        for &sub in members.tags() {
+        for &sub in members {
             let op_id = sub >> 10;
             if self.ops.contains_key(&op_id) {
                 let trace = self.trace_of(ctx, op_id);
                 ctx.trace_interval(trace, simnet::obs::stage::RETRY, issued_at, ctx.now());
             }
             self.deliver(ctx, sub, dst, Verdict::Lost(path));
+        }
+    }
+
+    /// Frame `flight`'s attempt timer fired first: the timer claims the
+    /// record, so an answer arriving later finds nothing to resolve.
+    fn on_expired(&mut self, ctx: &mut Ctx<'_>, flight: Flight) {
+        let path = flight.path();
+        let timeouts = match path {
+            adaptive::Path::Rma => self.m().rma_timeouts,
+            adaptive::Path::Rpc => self.m().rpc_timeouts,
+        };
+        ctx.metrics().add_id(timeouts, 1);
+        match flight {
+            Flight::Control(Control::Config, ..) => {
+                self.config_refreshing = false;
+                // Nothing arrived to release the parked ops: each meets its
+                // deadline here, in order.
+                let (now, policy) = (ctx.now().nanos(), self.cfg.retry);
+                for (id, mut p) in std::mem::take(&mut self.parked) {
+                    let step = p.attempt.ready(now, &policy, true);
+                    self.run_step(ctx, id, step, Some(p));
+                }
+                self.refresh_config(ctx);
+            }
+            Flight::Control(Control::Connect, dst, _) => {
+                self.connecting.remove(&dst);
+                // A dead backend: refresh config in case the cell moved the
+                // shard.
+                self.refresh_config(ctx);
+            }
+            Flight::Control(Control::Ack, ..) => {}
+            Flight::Sub(..) | Flight::Batch(..) => {
+                let (dst, issued_at) = (flight.dst(), flight.issued_at());
+                self.on_frame_lost(ctx, flight.members(), dst, issued_at, path);
+            }
         }
     }
 
@@ -2401,7 +2464,8 @@ impl ClientNode {
             }
             ctx.metrics().add_id(self.m().access_flushes, 1);
             let body = messages::AccessRecords { hashes }.encode_in(&self.pool);
-            self.send_rpc(ctx, backend, method::ACCESS_RECORDS, body, IGNORE_TAG, 0);
+            let flight = Flight::Control(Control::Ack, backend, ctx.now());
+            self.send_rpc(ctx, flight, method::ACCESS_RECORDS, body, 0);
         }
         if let Some(interval) = self.cfg.access_flush {
             let tok = self.work.defer(Work::AccessFlush);
@@ -2409,10 +2473,6 @@ impl ClientNode {
         }
     }
 }
-
-const CONFIG_TAG: u64 = u64::MAX;
-const CONNECT_TAG: u64 = u64::MAX - 1;
-const IGNORE_TAG: u64 = u64::MAX - 2;
 
 /// Aux codes stamped on trace OPEN (op kind) and CLOSE (outcome) events.
 pub mod trace_aux {
@@ -2467,8 +2527,6 @@ impl Node for ClientNode {
                 let mids = &self.shared.0.mids;
                 mids.get_or_init(|| ClientMetricIds::resolve(ctx.metrics()));
                 self.pool = ctx.pool();
-                self.calls.set_pool(self.pool.clone());
-                self.rma.set_pool(self.pool.clone());
                 let shared = self.shared.values().cloned().unwrap_or_default();
                 self.ccache = self
                     .cfg
@@ -2484,14 +2542,15 @@ impl Node for ClientNode {
             }
             Event::Frame(frame) => {
                 if let Some(env) = rma::decode(frame.payload.clone()) {
-                    if let Some(done) = self.rma.complete(env, ctx.now()) {
-                        self.on_rma_completion(ctx, done);
+                    if let Some(answer) = rma::RmaAnswer::of(env) {
+                        self.on_rma_answer(ctx, answer);
                     }
                     return;
                 }
                 if let Some(rpc::Envelope::Response(resp)) = rpc::decode(frame.payload) {
-                    if let Some(done) = self.calls.complete(resp, ctx.now()) {
-                        self.on_rpc_completion(ctx, done);
+                    let path = adaptive::Path::Rpc;
+                    if let Some(flight) = claim(&mut self.flights, resp.id, path) {
+                        self.on_rpc_answer(ctx, flight, resp.status, resp.body);
                     }
                 }
             }
@@ -2505,40 +2564,8 @@ impl Node for ClientNode {
                         Work::SendWire(dst, wire, trace) => ctx.send_traced(dst, wire, trace),
                         Work::IssueAttempt(op) => self.do_issue_attempt(ctx, op),
                     }
-                } else if let Some(rma_id) = RmaOpTable::op_of_timer(token) {
-                    if let Some(op) = self.rma.expire(rma_id) {
-                        ctx.metrics().add_id(self.m().rma_timeouts, 1);
-                        let path = adaptive::Path::Rma;
-                        self.on_frame_lost(ctx, op.user_tag, op.dst, op.issued_at, path);
-                    }
-                } else if let Some(call_id) = CallTable::call_of_timer(token) {
-                    if let Some(call) = self.calls.expire(call_id) {
-                        ctx.metrics().add_id(self.m().rpc_timeouts, 1);
-                        match call.user_tag {
-                            CONFIG_TAG => {
-                                self.config_refreshing = false;
-                                // Nothing arrived to release the parked ops:
-                                // each meets its deadline here, in order.
-                                let (now, policy) = (ctx.now().nanos(), self.cfg.retry);
-                                for (id, mut p) in std::mem::take(&mut self.parked) {
-                                    let step = p.attempt.ready(now, &policy, true);
-                                    self.run_step(ctx, id, step, Some(p));
-                                }
-                                self.refresh_config(ctx);
-                            }
-                            CONNECT_TAG => {
-                                self.connecting.remove(&call.dst);
-                                // A dead backend: refresh config in case the
-                                // cell moved the shard.
-                                self.refresh_config(ctx);
-                            }
-                            IGNORE_TAG => {}
-                            tag => {
-                                let path = adaptive::Path::Rpc;
-                                self.on_frame_lost(ctx, tag, call.dst, call.issued_at, path);
-                            }
-                        }
-                    }
+                } else if let Some(flight) = self.flights.take(token) {
+                    self.on_expired(ctx, flight);
                 }
             }
         }
@@ -2574,39 +2601,39 @@ mod tests {
     }
 
     #[test]
-    fn control_tags_outside_sub_tag_space() {
-        // Reserved control tags must never collide with op tags for any
-        // plausible op id.
-        for tag in [CONFIG_TAG, CONNECT_TAG, IGNORE_TAG] {
-            let (op, _, _) = split_tag(tag);
-            assert!(op > (1 << 50), "control tag decodes to plausible op {op}");
-        }
+    fn an_answer_claims_only_a_record_of_its_own_path_and_only_once() {
+        use adaptive::Path::{Rma, Rpc};
+        let mut flights: Deferred<Flight> = Deferred::in_flight();
+        let (dst, at) = (NodeId(3), SimTime(5));
+        let single = flights.defer(Flight::Sub(Rma, dst, at, sub_tag(42, 3, 1)));
+        let stamped: Box<[u64]> = Box::new([5, sub_tag(7, 1, 0), sub_tag(8, 1, 0)]);
+        let batch = flights.defer(Flight::Batch(FrameKind::Set, dst, stamped.clone()));
+        let config = flights.defer(Flight::Control(Control::Config, dst, at));
+        // An RPC response cannot claim an RMA record, nor the reverse; the
+        // record stays in flight for its own answer or timer.
+        assert!(claim(&mut flights, single, Rpc).is_none());
+        assert!(claim(&mut flights, batch, Rma).is_none());
+        let f = claim(&mut flights, single, Rma).expect("in flight");
+        assert_eq!(f.members(), [sub_tag(42, 3, 1)]);
+        let f = claim(&mut flights, batch, Rpc).expect("in flight");
+        assert_eq!((f.dst(), f.issued_at()), (dst, at));
+        assert_eq!(f.members(), [sub_tag(7, 1, 0), sub_tag(8, 1, 0)]);
+        // Claimed once: a late or duplicate answer finds nothing.
+        assert!(claim(&mut flights, single, Rma).is_none());
+        assert!(claim(&mut flights, batch, Rpc).is_none());
+        // Control calls travel the RPC path and carry no sub-ops.
+        let f = flights.take(config).expect("the timer claims it");
+        assert_eq!((f.path(), f.members()), (Rpc, &[][..]));
+        assert!(flights.is_empty());
     }
 
     #[test]
-    fn members_view_of_single_batch_and_control_tags() {
-        let mut frames = Frames::default();
-        // A single op is a frame with one member: its own tag, every time,
-        // with nothing registered.
-        let single = sub_tag(42, 3, 1);
-        assert_eq!(frames.members(single), Some(Members::One([single])));
-        assert_eq!(frames.members(single).unwrap().tags(), [single]);
-        assert!(frames.batches.is_empty());
-        // A registered batch tag yields its member list exactly once.
-        let subs = vec![sub_tag(7, 1, 0), sub_tag(8, 1, 0)];
-        let a = frames.register(FrameKind::Scar, subs.clone());
-        let b = frames.register(FrameKind::Set, vec![sub_tag(9, 2, 0)]);
-        assert_ne!(a, b);
-        assert_eq!(
-            frames.members(a),
-            Some(Members::Batch(FrameKind::Scar, subs))
-        );
-        assert_eq!(frames.members(a), None, "a frame demuxes once");
-        assert_eq!(frames.members(b).unwrap().tags(), [sub_tag(9, 2, 0)]);
-        // Control tags carry the batch bit but are never frames.
-        for tag in [CONFIG_TAG, CONNECT_TAG, IGNORE_TAG] {
-            assert_eq!(frames.members(tag), None);
-        }
+    fn batch_frames_travel_the_path_of_their_kind() {
+        use adaptive::Path::{Rma, Rpc};
+        let path = |kind| Flight::Batch(kind, NodeId(1), Box::new([0, 1])).path();
+        assert_eq!((path(FrameKind::Read), path(FrameKind::Scar)), (Rma, Rma));
+        let lookup = FrameKind::Lookup(LookupStrategy::Msg);
+        assert_eq!((path(lookup), path(FrameKind::Set)), (Rpc, Rpc));
     }
 
     #[test]

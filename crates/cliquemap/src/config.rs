@@ -10,7 +10,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use simnet::{Ctx, Event, MetricId, Node, NodeId, SimDuration};
+use simnet::{Ctx, Event, Node, NodeId, SimDuration};
 
 use crate::hash::replicas;
 
@@ -212,11 +212,12 @@ pub struct ConfigStoreNode {
     mids: Option<ConfigStoreMetricIds>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ConfigStoreMetricIds {
-    updates: MetricId,
-    coalesced: MetricId,
-    shed: MetricId,
+simnet::metric_ids! {
+    struct ConfigStoreMetricIds {
+        updates: "config_store.updates",
+        coalesced: "config_store.coalesced",
+        shed: "config_store.shed",
+    }
 }
 
 impl ConfigStoreNode {
@@ -268,12 +269,7 @@ impl Node for ConfigStoreNode {
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
             Event::Start => {
-                let m = ctx.metrics();
-                self.mids = Some(ConfigStoreMetricIds {
-                    updates: m.handle("config_store.updates"),
-                    coalesced: m.handle("config_store.coalesced"),
-                    shed: m.handle("config_store.shed"),
-                });
+                self.mids = Some(ConfigStoreMetricIds::resolve(ctx.metrics()));
             }
             Event::Frame(frame) => {
                 let Some(rpc::Envelope::Request(req)) = rpc::decode(frame.payload) else {

@@ -17,6 +17,10 @@
 //! Reads snapshot memory *as it is right now*, so a read racing a chunked
 //! mutation observes a genuinely torn value — CliqueMap's checksum-based
 //! self-validation is exercised for real, not faked.
+//!
+//! A client encodes requests with [`codec`] under op ids of its own and
+//! reads each response through [`RmaAnswer`]; which ops are in flight is
+//! its own business.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +32,7 @@ pub mod region;
 pub mod server;
 pub mod transport;
 
-pub use client::{OpCompletion, OutstandingOp, RmaOpTable, RMA_TIMER_BASE};
+pub use client::RmaAnswer;
 pub use codec::{
     decode, encode_read_resp, encode_scar_resp, BatchDone, BatchReadEntry, BatchReadReq,
     BatchReadResp, BatchRespWriter, BatchScarEntry, BatchScarReq, BatchScarResp, ReadReq, ReadResp,

@@ -142,15 +142,6 @@ impl PonyHost {
         self.window_start = now;
         self.window_busy_ns = 0;
     }
-
-    /// Average engine CPU ns per op processed so far.
-    pub fn cpu_ns_per_op(&self) -> f64 {
-        if self.total_ops == 0 {
-            0.0
-        } else {
-            self.total_busy_ns as f64 / self.total_ops as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +165,7 @@ mod tests {
         let b = p.admit(SimTime(0), c);
         assert_eq!(a, SimTime(400));
         assert_eq!(b, SimTime(800));
-        assert_eq!(p.total_ops, 2);
-        assert_eq!(p.cpu_ns_per_op(), 400.0);
+        assert_eq!((p.total_ops, p.total_busy_ns), (2, 800));
     }
 
     #[test]

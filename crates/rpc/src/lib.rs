@@ -11,24 +11,23 @@
 //!
 //! * [`codec`] — the binary envelope (version, method, auth, deadline),
 //!   evolution-tolerant (trailing extensions are skipped by old decoders);
-//! * [`CallTable`] — client-side in-flight call tracking, response
-//!   matching, deadline expiry;
 //! * [`Deferred`] — continuation storage keyed by CPU-completion tokens,
 //!   so handlers run *after* their modelled CPU cost;
 //! * [`RpcCostModel`] — where the 50 µs goes;
 //! * [`RetryPolicy`] — an attempt budget, exponential backoff and a
 //!   deadline, with the schedule they grant; the CliqueMap client's attempt
 //!   core applies it.
+//!
+//! A caller keeps its calls in flight itself, under request ids that are
+//! its [`Deferred::in_flight`] tokens.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod call;
 pub mod codec;
 pub mod cost;
 pub mod retry;
 
-pub use call::{CallTable, Completion, Outstanding, CALL_TIMER_BASE};
 pub use codec::{
     decode, encode_request, encode_request_in, encode_response_in, version_compatible, Envelope,
     Request, Response, Status, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, RPC_MAGIC,

@@ -6,7 +6,9 @@
 //! *then* put the request on the wire" (the normal client shape) needs to
 //! stash its continuation keyed by token. [`Deferred`] is that map, with a
 //! partitioned token namespace so several independent components inside one
-//! node never collide.
+//! node never collide. A node's frames in flight are continuations too: the
+//! record of an outstanding RMA op or RPC call waits under its token for
+//! the answer or the attempt timer ([`Deferred::in_flight`]).
 
 use crate::util::IdMap;
 
@@ -48,9 +50,16 @@ impl<T> Deferred<T> {
         Deferred::new(1 << 42, 1 << 16)
     }
 
-    /// Standard namespace for application-defined phase 2 work.
-    pub fn aux2() -> Deferred<T> {
-        Deferred::new(1 << 43, 1 << 16)
+    /// Standard namespace for frames in flight: a node's outstanding RMA
+    /// ops and RPC calls. A record's token is the frame's wire id (RMA
+    /// `op_id`, RPC request `id`) and its attempt timer's token, so the
+    /// answer and the timer each claim it at most once. The span, 2^44
+    /// tokens, is one no run can wrap, and it overlaps neither
+    /// [`Deferred::responses`], [`Deferred::sends`] nor [`Deferred::aux1`]:
+    /// a token is never reused, so a late answer can never meet another
+    /// frame's record.
+    pub fn in_flight() -> Deferred<T> {
+        Deferred::new(1 << 44, 1 << 44)
     }
 
     /// Stash a continuation; returns the token to pass to `spawn_cpu` /
@@ -194,11 +203,15 @@ mod tests {
         let a: Deferred<()> = Deferred::responses();
         let b: Deferred<()> = Deferred::sends();
         let c: Deferred<()> = Deferred::aux1();
-        let d: Deferred<()> = Deferred::aux2();
+        let d: Deferred<()> = Deferred::in_flight();
         // Probe boundary tokens of each against the others.
-        for probe in [1u64 << 40, 1 << 41, 1 << 42, 1 << 43] {
+        for probe in [1u64 << 40, 1 << 41, 1 << 42, 1 << 44, (1 << 45) - 1] {
             let owners = [a.owns(probe), b.owns(probe), c.owns(probe), d.owns(probe)];
             assert_eq!(owners.iter().filter(|&&o| o).count(), 1);
+        }
+        for edge in [(1u64 << 40) + (1 << 16), (1 << 42) + (1 << 16), 1 << 45] {
+            let owners = [a.owns(edge), b.owns(edge), c.owns(edge), d.owns(edge)];
+            assert_eq!(owners, [false; 4]);
         }
     }
 

@@ -29,7 +29,7 @@
 
 use crate::host::{HostId, NodeId};
 use crate::rng::SimRng;
-use crate::stats::{MetricId, Metrics};
+use crate::stats::Metrics;
 use crate::time::{serialization_delay, SimDuration, SimTime};
 
 /// The set of hosts a fault applies to.
@@ -349,27 +349,15 @@ fn bad<E: std::fmt::Debug>(key: &'static str) -> impl Fn(E) -> String {
     move |e| format!("bad value for {key:?}: {e:?}")
 }
 
-/// Interned handles for the fault subsystem's counters.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FaultMetricIds {
-    pub(crate) frames_dropped: MetricId,
-    pub(crate) frames_duplicated: MetricId,
-    pub(crate) frames_delayed: MetricId,
-    pub(crate) cpu_stalls: MetricId,
-    pub(crate) crashes: MetricId,
-    pub(crate) restarts: MetricId,
-}
-
-impl FaultMetricIds {
-    fn resolve(m: &mut Metrics) -> FaultMetricIds {
-        FaultMetricIds {
-            frames_dropped: m.handle("simnet.fault.frames_dropped"),
-            frames_duplicated: m.handle("simnet.fault.frames_duplicated"),
-            frames_delayed: m.handle("simnet.fault.frames_delayed"),
-            cpu_stalls: m.handle("simnet.fault.cpu_stalls"),
-            crashes: m.handle("simnet.fault.crashes"),
-            restarts: m.handle("simnet.fault.restarts"),
-        }
+crate::metric_ids! {
+    /// Interned handles for the fault subsystem's counters.
+    pub(crate) struct FaultMetricIds {
+        frames_dropped: "simnet.fault.frames_dropped",
+        frames_duplicated: "simnet.fault.frames_duplicated",
+        frames_delayed: "simnet.fault.frames_delayed",
+        cpu_stalls: "simnet.fault.cpu_stalls",
+        crashes: "simnet.fault.crashes",
+        restarts: "simnet.fault.restarts",
     }
 }
 

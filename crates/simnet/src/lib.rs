@@ -75,7 +75,7 @@ pub use node::{Event, Frame, Node};
 pub use queue::CalendarQueue;
 pub use rng::{SimRng, Zipf};
 pub use sim::{Ctx, FabricCfg, Sim};
-pub use stats::{Histogram, MetricId, Metrics, TimeSeries};
+pub use stats::{Histogram, MetricId, Metrics};
 pub use time::{serialization_delay, SimDuration, SimTime};
 pub use truetime::{TrueTime, TrueTimestamp};
 pub use util::{AntagonistNode, IdMap, IdSet, SinkNode};

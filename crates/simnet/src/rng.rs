@@ -54,12 +54,6 @@ impl SimRng {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    pub fn gen_range_between(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.gen_range(hi.saturating_sub(lo))
-    }
-
     /// Bernoulli trial with probability `p`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -87,16 +81,6 @@ impl SimRng {
         let u1 = 1.0 - self.next_f64();
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Pick an index in `[0, n)` under a Zipfian distribution with exponent
-    /// `theta` using the precomputed sampler below.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        // Fisher–Yates.
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -216,10 +200,6 @@ mod tests {
             assert!(v < 17);
         }
         assert_eq!(rng.gen_range(0), 0);
-        for _ in 0..1000 {
-            let v = rng.gen_range_between(5, 10);
-            assert!((5..10).contains(&v));
-        }
     }
 
     #[test]
@@ -284,17 +264,6 @@ mod tests {
                 assert!(z.sample(&mut rng) < 37);
             }
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(5);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::host::{HostCfg, HostId, HostStats, Hosts, NodeId};
 use crate::node::{Event, Frame, Node};
 use crate::queue::CalendarQueue;
 use crate::rng::SimRng;
-use crate::stats::{MetricId, Metrics};
+use crate::stats::Metrics;
 use crate::time::{SimDuration, SimTime};
 use crate::truetime::{TrueTime, TrueTimestamp};
 
@@ -147,22 +147,13 @@ pub struct Sim {
     fault_reviver: Option<Box<dyn FnMut(NodeId) -> Option<Box<dyn Node>>>>,
 }
 
-/// Interned handles for the engine's own counters, resolved at
-/// construction so the dispatch loop never touches a metric name.
-#[derive(Clone, Copy)]
-struct SimMetricIds {
-    dropped_dead: MetricId,
-    dropped_stale: MetricId,
-    cstate_exits: MetricId,
-}
-
-impl SimMetricIds {
-    fn resolve(m: &mut Metrics) -> SimMetricIds {
-        SimMetricIds {
-            dropped_dead: m.handle("simnet.dropped_dead"),
-            dropped_stale: m.handle("simnet.dropped_stale"),
-            cstate_exits: m.handle("simnet.cstate_exits"),
-        }
+crate::metric_ids! {
+    /// Interned handles for the engine's own counters, resolved at
+    /// construction so the dispatch loop never touches a metric name.
+    struct SimMetricIds {
+        dropped_dead: "simnet.dropped_dead",
+        dropped_stale: "simnet.dropped_stale",
+        cstate_exits: "simnet.cstate_exits",
     }
 }
 

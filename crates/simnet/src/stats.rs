@@ -1,4 +1,4 @@
-//! Measurement infrastructure: histograms, counters, and time series.
+//! Measurement infrastructure: histograms and counters.
 //!
 //! Every experiment in the benchmark harness reads its results out of a
 //! [`Metrics`] registry owned by the simulation. Its histograms are
@@ -9,57 +9,69 @@ use std::collections::BTreeMap;
 
 pub use obs::Histogram;
 
-use crate::time::SimTime;
-
-/// A named time series of (time, value) samples.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Append a sample. Samples are expected in nondecreasing time order.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// All samples in insertion order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Last sample value, if any.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.points.last().copied()
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-}
-
 /// Interned metric name: an index into the registry's slot tables.
 ///
 /// Obtained once from [`Metrics::handle`] and cached by the call site;
-/// recording through it is a bounds-checked `Vec` index. One id addresses a histogram,
-/// a counter, and a series slot of the same name — whichever kinds the call
+/// recording through it is a bounds-checked `Vec` index. One id addresses a
+/// histogram and a counter of the same name — whichever kinds the call
 /// sites actually write exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetricId(u32);
+
+/// Declares a struct of interned metric handles — one [`MetricId`] per
+/// `field: "name"` — and its `resolve(&mut Metrics)`, which interns them in
+/// declaration order. A leading `[field]: TABLE` entry, where `TABLE` is an
+/// array of `(key, "name")` pairs, becomes an array of handles in table
+/// order, interned first. Resolve once, at construction or
+/// [`crate::Event::Start`], so hot paths never touch a name.
+///
+/// ```
+/// simnet::metric_ids! {
+///     struct ToyIds {
+///         [tiers]: [(1, "toy.tier1"), (2, "toy.tier2")],
+///         hits: "toy.hits",
+///     }
+/// }
+/// let mut m = simnet::Metrics::new();
+/// let ids = ToyIds::resolve(&mut m);
+/// m.add_id(ids.tiers[1], 1);
+/// assert_eq!(m.counter("toy.tier2"), 1);
+/// ```
+#[macro_export]
+macro_rules! metric_ids {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $([$table:ident]: $pairs:expr,)?
+            $($field:ident: $metric:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy)]
+        $vis struct $name {
+            $($vis $table: [$crate::MetricId; $pairs.len()],)?
+            $($vis $field: $crate::MetricId,)*
+        }
+
+        impl $name {
+            $vis fn resolve(m: &mut $crate::Metrics) -> $name {
+                $(let $table = $pairs.map(|(_, name)| m.handle(name));)?
+                $name {
+                    $($table,)?
+                    $($field: m.handle($metric),)*
+                }
+            }
+        }
+    };
+}
 
 /// Central registry of named metrics for one simulation run.
 ///
 /// Every write goes through an id: [`Metrics::handle`] interns the name
 /// once (the only allocation), then [`Metrics::record_id`] /
-/// [`Metrics::add_id`] / [`Metrics::push_series_id`] index a slot. Reads
-/// are by name ([`Metrics::counter`], [`Metrics::hist_ref`],
-/// [`Metrics::series`]): a map lookup, for harnesses and tests.
+/// [`Metrics::add_id`] index a slot. Reads are by name
+/// ([`Metrics::counter`], [`Metrics::hist_ref`]): a map lookup, for
+/// harnesses and tests.
 ///
 /// A name becomes visible to the `*_names` dumps only when first *written*;
 /// interning alone (`handle`) creates no metrics, so pre-resolving handles
@@ -81,7 +93,6 @@ pub struct Metrics {
     /// (first-written) metrics, and a counter that was only interned must
     /// stay invisible.
     counter_set: Vec<bool>,
-    series: Vec<Option<TimeSeries>>,
 }
 
 impl Metrics {
@@ -101,7 +112,6 @@ impl Metrics {
         self.hists.push(None);
         self.counters.push(0);
         self.counter_set.push(false);
-        self.series.push(None);
         MetricId(slot)
     }
 
@@ -126,14 +136,6 @@ impl Metrics {
         self.counter_set[slot] = true;
     }
 
-    /// Append to a time series by id (creates it on first use).
-    #[inline]
-    pub fn push_series_id(&mut self, id: MetricId, t: SimTime, v: f64) {
-        self.series[id.0 as usize]
-            .get_or_insert_with(TimeSeries::default)
-            .push(t, v);
-    }
-
     /// Read a histogram if it exists.
     pub fn hist_ref(&self, name: &str) -> Option<&Histogram> {
         let &slot = self.names.get(name)?;
@@ -146,12 +148,6 @@ impl Metrics {
             Some(&slot) => self.counters[slot as usize],
             None => 0,
         }
-    }
-
-    /// Read a time series if it exists.
-    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
-        let &slot = self.names.get(name)?;
-        self.series[slot as usize].as_ref()
     }
 
     /// Iterate all histogram names (sorted).
@@ -170,17 +166,9 @@ impl Metrics {
             .map(|(name, _)| name.as_str())
     }
 
-    /// Iterate all series names (sorted).
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.names
-            .iter()
-            .filter(|(_, &slot)| self.series[slot as usize].is_some())
-            .map(|(name, _)| name.as_str())
-    }
-
     /// Exact, deterministic serialization of every metric in the registry:
-    /// counters with values, histograms bucket by bucket, series point by
-    /// point, all in sorted name order. Two runs are metric-equivalent iff
+    /// counters with values, histograms bucket by bucket, all in sorted
+    /// name order. Two runs are metric-equivalent iff
     /// their dumps are string-equal — the determinism regression tests
     /// compare these.
     pub fn dump(&self) -> String {
@@ -203,13 +191,6 @@ impl Metrics {
                 .unwrap();
                 for (i, c) in h.nonzero_buckets() {
                     write!(out, "{i}:{c} ").unwrap();
-                }
-                out.push('\n');
-            }
-            if let Some(s) = &self.series[slot] {
-                write!(out, "series {name} =").unwrap();
-                for (t, v) in s.points() {
-                    write!(out, " {}:{v:?}", t.nanos()).unwrap();
                 }
                 out.push('\n');
             }
@@ -302,17 +283,13 @@ mod tests {
     #[test]
     fn metrics_registry() {
         let mut m = Metrics::new();
-        let (lat, ops, qps) = (m.handle("lat"), m.handle("ops"), m.handle("qps"));
+        let (lat, ops) = (m.handle("lat"), m.handle("ops"));
         m.record_id(lat, 100);
         m.record_id(lat, 200);
         m.add_id(ops, 2);
-        m.push_series_id(qps, SimTime(0), 1.0);
-        m.push_series_id(qps, SimTime(10), 2.0);
         assert_eq!(m.hist_ref("lat").unwrap().count(), 2);
         assert_eq!(m.counter("ops"), 2);
         assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.series("qps").unwrap().len(), 2);
-        assert_eq!(m.series("qps").unwrap().last(), Some((SimTime(10), 2.0)));
         assert_eq!(m.hist_names().collect::<Vec<_>>(), vec!["lat"]);
     }
 
@@ -327,11 +304,8 @@ mod tests {
         m.add_id(ops, 1);
         let ops_again = m.handle("ops");
         m.add_id(ops_again, 2);
-        let qps = m.handle("qps");
-        m.push_series_id(qps, SimTime(5), 3.0);
         assert_eq!(m.hist_ref("lat").unwrap().count(), 2);
         assert_eq!(m.counter("ops"), 3);
-        assert_eq!(m.series("qps").unwrap().len(), 1);
     }
 
     #[test]
@@ -341,7 +315,6 @@ mod tests {
         let _ = m.handle("also.never");
         assert_eq!(m.hist_names().count(), 0);
         assert_eq!(m.counter_names().count(), 0);
-        assert_eq!(m.series_names().count(), 0);
         assert_eq!(m.counter("never.written"), 0);
         assert!(m.hist_ref("never.written").is_none());
         // Writing one kind exposes only that kind.

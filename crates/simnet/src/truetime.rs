@@ -45,12 +45,6 @@ impl TrueTimestamp {
     pub fn midpoint(&self) -> u64 {
         self.earliest + (self.latest - self.earliest) / 2
     }
-
-    /// Whether this interval is wholly before another (Spanner's
-    /// commit-wait test).
-    pub fn definitely_before(&self, other: &TrueTimestamp) -> bool {
-        self.latest < other.earliest
-    }
 }
 
 impl TrueTime {
@@ -99,16 +93,6 @@ mod tests {
         let a = tt.read(SimTime(10_000_000), skew);
         let b = tt.read(SimTime(20_000_000), skew);
         assert!(a.midpoint() < b.midpoint());
-    }
-
-    #[test]
-    fn definitely_before_respects_epsilon() {
-        let tt = TrueTime::default();
-        let a = tt.read(SimTime(0), 0);
-        let near = tt.read(SimTime(1_000), 0);
-        let far = tt.read(SimTime(10_000_000), 0);
-        assert!(!a.definitely_before(&near));
-        assert!(a.definitely_before(&far));
     }
 
     #[test]

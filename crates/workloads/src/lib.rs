@@ -12,8 +12,8 @@
 //! * [`ProductionMultiSets`] — the write-side twin of [`ProductionGets`]:
 //!   log-normal MultiSet batches for the doorbell-batched mutation path;
 //! * [`SingleKeyGets`] — the Fig. 11 preferred-backend microbenchmark;
-//! * [`SkewedWorkload`] / [`HotSpotWorkload`] — Zipfian and rotating
-//!   hot-set skew (any exponent s ≥ 0) for the hot-key experiments.
+//! * [`SkewedWorkload`] — Zipfian skew (any exponent s ≥ 0) with an
+//!   optional rotating hot set, for the hot-key experiments.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,4 +27,4 @@ pub use generators::{
     SingleKeyGets, Then,
 };
 pub use sizes::SizeDist;
-pub use skew::{HotSpotWorkload, SkewedWorkload, ZipfRanks};
+pub use skew::{SkewedWorkload, ZipfRanks};

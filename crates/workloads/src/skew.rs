@@ -3,20 +3,15 @@
 //! Production CliqueMap traffic is heavily skewed — a handful of keys
 //! absorb most of the offered load, and the identity of those keys drifts
 //! over hours (campaign launches, regional wakeups). The committed
-//! workloads are near-uniform, so this module adds two generators for the
-//! skew experiments:
+//! workloads are near-uniform, so this module adds a generator for the
+//! skew experiments: [`SkewedWorkload`], Zipf(s) over key *ranks* for any
+//! s ≥ 0 (the [`simnet::Zipf`] quick sampler only covers s in [0,1)), with
+//! an optional churn rotation that shifts which concrete keys hold the hot
+//! ranks every churn period.
 //!
-//! * [`SkewedWorkload`] — Zipf(s) over key *ranks* for any s ≥ 0
-//!   (the [`simnet::Zipf`] quick sampler only covers s in [0,1)), with an
-//!   optional churn rotation that shifts which concrete keys hold the hot
-//!   ranks every churn period;
-//! * [`HotSpotWorkload`] — an explicit hot-set model: a fraction of ops
-//!   lands uniformly inside a small rotating window of hot keys, the rest
-//!   uniformly over the whole population.
-//!
-//! Both emit the same [`ClientOp`] stream interface as the other
-//! generators and draw only from the caller's seeded [`SimRng`], so two
-//! runs with the same seed produce byte-identical op streams.
+//! It emits the same [`ClientOp`] stream interface as the other generators
+//! and draws only from the caller's seeded [`SimRng`], so two runs with the
+//! same seed produce byte-identical op streams.
 
 use bytes::Bytes;
 
@@ -197,78 +192,6 @@ impl Workload for SkewedWorkload {
     }
 }
 
-/// Explicit hot-set traffic: with probability `hot_fraction` an op lands
-/// uniformly inside a window of `hot_keys` keys; otherwise uniformly over
-/// the whole population. The window's position advances by `hot_keys`
-/// every `churn_period` (mod the population), modeling hot-set drift.
-pub struct HotSpotWorkload {
-    /// Key namespace prefix.
-    pub prefix: String,
-    /// Population size.
-    pub keys: u64,
-    /// Hot-window size.
-    pub hot_keys: u64,
-    /// Fraction of ops that hit the hot window.
-    pub hot_fraction: f64,
-    /// Window rotation period (`None` = static window at offset 0).
-    pub churn_period: Option<SimDuration>,
-    /// Offered ops/sec (pure GETs).
-    pub rate: f64,
-    /// Total ops (u64::MAX = run forever).
-    pub count: u64,
-    issued: u64,
-}
-
-impl HotSpotWorkload {
-    /// Construct a hot-spot GET stream.
-    pub fn new(
-        prefix: &str,
-        keys: u64,
-        hot_keys: u64,
-        hot_fraction: f64,
-        churn_period: Option<SimDuration>,
-        rate: f64,
-        count: u64,
-    ) -> HotSpotWorkload {
-        assert!(hot_keys > 0 && hot_keys <= keys, "hot window out of range");
-        HotSpotWorkload {
-            prefix: prefix.to_string(),
-            keys,
-            hot_keys,
-            hot_fraction,
-            churn_period,
-            rate,
-            count,
-            issued: 0,
-        }
-    }
-
-    fn window_base(&self, now: SimTime) -> u64 {
-        let epoch = match self.churn_period {
-            Some(p) if p.nanos() > 0 => now.nanos() / p.nanos(),
-            _ => 0,
-        };
-        epoch.wrapping_mul(self.hot_keys) % self.keys
-    }
-}
-
-impl Workload for HotSpotWorkload {
-    fn next(&mut self, now: SimTime, rng: &mut SimRng) -> Option<(SimDuration, ClientOp)> {
-        if self.issued >= self.count {
-            return None;
-        }
-        self.issued += 1;
-        let idx = if rng.next_f64() < self.hot_fraction {
-            (self.window_base(now) + rng.gen_range(self.hot_keys)) % self.keys
-        } else {
-            rng.gen_range(self.keys)
-        };
-        let key = Prefill::key_name(&self.prefix, idx);
-        let gap = SimDuration::from_secs_f64(rng.exponential(1.0 / self.rate.max(1e-9)));
-        Some((gap, ClientOp::Get { key }))
-    }
-}
-
 /// Render a short op stream as comparable text (key + op kind + gap),
 /// used by the determinism tests.
 #[doc(hidden)]
@@ -374,33 +297,5 @@ mod tests {
         assert_eq!(w.key_of_rank(0, t0), 0);
         assert_eq!(w.key_of_rank(0, t1), 10);
         assert_eq!(w.key_of_rank(95, t1), 5); // wraps mod population
-    }
-
-    #[test]
-    fn hotspot_window_rotates_and_bounds() {
-        let w = HotSpotWorkload::new(
-            "k",
-            1000,
-            50,
-            0.9,
-            Some(SimDuration::from_millis(5)),
-            1000.0,
-            u64::MAX,
-        );
-        assert_eq!(w.window_base(SimTime(0)), 0);
-        assert_eq!(
-            w.window_base(SimTime(SimDuration::from_millis(5).nanos())),
-            50
-        );
-        let mut rng = SimRng::new(4);
-        let mut w = w;
-        for _ in 0..500 {
-            let (_, op) = w.next(SimTime(0), &mut rng).unwrap();
-            let ClientOp::Get { key } = op else {
-                panic!("hotspot emits GETs only")
-            };
-            let idx: u64 = std::str::from_utf8(&key[1..]).unwrap().parse().unwrap();
-            assert!(idx < 1000);
-        }
     }
 }

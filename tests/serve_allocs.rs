@@ -11,8 +11,8 @@ use cliquemap::layout::bucket_size;
 use cliquemap::policy::LruPolicy;
 use cliquemap::store::{BackendStore, CliqueScarResolver, StoreCfg};
 use cliquemap::version::VersionNumber;
-use rma::{PonyCfg, ReadReq, RmaEnvelope, RmaOpTable, RmaStatus, ScarReq, ScarResp, Transport};
-use simnet::{NodeId, SimTime};
+use rma::{PonyCfg, ReadReq, RmaAnswer, RmaEnvelope, RmaStatus, ScarReq, ScarResp, Transport};
+use simnet::SimTime;
 use support::allocs;
 
 const KEYS: u64 = 256;
@@ -32,9 +32,9 @@ fn populated() -> BackendStore {
     store
 }
 
-/// Single `ScarReq`/`ReadReq` frames and single-response completions: 0
+/// Single `ScarReq`/`ReadReq` frames and single-response answers: 0
 /// allocations per op once the pool holds a frame to recycle — the count
-/// measured on the parent commit (PR 14), before the serve paths merged.
+/// measured before the serve paths merged.
 #[test]
 fn single_op_serve_and_completion_allocate_nothing() {
     let store = populated();
@@ -79,11 +79,8 @@ fn single_op_serve_and_completion_allocate_nothing() {
     serve_all(SimTime(1_000_000));
     assert_eq!(allocs() - before, 0, "single-op serve allocated");
 
-    let mut table = RmaOpTable::new();
     let responses: Vec<RmaEnvelope> = (0..KEYS)
-        .map(|i| {
-            let (op_id, _) =
-                table.begin_scar(NodeId(1), rma::WindowId(0), 1, 0, 64, 7, SimTime(0), i);
+        .map(|op_id| {
             let resp = ScarResp {
                 op_id,
                 status: RmaStatus::Ok,
@@ -95,9 +92,12 @@ fn single_op_serve_and_completion_allocate_nothing() {
         .collect();
     let before = allocs();
     for (i, env) in responses.into_iter().enumerate() {
-        let done = table.complete(env, SimTime(5)).expect("in flight");
-        assert_eq!(done.results().count(), 1);
-        assert!(done.into_results().all(|d| d.sub == i as u64));
+        let answer = RmaAnswer::of(env).expect("a response");
+        assert_eq!((answer.op_id, answer.payload_bytes()), (i as u64, 68));
+        let sub = answer.op_id << 10;
+        let mut results = answer.into_results(sub);
+        assert!(results.next().is_some_and(|d| d.sub == sub));
+        assert!(results.next().is_none());
     }
     assert_eq!(allocs() - before, 0, "single-op completion allocated");
 }
