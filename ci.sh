@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' purity, the one-op-driver, one-op-fate,
-# one-backend-builder, in-flight-continuation and one-histogram gates,
-# lints, format, rustdoc, the benchmark's smoke tests and the figure
-# reproducibility gate.
+# one-backend-builder, in-flight-continuation, delayed-send and
+# one-histogram gates, lints, format, rustdoc, the benchmark's smoke tests
+# and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -22,9 +22,10 @@ cargo test -q --workspace
 echo "== client footprint at 10K clients (release) =="
 # One lease-cache buffer per distinct version, at most two configs and two
 # geometries per backend for the whole cell, no op parked past one CONNECT
-# round, and an event queue within its fixed wheel plus 256 B per event of
-# its high-water mark. Minutes in debug, so tier-1 keeps only the
-# small-cell gates of this file.
+# round, an event queue within its fixed wheel plus 256 B per event of its
+# high-water mark, and at most 12 KiB of live heap added per client by the
+# run. Minutes in debug, so tier-1 keeps only the small-cell gates of this
+# file.
 cargo test --release -q --test client_footprint -- --ignored
 
 echo "== durable log footprint at mut_durable's shape (release) =="
@@ -83,6 +84,15 @@ echo "== in-flight frames are continuations =="
 # No second call table, timer-token base or packed call tag comes back.
 if grep -rnE 'CallTable|RmaOpTable|user_tag|TIMER_BASE|BATCH_TAG_BIT' crates src tests examples; then
     echo "in-flight frames tracked outside a Deferred namespace" >&2
+    exit 1
+fi
+
+echo "== delayed sends are the simulator's =="
+# A frame that waits for a transport engine before it leaves is queued with
+# `Ctx::send_after`: the simulator holds it, and no node keeps a timer
+# record for it or is called when it goes.
+if grep -rnE 'SendWire|Work::Respond' crates src tests examples; then
+    echo "a node holds a delayed send itself (use Ctx::send_after)" >&2
     exit 1
 fi
 

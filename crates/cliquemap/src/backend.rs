@@ -122,14 +122,6 @@ type Handled = Option<()>;
 /// namespace of their own so a full RPC intake cannot starve them.
 #[derive(Debug)]
 enum Work {
-    /// Send pre-encoded bytes (an RMA response after transport delay).
-    /// `trace` stamps the response frame so the client's op trace sees the
-    /// return path (0 = untraced).
-    Respond {
-        dst: NodeId,
-        bytes: Bytes,
-        trace: u64,
-    },
     /// Write the next chunk of a prepared SET.
     SetChunk {
         src: NodeId,
@@ -390,12 +382,9 @@ impl BackendNode {
                 now,
                 served.ready_at,
             );
-            let work = Work::Respond {
-                dst: src,
-                bytes: served.response,
-                trace: self.cur_trace,
-            };
-            self.after(ctx, delay, work);
+            // `cur_trace` stamps the response so the client's op trace sees
+            // the return path.
+            ctx.send_after(delay, src, served.response, self.cur_trace);
         }
     }
 
@@ -1316,7 +1305,6 @@ impl Node for BackendNode {
                     self.cur_trace = 0;
                 } else if let Some(work) = self.work.take(token) {
                     match work {
-                        Work::Respond { dst, bytes, trace } => ctx.send_traced(dst, bytes, trace),
                         Work::SetChunk {
                             src,
                             req_id,

@@ -205,11 +205,13 @@ pub struct ClientIdentity {
 /// What every client of a cell holds the same way, stored once per cell:
 /// the key hasher; the decoded configs clients hold and the geometries
 /// backends advertised at CONNECT, each interned by content; the metric
-/// handles; and the lease caches' value table. Each client still decides which config and which
-/// geometry per backend it holds, and when it refreshes or drops one, so
-/// its staleness is its own — only the bytes are shared. Host-side only:
-/// nothing simulated reads a table. No cap: one entry per distinct config
-/// or advertised geometry, and the tables never shrink.
+/// handles; the lease caches' value table; and the blank GET states
+/// completed GETs leave for the next one. Each client still decides which
+/// config and which geometry per backend it holds, and when it refreshes
+/// or drops one, so its staleness is its own — only the bytes are shared.
+/// Host-side only: nothing simulated reads a table. No cap on configs and
+/// geometries: one entry per distinct config or advertised geometry, and
+/// those tables never shrink.
 #[derive(Clone)]
 pub struct ClientShared(Rc<SharedTables>);
 
@@ -219,6 +221,12 @@ struct SharedTables {
     configs: RefCell<Vec<Rc<CellConfig>>>,
     geometries: RefCell<(Vec<Geometry>, HashMap<Geometry, GeomId>)>,
     mids: OnceCell<ClientMetricIds>,
+    /// Recycled [`GetState`]s: a completed GET returns its state here so
+    /// the cell's next GET, whichever client issues it, reuses its
+    /// `replicas` capacity (no allocation). The list is as long as the most
+    /// GETs the cell ever had in flight at once, up to [`FREE_GETS_CAP`].
+    #[allow(clippy::vec_box)]
+    recycled_gets: RefCell<Vec<Box<GetState>>>,
 }
 
 /// A row of [`ClientShared`]'s geometry table.
@@ -242,6 +250,7 @@ impl ClientShared {
             configs: RefCell::default(),
             geometries: RefCell::default(),
             mids: OnceCell::new(),
+            recycled_gets: RefCell::default(),
         }))
     }
 
@@ -280,6 +289,20 @@ impl ClientShared {
 
     fn geometry(&self, id: GeomId) -> Geometry {
         self.0.geometries.borrow().0[id.0 as usize]
+    }
+
+    /// A blank GET state, recycled if the cell has one.
+    fn get_state(&self) -> Box<GetState> {
+        self.0.recycled_gets.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Keep a completed GET's state for the cell's next GET.
+    fn recycle_get(&self, mut state: Box<GetState>) {
+        let mut free = self.0.recycled_gets.borrow_mut();
+        if free.len() < FREE_GETS_CAP {
+            state.recycle();
+            free.push(state);
+        }
     }
 }
 
@@ -359,7 +382,8 @@ impl GetState {
     }
 }
 
-/// Completed [`GetState`]s kept for reuse; beyond this they are dropped.
+/// Completed [`GetState`]s a cell keeps for reuse; beyond this they are
+/// dropped.
 const FREE_GETS_CAP: usize = 8192;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,9 +416,8 @@ struct MutationState {
     quorum: MutationQuorum,
 }
 
-/// An issued op. Boxed states keep the `ops` B-tree's nodes (11 inline
-/// values each, and the root leaf outlives its last entry) at 16 B a slot;
-/// GET boxes recycle through `free_gets`.
+/// An issued op. Boxed states keep an `ops` slot at 16 B; GET boxes
+/// recycle through the cell's [`ClientShared`].
 #[derive(Debug)]
 enum OpState {
     Get(Box<GetState>),
@@ -427,7 +450,7 @@ struct Parked {
 // One `ops` slot; per-client state is multiplied by 10,000 (DESIGN.md §8).
 const _: () = assert!(std::mem::size_of::<OpState>() == 16);
 // One client; per-client state is multiplied by 10,000 (DESIGN.md §8).
-const _: () = assert!(std::mem::size_of::<ClientNode>() <= 784);
+const _: () = assert!(std::mem::size_of::<ClientNode>() <= 736);
 
 /// What an issue site wants on the wire for one sub-op; [`ClientNode::emit`]
 /// turns it into a single-op frame or a member of a coalesced one.
@@ -597,9 +620,6 @@ enum Work {
     Retry(u64),
     /// Flush batched access records.
     AccessFlush,
-    /// Send pre-encoded bytes (after transport issue delay), stamped with
-    /// the issuing op's trace id (0 = untraced).
-    SendWire(NodeId, Bytes, u64),
     /// Client-library CPU for a GET attempt finished; issue its sub-ops.
     IssueAttempt(u64),
 }
@@ -626,15 +646,13 @@ pub struct ClientNode {
     /// The cell's interned configs, geometries, metric handles and lease
     /// value table.
     shared: ClientShared,
-    /// Issued ops.
-    ops: BTreeMap<u64, OpState>,
+    /// Issued ops, by op id. The one walk over them (the GETs a released
+    /// geometry wakes) sorts the ids it collects, so the map's order never
+    /// reaches the schedule.
+    ops: IdMap<u64, OpState>,
     /// Admitted ops waiting to issue (empty, and unallocated, outside cold
     /// start and first contact with a backend).
     parked: BTreeMap<u64, Parked>,
-    /// Recycled [`GetState`]s: completed GETs return here so steady-state
-    /// issue reuses their `replicas`/`votes` capacity (no allocation).
-    #[allow(clippy::vec_box)]
-    free_gets: Vec<Box<GetState>>,
     /// Client-side lease cache (`cfg.cache`), built over the host's pool
     /// and the cell's value table at [`Event::Start`].
     ccache: Option<ClientCache>,
@@ -776,9 +794,8 @@ impl ClientNode {
             config_refreshing: false,
             geometry: IdMap::default(),
             connecting: IdSet::default(),
-            ops: BTreeMap::new(),
+            ops: IdMap::default(),
             parked: BTreeMap::new(),
-            free_gets: Vec::new(),
             batches: IdMap::default(),
             coalesce: BatchAccum::default(),
             next_op_id: 1,
@@ -1125,7 +1142,7 @@ impl ClientNode {
         };
         let (state, aux) = match p.kind {
             None => {
-                let mut state = self.free_gets.pop().unwrap_or_default();
+                let mut state = self.shared.get_state();
                 let mut recycled = std::mem::take(&mut state.h.replicas);
                 // A valid lease completes the GET locally: no backend is
                 // contacted, no sub-ops issue and nothing is allocated. The
@@ -1443,8 +1460,7 @@ impl ClientNode {
             ctx.send_traced(dst, wire, trace);
         } else {
             ctx.trace_interval(trace, simnet::obs::stage::ENGINE, ctx.now(), ready);
-            let tok = self.work.defer(Work::SendWire(dst, wire, trace));
-            ctx.set_timer(delay, tok);
+            ctx.send_after(delay, dst, wire, trace);
         }
         ctx.set_timer(self.cfg.attempt_timeout, op_id);
     }
@@ -1927,13 +1943,15 @@ impl ClientNode {
         for (id, p) in std::mem::take(&mut self.parked) {
             self.try_issue(ctx, id, p);
         }
-        // Then the issued GETs parked on geometry re-learning.
-        let parked: Vec<u64> = self
+        // Then the issued GETs parked on geometry re-learning, in admission
+        // (op id) order.
+        let mut parked: Vec<u64> = self
             .ops
             .iter()
             .filter(|(_, s)| matches!(s, OpState::Get(g) if g.h.attempt.parked()))
             .map(|(&id, _)| id)
             .collect();
+        parked.sort_unstable();
         for id in parked {
             self.do_issue_attempt(ctx, id);
         }
@@ -2352,7 +2370,7 @@ impl ClientNode {
         let (at, started) = (ctx.now(), SimTime(attempt.started()));
         let shim_overhead = self.shim_overhead();
         let observed = at.since(started) + shim_overhead;
-        if let Some(mut g) = get {
+        if let Some(g) = get {
             // Feed the arm that actually served this GET: the
             // caller-observed latency plus the model-derived client CPU for
             // the fan-out the op really used. Mutations are
@@ -2361,12 +2379,7 @@ impl ClientNode {
                 let cpu = strategy_row(g.strategy).cpu_ns(g.quorum.rules().expected_votes as u64);
                 ctl.observe(g.strategy, batch.is_some(), observed.nanos(), cpu);
             }
-            // Recycle the state so the next op reuses its `replicas`
-            // capacity.
-            if self.free_gets.len() < FREE_GETS_CAP {
-                g.recycle();
-                self.free_gets.push(g);
-            }
+            self.shared.recycle_get(g);
         }
         self.in_flight = self.in_flight.saturating_sub(1);
         let trace = self.trace_of(ctx, op_id);
@@ -2561,7 +2574,6 @@ impl Node for ClientNode {
                         Work::Start(id, op) => self.start_op(ctx, id, op, None),
                         Work::Retry(op) => self.issue_attempt(ctx, op),
                         Work::AccessFlush => self.flush_access_records(ctx),
-                        Work::SendWire(dst, wire, trace) => ctx.send_traced(dst, wire, trace),
                         Work::IssueAttempt(op) => self.do_issue_attempt(ctx, op),
                     }
                 } else if let Some(flight) = self.flights.take(token) {

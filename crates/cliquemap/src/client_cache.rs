@@ -3,9 +3,9 @@
 //! Production skew puts most GETs on a handful of keys; serving those from
 //! the client's own memory removes both the fabric round trip and the hot
 //! shard's engine occupancy. The cache is a bounded LRU keyed by the key's
-//! 128-bit hash. Each entry carries the value, its [`VersionNumber`], and
-//! a lease deadline in **sim time** (no wall clock — two seeded runs make
-//! identical lease decisions):
+//! 128-bit hash. Each entry carries its [`VersionNumber`] and a lease
+//! deadline in **sim time** (no wall clock — two seeded runs make
+//! identical lease decisions); its value is the cell's to hold (below):
 //!
 //! * **hit** — lease unexpired: the GET completes locally, touching no
 //!   backend. The hit path allocates nothing: it probes a small
@@ -31,7 +31,9 @@
 //! (key hash, version) hold the same bytes by construction, and every cache
 //! of a cell takes its values from one [`SharedValues`] table that keeps
 //! one refcounted buffer per resident pair (on `cell950` 94 % of fills find
-//! the pair already there). That one buffer is still a right-sized *copy*,
+//! the pair already there). A cache entry keeps no handle of its own: the
+//! table's row is the one holder of the buffer, and an entry's claim on it
+//! is the row's count. That one buffer is still a right-sized *copy*,
 //! taken from the first filler's pool (its client host's), never a slice of
 //! the inbound frame: a slice would pin the sender's whole pooled frame — a
 //! 16-entry batch response for one cached member — for as long as the entry
@@ -118,11 +120,11 @@ pub struct SharedStats {
     pub entries_hwm: usize,
     /// Value bytes held (one buffer per entry).
     pub bytes: usize,
-    /// Fills that found their pair resident and took a handle to it.
+    /// Fills that found their pair resident and took a claim on it.
     pub shared: u64,
     /// Fills that copied the value in (first holder of their pair).
     pub copied: u64,
-    /// Handles given back, by eviction, invalidation, a newer version or a
+    /// Claims given back, by eviction, invalidation, a newer version or a
     /// dropped cache (`shared + copied − released` are held now; an entry
     /// leaves with its last one).
     pub released: u64,
@@ -131,7 +133,7 @@ pub struct SharedStats {
 #[derive(Debug, Default)]
 struct ValueTable {
     /// The one buffer of each resident pair and how many cache entries
-    /// hold a handle to it (≥ 1, or the entry is gone).
+    /// hold it (≥ 1, or the entry is gone).
     map: IdMap<(KeyHash, VersionNumber), (Bytes, u32)>,
     /// `map.capacity()` when it last grew (see [`ValueTable::make_room`]).
     room: usize,
@@ -178,11 +180,19 @@ impl SharedValues {
         self.0.borrow().stats
     }
 
-    /// A handle to the value of (`hash`, `version`) for one more cache
-    /// entry: the resident buffer if some cache already holds the pair,
-    /// else a copy of `value` in the smallest class of `pool` that holds
-    /// it.
-    fn acquire(&self, hash: KeyHash, version: VersionNumber, value: &[u8], pool: &Pool) -> Bytes {
+    /// The value of (`hash`, `version`), if some cache holds the pair.
+    fn get(&self, hash: KeyHash, version: VersionNumber) -> Option<Bytes> {
+        let table = self.0.borrow();
+        table
+            .map
+            .get(&(hash, version))
+            .map(|(bytes, _)| bytes.clone())
+    }
+
+    /// One more cache entry holds the value of (`hash`, `version`): the
+    /// resident buffer if some cache already holds the pair, else a copy
+    /// of `value` in the smallest class of `pool` that holds it.
+    fn acquire(&self, hash: KeyHash, version: VersionNumber, value: &[u8], pool: &Pool) {
         let table = &mut *self.0.borrow_mut();
         table.make_room();
         match table.map.entry((hash, version)) {
@@ -192,24 +202,20 @@ impl SharedValues {
                 debug_assert_eq!(&bytes[..], value, "one version, two values");
                 *refs += 1;
                 table.stats.shared += 1;
-                bytes.clone()
             }
             Entry::Vacant(e) => {
-                let bytes = copy_in(pool, value);
-                e.insert((bytes.clone(), 1));
+                e.insert((copy_in(pool, value), 1));
                 let stats = &mut table.stats;
                 stats.copied += 1;
                 stats.bytes += value.len();
                 stats.entries += 1;
                 stats.entries_hwm = stats.entries_hwm.max(stats.entries);
-                bytes
             }
         }
     }
 
-    /// One cache entry let go of (`hash`, `version`); the caller has
-    /// already dropped its handle, so the last release sends the buffer
-    /// home to its pool.
+    /// One cache entry let go of (`hash`, `version`); the last release
+    /// sends the buffer home to its pool.
     fn release(&self, hash: KeyHash, version: VersionNumber) {
         let table = &mut *self.0.borrow_mut();
         let Entry::Occupied(mut e) = table.map.entry((hash, version)) else {
@@ -233,8 +239,8 @@ const NIL: u32 = u32::MAX;
 /// first few fills).
 const MIN_SLOTS: usize = 4;
 
-/// The fields the hit/validate path reads, 48 bytes. The value lives in the
-/// parallel `values` array: lookups never touch it.
+/// One entry, 48 bytes: everything the hit/validate path reads. The value
+/// lives in the cell's [`SharedValues`] row for (`hash`, `version`).
 #[derive(Debug)]
 struct Slot {
     hash: KeyHash,
@@ -267,8 +273,6 @@ pub struct ClientCache {
     /// mixed hash.
     index_shift: u32,
     slots: Vec<Slot>,
-    /// `values[i]` belongs to `slots[i]`.
-    values: Vec<Bytes>,
     /// Head of the free-slot list (slots emptied by invalidation).
     free: u32,
     len: usize,
@@ -301,7 +305,6 @@ impl ClientCache {
             index: Vec::new(),
             index_shift: 0,
             slots: Vec::new(),
-            values: Vec::new(),
             free: NIL,
             len: 0,
             head: NIL,
@@ -325,29 +328,30 @@ impl ClientCache {
         self.len == 0
     }
 
-    /// Bytes of slot, value-handle and index storage currently reserved
-    /// (value payloads live in pools, shared through the value table, and
-    /// are bounded by `capacity × max_value_len` separately).
+    /// Bytes of slot and index storage currently reserved (value payloads
+    /// live in pools, held by the value table, and are bounded by
+    /// `capacity × max_value_len` separately).
     pub fn reserved_bytes(&self) -> usize {
-        self.slots.capacity() * size_of::<Slot>()
-            + self.values.capacity() * size_of::<Bytes>()
-            + self.index.capacity() * size_of::<u32>()
+        self.slots.capacity() * size_of::<Slot>() + self.index.capacity() * size_of::<u32>()
     }
 
     /// Upper bound of [`ClientCache::reserved_bytes`] for `capacity`
     /// entries.
     pub fn reserved_bytes_bound(capacity: usize) -> usize {
         let slots = capacity.max(1);
-        slots * (size_of::<Slot>() + size_of::<Bytes>())
-            + (2 * slots).next_power_of_two() * size_of::<u32>()
+        slots * size_of::<Slot>() + (2 * slots).next_power_of_two() * size_of::<u32>()
     }
 
-    /// Cached value for `hash` (test visibility; does not touch LRU order
-    /// or stats).
+    /// Cached value for `hash`, read from the value table's row (test
+    /// visibility; does not touch LRU order or stats).
     pub fn peek(&self, hash: KeyHash) -> Option<(VersionNumber, Bytes, SimTime)> {
         let (_, slot) = self.find(hash)?;
         let s = &self.slots[slot as usize];
-        Some((s.version, self.values[slot as usize].clone(), s.lease))
+        let value = self
+            .shared
+            .get(hash, s.version)
+            .expect("a resident entry's row");
+        Some((s.version, value, s.lease))
     }
 
     // ---- index -------------------------------------------------------------
@@ -418,7 +422,6 @@ impl ClientCache {
         let cap = self.cfg.capacity.max(1);
         let target = (self.slots.capacity() * 2).clamp(MIN_SLOTS.min(cap), cap);
         self.slots.reserve_exact(target - self.slots.len());
-        self.values.reserve_exact(target - self.values.len());
         // Sized from what was actually reserved: slots fill to their
         // capacity before `grow` runs again, and the index must stay at
         // most half full for probes to end.
@@ -474,11 +477,9 @@ impl ClientCache {
         self.len -= 1;
     }
 
-    /// Drop resident `slot`'s handle to its value, then its claim on the
-    /// table entry (in that order: the last holder's release recycles the
-    /// buffer).
+    /// Drop resident `slot`'s claim on its value's table row (the last
+    /// holder's release recycles the buffer).
     fn release_value(&mut self, slot: u32) {
-        self.values[slot as usize] = Bytes::new();
         let s = &self.slots[slot as usize];
         self.shared.release(s.hash, s.version);
     }
@@ -486,7 +487,7 @@ impl ClientCache {
     /// Give resident `slot` (hash set) the value of `version`.
     fn acquire_value(&mut self, slot: u32, version: VersionNumber, value: &[u8]) {
         let hash = self.slots[slot as usize].hash;
-        self.values[slot as usize] = self.shared.acquire(hash, version, value, &self.pool);
+        self.shared.acquire(hash, version, value, &self.pool);
     }
 
     fn free_slot(&mut self, slot: u32) {
@@ -513,7 +514,6 @@ impl ClientCache {
                 prev: NIL,
                 next: NIL,
             });
-            self.values.push(Bytes::new());
             return self.slots.len() as u32 - 1;
         }
         let victim = self.tail;
@@ -576,10 +576,10 @@ impl ClientCache {
                 }
                 self.unlink(slot);
                 // The version it already holds (a slow GET, a retried
-                // write-through) is a lease renewal: the bytes are here.
+                // write-through) is a lease renewal: its row holds the bytes.
                 // Compared, not assumed — no SET stream gives one version
                 // two values, but the reference-model test does.
-                if version != cached || self.values[slot as usize] != value {
+                if version != cached || self.shared.get(hash, cached).as_ref() != Some(&value) {
                     // Released before the new value is taken, so a lone
                     // holder's same-class refresh gets its buffer straight
                     // back.
@@ -832,6 +832,21 @@ mod tests {
         assert_eq!(c.stats.inserts, 2);
         assert_eq!(pool.stats().acquires, acquires, "no second copy");
         assert_eq!(shared.stats(), table, "no release, no re-acquire");
+    }
+
+    #[test]
+    fn a_lone_cache_refreshed_at_its_version_with_new_bytes_swaps_them() {
+        // No SET stream gives one version two values, but a lone cache is
+        // the only holder of its row, so it takes the bytes it is given.
+        let (pool, shared) = (Pool::new(), SharedValues::new());
+        let cfg = cache(2, 10).cfg.clone();
+        let mut c = ClientCache::with_shared(cfg, pool, shared.clone());
+        c.insert(1, v(9), Bytes::from_static(b"old"), at_ms(0));
+        c.insert(1, v(9), Bytes::from_static(b"new"), at_ms(5));
+        let (ver, val, lease) = c.peek(1).unwrap();
+        assert_eq!((ver, &val[..], lease), (v(9), &b"new"[..], at_ms(15)));
+        let stats = shared.stats();
+        assert_eq!((stats.entries, stats.copied, stats.released), (1, 2, 1));
     }
 
     #[test]

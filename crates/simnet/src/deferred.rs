@@ -23,8 +23,12 @@ pub struct Deferred<T> {
 
 impl<T> Deferred<T> {
     /// Create a namespace at `base` covering `span` consecutive tokens.
-    /// Tokens wrap within the namespace (a node will never have 2^32
-    /// simultaneous continuations in practice).
+    /// Tokens wrap within the namespace, skipping those still pending; a
+    /// namespace with all `span` tokens pending is full. The standard
+    /// namespaces ([`Deferred::responses`], [`Deferred::sends`],
+    /// [`Deferred::aux1`]) span 2^16, so their owners panic, or shed (a
+    /// server checking [`Deferred::is_full`] at intake), at 65,536 pending
+    /// continuations; [`Deferred::in_flight`] spans 2^44 and never wraps.
     pub fn new(base: u64, span: u64) -> Deferred<T> {
         assert!(span > 0);
         Deferred {

@@ -76,9 +76,18 @@ enum Pending {
     /// restart while the frame is in flight must not deliver it to the new
     /// incarnation.
     RxArrive { frame: Frame, incarnation: u32 },
+    /// A delayed send ([`Ctx::send_after`]) is due: put `frame` on the wire
+    /// from its sender, unless the sender has died or restarted since.
+    /// `incarnation` is the sender's at the call, checked the way a timer's
+    /// [`Pending::Deliver`] is; the sender's node is never called.
+    SendAt { frame: Frame, incarnation: u32 },
     /// A scheduled fault-plan action (crash or reviver-driven restart).
     FaultAt(FaultAction),
 }
+
+// One arena slot's payload; a delayed send is the size of a frame in
+// flight, so holding it here costs the queue nothing per slot.
+const _: () = assert!(std::mem::size_of::<Pending>() == 80);
 
 /// Node-level fault actions compiled out of a [`FaultPlan`].
 #[derive(Debug, Clone, Copy)]
@@ -528,23 +537,20 @@ impl Sim {
                 );
             }
             Pending::FaultAt(action) => self.apply_fault_action(action),
+            Pending::SendAt { frame, incarnation } => {
+                if self.check_live(frame.src, incarnation) {
+                    self.transmit(frame);
+                }
+            }
             Pending::Deliver {
                 dst,
                 incarnation,
                 ev,
             } => {
-                let idx = dst.0 as usize;
-                {
-                    let meta = self.node_meta[idx];
-                    if !meta.alive || self.node_objs[idx].is_none() {
-                        self.metrics.add_id(self.mids.dropped_dead, 1);
-                        return true;
-                    }
-                    if meta.incarnation != incarnation {
-                        self.metrics.add_id(self.mids.dropped_stale, 1);
-                        return true;
-                    }
+                if !self.check_live(dst, incarnation) {
+                    return true;
                 }
+                let idx = dst.0 as usize;
                 // Take the node out so we can hand the rest of the world to it.
                 let mut node = self.node_objs[idx].take().expect("checked above");
                 {
@@ -558,6 +564,140 @@ impl Sim {
             }
         }
         true
+    }
+
+    /// Whether `id` is alive at `incarnation`; if not, counts the event
+    /// addressed to (or sent by) it as `simnet.dropped_dead` or
+    /// `simnet.dropped_stale`.
+    fn check_live(&mut self, id: NodeId, incarnation: u32) -> bool {
+        let idx = id.0 as usize;
+        let meta = self.node_meta[idx];
+        if !meta.alive || self.node_objs[idx].is_none() {
+            self.metrics.add_id(self.mids.dropped_dead, 1);
+            return false;
+        }
+        if meta.incarnation != incarnation {
+            self.metrics.add_id(self.mids.dropped_stale, 1);
+            return false;
+        }
+        true
+    }
+
+    /// Put `frame` (built by [`Ctx`], which checked its destination) on the
+    /// wire from its sender: the sender host's TX link,
+    /// the fabric (propagation, jitter, the fault layer), then the
+    /// destination host's RX link. Co-located nodes use the loopback path.
+    fn transmit(&mut self, frame: Frame) {
+        let (dst, trace, wire_bytes) = (frame.dst, frame.trace, frame.wire_bytes);
+        let src_host = self.node_meta[frame.src.0 as usize].host;
+        let dst_host = self.node_meta[dst.0 as usize].host;
+        // Capture the destination's incarnation at send time: a frame on
+        // the wire is addressed to the process that exists *now*, and must
+        // not reach a later incarnation (see [`Sim::revive`]).
+        let inc = self.node_meta[dst.0 as usize].incarnation;
+        if src_host == dst_host {
+            // Loopback (kernel IPC) is below the fault layer's fabric
+            // model: link impairments never apply to co-located nodes.
+            let at = self.now + LOOPBACK_LATENCY;
+            if trace != 0 {
+                let (t0, t1) = (self.now.nanos(), at.nanos());
+                self.record_trace(src_host, trace, obs::stage::FABRIC, t0, t1, wire_bytes);
+            }
+            self.schedule(
+                at,
+                Pending::Deliver {
+                    dst,
+                    incarnation: inc,
+                    ev: Event::Frame(frame),
+                },
+            );
+            return;
+        }
+        let now = self.now;
+        let txq_start = now.max(self.hosts.tx_free_at(src_host));
+        let depart = self.hosts.admit_tx(src_host, now, wire_bytes);
+        let jitter = SimDuration(self.rng.gen_range(self.fabric.jitter.nanos() + 1));
+        let mut arrive = depart + self.fabric.base_latency + jitter;
+        if trace != 0 {
+            // TX-side queueing (waiting for the NIC) then serialization
+            // (the bytes going onto the wire).
+            if txq_start > now {
+                self.record_trace(
+                    src_host,
+                    trace,
+                    obs::stage::QUEUE,
+                    now.nanos(),
+                    txq_start.nanos(),
+                    wire_bytes,
+                );
+            }
+            self.record_trace(
+                src_host,
+                trace,
+                obs::stage::SER,
+                txq_start.nanos(),
+                depart.nanos(),
+                wire_bytes,
+            );
+        }
+        // Fault layer: the frame has left the NIC (TX was charged), now the
+        // fabric decides whether it survives, slows, or forks.
+        let fate = self
+            .fault
+            .as_deref_mut()
+            .map(|f| (f.frame_fate(now, src_host, dst_host, wire_bytes), f.mids));
+        if let Some((fate, mids)) = fate {
+            if fate.drop {
+                self.metrics.add_id(mids.frames_dropped, 1);
+                // No fabric interval: the frame died on the wire, and the
+                // op's eventual retry tier owns the lost time.
+                return;
+            }
+            if fate.extra > SimDuration::ZERO {
+                self.metrics.add_id(mids.frames_delayed, 1);
+                arrive += fate.extra;
+            }
+            if let Some(dup_delay) = fate.duplicate {
+                self.metrics.add_id(mids.frames_duplicated, 1);
+                self.schedule(
+                    arrive + dup_delay,
+                    Pending::RxArrive {
+                        frame: frame.clone(),
+                        incarnation: inc,
+                    },
+                );
+            }
+        }
+        if trace != 0 {
+            let (t0, t1) = (depart.nanos(), arrive.nanos());
+            self.record_trace(src_host, trace, obs::stage::FABRIC, t0, t1, wire_bytes);
+        }
+        self.schedule(
+            arrive,
+            Pending::RxArrive {
+                frame,
+                incarnation: inc,
+            },
+        );
+    }
+
+    /// Record one INTERVAL event against `host` if tracing is enabled.
+    /// Single `Option` check when it isn't.
+    fn record_trace(&mut self, host: HostId, trace: u64, stage: u8, t0: u64, t1: u64, aux: u64) {
+        if let Some(rec) = self.obs.as_deref_mut() {
+            rec.record(
+                host.0 as usize,
+                obs::TraceEvent {
+                    trace,
+                    host: host.0,
+                    stage,
+                    kind: obs::kind::INTERVAL,
+                    t0,
+                    t1,
+                    aux,
+                },
+            );
+        }
     }
 
     /// Run until the queue drains or the clock passes `deadline`.
@@ -671,126 +811,43 @@ impl<'a> Ctx<'a> {
     /// size, timing, or any RNG draw, so a traced run's schedule is
     /// identical to an untraced one.
     pub fn send_wire_traced(&mut self, dst: NodeId, payload: Bytes, wire_bytes: u64, trace: u64) {
-        assert!(
-            (dst.0 as usize) < self.sim.node_meta.len(),
-            "unknown node {dst}"
-        );
-        let src_host = self.self_host();
-        let dst_host = self.sim.node_meta[dst.0 as usize].host;
-        let frame = Frame {
-            src: self.id,
-            dst,
-            payload,
-            wire_bytes,
-            trace,
-        };
-        // Capture the destination's incarnation at send time: a frame on
-        // the wire is addressed to the process that exists *now*, and must
-        // not reach a later incarnation (see [`Sim::revive`]).
-        let inc = self.sim.node_meta[dst.0 as usize].incarnation;
-        if src_host == dst_host {
-            // Loopback (kernel IPC) is below the fault layer's fabric
-            // model: link impairments never apply to co-located nodes.
-            let at = self.sim.now + LOOPBACK_LATENCY;
-            if trace != 0 {
-                let (t0, t1) = (self.sim.now.nanos(), at.nanos());
-                self.record_trace(src_host, trace, obs::stage::FABRIC, t0, t1, wire_bytes);
-            }
-            self.sim.schedule(
-                at,
-                Pending::Deliver {
-                    dst,
-                    incarnation: inc,
-                    ev: Event::Frame(frame),
-                },
-            );
-            return;
-        }
-        let now = self.sim.now;
-        let txq_start = now.max(self.sim.hosts.tx_free_at(src_host));
-        let depart = self.sim.hosts.admit_tx(src_host, now, wire_bytes);
-        let jitter = SimDuration(self.sim.rng.gen_range(self.sim.fabric.jitter.nanos() + 1));
-        let mut arrive = depart + self.sim.fabric.base_latency + jitter;
-        if trace != 0 {
-            // TX-side queueing (waiting for the NIC) then serialization
-            // (the bytes going onto the wire).
-            if txq_start > now {
-                self.record_trace(
-                    src_host,
-                    trace,
-                    obs::stage::QUEUE,
-                    now.nanos(),
-                    txq_start.nanos(),
-                    wire_bytes,
-                );
-            }
-            self.record_trace(
-                src_host,
-                trace,
-                obs::stage::SER,
-                txq_start.nanos(),
-                depart.nanos(),
-                wire_bytes,
-            );
-        }
-        // Fault layer: the frame has left the NIC (TX was charged), now the
-        // fabric decides whether it survives, slows, or forks.
-        let fate = self
-            .sim
-            .fault
-            .as_deref_mut()
-            .map(|f| (f.frame_fate(now, src_host, dst_host, wire_bytes), f.mids));
-        if let Some((fate, mids)) = fate {
-            if fate.drop {
-                self.sim.metrics.add_id(mids.frames_dropped, 1);
-                // No fabric interval: the frame died on the wire, and the
-                // op's eventual retry tier owns the lost time.
-                return;
-            }
-            if fate.extra > SimDuration::ZERO {
-                self.sim.metrics.add_id(mids.frames_delayed, 1);
-                arrive += fate.extra;
-            }
-            if let Some(dup_delay) = fate.duplicate {
-                self.sim.metrics.add_id(mids.frames_duplicated, 1);
-                self.sim.schedule(
-                    arrive + dup_delay,
-                    Pending::RxArrive {
-                        frame: frame.clone(),
-                        incarnation: inc,
-                    },
-                );
-            }
-        }
-        if trace != 0 {
-            let (t0, t1) = (depart.nanos(), arrive.nanos());
-            self.record_trace(src_host, trace, obs::stage::FABRIC, t0, t1, wire_bytes);
-        }
+        let frame = self.frame(dst, payload, wire_bytes, trace);
+        self.sim.transmit(frame);
+    }
+
+    /// [`Ctx::send_traced`] after `delay`: the frame leaves this node then,
+    /// from the event slot a timer set now for `delay` would take. The
+    /// simulator holds it meanwhile and never calls this node for it; if
+    /// this node has crashed by then it sends nothing (counted as
+    /// `simnet.dropped_dead`), and if it has restarted, its predecessor's
+    /// send is `simnet.dropped_stale`. A zero delay still waits its turn
+    /// behind events already queued for now.
+    pub fn send_after(&mut self, delay: SimDuration, dst: NodeId, payload: Bytes, trace: u64) {
+        let wire = self.sim.fabric.wire_size(payload.len());
+        let frame = self.frame(dst, payload, wire, trace);
+        let at = self.sim.now + delay;
+        let inc = self.sim.node_meta[self.id.0 as usize].incarnation;
         self.sim.schedule(
-            arrive,
-            Pending::RxArrive {
+            at,
+            Pending::SendAt {
                 frame,
                 incarnation: inc,
             },
         );
     }
 
-    /// Record one INTERVAL event against `host` if tracing is enabled.
-    /// Single `Option` check when it isn't.
-    fn record_trace(&mut self, host: HostId, trace: u64, stage: u8, t0: u64, t1: u64, aux: u64) {
-        if let Some(rec) = self.sim.obs.as_deref_mut() {
-            rec.record(
-                host.0 as usize,
-                obs::TraceEvent {
-                    trace,
-                    host: host.0,
-                    stage,
-                    kind: obs::kind::INTERVAL,
-                    t0,
-                    t1,
-                    aux,
-                },
-            );
+    /// A frame from this node.
+    fn frame(&self, dst: NodeId, payload: Bytes, wire_bytes: u64, trace: u64) -> Frame {
+        assert!(
+            (dst.0 as usize) < self.sim.node_meta.len(),
+            "unknown node {dst}"
+        );
+        Frame {
+            src: self.id,
+            dst,
+            payload,
+            wire_bytes,
+            trace,
         }
     }
 
@@ -906,10 +963,11 @@ impl<'a> Ctx<'a> {
         if trace != 0 {
             if admission.start > now {
                 let (t0, t1) = (now.nanos(), admission.start.nanos());
-                self.record_trace(host, trace, obs::stage::QUEUE, t0, t1, 0);
+                self.sim
+                    .record_trace(host, trace, obs::stage::QUEUE, t0, t1, 0);
             }
             let (t0, t1) = (admission.start.nanos(), admission.done.nanos());
-            self.record_trace(host, trace, stage, t0, t1, 0);
+            self.sim.record_trace(host, trace, stage, t0, t1, 0);
         }
         let inc = self.sim.node_meta[self.id.0 as usize].incarnation;
         self.sim.schedule(
@@ -938,10 +996,11 @@ impl<'a> Ctx<'a> {
         if trace != 0 {
             if admission.start > now {
                 let (t0, t1) = (now.nanos(), admission.start.nanos());
-                self.record_trace(host, trace, obs::stage::QUEUE, t0, t1, 0);
+                self.sim
+                    .record_trace(host, trace, obs::stage::QUEUE, t0, t1, 0);
             }
             let (t0, t1) = (admission.start.nanos(), admission.done.nanos());
-            self.record_trace(host, trace, stage, t0, t1, 0);
+            self.sim.record_trace(host, trace, stage, t0, t1, 0);
         }
     }
 
@@ -1007,7 +1066,8 @@ impl<'a> Ctx<'a> {
             return;
         }
         let host = self.self_host();
-        self.record_trace(host, trace, stage, t0.nanos(), t1.nanos(), 0);
+        self.sim
+            .record_trace(host, trace, stage, t0.nanos(), t1.nanos(), 0);
     }
 
     /// Record a point annotation (no duration) — e.g. "this sub-op targeted
@@ -1607,5 +1667,166 @@ mod tests {
         // back of the same-timestamp queue), the 5us timer strictly last.
         assert_eq!(fired, vec![0, 1, 2, 3, 4, 5, 6, 7, 50, 51, 100]);
         assert_eq!(sim.events_processed(), 12); // Start + 11 timers
+    }
+
+    /// Records the first payload byte of every frame it receives.
+    #[derive(Default)]
+    struct Tally {
+        seen: Vec<u8>,
+    }
+
+    impl Node for Tally {
+        fn on_event(&mut self, ev: Event, _ctx: &mut Ctx<'_>) {
+            if let Event::Frame(f) = ev {
+                self.seen.push(f.payload[0]);
+            }
+        }
+    }
+
+    /// On start, sends one byte to `dst` per entry of `plan`, each after
+    /// `delay`: by a timer whose handler sends (`false`) or by
+    /// [`Ctx::send_after`] (`true`). Every send is stamped with `trace`, and
+    /// a trace that is not 0 is opened with an ENGINE interval over the wait
+    /// and closed at 1 ms.
+    struct Delayed {
+        dst: NodeId,
+        delay: SimDuration,
+        plan: Vec<bool>,
+        trace: u64,
+    }
+
+    const CLOSE: u64 = u64::MAX;
+
+    impl Delayed {
+        fn payload(i: usize) -> Bytes {
+            // The first send is a 64 KiB frame, so the ones behind it queue
+            // for the TX link.
+            let len = if i == 0 { 64 << 10 } else { 64 };
+            Bytes::from(vec![i as u8; len])
+        }
+    }
+
+    impl Node for Delayed {
+        fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
+            match ev {
+                Event::Start => {
+                    if self.trace != 0 {
+                        ctx.trace_open(self.trace, 0);
+                        let (now, ready) = (ctx.now(), ctx.now() + self.delay);
+                        ctx.trace_interval(self.trace, obs::stage::ENGINE, now, ready);
+                        ctx.set_timer(SimDuration::from_millis(1), CLOSE);
+                    }
+                    for (i, &by_sim) in self.plan.iter().enumerate() {
+                        if by_sim {
+                            let payload = Delayed::payload(i);
+                            ctx.send_after(self.delay, self.dst, payload, self.trace);
+                        } else {
+                            ctx.set_timer(self.delay, i as u64);
+                        }
+                    }
+                }
+                Event::Timer(CLOSE) => {
+                    ctx.trace_close(self.trace, SimTime::ZERO, ctx.now(), 1);
+                }
+                Event::Timer(i) => {
+                    let payload = Delayed::payload(i as usize);
+                    ctx.send_traced(self.dst, payload, self.trace);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn delayed(dst: NodeId, delay: SimDuration, plan: &[bool]) -> Box<Delayed> {
+        Box::new(Delayed {
+            dst,
+            delay,
+            plan: plan.to_vec(),
+            trace: 0,
+        })
+    }
+
+    #[test]
+    fn send_after_takes_the_slot_of_the_timer_it_replaces() {
+        // Co-located sender and receiver: loopback latency is fixed, so
+        // frames arrive in the order they left.
+        for delay in [SimDuration::ZERO, SimDuration::from_micros(5)] {
+            let mut sim = Sim::new(FabricCfg::default(), 13);
+            let h = sim.add_host(HostCfg::default().no_cstates());
+            let rx = sim.add_node(h, Box::new(Tally::default()));
+            let plan = [true, false, false, true, false, true, true, false];
+            sim.add_node(h, delayed(rx, delay, &plan));
+            sim.run_to_completion(1_000);
+            let seen = sim.with_node::<Tally, _>(rx, |t| t.seen.clone()).unwrap();
+            assert_eq!(seen, (0..plan.len() as u8).collect::<Vec<_>>(), "{delay}");
+            // A delayed send is one event, as a timer is.
+            assert_eq!(sim.events_processed(), 2 + 2 * plan.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_dead_or_restarted_sender_sends_nothing() {
+        let run = |restart: bool| {
+            let mut sim = Sim::new(FabricCfg::default(), 14);
+            let (h1, h2) = (
+                sim.add_host(HostCfg::default()),
+                sim.add_host(HostCfg::default()),
+            );
+            let rx = sim.add_node(h2, Box::new(Tally::default()));
+            let delay = SimDuration::from_micros(10);
+            let tx = sim.add_node(h1, delayed(rx, delay, &[true]));
+            sim.run_for(SimDuration::from_micros(1));
+            sim.crash(tx);
+            if restart {
+                sim.revive(tx, Box::new(Tally::default()));
+            }
+            sim.run_to_completion(1_000);
+            let seen = sim.with_node::<Tally, _>(rx, |t| t.seen.len()).unwrap();
+            assert_eq!((seen, sim.host(h1).tx_bytes), (0, 0), "restart {restart}");
+            let m = sim.metrics();
+            (
+                m.counter("simnet.dropped_dead"),
+                m.counter("simnet.dropped_stale"),
+            )
+        };
+        assert_eq!(run(false), (1, 0));
+        assert_eq!(run(true), (0, 1));
+    }
+
+    #[test]
+    fn a_traced_send_after_records_what_a_timer_and_send_traced_do() {
+        let run = |by_sim: bool| {
+            let mut sim = Sim::new(FabricCfg::default(), 15);
+            sim.enable_tracing();
+            let (h1, h2) = (
+                sim.add_host(HostCfg::default()),
+                sim.add_host(HostCfg::default()),
+            );
+            let rx = sim.add_node(h2, Box::new(Tally::default()));
+            sim.add_node(
+                h1,
+                Box::new(Delayed {
+                    dst: rx,
+                    delay: SimDuration::from_micros(3),
+                    plan: vec![by_sim; 3],
+                    trace: 9,
+                }),
+            );
+            sim.run_to_completion(1_000);
+            let traces = sim.drain_traces();
+            assert_eq!(traces.len(), 1);
+            (traces[0].events.clone(), sim.events_processed())
+        };
+        let (by_timer, by_sim) = (run(false), run(true));
+        assert_eq!(by_timer, by_sim);
+        let stages = |s: u8| by_sim.0.iter().filter(|e| e.stage == s).count();
+        // The wait, each frame's TX and RX serialization and fabric
+        // crossing, and the queueing behind the 64 KiB frame.
+        assert_eq!(stages(obs::stage::ENGINE), 1);
+        assert_eq!(
+            (stages(obs::stage::SER), stages(obs::stage::FABRIC)),
+            (6, 3)
+        );
+        assert!(stages(obs::stage::QUEUE) >= 2, "{:?}", by_sim.0);
     }
 }

@@ -5,7 +5,10 @@
 //! geometry per backend; the cell keeps one copy of each distinct one, and
 //! a client that has not refreshed or re-connected still holds its own
 //! stale one. At 10,000 clients the cell's event queue, too, holds what is
-//! queued, not what its busiest windows once held.
+//! queued, not what its busiest windows once held, and a client's tables
+//! hold what it uses, not what its busiest moment once needed.
+
+mod support;
 
 use std::rc::Rc;
 
@@ -18,6 +21,7 @@ use cliquemap::config::{CellConfig, ReplicationMode};
 use cliquemap::messages::{method, Geometry, PrepareMaintenance};
 use cliquemap::workload::{ClientOp, ScriptWorkload, Workload};
 use simnet::{NodeId, SimDuration, SimTime};
+use support::live_bytes;
 use workloads::{Prefill, ProductionSets, RampWorkload, SizeDist};
 
 const KEYS: u64 = 200;
@@ -242,14 +246,27 @@ const QUEUE_WHEEL_BYTES: usize = 4_096 * 4 + 4_096 / 8;
 /// `cell950` holds 197; bucket `Vec`s that keep the capacity of the
 /// largest burst they ever held, plus boxed payloads, held 473.
 const QUEUE_BYTES_PER_EVENT: usize = 256;
+/// Host bytes `cell950`'s 450 ms run may add to the live heap, per client:
+/// the event queue, the value table, the backends' grown data regions and
+/// every table the clients grow. The run adds 10,367; it added 14,073 while
+/// each client kept its own recycled GET states, a handle per cache entry
+/// beside the value table's, a B-tree root for its issued ops, and a timer
+/// table sized by the sends that waited in it for the transport engine.
+const RUN_BYTES_PER_CLIENT: i64 = 12 << 10;
 
 /// The 10,000-client gate (`ci.sh` runs it in release; minutes in debug).
 #[test]
 #[ignore = "release-only: cargo test --release --test client_footprint -- --ignored"]
 fn cell950_caches_hold_thousands_of_values_not_a_hundred_thousand() {
     let mut cell = bench::simcore::cell950();
+    let built = live_bytes();
     cell.run_for(SimDuration::from_millis(450));
     assert_eq!(cell.op_errors(), 0);
+    let per_client = (live_bytes() - built) / cell.clients.len() as i64;
+    assert!(
+        per_client <= RUN_BYTES_PER_CLIENT,
+        "the run added {per_client} B of live heap per client"
+    );
     let stats = table_stats(&cell);
     assert!(stats.entries_hwm <= 8_000, "{stats:?}");
     assert!(stats.copied <= 8_000, "{stats:?}");
