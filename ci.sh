@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
-# gates, the protocol cores' purity, the one-op-driver, one-op-fate,
-# one-backend-builder, in-flight-continuation, delayed-send and
-# one-histogram gates, lints, format, rustdoc, the benchmark's smoke tests
-# and the figure reproducibility gate.
+# gates, the protocol cores' and the History checker's purity, the
+# one-op-driver, one-op-fate, one-backend-builder, in-flight-continuation,
+# delayed-send, one-op-record and one-histogram gates, lints, format,
+# rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -39,8 +39,9 @@ echo "== protocol core purity =="
 # tests/handoff_exhaustive.rs and tests/attempt_exhaustive.rs enumerate
 # every vote order, every small cohort, every few writes around a handoff
 # and every order of an op's lifecycle inputs only because the rules are
-# pure functions).
-for core in crates/cliquemap/src/{quorum,repair,handoff,attempt}.rs; do
+# pure functions). So does the History's §5 checker: `history::check` is a
+# function of the rows, time in u64 ns.
+for core in crates/cliquemap/src/{quorum,repair,handoff,attempt,history}.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$core" | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
         echo "$core names simulator types outside its test module" >&2
         exit 1
@@ -93,6 +94,15 @@ echo "== delayed sends are the simulator's =="
 # record for it or is called when it goes.
 if grep -rnE 'SendWire|Work::Respond' crates src tests examples; then
     echo "a node holds a delayed send itself (use Ctx::send_after)" >&2
+    exit 1
+fi
+
+echo "== one op record =="
+# What an op did is recorded once, in the cell's opt-in History
+# (crates/cliquemap/src/history.rs): no per-client completion log comes
+# back.
+if grep -rnE '\.completions\b|COMPLETION_LOG_CAP' crates src tests examples; then
+    echo "a per-client completion log (use Cell::record_history + Cell::history)" >&2
     exit 1
 fi
 

@@ -116,11 +116,8 @@ pub fn checkpoint_media(cell: &mut Cell, i: usize) {
 }
 
 fn install(cell: &mut Cell, backend: simnet::NodeId, key: &Bytes, value: &Bytes, v: VersionNumber) {
-    let hash = DefaultHasher.hash(key);
     cell.sim
-        .with_node::<BackendNode, _>(backend, |b| {
-            b.store_mut().install(key, value, hash, v);
-        })
+        .with_node::<BackendNode, _>(backend, |b| b.load(key, value, v))
         .expect("backend exists");
 }
 

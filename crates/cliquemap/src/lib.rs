@@ -29,6 +29,7 @@
 //! | §4.1 allocation & reshaping | [`slab`], [`store`] |
 //! | §4.2 eviction | [`policy`], [`tombstone`] |
 //! | §5 replication & quorums | [`config`], [`version`], [`quorum`] (the rules), [`client`] (the I/O) |
+//! | §5 the contract, checked over a cell's opt-in op history | [`history`] |
 //! | §5.4 repairs | [`repair`] (the rules), [`backend`] (the I/O) |
 //! | §6.1 warm spares | [`handoff`] (the rules), [`backend`] (the I/O), [`cell`] |
 //! | §6.2 language shims | [`shim`] |
@@ -81,6 +82,7 @@ pub mod client_cache;
 pub mod config;
 pub mod handoff;
 pub mod hash;
+pub mod history;
 pub mod layout;
 pub mod messages;
 pub mod policy;

@@ -1,19 +1,27 @@
-//! Batched-vs-unbatched equivalence: doorbell batching must be a wire
-//! optimization, not a semantic change. The same seeded op stream run with
-//! `doorbell_batching` on and off must produce identical per-op outcomes,
-//! identical per-key values, and identical client-nominated
-//! [`VersionNumber`]s on every replica's store.
+//! Wire-path equivalence: doorbell batching, the lease cache and the four
+//! lookup strategies are wire paths to one semantics (Storm's one-sided
+//! read, RPC fallback and validation; Brock et al.'s one structure over RDMA
+//! or RPC). The same seeded op stream must give every op the same outcome,
+//! version and value in the cell's History under 2xR, SCAR, MSG and RPC,
+//! batched or not, cached or not; and batched or not, every replica must
+//! end up holding the same (version, value) for every key.
 
 use bytes::Bytes;
-use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec};
-use cliquemap::client::{ClientNode, LookupStrategy};
+use cliquemap::client::LookupStrategy;
+use cliquemap::client_cache::ClientCacheCfg;
 use cliquemap::config::ReplicationMode;
-use cliquemap::hash::{DefaultHasher, KeyHasher};
-use cliquemap::version::VersionNumber;
+use cliquemap::history::{self, History};
 use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload, Workload};
 use proptest::prelude::*;
 use simnet::{SimDuration, SimRng};
+
+const STRATEGIES: [LookupStrategy; 4] = [
+    LookupStrategy::TwoR,
+    LookupStrategy::Scar,
+    LookupStrategy::Msg,
+    LookupStrategy::Rpc,
+];
 
 fn key(i: u64) -> Bytes {
     Bytes::from(format!("eq{i}"))
@@ -68,16 +76,15 @@ fn build_script(seed: u64, nkeys: u64) -> Vec<(SimDuration, ClientOp)> {
     ops
 }
 
-type KeyState = Option<(Bytes, Bytes, VersionNumber)>;
-
-/// Run one cell and distill its observable end state: the per-op outcome
-/// stream plus every backend's (key, value, version) for every key.
+/// Run one cell, the client under `strategy`, with doorbell batching and
+/// the lease cache as given, and return its History once `check` finds
+/// nothing in it.
 fn run_mode(
     strategy: LookupStrategy,
     batched: bool,
+    cached: bool,
     ops: Vec<(SimDuration, ClientOp)>,
-    nkeys: u64,
-) -> (Vec<OpOutcome>, Vec<Vec<KeyState>>) {
+) -> History {
     let mut spec = CellSpec {
         replication: ReplicationMode::R32,
         num_backends: 4,
@@ -89,64 +96,63 @@ fn run_mode(
     spec.backend.scan_interval = None;
     spec.client.strategy = strategy;
     spec.client.doorbell_batching = batched;
+    spec.client.cache = cached.then(ClientCacheCfg::default);
     let wl: Box<dyn Workload> = Box::new(ScriptWorkload::new(ops));
     let mut cell = Cell::build(spec, vec![wl]);
+    cell.record_history();
     cell.run_for(SimDuration::from_secs(2));
-    assert_eq!(cell.op_errors(), 0, "{strategy:?} batched={batched}");
-    let outcomes = cell
-        .sim
-        .with_node::<ClientNode, _>(cell.clients[0], |c| {
-            c.completions.iter().map(|(o, _)| *o).collect::<Vec<_>>()
-        })
-        .unwrap();
-    let hasher = DefaultHasher;
-    let stores: Vec<Vec<KeyState>> = cell
-        .backends
-        .clone()
-        .into_iter()
-        .map(|b| {
-            (0..nkeys)
-                .map(|i| {
-                    let hash = hasher.hash(&key(i));
-                    cell.sim
-                        .with_node::<BackendNode, _>(b, |node| node.store().fetch(hash))
-                        .unwrap()
-                })
-                .collect()
-        })
-        .collect();
-    (outcomes, stores)
+    let what = format!("{strategy:?} batched={batched} cached={cached}");
+    assert_eq!(cell.op_errors(), 0, "{what}");
+    let h = cell.history();
+    assert_eq!(history::check(&h, ReplicationMode::R32), [], "{what}");
+    h
+}
+
+/// Each op's (outcome, version, value hash), in admission order. The
+/// `quorum` flag is left out on purpose: it says which path decided a
+/// read, and that differs by design: an MSG or RPC lookup is one server's
+/// word, and with the cache on a GET after the client's own write is
+/// served by its lease, each with the same version and value.
+fn per_op(h: &History) -> Vec<(Option<OpOutcome>, u128, Option<u64>)> {
+    let outcome = |op: &history::Op| op.done.map(|d| d.outcome);
+    h.ops
+        .iter()
+        .map(|op| (outcome(op), op.version, op.value))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
+    /// Batched and unbatched runs agree op for op and replica for replica,
+    /// and so do the four strategies, op for op.
     #[test]
     fn batched_and_unbatched_streams_are_equivalent(
         seed in any::<u64>(),
         nkeys in 4u64..12,
-        strat in 0usize..4,
+        cached in any::<bool>(),
     ) {
-        let strategy = [
-            LookupStrategy::TwoR,
-            LookupStrategy::Scar,
-            LookupStrategy::Msg,
-            LookupStrategy::Rpc,
-        ][strat];
         let ops = build_script(seed, nkeys);
-        let (out_plain, state_plain) =
-            run_mode(strategy, false, ops.clone(), nkeys);
-        let (out_batch, state_batch) = run_mode(strategy, true, ops, nkeys);
-        prop_assert!(!out_plain.is_empty());
-        prop_assert_eq!(
-            &out_plain, &out_batch,
-            "per-op outcomes diverged under batching ({:?})", strategy
-        );
-        // Every replica holds the same keys at the same values with the
-        // same client-nominated VersionNumbers.
-        prop_assert_eq!(
-            &state_plain, &state_batch,
-            "replica stores diverged under batching ({:?})", strategy
-        );
+        let mut first = None;
+        for strategy in STRATEGIES {
+            let plain = run_mode(strategy, false, cached, ops.clone());
+            let batch = run_mode(strategy, true, cached, ops.clone());
+            prop_assert!(!plain.ops.is_empty());
+            prop_assert_eq!(
+                per_op(&plain), per_op(&batch),
+                "per-op History diverged under batching ({:?})", strategy
+            );
+            // Every replica holds the same keys at the same values with the
+            // same client-nominated VersionNumbers.
+            prop_assert_eq!(
+                &plain.copies, &batch.copies,
+                "replica stores diverged under batching ({:?})", strategy
+            );
+            let first = first.get_or_insert_with(|| per_op(&plain));
+            prop_assert_eq!(
+                &per_op(&plain), first,
+                "{:?} saw another History than 2xR (cached={})", strategy, cached
+            );
+        }
     }
 }

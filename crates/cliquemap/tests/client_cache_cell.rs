@@ -8,6 +8,7 @@ use cliquemap::cell::{Cell, CellSpec};
 use cliquemap::client::{ClientNode, LookupStrategy};
 use cliquemap::client_cache::{CacheStats, ClientCacheCfg};
 use cliquemap::config::ReplicationMode;
+use cliquemap::history;
 use cliquemap::version::VersionNumber;
 use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload, Workload};
 use simnet::SimDuration;
@@ -55,17 +56,18 @@ fn cached_spec(lease_ttl: SimDuration) -> CellSpec {
 fn run_cached(
     lease_ttl: SimDuration,
     ops: Vec<(u64, ClientOp)>,
-) -> (Cell, Vec<(OpOutcome, u64)>, CacheStats) {
+) -> (Cell, Vec<OpOutcome>, CacheStats) {
     let mut cell = Cell::build(cached_spec(lease_ttl), vec![script(ops)]);
+    cell.record_history();
     cell.run_for(SimDuration::from_secs(1));
+    let h = cell.history();
+    assert_eq!(history::check(&h, ReplicationMode::R32), [], "{h:?}");
     let id = cell.clients[0];
-    let (done, stats) = cell
+    let stats = cell
         .sim
-        .with_node::<ClientNode, _>(id, |c| {
-            (c.completions.clone(), c.cache_stats().expect("cache on"))
-        })
+        .with_node::<ClientNode, _>(id, |c| c.cache_stats().expect("cache on"))
         .unwrap();
-    (cell, done, stats)
+    (cell, h.outcomes(id.0), stats)
 }
 
 fn peek(cell: &mut Cell, key: &str) -> Option<(VersionNumber, Bytes)> {
@@ -94,8 +96,8 @@ fn own_set_invalidates_cached_value() {
     // Completions arrive in completion order (the racing GET can finish
     // before the RPC SET does): 2 mutations done, 3 GET hits.
     assert_eq!(done.len(), 5, "{done:?}");
-    let dones = done.iter().filter(|(o, _)| *o == OpOutcome::Done).count();
-    let hits = done.iter().filter(|(o, _)| *o == OpOutcome::Hit).count();
+    let dones = done.iter().filter(|&&o| o == OpOutcome::Done).count();
+    let hits = done.iter().filter(|&&o| o == OpOutcome::Hit).count();
     assert_eq!((dones, hits), (2, 3), "{done:?}");
     // The second SET dropped the owner's entry at issue time.
     assert!(stats.invalidations >= 1, "{stats:?}");
@@ -123,7 +125,7 @@ fn lease_expiry_forces_validation() {
     );
     assert_eq!(done.len(), 4, "{done:?}");
     for d in &done[1..] {
-        assert_eq!(d.0, OpOutcome::Hit, "{done:?}");
+        assert_eq!(*d, OpOutcome::Hit, "{done:?}");
     }
     assert_eq!(stats.hits, 2, "{stats:?}");
     assert_eq!(stats.stale, 1, "expired lease must not serve locally");
@@ -165,7 +167,7 @@ fn counters_reconcile_with_op_counts() {
     assert!(stats.hits > 0, "{stats:?}");
     assert!(stats.stale > 0, "4ms lease over 700us spacing: {stats:?}");
     // Completed GET outcomes match the cell-level hit counter.
-    let hit_ops = done.iter().filter(|(o, _)| *o == OpOutcome::Hit).count() as u64;
+    let hit_ops = done.iter().filter(|&&o| o == OpOutcome::Hit).count() as u64;
     assert_eq!(cell.hits(), hit_ops);
     // Metrics mirror the struct counters.
     let m = cell.sim.metrics();
@@ -195,18 +197,13 @@ fn cache_preserves_outcomes() {
             (900, get("x")),
         ]
     };
-    let (_, with_cache, stats) = run_cached(SimDuration::from_millis(10), ops());
+    let (_, with, stats) = run_cached(SimDuration::from_millis(10), ops());
     let mut spec = cached_spec(SimDuration::from_millis(10));
     spec.client.cache = None;
     let mut cell = Cell::build(spec, vec![script(ops())]);
+    cell.record_history();
     cell.run_for(SimDuration::from_secs(1));
-    let without: Vec<OpOutcome> = cell
-        .sim
-        .with_node::<ClientNode, _>(cell.clients[0], |c| {
-            c.completions.iter().map(|(o, _)| *o).collect()
-        })
-        .unwrap();
-    let with: Vec<OpOutcome> = with_cache.iter().map(|(o, _)| *o).collect();
+    let without = cell.history().outcomes(cell.clients[0].0);
     assert_eq!(with, without, "cache changed observable semantics");
     assert!(stats.lookups > 0, "cache was actually exercised");
     // ERASE both invalidates (own-write rule) and, on Done, must not leave

@@ -55,6 +55,7 @@ fn a_lost_fallback_round_fails_its_attempt_once() {
     ops.extend((1..KEYS).map(|i| (us(1), ClientOp::Get { key: key(i) })));
     let wl: Box<dyn Workload> = Box::new(ScriptWorkload::new(ops));
     let mut cell = Cell::build(spec, vec![wl]);
+    cell.record_history();
     let ms = |n: u64| SimTime(n * 1_000_000);
     let mut plan = FaultPlan::new(7);
     plan.add(
@@ -92,14 +93,12 @@ fn a_lost_fallback_round_fails_its_attempt_once() {
     // A doomed op spends its whole budget sequentially: `max_attempts`
     // attempts, each waiting out a full attempt timeout.
     let floor = attempt_timeout.nanos() * max_attempts as u64;
-    let done = cell
-        .sim
-        .with_node::<ClientNode, _>(cell.clients[0], |c| c.completions.clone())
-        .expect("client alive");
+    let history = cell.history();
+    let done: Vec<_> = history.ops.iter().filter_map(|op| op.done).collect();
     let doomed: Vec<u64> = done
         .iter()
-        .filter(|(outcome, _)| *outcome == OpOutcome::Error)
-        .map(|&(_, latency_ns)| latency_ns)
+        .filter(|d| d.outcome == OpOutcome::Error)
+        .map(|d| d.latency)
         .collect();
     assert!(!doomed.is_empty(), "no GET exhausted its budget: {done:?}");
     assert!(
@@ -145,12 +144,14 @@ fn a_miss_reached_through_the_fallback_round_drops_the_stale_lease() {
         Box::new(ScriptWorkload::new(b)),
     ];
     let mut cell = Cell::build(spec, wls);
+    cell.record_history();
     let peek = |cell: &mut Cell| {
-        cell.sim
-            .with_node::<ClientNode, _>(cell.clients[0], |c| {
-                (c.completions.clone(), c.cache_peek(&key(1)))
-            })
-            .expect("client alive")
+        let done = cell.history().outcomes(cell.clients[0].0);
+        let cached = cell
+            .sim
+            .with_node::<ClientNode, _>(cell.clients[0], |c| c.cache_peek(&key(1)))
+            .expect("client alive");
+        (done, cached)
     };
     cell.sim.run_until(SimTime(4_000_000));
     let (done, cached) = peek(&mut cell);
@@ -159,7 +160,7 @@ fn a_miss_reached_through_the_fallback_round_drops_the_stale_lease() {
 
     cell.sim.run_until(SimTime(20_000_000));
     let (done, cached) = peek(&mut cell);
-    assert_eq!(done.last().map(|d| d.0), Some(OpOutcome::Miss), "{done:?}");
+    assert_eq!(done.last(), Some(&OpOutcome::Miss), "{done:?}");
     let m = cell.sim.metrics();
     assert_eq!(
         m.counter("cm.get.overflow_fallbacks"),

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use cliquemap::cell::{Cell, CellSpec};
-use cliquemap::client::{ClientNode, LookupStrategy};
+use cliquemap::client::LookupStrategy;
 use cliquemap::workload::{ClientOp, OpOutcome, ScriptWorkload, Workload};
 use simnet::{Fault, FaultPlan, HostSet, LinkImpairment, SimDuration, SimTime};
 
@@ -30,8 +30,8 @@ struct Run {
     rma_timeouts: u64,
     rpc_timeouts: u64,
     config_refreshes: u64,
-    /// Per client: its completion log.
-    done: Vec<Vec<(OpOutcome, u64)>>,
+    /// Per client: the outcomes its caller saw.
+    done: Vec<Vec<OpOutcome>>,
 }
 
 /// One in-window burst and one post-heal burst: a single GET, a MultiGet
@@ -90,6 +90,7 @@ fn run(strategy: LookupStrategy) -> Run {
     ];
     let attempt_timeout = spec.client.attempt_timeout;
     let mut cell = Cell::build(spec, wls);
+    cell.record_history();
     let mut answering = cell.backend_hosts.clone();
     answering.push(cell.sim.host_of(cell.config_store));
     let impair = LinkImpairment {
@@ -113,16 +114,8 @@ fn run(strategy: LookupStrategy) -> Run {
     assert_eq!(cell.hits(), KEYS as u64, "warm-up GETs must all hit");
     cell.sim.run_until(ms(400));
 
-    let done = cell
-        .clients
-        .clone()
-        .into_iter()
-        .map(|c| {
-            cell.sim
-                .with_node::<ClientNode, _>(c, |c| c.completions.clone())
-                .expect("client alive")
-        })
-        .collect();
+    let history = cell.history();
+    let done = cell.clients.iter().map(|c| history.outcomes(c.0)).collect();
     let m = cell.sim.metrics();
     Run {
         rma_timeouts: m.counter("cm.client.rma_timeouts"),
@@ -140,14 +133,14 @@ fn assert_completions(run: &Run) {
     // Every op of the in-window burst ran out of budget: no answer counted.
     let window = &a[2 * KEYS as usize..2 * KEYS as usize + 3];
     assert!(
-        window.iter().all(|d| d.0 == OpOutcome::Error),
+        window.iter().all(|&d| d == OpOutcome::Error),
         "an in-window op used a late answer: {window:?}"
     );
     // After the heal everything succeeds.
     let healed = &a[2 * KEYS as usize + 3..];
     let expect = [OpOutcome::Hit, OpOutcome::Hit, OpOutcome::Done];
-    assert_eq!(healed.iter().map(|d| d.0).collect::<Vec<_>>(), expect);
-    assert_eq!(b[1].0, OpOutcome::Hit, "client 1 did not recover: {b:?}");
+    assert_eq!(healed, expect);
+    assert_eq!(b[1], OpOutcome::Hit, "client 1 did not recover: {b:?}");
 }
 
 #[test]
@@ -157,7 +150,7 @@ fn late_rma_answers_and_control_calls_resolve_by_their_timers() {
     // Client 1's GET parks on geometry: its CONNECTs time out, each
     // timeout refreshes the config, and every GET_CONFIG times out in turn
     // until the heal; then it issues and hits.
-    assert_eq!(run.done[1][0].0, OpOutcome::Hit, "{run:?}");
+    assert_eq!(run.done[1][0], OpOutcome::Hit, "{run:?}");
     assert_eq!(
         (run.rma_timeouts, run.rpc_timeouts, run.config_refreshes),
         (90, 90, 42),
@@ -171,7 +164,7 @@ fn late_msg_answers_resolve_by_their_timers() {
     assert_completions(&run);
     // An MSG lookup needs no geometry: client 1's GET goes at once and
     // spends its budget on late answers.
-    assert_eq!(run.done[1][0].0, OpOutcome::Error, "{run:?}");
+    assert_eq!(run.done[1][0], OpOutcome::Error, "{run:?}");
     assert_eq!(
         (run.rma_timeouts, run.rpc_timeouts, run.config_refreshes),
         (0, 84, 2),

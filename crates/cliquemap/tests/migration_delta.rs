@@ -3,8 +3,8 @@
 //! commits rides the handoff's delta to the spare (SET and CAS with their
 //! values, ERASE as a tombstone); from the cut on, the old primary answers
 //! `WrongShard` and the client retries at the new owner. Quorum reads would
-//! hide a miss at one replica, so the tests read the owners' stores after
-//! the takeover.
+//! hide a miss at one replica, so the tests read what the owners hold after
+//! the takeover from the cell's History, and `check` it.
 
 use bytes::{Bytes, Pool};
 use cliquemap::backend::BackendNode;
@@ -13,6 +13,7 @@ use cliquemap::client::ClientNode;
 use cliquemap::client_cache::ClientCacheCfg;
 use cliquemap::config::ReplicationMode;
 use cliquemap::hash::{place, DefaultHasher, KeyHasher};
+use cliquemap::history::{self, value_hash, History};
 use cliquemap::messages::{method, PrepareMaintenance};
 use cliquemap::version::VersionNumber;
 use cliquemap::workload::{ClientOp, ScriptWorkload, Workload};
@@ -38,11 +39,11 @@ struct Run {
     reader: bool,
 }
 
-/// What a run left behind: the value each of the key's owners after the
-/// takeover holds (spare first), and what the reader's GET found.
+/// What a run left behind: the hash of the value each of the key's owners
+/// after the takeover holds (spare first), and what the reader's GET found.
 #[derive(Debug)]
 struct Outcome {
-    owners: Vec<Option<Bytes>>,
+    owners: Vec<Option<u64>>,
     read: Option<Bytes>,
 }
 
@@ -56,8 +57,8 @@ fn mutate(name: &str, key: &Bytes) -> ClientOp {
 }
 
 /// What the owners must hold after `name`.
-fn wanted(name: &str) -> Option<Bytes> {
-    (name != "ERASE").then(|| Bytes::from_static(b"v2"))
+fn wanted(name: &str) -> Option<u64> {
+    (name != "ERASE").then(|| value_hash(b"v2"))
 }
 
 impl Run {
@@ -95,6 +96,7 @@ impl Run {
             workloads.push(Box::new(ScriptWorkload::new(read)));
         }
         let mut cell = Cell::build(spec, workloads);
+        cell.record_history();
         for i in 0..FILLER {
             let k = format!("fill{i}");
             let hash = DefaultHasher.hash(k.as_bytes());
@@ -135,9 +137,11 @@ impl Run {
             ReplicationMode::R1 => vec![cell.spares[0]],
             _ => vec![cell.spares[0], cell.backends[1], cell.backends[2]],
         };
+        let h = cell.history();
+        assert_eq!(history::check(&h, self.replication), [], "{:?}", self.key);
         let owners = owners
             .into_iter()
-            .map(|b| value_at(&mut cell, b, &self.key))
+            .map(|b| value_at(&h, b, &self.key))
             .collect();
         let read = cell.clients.get(1).and_then(|&c| {
             cell.sim
@@ -160,13 +164,14 @@ fn prepare_maintenance(cell: &mut Cell, at: SimTime) {
     cell.sim.add_node(host, Box::new(injector));
 }
 
-/// The value `backend` serves for `key` over RPC, if any.
-fn value_at(cell: &mut Cell, backend: NodeId, key: &[u8]) -> Option<Bytes> {
+/// The hash of the value replica `backend` holds for `key`, if any.
+fn value_at(h: &History, backend: NodeId, key: &[u8]) -> Option<u64> {
     let hash = DefaultHasher.hash(key);
-    cell.sim
-        .with_node::<BackendNode, _>(backend, |b| b.store().fetch(hash))
-        .expect("backend exists")
-        .map(|(_, value, _)| value)
+    let copy = h
+        .copies
+        .iter()
+        .find(|c| c.key == hash && c.replica == backend.0);
+    copy.expect("a replica of the key").value
 }
 
 #[test]
@@ -241,13 +246,15 @@ fn a_write_after_the_cut_reaches_a_quorum_of_new_owners() {
         let v2 = wanted("SET");
         let holding = out.owners.iter().filter(|&v| *v == v2).count();
         assert!(holding >= 2, "+{delta_us} µs: owners hold {out:?}");
-        assert_eq!(out.read, v2, "+{delta_us} µs: the reader missed the write");
+        let read = out.read.as_deref().map(value_hash);
+        assert_eq!(read, v2, "+{delta_us} µs: the reader missed the write");
     }
 }
 
 /// The snapshot a handoff starts from holds every pair `fetch` serves —
-/// the RPC-only overflow table's too. A 1-slot index displaces all keys
-/// but one there; after the takeover the spare serves every key.
+/// the RPC-only overflow table's too. A 1-slot index displaces all of
+/// shard 0's keys but one there; after the takeover the spare holds every
+/// key.
 #[test]
 fn the_overflow_table_moves_with_the_shard() {
     let mut spec = CellSpec {
@@ -264,14 +271,17 @@ fn the_overflow_table_moves_with_the_shard() {
     spec.backend.reshape_check = SimDuration::from_secs(10);
     let idle: Box<dyn Workload> = Box::new(ScriptWorkload::new(Vec::new()));
     let mut cell = Cell::build(spec, vec![idle]);
-    let keys: Vec<Bytes> = (0..8).map(|i| Bytes::from(format!("ov{i}"))).collect();
+    cell.record_history();
+    let keys: Vec<Bytes> = (0..)
+        .map(|i| Bytes::from(format!("ov{i}")))
+        .filter(|k| place(DefaultHasher.hash(k), 3, 1).shard == 0)
+        .take(8)
+        .collect();
     let overflowed = cell
         .sim
         .with_node::<BackendNode, _>(cell.backends[0], |b| {
             for (i, k) in keys.iter().enumerate() {
-                let version = VersionNumber::new(i as u64 + 1, 0, 1);
-                b.store_mut()
-                    .install(k, b"value", DefaultHasher.hash(k), version);
+                b.load(k, b"value", VersionNumber::new(i as u64 + 1, 0, 1));
             }
             b.store().overflow_len()
         })
@@ -280,10 +290,12 @@ fn the_overflow_table_moves_with_the_shard() {
     prepare_maintenance(&mut cell, SimTime(10_000_000));
     cell.sim.run_until(SimTime(50_000_000));
     assert_eq!(cell.sim.metrics().counter("cm.backend.takeovers"), 1);
+    let h = cell.history();
+    assert_eq!(history::check(&h, ReplicationMode::R1), []);
     let spare = cell.spares[0];
     let missing: Vec<_> = keys
         .iter()
-        .filter(|k| value_at(&mut cell, spare, k).is_none())
+        .filter(|k| value_at(&h, spare, k).is_none())
         .collect();
     assert!(missing.is_empty(), "the spare lost {missing:?}");
 }

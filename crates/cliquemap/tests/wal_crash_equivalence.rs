@@ -11,12 +11,10 @@
 //! papering over a hole.
 
 use bytes::Bytes;
-use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec, DurabilitySpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
-use cliquemap::hash::{DefaultHasher, KeyHasher};
-use cliquemap::version::VersionNumber;
+use cliquemap::history::{self, Copy};
 use cliquemap::workload::{ClientOp, ScriptWorkload, Workload};
 use proptest::prelude::*;
 use simnet::SimDuration;
@@ -60,32 +58,14 @@ fn durable_spec() -> CellSpec {
     spec
 }
 
-type KeyState = Option<(Bytes, Bytes, VersionNumber)>;
-
-fn store_states(cell: &mut Cell, nkeys: u64) -> Vec<Vec<KeyState>> {
-    let hasher = DefaultHasher;
-    cell.backends
-        .clone()
-        .into_iter()
-        .map(|b| {
-            (0..nkeys)
-                .map(|i| {
-                    let hash = hasher.hash(&key(i));
-                    cell.sim
-                        .with_node::<BackendNode, _>(b, |node| node.store().fetch(hash))
-                        .unwrap()
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Run the stream; if `crash_us` is given, crash the victim then and
-/// warm-restart it after the stream drains.
-fn run_stream(nkeys: u64, nops: u64, crash_us: Option<u64>) -> Vec<Vec<KeyState>> {
+/// warm-restart it after the stream drains. Returns what every replica of
+/// every key holds at the end.
+fn run_stream(nkeys: u64, nops: u64, crash_us: Option<u64>) -> Vec<Copy> {
     let spec = durable_spec();
     let wl: Box<dyn Workload> = Box::new(ScriptWorkload::new(build_sets(nkeys, nops)));
     let mut cell = Cell::build(spec, vec![wl]);
+    cell.record_history();
     let stream_us = nops * GAP_US;
     match crash_us {
         None => cell.run_for(SimDuration::from_micros(stream_us + 10_000)),
@@ -104,7 +84,13 @@ fn run_stream(nkeys: u64, nops: u64, crash_us: Option<u64>) -> Vec<Vec<KeyState>
         }
     }
     assert_eq!(cell.op_errors(), 0, "crash_us={crash_us:?}");
-    store_states(&mut cell, nkeys)
+    let h = cell.history();
+    assert_eq!(
+        history::check(&h, ReplicationMode::R32),
+        [],
+        "crash_us={crash_us:?}"
+    );
+    h.copies
 }
 
 proptest! {
@@ -128,6 +114,6 @@ proptest! {
             "state diverged after warm restart at t={}us", crash_us
         );
         // The stream actually wrote something.
-        prop_assert!(baseline.iter().flatten().any(|s| s.is_some()));
+        prop_assert!(baseline.iter().any(|c| c.version > 0));
     }
 }

@@ -8,8 +8,9 @@
 use bytes::Bytes;
 
 use cliquemap::cell::{Cell, CellSpec};
-use cliquemap::client::{ClientNode, LookupStrategy};
+use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
+use cliquemap::history;
 use cliquemap::workload::{ClientOp, ScriptWorkload};
 use simnet::SimDuration;
 
@@ -41,9 +42,12 @@ fn main() {
     );
 
     let mut cell = Cell::build(spec, vec![Box::new(script)]);
+    // Keep a History: every op the client admits, every commit a backend
+    // makes.
+    cell.record_history();
     cell.run_for(SimDuration::from_secs(1));
 
-    // What happened, from the metrics and the client's completion log.
+    // What happened, from the metrics and the cell's History.
     let (hits, misses) = {
         let m = cell.sim.metrics();
         println!("GET hits:    {}", m.counter("cm.get.hits"));
@@ -59,15 +63,21 @@ fn main() {
         }
         (m.counter("cm.get.hits"), m.counter("cm.get.misses"))
     };
-    let client = cell.clients[0];
-    let completions = cell
-        .sim
-        .with_node::<ClientNode, _>(client, |c| c.completions.clone())
-        .expect("client exists");
+    let history = cell.history();
     println!("\nper-op outcomes:");
-    for (i, (outcome, latency_ns)) in completions.iter().enumerate() {
-        println!("  op {i}: {outcome:?} ({:.1}us)", *latency_ns as f64 / 1e3);
+    for op in &history.ops {
+        let done = op.done.expect("every op completed");
+        let us = done.latency as f64 / 1e3;
+        println!(
+            "  op {}: {:?} {:?} ({us:.1}us)",
+            op.id, op.kind, done.outcome
+        );
     }
+    // The §5 contract over the whole run: hits read committed values,
+    // versions never regress, acked writes stay visible, replicas agree.
+    let violations = history::check(&history, ReplicationMode::R32);
+    println!("§5 violations: {violations:?}");
+    assert!(violations.is_empty());
     assert_eq!(hits, 2);
     assert_eq!(misses, 2);
     println!("\nquickstart OK");

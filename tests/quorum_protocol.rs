@@ -9,7 +9,6 @@
 //!   (replicas converge to one version once the dust settles);
 //! * repairs restore the third replica after recovery.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use cliquemap::backend::BackendNode;
@@ -17,6 +16,7 @@ use cliquemap::cell::{Cell, CellSpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
 use cliquemap::hash::{DefaultHasher, KeyHasher};
+use cliquemap::history::check;
 use cliquemap::workload::{ClientOp, ScriptWorkload, UniformWorkload, Workload};
 use simnet::SimDuration;
 use workloads::{Prefill, SizeDist};
@@ -57,25 +57,9 @@ fn build_cell(seed: u64, strategy: LookupStrategy) -> Cell {
         Box::new(ScriptWorkload::new(sets)),
     ];
     let mut cell = Cell::build(spec, workloads);
+    cell.record_history();
     bench::populate_cell(&mut cell, "q", KEYS, &SizeDist::fixed(300));
     cell
-}
-
-fn surviving_replica_versions(cell: &mut Cell, key: &Bytes) -> Vec<u128> {
-    let hash = DefaultHasher.hash(key);
-    let mut versions = Vec::new();
-    for &b in &cell.backends.clone() {
-        if !cell.sim.is_alive(b) {
-            continue;
-        }
-        if let Some(Some((_, _, v))) = cell
-            .sim
-            .with_node::<BackendNode, _>(b, |n| n.store().fetch(hash))
-        {
-            versions.push(v.0);
-        }
-    }
-    versions
 }
 
 proptest! {
@@ -100,6 +84,8 @@ proptest! {
         prop_assert_eq!(cell.hits() + cell.misses(), KEYS * 3);
         // Reads of populated keys were hits (write quorum survived).
         prop_assert_eq!(cell.misses(), 0, "populated keys went missing");
+        let violations = check(&cell.history(), ReplicationMode::R32);
+        prop_assert!(violations.is_empty(), "{:?}", violations);
     }
 
     /// After the failure, surviving replicas converge: for every key the
@@ -114,18 +100,15 @@ proptest! {
         cell.sim.crash(cell.backends[victim]);
         // Let writes finish and scans repair.
         cell.run_for(SimDuration::from_secs(3));
+        // Every key's live copies agree on one version, and at least two
+        // of them hold it (or its newest acked SET, where one was acked).
+        let h = cell.history();
+        let violations = check(&h, ReplicationMode::R32);
+        prop_assert!(violations.is_empty(), "{:?}", violations);
         for i in 0..KEYS {
-            let key = Prefill::key_name("q", i);
-            let versions = surviving_replica_versions(&mut cell, &key);
-            prop_assert!(
-                versions.len() >= 2,
-                "key {} below quorum: {} live copies", i, versions.len()
-            );
-            let first = versions[0];
-            prop_assert!(
-                versions.iter().all(|&v| v == first),
-                "key {} diverged: {:?}", i, versions
-            );
+            let hash = DefaultHasher.hash(&Prefill::key_name("q", i));
+            let live = h.copies.iter().filter(|c| c.key == hash && c.live && c.version > 0);
+            prop_assert!(live.count() >= 2, "key {} below quorum", i);
         }
     }
 

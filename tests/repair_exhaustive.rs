@@ -11,11 +11,11 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use cliquemap::backend::BackendNode;
 use cliquemap::cell::{Cell, CellSpec};
-use cliquemap::client::{ClientNode, LookupStrategy};
+use cliquemap::client::LookupStrategy;
 use cliquemap::config::{CellConfig, ReplicationMode};
 use cliquemap::hash::{place, replicas, DefaultHasher, KeyHash, KeyHasher};
+use cliquemap::history;
 use cliquemap::messages::ScanPage;
 use cliquemap::repair::{Mode, Peer, Repair, Step};
 use cliquemap::version::VersionNumber;
@@ -531,6 +531,7 @@ fn an_acked_erase_stays_erased() {
         (us(100_000), ClientOp::Get { key: key.clone() }),
     ]);
     let mut cell = Cell::build(spec, vec![Box::new(script)]);
+    cell.record_history();
     let mut plan = FaultPlan::new(1);
     let cut = Fault::Partition {
         a: HostSet::of(&cell.client_hosts),
@@ -540,22 +541,17 @@ fn an_acked_erase_stays_erased() {
     plan.add(SimTime(4_000_000), SimTime(8_000_000), cut);
     cell.sim.install_fault_plan(&plan);
     cell.run_for(SimDuration::from_millis(200));
-    let client = cell.clients[0];
-    let done = (cell.sim)
-        .with_node::<ClientNode, _>(client, |c| c.completions.clone())
-        .expect("client");
-    let outcomes: Vec<OpOutcome> = done.iter().map(|&(o, _)| o).collect();
+    let h = cell.history();
+    assert_eq!(history::check(&h, ReplicationMode::R32), [], "{h:?}");
     assert_eq!(
-        outcomes,
+        h.outcomes(cell.clients[0].0),
         [OpOutcome::Done, OpOutcome::Done, OpOutcome::Miss]
     );
+    // Every replica holds the key erased, backend 2 included.
     let hash = DefaultHasher.hash(&key);
-    for &b in &cell.backends.clone() {
-        let live = (cell.sim)
-            .with_node::<BackendNode, _>(b, |n| n.store().fetch(hash))
-            .expect("backend");
-        assert_eq!(live, None, "backend {b:?} holds the erased key");
-    }
+    let copies: Vec<_> = h.copies.iter().filter(|c| c.key == hash).collect();
+    assert_eq!(copies.len(), 3, "{copies:?}");
+    assert!(copies.iter().all(|c| c.value.is_none()), "{copies:?}");
     let counter = |name| cell.sim.metrics().counter(name);
     assert_eq!(counter("cm.backend.repair_erases"), 1);
     assert_eq!(counter("cm.backend.repairs"), 0);
