@@ -2,8 +2,9 @@
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' and the History checker's purity, the
 # one-op-driver, one-op-fate, one-backend-builder, in-flight-continuation,
-# delayed-send, one-op-record and one-histogram gates, lints, format,
-# rustdoc, the benchmark's smoke tests and the figure reproducibility gate.
+# delayed-send, one-op-record, one-eviction-policy and one-histogram gates,
+# lints, format, rustdoc, the benchmark's smoke tests and the figure
+# reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -103,6 +104,16 @@ echo "== one op record =="
 # back.
 if grep -rnE '\.completions\b|COMPLETION_LOG_CAP' crates src tests examples; then
     echo "a per-client completion log (use Cell::record_history + Cell::history)" >&2
+    exit 1
+fi
+
+echo "== one eviction policy on the serving path =="
+# Every store and the MemcacheG baseline evict by `LruPolicy`, called
+# directly: no policy trait, name lookup or capacity hint comes back to the
+# system crates. Ablation A5's FIFO, random and ARC live in
+# crates/bench/src/experiments/ablations.rs.
+if grep -rnE 'EvictionPolicy|policy_by_name|set_capacity_hint' crates/cliquemap/src crates/baselines/src; then
+    echo "an eviction-policy indirection on the serving path (call LruPolicy)" >&2
     exit 1
 fi
 

@@ -20,7 +20,7 @@ use cliquemap::client::{ClientCfg, ClientIdentity, ClientNode, ClientShared, Loo
 use cliquemap::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use cliquemap::hash::{DefaultHasher, KeyHasher};
 use cliquemap::messages::{self, method};
-use cliquemap::policy::{EvictionPolicy, LruPolicy};
+use cliquemap::policy::LruPolicy;
 use cliquemap::version::VersionNumber;
 use cliquemap::workload::Workload;
 use rpc::{RpcCostModel, Status};
@@ -154,11 +154,19 @@ impl MemcacheGNode {
                     return (Status::Internal, Bytes::new());
                 };
                 let hash = self.hasher.hash(&set.key);
-                if let Some(old) = self.map.get(&set.key) {
-                    if set.version <= old.version {
-                        return (Status::VersionRejected, Bytes::new());
-                    }
+                if self
+                    .map
+                    .get(&set.key)
+                    .is_some_and(|old| set.version <= old.version)
+                {
+                    return (Status::VersionRejected, Bytes::new());
+                }
+                // Never evict the key being overwritten: its old entry
+                // leaves before eviction makes room for the new one.
+                if let Some(old) = self.map.remove(&set.key) {
                     self.used_bytes -= set.key.len() + old.value.len();
+                    self.hash_of.remove(&hash);
+                    self.policy.on_remove(hash);
                 }
                 let needed = set.key.len() + set.value.len();
                 self.evict_until(needed);
@@ -559,5 +567,21 @@ mod tests {
             .encode_in(&Pool::new()),
         };
         assert_eq!(s.handle(&get).0, Status::Ok);
+        // Overwrite the least recent key with a larger value: eviction must
+        // take another key, and the byte count must stay exact.
+        let overwrite = rpc::Request {
+            body: messages::SetReq {
+                key: Bytes::from_static(b"key-5"),
+                value: Bytes::from(vec![0u8; 100]),
+                version: VersionNumber::new(100, 1, 1),
+            }
+            .encode(),
+            method: method::SET,
+            ..get
+        };
+        assert_eq!(s.handle(&overwrite).0, Status::Ok);
+        let stored: usize = s.map.iter().map(|(k, e)| k.len() + e.value.len()).sum();
+        assert_eq!(s.used_bytes(), stored);
+        assert!(s.used_bytes() <= 300);
     }
 }

@@ -8,16 +8,22 @@
 //!   index scaling keeps bucket evictions rare (§4.2).
 //! * **A4** — SCAR vs 2×R crossover as value size grows (§6.3/§7.2.2):
 //!   where single-RTT stops paying for triple data transfer.
+//! * **A5** — eviction policy hit rates on zipfian traffic with one-shot
+//!   scans: the LRU every backend runs against FIFO, random and ARC, the
+//!   "configurable eviction policies" of §4.2. The three alternatives live
+//!   here, on a standalone trace: no cell runs them.
+
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use cliquemap::cell::{Cell, CellSpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
-use cliquemap::hash::{place, DefaultHasher, KeyHasher};
+use cliquemap::hash::{place, DefaultHasher, KeyHash, KeyHasher};
 use cliquemap::policy::LruPolicy;
 use cliquemap::store::{BackendStore, StoreCfg};
 use cliquemap::version::VersionNumber;
 use cliquemap::workload::Workload;
-use simnet::{AntagonistNode, HostCfg, SimDuration, SinkNode};
+use simnet::{AntagonistNode, HostCfg, SimDuration, SimRng, SinkNode};
 use workloads::{SingleKeyGets, SizeDist};
 
 use crate::experiments::base_spec;
@@ -224,13 +230,218 @@ pub fn a4() -> Report {
 
 // ---- A5: eviction policy hit rates ---------------------------------------
 
+/// The policies A5 compares. FIFO is LRU with touches withheld.
+enum A5Policy {
+    Lru(LruPolicy),
+    Fifo(LruPolicy),
+    Random(RandomPolicy),
+    Arc(ArcPolicy),
+}
+
+impl A5Policy {
+    fn by_name(name: &str, cache_entries: usize) -> A5Policy {
+        match name {
+            "lru" => A5Policy::Lru(LruPolicy::new()),
+            "fifo" => A5Policy::Fifo(LruPolicy::new()),
+            "arc" => A5Policy::Arc(ArcPolicy::new(cache_entries)),
+            "random" => A5Policy::Random(RandomPolicy::new(11)),
+            other => panic!("unknown eviction policy {other:?}"),
+        }
+    }
+
+    fn on_insert(&mut self, key: KeyHash) {
+        match self {
+            A5Policy::Lru(p) | A5Policy::Fifo(p) => p.on_insert(key),
+            A5Policy::Random(p) => p.on_insert(key),
+            A5Policy::Arc(p) => p.request(key),
+        }
+    }
+
+    fn on_touch(&mut self, key: KeyHash) {
+        match self {
+            A5Policy::Lru(p) => p.on_touch(key),
+            A5Policy::Fifo(_) | A5Policy::Random(_) => {}
+            A5Policy::Arc(p) => p.on_touch(key),
+        }
+    }
+
+    fn on_remove(&mut self, key: KeyHash) {
+        match self {
+            A5Policy::Lru(p) | A5Policy::Fifo(p) => p.on_remove(key),
+            A5Policy::Random(p) => p.on_remove(key),
+            A5Policy::Arc(p) => p.on_remove(key),
+        }
+    }
+
+    fn victim(&mut self) -> Option<KeyHash> {
+        match self {
+            A5Policy::Lru(p) | A5Policy::Fifo(p) => p.victim(),
+            A5Policy::Random(p) => p.victim(),
+            A5Policy::Arc(p) => p.victim(),
+        }
+    }
+}
+
+/// Uniform-random victim selection.
+struct RandomPolicy {
+    rng: SimRng,
+    keys: Vec<KeyHash>,
+    index: HashMap<KeyHash, usize>,
+}
+
+impl RandomPolicy {
+    fn new(seed: u64) -> RandomPolicy {
+        RandomPolicy {
+            rng: SimRng::new(seed),
+            keys: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+
+    fn on_insert(&mut self, key: KeyHash) {
+        if !self.index.contains_key(&key) {
+            self.index.insert(key, self.keys.len());
+            self.keys.push(key);
+        }
+    }
+
+    fn on_remove(&mut self, key: KeyHash) {
+        if let Some(at) = self.index.remove(&key) {
+            let last = self.keys.len() - 1;
+            self.keys.swap(at, last);
+            self.keys.pop();
+            if at < self.keys.len() {
+                self.index.insert(self.keys[at], at);
+            }
+        }
+    }
+
+    fn victim(&mut self) -> Option<KeyHash> {
+        let n = self.keys.len() as u64;
+        (n > 0).then(|| self.keys[self.rng.gen_range(n) as usize])
+    }
+}
+
+/// ARC — Adaptive Replacement Cache (Megiddo & Modha, FAST'03).
+///
+/// Balances recency (T1) against frequency (T2) using ghost lists (B1, B2)
+/// and an adaptation parameter `p`. Keys seen once sit in T1; keys seen
+/// again promote to T2. A hit in ghost list B1 grows `p` (favor recency); a
+/// hit in B2 shrinks it (favor frequency).
+struct ArcPolicy {
+    capacity: usize,
+    p: usize,
+    t1: VecDeque<KeyHash>,
+    t2: VecDeque<KeyHash>,
+    b1: VecDeque<KeyHash>,
+    b2: VecDeque<KeyHash>,
+    // Where each live key lives: 1 = T1, 2 = T2.
+    location: HashMap<KeyHash, u8>,
+}
+
+impl ArcPolicy {
+    /// Empty ARC sized for `capacity` cached entries.
+    fn new(capacity: usize) -> ArcPolicy {
+        ArcPolicy {
+            capacity: capacity.max(2),
+            p: 0,
+            t1: VecDeque::new(),
+            t2: VecDeque::new(),
+            b1: VecDeque::new(),
+            b2: VecDeque::new(),
+            location: HashMap::new(),
+        }
+    }
+
+    fn remove_from(list: &mut VecDeque<KeyHash>, key: KeyHash) -> bool {
+        let at = list.iter().position(|&k| k == key);
+        at.and_then(|at| list.remove(at)).is_some()
+    }
+
+    /// A key was installed or touched.
+    fn request(&mut self, key: KeyHash) {
+        match self.location.get(&key) {
+            Some(1) => {
+                // T1 hit: promote to T2 (now "frequent").
+                Self::remove_from(&mut self.t1, key);
+                self.t2.push_back(key);
+                self.location.insert(key, 2);
+            }
+            Some(2) => {
+                // T2 hit: move to MRU of T2.
+                Self::remove_from(&mut self.t2, key);
+                self.t2.push_back(key);
+            }
+            _ => {
+                // Ghost hits adapt p; fresh keys enter T1.
+                if Self::remove_from(&mut self.b1, key) {
+                    let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
+                    self.p = (self.p + delta).min(self.capacity);
+                    self.t2.push_back(key);
+                    self.location.insert(key, 2);
+                } else if Self::remove_from(&mut self.b2, key) {
+                    let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
+                    self.p = self.p.saturating_sub(delta);
+                    self.t2.push_back(key);
+                    self.location.insert(key, 2);
+                } else {
+                    self.t1.push_back(key);
+                    self.location.insert(key, 1);
+                }
+                self.trim_ghosts();
+            }
+        }
+    }
+
+    fn trim_ghosts(&mut self) {
+        while self.b1.len() > self.capacity {
+            self.b1.pop_front();
+        }
+        while self.b2.len() > self.capacity {
+            self.b2.pop_front();
+        }
+    }
+
+    fn on_touch(&mut self, key: KeyHash) {
+        if self.location.contains_key(&key) {
+            self.request(key);
+        }
+    }
+
+    fn on_remove(&mut self, key: KeyHash) {
+        match self.location.remove(&key) {
+            Some(1) => {
+                Self::remove_from(&mut self.t1, key);
+                self.b1.push_back(key);
+            }
+            Some(2) => {
+                Self::remove_from(&mut self.t2, key);
+                self.b2.push_back(key);
+            }
+            _ => {}
+        }
+        self.trim_ghosts();
+    }
+
+    fn victim(&self) -> Option<KeyHash> {
+        // ARC's REPLACE: evict from T1 when it exceeds the target p.
+        if !self.t1.is_empty() && (self.t1.len() > self.p || self.t2.is_empty()) {
+            self.t1.front().copied()
+        } else {
+            self.t2
+                .front()
+                .copied()
+                .or_else(|| self.t1.front().copied())
+        }
+    }
+}
+
 /// Hit rate of a policy on a zipfian stream with periodic one-shot scans
 /// (the access pattern that separates ARC from LRU).
 pub(crate) fn a5_measure(policy_name: &str, cache_entries: usize) -> f64 {
-    let mut policy = cliquemap::policy::policy_by_name(policy_name, 11);
-    policy.set_capacity_hint(cache_entries);
-    let mut cached: std::collections::HashSet<u128> = std::collections::HashSet::new();
-    let mut rng = simnet::SimRng::new(13);
+    let mut policy = A5Policy::by_name(policy_name, cache_entries);
+    let mut cached: HashSet<u128> = HashSet::new();
+    let mut rng = SimRng::new(13);
     let zipf = simnet::Zipf::new(4_000, 0.9);
     let (mut hits, mut total) = (0u64, 0u64);
     let mut scan_cursor: u128 = 1_000_000;
@@ -316,6 +527,102 @@ mod tests {
         assert!(lru > fifo, "lru {lru} vs fifo {fifo}");
         // Recency-aware policies clear 50% on this mix.
         assert!(arc > 0.5 && lru > 0.5);
+    }
+
+    #[test]
+    fn fifo_ignores_touches() {
+        let mut p = A5Policy::by_name("fifo", 3);
+        for k in 1..=3 {
+            p.on_insert(k);
+        }
+        p.on_touch(1);
+        assert_eq!(p.victim(), Some(1), "FIFO must ignore the touch");
+    }
+
+    #[test]
+    fn random_victims_cover_keyspace() {
+        let mut p = RandomPolicy::new(7);
+        for k in 1..=20 {
+            p.on_insert(k);
+        }
+        let mut seen = HashSet::new();
+        for _ in 0..300 {
+            seen.insert(p.victim().unwrap());
+        }
+        assert!(seen.len() > 10, "only {} distinct victims", seen.len());
+        p.on_remove(5);
+        assert_eq!(p.keys.len(), 19);
+        for _ in 0..300 {
+            assert_ne!(p.victim(), Some(5));
+        }
+    }
+
+    #[test]
+    fn random_remove_swaps_correctly() {
+        let mut p = RandomPolicy::new(1);
+        for k in 1..=4 {
+            p.on_insert(k);
+        }
+        p.on_remove(1);
+        p.on_remove(4);
+        p.on_remove(2);
+        assert_eq!(p.keys.len(), 1);
+        assert_eq!(p.victim(), Some(3));
+    }
+
+    #[test]
+    fn arc_promotes_frequent_keys() {
+        let mut p = ArcPolicy::new(8);
+        for k in 1..=8 {
+            p.request(k);
+        }
+        // Touch 1..4 twice: they become T2 (frequent).
+        for k in 1..=4 {
+            p.on_touch(k);
+        }
+        // Victim should come from the recency-only set 5..8.
+        let v = p.victim().unwrap();
+        assert!((5..=8).contains(&v), "victim {v} came from T2");
+    }
+
+    #[test]
+    fn arc_ghost_hit_adapts() {
+        let mut p = ArcPolicy::new(4);
+        for k in 1..=4 {
+            p.request(k);
+        }
+        let v = p.victim().unwrap();
+        p.on_remove(v); // v goes to ghost B1
+        p.request(v); // ghost hit: p grows, v re-enters as T2
+        assert!(p.p > 0, "adaptation parameter never moved");
+        assert_eq!(p.location.len(), 4);
+    }
+
+    #[test]
+    fn arc_scan_resistance() {
+        // A hot working set plus a long scan: the scan must not flush the
+        // hot keys tracked in T2.
+        let mut p = ArcPolicy::new(10);
+        for k in 1..=5 {
+            p.request(k);
+            p.on_touch(k); // promote to T2
+        }
+        for scan_key in 1000..1040 {
+            p.request(scan_key);
+            // Simulate the backend evicting on each conflict.
+            if p.location.len() > 10 {
+                let v = p.victim().unwrap();
+                p.on_remove(v);
+            }
+        }
+        let hot_alive = (1..=5).filter(|k| p.location.contains_key(k)).count();
+        assert!(hot_alive >= 4, "scan flushed hot set: {hot_alive}/5 left");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown eviction policy")]
+    fn unknown_policy_panics() {
+        A5Policy::by_name("clock", 400);
     }
 
     #[test]

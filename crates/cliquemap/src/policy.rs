@@ -1,4 +1,4 @@
-//! Cache eviction policies (§4.2).
+//! Cache eviction (§4.2).
 //!
 //! "Because CliqueMap uses RMAs for GETs, backends have no direct record of
 //! access information ... Instead, clients inform backends of data touches
@@ -6,51 +6,21 @@
 //! records en masse to implement configurable eviction policies — LRU,
 //! ARC, and others."
 //!
-//! Policies are *advisory*: they rank victims; the backend decides when to
+//! Every backend store, and the MemcacheG baseline, evicts by [`LruPolicy`].
+//! The policy is *advisory*: it ranks victims; the store decides when to
 //! evict (capacity vs. associativity conflicts) and then reports removals
 //! back. `pick_among` serves associativity conflicts, where the victim must
-//! come from one specific bucket.
+//! come from one specific bucket. The alternatives ablation A5 compares LRU
+//! against (FIFO, random, ARC) live with that ablation in `crates/bench`.
+//!
+//! The module also holds the hot-key tracker behind load-aware replication.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-use simnet::{IdMap, SimRng};
+use simnet::IdMap;
 
 use crate::hash::KeyHash;
-
-/// A pluggable eviction policy.
-pub trait EvictionPolicy: std::fmt::Debug + Send {
-    /// A key was installed.
-    fn on_insert(&mut self, key: KeyHash);
-    /// A key was touched (batched client access records, or a mutation).
-    fn on_touch(&mut self, key: KeyHash);
-    /// A key was removed (evicted, erased, or migrated away).
-    fn on_remove(&mut self, key: KeyHash);
-    /// Best global victim (capacity conflict). Does not remove.
-    fn victim(&mut self) -> Option<KeyHash>;
-    /// Best victim among `candidates` (associativity conflict: the victim
-    /// must live in the conflicted bucket). Does not remove.
-    fn pick_among(&mut self, candidates: &[KeyHash]) -> Option<KeyHash>;
-    /// Number of tracked keys.
-    fn len(&self) -> usize;
-    /// Whether no keys are tracked.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Hint: total entry capacity of the cache (used by adaptive policies).
-    fn set_capacity_hint(&mut self, _entries: usize) {}
-}
-
-/// Construct a policy by name (deployment configuration).
-pub fn policy_by_name(name: &str, seed: u64) -> Box<dyn EvictionPolicy> {
-    match name {
-        "lru" => Box::new(LruPolicy::new()),
-        "fifo" => Box::new(FifoPolicy::new()),
-        "arc" => Box::new(ArcPolicy::new(1024)),
-        "random" => Box::new(RandomPolicy::new(seed)),
-        other => panic!("unknown eviction policy {other:?}"),
-    }
-}
 
 /// "No node": list ends and the empty free list.
 const NIL: u32 = u32::MAX;
@@ -127,10 +97,9 @@ impl LruPolicy {
             t => self.nodes[t as usize].next = at,
         }
     }
-}
 
-impl EvictionPolicy for LruPolicy {
-    fn on_insert(&mut self, key: KeyHash) {
+    /// A key was installed (or re-installed: it becomes the most recent).
+    pub fn on_insert(&mut self, key: KeyHash) {
         let at = match self.index.entry(key) {
             Entry::Occupied(e) => {
                 let at = *e.get();
@@ -161,14 +130,16 @@ impl EvictionPolicy for LruPolicy {
         self.push_tail(at);
     }
 
-    fn on_touch(&mut self, key: KeyHash) {
+    /// A key was touched (batched client access records, or a mutation).
+    pub fn on_touch(&mut self, key: KeyHash) {
         if let Some(&at) = self.index.get(&key) {
             self.unlink(at);
             self.push_tail(at);
         }
     }
 
-    fn on_remove(&mut self, key: KeyHash) {
+    /// A key was removed (evicted, erased, or migrated away).
+    pub fn on_remove(&mut self, key: KeyHash) {
         if let Some(at) = self.index.remove(&key) {
             self.unlink(at);
             self.nodes[at as usize].next = self.free;
@@ -176,11 +147,15 @@ impl EvictionPolicy for LruPolicy {
         }
     }
 
-    fn victim(&mut self) -> Option<KeyHash> {
+    /// Least recent key: the victim of a capacity conflict. Does not remove.
+    pub fn victim(&self) -> Option<KeyHash> {
         self.nodes.get(self.head as usize).map(|n| n.key)
     }
 
-    fn pick_among(&mut self, candidates: &[KeyHash]) -> Option<KeyHash> {
+    /// Least recent of `candidates` (associativity conflict: the victim must
+    /// live in the conflicted bucket), or the first when none is tracked.
+    /// Does not remove.
+    pub fn pick_among(&self, candidates: &[KeyHash]) -> Option<KeyHash> {
         candidates
             .iter()
             .filter_map(|k| self.index.get(k))
@@ -190,260 +165,14 @@ impl EvictionPolicy for LruPolicy {
             .or_else(|| candidates.first().copied())
     }
 
-    fn len(&self) -> usize {
+    /// Number of tracked keys.
+    pub fn len(&self) -> usize {
         self.index.len()
     }
-}
 
-/// First-in-first-out: insertion order only, touches ignored.
-#[derive(Debug, Default)]
-pub struct FifoPolicy {
-    inner: LruPolicy,
-}
-
-impl FifoPolicy {
-    /// Empty FIFO.
-    pub fn new() -> FifoPolicy {
-        FifoPolicy::default()
-    }
-}
-
-impl EvictionPolicy for FifoPolicy {
-    fn on_insert(&mut self, key: KeyHash) {
-        self.inner.on_insert(key);
-    }
-
-    fn on_touch(&mut self, _key: KeyHash) {}
-
-    fn on_remove(&mut self, key: KeyHash) {
-        self.inner.on_remove(key);
-    }
-
-    fn victim(&mut self) -> Option<KeyHash> {
-        self.inner.victim()
-    }
-
-    fn pick_among(&mut self, candidates: &[KeyHash]) -> Option<KeyHash> {
-        self.inner.pick_among(candidates)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-}
-
-/// Uniform-random victim selection (cheap, scan-resistant-ish baseline).
-#[derive(Debug)]
-pub struct RandomPolicy {
-    rng: SimRng,
-    keys: Vec<KeyHash>,
-    index: HashMap<KeyHash, usize>,
-}
-
-impl RandomPolicy {
-    /// Empty random policy with a deterministic seed.
-    pub fn new(seed: u64) -> RandomPolicy {
-        RandomPolicy {
-            rng: SimRng::new(seed),
-            keys: Vec::new(),
-            index: HashMap::new(),
-        }
-    }
-}
-
-impl EvictionPolicy for RandomPolicy {
-    fn on_insert(&mut self, key: KeyHash) {
-        if !self.index.contains_key(&key) {
-            self.index.insert(key, self.keys.len());
-            self.keys.push(key);
-        }
-    }
-
-    fn on_touch(&mut self, _key: KeyHash) {}
-
-    fn on_remove(&mut self, key: KeyHash) {
-        if let Some(at) = self.index.remove(&key) {
-            let last = self.keys.len() - 1;
-            self.keys.swap(at, last);
-            self.keys.pop();
-            if at < self.keys.len() {
-                self.index.insert(self.keys[at], at);
-            }
-        }
-    }
-
-    fn victim(&mut self) -> Option<KeyHash> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let i = self.rng.gen_range(self.keys.len() as u64) as usize;
-        Some(self.keys[i])
-    }
-
-    fn pick_among(&mut self, candidates: &[KeyHash]) -> Option<KeyHash> {
-        if candidates.is_empty() {
-            return None;
-        }
-        let i = self.rng.gen_range(candidates.len() as u64) as usize;
-        Some(candidates[i])
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-}
-
-/// ARC — Adaptive Replacement Cache (Megiddo & Modha, FAST'03).
-///
-/// Balances recency (T1) against frequency (T2) using ghost lists (B1, B2)
-/// and an adaptation parameter `p`. Keys seen once sit in T1; keys seen
-/// again promote to T2. A hit in ghost list B1 grows `p` (favor recency); a
-/// hit in B2 shrinks it (favor frequency).
-#[derive(Debug)]
-pub struct ArcPolicy {
-    capacity: usize,
-    p: usize,
-    t1: VecDeque<KeyHash>,
-    t2: VecDeque<KeyHash>,
-    b1: VecDeque<KeyHash>,
-    b2: VecDeque<KeyHash>,
-    // Where each live key lives: 1 = T1, 2 = T2.
-    location: HashMap<KeyHash, u8>,
-}
-
-impl ArcPolicy {
-    /// New ARC with an initial capacity hint (entries).
-    pub fn new(capacity: usize) -> ArcPolicy {
-        ArcPolicy {
-            capacity: capacity.max(2),
-            p: 0,
-            t1: VecDeque::new(),
-            t2: VecDeque::new(),
-            b1: VecDeque::new(),
-            b2: VecDeque::new(),
-            location: HashMap::new(),
-        }
-    }
-
-    fn remove_from(list: &mut VecDeque<KeyHash>, key: KeyHash) -> bool {
-        if let Some(at) = list.iter().position(|&k| k == key) {
-            list.remove(at);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn request(&mut self, key: KeyHash) {
-        match self.location.get(&key) {
-            Some(1) => {
-                // T1 hit: promote to T2 (now "frequent").
-                Self::remove_from(&mut self.t1, key);
-                self.t2.push_back(key);
-                self.location.insert(key, 2);
-            }
-            Some(2) => {
-                // T2 hit: move to MRU of T2.
-                Self::remove_from(&mut self.t2, key);
-                self.t2.push_back(key);
-            }
-            _ => {
-                // Ghost hits adapt p; fresh keys enter T1.
-                if Self::remove_from(&mut self.b1, key) {
-                    let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-                    self.p = (self.p + delta).min(self.capacity);
-                    self.t2.push_back(key);
-                    self.location.insert(key, 2);
-                } else if Self::remove_from(&mut self.b2, key) {
-                    let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-                    self.p = self.p.saturating_sub(delta);
-                    self.t2.push_back(key);
-                    self.location.insert(key, 2);
-                } else {
-                    self.t1.push_back(key);
-                    self.location.insert(key, 1);
-                }
-                self.trim_ghosts();
-            }
-        }
-    }
-
-    fn trim_ghosts(&mut self) {
-        while self.b1.len() > self.capacity {
-            self.b1.pop_front();
-        }
-        while self.b2.len() > self.capacity {
-            self.b2.pop_front();
-        }
-    }
-}
-
-impl EvictionPolicy for ArcPolicy {
-    fn on_insert(&mut self, key: KeyHash) {
-        self.request(key);
-    }
-
-    fn on_touch(&mut self, key: KeyHash) {
-        if self.location.contains_key(&key) {
-            self.request(key);
-        }
-    }
-
-    fn on_remove(&mut self, key: KeyHash) {
-        match self.location.remove(&key) {
-            Some(1) => {
-                Self::remove_from(&mut self.t1, key);
-                self.b1.push_back(key);
-            }
-            Some(2) => {
-                Self::remove_from(&mut self.t2, key);
-                self.b2.push_back(key);
-            }
-            _ => {}
-        }
-        self.trim_ghosts();
-    }
-
-    fn victim(&mut self) -> Option<KeyHash> {
-        // ARC's REPLACE: evict from T1 when it exceeds the target p.
-        if !self.t1.is_empty() && (self.t1.len() > self.p || self.t2.is_empty()) {
-            self.t1.front().copied()
-        } else {
-            self.t2
-                .front()
-                .copied()
-                .or_else(|| self.t1.front().copied())
-        }
-    }
-
-    fn pick_among(&mut self, candidates: &[KeyHash]) -> Option<KeyHash> {
-        // Prefer evicting recency-only (T1) candidates, oldest first.
-        let rank = |list: &VecDeque<KeyHash>, k: KeyHash| list.iter().position(|&x| x == k);
-        let mut best: Option<(u8, usize, KeyHash)> = None;
-        for &k in candidates {
-            let scored = match self.location.get(&k) {
-                Some(1) => rank(&self.t1, k).map(|r| (0u8, r, k)),
-                Some(2) => rank(&self.t2, k).map(|r| (1u8, r, k)),
-                _ => Some((0u8, 0, k)), // untracked: evict first
-            };
-            if let Some(s) = scored {
-                if best.is_none() || s < best.unwrap() {
-                    best = Some(s);
-                }
-            }
-        }
-        best.map(|(_, _, k)| k)
-            .or_else(|| candidates.first().copied())
-    }
-
-    fn len(&self) -> usize {
-        self.location.len()
-    }
-
-    fn set_capacity_hint(&mut self, entries: usize) {
-        self.capacity = entries.max(2);
-        self.p = self.p.min(self.capacity);
-        self.trim_ghosts();
+    /// Whether no keys are tracked.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
     }
 }
 
@@ -736,13 +465,14 @@ mod tests {
         ]
     }
 
-    /// Drive `policy` and the oracle with one op stream; FIFO is the same
-    /// oracle with touches withheld.
+    /// Drive a fresh LRU and the oracle with one op stream; with
+    /// `touches_count` false both see it with touches withheld, which is
+    /// FIFO (ablation A5's `fifo`).
     fn check_against_oracle(
-        policy: &mut dyn EvictionPolicy,
         touches_count: bool,
         ops: &[PolicyOp],
     ) -> Result<(), proptest::TestCaseError> {
+        let mut policy = LruPolicy::new();
         let mut oracle = StampLru::default();
         let mut emptied = 0;
         for (step, op) in ops.iter().enumerate() {
@@ -752,8 +482,8 @@ mod tests {
                     oracle.bump(*k);
                 }
                 PolicyOp::Touch(k) => {
-                    policy.on_touch(*k);
                     if touches_count {
+                        policy.on_touch(*k);
                         oracle.on_touch(*k);
                     }
                 }
@@ -788,8 +518,8 @@ mod tests {
         fn lru_and_fifo_match_the_stamp_map_oracle(
             ops in proptest::collection::vec(policy_op(), 10_000..10_001),
         ) {
-            check_against_oracle(&mut LruPolicy::new(), true, &ops)?;
-            check_against_oracle(&mut FifoPolicy::new(), false, &ops)?;
+            check_against_oracle(true, &ops)?;
+            check_against_oracle(false, &ops)?;
         }
     }
 
@@ -825,129 +555,6 @@ mod tests {
         // Unknown candidates fall back to the first.
         assert_eq!(p.pick_among(&[100, 200]), Some(100));
         assert_eq!(p.pick_among(&[]), None);
-    }
-
-    #[test]
-    fn fifo_ignores_touches() {
-        let mut p = FifoPolicy::new();
-        for k in keys(3) {
-            p.on_insert(k);
-        }
-        p.on_touch(1);
-        assert_eq!(p.victim(), Some(1), "FIFO must ignore the touch");
-    }
-
-    #[test]
-    fn random_victims_cover_keyspace() {
-        let mut p = RandomPolicy::new(7);
-        for k in keys(20) {
-            p.on_insert(k);
-        }
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..300 {
-            seen.insert(p.victim().unwrap());
-        }
-        assert!(seen.len() > 10, "only {} distinct victims", seen.len());
-        p.on_remove(5);
-        assert_eq!(p.len(), 19);
-        for _ in 0..300 {
-            assert_ne!(p.victim(), Some(5));
-        }
-    }
-
-    #[test]
-    fn random_remove_swaps_correctly() {
-        let mut p = RandomPolicy::new(1);
-        for k in keys(4) {
-            p.on_insert(k);
-        }
-        p.on_remove(1);
-        p.on_remove(4);
-        p.on_remove(2);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.victim(), Some(3));
-    }
-
-    #[test]
-    fn arc_promotes_frequent_keys() {
-        let mut p = ArcPolicy::new(8);
-        for k in keys(8) {
-            p.on_insert(k);
-        }
-        // Touch 1..4 twice: they become T2 (frequent).
-        for k in keys(4) {
-            p.on_touch(k);
-        }
-        // Victim should come from the recency-only set 5..8.
-        let v = p.victim().unwrap();
-        assert!((5..=8).contains(&v), "victim {v} came from T2");
-    }
-
-    #[test]
-    fn arc_ghost_hit_adapts() {
-        let mut p = ArcPolicy::new(4);
-        for k in keys(4) {
-            p.on_insert(k);
-        }
-        let v = p.victim().unwrap();
-        p.on_remove(v); // v goes to ghost B1
-        p.on_insert(v); // ghost hit: p grows, v re-enters as T2
-        assert!(p.p > 0, "adaptation parameter never moved");
-        assert_eq!(p.len(), 4);
-    }
-
-    #[test]
-    fn arc_scan_resistance() {
-        // A hot working set plus a long scan: the scan must not flush the
-        // hot keys tracked in T2.
-        let mut p = ArcPolicy::new(10);
-        for k in keys(5) {
-            p.on_insert(k);
-            p.on_touch(k); // promote to T2
-        }
-        for scan_key in 1000..1040u128 {
-            p.on_insert(scan_key);
-            // Simulate the backend evicting on each conflict.
-            if p.len() > 10 {
-                let v = p.victim().unwrap();
-                p.on_remove(v);
-            }
-        }
-        let hot_alive = keys(5)
-            .iter()
-            .filter(|k| p.location.contains_key(k))
-            .count();
-        assert!(hot_alive >= 4, "scan flushed hot set: {hot_alive}/5 left");
-    }
-
-    #[test]
-    fn arc_pick_among_prefers_t1() {
-        let mut p = ArcPolicy::new(8);
-        p.on_insert(1);
-        p.on_insert(2);
-        p.on_touch(2); // 2 in T2
-        assert_eq!(p.pick_among(&[1, 2]), Some(1));
-    }
-
-    #[test]
-    fn policies_by_name() {
-        for name in ["lru", "fifo", "arc", "random"] {
-            let mut p = policy_by_name(name, 3);
-            p.on_insert(1);
-            p.on_insert(2);
-            assert!(p.victim().is_some(), "{name}");
-            assert_eq!(p.len(), 2, "{name}");
-            p.on_remove(1);
-            p.on_remove(2);
-            assert!(p.is_empty(), "{name}");
-            assert_eq!(p.victim(), None, "{name}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown eviction policy")]
-    fn unknown_policy_panics() {
-        policy_by_name("clock", 0);
     }
 
     // ---- hot-key tracker -------------------------------------------------

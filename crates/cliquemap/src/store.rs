@@ -21,7 +21,7 @@ use crate::layout::{
     CHECKSUM_BYTES, DATA_ENTRY_HEADER_BYTES,
 };
 use crate::messages::{Geometry, ScanPage};
-use crate::policy::EvictionPolicy;
+use crate::policy::LruPolicy;
 use crate::tombstone::TombstoneCache;
 use crate::version::VersionNumber;
 
@@ -152,7 +152,7 @@ pub struct BackendStore {
     data_buffer: BufferId,
     data_window: WindowId,
     slab: crate::slab::SlabAllocator,
-    policy: Box<dyn EvictionPolicy>,
+    policy: LruPolicy,
     tombstones: TombstoneCache,
     num_buckets: u64,
     live_entries: u64,
@@ -189,16 +189,16 @@ fn alloc_index(regions: &mut RegionTable, num_buckets: u64, assoc: usize) -> (Bu
 
 impl BackendStore {
     /// Build a store: allocates the index region, the initially-populated
-    /// data region, and registers RMA windows over both.
-    pub fn new(cfg: StoreCfg, policy: Box<dyn EvictionPolicy>) -> BackendStore {
+    /// data region, and registers RMA windows over both. `policy` is kept by
+    /// value; it comes boxed to match the benchmark crate's layer probes.
+    #[allow(clippy::boxed_local)]
+    pub fn new(cfg: StoreCfg, policy: Box<LruPolicy>) -> BackendStore {
         let mut regions = RegionTable::new();
         let (index_buffer, index_window) =
             alloc_index(&mut regions, cfg.num_buckets, cfg.assoc as usize);
         let data_buffer = regions.alloc_buffer(cfg.data_capacity);
         let data_window = regions.register_window(data_buffer, 0, cfg.data_capacity as u64);
         let slab = crate::slab::SlabAllocator::with_slab_size(cfg.data_capacity, cfg.slab_bytes);
-        let mut policy = policy;
-        policy.set_capacity_hint((cfg.num_buckets * cfg.assoc as u64) as usize);
         let mut store = BackendStore {
             num_buckets: cfg.num_buckets,
             tombstones: TombstoneCache::new(cfg.tombstone_capacity),
@@ -209,7 +209,7 @@ impl BackendStore {
             data_buffer,
             data_window,
             slab,
-            policy,
+            policy: *policy,
             live_entries: 0,
             resizing: false,
             overflow: IdMap::default(),
@@ -736,8 +736,6 @@ impl BackendStore {
                 .expect("doubled index cannot overflow on re-placement");
             self.write_slot(bucket, slot, &e);
         }
-        self.policy
-            .set_capacity_hint((new_buckets * self.cfg.assoc as u64) as usize);
         // The fresh index lost its overflow hints; keys parked in the
         // RPC-only table must keep advertising the fallback.
         self.restamp_overflow_hints();
@@ -922,7 +920,6 @@ impl ScarResolver for CliqueScarResolver {
 mod tests {
     use super::*;
     use crate::hash::{DefaultHasher, KeyHasher};
-    use crate::policy::LruPolicy;
 
     fn small_store() -> BackendStore {
         BackendStore::new(
