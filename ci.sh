@@ -2,9 +2,9 @@
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' and the History checker's purity, the
 # one-op-driver, one-op-fate, one-backend-builder, in-flight-continuation,
-# delayed-send, one-op-record, one-eviction-policy and one-histogram gates,
-# lints, format, rustdoc, the benchmark's smoke tests and the figure
-# reproducibility gate.
+# delayed-send, one-op-record, one-eviction-policy, per-backend-row and
+# one-histogram gates, lints, format, rustdoc, the benchmark's smoke tests
+# and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -24,8 +24,9 @@ echo "== client footprint at 10K clients (release) =="
 # One lease-cache buffer per distinct version, at most two configs and two
 # geometries per backend for the whole cell, no op parked past one CONNECT
 # round, an event queue within its fixed wheel plus 256 B per event of its
-# high-water mark, and at most 12 KiB of live heap added per client by the
-# run. Minutes in debug, so tier-1 keeps only the small-cell gates of this
+# high-water mark, and at most 8 KiB of live heap added per client by the
+# run (~6 KiB since a client keeps a CAS version memo only when its workload
+# can CAS and one per-backend row in place of two hash maps). Minutes in debug, so tier-1 keeps only the small-cell gates of this
 # file.
 cargo test --release -q --test client_footprint -- --ignored
 
@@ -114,6 +115,16 @@ echo "== one eviction policy on the serving path =="
 # crates/bench/src/experiments/ablations.rs.
 if grep -rnE 'EvictionPolicy|policy_by_name|set_capacity_hint' crates/cliquemap/src crates/baselines/src; then
     echo "an eviction-policy indirection on the serving path (call LruPolicy)" >&2
+    exit 1
+fi
+
+echo "== per-backend client state is one row =="
+# A client keeps what it knows of each backend (its geometry, or a CONNECT
+# in flight) in one dense `u16` row indexed by the slot its cell's
+# `ClientShared` assigns the backend: no per-client hash map or set over
+# backends comes back (10,000 of them never shrink on cell950).
+if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/client.rs | grep -nE 'Id(Map|Set)<NodeId'; then
+    echo "crates/cliquemap/src/client.rs keeps a per-backend map (use BackendRow)" >&2
     exit 1
 fi
 

@@ -688,6 +688,50 @@ mod tests {
         assert_eq!(done[3], OpOutcome::Hit);
     }
 
+    /// A generator that yields one CAS but keeps `issues_cas`'s `false`.
+    struct UndeclaredCas(bool);
+
+    impl Workload for UndeclaredCas {
+        fn next(&mut self, _: SimTime, _: &mut simnet::SimRng) -> Option<(SimDuration, ClientOp)> {
+            let key = Bytes::from_static(b"c");
+            let value = Bytes::from_static(b"v");
+            std::mem::take(&mut self.0).then_some((SimDuration::ZERO, ClientOp::Cas { key, value }))
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Workload::issues_cas")]
+    fn a_cas_the_workload_did_not_declare_panics() {
+        let spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
+        let mut cell = Cell::build(spec, vec![Box::new(UndeclaredCas(true))]);
+        cell.run_for(SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn only_a_cas_capable_workload_keeps_a_version_memo() {
+        let spec = small_spec(LookupStrategy::TwoR, ReplicationMode::R32);
+        let uniform = Box::new(crate::workload::UniformWorkload::mix(50, 16, 0.5, 1e5, 200));
+        let cas = ClientOp::Cas {
+            key: Bytes::from_static(b"c"),
+            value: Bytes::from_static(b"v"),
+        };
+        let scripted = script(vec![(0, set("c", "v0")), (500, get("c")), (600, cas)]);
+        let mut cell = Cell::build(spec, vec![uniform, scripted]);
+        cell.run_for(SimDuration::from_millis(20));
+        assert!(cell.gets_completed() > 0);
+        let memo = |cell: &mut Cell, i: usize| {
+            let client = cell.clients[i];
+            cell.sim
+                .with_node::<ClientNode, _>(client, |c| c.holds_version_memo())
+        };
+        assert_eq!(
+            memo(&mut cell, 0),
+            Some(false),
+            "UniformWorkload never CASes"
+        );
+        assert_eq!(memo(&mut cell, 1), Some(true));
+    }
+
     #[test]
     fn multiget_batch_completes() {
         let (cell, done) = run_script_cell(

@@ -30,7 +30,7 @@ use rma::codec::{
 use rma::{RmaStatus, Transport};
 use rpc::{RetryPolicy, RpcCostModel, Status};
 use simnet::obs::stage::CLIENT_CPU;
-use simnet::{Ctx, Deferred, Event, IdMap, IdSet, MetricId, Node, NodeId, SimDuration, SimTime};
+use simnet::{Ctx, Deferred, Event, IdMap, MetricId, Node, NodeId, SimDuration, SimTime};
 
 use adaptive::{Controller, ControllerCfg};
 
@@ -211,9 +211,11 @@ pub struct ClientIdentity {
 /// completed GETs leave for the next one; the History tap. Each client
 /// still decides which config and which geometry per backend it holds, and when it refreshes
 /// or drops one, so its staleness is its own — only the bytes are shared.
-/// Host-side only: nothing simulated reads a table. No cap on configs and
-/// geometries: one entry per distinct config or advertised geometry, and
-/// those tables never shrink.
+/// Host-side only: nothing simulated reads a table. No cap on configs; at
+/// most 65,533 geometries; one entry per distinct config or advertised
+/// geometry, and those tables never shrink. Each backend a client meets
+/// gets a dense slot here, the index of its entry in every client's
+/// per-backend row (DESIGN.md §8).
 #[derive(Clone)]
 pub struct ClientShared(Rc<SharedTables>);
 
@@ -222,6 +224,10 @@ struct SharedTables {
     values: Option<SharedValues>,
     configs: RefCell<Vec<Rc<CellConfig>>>,
     geometries: RefCell<(Vec<Geometry>, HashMap<Geometry, GeomId>)>,
+    /// Backend node id (`NodeId.0`) → its slot in every client's
+    /// [`BackendRow`], numbered in the order the cell's clients first met
+    /// them. One table per cell; no client keeps a per-backend map.
+    slots: RefCell<IdMap<u32, u32>>,
     mids: OnceCell<ClientMetricIds>,
     /// Recycled [`GetState`]s: a completed GET returns its state here so
     /// the cell's next GET, whichever client issues it, reuses its
@@ -233,8 +239,85 @@ struct SharedTables {
 }
 
 /// A row of [`ClientShared`]'s geometry table.
-#[derive(Debug, Clone, Copy)]
-struct GeomId(u32);
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GeomId(u16);
+
+/// Most distinct geometries one cell's [`ClientShared`] interns: a
+/// [`BackendRow`] entry spends two of its `u16` values on "unknown" and
+/// "connecting" and keeps `u16::MAX` spare. Interning one more panics.
+const MAX_GEOMETRIES: usize = u16::MAX as usize - 2;
+
+/// What a client holds per backend, one `u16` per backend slot of its
+/// cell's [`ClientShared`]: `0` nothing, `1` a CONNECT in flight, `k + 2`
+/// the geometry `GeomId(k)`. One field serves for both because a backend is
+/// never both connecting and held: a client connects only to a backend it
+/// holds no geometry for, and every CONNECT answer ends "connecting" before
+/// it installs a geometry. Grows only to the highest slot the client has
+/// touched (DESIGN.md §8).
+#[derive(Debug, Default)]
+struct BackendRow(Vec<u16>);
+
+impl BackendRow {
+    const UNKNOWN: u16 = 0;
+    const CONNECTING: u16 = 1;
+
+    fn state(&self, slot: usize) -> u16 {
+        self.0.get(slot).copied().unwrap_or(Self::UNKNOWN)
+    }
+
+    fn set(&mut self, slot: usize, state: u16) {
+        if slot >= self.0.len() {
+            if state == Self::UNKNOWN {
+                return;
+            }
+            // Exact: a row is as long as its highest slot, not twice that.
+            self.0.reserve_exact(slot + 1 - self.0.len());
+            self.0.resize(slot + 1, Self::UNKNOWN);
+        }
+        self.0[slot] = state;
+    }
+
+    /// The geometry held for the backend at `slot`, if any.
+    fn geometry(&self, slot: usize) -> Option<GeomId> {
+        self.state(slot).checked_sub(2).map(GeomId)
+    }
+
+    /// Mark a CONNECT to the backend at `slot`, which the client holds no
+    /// geometry for, in flight: whether one must be sent (none already is).
+    fn start_connect(&mut self, slot: usize) -> bool {
+        debug_assert!(
+            self.geometry(slot).is_none(),
+            "connecting to a held backend"
+        );
+        let idle = self.state(slot) != Self::CONNECTING;
+        self.set(slot, Self::CONNECTING);
+        idle
+    }
+
+    /// A CONNECT to the backend at `slot` was answered or timed out: it is
+    /// no longer connecting (a geometry it already holds stays).
+    fn settle(&mut self, slot: usize) {
+        if self.state(slot) == Self::CONNECTING {
+            self.set(slot, Self::UNKNOWN);
+        }
+    }
+
+    fn install(&mut self, slot: usize, id: GeomId) {
+        self.set(slot, id.0 + 2);
+    }
+
+    /// Drop the geometry held at `slot` (a CONNECT in flight stays).
+    fn drop_geometry(&mut self, slot: usize) {
+        if self.geometry(slot).is_some() {
+            self.set(slot, Self::UNKNOWN);
+        }
+    }
+
+    /// Forget every backend (a new config).
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
 
 impl Default for ClientShared {
     fn default() -> Self {
@@ -252,6 +335,7 @@ impl ClientShared {
             values,
             configs: RefCell::default(),
             geometries: RefCell::default(),
+            slots: RefCell::default(),
             mids: OnceCell::new(),
             recycled_gets: RefCell::default(),
             history: Tap::default(),
@@ -292,13 +376,25 @@ impl ClientShared {
     fn intern_geometry(&self, geom: Geometry) -> GeomId {
         let (all, ids) = &mut *self.0.geometries.borrow_mut();
         *ids.entry(geom).or_insert_with(|| {
+            assert!(
+                all.len() < MAX_GEOMETRIES,
+                "a cell holds at most {MAX_GEOMETRIES} distinct geometries"
+            );
             all.push(geom);
-            GeomId(all.len() as u32 - 1)
+            GeomId(all.len() as u16 - 1)
         })
     }
 
     fn geometry(&self, id: GeomId) -> Geometry {
         self.0.geometries.borrow().0[id.0 as usize]
+    }
+
+    /// `backend`'s slot in every client's [`BackendRow`], assigned the
+    /// first time any client of the cell meets it.
+    fn slot(&self, backend: NodeId) -> usize {
+        let mut slots = self.0.slots.borrow_mut();
+        let next = slots.len() as u32;
+        *slots.entry(backend.0).or_insert(next) as usize
     }
 
     /// A blank GET state, recycled if the cell has one.
@@ -460,7 +556,7 @@ struct Parked {
 // One `ops` slot; per-client state is multiplied by 10,000 (DESIGN.md §8).
 const _: () = assert!(std::mem::size_of::<OpState>() == 16);
 // One client; per-client state is multiplied by 10,000 (DESIGN.md §8).
-const _: () = assert!(std::mem::size_of::<ClientNode>() <= 712);
+const _: () = assert!(std::mem::size_of::<ClientNode>() <= 608);
 
 /// What an issue site wants on the wire for one sub-op; [`ClientNode::emit`]
 /// turns it into a single-op frame or a member of a coalesced one.
@@ -644,14 +740,16 @@ pub struct ClientNode {
     flights: Deferred<Flight>,
     work: Deferred<Work>,
     versions: VersionGen,
-    memo: VersionMemo,
+    /// The versions a CAS expects, kept only for a workload that
+    /// [`Workload::issues_cas`].
+    memo: Option<Box<VersionMemo>>,
     /// Rc: cloned on every op issue (the config must outlive the borrow of
     /// `self.ops`), so a deep copy here would put two `Vec` clones on the
     /// per-op hot path.
     config: Option<Rc<CellConfig>>,
     config_refreshing: bool,
-    geometry: IdMap<NodeId, GeomId>,
-    connecting: IdSet<NodeId>,
+    /// Per backend: its geometry, or whether a CONNECT to it is in flight.
+    backends: BackendRow,
     /// The cell's interned configs, geometries, metric handles and lease
     /// value table.
     shared: ClientShared,
@@ -770,6 +868,7 @@ impl ClientNode {
     /// Build a client that will drive `workload`.
     pub fn new(cfg: Rc<ClientCfg>, me: ClientIdentity, workload: Box<dyn Workload>) -> ClientNode {
         let scar = me.transport.supports_scar();
+        let memo = workload.issues_cas().then(Box::default);
         ClientNode {
             versions: VersionGen::new(me.client_id),
             ccache: None,
@@ -791,11 +890,10 @@ impl ClientNode {
             transport: me.transport,
             flights: Deferred::in_flight(),
             work: Deferred::aux1(),
-            memo: VersionMemo::default(),
+            memo,
             config: None,
             config_refreshing: false,
-            geometry: IdMap::default(),
-            connecting: IdSet::default(),
+            backends: BackendRow::default(),
             ops: IdMap::default(),
             parked: BTreeMap::new(),
             batches: IdMap::default(),
@@ -823,8 +921,15 @@ impl ClientNode {
 
     /// The geometry this client holds for `backend`, if it has connected.
     pub fn geometry_of(&self, backend: NodeId) -> Option<Geometry> {
-        let id = *self.geometry.get(&backend)?;
+        let id = self.backends.geometry(self.shared.slot(backend))?;
         Some(self.shared.geometry(id))
+    }
+
+    /// Whether this client keeps a CAS version memo (only a workload that
+    /// [`Workload::issues_cas`] gets one).
+    #[doc(hidden)]
+    pub fn holds_version_memo(&self) -> bool {
+        self.memo.is_some()
     }
 
     /// When the longest-waiting of the admitted ops that wait for config or
@@ -1094,7 +1199,9 @@ impl ClientNode {
                 ctx.metrics().add_id(self.m().ccache_invalidations, 1);
             }
             if kind == MutationKind::Cas {
-                expected = self.memo.get(hash);
+                let memo = self.memo.as_ref();
+                let memo = memo.expect("a CAS from a workload whose Workload::issues_cas is false");
+                expected = memo.get(hash);
                 if expected.is_none() {
                     // Nothing to expect: refused, not given up on (no
                     // `cm.op_errors`), latency from admission.
@@ -1301,7 +1408,7 @@ impl ClientNode {
         let mut missing = [NodeId(0); 8];
         let (mut nmissing, mut have_base) = (0, 0);
         for (i, r) in replicas.iter().enumerate() {
-            if !self.geometry.contains_key(r) {
+            if self.backends.geometry(self.shared.slot(*r)).is_none() {
                 missing[nmissing] = *r;
                 nmissing += 1;
             } else if i < n_base {
@@ -1553,7 +1660,9 @@ impl ClientNode {
         let value_of = || value.clone().or_else(held).map(|v| value_hash(&v));
         let observe = |h: &mut History, who, _| h.observe(who, version.0, value_of(), one_sided);
         self.record(ctx, op_id, observe);
-        self.memo.remember(hash, version);
+        if let Some(memo) = self.memo.as_mut() {
+            memo.remember(hash, version);
+        }
         if one_sided && self.cfg.access_flush.is_some() {
             for &r in &get.h.replicas {
                 self.access_buffer.entry(r).or_default().push(hash);
@@ -1748,9 +1857,11 @@ impl ClientNode {
             MutationStep::Wait => {}
             MutationStep::Done => {
                 let (version, value) = (m.version, m.value.clone());
-                match kind {
-                    MutationKind::Erase => self.memo.forget(hash),
-                    _ => self.memo.remember(hash, version),
+                if let Some(memo) = self.memo.as_mut() {
+                    match kind {
+                        MutationKind::Erase => memo.forget(hash),
+                        _ => memo.remember(hash, version),
+                    }
                 }
                 if let Some(cache) = self.ccache.as_mut() {
                     // Write-through: the committed version replaces whatever
@@ -1905,10 +2016,9 @@ impl ClientNode {
     }
 
     fn ensure_connect(&mut self, ctx: &mut Ctx<'_>, backend: NodeId) {
-        if self.connecting.contains(&backend) {
+        if !self.backends.start_connect(self.shared.slot(backend)) {
             return;
         }
-        self.connecting.insert(backend);
         let flight = Flight::Control(Control::Connect, backend, ctx.now());
         self.send_rpc(ctx, flight, method::CONNECT, Bytes::new(), 0);
     }
@@ -1954,8 +2064,7 @@ impl ClientNode {
                         // A new config invalidates geometry learned from
                         // nodes that changed roles.
                         if self.config.as_ref().map(|c| c.config_id) != Some(config.config_id) {
-                            self.geometry.clear();
-                            self.connecting.clear();
+                            self.backends.clear();
                         }
                         self.config = Some(self.shared.intern_config(config));
                         self.release_parked(ctx);
@@ -1963,14 +2072,15 @@ impl ClientNode {
                 }
             }
             Flight::Control(Control::Connect, ..) => {
-                self.connecting.remove(&from);
+                let slot = self.shared.slot(from);
+                self.backends.settle(slot);
                 if status == Status::Ok {
                     if let Some(geom) = Geometry::decode(body) {
                         // Validate the backend agrees with our config.
                         let ours = self.config.as_ref().map(|c| c.config_id);
                         if ours == Some(geom.config_id) {
                             let id = self.shared.intern_geometry(geom);
-                            self.geometry.insert(from, id);
+                            self.backends.install(slot, id);
                         } else {
                             self.refresh_config(ctx);
                         }
@@ -2218,7 +2328,7 @@ impl ClientNode {
                 self.refresh_config(ctx);
             }
             Flight::Control(Control::Connect, dst, _) => {
-                self.connecting.remove(&dst);
+                self.backends.settle(self.shared.slot(dst));
                 // A dead backend: refresh config in case the cell moved the
                 // shard.
                 self.refresh_config(ctx);
@@ -2246,7 +2356,7 @@ impl ClientNode {
                 // Stale geometry (reshape, growth, restart): drop it and
                 // re-learn via CONNECT on the retry path (§4.1).
                 ctx.metrics().add_id(self.m().geometry_invalidations, 1);
-                self.geometry.remove(&replica);
+                self.backends.drop_geometry(self.shared.slot(replica));
             }
             return self.on_vote(ctx, tag, replica, Vote::Failed, false);
         }
@@ -2643,6 +2753,137 @@ mod tests {
         assert_eq!((path(FrameKind::Read), path(FrameKind::Scar)), (Rma, Rma));
         let lookup = FrameKind::Lookup(LookupStrategy::Msg);
         assert_eq!((path(lookup), path(FrameKind::Set)), (Rpc, Rpc));
+    }
+
+    /// `BackendRow` reads exactly what the `IdMap<NodeId, GeomId>` +
+    /// `IdSet<NodeId>` pair it replaced read, after every step of every
+    /// sequence of 5 events on 2 backends (20,927 leaves; every shorter
+    /// sequence is a prefix of one): CONNECT sent (only to a backend
+    /// without geometry, as `heal` guarantees), answered with a geometry
+    /// of our config, answered with one of another, timed out, a stale
+    /// RMA's drop, a config-id change, and an answer arriving for a
+    /// backend no longer marked connecting (a CONNECT from before a config
+    /// change). Geometry ids count down from the largest the row encodes.
+    #[test]
+    fn backend_row_reads_what_the_geometry_map_and_connecting_set_read() {
+        use simnet::IdSet;
+        #[derive(Debug, Clone, Copy)]
+        enum Ev {
+            Connect(usize),
+            Answer(usize),
+            Mismatch(usize),
+            Timeout(usize),
+            StaleDrop(usize),
+            NewConfig,
+            LateAnswer(usize),
+        }
+        #[derive(Clone, Default)]
+        struct Maps {
+            geometry: IdMap<NodeId, GeomId>,
+            connecting: IdSet<NodeId>,
+        }
+        struct Walk {
+            shared: ClientShared,
+            backends: [NodeId; 2],
+            leaves: u64,
+        }
+        impl Walk {
+            fn step(&mut self, row: &BackendRow, maps: &Maps, depth: usize, trail: &mut Vec<Ev>) {
+                for (i, &b) in self.backends.iter().enumerate() {
+                    let slot = self.shared.slot(b);
+                    let held = maps.geometry.get(&b).copied();
+                    assert_eq!(row.geometry(slot), held, "{b:?} after {trail:?}");
+                    let connecting = row.state(slot) == BackendRow::CONNECTING;
+                    assert_eq!(connecting, maps.connecting.contains(&b), "after {trail:?}");
+                    assert!(i == slot, "slots are dense, in order of first meeting");
+                }
+                if depth == 5 {
+                    self.leaves += 1;
+                    return;
+                }
+                let id = GeomId((MAX_GEOMETRIES - 1 - depth) as u16);
+                let mut events = vec![Ev::NewConfig];
+                for b in 0..2 {
+                    events.extend([Ev::Answer(b), Ev::Mismatch(b), Ev::Timeout(b)]);
+                    events.extend([Ev::StaleDrop(b), Ev::LateAnswer(b), Ev::Connect(b)]);
+                }
+                for ev in events {
+                    let (mut row, mut maps) = (BackendRow(row.0.clone()), maps.clone());
+                    let node = |b: usize| self.backends[b];
+                    let slot = |b: usize| self.shared.slot(node(b));
+                    let in_flight = |m: &Maps, b| m.connecting.contains(&node(b));
+                    match ev {
+                        Ev::Connect(b) if maps.geometry.contains_key(&node(b)) => continue,
+                        Ev::Connect(b) => {
+                            let send = row.start_connect(slot(b));
+                            assert_eq!(send, maps.connecting.insert(node(b)));
+                        }
+                        Ev::Answer(b) | Ev::Mismatch(b) | Ev::Timeout(b)
+                            if !in_flight(&maps, b) =>
+                        {
+                            continue
+                        }
+                        Ev::LateAnswer(b) if in_flight(&maps, b) => continue,
+                        Ev::Answer(b) | Ev::LateAnswer(b) => {
+                            row.settle(slot(b));
+                            row.install(slot(b), id);
+                            maps.connecting.remove(&node(b));
+                            maps.geometry.insert(node(b), id);
+                        }
+                        Ev::Mismatch(b) | Ev::Timeout(b) => {
+                            row.settle(slot(b));
+                            maps.connecting.remove(&node(b));
+                        }
+                        Ev::StaleDrop(b) => {
+                            row.drop_geometry(slot(b));
+                            maps.geometry.remove(&node(b));
+                        }
+                        Ev::NewConfig => {
+                            row.clear();
+                            maps.geometry.clear();
+                            maps.connecting.clear();
+                        }
+                    }
+                    trail.push(ev);
+                    self.step(&row, &maps, depth + 1, trail);
+                    trail.pop();
+                }
+            }
+        }
+        let shared = ClientShared::default();
+        let backends = [NodeId(40), NodeId(7)];
+        let mut walk = Walk {
+            shared,
+            backends,
+            leaves: 0,
+        };
+        walk.step(&BackendRow::default(), &Maps::default(), 0, &mut Vec::new());
+        assert_eq!(walk.leaves, 20_927);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65533 distinct geometries")]
+    fn interning_one_geometry_past_the_row_encoding_panics() {
+        let shared = ClientShared::default();
+        let geom = |shard| Geometry {
+            config_id: 1,
+            index_window: 2,
+            index_generation: 3,
+            num_buckets: 64,
+            assoc: 14,
+            data_window: 4,
+            data_generation: 5,
+            shard,
+        };
+        for shard in 0..MAX_GEOMETRIES as u32 {
+            assert_eq!(shared.intern_geometry(geom(shard)), GeomId(shard as u16));
+        }
+        assert_eq!(
+            shared.intern_geometry(geom(0)),
+            GeomId(0),
+            "held: no new id"
+        );
+        shared.intern_geometry(geom(u32::MAX));
     }
 
     #[test]

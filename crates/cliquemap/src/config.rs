@@ -157,7 +157,8 @@ impl CellConfig {
         b.freeze()
     }
 
-    /// Decode from an RPC body.
+    /// Decode from an RPC body. A config of no shards is not one: every
+    /// key placement divides by the shard count.
     pub fn decode(mut body: Bytes) -> Option<CellConfig> {
         if body.len() < 9 {
             return None;
@@ -165,7 +166,7 @@ impl CellConfig {
         let config_id = body.get_u32_le();
         let replication = ReplicationMode::from_u8(body.get_u8())?;
         let n = body.get_u32_le() as usize;
-        if body.len() < n.saturating_mul(4) + 4 {
+        if n == 0 || body.len() < n.saturating_mul(4) + 4 {
             return None;
         }
         let shards = (0..n).map(|_| body.get_u32_le()).collect();
@@ -357,6 +358,21 @@ mod tests {
     }
 
     #[test]
+    fn a_config_of_no_shards_does_not_decode() {
+        let empty = CellConfig {
+            shards: vec![],
+            ..sample()
+        };
+        assert_eq!(CellConfig::decode(empty.encode()), None);
+        let one = CellConfig {
+            shards: vec![10],
+            spares: vec![],
+            ..sample()
+        };
+        assert_eq!(CellConfig::decode(one.encode()), Some(one));
+    }
+
+    #[test]
     fn replica_mapping_follows_paper() {
         let c = sample();
         assert_eq!(c.replicas_for(3), vec![NodeId(13), NodeId(14), NodeId(10)]);
@@ -402,27 +418,30 @@ mod tests {
         assert_eq!(ReplicationMode::from_u8(9), None);
     }
 
-    /// A burst node: fires `burst` raw GET_CONFIG requests (fresh call ids,
-    /// like a client whose attempt timer keeps expiring) at the store in one
-    /// instant, then records every response id that comes back.
-    struct GetConfigBurst {
+    /// A burst node: fires `burst` raw `method` requests carrying `body`
+    /// (fresh call ids, like a client whose attempt timer keeps expiring) at
+    /// the store in one instant, then records every response id that comes
+    /// back.
+    struct RequestBurst {
         store: NodeId,
+        method: u16,
+        body: Bytes,
         burst: u64,
         responses: Vec<(u64, rpc::Status)>,
     }
 
-    impl Node for GetConfigBurst {
+    impl Node for RequestBurst {
         fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
             match ev {
                 Event::Start => {
                     for id in 1..=self.burst {
                         let wire = rpc::encode_request(&rpc::Request {
                             version: rpc::PROTOCOL_VERSION,
-                            method: crate::messages::method::GET_CONFIG,
+                            method: self.method,
                             id,
                             auth: 0,
                             deadline_ns: u64::MAX,
-                            body: Bytes::new(),
+                            body: self.body.clone(),
                         });
                         ctx.send(self.store, wire);
                     }
@@ -437,11 +456,11 @@ mod tests {
         }
 
         fn label(&self) -> String {
-            "get-config-burst".into()
+            "request-burst".into()
         }
     }
 
-    /// One more [`GetConfigBurst`] of `burst` reads from host `from`, run
+    /// One more [`RequestBurst`] of `burst` reads from host `from`, run
     /// for `span`: every `(call id, status)` that came back.
     fn burst(
         sim: &mut simnet::Sim,
@@ -450,15 +469,30 @@ mod tests {
         burst: u64,
         span: SimDuration,
     ) -> Vec<(u64, rpc::Status)> {
+        let read = (crate::messages::method::GET_CONFIG, Bytes::new());
+        request_burst(sim, store, from, read, burst, span)
+    }
+
+    /// [`burst`] of any `(method, body)` request.
+    fn request_burst(
+        sim: &mut simnet::Sim,
+        store: NodeId,
+        from: simnet::HostId,
+        (method, body): (u16, Bytes),
+        burst: u64,
+        span: SimDuration,
+    ) -> Vec<(u64, rpc::Status)> {
         let responses = Vec::new();
-        let probe = GetConfigBurst {
+        let probe = RequestBurst {
             store,
+            method,
+            body,
             burst,
             responses,
         };
         let probe = sim.add_node(from, Box::new(probe));
         sim.run_for(span);
-        sim.with_node::<GetConfigBurst, _>(probe, |p| p.responses.clone())
+        sim.with_node::<RequestBurst, _>(probe, |p| p.responses.clone())
             .unwrap()
     }
 
@@ -470,6 +504,24 @@ mod tests {
         let store = sim.add_node(sh, Box::new(node));
         let ph = sim.add_host(HostCfg::default().no_cstates());
         (sim, store, ph)
+    }
+
+    #[test]
+    fn store_refuses_a_config_of_no_shards_and_keeps_serving_the_old_one() {
+        let (mut sim, store, ph) = store_sim(ConfigStoreNode::new(sample()));
+        let empty = CellConfig {
+            config_id: 9,
+            shards: vec![],
+            ..sample()
+        };
+        let update = (crate::messages::method::UPDATE_CONFIG, empty.encode());
+        let span = SimDuration::from_millis(5);
+        let refused = request_burst(&mut sim, store, ph, update, 1, span);
+        assert_eq!(refused, [(1, rpc::Status::Internal)]);
+        assert_eq!(burst(&mut sim, store, ph, 1, span), [(1, rpc::Status::Ok)]);
+        let held = sim.with_node::<ConfigStoreNode, _>(store, |s| s.config.clone());
+        assert_eq!(held, Some(sample()));
+        assert_eq!(sim.metrics().counter("config_store.updates"), 0);
     }
 
     #[test]

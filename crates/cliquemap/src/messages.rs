@@ -817,12 +817,13 @@ impl Geometry {
         b.freeze()
     }
 
-    /// Decode from a body.
+    /// Decode from a body. An index of no buckets is not one: a client
+    /// addresses a key's bucket modulo the bucket count.
     pub fn decode(mut body: Bytes) -> Option<Geometry> {
         if body.len() < 34 {
             return None;
         }
-        Some(Geometry {
+        let geom = Geometry {
             config_id: body.get_u32_le(),
             index_window: body.get_u32_le(),
             index_generation: body.get_u32_le(),
@@ -831,7 +832,8 @@ impl Geometry {
             data_window: body.get_u32_le(),
             data_generation: body.get_u32_le(),
             shard: body.get_u32_le(),
-        })
+        };
+        (geom.num_buckets != 0).then_some(geom)
     }
 }
 
@@ -981,6 +983,26 @@ mod tests {
         };
         assert_eq!(Geometry::decode(g.encode_in(&Pool::new())), Some(g));
         assert_eq!(Geometry::decode(Bytes::from_static(b"tiny")), None);
+    }
+
+    #[test]
+    fn a_geometry_of_no_buckets_does_not_decode() {
+        let g = Geometry {
+            config_id: 1,
+            index_window: 2,
+            index_generation: 3,
+            num_buckets: 0,
+            assoc: 14,
+            data_window: 4,
+            data_generation: 5,
+            shard: 6,
+        };
+        assert_eq!(Geometry::decode(g.encode_in(&Pool::new())), None);
+        let one = Geometry {
+            num_buckets: 1,
+            ..g
+        };
+        assert_eq!(Geometry::decode(one.encode_in(&Pool::new())), Some(one));
     }
 
     #[test]

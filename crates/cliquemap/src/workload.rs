@@ -80,6 +80,15 @@ pub trait Workload: Send {
     /// open-loop pacing, from the previous completion for closed-loop).
     /// `None` ends the workload.
     fn next(&mut self, now: SimTime, rng: &mut SimRng) -> Option<(SimDuration, ClientOp)>;
+
+    /// Whether this generator can ever yield a [`ClientOp::Cas`]. A fact
+    /// about the generator, asked once when its client is built: only a
+    /// client whose workload answers `true` keeps the [`VersionMemo`] a
+    /// CAS reads its expected version from (DESIGN.md §8), and a CAS from
+    /// one that answered `false` panics.
+    fn issues_cas(&self) -> bool {
+        false
+    }
 }
 
 /// Closed-loop: issue the next op as soon as the previous completes.
@@ -113,6 +122,11 @@ impl ScriptWorkload {
 impl Workload for ScriptWorkload {
     fn next(&mut self, _now: SimTime, _rng: &mut SimRng) -> Option<(SimDuration, ClientOp)> {
         self.ops.pop_front()
+    }
+
+    fn issues_cas(&self) -> bool {
+        let cas = |(_, op): &(SimDuration, ClientOp)| matches!(op, ClientOp::Cas { .. });
+        self.ops.iter().any(cas)
     }
 }
 
@@ -258,6 +272,38 @@ mod tests {
         assert!(w.next(SimTime::ZERO, &mut rng).is_some());
         assert!(w.next(SimTime::ZERO, &mut rng).is_some());
         assert!(w.next(SimTime::ZERO, &mut rng).is_none());
+    }
+
+    #[test]
+    fn a_script_issues_cas_exactly_when_it_holds_one() {
+        let op = |op| (SimDuration::ZERO, op);
+        let key = || Bytes::from_static(b"k");
+        let value = || Bytes::from_static(b"v");
+        let non_cas = [
+            ClientOp::Get { key: key() },
+            ClientOp::MultiGet { keys: vec![key()] },
+            ClientOp::Set {
+                key: key(),
+                value: value(),
+            },
+            ClientOp::Erase { key: key() },
+            ClientOp::MultiSet {
+                entries: vec![(key(), value())],
+            },
+        ];
+        let cas = ClientOp::Cas {
+            key: key(),
+            value: value(),
+        };
+        assert!(!ScriptWorkload::default().issues_cas());
+        let plain: Vec<_> = non_cas.iter().cloned().map(op).collect();
+        assert!(!ScriptWorkload::new(plain.clone()).issues_cas());
+        for at in 0..=plain.len() {
+            let mut ops = plain.clone();
+            ops.insert(at, op(cas.clone()));
+            assert!(ScriptWorkload::new(ops).issues_cas(), "CAS at {at}");
+        }
+        assert!(!UniformWorkload::mix(10, 8, 0.5, 1e6, 10).issues_cas());
     }
 
     #[test]

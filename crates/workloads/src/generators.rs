@@ -114,6 +114,11 @@ impl Workload for Then {
         }
         self.b.next(now, rng)
     }
+
+    /// Either phase's CAS (the first phase's only while it still runs).
+    fn issues_cas(&self) -> bool {
+        self.a.as_ref().is_some_and(|a| a.issues_cas()) || self.b.issues_cas()
+    }
 }
 
 /// Fixed-rate GET/SET mix over a Zipfian key population with a size
@@ -541,6 +546,30 @@ mod tests {
             })
             .collect();
         assert_eq!(names, vec!["a0", "a1", "a2", "b0", "b1"]);
+    }
+
+    #[test]
+    fn then_issues_cas_if_either_phase_does() {
+        use cliquemap::workload::ScriptWorkload;
+        let prefill = || Box::new(Prefill::new("p", 2, SizeDist::fixed(8), 1e6));
+        let script = |cas: bool| {
+            let (key, value) = (Bytes::from_static(b"k"), Bytes::from_static(b"v"));
+            let op = match cas {
+                true => ClientOp::Cas { key, value },
+                false => ClientOp::Set { key, value },
+            };
+            Box::new(ScriptWorkload::new(vec![(SimDuration::ZERO, op)]))
+        };
+        assert!(Then::new(prefill(), script(true)).issues_cas());
+        assert!(Then::new(script(true), prefill()).issues_cas());
+        assert!(Then::new(script(true), script(true)).issues_cas());
+        assert!(!Then::new(prefill(), script(false)).issues_cas());
+        assert!(!Then::new(script(false), prefill()).issues_cas());
+        // Once the CAS-issuing first phase has drained, only the second
+        // speaks.
+        let mut w = Then::new(script(true), prefill());
+        assert_eq!(drain(&mut w, 10).len(), 3);
+        assert!(!w.issues_cas());
     }
 
     #[test]
