@@ -2,9 +2,9 @@
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' and the History checker's purity, the
 # one-op-driver, one-op-fate, one-backend-builder, in-flight-continuation,
-# delayed-send, one-op-record, one-eviction-policy, per-backend-row and
-# one-histogram gates, lints, format, rustdoc, the benchmark's smoke tests
-# and the figure reproducibility gate.
+# delayed-send, one-op-record, one-eviction-policy, one-recency-list,
+# per-backend-row and one-histogram gates, lints, format, rustdoc, the
+# benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -13,6 +13,10 @@
 # `benchmark/run.sh compare` (see benchmark/README.md).
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# forbid <message> <pattern> <paths...>: print every match of the extended
+# regex <pattern> under <paths>, then fail with <message> if there was one.
+forbid() { if grep -rnE "$2" "${@:3}"; then echo "$1" >&2; exit 1; fi; }
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -85,38 +89,35 @@ echo "== in-flight frames are continuations =="
 # `Deferred::in_flight` namespace: the token is the wire id and the attempt
 # timer's token, and the enum in the record says what the answer resolves.
 # No second call table, timer-token base or packed call tag comes back.
-if grep -rnE 'CallTable|RmaOpTable|user_tag|TIMER_BASE|BATCH_TAG_BIT' crates src tests examples; then
-    echo "in-flight frames tracked outside a Deferred namespace" >&2
-    exit 1
-fi
+forbid "in-flight frames tracked outside a Deferred namespace" \
+    'CallTable|RmaOpTable|user_tag|TIMER_BASE|BATCH_TAG_BIT' crates src tests examples
 
 echo "== delayed sends are the simulator's =="
 # A frame that waits for a transport engine before it leaves is queued with
 # `Ctx::send_after`: the simulator holds it, and no node keeps a timer
 # record for it or is called when it goes.
-if grep -rnE 'SendWire|Work::Respond' crates src tests examples; then
-    echo "a node holds a delayed send itself (use Ctx::send_after)" >&2
-    exit 1
-fi
+forbid "a node holds a delayed send itself (use Ctx::send_after)" \
+    'SendWire|Work::Respond' crates src tests examples
 
 echo "== one op record =="
 # What an op did is recorded once, in the cell's opt-in History
 # (crates/cliquemap/src/history.rs): no per-client completion log comes
 # back.
-if grep -rnE '\.completions\b|COMPLETION_LOG_CAP' crates src tests examples; then
-    echo "a per-client completion log (use Cell::record_history + Cell::history)" >&2
-    exit 1
-fi
+forbid "a per-client completion log (use Cell::record_history + Cell::history)" \
+    '\.completions\b|COMPLETION_LOG_CAP' crates src tests examples
 
 echo "== one eviction policy on the serving path =="
 # Every store and the MemcacheG baseline evict by `LruPolicy`, called
 # directly: no policy trait, name lookup or capacity hint comes back to the
 # system crates. Ablation A5's FIFO, random and ARC live in
 # crates/bench/src/experiments/ablations.rs.
-if grep -rnE 'EvictionPolicy|policy_by_name|set_capacity_hint' crates/cliquemap/src crates/baselines/src; then
-    echo "an eviction-policy indirection on the serving path (call LruPolicy)" >&2
-    exit 1
-fi
+forbid "an eviction-policy indirection on the serving path (call LruPolicy)" \
+    'EvictionPolicy|policy_by_name|set_capacity_hint' crates/cliquemap/src crates/baselines/src
+
+echo "== one recency list =="
+# The store's LRU, the lease cache and the tombstone FIFO are each a `lru::RecencyList`.
+forbid "a hand-rolled recency list (use cliquemap::lru::RecencyList)" \
+    'fn (unlink|push_front|push_tail|index_insert|index_remove)\b|VecDeque' crates/cliquemap/src/{policy,client_cache,tombstone}.rs
 
 echo "== per-backend client state is one row =="
 # A client keeps what it knows of each backend (its geometry, or a CONNECT
@@ -136,10 +137,8 @@ if [ "$quantiles" != "crates/obs/src/histogram.rs" ] || [ -e crates/obs/src/sket
     echo "latency distributions outside crates/obs/src/histogram.rs:" $quantiles >&2
     exit 1
 fi
-if grep -rnE 'metrics(_mut)?\(\)\s*\.(add|record|hist|push_series)\(' crates src tests examples; then
-    echo "by-name metric write (use Metrics::handle + the *_id writers)" >&2
-    exit 1
-fi
+forbid "by-name metric write (use Metrics::handle + the *_id writers)" \
+    'metrics(_mut)?\(\)\s*\.(add|record|hist|push_series)\(' crates src tests examples
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -13,12 +13,13 @@
 //!   "configurable eviction policies" of §4.2. The three alternatives live
 //!   here, on a standalone trace: no cell runs them.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use cliquemap::cell::{Cell, CellSpec};
 use cliquemap::client::LookupStrategy;
 use cliquemap::config::ReplicationMode;
 use cliquemap::hash::{place, DefaultHasher, KeyHash, KeyHasher};
+use cliquemap::lru::RecencyList;
 use cliquemap::policy::LruPolicy;
 use cliquemap::store::{BackendStore, StoreCfg};
 use cliquemap::version::VersionNumber;
@@ -235,7 +236,7 @@ enum A5Policy {
     Lru(LruPolicy),
     Fifo(LruPolicy),
     Random(RandomPolicy),
-    Arc(ArcPolicy),
+    Arc(Box<ArcPolicy>),
 }
 
 impl A5Policy {
@@ -243,7 +244,7 @@ impl A5Policy {
         match name {
             "lru" => A5Policy::Lru(LruPolicy::new()),
             "fifo" => A5Policy::Fifo(LruPolicy::new()),
-            "arc" => A5Policy::Arc(ArcPolicy::new(cache_entries)),
+            "arc" => A5Policy::Arc(Box::new(ArcPolicy::new(cache_entries))),
             "random" => A5Policy::Random(RandomPolicy::new(11)),
             other => panic!("unknown eviction policy {other:?}"),
         }
@@ -331,75 +332,60 @@ impl RandomPolicy {
 struct ArcPolicy {
     capacity: usize,
     p: usize,
-    t1: VecDeque<KeyHash>,
-    t2: VecDeque<KeyHash>,
-    b1: VecDeque<KeyHash>,
-    b2: VecDeque<KeyHash>,
+    t1: RecencyList<()>,
+    t2: RecencyList<()>,
+    b1: RecencyList<()>,
+    b2: RecencyList<()>,
     // Where each live key lives: 1 = T1, 2 = T2.
     location: HashMap<KeyHash, u8>,
 }
 
 impl ArcPolicy {
-    /// Empty ARC sized for `capacity` cached entries.
+    /// Empty ARC sized for `capacity` cached entries; each ghost list
+    /// remembers at most that many keys.
     fn new(capacity: usize) -> ArcPolicy {
+        let capacity = capacity.max(2);
         ArcPolicy {
-            capacity: capacity.max(2),
+            capacity,
             p: 0,
-            t1: VecDeque::new(),
-            t2: VecDeque::new(),
-            b1: VecDeque::new(),
-            b2: VecDeque::new(),
+            t1: RecencyList::default(),
+            t2: RecencyList::default(),
+            b1: RecencyList::bounded(capacity),
+            b2: RecencyList::bounded(capacity),
             location: HashMap::new(),
         }
     }
 
-    fn remove_from(list: &mut VecDeque<KeyHash>, key: KeyHash) -> bool {
-        let at = list.iter().position(|&k| k == key);
-        at.and_then(|at| list.remove(at)).is_some()
-    }
-
-    /// A key was installed or touched.
+    /// A key was installed or touched. A key sits in at most one list.
     fn request(&mut self, key: KeyHash) {
-        match self.location.get(&key) {
-            Some(1) => {
-                // T1 hit: promote to T2 (now "frequent").
-                Self::remove_from(&mut self.t1, key);
-                self.t2.push_back(key);
-                self.location.insert(key, 2);
+        let list = match self.location.get(&key) {
+            // A T1 hit promotes to T2 (now "frequent"); a T2 hit moves to
+            // T2's MRU end.
+            Some(_) => {
+                self.t1.remove(key);
+                self.t2.remove(key);
+                2
             }
-            Some(2) => {
-                // T2 hit: move to MRU of T2.
-                Self::remove_from(&mut self.t2, key);
-                self.t2.push_back(key);
+            // Ghost hits adapt p and re-enter at T2; fresh keys enter T1.
+            None if self.b1.remove(key).is_some() => {
+                let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
+                self.p = (self.p + delta).min(self.capacity);
+                2
             }
-            _ => {
-                // Ghost hits adapt p; fresh keys enter T1.
-                if Self::remove_from(&mut self.b1, key) {
-                    let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-                    self.p = (self.p + delta).min(self.capacity);
-                    self.t2.push_back(key);
-                    self.location.insert(key, 2);
-                } else if Self::remove_from(&mut self.b2, key) {
-                    let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-                    self.p = self.p.saturating_sub(delta);
-                    self.t2.push_back(key);
-                    self.location.insert(key, 2);
-                } else {
-                    self.t1.push_back(key);
-                    self.location.insert(key, 1);
-                }
-                self.trim_ghosts();
+            None if self.b2.remove(key).is_some() => {
+                let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
+                self.p = self.p.saturating_sub(delta);
+                2
             }
-        }
-    }
-
-    fn trim_ghosts(&mut self) {
-        while self.b1.len() > self.capacity {
-            self.b1.pop_front();
-        }
-        while self.b2.len() > self.capacity {
-            self.b2.pop_front();
-        }
+            None => 1,
+        };
+        let to = if list == 1 {
+            &mut self.t1
+        } else {
+            &mut self.t2
+        };
+        to.push(key, ());
+        self.location.insert(key, list);
     }
 
     fn on_touch(&mut self, key: KeyHash) {
@@ -409,29 +395,22 @@ impl ArcPolicy {
     }
 
     fn on_remove(&mut self, key: KeyHash) {
-        match self.location.remove(&key) {
-            Some(1) => {
-                Self::remove_from(&mut self.t1, key);
-                self.b1.push_back(key);
-            }
-            Some(2) => {
-                Self::remove_from(&mut self.t2, key);
-                self.b2.push_back(key);
-            }
-            _ => {}
-        }
-        self.trim_ghosts();
+        let (from, to) = match self.location.remove(&key) {
+            Some(1) => (&mut self.t1, &mut self.b1),
+            Some(_) => (&mut self.t2, &mut self.b2),
+            None => return,
+        };
+        from.remove(key);
+        to.push(key, ());
     }
 
     fn victim(&self) -> Option<KeyHash> {
+        let front = |list: &RecencyList<()>| list.oldest().map(|(key, _)| key);
         // ARC's REPLACE: evict from T1 when it exceeds the target p.
         if !self.t1.is_empty() && (self.t1.len() > self.p || self.t2.is_empty()) {
-            self.t1.front().copied()
+            front(&self.t1)
         } else {
-            self.t2
-                .front()
-                .copied()
-                .or_else(|| self.t1.front().copied())
+            front(&self.t2).or_else(|| front(&self.t1))
         }
     }
 }

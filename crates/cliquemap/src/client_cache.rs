@@ -8,8 +8,8 @@
 //! identical lease decisions); its value is the cell's to hold (below):
 //!
 //! * **hit** — lease unexpired: the GET completes locally, touching no
-//!   backend. The hit path allocates nothing: it probes a small
-//!   open-addressed index and relinks an intrusive index-linked LRU list.
+//!   backend. The hit path allocates nothing: it probes and relinks the
+//!   crate's one [`RecencyList`].
 //! * **stale** — entry present, lease expired: the client runs a normal
 //!   quorum GET; if the read quorum's version equals the cached version the
 //!   entry is *validated* (lease renewed, served from cache — on the 2×R
@@ -24,8 +24,8 @@
 //! versioned read path.
 //!
 //! **Memory follows use.** A client that is allowed 128 entries but touches
-//! ten pays for ten: slot storage and the index start empty and grow by
-//! doubling up to `capacity`, never past it. Value bytes are paid for once
+//! ten pays for ten: the list grows by doubling up to `capacity`, never
+//! past it. Value bytes are paid for once
 //! per distinct cached version per *cell*, not once per cache: §5.2 makes a
 //! version name exactly one SET, so two clients caching the same
 //! (key hash, version) hold the same bytes by construction, and every cache
@@ -51,6 +51,7 @@ use bytes::{Bytes, Pool};
 use simnet::{IdMap, SimDuration, SimTime};
 
 use crate::hash::KeyHash;
+use crate::lru::{Node, RecencyList};
 use crate::version::VersionNumber;
 
 /// Client-cache configuration.
@@ -233,24 +234,17 @@ impl SharedValues {
     }
 }
 
-const NIL: u32 = u32::MAX;
-
-/// Slot storage never starts smaller than this (one allocation covers the
-/// first few fills).
-const MIN_SLOTS: usize = 4;
-
-/// One entry, 48 bytes: everything the hit/validate path reads. The value
-/// lives in the cell's [`SharedValues`] row for (`hash`, `version`).
-#[derive(Debug)]
-struct Slot {
-    hash: KeyHash,
+/// What the hit/validate path reads of one entry. The value lives in the
+/// cell's [`SharedValues`] row for (key hash, `version`). Packed to 8-byte
+/// alignment so that, with its key and links, an entry is 48 bytes.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(8))]
+struct Lease {
     version: VersionNumber,
-    lease: SimTime,
-    /// LRU neighbours while resident; `next` threads the free list while
-    /// not.
-    prev: u32,
-    next: u32,
+    until: SimTime,
 }
+
+const _: () = assert!(size_of::<Node<Lease>>() <= 48);
 
 /// Bounded LRU lease cache. All operations are O(1). Storage is grown on
 /// demand up to `capacity` entries; once it stops growing — at the latest
@@ -264,20 +258,8 @@ pub struct ClientCache {
     pool: Pool,
     /// The cell's value table (a lone cache has one to itself).
     shared: SharedValues,
-    /// Open-addressed (linear probing, backward-shift deletion) table of
-    /// slot numbers, `NIL` = empty. Empty until the first fill, then a
-    /// power of two at least twice the slot storage, so probes are short
-    /// and always end.
-    index: Vec<u32>,
-    /// `64 - log2(index.len())`: the home bucket is the top bits of the
-    /// mixed hash.
-    index_shift: u32,
-    slots: Vec<Slot>,
-    /// Head of the free-slot list (slots emptied by invalidation).
-    free: u32,
-    len: usize,
-    head: u32,
-    tail: u32,
+    /// Resident entries, least recently used oldest.
+    entries: RecencyList<Lease>,
     /// Running counters.
     pub stats: CacheStats,
 }
@@ -299,16 +281,10 @@ impl ClientCache {
     /// into the pool of whichever cache fills it first.
     pub fn with_shared(cfg: ClientCacheCfg, pool: Pool, shared: SharedValues) -> ClientCache {
         ClientCache {
+            entries: RecencyList::bounded(cfg.capacity),
             cfg,
             pool,
             shared,
-            index: Vec::new(),
-            index_shift: 0,
-            slots: Vec::new(),
-            free: NIL,
-            len: 0,
-            head: NIL,
-            tail: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -320,209 +296,36 @@ impl ClientCache {
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
-    /// Bytes of slot and index storage currently reserved (value payloads
+    /// Bytes of entry and index storage currently reserved (value payloads
     /// live in pools, held by the value table, and are bounded by
     /// `capacity × max_value_len` separately).
     pub fn reserved_bytes(&self) -> usize {
-        self.slots.capacity() * size_of::<Slot>() + self.index.capacity() * size_of::<u32>()
+        self.entries.reserved_bytes()
     }
 
     /// Upper bound of [`ClientCache::reserved_bytes`] for `capacity`
     /// entries.
     pub fn reserved_bytes_bound(capacity: usize) -> usize {
-        let slots = capacity.max(1);
-        slots * size_of::<Slot>() + (2 * slots).next_power_of_two() * size_of::<u32>()
+        RecencyList::<Lease>::reserved_bytes_bound(capacity)
     }
 
     /// Cached value for `hash`, read from the value table's row (test
     /// visibility; does not touch LRU order or stats).
     pub fn peek(&self, hash: KeyHash) -> Option<(VersionNumber, Bytes, SimTime)> {
-        let (_, slot) = self.find(hash)?;
-        let s = &self.slots[slot as usize];
+        let &Lease { version, until } = self.entries.get(hash)?;
         let value = self
             .shared
-            .get(hash, s.version)
+            .get(hash, version)
             .expect("a resident entry's row");
-        Some((s.version, value, s.lease))
-    }
-
-    // ---- index -------------------------------------------------------------
-
-    /// Home bucket of `hash`. Key hashes are already uniform; the fold and
-    /// multiply only make sure small integers (tests) spread too.
-    #[inline]
-    fn home(&self, hash: KeyHash) -> usize {
-        let folded = hash as u64 ^ (hash >> 64) as u64;
-        (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
-    }
-
-    /// `(index position, slot)` of `hash`, if resident.
-    #[inline]
-    fn find(&self, hash: KeyHash) -> Option<(usize, u32)> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mask = self.index.len() - 1;
-        let mut pos = self.home(hash);
-        loop {
-            let slot = self.index[pos];
-            if slot == NIL {
-                return None;
-            }
-            if self.slots[slot as usize].hash == hash {
-                return Some((pos, slot));
-            }
-            pos = (pos + 1) & mask;
-        }
-    }
-
-    /// Enter `slot` (whose hash is set and not yet indexed).
-    fn index_insert(&mut self, slot: u32) {
-        let mask = self.index.len() - 1;
-        let mut pos = self.home(self.slots[slot as usize].hash);
-        while self.index[pos] != NIL {
-            pos = (pos + 1) & mask;
-        }
-        self.index[pos] = slot;
-    }
-
-    /// Empty index position `hole`, shifting later members of its probe run
-    /// back so every survivor stays reachable from its home bucket.
-    fn index_remove(&mut self, mut hole: usize) {
-        let mask = self.index.len() - 1;
-        let mut pos = hole;
-        loop {
-            pos = (pos + 1) & mask;
-            let slot = self.index[pos];
-            if slot == NIL {
-                break;
-            }
-            // `slot` may move into the hole unless its home lies cyclically
-            // in (hole, pos]: then the hole is before its probe start.
-            let home = self.home(self.slots[slot as usize].hash);
-            if (pos.wrapping_sub(home) & mask) >= (pos.wrapping_sub(hole) & mask) {
-                self.index[hole] = slot;
-                hole = pos;
-            }
-        }
-        self.index[hole] = NIL;
-    }
-
-    /// Double the slot storage (clamped to `capacity`) and rebuild the index
-    /// at twice that. Called only when every reserved slot is resident.
-    fn grow(&mut self) {
-        let cap = self.cfg.capacity.max(1);
-        let target = (self.slots.capacity() * 2).clamp(MIN_SLOTS.min(cap), cap);
-        self.slots.reserve_exact(target - self.slots.len());
-        // Sized from what was actually reserved: slots fill to their
-        // capacity before `grow` runs again, and the index must stay at
-        // most half full for probes to end.
-        let buckets = (2 * self.slots.capacity().min(cap)).next_power_of_two();
-        self.index = vec![NIL; buckets];
-        self.index_shift = 64 - buckets.trailing_zeros();
-        for slot in 0..self.slots.len() as u32 {
-            self.index_insert(slot);
-        }
-    }
-
-    // ---- intrusive LRU list ---------------------------------------------
-
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = &self.slots[i as usize];
-            (s.prev, s.next)
-        };
-        if prev != NIL {
-            self.slots[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
-        {
-            let s = &mut self.slots[i as usize];
-            s.prev = NIL;
-            s.next = old_head;
-        }
-        if old_head != NIL {
-            self.slots[old_head as usize].prev = i;
-        } else {
-            self.tail = i;
-        }
-        self.head = i;
-    }
-
-    /// Take the resident entry at (`pos`, `slot`) out of the index and the
-    /// LRU list and release its value; the slot is the caller's to reuse or
-    /// free.
-    fn detach(&mut self, pos: usize, slot: u32) {
-        self.index_remove(pos);
-        self.unlink(slot);
-        self.release_value(slot);
-        self.len -= 1;
-    }
-
-    /// Drop resident `slot`'s claim on its value's table row (the last
-    /// holder's release recycles the buffer).
-    fn release_value(&mut self, slot: u32) {
-        let s = &self.slots[slot as usize];
-        self.shared.release(s.hash, s.version);
-    }
-
-    /// Give resident `slot` (hash set) the value of `version`.
-    fn acquire_value(&mut self, slot: u32, version: VersionNumber, value: &[u8]) {
-        let hash = self.slots[slot as usize].hash;
-        self.shared.acquire(hash, version, value, &self.pool);
-    }
-
-    fn free_slot(&mut self, slot: u32) {
-        self.slots[slot as usize].next = self.free;
-        self.free = slot;
-    }
-
-    /// A slot for a new entry: a freed one, else a fresh one while under
-    /// `capacity`, else the LRU tail's.
-    fn vacant_slot(&mut self) -> u32 {
-        if self.free != NIL {
-            let slot = self.free;
-            self.free = self.slots[slot as usize].next;
-            return slot;
-        }
-        if self.slots.len() < self.cfg.capacity.max(1) {
-            if self.slots.len() == self.slots.capacity() {
-                self.grow();
-            }
-            self.slots.push(Slot {
-                hash: 0,
-                version: VersionNumber::ZERO,
-                lease: SimTime(0),
-                prev: NIL,
-                next: NIL,
-            });
-            return self.slots.len() as u32 - 1;
-        }
-        let victim = self.tail;
-        let (pos, _) = self
-            .find(self.slots[victim as usize].hash)
-            .expect("a full cache has an indexed tail");
-        self.detach(pos, victim);
-        self.stats.evictions += 1;
-        victim
+        Some((version, value, until))
     }
 
     // ---- operations ------------------------------------------------------
@@ -530,19 +333,16 @@ impl ClientCache {
     /// Look up `hash` at sim time `now`, bumping recency on hit/stale.
     pub fn lookup(&mut self, hash: KeyHash, now: SimTime) -> Lookup {
         self.stats.lookups += 1;
-        let Some((_, slot)) = self.find(hash) else {
+        let Some(&mut Lease { version, until }) = self.entries.touch(hash) else {
             self.stats.misses += 1;
             return Lookup::Miss;
         };
-        self.unlink(slot);
-        self.push_front(slot);
-        let s = &self.slots[slot as usize];
-        if now <= s.lease {
+        if now <= until {
             self.stats.hits += 1;
-            Lookup::Hit(s.version)
+            Lookup::Hit(version)
         } else {
             self.stats.stale += 1;
-            Lookup::Stale(s.version)
+            Lookup::Stale(version)
         }
     }
 
@@ -556,25 +356,22 @@ impl ClientCache {
     /// version drops that entry: keeping it would answer `Stale` with a
     /// version no validation can match again until LRU reached it.
     pub fn insert(&mut self, hash: KeyHash, version: VersionNumber, value: Bytes, now: SimTime) {
-        let found = self.find(hash);
+        let cached = self.entries.get(hash).map(|l| l.version);
         if value.len() > self.cfg.max_value_len {
-            if let Some((pos, slot)) = found {
-                if version >= self.slots[slot as usize].version {
-                    self.detach(pos, slot);
-                    self.free_slot(slot);
-                    self.stats.evictions += 1;
-                }
+            if let Some(cached) = cached.filter(|&cached| version >= cached) {
+                self.entries.remove(hash);
+                self.shared.release(hash, cached);
+                self.stats.evictions += 1;
             }
             return;
         }
-        let lease = now + self.cfg.lease_ttl;
-        let slot = match found {
-            Some((_, slot)) => {
-                let cached = self.slots[slot as usize].version;
-                if version < cached {
-                    return;
-                }
-                self.unlink(slot);
+        let lease = Lease {
+            version,
+            until: now + self.cfg.lease_ttl,
+        };
+        match cached {
+            Some(cached) if version < cached => return,
+            Some(cached) => {
                 // The version it already holds (a slow GET, a retried
                 // write-through) is a lease renewal: its row holds the bytes.
                 // Compared, not assumed — no SET stream gives one version
@@ -583,41 +380,29 @@ impl ClientCache {
                     // Released before the new value is taken, so a lone
                     // holder's same-class refresh gets its buffer straight
                     // back.
-                    self.release_value(slot);
-                    self.acquire_value(slot, version, &value);
+                    self.shared.release(hash, cached);
+                    self.shared.acquire(hash, version, &value, &self.pool);
                 }
-                slot
+                *self.entries.touch(hash).expect("a resident entry") = lease;
             }
             None => {
-                let slot = self.vacant_slot();
-                self.slots[slot as usize].hash = hash;
-                self.index_insert(slot);
-                self.len += 1;
-                self.acquire_value(slot, version, &value);
-                slot
+                if let Some((old, evicted)) = self.entries.push(hash, lease) {
+                    self.shared.release(old, evicted.version);
+                    self.stats.evictions += 1;
+                }
+                self.shared.acquire(hash, version, &value, &self.pool);
             }
-        };
-        let s = &mut self.slots[slot as usize];
-        s.version = version;
-        s.lease = lease;
-        self.push_front(slot);
+        }
         self.stats.inserts += 1;
     }
 
     /// Renew the lease iff the cached version for `hash` equals
     /// `version` (quorum agreement observed). Returns whether it matched.
     pub fn validate(&mut self, hash: KeyHash, version: VersionNumber, now: SimTime) -> bool {
-        let Some((_, slot)) = self.find(hash) else {
-            return false;
-        };
-        let lease = now + self.cfg.lease_ttl;
-        let s = &mut self.slots[slot as usize];
-        if s.version != version {
+        if self.entries.get(hash).map(|l| l.version) != Some(version) {
             return false;
         }
-        s.lease = lease;
-        self.unlink(slot);
-        self.push_front(slot);
+        self.entries.touch(hash).expect("a resident entry").until = now + self.cfg.lease_ttl;
         self.stats.validations += 1;
         true
     }
@@ -625,11 +410,10 @@ impl ClientCache {
     /// Drop `hash` (the owner mutated the key). Returns whether an entry
     /// was dropped.
     pub fn invalidate(&mut self, hash: KeyHash) -> bool {
-        let Some((pos, slot)) = self.find(hash) else {
+        let Some(lease) = self.entries.remove(hash) else {
             return false;
         };
-        self.detach(pos, slot);
-        self.free_slot(slot);
+        self.shared.release(hash, lease.version);
         self.stats.invalidations += 1;
         true
     }
@@ -639,11 +423,8 @@ impl Drop for ClientCache {
     /// A cache that goes away (its client crashed, or the run ended) gives
     /// up every value it holds; buffers it held last go home to their pools.
     fn drop(&mut self) {
-        let mut slot = self.head;
-        while slot != NIL {
-            let next = self.slots[slot as usize].next;
-            self.release_value(slot);
-            slot = next;
+        for (hash, lease) in self.entries.iter() {
+            self.shared.release(hash, lease.version);
         }
     }
 }
@@ -651,6 +432,7 @@ impl Drop for ClientCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::MIN_SLOTS;
 
     fn v(n: u64) -> VersionNumber {
         VersionNumber::new(n, 1, n as u32)

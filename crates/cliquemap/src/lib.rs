@@ -27,7 +27,7 @@
 //! | §3 GET/SET basics | [`client`], [`backend`] |
 //! | §3 retries under a deadline and a budget | [`attempt`] (the rules), [`client`] (the I/O) |
 //! | §4.1 allocation & reshaping | [`slab`], [`store`] |
-//! | §4.2 eviction | [`policy`], [`tombstone`] |
+//! | §4.2 eviction | [`policy`], [`tombstone`], [`lru`] (the one recency list) |
 //! | §5 replication & quorums | [`config`], [`version`], [`quorum`] (the rules), [`client`] (the I/O) |
 //! | §5 the contract, checked over a cell's opt-in op history | [`history`] |
 //! | §5.4 repairs | [`repair`] (the rules), [`backend`] (the I/O) |
@@ -84,6 +84,7 @@ pub mod handoff;
 pub mod hash;
 pub mod history;
 pub mod layout;
+pub mod lru;
 pub mod messages;
 pub mod policy;
 pub mod quorum;

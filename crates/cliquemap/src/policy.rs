@@ -15,56 +15,24 @@
 //!
 //! The module also holds the hot-key tracker behind load-aware replication.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-use simnet::IdMap;
+use std::mem::size_of;
 
 use crate::hash::KeyHash;
-
-/// "No node": list ends and the empty free list.
-const NIL: u32 = u32::MAX;
-
-/// One tracked key, linked into the recency list (or the free list, through
-/// `next` alone).
-#[derive(Debug, Clone, Copy)]
-struct LruNode {
-    key: KeyHash,
-    /// Value of the policy's clock at the key's last bump; strictly
-    /// increasing from list head to tail.
-    stamp: u64,
-    prev: u32,
-    next: u32,
-}
+use crate::lru::{Node, RecencyList};
 
 /// Least-recently-used, with recency fed by batched access records.
 ///
-/// An intrusive doubly-linked list threaded through one `Vec` of nodes,
-/// least recent at the head, plus a key → node index: every operation is
-/// O(1) and none allocates once the node vector has grown to the live-key
-/// high-water mark.
-#[derive(Debug)]
+/// A [`RecencyList`] of the tracked keys, least recent oldest, each valued
+/// with the policy's clock at its last bump (`pick_among` compares them):
+/// 32 B a key plus its index share.
+#[derive(Debug, Default)]
 pub struct LruPolicy {
     stamp: u64,
-    nodes: Vec<LruNode>,
-    index: IdMap<KeyHash, u32>,
-    head: u32,
-    tail: u32,
-    free: u32,
+    keys: RecencyList<u64>,
 }
 
-impl Default for LruPolicy {
-    fn default() -> LruPolicy {
-        LruPolicy {
-            stamp: 0,
-            nodes: Vec::new(),
-            index: IdMap::default(),
-            head: NIL,
-            tail: NIL,
-            free: NIL,
-        }
-    }
-}
+const _: () = assert!(size_of::<Node<u64>>() <= 32);
 
 impl LruPolicy {
     /// Empty LRU.
@@ -72,84 +40,32 @@ impl LruPolicy {
         LruPolicy::default()
     }
 
-    fn unlink(&mut self, at: u32) {
-        let LruNode { prev, next, .. } = self.nodes[at as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    /// Link `at` in as the most recent key, stamped with the next tick.
-    fn push_tail(&mut self, at: u32) {
-        self.stamp += 1;
-        let old_tail = std::mem::replace(&mut self.tail, at);
-        let node = &mut self.nodes[at as usize];
-        node.stamp = self.stamp;
-        node.prev = old_tail;
-        node.next = NIL;
-        match old_tail {
-            NIL => self.head = at,
-            t => self.nodes[t as usize].next = at,
-        }
-    }
-
     /// A key was installed (or re-installed: it becomes the most recent).
     pub fn on_insert(&mut self, key: KeyHash) {
-        let at = match self.index.entry(key) {
-            Entry::Occupied(e) => {
-                let at = *e.get();
-                self.unlink(at);
-                at
-            }
-            Entry::Vacant(e) => {
-                let node = LruNode {
-                    key,
-                    stamp: 0,
-                    prev: NIL,
-                    next: NIL,
-                };
-                let at = match self.free {
-                    NIL => {
-                        self.nodes.push(node);
-                        (self.nodes.len() - 1) as u32
-                    }
-                    at => {
-                        self.free = self.nodes[at as usize].next;
-                        self.nodes[at as usize] = node;
-                        at
-                    }
-                };
-                *e.insert(at)
-            }
-        };
-        self.push_tail(at);
+        self.stamp += 1;
+        if let Some(stamp) = self.keys.touch(key) {
+            *stamp = self.stamp;
+        } else {
+            self.keys.push(key, self.stamp);
+        }
     }
 
     /// A key was touched (batched client access records, or a mutation).
     pub fn on_touch(&mut self, key: KeyHash) {
-        if let Some(&at) = self.index.get(&key) {
-            self.unlink(at);
-            self.push_tail(at);
+        if let Some(stamp) = self.keys.touch(key) {
+            self.stamp += 1;
+            *stamp = self.stamp;
         }
     }
 
     /// A key was removed (evicted, erased, or migrated away).
     pub fn on_remove(&mut self, key: KeyHash) {
-        if let Some(at) = self.index.remove(&key) {
-            self.unlink(at);
-            self.nodes[at as usize].next = self.free;
-            self.free = at;
-        }
+        self.keys.remove(key);
     }
 
     /// Least recent key: the victim of a capacity conflict. Does not remove.
     pub fn victim(&self) -> Option<KeyHash> {
-        self.nodes.get(self.head as usize).map(|n| n.key)
+        self.keys.oldest().map(|(key, _)| key)
     }
 
     /// Least recent of `candidates` (associativity conflict: the victim must
@@ -158,21 +74,20 @@ impl LruPolicy {
     pub fn pick_among(&self, candidates: &[KeyHash]) -> Option<KeyHash> {
         candidates
             .iter()
-            .filter_map(|k| self.index.get(k))
-            .map(|&at| &self.nodes[at as usize])
-            .min_by_key(|n| n.stamp)
-            .map(|n| n.key)
+            .filter_map(|&k| self.keys.get(k).map(|&stamp| (stamp, k)))
+            .min_by_key(|&(stamp, _)| stamp)
+            .map(|(_, k)| k)
             .or_else(|| candidates.first().copied())
     }
 
     /// Number of tracked keys.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.keys.len()
     }
 
     /// Whether no keys are tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.keys.is_empty()
     }
 }
 
@@ -313,13 +228,8 @@ impl HotKeyTracker {
         now: simnet::SimTime,
         occupancy: f64,
     ) -> Option<EpochDecisions> {
-        let rolled = if now >= self.epoch_end {
-            Some(self.roll_epoch(now, occupancy))
-        } else {
-            None
-        };
-        *self.counts.entry(key).or_insert(0) += 1;
-        self.total += 1;
+        let rolled = (now >= self.epoch_end).then(|| self.roll_epoch(now, occupancy));
+        self.record(key);
         rolled
     }
 

@@ -11,19 +11,16 @@
 //! reasoning about monotonicity: keys evicted from the cache are bounded
 //! above by the summary — "sometimes coarse-grained but never inconsistent".
 
-use std::collections::VecDeque;
-
-use simnet::IdMap;
-
 use crate::hash::KeyHash;
+use crate::lru::RecencyList;
 use crate::version::VersionNumber;
 
-/// Fixed-size FIFO tombstone cache plus summary version.
+/// Fixed-size FIFO tombstone cache plus summary version: a bounded
+/// [`RecencyList`] that is never touched, so its oldest tombstone is the
+/// first in, and the one a full cache folds into the summary.
 #[derive(Debug)]
 pub struct TombstoneCache {
-    capacity: usize,
-    by_key: IdMap<KeyHash, VersionNumber>,
-    order: VecDeque<KeyHash>,
+    by_key: RecencyList<VersionNumber>,
     summary: VersionNumber,
 }
 
@@ -31,41 +28,19 @@ impl TombstoneCache {
     /// A cache holding at most `capacity` tombstones.
     pub fn new(capacity: usize) -> TombstoneCache {
         TombstoneCache {
-            capacity: capacity.max(1),
-            by_key: IdMap::default(),
-            order: VecDeque::new(),
+            by_key: RecencyList::bounded(capacity),
             summary: VersionNumber::ZERO,
         }
     }
 
     /// Record an ERASE of `key` at `version`.
     pub fn insert(&mut self, key: KeyHash, version: VersionNumber) {
-        match self.by_key.get_mut(&key) {
-            Some(existing) => {
-                // Keep the highest version for the key.
-                if version > *existing {
-                    *existing = version;
-                }
-            }
-            None => {
-                if self.by_key.len() >= self.capacity {
-                    self.evict_oldest();
-                }
-                self.by_key.insert(key, version);
-                self.order.push_back(key);
-            }
-        }
-    }
-
-    fn evict_oldest(&mut self) {
-        while let Some(old) = self.order.pop_front() {
-            if let Some(v) = self.by_key.remove(&old) {
-                // The summary bounds every evicted tombstone from above.
-                if v > self.summary {
-                    self.summary = v;
-                }
-                return;
-            }
+        if let Some(existing) = self.by_key.get_mut(key) {
+            // Keep the highest version for the key.
+            *existing = version.max(*existing);
+        } else if let Some((_, evicted)) = self.by_key.push(key, version) {
+            // The summary bounds every evicted tombstone from above.
+            self.summary = self.summary.max(evicted);
         }
     }
 
@@ -75,28 +50,24 @@ impl TombstoneCache {
     /// A proposed mutation must exceed this (and the index's version) to
     /// proceed — late-arriving SETs can never resurrect an erased value.
     pub fn floor(&self, key: KeyHash) -> VersionNumber {
-        match self.by_key.get(&key) {
-            Some(&v) => v.max(self.summary),
-            None => self.summary,
-        }
+        self.get(key).map_or(self.summary, |v| v.max(self.summary))
     }
 
     /// Exact tombstone lookup (repair logic wants to distinguish "known
     /// erased" from "unknown").
     pub fn get(&self, key: KeyHash) -> Option<VersionNumber> {
-        self.by_key.get(&key).copied()
+        self.by_key.get(key).copied()
     }
 
-    /// Every exact tombstone, in no particular order (cohort scans
-    /// exchange them; what the summary covers is not exchanged).
+    /// Every exact tombstone, oldest first (cohort scans exchange them;
+    /// what the summary covers is not exchanged).
     pub fn iter(&self) -> impl Iterator<Item = (KeyHash, VersionNumber)> + '_ {
-        self.by_key.iter().map(|(&k, &v)| (k, v))
+        self.by_key.iter().map(|(k, &v)| (k, v))
     }
 
     /// Drop a tombstone (the key was re-installed at a higher version).
     pub fn remove(&mut self, key: KeyHash) {
-        self.by_key.remove(&key);
-        // The `order` entry is cleaned lazily by evict_oldest.
+        self.by_key.remove(key);
     }
 
     /// Current summary version.

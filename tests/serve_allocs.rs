@@ -1,5 +1,6 @@
 //! Allocation gate on the unified serving paths: resolve-then-admit, the
-//! one completion shape and `BackendStore::install` add no heap calls.
+//! one completion shape and `BackendStore::install` add no heap calls, and
+//! ERASE → SET churn retains no heap.
 
 mod support;
 
@@ -13,7 +14,7 @@ use cliquemap::store::{BackendStore, CliqueScarResolver, StoreCfg};
 use cliquemap::version::VersionNumber;
 use rma::{PonyCfg, ReadReq, RmaAnswer, RmaEnvelope, RmaStatus, ScarReq, ScarResp, Transport};
 use simnet::SimTime;
-use support::allocs;
+use support::{allocs, live_bytes};
 
 const KEYS: u64 = 256;
 
@@ -124,4 +125,28 @@ fn install_allocates_no_more_than_the_triple_it_replaces() {
         assert_eq!(store.install(k, &value, hash, v2), rpc::Status::Ok);
     });
     assert!(install <= triple, "install {install} > triple {triple}");
+}
+
+/// ERASE → SET churn over a few keys retains no heap: a committed SET drops
+/// its key's tombstone outright, so the tombstone cache holds no more than
+/// the live tombstones (here at most one), whatever the history.
+#[test]
+fn erase_set_churn_retains_no_tombstone_heap() {
+    let mut store = BackendStore::new(StoreCfg::default(), Box::new(LruPolicy::new()));
+    let mut cycle = |i: u64| {
+        let (k, hash) = key(i % 10);
+        let erased = VersionNumber::new(2 * i + 1, 1, 1);
+        assert_eq!(store.erase(hash, erased), rpc::Status::Ok);
+        let set = VersionNumber::new(2 * i + 2, 1, 1);
+        assert_eq!(store.install(&k, &[7; 64], hash, set), rpc::Status::Ok);
+    };
+    // One round of every key first: storage reaches its steady size.
+    (0..10).for_each(&mut cycle);
+    let before = live_bytes();
+    (10..100_010).for_each(&mut cycle);
+    let retained = live_bytes() - before;
+    assert!(
+        retained <= 1024,
+        "100,000 ERASE → SET cycles retained {retained} B"
+    );
 }
