@@ -2,8 +2,9 @@
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' and the History checker's purity, the
 # one-op-driver, one-op-fate, one-backend-builder, in-flight-continuation,
-# delayed-send, one-op-record, one-eviction-policy, one-recency-list,
-# per-backend-row and one-histogram gates, lints, format, rustdoc, the
+# delayed-send, client-timers-are-tokens, one-op-record,
+# one-eviction-policy, one-recency-list, per-backend-row and
+# one-histogram gates, lints, format, rustdoc, the
 # benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
@@ -28,10 +29,11 @@ echo "== client footprint at 10K clients (release) =="
 # One lease-cache buffer per distinct version, at most two configs and two
 # geometries per backend for the whole cell, no op parked past one CONNECT
 # round, an event queue within its fixed wheel plus 256 B per event of its
-# high-water mark, and at most 8 KiB of live heap added per client by the
-# run (~6 KiB since a client keeps a CAS version memo only when its workload
-# can CAS and one per-backend row in place of two hash maps). Minutes in debug, so tier-1 keeps only the small-cell gates of this
-# file.
+# high-water mark, and at most 6 KiB of live heap added per client by the
+# run (~5.4 KiB since a client's timers carry their work in the token and a
+# buffer pool keeps a byte budget per size class, where a timer table and
+# 4,096 idle buffers of every class were ~6 KiB). Minutes in debug, so
+# tier-1 keeps only the small-cell gates of this file.
 cargo test --release -q --test client_footprint -- --ignored
 
 echo "== durable log footprint at mut_durable's shape (release) =="
@@ -98,6 +100,13 @@ echo "== delayed sends are the simulator's =="
 # record for it or is called when it goes.
 forbid "a node holds a delayed send itself (use Ctx::send_after)" \
     'SendWire|Work::Respond' crates src tests examples
+
+echo "== client timers are tokens =="
+# A client's pacing, retry, access-flush and issue timers encode their work
+# in the timer or CPU token (`Work::token`); the one op drawn ahead waits in
+# `next_op`. No per-client table of timer continuations comes back.
+forbid "a client keeps a table of timer continuations (use Work::token)" \
+    'Deferred<Work>|Deferred::aux1' crates/cliquemap/src/client.rs
 
 echo "== one op record =="
 # What an op did is recorded once, in the cell's opt-in History

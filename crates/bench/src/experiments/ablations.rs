@@ -336,8 +336,6 @@ struct ArcPolicy {
     t2: RecencyList<()>,
     b1: RecencyList<()>,
     b2: RecencyList<()>,
-    // Where each live key lives: 1 = T1, 2 = T2.
-    location: HashMap<KeyHash, u8>,
 }
 
 impl ArcPolicy {
@@ -352,53 +350,51 @@ impl ArcPolicy {
             t2: RecencyList::default(),
             b1: RecencyList::bounded(capacity),
             b2: RecencyList::bounded(capacity),
-            location: HashMap::new(),
         }
+    }
+
+    /// Whether `key` is cached: it sits in T1 or T2.
+    fn resident(&self, key: KeyHash) -> bool {
+        self.t1.get(key).is_some() || self.t2.get(key).is_some()
     }
 
     /// A key was installed or touched. A key sits in at most one list.
     fn request(&mut self, key: KeyHash) {
-        let list = match self.location.get(&key) {
-            // A T1 hit promotes to T2 (now "frequent"); a T2 hit moves to
-            // T2's MRU end.
-            Some(_) => {
-                self.t1.remove(key);
-                self.t2.remove(key);
-                2
-            }
+        // A T1 hit promotes to T2 (now "frequent"); a T2 hit moves to T2's
+        // MRU end.
+        let cached = self.t1.remove(key).or_else(|| self.t2.remove(key));
+        let frequent = match cached {
+            Some(()) => true,
             // Ghost hits adapt p and re-enter at T2; fresh keys enter T1.
             None if self.b1.remove(key).is_some() => {
                 let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
                 self.p = (self.p + delta).min(self.capacity);
-                2
+                true
             }
             None if self.b2.remove(key).is_some() => {
                 let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
                 self.p = self.p.saturating_sub(delta);
-                2
+                true
             }
-            None => 1,
+            None => false,
         };
-        let to = if list == 1 {
-            &mut self.t1
-        } else {
-            &mut self.t2
-        };
+        let to = if frequent { &mut self.t2 } else { &mut self.t1 };
         to.push(key, ());
-        self.location.insert(key, list);
     }
 
     fn on_touch(&mut self, key: KeyHash) {
-        if self.location.contains_key(&key) {
+        if self.resident(key) {
             self.request(key);
         }
     }
 
     fn on_remove(&mut self, key: KeyHash) {
-        let (from, to) = match self.location.remove(&key) {
-            Some(1) => (&mut self.t1, &mut self.b1),
-            Some(_) => (&mut self.t2, &mut self.b2),
-            None => return,
+        let (from, to) = if self.t1.get(key).is_some() {
+            (&mut self.t1, &mut self.b1)
+        } else if self.t2.get(key).is_some() {
+            (&mut self.t2, &mut self.b2)
+        } else {
+            return;
         };
         from.remove(key);
         to.push(key, ());
@@ -574,7 +570,7 @@ mod tests {
         p.on_remove(v); // v goes to ghost B1
         p.request(v); // ghost hit: p grows, v re-enters as T2
         assert!(p.p > 0, "adaptation parameter never moved");
-        assert_eq!(p.location.len(), 4);
+        assert_eq!(p.t1.len() + p.t2.len(), 4);
     }
 
     #[test]
@@ -589,12 +585,12 @@ mod tests {
         for scan_key in 1000..1040 {
             p.request(scan_key);
             // Simulate the backend evicting on each conflict.
-            if p.location.len() > 10 {
+            if p.t1.len() + p.t2.len() > 10 {
                 let v = p.victim().unwrap();
                 p.on_remove(v);
             }
         }
-        let hot_alive = (1..=5).filter(|k| p.location.contains_key(k)).count();
+        let hot_alive = (1..=5).filter(|&k| p.resident(k)).count();
         assert!(hot_alive >= 4, "scan flushed hot set: {hot_alive}/5 left");
     }
 

@@ -556,7 +556,7 @@ struct Parked {
 // One `ops` slot; per-client state is multiplied by 10,000 (DESIGN.md §8).
 const _: () = assert!(std::mem::size_of::<OpState>() == 16);
 // One client; per-client state is multiplied by 10,000 (DESIGN.md §8).
-const _: () = assert!(std::mem::size_of::<ClientNode>() <= 608);
+const _: () = assert!(std::mem::size_of::<ClientNode>() <= 592);
 
 /// What an issue site wants on the wire for one sub-op; [`ClientNode::emit`]
 /// turns it into a single-op frame or a member of a coalesced one.
@@ -605,6 +605,18 @@ impl SubOp {
             SubOp::Mutate { .. } => None,
         }
     }
+}
+
+/// A client's MultiGet/MultiSet state.
+#[derive(Debug, Default)]
+struct Containers {
+    /// Open containers, each with the strategy chosen once for it
+    /// (adaptive mode decides at expansion; members inherit so a coalesced
+    /// frame is never mixed).
+    open: IdMap<u64, (Batch, LookupStrategy)>,
+    /// Doorbell-batching accumulator (active only inside a container
+    /// expansion or a batch-completion demux).
+    coalesce: BatchAccum,
 }
 
 /// Accumulates one MultiGet/MultiSet's wire traffic while its sub-ops issue
@@ -715,19 +727,58 @@ impl Verdict {
     }
 }
 
-/// Client-internal deferred work.
-#[derive(Debug)]
+/// Client-internal deferred work. It rides the token of its timer or CPU
+/// task ([`Work::token`]), below [`Deferred::in_flight`]'s namespace, so a
+/// client keeps no table of pending continuations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Work {
     /// Pacing timer: pull the next op from the workload.
     NextOp,
-    /// A new logical op's start timer fired: admit and issue it.
-    Start(u64, ClientOp),
+    /// The start timer of the op drawn last fired: admit and issue it (the
+    /// op waits in `ClientNode::next_op`).
+    Start(u64),
     /// A logical op's backoff is over: issue its next attempt.
     Retry(u64),
     /// Flush batched access records.
     AccessFlush,
     /// Client-library CPU for a GET attempt finished; issue its sub-ops.
     IssueAttempt(u64),
+}
+
+/// Low bits of a [`Work`] token: the op id. The kind sits above them.
+const WORK_OP_BITS: u32 = 40;
+
+impl Work {
+    /// The largest op id a token carries (op ids stay below 2^40, see
+    /// `ClientNode::trace_of`).
+    const MAX_OP: u64 = (1 << WORK_OP_BITS) - 1;
+
+    /// The timer or CPU token that carries this work: kind 1–5 above the
+    /// op id, so every token is below 6 · 2^40, clear of
+    /// [`Deferred::in_flight`]'s namespace at 2^44.
+    fn token(self) -> u64 {
+        let (kind, op) = match self {
+            Work::NextOp => (1, 0),
+            Work::Start(op) => (2, op),
+            Work::Retry(op) => (3, op),
+            Work::AccessFlush => (4, 0),
+            Work::IssueAttempt(op) => (5, op),
+        };
+        assert!(op <= Work::MAX_OP, "op id {op} does not fit a work token");
+        (kind << WORK_OP_BITS) | op
+    }
+
+    /// The work `token` carries (`None`: a token of another namespace).
+    fn of_token(token: u64) -> Option<Work> {
+        Some(match (token >> WORK_OP_BITS, token & Work::MAX_OP) {
+            (1, 0) => Work::NextOp,
+            (2, op) => Work::Start(op),
+            (3, op) => Work::Retry(op),
+            (4, 0) => Work::AccessFlush,
+            (5, op) => Work::IssueAttempt(op),
+            _ => return None,
+        })
+    }
 }
 
 /// The client node.
@@ -738,7 +789,9 @@ pub struct ClientNode {
     pub transport: Transport,
     /// Frames in flight: RMA ops and RPC calls, one record per frame.
     flights: Deferred<Flight>,
-    work: Deferred<Work>,
+    /// The op drawn from the workload whose start timer is armed; its id
+    /// rides the timer's token. At most one is ever drawn ahead.
+    next_op: Option<ClientOp>,
     versions: VersionGen,
     /// The versions a CAS expects, kept only for a workload that
     /// [`Workload::issues_cas`].
@@ -769,13 +822,9 @@ pub struct ClientNode {
     hot: Option<Box<HotKeyTracker>>,
     /// Adaptive dataplane controller (`cfg.adaptive`).
     adaptive: Option<Box<Controller>>,
-    /// Open MultiGet/MultiSet containers, each with the strategy chosen
-    /// once for it (adaptive mode decides at expansion; members inherit so
-    /// a coalesced frame is never mixed).
-    batches: IdMap<u64, (Batch, LookupStrategy)>,
-    /// Doorbell-batching accumulator (active only inside a MultiGet /
-    /// MultiSet expansion or a batch-completion demux).
-    coalesce: BatchAccum,
+    /// MultiGet/MultiSet state, built at the first container expansion: a
+    /// client whose workload issues none never pays for it.
+    containers: Option<Box<Containers>>,
     next_op_id: u64,
     /// Admitted ops not yet complete (at most `cfg.max_in_flight`).
     in_flight: u32,
@@ -889,15 +938,14 @@ impl ClientNode {
             workload,
             transport: me.transport,
             flights: Deferred::in_flight(),
-            work: Deferred::aux1(),
+            next_op: None,
             memo,
             config: None,
             config_refreshing: false,
             backends: BackendRow::default(),
             ops: IdMap::default(),
             parked: BTreeMap::new(),
-            batches: IdMap::default(),
-            coalesce: BatchAccum::default(),
+            containers: None,
             next_op_id: 1,
             in_flight: 0,
             workload_done: false,
@@ -959,6 +1007,18 @@ impl ClientNode {
         ctx.metrics().add_id(self.m().cpu_ns, cost.nanos());
     }
 
+    /// Whether [`ClientNode::emit`] diverts into the doorbell accumulator.
+    fn coalescing(&self) -> bool {
+        self.containers.as_ref().is_some_and(|c| c.coalesce.active)
+    }
+
+    /// The doorbell accumulator. Only a container's expansion, or the
+    /// answer to a batch frame one sent, reaches it, so it is built.
+    fn accum(&mut self) -> &mut BatchAccum {
+        let containers = self.containers.as_mut();
+        &mut containers.expect("a container's state is built").coalesce
+    }
+
     // ---- adaptive controller bridge --------------------------------------
 
     /// Resolve the wire strategy for a GET about to issue. Fixed clients
@@ -970,7 +1030,8 @@ impl ClientNode {
         let Some(ctl) = self.adaptive.as_mut() else {
             return self.cfg.strategy;
         };
-        if let Some(&(_, strategy)) = batch.and_then(|bid| self.batches.get(&bid)) {
+        let open = |bid| self.containers.as_ref()?.open.get(&bid);
+        if let Some(&(_, strategy)) = batch.and_then(open) {
             return strategy;
         }
         ctl.choose(batch.is_some())
@@ -1016,11 +1077,14 @@ impl ClientNode {
         };
         let op_id = self.next_op_id;
         self.next_op_id += 1;
-        let tok = self.work.defer(Work::Start(op_id, op));
-        ctx.set_timer(gap, tok);
+        // This is the only producer of start timers, and each call has one
+        // trigger: `Event::Start`, a closed-loop completion, or a `NextOp`
+        // timer armed after the start timer it paces, so firing after it.
+        let ahead = self.next_op.replace(op);
+        assert!(ahead.is_none(), "an op drawn ahead still waits to start");
+        ctx.set_timer(gap, Work::Start(op_id).token());
         if self.cfg.pacing == Pacing::Open {
-            let tok = self.work.defer(Work::NextOp);
-            ctx.set_timer(gap, tok);
+            ctx.set_timer(gap, Work::NextOp.token());
         }
     }
 
@@ -1096,10 +1160,11 @@ impl ClientNode {
             _ => self.cfg.strategy,
         };
         let batch = Batch::new(subs.len(), ctx.now().nanos(), gets);
-        self.batches.insert(op_id, (batch, strategy));
-        let coalescing = self.cfg.doorbell_batching && !self.coalesce.active;
+        let containers = self.containers.get_or_insert_with(Box::default);
+        containers.open.insert(op_id, (batch, strategy));
+        let coalescing = self.cfg.doorbell_batching && !containers.coalesce.active;
         if coalescing {
-            self.coalesce.active = true;
+            containers.coalesce.active = true;
             // The API boundary (entry, pacing, completion arming) is paid
             // once per container; members then pay `BATCHED_KEY_CPU` each.
             let api = if gets { GET_CPU } else { SET_CPU };
@@ -1307,7 +1372,7 @@ impl ClientNode {
             None => return,
         }
         let trace = self.trace_of(ctx, op_id);
-        if self.coalesce.active {
+        if self.coalescing() {
             // Doorbell batching: the sub-op must issue inside the expansion
             // event so its wire traffic lands in the accumulator before the
             // flush. It pays only the per-key marshal cost — the container
@@ -1317,7 +1382,7 @@ impl ClientNode {
             return;
         }
         ctx.metrics().add_id(self.m().cpu_ns, GET_CPU.nanos());
-        let tok = self.work.defer(Work::IssueAttempt(op_id));
+        let tok = Work::IssueAttempt(op_id).token();
         ctx.spawn_cpu_traced(GET_CPU, tok, trace, CLIENT_CPU);
     }
 
@@ -1443,9 +1508,10 @@ impl ClientNode {
                 self.charge(ctx, RMA_OP_CPU, trace);
             }
         }
-        if let (true, Some(kind)) = (self.coalesce.active, kind) {
+        if let (true, Some(kind)) = (self.coalescing(), kind) {
+            let frames = &mut self.accum().frames;
             for dst in dsts {
-                let frame = self.coalesce.frames.entry((kind, dst.0)).or_default();
+                let frame = frames.entry((kind, dst.0)).or_default();
                 frame.push((tag, sub.clone()));
             }
             return;
@@ -1724,8 +1790,7 @@ impl ClientNode {
                 let (now, backoff) = (ctx.now(), SimDuration(ns));
                 let trace = self.trace_of(ctx, op_id);
                 ctx.trace_interval(trace, simnet::obs::stage::RETRY, now, now + backoff);
-                let tok = self.work.defer(Work::Retry(op_id));
-                ctx.set_timer(backoff, tok);
+                ctx.set_timer(backoff, Work::Retry(op_id).token());
             }
             Step::Complete(outcome) => {
                 if outcome == OpOutcome::Error {
@@ -1784,7 +1849,7 @@ impl ClientNode {
         let (kind, write_quorum) = (m.kind, config.replication.write_quorum() as u8);
         // A coalesced MultiSet member pays only per-entry marshal; the
         // container paid the `SET_CPU` API boundary once at expansion.
-        let batched = self.coalesce.active && kind == MutationKind::Set;
+        let batched = self.coalescing() && kind == MutationKind::Set;
         let issue_cpu = if batched { BATCHED_KEY_CPU } else { SET_CPU };
         self.charge(ctx, issue_cpu, trace);
         let (tt, now, policy) = (ctx.truetime(), ctx.now().nanos(), self.cfg.retry);
@@ -1926,8 +1991,9 @@ impl ClientNode {
     /// amortization the batch crossover figure measures), and one timer per
     /// `(kind, destination)` group.
     fn coalesce_flush(&mut self, ctx: &mut Ctx<'_>) {
-        self.coalesce.active = false;
-        for ((kind, dst), members) in std::mem::take(&mut self.coalesce.frames) {
+        let accum = self.accum();
+        accum.active = false;
+        for ((kind, dst), members) in std::mem::take(&mut accum.frames) {
             let dst = NodeId(dst);
             // One pass sorts the members into the frame's wire vector (the
             // others stay empty and unallocated) and, behind the issue time,
@@ -2273,8 +2339,10 @@ impl ClientNode {
             }
             return;
         }
-        let rearm = batch && self.cfg.doorbell_batching && !self.coalesce.active;
-        self.coalesce.active |= rearm;
+        let rearm = batch && self.cfg.doorbell_batching && !self.coalescing();
+        if rearm {
+            self.accum().active = true;
+        }
         for d in answer.into_results(members[0]) {
             let trace = self.trace_of(ctx, d.sub >> 10);
             self.charge(ctx, RMA_OP_CPU, trace);
@@ -2531,13 +2599,16 @@ impl ClientNode {
         outcome: OpOutcome,
         shim_overhead: SimDuration,
     ) {
-        let Some((batch, _)) = self.batches.get_mut(&batch_id) else {
+        let Some(open) = self.containers.as_mut().map(|c| &mut c.open) else {
+            return;
+        };
+        let Some((batch, _)) = open.get_mut(&batch_id) else {
             return;
         };
         let Some(outcome) = batch.member_done(outcome) else {
             return;
         };
-        let (b, _) = self.batches.remove(&batch_id).expect("present above");
+        let (b, _) = open.remove(&batch_id).expect("present above");
         let latency = ctx.now().since(SimTime(b.started)) + shim_overhead;
         self.report_finished(ctx, batch_id, b.gets, true, outcome, latency.nanos());
     }
@@ -2548,10 +2619,7 @@ impl ClientNode {
                 // Closed-loop callers behind a shim can't issue the next op
                 // until the response crosses the pipe back and the next
                 // request is marshalled — the Fig. 6a rate gap.
-                Some(_) => {
-                    let tok = self.work.defer(Work::NextOp);
-                    ctx.set_timer(self.shim_overhead(), tok);
-                }
+                Some(_) => ctx.set_timer(self.shim_overhead(), Work::NextOp.token()),
                 None => self.schedule_next(ctx),
             }
         }
@@ -2579,8 +2647,7 @@ impl ClientNode {
             self.send_rpc(ctx, flight, method::ACCESS_RECORDS, body, 0);
         }
         if let Some(interval) = self.cfg.access_flush {
-            let tok = self.work.defer(Work::AccessFlush);
-            ctx.set_timer(interval, tok);
+            ctx.set_timer(interval, Work::AccessFlush.token());
         }
     }
 }
@@ -2656,8 +2723,7 @@ impl Node for ClientNode {
                 self.refresh_config(ctx);
                 self.schedule_next(ctx);
                 if let Some(interval) = self.cfg.access_flush {
-                    let tok = self.work.defer(Work::AccessFlush);
-                    ctx.set_timer(interval, tok);
+                    ctx.set_timer(interval, Work::AccessFlush.token());
                 }
             }
             Event::Frame(frame) => {
@@ -2675,10 +2741,13 @@ impl Node for ClientNode {
                 }
             }
             Event::Timer(token) | Event::CpuDone(token) => {
-                if let Some(work) = self.work.take(token) {
+                if let Some(work) = Work::of_token(token) {
                     match work {
                         Work::NextOp => self.schedule_next(ctx),
-                        Work::Start(id, op) => self.start_op(ctx, id, op, None),
+                        Work::Start(id) => {
+                            let op = self.next_op.take().expect("a start timer's op waits");
+                            self.start_op(ctx, id, op, None);
+                        }
                         Work::Retry(op) => self.issue_attempt(ctx, op),
                         Work::AccessFlush => self.flush_access_records(ctx),
                         Work::IssueAttempt(op) => self.do_issue_attempt(ctx, op),
@@ -2709,6 +2778,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_work_rides_its_token_clear_of_the_in_flight_namespace() {
+        let mut flights: Deferred<Flight> = Deferred::in_flight();
+        for op in [0, Work::MAX_OP] {
+            let all = [
+                Work::NextOp,
+                Work::Start(op),
+                Work::Retry(op),
+                Work::AccessFlush,
+                Work::IssueAttempt(op),
+            ];
+            for work in all {
+                let token = work.token();
+                assert_eq!(Work::of_token(token), Some(work), "token {token:#x}");
+                assert!(!flights.owns(token), "{work:?} collides with a flight");
+            }
+        }
+        // A flight's token is never read as work.
+        let at = SimTime(1);
+        let token = flights.defer(Flight::Control(Control::Ack, NodeId(0), at));
+        assert_eq!(Work::of_token(token), None);
+        assert_eq!(Work::of_token(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a work token")]
+    fn an_op_id_past_the_token_bits_panics() {
+        Work::Retry(Work::MAX_OP + 1).token();
     }
 
     #[test]

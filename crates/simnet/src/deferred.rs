@@ -8,7 +8,9 @@
 //! partitioned token namespace so several independent components inside one
 //! node never collide. A node's frames in flight are continuations too: the
 //! record of an outstanding RMA op or RPC call waits under its token for
-//! the answer or the attempt timer ([`Deferred::in_flight`]).
+//! the answer or the attempt timer ([`Deferred::in_flight`]). Work small
+//! enough to be its own token needs no map: a client's pacing, retry and
+//! issue timers encode their work in the token itself.
 
 use crate::util::IdMap;
 
@@ -25,8 +27,8 @@ impl<T> Deferred<T> {
     /// Create a namespace at `base` covering `span` consecutive tokens.
     /// Tokens wrap within the namespace, skipping those still pending; a
     /// namespace with all `span` tokens pending is full. The standard
-    /// namespaces ([`Deferred::responses`], [`Deferred::sends`],
-    /// [`Deferred::aux1`]) span 2^16, so their owners panic, or shed (a
+    /// namespaces ([`Deferred::responses`], [`Deferred::aux1`]) span 2^16,
+    /// so their owners panic, or shed (a
     /// server checking [`Deferred::is_full`] at intake), at 65,536 pending
     /// continuations; [`Deferred::in_flight`] spans 2^44 and never wraps.
     pub fn new(base: u64, span: u64) -> Deferred<T> {
@@ -44,11 +46,6 @@ impl<T> Deferred<T> {
         Deferred::new(1 << 40, 1 << 16)
     }
 
-    /// Standard namespace used for client send continuations.
-    pub fn sends() -> Deferred<T> {
-        Deferred::new(1 << 41, 1 << 16)
-    }
-
     /// Standard namespace for application-defined phase 1 work.
     pub fn aux1() -> Deferred<T> {
         Deferred::new(1 << 42, 1 << 16)
@@ -59,7 +56,7 @@ impl<T> Deferred<T> {
     /// `op_id`, RPC request `id`) and its attempt timer's token, so the
     /// answer and the timer each claim it at most once. The span, 2^44
     /// tokens, is one no run can wrap, and it overlaps neither
-    /// [`Deferred::responses`], [`Deferred::sends`] nor [`Deferred::aux1`]:
+    /// [`Deferred::responses`] nor [`Deferred::aux1`]:
     /// a token is never reused, so a late answer can never meet another
     /// frame's record.
     pub fn in_flight() -> Deferred<T> {
@@ -205,17 +202,16 @@ mod tests {
     #[test]
     fn namespaces_disjoint() {
         let a: Deferred<()> = Deferred::responses();
-        let b: Deferred<()> = Deferred::sends();
         let c: Deferred<()> = Deferred::aux1();
         let d: Deferred<()> = Deferred::in_flight();
         // Probe boundary tokens of each against the others.
-        for probe in [1u64 << 40, 1 << 41, 1 << 42, 1 << 44, (1 << 45) - 1] {
-            let owners = [a.owns(probe), b.owns(probe), c.owns(probe), d.owns(probe)];
+        for probe in [1u64 << 40, 1 << 42, 1 << 44, (1 << 45) - 1] {
+            let owners = [a.owns(probe), c.owns(probe), d.owns(probe)];
             assert_eq!(owners.iter().filter(|&&o| o).count(), 1);
         }
         for edge in [(1u64 << 40) + (1 << 16), (1 << 42) + (1 << 16), 1 << 45] {
-            let owners = [a.owns(edge), b.owns(edge), c.owns(edge), d.owns(edge)];
-            assert_eq!(owners, [false; 4]);
+            let owners = [a.owns(edge), c.owns(edge), d.owns(edge)];
+            assert_eq!(owners, [false; 3]);
         }
     }
 
