@@ -3,8 +3,8 @@
 # gates, the protocol cores' and the History checker's purity, the
 # one-op-driver, one-op-fate, one-backend-builder, in-flight-continuation,
 # delayed-send, client-timers-are-tokens, one-op-record,
-# one-eviction-policy, one-recency-list, per-backend-row and
-# one-histogram gates, lints, format, rustdoc, the
+# one-eviction-policy, one-recency-list, per-backend-row,
+# one-histogram and one-buffer-pool gates, lints, format, rustdoc, the
 # benchmark's smoke tests and the figure reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
@@ -148,6 +148,16 @@ if [ "$quantiles" != "crates/obs/src/histogram.rs" ] || [ -e crates/obs/src/sket
 fi
 forbid "by-name metric write (use Metrics::handle + the *_id writers)" \
     'metrics(_mut)?\(\)\s*\.(add|record|hist|push_series)\(' crates src tests examples
+
+echo "== one buffer pool per simulation, no locks on the wire path =="
+# The simulator is single-threaded: `bytes::Pool` keeps its freelists in
+# `RefCell`s and its counters in `Cell`s, and the `Sim` owns the one pool
+# every host encodes through. No lock or atomic comes back to the pool, and
+# no per-host pool vector to simnet.
+forbid "a lock or atomic in the frame-buffer pool (it is single-threaded)" \
+    'Mutex|Atomic' third_party/bytes/src/lib.rs
+forbid "a pool per host (the Sim owns one: Sim::pool, Ctx::pool)" \
+    'pools: Vec<Pool>|fn host_pool' crates/simnet/src
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -73,7 +73,7 @@ pub struct MemcacheGNode {
     /// Interned metric ids; resolved on [`Event::Start`].
     mids: Option<McgMetricIds>,
     /// Frame-buffer pool responses are encoded into; swapped for the
-    /// host-shared pool at [`Event::Start`].
+    /// simulation's pool at [`Event::Start`].
     pool: Pool,
 }
 

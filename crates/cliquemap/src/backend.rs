@@ -229,7 +229,7 @@ pub struct BackendNode {
     /// copies are pushed at the next epoch once a config exists.
     hot_push_pending: Vec<KeyHash>,
     /// Frame-buffer pool every response/request is encoded into; swapped
-    /// for the host-shared pool at [`Event::Start`].
+    /// for the simulation's pool at [`Event::Start`].
     pool: Pool,
     /// WAL group-commit engine (`BackendIdentity::durable`); `None` leaves every
     /// mutation path exactly as it was before durability existed.

@@ -813,8 +813,8 @@ pub struct ClientNode {
     /// Admitted ops waiting to issue (empty, and unallocated, outside cold
     /// start and first contact with a backend).
     parked: BTreeMap<u64, Parked>,
-    /// Client-side lease cache (`cfg.cache`), built over the host's pool
-    /// and the cell's value table at [`Event::Start`].
+    /// Client-side lease cache (`cfg.cache`), built over the simulation's
+    /// pool and the cell's value table at [`Event::Start`].
     ccache: Option<ClientCache>,
     /// Hot-key detector driving extended-replica routing (`cfg.hot_repl`).
     /// Boxed, like the controller: most cells run without either, and
@@ -831,7 +831,7 @@ pub struct ClientNode {
     workload_done: bool,
     access_buffer: BTreeMap<NodeId, Vec<KeyHash>>,
     /// Frame-buffer pool bodies are encoded into; swapped for the
-    /// host-shared pool at [`Event::Start`].
+    /// simulation's pool at [`Event::Start`].
     pool: Pool,
 }
 

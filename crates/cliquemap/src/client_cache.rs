@@ -34,12 +34,12 @@
 //! the pair already there). A cache entry keeps no handle of its own: the
 //! table's row is the one holder of the buffer, and an entry's claim on it
 //! is the row's count. That one buffer is still a right-sized *copy*,
-//! taken from the first filler's pool (its client host's), never a slice of
+//! taken from the simulation's one pool, never a slice of
 //! the inbound frame: a slice would pin the sender's whole pooled frame — a
 //! 16-entry batch response for one cached member — for as long as the entry
 //! lives, so the resident bound is `distinct cached versions × value
-//! bytes`, and inbound frames go back to their sender's pool the moment the
-//! op completes. An entry leaves the table, and its buffer goes home to its
+//! bytes`, and inbound frames go back to the pool the moment the op
+//! completes. An entry leaves the table, and its buffer goes home to the
 //! pool, with its last holder.
 
 use std::cell::RefCell;
@@ -270,8 +270,8 @@ impl ClientCache {
         ClientCache::with_pool(cfg, Pool::new())
     }
 
-    /// An empty cache copying values into `pool` (the owning client host's,
-    /// so buffers recycle host-wide).
+    /// An empty cache copying values into `pool` (the simulation's, so
+    /// buffers recycle cell-wide).
     pub fn with_pool(cfg: ClientCacheCfg, pool: Pool) -> ClientCache {
         ClientCache::with_shared(cfg, pool, SharedValues::new())
     }

@@ -75,7 +75,7 @@ impl OpOutcome {
 }
 
 /// Deterministic generator of client operations.
-pub trait Workload: Send {
+pub trait Workload {
     /// The next operation and the delay before issuing it (from now for
     /// open-loop pacing, from the previous completion for closed-loop).
     /// `None` ends the workload.

@@ -212,11 +212,16 @@ impl RegionTable {
             panic!("buffer {} is tiled: only flat buffers grow", id.0);
         };
         assert!(new_len >= data.len(), "data regions only grow at runtime");
-        // A fresh zeroed allocation plus a copy of what was populated: the
-        // grown range stays untouched pages, which `Vec::resize` would
-        // memset.
+        // A fresh zeroed allocation plus a copy of every 4 KiB chunk that
+        // holds a nonzero byte: the grown range, and each chunk of the old
+        // one nobody wrote, stay untouched pages, which `Vec::resize` or a
+        // whole-prefix copy would make resident.
         let mut grown = vec![0; new_len];
-        grown[..data.len()].copy_from_slice(data);
+        for (to, from) in grown.chunks_mut(4096).zip(data.chunks(4096)) {
+            if from.iter().any(|&b| b != 0) {
+                to[..from.len()].copy_from_slice(from);
+            }
+        }
         *data = grown;
     }
 
@@ -454,6 +459,24 @@ mod tests {
         assert_eq!(t.resident_bytes(), 350);
         t.realloc_buffer(a, 10);
         assert_eq!(t.resident_bytes(), 60);
+    }
+
+    #[test]
+    fn growth_copies_written_chunks_byte_for_byte() {
+        let mut t = RegionTable::new();
+        let b = t.alloc_buffer(3 * 4096 + 100);
+        // Writes across the first chunk boundary and into the last, partial
+        // chunk; the chunks between stay unwritten.
+        t.write(b, 4096 - 3, b"abcdef");
+        t.write(b, 3 * 4096 + 90, b"tail");
+        t.grow_buffer(b, 5 * 4096);
+        t.write(b, 4 * 4096 + 1, b"grown");
+        t.grow_buffer(b, 8 * 4096);
+        let mut want = vec![0u8; 8 * 4096];
+        want[4096 - 3..4096 + 3].copy_from_slice(b"abcdef");
+        want[3 * 4096 + 90..3 * 4096 + 94].copy_from_slice(b"tail");
+        want[4 * 4096 + 1..4 * 4096 + 6].copy_from_slice(b"grown");
+        assert_eq!(&t.read_buffer(b, 0, want.len())[..], &want[..]);
     }
 
     #[test]

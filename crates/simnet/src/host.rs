@@ -14,8 +14,6 @@
 //! layout dragged the cold config, core vector header, and frame-pool
 //! handle into every NIC touch.
 
-use bytes::Pool;
-
 use crate::time::{serialization_delay, SimDuration, SimTime};
 
 /// Identifies a host (machine) in the simulation.
@@ -142,9 +140,6 @@ pub struct Hosts {
     cores: Vec<SimTime>,
     /// Cold: construction-time configuration (kept for inspection).
     cfgs: Vec<HostCfg>,
-    /// Cold-ish: per-host frame-buffer pools; nodes clone the handle once
-    /// at [`Event::Start`](crate::node::Event::Start).
-    pools: Vec<Pool>,
 }
 
 impl Hosts {
@@ -175,7 +170,6 @@ impl Hosts {
             cstate_exit_ns: cfg.cstate_exit.nanos(),
             busy_ns: 0,
         });
-        self.pools.push(Pool::new());
         self.cfgs.push(cfg);
         id
     }
@@ -283,11 +277,6 @@ impl Hosts {
             .iter()
             .filter(|&&free| free > t)
             .count()
-    }
-
-    /// Handle to `h`'s frame-buffer pool (a cheap clone sharing freelists).
-    pub fn pool(&self, h: HostId) -> Pool {
-        self.pools[h.0 as usize].clone()
     }
 
     /// Configuration host `h` was created with.

@@ -123,6 +123,9 @@ pub struct Sim {
     /// (= seq) order, so total order is unchanged.
     fifo: VecDeque<Pending>,
     hosts: Hosts,
+    /// The frame-buffer pool every host encodes through: a buffer freed on
+    /// one host is the next one any host acquires.
+    pool: Pool,
     /// Hot per-node fields (host, incarnation, liveness), SoA with...
     node_meta: Vec<NodeMeta>,
     /// ...the boxed node objects, touched only to dispatch, and...
@@ -178,6 +181,7 @@ impl Sim {
             queue: CalendarQueue::new(),
             fifo: VecDeque::new(),
             hosts: Hosts::new(),
+            pool: Pool::new(),
             node_meta: Vec::new(),
             node_objs: Vec::new(),
             node_skew: Vec::new(),
@@ -406,10 +410,10 @@ impl Sim {
         self.hosts.stats(id)
     }
 
-    /// Handle to a host's frame-buffer pool (harness-side reads of
+    /// Handle to the simulation's frame-buffer pool (harness-side reads of
     /// [`Pool::stats`] / [`Pool::idle_buffers`]).
-    pub fn host_pool(&self, id: HostId) -> Pool {
-        self.hosts.pool(id)
+    pub fn pool(&self) -> Pool {
+        self.pool.clone()
     }
 
     /// Number of hosts.
@@ -1118,13 +1122,12 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// This host's frame-buffer pool. The returned handle is a cheap clone
-    /// sharing the per-host freelists; nodes typically cache it at
+    /// The simulation's frame-buffer pool. The returned handle is a cheap
+    /// clone sharing the one set of freelists; nodes typically cache it at
     /// [`Event::Start`] and encode outbound frames through it so buffers
     /// recycle once the receiver drops them.
     pub fn pool(&self) -> Pool {
-        let host = self.self_host();
-        self.sim.hosts.pool(host)
+        self.sim.pool.clone()
     }
 
     /// The deterministic RNG stream.
@@ -1627,6 +1630,48 @@ mod tests {
         assert!(sim.queue_high_water() >= 1);
         assert_eq!(sim.queue_len(), 0);
         assert!(sim.pending_pool_len() >= 1);
+    }
+
+    #[test]
+    fn one_pool_per_simulation() {
+        /// Encodes a frame to `to` at start; without one, acquires a
+        /// buffer on a later timer. Keeps where its buffer points.
+        struct PoolUser {
+            to: Option<NodeId>,
+            buf_at: usize,
+        }
+        impl Node for PoolUser {
+            fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
+                match (ev, self.to) {
+                    (Event::Start, Some(to)) => {
+                        let mut buf = ctx.pool().get(100);
+                        buf.extend_from_slice(b"encoded on host A");
+                        self.buf_at = buf.as_ptr() as usize;
+                        ctx.send(to, buf.freeze());
+                    }
+                    (Event::Start, None) => ctx.set_timer(SimDuration::from_millis(1), 0),
+                    (Event::Timer(_), _) => self.buf_at = ctx.pool().get(100).as_ptr() as usize,
+                    _ => {}
+                }
+            }
+        }
+        let mut sim = Sim::new(FabricCfg::default(), 1);
+        let [a, b, c] = [(); 3].map(|_| sim.add_host(HostCfg::with_gbps(100.0).no_cstates()));
+        let sink = sim.add_node(b, Box::<crate::util::SinkNode>::default());
+        let user = |to| Box::new(PoolUser { to, buf_at: 0 });
+        let encoder = sim.add_node(a, user(Some(sink)));
+        let acquirer = sim.add_node(c, user(None));
+        sim.run_to_completion(1_000);
+        let mut buf_at = |id| sim.with_node::<PoolUser, _>(id, |n| n.buf_at).unwrap();
+        let sent = buf_at(encoder);
+        assert_ne!(sent, 0);
+        assert_eq!(
+            buf_at(acquirer),
+            sent,
+            "host C reuses the buffer host B dropped"
+        );
+        let stats = sim.pool().stats();
+        assert_eq!((stats.acquires, stats.reuses, stats.recycles), (2, 1, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cliquemap::config::ReplicationMode;
 use cliquemap::hash::KeyHash;
 use cliquemap::version::VersionNumber;
 use cliquemap::workload::{ClientOp, ScriptWorkload, Workload};
-use simnet::{SimDuration, SimTime};
+use simnet::{SimDuration, SimTime, SinkNode};
 use support::allocs;
 use workloads::{Prefill, SizeDist};
 
@@ -295,16 +295,43 @@ fn cached_values_do_not_pin_backend_frames() {
         .sum();
     assert!(cached >= 6 * 16, "caches hold values: {cached} inserts");
 
-    // Quiesced: every buffer a backend host's pool ever handed out is back
-    // on its freelists — no client cache holds a slice of a response frame.
-    for &host in &cell.backend_hosts {
-        let pool = cell.sim.host_pool(host);
-        let stats = pool.stats();
-        assert!(stats.acquires > 0, "backend {host:?} served from its pool");
-        assert_eq!(
-            pool.idle_buffers() as u64,
-            stats.acquires - stats.reuses,
-            "backend {host:?} has frames still referenced somewhere: {stats:?}"
-        );
+    // Quiesced: the pooled buffers still out of the cell's one pool are
+    // exactly the lease caches' values, one per distinct (key hash,
+    // version) — no cache holds a slice of a response frame.
+    let pool = cell.sim.pool();
+    let mut values = Vec::new();
+    for &id in &cell.clients {
+        cell.sim.with_node::<ClientNode, _>(id, |c| {
+            values.extend((0..96).filter_map(|i| c.cache_peek(&Prefill::key_name("k", i))));
+        });
     }
+    let mut copies: Vec<*const u8> = values.iter().map(|(_, v)| v.as_ptr()).collect();
+    copies.sort_unstable();
+    copies.dedup();
+    let shared = cell.shared_values().expect("caches share values").stats();
+    assert_eq!(copies.len(), shared.entries, "one buffer per cached pair");
+    assert_eq!(pool.buffers_out(), shared.entries, "{:?}", pool.stats());
+    drop(values);
+
+    // Clear the caches (a client's cache goes with its node): none are out,
+    // and the last buffers home are those copies, each in the smallest
+    // class that fits its 1 KiB value.
+    for &id in &cell.clients {
+        cell.sim.revive(id, Box::<SinkNode>::default());
+    }
+    assert_eq!(
+        pool.buffers_out(),
+        0,
+        "frames still referenced: {:?}",
+        pool.stats()
+    );
+    let mut reused: Vec<*const u8> = (0..copies.len())
+        .map(|_| {
+            let buf = pool.get(1024);
+            assert_eq!(buf.capacity(), 1024);
+            buf.as_ptr()
+        })
+        .collect();
+    reused.sort_unstable();
+    assert_eq!(reused, copies);
 }
