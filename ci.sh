@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' and the History checker's purity, the
-# one-op-driver, one-op-fate, one-backend-builder, in-flight-continuation,
+# one-op-driver, one-op-fate, GET-validation-lives-in-read.rs,
+# one-backend-builder, in-flight-continuation,
 # delayed-send, client-timers-are-tokens, one-op-record,
 # one-eviction-policy, one-recency-list, per-backend-row,
 # one-histogram and one-buffer-pool gates, lints, format, rustdoc, the
@@ -41,15 +42,16 @@ echo "== durable log footprint at mut_durable's shape (release) =="
 cargo test --release -q --test wal_footprint -- --ignored
 
 echo "== protocol core purity =="
-# The quorum, repair, handoff and attempt rules stay sans-IO: above its
-# test module, each core names nothing of the simulator
+# The quorum, repair, handoff, attempt and read rules stay sans-IO: above
+# its test module, each core names nothing of the simulator
 # (tests/quorum_exhaustive.rs, tests/repair_exhaustive.rs,
-# tests/handoff_exhaustive.rs and tests/attempt_exhaustive.rs enumerate
-# every vote order, every small cohort, every few writes around a handoff
-# and every order of an op's lifecycle inputs only because the rules are
-# pure functions). So does the History's §5 checker: `history::check` is a
+# tests/handoff_exhaustive.rs, tests/attempt_exhaustive.rs and
+# tests/read_exhaustive.rs enumerate every vote order, every small cohort,
+# every few writes around a handoff, every order of an op's lifecycle
+# inputs and every answer to a sub-op only because the rules are pure
+# functions). So does the History's §5 checker: `history::check` is a
 # function of the rows, time in u64 ns.
-for core in crates/cliquemap/src/{quorum,repair,handoff,attempt,history}.rs; do
+for core in crates/cliquemap/src/{quorum,repair,handoff,attempt,read,history}.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$core" | grep -nE 'Ctx|Metrics|SimRng|simnet::'; then
         echo "$core names simulator types outside its test module" >&2
         exit 1
@@ -72,6 +74,17 @@ echo "== one place decides an op's fate =="
 # acts on its steps.
 if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/client.rs | grep -nE 'op_deadline|max_attempts'; then
     echo "crates/cliquemap/src/client.rs applies the retry policy itself" >&2
+    exit 1
+fi
+
+echo "== GET validation lives in read.rs =="
+# What one replica's answer to one sub-op means (checksum, full key, config
+# stamp, overflow flag, status) is judged by the read core
+# (crates/cliquemap/src/read.rs), which also holds the per-strategy rows;
+# the client asks it and feeds the verdict to the quorum core.
+if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/client.rs |
+    grep -nE 'parse_data_entry|scan_bucket|bucket_config_id|bucket_overflowed|StrategyRow|STRATEGIES'; then
+    echo "crates/cliquemap/src/client.rs validates a GET answer itself (use cliquemap::read)" >&2
     exit 1
 fi
 

@@ -21,7 +21,9 @@ use crate::harness::{populate_cell, Report, WindowSampler};
 const KEYS: u64 = 2_000;
 const CLIENTS: usize = 10;
 
-pub(crate) fn maintenance_cell(seed: u64) -> Cell {
+/// Figure 13's cell, keeping a History from before its keys are loaded if
+/// `history`.
+pub(crate) fn maintenance_cell(seed: u64, history: bool) -> Cell {
     let mut spec: CellSpec = base_spec(LookupStrategy::TwoR, ReplicationMode::R32, 4);
     spec.seed = seed;
     spec.num_spares = 1;
@@ -42,6 +44,9 @@ pub(crate) fn maintenance_cell(seed: u64) -> Cell {
         })
         .collect();
     let mut cell = Cell::build(spec, workloads);
+    if history {
+        cell.record_history();
+    }
     populate_cell(&mut cell, "k", KEYS, &SizeDist::fixed(512));
     cell
 }
@@ -89,11 +94,16 @@ pub(crate) fn timeline(
 
 /// Regenerate Figure 13.
 pub fn run() -> Report {
+    run_cell(false).0
+}
+
+/// Figure 13's run, on a cell that keeps a History if `history`.
+fn run_cell(history: bool) -> (Report, Cell) {
     let mut report = Report::new(
         "f13",
         "Planned maintenance via warm spares at steady load (latency + RPC byte timeline)",
     );
-    let mut cell = maintenance_cell(37);
+    let mut cell = maintenance_cell(37, history);
     // Notify backend 0 of planned maintenance at t=150ms (relative to the
     // 10ms warm-up): migrate to the spare.
     let injector_host = cell.sim.add_host(simnet::HostCfg::default());
@@ -126,12 +136,42 @@ pub fn run() -> Report {
         "takeovers={takeovers} migrated_entries={migrated} retired={}",
         cell.sim.metrics().counter("cm.backend.retired")
     ));
-    report
+    (report, cell)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cliquemap::config::ReplicationMode::R32;
+    use cliquemap::history::{self, Violation};
+
+    /// ROADMAP 2(l), pinned: the fault-free planned maintenance leaves 38
+    /// quorum GETs of clients 6, 8 and 12, invoked 173.1–180.0 ms, open at
+    /// the run's end (510 ms, more than three deadlines later), and `check`
+    /// finds nothing else. A guard for changes to the read path: the count
+    /// moves only with a fix for 2(l).
+    #[test]
+    fn planned_maintenance_strands_38_gets() {
+        let (_, mut cell) = run_cell(true);
+        assert_eq!(cell.sim.now(), SimTime(510_000_000));
+        let violations = history::check(&cell.history(), R32);
+        let stuck: Vec<_> = violations
+            .iter()
+            .filter_map(|v| match v {
+                Violation::Stuck(op) => Some(op),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stuck.len(), 38, "{violations:?}");
+        assert_eq!(violations.len(), 38, "{violations:?}");
+        let mut clients: Vec<u32> = stuck.iter().map(|op| op.client).collect();
+        clients.sort_unstable();
+        clients.dedup();
+        assert_eq!(clients, [6, 8, 12]);
+        let invoked = stuck.iter().map(|op| op.invoked);
+        let (first, last) = (invoked.clone().min(), invoked.max());
+        assert_eq!((first, last), (Some(173_079_123), Some(179_950_754)));
+    }
 
     #[test]
     fn sparing_hides_planned_maintenance() {

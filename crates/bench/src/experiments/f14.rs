@@ -20,7 +20,7 @@ pub fn run() -> Report {
         "f14",
         "Unplanned maintenance: crash, restart, and cohort repairs (latency + RPC bytes)",
     );
-    let mut cell = maintenance_cell(41);
+    let mut cell = maintenance_cell(41, false);
     let _ = (
         LookupStrategy::TwoR,
         ReplicationMode::R32,

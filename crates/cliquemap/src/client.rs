@@ -3,7 +3,8 @@
 //! The client owns the paper's read path end to end:
 //!
 //! * **2×R GETs** (§3): bucket fetch → client-side scan → data fetch →
-//!   self-validation (checksum, full-key compare, config id);
+//!   self-validation (checksum, full-key compare, config id), each answer
+//!   judged by the read core ([`crate::read`]);
 //! * **SCAR GETs** (§6.3): one Scan-and-Read per replica, single RTT;
 //! * **R=3.2 quoruming** (§5.1): index fetch from all three replicas, data
 //!   from the *first responder* (preferred backend), hit iff ≥2 replicas
@@ -20,15 +21,15 @@
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 use bytes::{Bytes, Pool};
 
 use rma::codec::{
     encode_batch_read_req_in, encode_batch_scar_req_in, encode_read_req_in, encode_scar_req_in,
 };
-use rma::{RmaStatus, Transport};
-use rpc::{RetryPolicy, RpcCostModel, Status};
+use rma::Transport;
+use rpc::{RetryPolicy, Status};
 use simnet::obs::stage::CLIENT_CPU;
 use simnet::{Ctx, Deferred, Event, IdMap, MetricId, Node, NodeId, SimDuration, SimTime};
 
@@ -39,17 +40,18 @@ use crate::client_cache::{ClientCache, ClientCacheCfg, Lookup, SharedValues};
 use crate::config::{CellConfig, ReplicationMode};
 use crate::hash::{place, DefaultHasher, KeyHash, KeyHasher};
 use crate::history::{self, value_hash, History, Kind, Tap, Who};
-use crate::layout::{self, bucket_size, parse_data_entry, Pointer};
+use crate::layout::{bucket_size, Pointer};
 use crate::messages::{self, method, Geometry};
 use crate::policy::{HotKeyTracker, HotReplCfg};
 use crate::quorum::{
     consult_set, GetQuorum, GetRules, GetStep, MutationQuorum, MutationStep, Replica, Reply,
     RetryReason, Vote, MAX_CONSULT,
 };
+use crate::read::{self, Answer, Phase, Verdict};
 use crate::shim::ShimSpec;
 use crate::version::{VersionGen, VersionNumber};
 use crate::workload::{ClientOp, OpOutcome, Pacing, VersionMemo, Workload};
-use crate::{MSG_COST, RPC_COST};
+use crate::RPC_COST;
 
 /// How the client performs lookups: 2×R (two sequential one-sided reads),
 /// SCAR (one programmable-NIC scan per replica), MSG (two-sided messaging —
@@ -59,77 +61,18 @@ use crate::{MSG_COST, RPC_COST};
 /// are exactly these, so the two crates share one type.
 pub use adaptive::Strategy as LookupStrategy;
 
-/// Everything the client knows about a lookup strategy; the wire path
-/// below is strategy-blind apart from reading its row.
-struct StrategyRow {
-    /// Which health path its responses travel: one-sided RMA ops are
-    /// served by the remote NIC, MSG/RPC lookups by the remote CPU.
-    path: adaptive::Path,
-    /// The data entry is a second read from one chosen voter (2×R), not
-    /// part of the index response.
-    data_is_separate: bool,
-    /// The index sub-op each consulted replica gets, from the key's bucket
-    /// extent and hash (`None`: one server does the whole lookup).
-    first: Option<fn(Pointer, KeyHash) -> SubOp>,
-    /// RPC method of a single lookup and of a coalesced frame of them.
-    methods: (u16, u16),
-    /// The cost model a server-side lookup is billed at.
-    cost: Option<&'static LazyLock<RpcCostModel>>,
-}
-
-/// One row per [`LookupStrategy`], in [`LookupStrategy::index`] order: 2×R,
-/// SCAR, MSG, RPC.
-const STRATEGIES: [StrategyRow; 4] = [
-    StrategyRow {
-        path: adaptive::Path::Rma,
-        data_is_separate: true,
-        first: Some(|bucket, _| SubOp::Read(bucket)),
-        methods: (0, 0),
-        cost: None,
-    },
-    StrategyRow {
-        path: adaptive::Path::Rma,
-        data_is_separate: false,
-        first: Some(SubOp::Scar),
-        methods: (0, 0),
-        cost: None,
-    },
-    StrategyRow {
-        path: adaptive::Path::Rpc,
-        data_is_separate: false,
-        first: None,
-        methods: (method::MSG_GET, method::MSG_MULTI_GET),
-        cost: Some(&MSG_COST),
-    },
-    StrategyRow {
-        path: adaptive::Path::Rpc,
-        data_is_separate: false,
-        first: None,
-        methods: (method::GET_RPC, method::MULTI_GET_RPC),
-        cost: Some(&RPC_COST),
-    },
-];
-
-fn strategy_row(s: LookupStrategy) -> &'static StrategyRow {
-    &STRATEGIES[s.index()]
-}
-
-impl StrategyRow {
-    fn cost(&self) -> &'static RpcCostModel {
-        self.cost.expect("only server-side lookups are billed")
-    }
-
-    /// Client CPU of one GET that consulted `consulted` replicas — the
-    /// controller's CPU/op signal, from the same calibrated constants the
-    /// simulator bills, so no per-charge-site bookkeeping is needed.
-    fn cpu_ns(&self, consulted: u64) -> u64 {
-        let fan_out = match self.cost {
-            Some(cost) => (cost.client_send + cost.client_recv).nanos(),
-            // An index read per consulted replica, plus 2×R's data fetch.
-            None => RMA_OP_CPU.nanos() * (consulted + self.data_is_separate as u64),
-        };
-        GET_CPU.nanos() + fan_out
-    }
+/// Client CPU of one GET under `strategy` that consulted `consulted`
+/// replicas — the controller's CPU/op signal, from the same calibrated
+/// constants the simulator bills, so no per-charge-site bookkeeping is
+/// needed.
+fn get_cpu_ns(strategy: LookupStrategy, consulted: u64) -> u64 {
+    let row = read::row(strategy);
+    let fan_out = match row.cost {
+        Some(cost) => (cost.client_send + cost.client_recv).nanos(),
+        // An index read per consulted replica, plus 2×R's data fetch.
+        None => RMA_OP_CPU.nanos() * (consulted + row.data_is_separate as u64),
+    };
+    GET_CPU.nanos() + fan_out
 }
 
 /// Fixed client-library CPU per GET attempt.
@@ -706,27 +649,6 @@ fn claim(flights: &mut Deferred<Flight>, id: u64, path: adaptive::Path) -> Optio
     on_path.then(|| flights.take(id)).flatten()
 }
 
-/// What one replica said — or failed to say — about one sub-op.
-#[derive(Debug)]
-enum Verdict {
-    /// A one-sided result: status, SCAR bucket segment, data segment.
-    Rma(RmaStatus, Bytes, Bytes),
-    /// A server verdict. Lookup hits carry `(version, value)`; mutation
-    /// verdicts and misses leave them zero/empty.
-    Rpc(Status, VersionNumber, Bytes),
-    /// A single-frame lookup response whose Ok body did not decode.
-    Garbled,
-    /// The frame carrying the sub-op never came back on this wire path.
-    Lost(adaptive::Path),
-}
-
-impl Verdict {
-    /// A bare server status (no lookup payload).
-    fn status(status: Status) -> Verdict {
-        Verdict::Rpc(status, VersionNumber::ZERO, Bytes::new())
-    }
-}
-
 /// Client-internal deferred work. It rides the token of its timer or CPU
 /// task ([`Work::token`]), below [`Deferred::in_flight`]'s namespace, so a
 /// client keeps no table of pending continuations.
@@ -1251,10 +1173,8 @@ impl ClientNode {
         // once a read quorum's worth of base connections exist; mutations
         // are plain RPCs and can go immediately.
         let rq = config.replication.read_quorum() as usize;
-        let (missing, nmissing, short) = match strategy_row(strategy).path {
-            adaptive::Path::Rma if is_get => self.geometry_gaps(replicas, n_base, rq),
-            _ => ([NodeId(0); 8], 0, false),
-        };
+        let rma = is_get && read::row(strategy).path == adaptive::Path::Rma;
+        let (missing, nmissing, short) = self.geometry_gaps(rma, replicas, n_base, rq);
         // Client-side lease cache: a mutation drops the owner's entry at
         // issue, so a client can never read its own stale write from the
         // cache.
@@ -1393,15 +1313,13 @@ impl ClientNode {
         let (mode, quorum) = (config.replication, config.replication.read_quorum());
         // The strategy was resolved at issue and rides the op state, so
         // retries keep the arm that will be credited at completion.
-        let row = strategy_row(get.strategy);
+        let row = read::row(get.strategy);
         // A retry whose geometry was invalidated (reshape, growth, restart)
         // must re-learn it before burning another attempt — "failed RMA
         // operations may retry on new connections" (§3).
         let (replicas, n_base) = (&get.h.replicas, get.h.n_base as usize);
-        let (missing, nmissing, short) = match row.path {
-            adaptive::Path::Rma => self.geometry_gaps(replicas, n_base, quorum as usize),
-            adaptive::Path::Rpc => ([NodeId(0); 8], 0, false),
-        };
+        let rma = row.path == adaptive::Path::Rma;
+        let (missing, nmissing, short) = self.geometry_gaps(rma, replicas, n_base, quorum as usize);
         let (now, policy) = (ctx.now().nanos(), self.cfg.retry);
         let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
             return;
@@ -1432,11 +1350,11 @@ impl ClientNode {
         let (set, consulted) = consult_set(immutable, n_replicas, n_base, attempt, op_id, demoted);
         let consulted = &set.map(|r| get.h.replicas[r as usize])[..consulted];
         let tag = sub_tag(op_id, attempt, 0);
-        let Some(first) = row.first else {
+        if row.path == adaptive::Path::Rpc {
             get.quorum.begin_lookup();
             let strategy = get.strategy;
             return self.emit(ctx, &consulted[..1], tag, SubOp::Lookup(key, strategy));
-        };
+        }
         get.quorum.begin(GetRules {
             read_quorum: quorum as u8,
             expected_votes: consulted.len() as u8,
@@ -1447,7 +1365,7 @@ impl ClientNode {
         });
         for &r in consulted {
             let Some(geom) = self.geometry_of(r) else {
-                self.on_vote(ctx, tag, r, Vote::Failed, false);
+                self.feed(ctx, op_id, r, Verdict::FAILED_VOTE, Phase::Index);
                 continue;
             };
             let len = bucket_size(geom.assoc as usize) as u32;
@@ -1457,20 +1375,29 @@ impl ClientNode {
                 offset: (hash as u64) % geom.num_buckets * len as u64,
                 len,
             };
-            self.emit(ctx, &[r], tag, first(bucket, hash));
+            let sub = match row.data_is_separate {
+                true => SubOp::Read(bucket),
+                false => SubOp::Scar(bucket, hash),
+            };
+            self.emit(ctx, &[r], tag, sub);
         }
     }
 
-    /// Which of `replicas` still lack geometry (the first of the returned
-    /// count), and whether fewer than a read quorum `rq` of the base
+    /// For an RMA GET (`rma`; anything else addresses no window): which of
+    /// `replicas` still lack geometry (the first of the returned count),
+    /// and whether fewer than a read quorum `rq` of the base
     /// (quorum-bearing) prefix have it.
     fn geometry_gaps(
         &self,
+        rma: bool,
         replicas: &[NodeId],
         n_base: usize,
         rq: usize,
     ) -> ([NodeId; 8], usize, bool) {
         let mut missing = [NodeId(0); 8];
+        if !rma {
+            return (missing, 0, false);
+        }
         let (mut nmissing, mut have_base) = (0, 0);
         for (i, r) in replicas.iter().enumerate() {
             if self.backends.geometry(self.shared.slot(*r)).is_none() {
@@ -1551,7 +1478,7 @@ impl ClientNode {
                 return;
             }
             SubOp::Lookup(key, strategy) => {
-                let row = strategy_row(strategy);
+                let row = read::row(strategy);
                 let body = messages::GetReq { key }.encode_in(&self.pool);
                 (row.methods.0, row.cost().client_send, body)
             }
@@ -1621,33 +1548,48 @@ impl ClientNode {
         ctx.set_timer(self.cfg.attempt_timeout, op_id);
     }
 
-    /// Feed one replica's index vote on sub-op `tag` to the op's quorum and
-    /// act on its step.
-    fn on_vote(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        tag: u64,
-        replica: NodeId,
-        vote: Vote,
-        overflow: bool,
-    ) {
-        let (op_id, attempt, _) = split_tag(tag);
+    /// Feed a verdict on GET `op_id`'s live attempt — `replica`'s index
+    /// vote (after the inline data copy that rode it), its data read, or a
+    /// server's answer in `phase` — to the op's quorum and act on the step.
+    fn feed(&mut self, ctx: &mut Ctx<'_>, op_id: u64, replica: NodeId, fed: Verdict, phase: Phase) {
         let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        if get.h.attempt.number() != attempt {
-            return; // stale sub-op from an earlier attempt
-        }
-        // Any substantive answer (even an absent key) proves the path that
-        // carried it and resets that path's demotion streak.
-        if let (Some(ctl), true) = (self.adaptive.as_mut(), vote != Vote::Failed) {
-            ctl.record_success(replica.0, strategy_row(get.strategy).path);
-        }
-        let Some(from) = get.h.position(replica) else {
-            return;
+        let (step, value) = match (fed, get.h.position(replica)) {
+            (Verdict::Vote(vote, overflowed, inline), Some(from)) => {
+                if let Some((version, value)) = inline {
+                    get.quorum.inline_data(from, version);
+                    get.data = Some(value);
+                }
+                // Any substantive answer (even an absent key) proves the
+                // path that carried it and resets that path's demotion
+                // streak.
+                if let (Some(ctl), true) = (self.adaptive.as_mut(), vote != Vote::Failed) {
+                    ctl.record_success(replica.0, read::row(get.strategy).path);
+                }
+                (get.quorum.vote(from, vote, overflowed), None)
+            }
+            (Verdict::Data(read), Some(from)) => {
+                let version = read.map(|(version, value)| {
+                    get.data = Some(value);
+                    version
+                });
+                (get.quorum.data(from, version), None)
+            }
+            (Verdict::Served(answer, value), _) => {
+                let step = get.quorum.served(answer);
+                if phase == Phase::Fallback && matches!(step, GetStep::Hit(_)) {
+                    ctx.metrics().add_id(self.m().get_overflow_hits, 1);
+                }
+                if step == GetStep::Miss {
+                    // The servers' word, not a read quorum's votes.
+                    self.record(ctx, op_id, |h, who, _| h.observe(who, 0, None, false));
+                }
+                (step, value)
+            }
+            _ => return,
         };
-        let step = get.quorum.vote(from, vote, overflow);
-        self.run_get_step(ctx, op_id, step, None);
+        self.run_get_step(ctx, op_id, step, value);
     }
 
     /// Execute the one step the quorum core returned for GET `op_id`.
@@ -1901,16 +1843,12 @@ impl ClientNode {
         self.emit(ctx, &targets, tag, sub);
     }
 
-    /// One replica's verdict on a mutation: feed the write quorum and act
-    /// on its step.
-    fn on_mutation_reply(&mut self, ctx: &mut Ctx<'_>, tag: u64, from: NodeId, reply: Reply) {
-        let (op_id, attempt, _) = split_tag(tag);
+    /// One replica's verdict on mutation `op_id`'s live attempt: feed the
+    /// write quorum and act on its step.
+    fn on_mutation_reply(&mut self, ctx: &mut Ctx<'_>, op_id: u64, from: NodeId, reply: Reply) {
         let Some(OpState::Mutation(m)) = self.ops.get_mut(&op_id) else {
             return;
         };
-        if m.h.attempt.number() != attempt {
-            return;
-        }
         // Any substantive verdict (even a version rejection) proves the
         // replica answered its RPC — reset its demotion streak.
         if let (Some(ctl), true) = (self.adaptive.as_mut(), reply != Reply::Failure) {
@@ -2067,7 +2005,7 @@ impl ClientNode {
                 FrameKind::Lookup(strategy) => {
                     let subs = subs.to_vec();
                     let body = messages::MultiGetReq { subs, keys }.encode_in(pool);
-                    let row = strategy_row(strategy);
+                    let row = read::row(strategy);
                     (row.methods.1, row.cost(), body)
                 }
                 FrameKind::Set => {
@@ -2169,10 +2107,9 @@ impl ClientNode {
                 ctx.charge_cpu_traced(RPC_COST.client_recv, rep_trace, CLIENT_CPU);
                 let (op_id, attempt, phase) = split_tag(sub);
                 let get = match self.ops.get(&op_id) {
-                    Some(OpState::Get(g)) => Some((
-                        strategy_row(g.strategy).cost,
-                        g.h.attempt.number() == attempt,
-                    )),
+                    Some(OpState::Get(g)) => {
+                        Some((read::row(g.strategy).cost, g.h.attempt.number() == attempt))
+                    }
                     _ => None,
                 };
                 if let (Some((Some(cost), true)), 0) = (get, phase) {
@@ -2180,15 +2117,15 @@ impl ClientNode {
                 }
                 // Only lookups answer with a body; a mutation's verdict is
                 // its status.
-                let verdict = if status == Status::Ok && get.is_some() {
+                let answer = if status == Status::Ok && get.is_some() {
                     match messages::GetResp::decode(body) {
-                        Some(resp) => Verdict::Rpc(Status::Ok, resp.version, resp.value),
-                        None => Verdict::Garbled,
+                        Some(resp) => Answer::Rpc(Status::Ok, resp.version, resp.value),
+                        None => Answer::Garbled,
                     }
                 } else {
-                    Verdict::status(status)
+                    Answer::status(status)
                 };
-                self.deliver(ctx, sub, from, verdict);
+                self.deliver(ctx, sub, from, answer);
             }
             // One receive-side charge for the whole frame, then per-member
             // resolution identical to the single path. A failed or
@@ -2198,7 +2135,7 @@ impl ClientNode {
                 let subs = &stamped[1..];
                 let rep_trace = self.trace_of(ctx, subs[0] >> 10);
                 let cost = match kind {
-                    FrameKind::Lookup(strategy) => strategy_row(strategy).cost(),
+                    FrameKind::Lookup(strategy) => read::row(strategy).cost(),
                     _ => &RPC_COST,
                 };
                 self.charge(ctx, cost.client_recv, rep_trace);
@@ -2207,8 +2144,8 @@ impl ClientNode {
                     if let Some(resp) = messages::MultiSetResp::decode(body) {
                         demuxed = true;
                         for (sub, s) in resp.statuses {
-                            let verdict = Verdict::status(Status::from_u8(s));
-                            self.deliver(ctx, sub, from, verdict);
+                            let answer = Answer::status(Status::from_u8(s));
+                            self.deliver(ctx, sub, from, answer);
                         }
                     }
                 } else if decoded {
@@ -2216,14 +2153,14 @@ impl ClientNode {
                         demuxed = true;
                         for e in resp.entries {
                             let status = Status::from_u8(e.status);
-                            let verdict = Verdict::Rpc(status, e.version, e.value);
-                            self.deliver(ctx, e.sub, from, verdict);
+                            let answer = Answer::Rpc(status, e.version, e.value);
+                            self.deliver(ctx, e.sub, from, answer);
                         }
                     }
                 }
                 if !demuxed {
                     for &sub in subs.iter() {
-                        self.deliver(ctx, sub, from, Verdict::status(Status::Internal));
+                        self.deliver(ctx, sub, from, Answer::status(Status::Internal));
                     }
                 }
             }
@@ -2231,74 +2168,72 @@ impl ClientNode {
     }
 
     /// Every sub-op outcome, from any frame shape on any wire path, lands
-    /// here: `verdict` is what `replica` said (or failed to say) about the
-    /// sub-op `tag`. It becomes one input to the op's quorum.
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, tag: u64, replica: NodeId, verdict: Verdict) {
+    /// here: `answer` is what `replica` said (or failed to say) about the
+    /// sub-op `tag`. The read core judges it against the op; the verdict
+    /// becomes one input to the op's quorum.
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, tag: u64, replica: NodeId, answer: Answer) {
         let (op_id, attempt, phase) = split_tag(tag);
-        let verdict = match verdict {
-            Verdict::Rma(status, bucket, data) => {
-                return self.on_rma_result(ctx, replica, tag, status, bucket, data);
+        let (op, live) = match self.ops.get(&op_id) {
+            Some(OpState::Get(g)) => {
+                let (key, hash, strategy) = (&g.h.key[..], g.h.hash, g.strategy);
+                let holds_data = g.data.is_some();
+                let get = read::Op::Get {
+                    key,
+                    hash,
+                    strategy,
+                    holds_data,
+                };
+                (get, g.h.attempt.number() == attempt)
             }
-            Verdict::Lost(adaptive::Path::Rma) => {
-                return self.on_vote(ctx, tag, replica, Vote::Failed, false);
-            }
-            rpc => rpc,
+            Some(OpState::Mutation(m)) => (read::Op::Mutation, m.h.attempt.number() == attempt),
+            None => (read::Op::Gone, false),
         };
-        // A write that may not have reached `replica`, even when its op is
-        // long done.
-        if !matches!(
-            verdict,
-            Verdict::Rpc(Status::Ok | Status::VersionRejected | Status::NotFound, ..)
-        ) {
+        let (is_get, phase) = (matches!(op, read::Op::Get { .. }), Phase::of(phase));
+        let config_id = self.config.as_ref().map_or(0, |c| c.config_id);
+        let cx = read::Context {
+            op,
+            phase,
+            live,
+            config_id,
+        };
+        let (verdict, tally) = read::judge(&cx, answer);
+        let m = self.m();
+        let counted = [
+            (tally.torn_reads, m.get_torn_reads),
+            (tally.hash_collisions, m.get_hash_collisions),
+            (tally.stale_backend_config, m.stale_backend_config),
+            (tally.config_mismatches, m.config_mismatches),
+        ];
+        for (_, id) in counted.into_iter().filter(|c| c.0) {
+            ctx.metrics().add_id(id, 1);
+        }
+        if tally.missed {
             self.record(ctx, op_id, |h, who, _| h.missed(who, replica.0));
         }
-        match self.ops.get_mut(&op_id) {
-            Some(OpState::Mutation(_)) => {
-                // A lost frame is the verdict a failed RPC would have been.
-                let reply = match verdict {
-                    Verdict::Rpc(Status::Ok, ..) => Reply::Ack,
-                    Verdict::Rpc(Status::VersionRejected | Status::NotFound, ..) => Reply::Reject,
-                    // The replica handed its shard away: learn who holds
-                    // it before the retry.
-                    Verdict::Rpc(Status::WrongShard, ..) => {
-                        self.refresh_config(ctx);
-                        Reply::Failure
-                    }
-                    _ => Reply::Failure,
-                };
-                self.on_mutation_reply(ctx, tag, replica, reply);
-            }
-            // A server's answer: to an MSG/RPC lookup, or (phase 2) as one
-            // verdict of an overflow-fallback round.
-            Some(OpState::Get(get)) if get.h.attempt.number() == attempt => {
-                let fallback = phase == 2;
-                let (answer, value) = match verdict {
-                    Verdict::Rpc(Status::Ok, version, value) => (Ok(Some(version)), Some(value)),
-                    Verdict::Rpc(Status::NotFound, ..) => (Ok(None), None),
-                    failure => {
-                        let (lookup, round) = match failure {
-                            Verdict::Garbled => {
-                                (RetryReason::MsgDecode, RetryReason::FallbackDecode)
-                            }
-                            Verdict::Lost(_) => {
-                                (RetryReason::MsgTimeout, RetryReason::FallbackTimeout)
-                            }
-                            _ => (RetryReason::MsgError, RetryReason::FallbackError),
-                        };
-                        (Err(if fallback { round } else { lookup }), None)
-                    }
-                };
-                let step = get.quorum.served(answer);
-                if fallback && matches!(step, GetStep::Hit(_)) {
-                    ctx.metrics().add_id(self.m().get_overflow_hits, 1);
+        match verdict {
+            Verdict::Ignore => {}
+            Verdict::Collision => self.finish_miss(ctx, op_id),
+            Verdict::Reply(reply) => self.on_mutation_reply(ctx, op_id, replica, reply),
+            Verdict::Moved => {
+                if let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) {
+                    get.quorum.shun_data_source();
                 }
-                if step == GetStep::Miss {
-                    // The servers' word, not a read quorum's votes.
-                    self.record(ctx, op_id, |h, who, _| h.observe(who, 0, None, false));
+                self.refresh_config(ctx);
+                if is_get {
+                    self.retry(ctx, op_id, RetryReason::ConfigMismatch);
+                } else if live {
+                    self.on_mutation_reply(ctx, op_id, replica, Reply::Failure);
                 }
-                self.run_get_step(ctx, op_id, step, value);
             }
-            _ => {}
+            Verdict::GeometryStale => {
+                // Re-learned via CONNECT on the retry path (§4.1).
+                ctx.metrics().add_id(self.m().geometry_invalidations, 1);
+                self.backends.drop_geometry(self.shared.slot(replica));
+                if live {
+                    self.feed(ctx, op_id, replica, Verdict::FAILED_VOTE, phase);
+                }
+            }
+            fed => self.feed(ctx, op_id, replica, fed, phase),
         }
     }
 
@@ -2335,7 +2270,7 @@ impl ClientNode {
             // Defensive: a frame-level failure with no per-entry verdicts
             // fails every member's vote from this replica.
             for &sub in members {
-                self.deliver(ctx, sub, replica, Verdict::Lost(adaptive::Path::Rma));
+                self.deliver(ctx, sub, replica, Answer::Lost(adaptive::Path::Rma));
             }
             return;
         }
@@ -2346,8 +2281,8 @@ impl ClientNode {
         for d in answer.into_results(members[0]) {
             let trace = self.trace_of(ctx, d.sub >> 10);
             self.charge(ctx, RMA_OP_CPU, trace);
-            let verdict = Verdict::Rma(d.status, d.bucket, d.data);
-            self.deliver(ctx, d.sub, replica, verdict);
+            let answer = Answer::Rma(d.status, d.bucket, d.data);
+            self.deliver(ctx, d.sub, replica, answer);
         }
         if rearm {
             self.coalesce_flush(ctx);
@@ -2370,7 +2305,7 @@ impl ClientNode {
                 let trace = self.trace_of(ctx, op_id);
                 ctx.trace_interval(trace, simnet::obs::stage::RETRY, issued_at, ctx.now());
             }
-            self.deliver(ctx, sub, dst, Verdict::Lost(path));
+            self.deliver(ctx, sub, dst, Answer::Lost(path));
         }
     }
 
@@ -2406,108 +2341,6 @@ impl ClientNode {
         }
     }
 
-    /// One RMA result (a single op's completion or one batch entry): apply
-    /// the shared status policy, self-validate what came back, and turn it
-    /// into the op's next quorum input.
-    fn on_rma_result(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        replica: NodeId,
-        tag: u64,
-        status: RmaStatus,
-        bucket: Bytes,
-        data: Bytes,
-    ) {
-        let (op_id, attempt, phase) = split_tag(tag);
-        if !matches!(status, RmaStatus::Ok | RmaStatus::NoMatch) {
-            if status != RmaStatus::Unsupported {
-                // Stale geometry (reshape, growth, restart): drop it and
-                // re-learn via CONNECT on the retry path (§4.1).
-                ctx.metrics().add_id(self.m().geometry_invalidations, 1);
-                self.backends.drop_geometry(self.shared.slot(replica));
-            }
-            return self.on_vote(ctx, tag, replica, Vote::Failed, false);
-        }
-        let m = self.m();
-        let (torn_reads, hash_collisions) = (m.get_torn_reads, m.get_hash_collisions);
-        let (config_mismatches, stale_config) = (m.config_mismatches, m.stale_backend_config);
-        let Some(OpState::Get(get)) = self.ops.get_mut(&op_id) else {
-            return;
-        };
-        let live = get.h.attempt.number() == attempt;
-        let Some(from) = get.h.position(replica) else {
-            return;
-        };
-        if phase == 1 {
-            // The data read of a 2×R GET, validated end to end (§3 step 5).
-            if !live {
-                return;
-            }
-            let version = match parse_value(&data, &get.h.key) {
-                // Torn read — rare, but normal (§3).
-                Err(_) => {
-                    ctx.metrics().add_id(torn_reads, 1);
-                    None
-                }
-                // 128-bit hash collision: affirmatively not our key.
-                Ok(None) => {
-                    ctx.metrics().add_id(hash_collisions, 1);
-                    return self.finish_miss(ctx, op_id);
-                }
-                Ok(Some((version, value))) => {
-                    get.data = Some(value);
-                    Some(version)
-                }
-            };
-            let step = get.quorum.data(from, version);
-            return self.run_get_step(ctx, op_id, step, None);
-        }
-        // An index response. 2×R read the bucket as plain data; a SCAR
-        // returns the bucket and, on a match, the entry it points at.
-        let (bucket, inline) = match strategy_row(get.strategy).data_is_separate {
-            true => (data, Bytes::new()),
-            false => (bucket, data),
-        };
-        if bucket.len() < layout::BUCKET_HEADER_BYTES {
-            return self.on_vote(ctx, tag, replica, Vote::Failed, false);
-        }
-        // Validate the bucket's config stamp against ours.
-        let expected = self.config.as_ref().map(|c| c.config_id).unwrap_or(0);
-        let got = layout::bucket_config_id(&bucket);
-        if got > expected {
-            // The backend knows a newer configuration than we do (e.g. it
-            // migrated its shard away): refresh and retry (§6.1). Votes
-            // still outstanding may yet settle the op first.
-            ctx.metrics().add_id(config_mismatches, 1);
-            get.quorum.shun_data_source();
-            self.refresh_config(ctx);
-            return self.retry(ctx, op_id, RetryReason::ConfigMismatch);
-        }
-        if got < expected {
-            // The backend is lagging behind a config update that doesn't
-            // concern it (we selected it from the *current* config, so its
-            // data is still authoritative). Tolerate the stale stamp.
-            ctx.metrics().add_id(stale_config, 1);
-        }
-        let vote = match layout::scan_bucket(&bucket, get.h.hash).0 {
-            Some((_, e)) => Vote::Entry(e.version, e.ptr),
-            None => Vote::Absent,
-        };
-        // Inline data: the first valid copy becomes the preferred one.
-        if live && status == RmaStatus::Ok && !inline.is_empty() && get.data.is_none() {
-            match parse_value(&inline, &get.h.key) {
-                Ok(Some((version, value))) => {
-                    get.quorum.inline_data(from, version);
-                    get.data = Some(value);
-                }
-                Ok(None) => ctx.metrics().add_id(hash_collisions, 1),
-                Err(_) => ctx.metrics().add_id(torn_reads, 1),
-            }
-        }
-        let overflowed = layout::bucket_overflowed(&bucket);
-        self.on_vote(ctx, tag, replica, vote, overflowed);
-    }
-
     // ---- completion ------------------------------------------------------
 
     /// The one completion of an admitted op: issued (its state leaves
@@ -2532,7 +2365,7 @@ impl ClientNode {
             // the fan-out the op really used. Mutations are
             // strategy-independent (always RPC) and carry no signal.
             if let Some(ctl) = self.adaptive.as_mut() {
-                let cpu = strategy_row(g.strategy).cpu_ns(g.quorum.rules().expected_votes as u64);
+                let cpu = get_cpu_ns(g.strategy, g.quorum.rules().expected_votes as u64);
                 ctl.observe(g.strategy, batch.is_some(), latency, cpu);
             }
             self.shared.recycle_get(g);
@@ -2675,18 +2508,6 @@ pub mod trace_aux {
             OpOutcome::Error => 5,
         }
     }
-}
-
-/// Self-validate a fetched data entry (§3 step 5: checksum, then full
-/// key). `Err`: torn. `Ok(None)`: intact, but another key's. Otherwise its
-/// version and its value — a zero-copy slice of the inbound frame.
-fn parse_value(data: &Bytes, key: &[u8]) -> Result<Option<(VersionNumber, Bytes)>, ()> {
-    let entry = parse_data_entry(data).map_err(|_| ())?;
-    if entry.key != key {
-        return Ok(None);
-    }
-    let at = layout::DATA_ENTRY_HEADER_BYTES + entry.key.len();
-    Ok(Some((entry.version, data.slice(at..at + entry.data.len()))))
 }
 
 /// Annotate (don't alter) a traced sub-op aimed at a CPU-dead replica: the

@@ -23,7 +23,7 @@
 //!
 //! | paper section | module |
 //! |---|---|
-//! | §3 layout & self-validation | [`layout`], [`hash`] |
+//! | §3 layout & self-validation | [`layout`], [`hash`], [`read`] (a GET's answers judged) |
 //! | §3 GET/SET basics | [`client`], [`backend`] |
 //! | §3 retries under a deadline and a budget | [`attempt`] (the rules), [`client`] (the I/O) |
 //! | §4.1 allocation & reshaping | [`slab`], [`store`] |
@@ -88,6 +88,7 @@ pub mod lru;
 pub mod messages;
 pub mod policy;
 pub mod quorum;
+pub mod read;
 pub mod repair;
 pub mod shim;
 pub mod slab;
