@@ -8,7 +8,8 @@
 //! refresh "from an external high-availability storage system" (§6.1) —
 //! modelled here by [`ConfigStoreNode`], our Chubby stand-in.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
+use rpc::codec::{Put, Wire};
 
 use simnet::{Ctx, Event, Node, NodeId, SimDuration};
 
@@ -74,17 +75,42 @@ impl ReplicationMode {
     }
 }
 
-/// The shard → physical-node mapping for one cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellConfig {
-    /// Monotonically increasing configuration generation.
-    pub config_id: u32,
-    /// Replication mode.
-    pub replication: ReplicationMode,
-    /// `shards[i]` is the NodeId serving logical backend number `i`.
-    pub shards: Vec<u32>,
-    /// Warm spares not currently serving a shard.
-    pub spares: Vec<u32>,
+impl Put for ReplicationMode {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        self.to_u8().wire_len()
+    }
+    #[inline]
+    fn put(&self, b: &mut BytesMut) {
+        self.to_u8().put(b);
+    }
+}
+
+/// An unknown replication byte does not decode.
+impl Wire for ReplicationMode {
+    const MIN_LEN: usize = u8::MIN_LEN;
+    #[inline]
+    fn get(b: &mut Bytes) -> Option<Self> {
+        u8::get(b).and_then(ReplicationMode::from_u8)
+    }
+}
+
+rpc::wire_struct! {
+    /// The shard → physical-node mapping for one cell. A config of no
+    /// shards is not one (every key placement divides by the shard count),
+    /// so it does not decode.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CellConfig {
+        /// Monotonically increasing configuration generation.
+        pub config_id: u32,
+        /// Replication mode.
+        pub replication: ReplicationMode,
+        /// `shards[i]` is the NodeId serving logical backend number `i`.
+        pub shards: Vec<u32>,
+        /// Warm spares not currently serving a shard.
+        pub spares: Vec<u32>,
+    }
+    if |c| !c.shards.is_empty()
 }
 
 impl CellConfig {
@@ -102,23 +128,12 @@ impl CellConfig {
             .collect()
     }
 
-    /// [`Self::replicas_for`] into a fixed buffer (copies ≤ 3 by
-    /// construction) — the client's per-op path, no allocation. Returns
-    /// the replica count.
-    pub fn replicas_for_buf(&self, shard: u32, out: &mut [NodeId; 4]) -> usize {
-        let n = self.num_shards();
-        let r = self.replication.copies().min(n);
-        for (i, slot) in out.iter_mut().enumerate().take(r as usize) {
-            *slot = NodeId(self.shards[((shard + i as u32) % n) as usize]);
-        }
-        r as usize
-    }
-
-    /// [`Self::replicas_for_buf`] generalized to an explicit copy count:
-    /// hot-key promotion extends a key's replica set past the base three
-    /// (the extra copies continue the same shard walk, so base and
-    /// extended sets always agree on membership order). Returns the
-    /// replica count, capped at the shard count and the buffer size.
+    /// [`Self::replicas_for`] into a fixed buffer, for an explicit copy
+    /// count — the client's per-op path, no allocation: hot-key promotion
+    /// extends a key's replica set past the base three (the extra copies
+    /// continue the same shard walk, so base and extended sets always
+    /// agree on membership order). Returns the replica count, capped at
+    /// the shard count and the buffer size.
     pub fn replicas_n_buf(&self, shard: u32, copies: u32, out: &mut [NodeId; 8]) -> usize {
         let n = self.num_shards();
         let r = copies.min(n).min(out.len() as u32);
@@ -143,44 +158,12 @@ impl CellConfig {
 
     /// Encode to an RPC body.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(13 + 4 * (self.shards.len() + self.spares.len()));
-        b.put_u32_le(self.config_id);
-        b.put_u8(self.replication.to_u8());
-        b.put_u32_le(self.shards.len() as u32);
-        for s in &self.shards {
-            b.put_u32_le(*s);
-        }
-        b.put_u32_le(self.spares.len() as u32);
-        for s in &self.spares {
-            b.put_u32_le(*s);
-        }
-        b.freeze()
+        rpc::codec::encode(self)
     }
 
-    /// Decode from an RPC body. A config of no shards is not one: every
-    /// key placement divides by the shard count.
+    /// Decode from an RPC body; bytes after it are ignored.
     pub fn decode(mut body: Bytes) -> Option<CellConfig> {
-        if body.len() < 9 {
-            return None;
-        }
-        let config_id = body.get_u32_le();
-        let replication = ReplicationMode::from_u8(body.get_u8())?;
-        let n = body.get_u32_le() as usize;
-        if n == 0 || body.len() < n.saturating_mul(4) + 4 {
-            return None;
-        }
-        let shards = (0..n).map(|_| body.get_u32_le()).collect();
-        let m = body.get_u32_le() as usize;
-        if body.len() < m.saturating_mul(4) {
-            return None;
-        }
-        let spares = (0..m).map(|_| body.get_u32_le()).collect();
-        Some(CellConfig {
-            config_id,
-            replication,
-            shards,
-            spares,
-        })
+        CellConfig::get(&mut body)
     }
 }
 

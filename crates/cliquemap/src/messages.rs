@@ -4,11 +4,14 @@
 //! an [`rpc`] envelope: mutations (SET/ERASE/CAS), connection setup
 //! (geometry exchange), the RPC lookup fallback, batched access records,
 //! cohort scans and repairs, warm-spare migration, and configuration
-//! traffic. Bodies are hand-encoded over `bytes`, length-prefixed, and
-//! tolerant of trailing extensions (the same evolution posture as the RPC
-//! envelope itself).
+//! traffic. Each body names its fields once, in wire order, and its
+//! length, encoder and decoder follow from that through the field codec of
+//! [`rpc::codec`], which also holds the evolution rule: decoders ignore
+//! trailing bytes, and a section appended after a body shipped is an
+//! [`Ext`], absent when empty.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut, Pool};
+use bytes::{Bytes, BytesMut, Pool};
+use rpc::codec::{self, get_count, get_ext, get_seq, Ext, Put, Seq, Wire};
 
 use crate::hash::KeyHash;
 use crate::version::VersionNumber;
@@ -57,281 +60,166 @@ pub mod method {
     pub const MULTI_SET: u16 = 17;
 }
 
-fn put_bytes(b: &mut BytesMut, v: &[u8]) {
-    b.put_u32_le(v.len() as u32);
-    b.put_slice(v);
+impl Put for VersionNumber {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        self.0.wire_len()
+    }
+    #[inline]
+    fn put(&self, b: &mut BytesMut) {
+        self.0.put(b);
+    }
 }
 
-fn get_bytes(b: &mut Bytes) -> Option<Bytes> {
-    if b.len() < 4 {
-        return None;
+impl Wire for VersionNumber {
+    const MIN_LEN: usize = u128::MIN_LEN;
+    #[inline]
+    fn get(b: &mut Bytes) -> Option<Self> {
+        u128::get(b).map(VersionNumber)
     }
-    let len = b.get_u32_le() as usize;
-    if b.len() < len {
-        return None;
-    }
-    Some(b.split_to(len))
 }
 
-/// SET request body: install `key -> value` at `version`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetReq {
-    /// The key.
-    pub key: Bytes,
-    /// The value.
-    pub value: Bytes,
-    /// Client-nominated version.
-    pub version: VersionNumber,
+/// Declares a message body and its `encode_in`/`decode`: with
+/// [`rpc::wire_struct!`] when its fields in declaration order are its wire
+/// form, or, for a body that stores its fields in another shape, from a
+/// view of them in wire order (`put |m| view`) and a decoder
+/// (`get |b| value`).
+macro_rules! body {
+    ($(#[$meta:meta])* pub struct $name:ident $fields:tt $(if |$m:ident| $valid:expr)?) => {
+        rpc::wire_struct! { $(#[$meta])* pub struct $name $fields $(if |$m| $valid)? }
+        body!(@fns $name, |body| $name::get(&mut body));
+    };
+    ($name:ident: put |$m:ident| $view:expr, get |$b:ident| $get:expr) => {
+        impl Put for $name {
+            #[inline]
+            fn wire_len(&self) -> usize {
+                let $m = self;
+                $view.wire_len()
+            }
+            #[inline]
+            fn put(&self, b: &mut BytesMut) {
+                let $m = self;
+                $view.put(b)
+            }
+        }
+        body!(@fns $name, |$b| $get);
+    };
+    (@fns $name:ident, |$b:ident| $get:expr) => {
+        impl $name {
+            /// Encode to a body in a pooled buffer.
+            pub fn encode_in(&self, pool: &Pool) -> Bytes {
+                codec::encode_in(self, pool)
+            }
+
+            /// Decode from a body; bytes after it are ignored.
+            pub fn decode(mut $b: Bytes) -> Option<$name> {
+                $get
+            }
+        }
+    };
+}
+
+body! {
+    /// SET request body: install `key -> value` at `version`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SetReq {
+        /// Client-nominated version.
+        pub version: VersionNumber,
+        /// The key.
+        pub key: Bytes,
+        /// The value.
+        pub value: Bytes,
+    }
 }
 
 impl SetReq {
-    fn write(&self, b: &mut BytesMut) {
-        b.put_u128_le(self.version.0);
-        put_bytes(b, &self.key);
-        put_bytes(b, &self.value);
-    }
-
-    /// Encode to an unpooled body. Kept for the benchmark's pinned API;
-    /// everything else encodes with [`Self::encode_in`].
+    /// Encode to an unpooled body, the same bytes as [`Self::encode_in`].
+    /// Kept for the benchmark's pinned API.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(24 + self.key.len() + self.value.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(24 + self.key.len() + self.value.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<SetReq> {
-        if body.len() < 16 {
-            return None;
-        }
-        let version = VersionNumber(body.get_u128_le());
-        let key = get_bytes(&mut body)?;
-        let value = get_bytes(&mut body)?;
-        Some(SetReq {
-            key,
-            value,
-            version,
-        })
+        codec::encode(self)
     }
 }
 
-/// ERASE request body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EraseReq {
-    /// The key.
-    pub key: Bytes,
-    /// Client-nominated version for the tombstone.
-    pub version: VersionNumber,
-}
-
-impl EraseReq {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(20 + self.key.len());
-        b.put_u128_le(self.version.0);
-        put_bytes(&mut b, &self.key);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<EraseReq> {
-        if body.len() < 16 {
-            return None;
-        }
-        let version = VersionNumber(body.get_u128_le());
-        let key = get_bytes(&mut body)?;
-        Some(EraseReq { key, version })
+body! {
+    /// ERASE request body.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EraseReq {
+        /// Client-nominated version for the tombstone.
+        pub version: VersionNumber,
+        /// The key.
+        pub key: Bytes,
     }
 }
 
-/// CAS request body: install `value` at `new_version` iff the stored
-/// version equals `expected`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CasReq {
-    /// The key.
-    pub key: Bytes,
-    /// The replacement value.
-    pub value: Bytes,
-    /// Version the caller believes is stored (memoized from a prior op).
-    pub expected: VersionNumber,
-    /// Version to install on success.
-    pub new_version: VersionNumber,
-}
-
-impl CasReq {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(40 + self.key.len() + self.value.len());
-        b.put_u128_le(self.expected.0);
-        b.put_u128_le(self.new_version.0);
-        put_bytes(&mut b, &self.key);
-        put_bytes(&mut b, &self.value);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<CasReq> {
-        if body.len() < 32 {
-            return None;
-        }
-        let expected = VersionNumber(body.get_u128_le());
-        let new_version = VersionNumber(body.get_u128_le());
-        let key = get_bytes(&mut body)?;
-        let value = get_bytes(&mut body)?;
-        Some(CasReq {
-            key,
-            value,
-            expected,
-            new_version,
-        })
+body! {
+    /// CAS request body: install `value` at `new_version` iff the stored
+    /// version equals `expected`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CasReq {
+        /// Version the caller believes is stored (memoized from a prior op).
+        pub expected: VersionNumber,
+        /// Version to install on success.
+        pub new_version: VersionNumber,
+        /// The key.
+        pub key: Bytes,
+        /// The replacement value.
+        pub value: Bytes,
     }
 }
 
-/// GET_RPC / FETCH_BY_HASH response body: the stored pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GetResp {
-    /// The full key (echoed so hash-based fetches learn it).
-    pub key: Bytes,
-    /// The value.
-    pub value: Bytes,
-    /// The stored version.
-    pub version: VersionNumber,
+body! {
+    /// GET_RPC / FETCH_BY_HASH response body: the stored pair.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GetResp {
+        /// The stored version.
+        pub version: VersionNumber,
+        /// The full key (echoed so hash-based fetches learn it).
+        pub key: Bytes,
+        /// The value.
+        pub value: Bytes,
+    }
 }
 
 impl GetResp {
-    fn write(&self, b: &mut BytesMut) {
-        b.put_u128_le(self.version.0);
-        put_bytes(b, &self.key);
-        put_bytes(b, &self.value);
-    }
-
-    /// Encode to an unpooled body. Kept for the benchmark's pinned API;
-    /// everything else encodes with [`Self::encode_in`].
+    /// Encode to an unpooled body, the same bytes as [`Self::encode_in`].
+    /// Kept for the benchmark's pinned API.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(24 + self.key.len() + self.value.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(24 + self.key.len() + self.value.len());
-        self.write(&mut b);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<GetResp> {
-        if body.len() < 16 {
-            return None;
-        }
-        let version = VersionNumber(body.get_u128_le());
-        let key = get_bytes(&mut body)?;
-        let value = get_bytes(&mut body)?;
-        Some(GetResp {
-            key,
-            value,
-            version,
-        })
+        codec::encode(self)
     }
 }
 
-/// GET_RPC request body: lookup by full key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GetReq {
-    /// The key to look up.
-    pub key: Bytes,
-}
-
-impl GetReq {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(4 + self.key.len());
-        put_bytes(&mut b, &self.key);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<GetReq> {
-        Some(GetReq {
-            key: get_bytes(&mut body)?,
-        })
+body! {
+    /// GET_RPC request body: lookup by full key.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GetReq {
+        /// The key to look up.
+        pub key: Bytes,
     }
 }
 
-/// FETCH_BY_HASH request body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchByHashReq {
-    /// KeyHash to fetch.
-    pub key_hash: KeyHash,
-}
-
-impl FetchByHashReq {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(16);
-        b.put_u128_le(self.key_hash);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<FetchByHashReq> {
-        if body.len() < 16 {
-            return None;
-        }
-        Some(FetchByHashReq {
-            key_hash: body.get_u128_le(),
-        })
+body! {
+    /// FETCH_BY_HASH request body.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FetchByHashReq {
+        /// KeyHash to fetch.
+        pub key_hash: KeyHash,
     }
 }
 
-/// Batched access records: the KeyHashes a client recently read via RMA.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AccessRecords {
-    /// Touched hashes.
-    pub hashes: Vec<KeyHash>,
-}
-
-impl AccessRecords {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(4 + 16 * self.hashes.len());
-        b.put_u32_le(self.hashes.len() as u32);
-        for h in &self.hashes {
-            b.put_u128_le(*h);
-        }
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<AccessRecords> {
-        if body.len() < 4 {
-            return None;
-        }
-        let n = body.get_u32_le() as usize;
-        if body.len() < n.saturating_mul(16) {
-            return None;
-        }
-        let mut hashes = Vec::with_capacity(n);
-        for _ in 0..n {
-            hashes.push(body.get_u128_le());
-        }
-        Some(AccessRecords { hashes })
+body! {
+    /// Batched access records: the KeyHashes a client recently read via RMA.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct AccessRecords {
+        /// Touched hashes.
+        pub hashes: Vec<KeyHash>,
     }
 }
 
 /// One page of a cohort scan: the (KeyHash, version) pairs of the live
 /// entries in its bucket range (§5.4 — "detected via KeyHash exchange to
 /// minimize overhead"), then the exact tombstones of keys in that range.
-/// The tombstone section is a trailing extension written only when
-/// non-empty, so a page without tombstones is the original format.
+/// The tombstone section is an [`Ext`], so a page without tombstones is
+/// the original format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanPage {
     /// Page being returned.
@@ -344,101 +232,29 @@ pub struct ScanPage {
     pub tombstones: Vec<(KeyHash, VersionNumber)>,
 }
 
-fn put_pairs(b: &mut BytesMut, pairs: &[(KeyHash, VersionNumber)]) {
-    b.put_u32_le(pairs.len() as u32);
-    for (h, v) in pairs {
-        b.put_u128_le(*h);
-        b.put_u128_le(v.0);
-    }
+body! {
+    ScanPage: put |m| (m.page, m.done, &m.pairs, Ext(m.tombstones.iter())),
+    get |b| Some(ScanPage {
+        page: Wire::get(&mut b)?,
+        done: Wire::get(&mut b)?,
+        pairs: Wire::get(&mut b)?,
+        tombstones: get_ext(&mut b, |t| t)?,
+    })
 }
 
-/// A `u32` count and that many (hash, version) pairs; `None` if the body
-/// cannot hold the count it claims.
-fn get_pairs(b: &mut Bytes) -> Option<Vec<(KeyHash, VersionNumber)>> {
-    if b.len() < 4 {
-        return None;
-    }
-    let n = b.get_u32_le() as usize;
-    if b.len() < n.saturating_mul(32) {
-        return None;
-    }
-    Some(
-        (0..n)
-            .map(|_| (b.get_u128_le(), VersionNumber(b.get_u128_le())))
-            .collect(),
-    )
-}
-
-impl ScanPage {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let extension = match self.tombstones.len() {
-            0 => 0,
-            n => 4 + 32 * n,
-        };
-        let mut b = pool.get(9 + 32 * self.pairs.len() + extension);
-        b.put_u32_le(self.page);
-        b.put_u8(self.done as u8);
-        put_pairs(&mut b, &self.pairs);
-        if extension > 0 {
-            put_pairs(&mut b, &self.tombstones);
-        }
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<ScanPage> {
-        if body.len() < 9 {
-            return None;
-        }
-        let page = body.get_u32_le();
-        let done = body.get_u8() != 0;
-        let pairs = get_pairs(&mut body)?;
-        let tombstones = if body.is_empty() {
-            Vec::new()
-        } else {
-            get_pairs(&mut body)?
-        };
-        Some(ScanPage {
-            page,
-            done,
-            pairs,
-            tombstones,
-        })
-    }
-}
-
-/// A scan request: which page of the shard's key space to return.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanReq {
-    /// Page number (fixed page size at the server).
-    pub page: u32,
-}
-
-impl ScanReq {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(4);
-        b.put_u32_le(self.page);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<ScanReq> {
-        if body.len() < 4 {
-            return None;
-        }
-        Some(ScanReq {
-            page: body.get_u32_le(),
-        })
+body! {
+    /// A scan request: which page of the shard's key space to return.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ScanReq {
+        /// Page number (fixed page size at the server).
+        pub page: u32,
     }
 }
 
 /// A chunk of a shard handing off to a warm spare (§6.1). The final chunk
 /// carries the identity the receiver adopts: the shard number and the new
-/// cell config id. Keys erased while the handoff was open ride a trailing
-/// section written only when non-empty, so a chunk without erases is the
-/// original format.
+/// cell config id. Keys erased while the handoff was open ride an [`Ext`],
+/// so a chunk without erases is the original format.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MigrateChunk {
     /// Whether this is the final chunk.
@@ -454,96 +270,24 @@ pub struct MigrateChunk {
     pub erased: Vec<(Bytes, VersionNumber)>,
 }
 
-impl MigrateChunk {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let extension = match self.erased.len() {
-            0 => 0,
-            _ => 4 + self.erased.iter().map(|(k, _)| 20 + k.len()).sum::<usize>(),
-        };
-        let len = 13
-            + self
-                .entries
-                .iter()
-                .map(|(k, v, _)| 24 + k.len() + v.len())
-                .sum::<usize>()
-            + extension;
-        let mut b = pool.get(len);
-        b.put_u8(self.last as u8);
-        b.put_u32_le(self.shard);
-        b.put_u32_le(self.new_config_id);
-        b.put_u32_le(self.entries.len() as u32);
-        for (k, v, ver) in &self.entries {
-            b.put_u128_le(ver.0);
-            put_bytes(&mut b, k);
-            put_bytes(&mut b, v);
-        }
-        if extension > 0 {
-            b.put_u32_le(self.erased.len() as u32);
-            for (k, ver) in &self.erased {
-                b.put_u128_le(ver.0);
-                put_bytes(&mut b, k);
-            }
-        }
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<MigrateChunk> {
-        if body.len() < 13 {
-            return None;
-        }
-        let last = body.get_u8() != 0;
-        let shard = body.get_u32_le();
-        let new_config_id = body.get_u32_le();
-        let n = body.get_u32_le() as usize;
-        // Each entry needs at least version(16) + two length prefixes(8);
-        // reject wire counts the body cannot possibly hold before trusting
-        // them for allocation.
-        if body.len() < n.saturating_mul(24) {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            if body.len() < 16 {
-                return None;
-            }
-            let ver = VersionNumber(body.get_u128_le());
-            let k = get_bytes(&mut body)?;
-            let v = get_bytes(&mut body)?;
-            entries.push((k, v, ver));
-        }
-        let mut erased = Vec::new();
-        if !body.is_empty() {
-            if body.len() < 4 {
-                return None;
-            }
-            let n = body.get_u32_le() as usize;
-            // version(16) + a length prefix(4) at least, as above.
-            if body.len() < n.saturating_mul(20) {
-                return None;
-            }
-            erased.reserve_exact(n);
-            for _ in 0..n {
-                if body.len() < 16 {
-                    return None;
-                }
-                let ver = VersionNumber(body.get_u128_le());
-                erased.push((get_bytes(&mut body)?, ver));
-            }
-        }
-        Some(MigrateChunk {
-            last,
-            shard,
-            new_config_id,
-            entries,
-            erased,
-        })
-    }
+body! {
+    MigrateChunk: put |m| (
+        (m.last, m.shard, m.new_config_id),
+        Seq(m.entries.iter().map(|(k, v, ver)| (ver, k, v))),
+        Ext(m.erased.iter().map(|(k, ver)| (ver, k))),
+    ),
+    get |b| Some(MigrateChunk {
+        last: Wire::get(&mut b)?,
+        shard: Wire::get(&mut b)?,
+        new_config_id: Wire::get(&mut b)?,
+        entries: get_seq(&mut b, |(ver, k, v)| (k, v, ver))?,
+        erased: get_ext(&mut b, |(ver, k)| (k, ver))?,
+    })
 }
 
 /// MULTI_GET_RPC / MSG_MULTI_GET request body: every key of one batch
-/// destined for one replica host, in sub-op order.
+/// destined for one replica host, in sub-op order; on the wire, one
+/// counted run of (sub, key).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MultiGetReq {
     /// Per-sub-op tags, echoed verbatim in the response so the client can
@@ -553,115 +297,48 @@ pub struct MultiGetReq {
     pub keys: Vec<Bytes>,
 }
 
-impl MultiGetReq {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let len = 4 + self.keys.iter().map(|k| 12 + k.len()).sum::<usize>();
-        let mut b = pool.get(len);
-        b.put_u32_le(self.keys.len() as u32);
-        for (sub, k) in self.subs.iter().zip(&self.keys) {
-            b.put_u64_le(*sub);
-            put_bytes(&mut b, k);
-        }
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<MultiGetReq> {
-        if body.len() < 4 {
-            return None;
-        }
-        let n = body.get_u32_le() as usize;
-        // Each entry needs at least sub(8) + length prefix(4).
-        if body.len() < n.saturating_mul(12) {
-            return None;
-        }
-        let mut subs = Vec::with_capacity(n);
-        let mut keys = Vec::with_capacity(n);
+body! {
+    MultiGetReq: put |m| Seq(m.subs.iter().zip(&m.keys)),
+    get |b| {
+        let n = get_count::<(u64, Bytes)>(&mut b)?;
+        let (mut subs, mut keys) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for _ in 0..n {
-            if body.len() < 8 {
-                return None;
-            }
-            subs.push(body.get_u64_le());
-            keys.push(get_bytes(&mut body)?);
+            let (sub, key) = Wire::get(&mut b)?;
+            subs.push(sub);
+            keys.push(key);
         }
         Some(MultiGetReq { subs, keys })
     }
 }
 
-/// One sub-op's result inside a [`MultiGetResp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiGetEntry {
-    /// Echoed sub-op tag.
-    pub sub: u64,
-    /// Per-sub-op status (`rpc::Status` as u8): Ok or NotFound.
-    pub status: u8,
-    /// The stored version (zero on NotFound).
-    pub version: VersionNumber,
-    /// The value (empty on NotFound).
-    pub value: Bytes,
-}
-
-/// MULTI_GET_RPC / MSG_MULTI_GET response body: one status vector for the
-/// whole batch in one pooled frame.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MultiGetResp {
-    /// Per-sub-op results, in request order.
-    pub entries: Vec<MultiGetEntry>,
-}
-
-impl MultiGetResp {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let len = 4 + self
-            .entries
-            .iter()
-            .map(|e| 29 + e.value.len())
-            .sum::<usize>();
-        let mut b = pool.get(len);
-        b.put_u32_le(self.entries.len() as u32);
-        for e in &self.entries {
-            b.put_u64_le(e.sub);
-            b.put_u8(e.status);
-            b.put_u128_le(e.version.0);
-            put_bytes(&mut b, &e.value);
-        }
-        b.freeze()
+rpc::wire_struct! {
+    /// One sub-op's result inside a [`MultiGetResp`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MultiGetEntry {
+        /// Echoed sub-op tag.
+        pub sub: u64,
+        /// Per-sub-op status (`rpc::Status` as u8): Ok or NotFound.
+        pub status: u8,
+        /// The stored version (zero on NotFound).
+        pub version: VersionNumber,
+        /// The value (empty on NotFound).
+        pub value: Bytes,
     }
+}
 
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<MultiGetResp> {
-        if body.len() < 4 {
-            return None;
-        }
-        let n = body.get_u32_le() as usize;
-        // Each entry needs at least sub(8) + status(1) + version(16) +
-        // length prefix(4).
-        if body.len() < n.saturating_mul(29) {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            if body.len() < 25 {
-                return None;
-            }
-            let sub = body.get_u64_le();
-            let status = body.get_u8();
-            let version = VersionNumber(body.get_u128_le());
-            let value = get_bytes(&mut body)?;
-            entries.push(MultiGetEntry {
-                sub,
-                status,
-                version,
-                value,
-            });
-        }
-        Some(MultiGetResp { entries })
+body! {
+    /// MULTI_GET_RPC / MSG_MULTI_GET response body: one status vector for
+    /// the whole batch in one pooled frame.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct MultiGetResp {
+        /// Per-sub-op results, in request order.
+        pub entries: Vec<MultiGetEntry>,
     }
 }
 
 /// MULTI_SET request body: every (key, value, version) of one batch
-/// destined for one replica, in sub-op order.
+/// destined for one replica, in sub-op order; on the wire, one counted run
+/// of (sub, version, key, value).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MultiSetReq {
     /// Per-sub-op tags, echoed in the response status vector's order.
@@ -670,176 +347,71 @@ pub struct MultiSetReq {
     pub entries: Vec<(Bytes, Bytes, VersionNumber)>,
 }
 
-impl MultiSetReq {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let len = 4 + self
-            .entries
-            .iter()
-            .map(|(k, v, _)| 32 + k.len() + v.len())
-            .sum::<usize>();
-        let mut b = pool.get(len);
-        b.put_u32_le(self.entries.len() as u32);
-        for (sub, (k, v, ver)) in self.subs.iter().zip(&self.entries) {
-            b.put_u64_le(*sub);
-            b.put_u128_le(ver.0);
-            put_bytes(&mut b, k);
-            put_bytes(&mut b, v);
-        }
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<MultiSetReq> {
-        if body.len() < 4 {
-            return None;
-        }
-        let n = body.get_u32_le() as usize;
-        // Each entry needs at least sub(8) + version(16) + two length
-        // prefixes(8).
-        if body.len() < n.saturating_mul(32) {
-            return None;
-        }
-        let mut subs = Vec::with_capacity(n);
-        let mut entries = Vec::with_capacity(n);
+body! {
+    MultiSetReq: put |m| Seq(
+        m.subs.iter().zip(&m.entries).map(|(sub, (k, v, ver))| (sub, ver, k, v)),
+    ),
+    get |b| {
+        let n = get_count::<(u64, VersionNumber, Bytes, Bytes)>(&mut b)?;
+        let (mut subs, mut entries) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for _ in 0..n {
-            if body.len() < 24 {
-                return None;
-            }
-            subs.push(body.get_u64_le());
-            let ver = VersionNumber(body.get_u128_le());
-            let k = get_bytes(&mut body)?;
-            let v = get_bytes(&mut body)?;
+            let (sub, ver, k, v) = Wire::get(&mut b)?;
+            subs.push(sub);
             entries.push((k, v, ver));
         }
         Some(MultiSetReq { subs, entries })
     }
 }
 
-/// MULTI_SET response body: one `rpc::Status` byte per sub-op, tagged.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MultiSetResp {
-    /// (echoed sub tag, `rpc::Status` as u8) per sub-op, request order.
-    pub statuses: Vec<(u64, u8)>,
-}
-
-impl MultiSetResp {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(4 + 9 * self.statuses.len());
-        b.put_u32_le(self.statuses.len() as u32);
-        for (sub, s) in &self.statuses {
-            b.put_u64_le(*sub);
-            b.put_u8(*s);
-        }
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<MultiSetResp> {
-        if body.len() < 4 {
-            return None;
-        }
-        let n = body.get_u32_le() as usize;
-        if body.len() < n.saturating_mul(9) {
-            return None;
-        }
-        let mut statuses = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sub = body.get_u64_le();
-            let s = body.get_u8();
-            statuses.push((sub, s));
-        }
-        Some(MultiSetResp { statuses })
+body! {
+    /// MULTI_SET response body: one `rpc::Status` byte per sub-op, tagged.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct MultiSetResp {
+        /// (echoed sub tag, `rpc::Status` as u8) per sub-op, request order.
+        pub statuses: Vec<(u64, u8)>,
     }
 }
 
-/// PREPARE_MAINTENANCE body: where to migrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrepareMaintenance {
-    /// NodeId of the warm spare that will take over this shard.
-    pub spare_node: u32,
-}
-
-impl PrepareMaintenance {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(4);
-        b.put_u32_le(self.spare_node);
-        b.freeze()
-    }
-
-    /// Decode from a body.
-    pub fn decode(mut body: Bytes) -> Option<PrepareMaintenance> {
-        if body.len() < 4 {
-            return None;
-        }
-        Some(PrepareMaintenance {
-            spare_node: body.get_u32_le(),
-        })
+body! {
+    /// PREPARE_MAINTENANCE body: where to migrate.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PrepareMaintenance {
+        /// NodeId of the warm spare that will take over this shard.
+        pub spare_node: u32,
     }
 }
 
-/// Geometry advertised at CONNECT time: everything a client needs to issue
-/// RMA reads against this backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Geometry {
-    /// Cell configuration id the backend believes in.
-    pub config_id: u32,
-    /// Index region window.
-    pub index_window: u32,
-    /// Index window generation.
-    pub index_generation: u32,
-    /// Number of buckets in the index.
-    pub num_buckets: u64,
-    /// Entries per bucket.
-    pub assoc: u16,
-    /// Data region window.
-    pub data_window: u32,
-    /// Data window generation.
-    pub data_generation: u32,
-    /// Logical shard this backend serves.
-    pub shard: u32,
-}
-
-impl Geometry {
-    /// Encode to a body in a pooled buffer.
-    pub fn encode_in(&self, pool: &Pool) -> Bytes {
-        let mut b = pool.get(34);
-        b.put_u32_le(self.config_id);
-        b.put_u32_le(self.index_window);
-        b.put_u32_le(self.index_generation);
-        b.put_u64_le(self.num_buckets);
-        b.put_u16_le(self.assoc);
-        b.put_u32_le(self.data_window);
-        b.put_u32_le(self.data_generation);
-        b.put_u32_le(self.shard);
-        b.freeze()
+body! {
+    /// Geometry advertised at CONNECT time: everything a client needs to
+    /// issue RMA reads against this backend. An index of no buckets is not
+    /// one (a client addresses a key's bucket modulo the bucket count), so
+    /// it does not decode.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct Geometry {
+        /// Cell configuration id the backend believes in.
+        pub config_id: u32,
+        /// Index region window.
+        pub index_window: u32,
+        /// Index window generation.
+        pub index_generation: u32,
+        /// Number of buckets in the index.
+        pub num_buckets: u64,
+        /// Entries per bucket.
+        pub assoc: u16,
+        /// Data region window.
+        pub data_window: u32,
+        /// Data window generation.
+        pub data_generation: u32,
+        /// Logical shard this backend serves.
+        pub shard: u32,
     }
-
-    /// Decode from a body. An index of no buckets is not one: a client
-    /// addresses a key's bucket modulo the bucket count.
-    pub fn decode(mut body: Bytes) -> Option<Geometry> {
-        if body.len() < 34 {
-            return None;
-        }
-        let geom = Geometry {
-            config_id: body.get_u32_le(),
-            index_window: body.get_u32_le(),
-            index_generation: body.get_u32_le(),
-            num_buckets: body.get_u64_le(),
-            assoc: body.get_u16_le(),
-            data_window: body.get_u32_le(),
-            data_generation: body.get_u32_le(),
-            shard: body.get_u32_le(),
-        };
-        (geom.num_buckets != 0).then_some(geom)
-    }
+    if |g| g.num_buckets != 0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     #[test]
     fn set_roundtrip() {
@@ -1141,5 +713,215 @@ mod tests {
         }
         .encode_in(&Pool::new());
         assert_eq!(MultiSetReq::decode(good.slice(0..good.len() - 1)), None);
+    }
+
+    /// A fixed sample of every body and both envelopes, byte for byte as
+    /// the hand-written encoders that preceded the field codec wrote them.
+    #[test]
+    fn every_body_keeps_its_wire_bytes() {
+        use crate::config::{CellConfig, ReplicationMode};
+        let pool = Pool::new();
+        let b = Bytes::from_static;
+        let v = VersionNumber::new(1, 2, 3);
+        let w = VersionNumber::new(4, 5, 6);
+        let geometry = Geometry {
+            config_id: 1,
+            index_window: 2,
+            index_generation: 3,
+            num_buckets: 64,
+            assoc: 14,
+            data_window: 4,
+            data_generation: 5,
+            shard: 6,
+        };
+        let config = CellConfig {
+            config_id: 5,
+            replication: ReplicationMode::R32,
+            shards: vec![10, 11, 12],
+            spares: vec![13],
+        };
+        let request = rpc::Request {
+            version: rpc::PROTOCOL_VERSION,
+            method: method::SET,
+            id: 0x1122,
+            auth: 7,
+            deadline_ns: 1_000,
+            body: b(b"body"),
+        };
+        let response = rpc::Response {
+            version: rpc::PROTOCOL_VERSION,
+            status: rpc::Status::VersionRejected,
+            id: 99,
+            body: b(b"resp"),
+        };
+        let frames: [(&str, Bytes, &str); 19] = [
+            (
+                "SetReq",
+                SetReq {
+                    key: b(b"key"),
+                    value: b(b"value"),
+                    version: v,
+                }
+                .encode_in(&pool),
+                "03000000020000000100000000000000030000006b65790500000076616c7565",
+            ),
+            (
+                "EraseReq",
+                EraseReq {
+                    key: b(b"gone"),
+                    version: w,
+                }
+                .encode_in(&pool),
+                "0600000005000000040000000000000004000000676f6e65",
+            ),
+            (
+                "CasReq",
+                CasReq {
+                    key: b(b"k"),
+                    value: b(b"new"),
+                    expected: v,
+                    new_version: w,
+                }
+                .encode_in(&pool),
+                "0300000002000000010000000000000006000000050000000400000000000000\
+                 010000006b030000006e6577",
+            ),
+            (
+                "GetResp",
+                GetResp {
+                    key: b(b"k"),
+                    value: b(b"found"),
+                    version: v,
+                }
+                .encode_in(&pool),
+                "03000000020000000100000000000000010000006b05000000666f756e64",
+            ),
+            (
+                "GetReq",
+                GetReq { key: b(b"lookup") }.encode_in(&pool),
+                "060000006c6f6f6b7570",
+            ),
+            (
+                "FetchByHashReq",
+                FetchByHashReq {
+                    key_hash: 0x0102_0304,
+                }
+                .encode_in(&pool),
+                "04030201000000000000000000000000",
+            ),
+            (
+                "AccessRecords",
+                AccessRecords {
+                    hashes: vec![1, u128::MAX],
+                }
+                .encode_in(&pool),
+                "0200000001000000000000000000000000000000ffffffffffffffffffffffffffffffff",
+            ),
+            ("ScanReq", ScanReq { page: 7 }.encode_in(&pool), "07000000"),
+            (
+                "ScanPage",
+                ScanPage {
+                    page: 3,
+                    done: true,
+                    pairs: vec![(5, v)],
+                    tombstones: vec![(6, w)],
+                }
+                .encode_in(&pool),
+                "0300000001010000000500000000000000000000000000000003000000020000\
+                 0001000000000000000100000006000000000000000000000000000000060000\
+                 00050000000400000000000000",
+            ),
+            (
+                "MigrateChunk",
+                MigrateChunk {
+                    last: true,
+                    shard: 2,
+                    new_config_id: 9,
+                    entries: vec![(b(b"a"), b(b"1"), v)],
+                    erased: vec![(b(b"b"), w)],
+                }
+                .encode_in(&pool),
+                "0102000000090000000100000003000000020000000100000000000000010000\
+                 0061010000003101000000060000000500000004000000000000000100000062",
+            ),
+            (
+                "MultiGetReq",
+                MultiGetReq {
+                    subs: vec![10, 11],
+                    keys: vec![b(b"a"), b(b"bb")],
+                }
+                .encode_in(&pool),
+                "020000000a0000000000000001000000610b00000000000000020000006262",
+            ),
+            (
+                "MultiGetResp",
+                MultiGetResp {
+                    entries: vec![
+                        MultiGetEntry {
+                            sub: 10,
+                            status: 0,
+                            version: v,
+                            value: b(b"v"),
+                        },
+                        MultiGetEntry {
+                            sub: 11,
+                            status: 1,
+                            version: VersionNumber::ZERO,
+                            value: Bytes::new(),
+                        },
+                    ],
+                }
+                .encode_in(&pool),
+                "020000000a000000000000000003000000020000000100000000000000010000\
+                 00760b00000000000000010000000000000000000000000000000000000000",
+            ),
+            (
+                "MultiSetReq",
+                MultiSetReq {
+                    subs: vec![7],
+                    entries: vec![(b(b"k"), b(b"v"), w)],
+                }
+                .encode_in(&pool),
+                "0100000007000000000000000600000005000000040000000000000001000000\
+                 6b0100000076",
+            ),
+            (
+                "MultiSetResp",
+                MultiSetResp {
+                    statuses: vec![(7, 0), (8, 2)],
+                }
+                .encode_in(&pool),
+                "02000000070000000000000000080000000000000002",
+            ),
+            (
+                "PrepareMaintenance",
+                PrepareMaintenance { spare_node: 42 }.encode_in(&pool),
+                "2a000000",
+            ),
+            (
+                "Geometry",
+                geometry.encode_in(&pool),
+                "01000000020000000300000040000000000000000e00040000000500000006000000",
+            ),
+            (
+                "CellConfig",
+                config.encode(),
+                "0500000003030000000a0000000b0000000c000000010000000d000000",
+            ),
+            (
+                "rpc::Request",
+                rpc::encode_request(&request),
+                "5052010300020022110000000000000700000000000000e80300000000000004000000626f6479",
+            ),
+            (
+                "rpc::Response",
+                rpc::encode_response_in(&response, &pool),
+                "50520203000263000000000000000400000072657370",
+            ),
+        ];
+        for (name, frame, golden) in frames {
+            let hex: String = frame.iter().map(|x| format!("{x:02x}")).collect();
+            assert_eq!(hex, golden, "{name}");
+        }
     }
 }

@@ -9,8 +9,10 @@
 //!
 //! The crate provides the building blocks a simulated process composes:
 //!
-//! * [`codec`] — the binary envelope (version, method, auth, deadline),
-//!   evolution-tolerant (trailing extensions are skipped by old decoders);
+//! * [`codec`] — the field codec ([`codec::Wire`]) every message is
+//!   written in, and the binary envelope (version, method, auth, deadline)
+//!   written in it; evolution-tolerant (trailing extensions are skipped by
+//!   old decoders);
 //! * [`Deferred`] — continuation storage keyed by CPU-completion tokens,
 //!   so handlers run *after* their modelled CPU cost;
 //! * [`RpcCostModel`] — where the 50 µs goes;

@@ -11,8 +11,8 @@
 //! The layer follows the fault/obs contract: a simulation without devices
 //! enabled ([`crate::sim::Sim::enable_devices`]) pays a single `Option`
 //! branch on no path at all — device ops are only reachable through
-//! [`crate::sim::Ctx::device_write`] and friends, which nodes call only
-//! when configured for durability — draws no randomness, and schedules
+//! [`crate::sim::Ctx::device_commit`], which nodes call only when
+//! configured for durability — draws no randomness, and schedules
 //! nothing, so every pre-durability schedule is byte-identical.
 
 use crate::time::{serialization_delay, SimDuration, SimTime};

@@ -198,10 +198,10 @@ impl Sim {
         }
     }
 
-    /// Give every host a timed storage device following `cfg`. Device ops
-    /// ([`Ctx::device_write`], [`Ctx::device_fsync`], [`Ctx::device_commit`])
-    /// panic unless this has been called — durability is opt-in per cell,
-    /// and an unconfigured device op is a wiring bug, not a soft error.
+    /// Give every host a timed storage device following `cfg`. A device op
+    /// ([`Ctx::device_commit`]) panics unless this has been called —
+    /// durability is opt-in per cell, and an unconfigured device op is a
+    /// wiring bug, not a soft error.
     pub fn enable_devices(&mut self, cfg: DeviceCfg) {
         self.devices = Some(Box::new(Devices::new(cfg)));
     }
@@ -238,11 +238,6 @@ impl Sim {
             Some(r) => r.drain_completed(now, obs::recorder::DEFAULT_RETENTION_NS),
             None => Vec::new(),
         }
-    }
-
-    /// Recorder statistics (None when tracing is disabled).
-    pub fn recorder(&self) -> Option<&obs::Recorder> {
-        self.obs.as_deref()
     }
 
     /// Install (compile and arm) a fault plan. Link and CPU faults become
@@ -876,7 +871,9 @@ impl<'a> Ctx<'a> {
         self.sim.devices.is_some()
     }
 
-    /// Queue a write of `bytes` payload bytes on this node's host device;
+    /// Queue a combined write-then-fsync commit of `bytes` payload bytes on
+    /// this node's host device — the group-commit primitive: one device
+    /// transaction, one fsync, the whole batch durable at completion.
     /// [`Event::Timer`] with `token` fires at completion. Returns the
     /// completion time. Like timers, the completion captures the current
     /// incarnation, so a crash between issue and completion fences the
@@ -884,40 +881,6 @@ impl<'a> Ctx<'a> {
     ///
     /// Panics if devices are not enabled: durability is opt-in per cell
     /// and calling a device op without the layer is a wiring bug.
-    pub fn device_write(&mut self, bytes: u64, token: u64) -> SimTime {
-        let host = self.self_host().0 as usize;
-        let now = self.sim.now;
-        let d = self
-            .sim
-            .devices
-            .as_deref_mut()
-            .expect("devices not enabled");
-        let done = d.admit_write(host, now, bytes);
-        self.complete_device_op(done, token);
-        done
-    }
-
-    /// Queue an fsync on this node's host device; [`Event::Timer`] with
-    /// `token` fires at completion. See [`Ctx::device_write`] for the
-    /// fencing and panic contract.
-    pub fn device_fsync(&mut self, token: u64) -> SimTime {
-        let host = self.self_host().0 as usize;
-        let now = self.sim.now;
-        let d = self
-            .sim
-            .devices
-            .as_deref_mut()
-            .expect("devices not enabled");
-        let done = d.admit_fsync(host, now);
-        self.complete_device_op(done, token);
-        done
-    }
-
-    /// Queue a combined write-then-fsync commit of `bytes` payload bytes —
-    /// the group-commit primitive: one device transaction, one fsync, the
-    /// whole batch durable at completion. [`Event::Timer`] with `token`
-    /// fires at completion. See [`Ctx::device_write`] for the fencing and
-    /// panic contract.
     pub fn device_commit(&mut self, bytes: u64, token: u64) -> SimTime {
         let host = self.self_host().0 as usize;
         let now = self.sim.now;

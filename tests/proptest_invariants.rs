@@ -243,8 +243,21 @@ proptest! {
         let _ = rma::decode(b.clone());
         let _ = parse_data_entry(&b);
         let _ = cliquemap::messages::SetReq::decode(b.clone());
+        let _ = cliquemap::messages::EraseReq::decode(b.clone());
+        let _ = cliquemap::messages::CasReq::decode(b.clone());
+        let _ = cliquemap::messages::GetResp::decode(b.clone());
+        let _ = cliquemap::messages::GetReq::decode(b.clone());
+        let _ = cliquemap::messages::FetchByHashReq::decode(b.clone());
+        let _ = cliquemap::messages::AccessRecords::decode(b.clone());
         let _ = cliquemap::messages::ScanPage::decode(b.clone());
+        let _ = cliquemap::messages::ScanReq::decode(b.clone());
         let _ = cliquemap::messages::MigrateChunk::decode(b.clone());
+        let _ = cliquemap::messages::MultiGetReq::decode(b.clone());
+        let _ = cliquemap::messages::MultiGetResp::decode(b.clone());
+        let _ = cliquemap::messages::MultiSetReq::decode(b.clone());
+        let _ = cliquemap::messages::MultiSetResp::decode(b.clone());
+        let _ = cliquemap::messages::PrepareMaintenance::decode(b.clone());
+        let _ = cliquemap::messages::Geometry::decode(b.clone());
         let _ = cliquemap::config::CellConfig::decode(b);
     }
 
@@ -404,7 +417,9 @@ proptest! {
     /// The frames whose decode feeds the client's quorum core — lookup
     /// responses, batch status vectors, and the mutation requests backends
     /// decode — and what carries them — the RPC envelopes and the batch
-    /// request frames — survive truncation at every length and every
+    /// request frames — and the control bodies (lookups by key or hash,
+    /// access records, scan requests, maintenance notices, geometry and the
+    /// cell config) survive truncation at every length and every
     /// single-bit flip: no panic, no allocation sized by an unchecked
     /// count, and a result that is `None` (a `Garbled` verdict, one retry,
     /// at the client) or accounts for no more bytes than the frame holds.
@@ -445,7 +460,16 @@ proptest! {
                 rpc::Envelope::Response(r) => 18 + r.body.len(),
             })
         }
-        let frames: [(&str, Bytes, Sized); 10] = [
+        let hashes = subs.iter().map(|&sub| version.0 ^ sub as u128).collect();
+        let geometry = Geometry {
+            config_id: 1, index_window: 2, index_generation: 3, num_buckets: n as u64 + 1,
+            assoc: 14, data_window: 4, data_generation: 5, shard: version.0 as u32,
+        };
+        let config = cliquemap::config::CellConfig {
+            config_id: version.0 as u32, replication: cliquemap::config::ReplicationMode::R32,
+            shards: (0..=n as u32).collect(), spares: (0..n as u32).collect(),
+        };
+        let frames: [(&str, Bytes, Sized); 17] = [
             ("rpc::Request", rpc::encode_request_in(&request, &pool), envelope),
             ("rpc::Response", rpc::encode_response_in(&response, &pool), envelope),
             ("MultiGetReq", multi_get.encode_in(&pool), |b| {
@@ -484,6 +508,25 @@ proptest! {
              |b| CasReq::decode(b).map(|m| 40 + m.key.len() + m.value.len())),
             ("EraseReq", EraseReq { key: key.clone(), version }.encode_in(&pool),
              |b| EraseReq::decode(b).map(|m| 20 + m.key.len())),
+            ("GetReq", GetReq { key: key.clone() }.encode_in(&pool),
+             |b| GetReq::decode(b).map(|m| 4 + m.key.len())),
+            ("FetchByHashReq", FetchByHashReq { key_hash: version.0 }.encode_in(&pool),
+             |b| FetchByHashReq::decode(b).map(|_| 16)),
+            ("AccessRecords", AccessRecords { hashes }.encode_in(&pool), |b| {
+                let len = b.len();
+                let m = AccessRecords::decode(b)?;
+                assert!(m.hashes.capacity() * 16 <= len, "capacity from an unchecked count");
+                Some(4 + 16 * m.hashes.len())
+            }),
+            ("ScanReq", ScanReq { page: version.0 as u32 }.encode_in(&pool),
+             |b| ScanReq::decode(b).map(|_| 4)),
+            ("PrepareMaintenance", PrepareMaintenance { spare_node: n as u32 }.encode_in(&pool),
+             |b| PrepareMaintenance::decode(b).map(|_| 4)),
+            ("Geometry", geometry.encode_in(&pool), |b| Geometry::decode(b).map(|_| 34)),
+            ("CellConfig", config.encode(), |b| {
+                cliquemap::config::CellConfig::decode(b)
+                    .map(|c| 13 + 4 * (c.shards.len() + c.spares.len()))
+            }),
         ];
         for (name, frame, decode) in frames {
             prop_assert_eq!(decode(frame.clone()), Some(frame.len()), "{}: full frame", name);
@@ -503,6 +546,7 @@ proptest! {
         let huge = Bytes::from(u32::MAX.to_le_bytes().to_vec());
         prop_assert!(MultiGetResp::decode(huge.clone()).is_none());
         prop_assert!(MultiSetResp::decode(huge.clone()).is_none());
+        prop_assert!(AccessRecords::decode(huge.clone()).is_none());
         prop_assert!(MultiSetReq::decode(huge).is_none());
     }
 
