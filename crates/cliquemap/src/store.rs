@@ -336,6 +336,11 @@ impl BackendStore {
         // Data space, evicting on capacity conflicts.
         let len = data_entry_size(key.len(), value.len());
         let data_offset = self.alloc_with_eviction(len, hash)?;
+        // One stored extent for the whole entry, made while its slot is
+        // handed out: the streamed chunks land in it, and a read of the
+        // entry borrows it whole.
+        self.regions
+            .reserve(self.data_buffer, data_offset as usize, len);
         let entry_bytes = encode_data_entry(key, value, version);
         debug_assert_eq!(entry_bytes.len(), len);
         let ptr = Pointer {

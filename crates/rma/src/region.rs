@@ -18,13 +18,17 @@
 //! window's bounds, [`RegionTable::buffer_len`] and
 //! [`RegionTable::resident_bytes`] are all in those *logical* bytes, the
 //! model's populated DRAM. What the host running the model holds is only
-//! what was written: a flat buffer is allocated zeroed (pages nobody
-//! touched are not resident), and a **tiled** buffer
-//! ([`RegionTable::alloc_tiled_buffer`]) — one tile repeated, the shape of a
-//! bucket array — keeps one shared template for every tile nobody has
-//! written and copies it out on a tile's first write.
+//! what was written. A data buffer ([`RegionTable::alloc_buffer`]) stores
+//! the byte ranges ever written, as extents inside 64 KiB pages: bytes
+//! nobody wrote read as zero, a write lands in the extent that holds it (or
+//! makes one, absorbing any it overlaps), and growing the buffer only moves
+//! its length. A **tiled** buffer ([`RegionTable::alloc_tiled_buffer`]) —
+//! one tile repeated, the shape of a bucket array — keeps one shared
+//! template for every tile nobody has written and copies it out on a tile's
+//! first write.
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 use bytes::Bytes;
 
@@ -87,9 +91,366 @@ fn pieces(len: usize, start: usize, stop: usize) -> impl Iterator<Item = (usize,
     })
 }
 
+/// Bytes in a page of a data buffer: no extent crosses a page boundary (a
+/// write that does is cut at it).
+const PAGE: usize = 1 << 16;
+
+/// What every byte nobody wrote reads as, for reads inside one page.
+static ZEROS: [u8; PAGE] = [0; PAGE];
+
+/// Bits of an extent's position that are its offset in a segment. Extents
+/// are laid out back to back in segments: the first holds a page (so any
+/// extent fits), each next one twice its predecessor, up to 1 MiB.
+const SEG_BITS: u32 = 20;
+
+/// Capacity of segment `n` of a data buffer's store.
+fn seg_capacity(n: usize) -> usize {
+    PAGE << n.min((SEG_BITS - PAGE.ilog2()) as usize)
+}
+
+/// Where an extent's bytes are: `at` is its segment number above
+/// [`SEG_BITS`] and its offset in that segment below. `room` bytes are
+/// kept there, those past `len` zero, so the extent can grow in place.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    at: u32,
+    len: u32,
+    room: u32,
+}
+
+impl Span {
+    fn seg(at: u32) -> (usize, usize) {
+        (
+            (at >> SEG_BITS) as usize,
+            at as usize & ((1 << SEG_BITS) - 1),
+        )
+    }
+
+    fn bytes(self, segs: &[Vec<u8>]) -> &[u8] {
+        let (seg, off) = Span::seg(self.at);
+        &segs[seg][off..off + self.len as usize]
+    }
+
+    /// `len` bytes from `off` bytes into this extent.
+    fn part(self, off: usize, len: usize) -> Span {
+        Span {
+            at: self.at + off as u32,
+            len: len as u32,
+            room: len as u32,
+        }
+    }
+
+    fn bytes_mut(self, segs: &mut [Vec<u8>]) -> &mut [u8] {
+        let (seg, off) = Span::seg(self.at);
+        &mut segs[seg][off..off + self.len as usize]
+    }
+}
+
+/// Copy `len` bytes from position `from` of the store to position `to`,
+/// which lies in another segment or does not overlap them.
+fn copy_span(segs: &mut [Vec<u8>], from: u32, to: u32, len: usize) {
+    let ((fs, fo), (ts, to)) = (Span::seg(from), Span::seg(to));
+    match fs.cmp(&ts) {
+        std::cmp::Ordering::Equal => segs[fs].copy_within(fo..fo + len, to),
+        std::cmp::Ordering::Less => {
+            let (src, dst) = segs.split_at_mut(ts);
+            dst[0][to..to + len].copy_from_slice(&src[fs][fo..fo + len]);
+        }
+        std::cmp::Ordering::Greater => {
+            let (dst, src) = segs.split_at_mut(fs);
+            dst[ts][to..to + len].copy_from_slice(&src[0][fo..fo + len]);
+        }
+    }
+}
+
+/// The smallest free hole worth keeping: anything shorter stays garbage
+/// until the next compaction.
+const HOLE: usize = 64;
+
+/// An absorbed extent's room becomes a hole for [`Sparse::place`] to
+/// reuse, or garbage when too small to be worth it.
+fn release(holes: &mut BTreeSet<(u32, u32)>, live: &mut usize, old: Span) {
+    *live -= old.room as usize;
+    if old.room as usize >= HOLE {
+        holes.insert((old.room, old.at));
+    }
+}
+
+/// One 64 KiB page of a [`Sparse`] buffer: the extents written into it.
+/// Extents are disjoint; two that merely touch stay two, so streaming an
+/// entry in pieces into a reserved extent never re-copies it.
+#[derive(Debug, Default)]
+struct Page {
+    /// Where each extent starts in the page, ascending.
+    starts: Vec<u16>,
+    /// Where each extent's bytes are, in `starts` order.
+    spans: Vec<Span>,
+}
+
+impl Page {
+    /// Extents starting at or before `at`: the last of them is the only
+    /// one that can hold byte `at`.
+    fn upto(&self, at: usize) -> usize {
+        self.starts.partition_point(|&s| s as usize <= at)
+    }
+
+    /// `[at, end)` when one extent holds all of it, or zeros when no
+    /// extent holds any of it; `None` when it is pieced from several.
+    fn slice<'a>(&self, segs: &'a [Vec<u8>], at: usize, end: usize) -> Option<&'a [u8]> {
+        let n = self.upto(at);
+        if n > 0 {
+            let s = self.starts[n - 1] as usize;
+            let span = self.spans[n - 1];
+            if end <= s + span.len as usize {
+                return Some(&span.bytes(segs)[at - s..end - s]);
+            }
+            if at < s + span.len as usize {
+                return None;
+            }
+        }
+        match self.starts.get(n) {
+            Some(&next) if (next as usize) < end => None,
+            _ => Some(&ZEROS[..end - at]),
+        }
+    }
+
+    /// Copy what is written of `[at, at + out.len())` into `out`, which
+    /// holds zeros.
+    fn copy_out(&self, segs: &[Vec<u8>], at: usize, out: &mut [u8]) {
+        let end = at + out.len();
+        let first = self.upto(at).saturating_sub(1);
+        for (&s, span) in self.starts[first..].iter().zip(&self.spans[first..]) {
+            let s = s as usize;
+            if s >= end {
+                break;
+            }
+            let (from, to) = (at.max(s), end.min(s + span.len as usize));
+            if from < to {
+                out[from - at..to - at].copy_from_slice(&span.bytes(segs)[from - s..to - s]);
+            }
+        }
+    }
+}
+
+/// A zeroed range of bytes that stores only the extents written into it:
+/// pages index them, segments hold their bytes.
+#[derive(Debug)]
+struct Sparse {
+    /// Logical length.
+    len: usize,
+    /// Pages up to the last one written; the rest read as zeros.
+    pages: Vec<Page>,
+    /// The extents' bytes. A new extent takes the smallest free hole that
+    /// fits, else goes at the end of segment `head`; what an extent held
+    /// before it was grown or absorbed becomes a hole, and the slivers
+    /// holes leave are garbage until [`Sparse::compact`]. A segment, once
+    /// allocated, is kept until the buffer goes.
+    segs: Vec<Vec<u8>>,
+    /// The segment new extents go to; those after it are empty.
+    head: usize,
+    /// Free holes as `(room, position)`, smallest first.
+    holes: BTreeSet<(u32, u32)>,
+    /// Bytes filled in `segs`, garbage included.
+    used: usize,
+    /// Bytes of `segs` some extent keeps as its room.
+    live: usize,
+}
+
+impl Sparse {
+    fn new(len: usize) -> Sparse {
+        Sparse {
+            len,
+            pages: Vec::new(),
+            segs: Vec::new(),
+            head: 0,
+            holes: BTreeSet::new(),
+            used: 0,
+            live: 0,
+        }
+    }
+
+    fn read(&self, start: usize, stop: usize) -> Cow<'_, [u8]> {
+        assert!(stop <= self.len, "read past the end of a buffer");
+        let (n, at) = (start / PAGE, start % PAGE);
+        let end = at + (stop - start);
+        if end <= PAGE {
+            let one = match self.pages.get(n) {
+                Some(p) => p.slice(&self.segs, at, end),
+                None => Some(&ZEROS[..end - at]),
+            };
+            if let Some(bytes) = one {
+                return Cow::Borrowed(bytes);
+            }
+        }
+        let mut out = vec![0; stop - start];
+        let mut done = 0;
+        for (n, at, take) in pieces(PAGE, start, stop) {
+            if let Some(p) = self.pages.get(n) {
+                p.copy_out(&self.segs, at, &mut out[done..done + take]);
+            }
+            done += take;
+        }
+        Cow::Owned(out)
+    }
+
+    /// `[start, stop)` held by one extent per page it touches, made if
+    /// needed; `f` sees each page's piece with its offset from `start`.
+    fn cover(&mut self, start: usize, stop: usize, mut f: impl FnMut(usize, &mut [u8])) {
+        assert!(stop <= self.len, "write past the end of a buffer");
+        let last = (stop.max(1) - 1) / PAGE;
+        if start < stop && self.pages.len() <= last {
+            self.pages.resize_with(last + 1, Page::default);
+        }
+        for (n, at, take) in pieces(PAGE, start, stop) {
+            let span = self.extent(n, at, at + take);
+            f(n * PAGE + at - start, span.bytes_mut(&mut self.segs));
+        }
+        // Garbage stays under a sixteenth of what the segments hold.
+        if self.used - self.live > PAGE.max(self.used / 16) {
+            self.compact();
+        }
+    }
+
+    /// Where `[at, end)` of page `n` is stored: in the extent that holds
+    /// it, or in a new one absorbing every extent it overlaps (the bytes
+    /// between them zero).
+    fn extent(&mut self, n: usize, at: usize, end: usize) -> Span {
+        let page = &mut self.pages[n];
+        let mut lo = page.upto(at);
+        if lo > 0 {
+            let s = page.starts[lo - 1] as usize;
+            let span = page.spans[lo - 1];
+            if end <= s + span.len as usize {
+                return span.part(at - s, end - at);
+            }
+            if at < s + span.len as usize {
+                lo -= 1;
+            }
+        }
+        let hi = lo + page.starts[lo..].partition_point(|&s| (s as usize) < end);
+        let (start, stop) = match hi.checked_sub(1) {
+            Some(last) if lo < hi => (
+                at.min(page.starts[lo] as usize),
+                end.max(page.starts[last] as usize + page.spans[last].len as usize),
+            ),
+            _ => (at, end),
+        };
+        // A longer entry over an extent with room to spare grows it in
+        // place: the bytes past its length are zero.
+        let need = stop - start;
+        if hi == lo + 1 && page.starts[lo] as usize == start && need <= page.spans[lo].room as usize
+        {
+            let span = &mut page.spans[lo];
+            span.len = need as u32;
+            return span.part(at - start, end - at);
+        }
+        let (to, room) = self.place(need);
+        let merged = Span {
+            at: to,
+            len: need as u32,
+            room: room as u32,
+        };
+        // Copy what the absorbed extents held; then their room is free.
+        let page = &mut self.pages[n];
+        for (&s, &old) in page.starts[lo..hi].iter().zip(&page.spans[lo..hi]) {
+            copy_span(
+                &mut self.segs,
+                old.at,
+                to + (s as usize - start) as u32,
+                old.len as usize,
+            );
+            release(&mut self.holes, &mut self.live, old);
+        }
+        if lo == hi {
+            page.starts.insert(lo, start as u16);
+            page.spans.insert(lo, merged);
+        } else {
+            page.starts[lo] = start as u16;
+            page.spans[lo] = merged;
+            page.starts.drain(lo + 1..hi);
+            page.spans.drain(lo + 1..hi);
+        }
+        merged.part(at - start, end - at)
+    }
+
+    /// Zeroed room for `need` bytes: the smallest free hole that fits
+    /// (what it has over [`HOLE`] to spare stays a hole), else the end of
+    /// the head segment (or of the next one).
+    fn place(&mut self, need: usize) -> (u32, usize) {
+        if let Some(&(room, to)) = self.holes.range((need as u32, 0)..).next() {
+            self.holes.remove(&(room, to));
+            let mut room = room as usize;
+            if room - need >= HOLE {
+                self.holes.insert(((room - need) as u32, to + need as u32));
+                room = need;
+            }
+            let (seg, off) = Span::seg(to);
+            self.segs[seg][off..off + room].fill(0);
+            self.live += room;
+            return (to, room);
+        }
+        while let Some(s) = self.segs.get(self.head) {
+            if s.len() + need <= s.capacity() {
+                break;
+            }
+            self.head += 1;
+        }
+        if self.head == self.segs.len() {
+            assert!(
+                self.head < 1 << (32 - SEG_BITS),
+                "a data buffer stores at most 4 GiB"
+            );
+            self.segs.push(Vec::with_capacity(seg_capacity(self.head)));
+        }
+        let seg = &mut self.segs[self.head];
+        let off = seg.len();
+        seg.resize(off + need, 0);
+        self.used += need;
+        self.live += need;
+        ((self.head << SEG_BITS | off) as u32, need)
+    }
+
+    /// Slide every extent down over the garbage, in store order, and empty
+    /// the segments left over. In place: an extent never moves up.
+    fn compact(&mut self) {
+        let mut order: Vec<(u32, u32, u32)> = Vec::with_capacity(self.pages.len());
+        for (n, page) in self.pages.iter().enumerate() {
+            for (i, span) in page.spans.iter().enumerate() {
+                order.push((span.at, n as u32, i as u32));
+            }
+        }
+        order.sort_unstable();
+        let (mut seg, mut off) = (0, 0);
+        for (_, n, i) in order {
+            let span = &mut self.pages[n as usize].spans[i as usize];
+            let len = span.room as usize;
+            if off + len > self.segs[seg].capacity() {
+                self.segs[seg].truncate(off);
+                (seg, off) = (seg + 1, 0);
+            }
+            let to = (seg << SEG_BITS | off) as u32;
+            if to != span.at {
+                if self.segs[seg].len() < off + len {
+                    self.segs[seg].resize(off + len, 0);
+                }
+                copy_span(&mut self.segs, span.at, to, len);
+                span.at = to;
+            }
+            off += len;
+        }
+        self.segs[seg].truncate(off);
+        for rest in &mut self.segs[seg + 1..] {
+            rest.clear();
+        }
+        self.head = seg;
+        self.holes.clear();
+        self.used = self.live;
+    }
+}
+
 #[derive(Debug)]
 enum Buffer {
-    Flat(Vec<u8>),
+    Sparse(Sparse),
     Tiled(Tiled),
 }
 
@@ -97,17 +458,18 @@ impl Buffer {
     /// Logical length in bytes.
     fn len(&self) -> usize {
         match self {
-            Buffer::Flat(data) => data.len(),
+            Buffer::Sparse(s) => s.len,
             Buffer::Tiled(t) => t.template.len() * t.slots.len(),
         }
     }
 
     /// The bytes of `[start, stop)`, which the caller has checked against
-    /// [`Self::len`]. Borrowed, unless the range straddles tiles: then the
-    /// pieces are assembled into the bytes a flat buffer would hold.
+    /// [`Self::len`]. Borrowed, unless the range straddles tiles, or pages
+    /// or extents of a sparse buffer: then the pieces are assembled into
+    /// the bytes a flat buffer would hold.
     fn read(&self, start: usize, stop: usize) -> Cow<'_, [u8]> {
         match self {
-            Buffer::Flat(data) => Cow::Borrowed(&data[start..stop]),
+            Buffer::Sparse(s) => s.read(start, stop),
             Buffer::Tiled(t) => {
                 let len = t.template.len();
                 let (n, at) = (start / len, start % len);
@@ -130,7 +492,9 @@ impl Buffer {
 
     fn write(&mut self, offset: usize, bytes: &[u8]) {
         match self {
-            Buffer::Flat(data) => data[offset..offset + bytes.len()].copy_from_slice(bytes),
+            Buffer::Sparse(s) => s.cover(offset, offset + bytes.len(), |from, to| {
+                to.copy_from_slice(&bytes[from..from + to.len()])
+            }),
             Buffer::Tiled(t) => {
                 let mut rest = bytes;
                 for (n, at, take) in pieces(t.template.len(), offset, offset + bytes.len()) {
@@ -174,25 +538,26 @@ impl RegionTable {
     fn tiled(&self, id: BufferId) -> &Tiled {
         match &self.buffers[id.0 as usize] {
             Buffer::Tiled(t) => t,
-            Buffer::Flat(_) => panic!("buffer {} is not tiled", id.0),
+            Buffer::Sparse(_) => panic!("buffer {} is not tiled", id.0),
         }
     }
 
     fn tiled_mut(&mut self, id: BufferId) -> &mut Tiled {
         match &mut self.buffers[id.0 as usize] {
             Buffer::Tiled(t) => t,
-            Buffer::Flat(_) => panic!("buffer {} is not tiled", id.0),
+            Buffer::Sparse(_) => panic!("buffer {} is not tiled", id.0),
         }
     }
 
     /// Allocate a zeroed buffer of `len` bytes ("populated" memory, i.e.
-    /// resident DRAM in the paper's terms).
+    /// resident DRAM in the paper's terms). The host stores only what is
+    /// later written into it.
     pub fn alloc_buffer(&mut self, len: usize) -> BufferId {
-        self.push_buffer(Buffer::Flat(vec![0; len]))
+        self.push_buffer(Buffer::Sparse(Sparse::new(len)))
     }
 
     /// Allocate a buffer that reads as `tile` repeated `count` times — as
-    /// populated as a flat one to the model, while the host stores 4 bytes
+    /// populated as any other to the model, while the host stores 4 bytes
     /// per tile until a tile is first written.
     pub fn alloc_tiled_buffer(&mut self, tile: &[u8], count: usize) -> BufferId {
         assert!(!tile.is_empty(), "a tile holds at least one byte");
@@ -204,33 +569,24 @@ impl RegionTable {
         }))
     }
 
-    /// Grow a flat buffer to `new_len` (models populating more of the
-    /// reserved virtual range via `mmap`). Shrinking is not supported at
-    /// runtime — the paper downsizes only via non-disruptive restart.
+    /// Grow a data buffer to `new_len` (models populating more of the
+    /// reserved virtual range via `mmap`): only its length moves. Shrinking
+    /// is not supported at runtime — the paper downsizes only via
+    /// non-disruptive restart.
     pub fn grow_buffer(&mut self, id: BufferId, new_len: usize) {
-        let Buffer::Flat(data) = &mut self.buffers[id.0 as usize] else {
-            panic!("buffer {} is tiled: only flat buffers grow", id.0);
+        let Buffer::Sparse(data) = &mut self.buffers[id.0 as usize] else {
+            panic!("buffer {} is tiled: only data buffers grow", id.0);
         };
-        assert!(new_len >= data.len(), "data regions only grow at runtime");
-        // A fresh zeroed allocation plus a copy of every 4 KiB chunk that
-        // holds a nonzero byte: the grown range, and each chunk of the old
-        // one nobody wrote, stay untouched pages, which `Vec::resize` or a
-        // whole-prefix copy would make resident.
-        let mut grown = vec![0; new_len];
-        for (to, from) in grown.chunks_mut(4096).zip(data.chunks(4096)) {
-            if from.iter().any(|&b| b != 0) {
-                to[..from.len()].copy_from_slice(from);
-            }
-        }
-        *data = grown;
+        assert!(new_len >= data.len, "data regions only grow at runtime");
+        data.len = new_len;
     }
 
-    /// Replace a buffer's contents with a fresh zeroed allocation of
-    /// `new_len` (restart-time downsizing; `0` releases the buffer). The
-    /// memory its windows were registered over is gone, so every one of
-    /// them is revoked.
+    /// Replace a buffer's contents with a fresh zeroed buffer of `new_len`
+    /// (restart-time downsizing; `0` releases the buffer), freeing what the
+    /// old one stored. The memory its windows were registered over is
+    /// gone, so every one of them is revoked.
     pub fn realloc_buffer(&mut self, id: BufferId, new_len: usize) {
-        self.buffers[id.0 as usize] = Buffer::Flat(vec![0; new_len]);
+        self.buffers[id.0 as usize] = Buffer::Sparse(Sparse::new(new_len));
         for w in self.windows.iter_mut().filter(|w| w.buffer == id) {
             w.revoked = true;
         }
@@ -250,6 +606,18 @@ impl RegionTable {
     /// Write bytes into a buffer. Panics on out-of-bounds (backend bug).
     pub fn write(&mut self, id: BufferId, offset: usize, bytes: &[u8]) {
         self.buffers[id.0 as usize].write(offset, bytes);
+    }
+
+    /// Make `[offset, offset + len)` of a data buffer one stored extent per
+    /// 64 KiB page it touches, without changing what it reads as: writes
+    /// into it then land in place, and a read of it within a page is one
+    /// borrowed slice. For a range about to be written piece by piece (a
+    /// DataEntry streamed into its slot). Panics on out-of-bounds.
+    pub fn reserve(&mut self, id: BufferId, offset: usize, len: usize) {
+        let Buffer::Sparse(data) = &mut self.buffers[id.0 as usize] else {
+            panic!("buffer {} is tiled: reserve a data buffer", id.0);
+        };
+        data.cover(offset, offset + len, |_, _| {});
     }
 
     /// Write `bytes` at offset `at` of every tile of a tiled buffer, written
@@ -329,7 +697,7 @@ impl RegionTable {
     /// copy-free path. The slice aliases live backend memory, so callers
     /// must consume it (e.g. encode it into a response frame) before any
     /// mutation of this table. Only a read that straddles tiles of a tiled
-    /// buffer comes back owned.
+    /// buffer, or pages or extents of a data buffer, comes back owned.
     pub fn read_window_slice(
         &self,
         id: WindowId,

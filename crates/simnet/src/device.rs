@@ -2,11 +2,12 @@
 //!
 //! A host may have one storage device (think local NVMe): a single FIFO
 //! queue characterized by a fixed per-op latency, a transfer bandwidth,
-//! and an fsync latency. Writes and fsyncs are *timed device ops*: they
-//! serialize on the device's busy horizon exactly like frames serialize
-//! on a NIC link ([`crate::host::Hosts::admit_tx`]), so a burst of
-//! appends queues behind the op in progress and group commit's batch
-//! amortization emerges from the queue itself rather than being scripted.
+//! and an fsync latency. A commit (a batch's write, then an fsync) is a
+//! *timed device op*: it serializes on the device's busy horizon exactly
+//! like frames serialize on a NIC link ([`crate::host::Hosts::admit_tx`]),
+//! so a burst of appends queues behind the commit in progress and group
+//! commit's batch amortization emerges from the queue itself rather than
+//! being scripted.
 //!
 //! The layer follows the fault/obs contract: a simulation without devices
 //! enabled ([`crate::sim::Sim::enable_devices`]) pays a single `Option`
@@ -53,8 +54,7 @@ pub struct DeviceStats {
     pub writes: u64,
     /// Payload bytes across all writes.
     pub write_bytes: u64,
-    /// Fsyncs admitted (including the fsync half of a combined
-    /// write+fsync commit op).
+    /// Fsyncs admitted (one per commit).
     pub fsyncs: u64,
     /// Total busy time of the device queue, in nanoseconds.
     pub busy_ns: u64,
@@ -96,24 +96,6 @@ impl Devices {
         let done = start + service;
         self.free_at[host] = done;
         self.stats[host].busy_ns += service.nanos();
-        done
-    }
-
-    /// Admit a write of `bytes` payload bytes.
-    pub fn admit_write(&mut self, host: usize, now: SimTime, bytes: u64) -> SimTime {
-        let service = self.cfg.write_latency + serialization_delay(bytes, self.cfg.write_gbps);
-        let done = self.admit(host, now, service);
-        let s = &mut self.stats[host];
-        s.writes += 1;
-        s.write_bytes += bytes;
-        done
-    }
-
-    /// Admit an fsync.
-    pub fn admit_fsync(&mut self, host: usize, now: SimTime) -> SimTime {
-        let service = self.cfg.fsync_latency;
-        let done = self.admit(host, now, service);
-        self.stats[host].fsyncs += 1;
         done
     }
 
@@ -162,29 +144,33 @@ mod tests {
         };
         let mut d = Devices::new(cfg);
         let t0 = SimTime::ZERO;
-        // 100-byte write: 1µs + 1µs transfer.
-        let w1 = d.admit_write(0, t0, 100);
-        assert_eq!(w1, SimTime(2_000));
-        // Fsync queues behind it.
-        let f1 = d.admit_fsync(0, t0);
-        assert_eq!(f1, SimTime(52_000));
+        // A 100-byte commit: 1µs + 1µs transfer + 50µs fsync.
+        let c1 = d.admit_commit(0, t0, 100);
+        assert_eq!(c1, SimTime(52_000));
+        // A second one queues behind it.
+        let c2 = d.admit_commit(0, t0, 100);
+        assert_eq!(c2, SimTime(104_000));
         // Another host's device is independent.
-        let w2 = d.admit_write(1, t0, 100);
-        assert_eq!(w2, SimTime(2_000));
+        let c3 = d.admit_commit(1, t0, 100);
+        assert_eq!(c3, SimTime(52_000));
         let s = d.stats(0);
-        assert_eq!((s.writes, s.fsyncs, s.write_bytes), (1, 1, 100));
-        assert_eq!(s.busy_ns, 52_000);
+        assert_eq!((s.writes, s.fsyncs, s.write_bytes), (2, 2, 200));
+        assert_eq!(s.busy_ns, 104_000);
     }
 
     #[test]
     fn combined_commit_matches_write_plus_fsync() {
-        let cfg = DeviceCfg::default();
-        let mut split = Devices::new(cfg.clone());
-        split.admit_write(0, SimTime::ZERO, 640);
-        let split_done = split.admit_fsync(0, SimTime::ZERO);
-        let mut joint = Devices::new(cfg);
-        let joint_done = joint.admit_commit(0, SimTime::ZERO, 640);
-        assert_eq!(split_done, joint_done);
-        assert_eq!(split.stats(0), joint.stats(0));
+        // The default device: 1µs per op, 640 bytes at 0.2 Gbit/s
+        // (25.6µs), then a 4ms fsync.
+        let mut d = Devices::new(DeviceCfg::default());
+        let done = d.admit_commit(0, SimTime::ZERO, 640);
+        assert_eq!(done, SimTime(1_000 + 25_600 + 4_000_000));
+        let want = DeviceStats {
+            writes: 1,
+            write_bytes: 640,
+            fsyncs: 1,
+            busy_ns: 4_026_600,
+        };
+        assert_eq!(d.stats(0), want);
     }
 }

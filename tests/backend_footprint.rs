@@ -1,16 +1,19 @@
 //! Footprint gate: a backend's host memory follows what was written into
 //! it, not the size of the regions it registers. An index bucket nobody
-//! wrote is 4 bytes of slot table; a data region grows without touching the
-//! range nobody allocated.
+//! wrote is 4 bytes of slot table; a data region costs the entry bytes
+//! written into it, not the slots they were rounded up to, and grows
+//! without allocating anything.
 
 mod support;
 
 use cliquemap::hash::{DefaultHasher, KeyHasher};
-use cliquemap::layout::bucket_size;
+use cliquemap::layout::{bucket_size, data_entry_size};
 use cliquemap::policy::LruPolicy;
+use cliquemap::slab::{SlabAllocator, DEFAULT_SLAB_BYTES, MIN_SLOT};
 use cliquemap::store::{BackendStore, StoreCfg};
 use cliquemap::version::VersionNumber;
 use rma::RegionTable;
+use simnet::SimRng;
 use support::{allocs, live_bytes, zeroed_bytes};
 
 const KIB: i64 = 1 << 10;
@@ -62,14 +65,69 @@ fn growing_a_buffer_does_not_touch_the_new_range() {
     regions.write(b, 4096, b"populated");
     let (calls, live, zeroed) = (allocs(), live_bytes(), zeroed_bytes());
     regions.grow_buffer(b, 2 << 20);
-    // One allocation of the new length, handed out zeroed by the system,
-    // and the old one freed: no `realloc`, no fill of the grown range.
-    assert_eq!(allocs() - calls, 1);
-    assert_eq!(zeroed_bytes() - zeroed, 2 << 20);
-    assert_eq!(live_bytes() - live, 1 << 20);
+    // Only the length moves: no allocation, nothing zeroed or copied.
+    assert_eq!(allocs() - calls, 0);
+    assert_eq!(zeroed_bytes() - zeroed, 0);
+    assert_eq!(live_bytes() - live, 0);
     assert_eq!(&regions.read_buffer(b, 4096, 9)[..], b"populated");
     assert!(regions
         .read_buffer(b, 1 << 20, 1 << 20)
         .iter()
         .all(|&x| x == 0));
+}
+
+/// Fill a data region the way a store does — the slab allocator hands
+/// out a slot, the entry's extent is reserved, the entry is streamed in two
+/// pieces — and return the heap that took with the entry bytes written.
+/// The buffer is as long as the slabs the entries needed plus one slab per
+/// size class (how a store right-sizes its region at restart), which is
+/// what a flat buffer would have cost.
+fn data_region_cost(values: &[usize]) -> (i64, i64) {
+    let entries: Vec<usize> = values.iter().map(|&v| data_entry_size(8, v)).collect();
+    let mut sizer = SlabAllocator::new(usize::MAX / 2);
+    for &len in &entries {
+        sizer.alloc(len).expect("unbounded");
+    }
+    let classes = (DEFAULT_SLAB_BYTES / MIN_SLOT).ilog2() as usize + 1;
+    let capacity = (sizer.used_bytes().div_ceil(DEFAULT_SLAB_BYTES) + classes) * DEFAULT_SLAB_BYTES;
+    let before = live_bytes();
+    let mut regions = RegionTable::new();
+    let b = regions.alloc_buffer(capacity);
+    let mut slab = SlabAllocator::new(capacity);
+    for (i, &len) in entries.iter().enumerate() {
+        let at = slab.alloc(len).expect("sized to fit") as usize;
+        regions.reserve(b, at, len);
+        let entry = vec![i as u8 | 1; len];
+        regions.write(b, at, &entry[..len / 2]);
+        regions.write(b, at + len / 2, &entry[len / 2..]);
+    }
+    let grown = live_bytes() - before;
+    std::hint::black_box(slab);
+    (grown, entries.iter().sum::<usize>() as i64)
+}
+
+/// A data region costs what is written into it: at most a tenth over the
+/// entry bytes, plus 2 KiB per 64 KiB page those bytes fill (page and
+/// extent index) and one open segment of the store (at most 1 MiB). A flat
+/// buffer costs the slots the entries were rounded up to.
+fn assert_costs_what_is_written(shape: &str, values: &[usize]) {
+    let (grown, written) = data_region_cost(values);
+    let pages = written / (64 * KIB) + 1;
+    let bound = written + written / 10 + pages * 2 * KIB + 1024 * KIB;
+    assert!(
+        grown <= bound,
+        "{shape}: {written} entry bytes took {grown} B of heap (bound {bound} B)"
+    );
+}
+
+#[test]
+fn a_data_region_costs_what_is_written() {
+    // Figure 3's values: log-normal around 2,500 B, sigma 0.6, 256 B-64 KiB.
+    let mut rng = SimRng::new(3);
+    let f3: Vec<usize> = (0..8_000)
+        .map(|_| (rng.log_normal(2_500f64.ln(), 0.6) as usize).clamp(256, 64 << 10))
+        .collect();
+    assert_costs_what_is_written("f3", &f3);
+    // Figure 20's: 16 KiB values, each in a 32 KiB slot.
+    assert_costs_what_is_written("f20", &[16 << 10; 1_200]);
 }
