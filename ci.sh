@@ -2,7 +2,7 @@
 # Repo CI gate: build, tests, the 10K-client and durable-log footprint
 # gates, the protocol cores' and the History checker's purity, the
 # one-op-driver, one-op-fate, GET-validation-lives-in-read.rs,
-# one-wire-codec-for-RPC-bodies, one-backend-builder, in-flight-continuation,
+# one-wire-codec-for-every-frame, one-backend-builder, in-flight-continuation,
 # delayed-send, client-timers-are-tokens, one-op-record,
 # one-eviction-policy, one-recency-list, per-backend-row,
 # one-histogram and one-buffer-pool gates, lints, format, rustdoc, the
@@ -88,15 +88,16 @@ if sed '/#\[cfg(test)\]/,$d' crates/cliquemap/src/client.rs |
     exit 1
 fi
 
-echo "== one wire codec for RPC bodies =="
-# Each RPC body and the cell config name their fields once, in wire order;
-# lengths, encoders and decoders follow from the field codec in
-# crates/rpc/src/codec.rs (`Wire`, `wire_struct!`), which also checks
-# every length and count a decoder trusts.
-for body in crates/cliquemap/src/messages.rs crates/cliquemap/src/config.rs; do
+echo "== one wire codec for every frame =="
+# Each RPC body, the cell config and each RMA frame name their fields once,
+# in wire order; lengths, encoders and decoders follow from the field codec
+# in crates/simnet/src/wire.rs (`Wire`, `wire_struct!`, `Answer`), which
+# also checks every length and count a decoder trusts.
+for body in crates/cliquemap/src/messages.rs crates/cliquemap/src/config.rs \
+    crates/rma/src/codec.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$body" |
-        grep -nE '(put|get)_u(8|16|32|64|128)|put_slice|split_to|put_bytes|get_bytes'; then
-        echo "$body hand-encodes a field (use rpc::codec::Wire)" >&2
+        grep -nE '(put|get)_u(8|16|32|64|128)|put_slice|split_to|put_bytes|get_bytes|extend_from_slice|_le_bytes'; then
+        echo "$body hand-encodes a field (use simnet::wire::Wire)" >&2
         exit 1
     fi
 done

@@ -8,23 +8,25 @@
 //! refresh "from an external high-availability storage system" (§6.1) —
 //! modelled here by [`ConfigStoreNode`], our Chubby stand-in.
 
-use bytes::{Bytes, BytesMut};
-use rpc::codec::{Put, Wire};
+use bytes::Bytes;
+use rpc::codec::Wire;
 
 use simnet::{Ctx, Event, Node, NodeId, SimDuration};
 
 use crate::hash::replicas;
 
-/// How a cell replicates data.
+/// How a cell replicates data; on the wire, its discriminant byte (an
+/// unknown byte does not decode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ReplicationMode {
     /// Single copy. Fast and cheap; warm spares cover maintenance.
-    R1,
+    R1 = 1,
     /// Two copies of an immutable corpus (§6.4): read one, fail over to the
     /// other.
-    R2Immutable,
+    R2Immutable = 2,
     /// Three replicas, client-side quorum of two (§5): "R=3.2".
-    R32,
+    R32 = 3,
 }
 
 impl ReplicationMode {
@@ -55,15 +57,6 @@ impl ReplicationMode {
         }
     }
 
-    /// Wire encoding.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            ReplicationMode::R1 => 1,
-            ReplicationMode::R2Immutable => 2,
-            ReplicationMode::R32 => 3,
-        }
-    }
-
     /// Wire decoding.
     pub fn from_u8(v: u8) -> Option<ReplicationMode> {
         match v {
@@ -75,25 +68,7 @@ impl ReplicationMode {
     }
 }
 
-impl Put for ReplicationMode {
-    #[inline]
-    fn wire_len(&self) -> usize {
-        self.to_u8().wire_len()
-    }
-    #[inline]
-    fn put(&self, b: &mut BytesMut) {
-        self.to_u8().put(b);
-    }
-}
-
-/// An unknown replication byte does not decode.
-impl Wire for ReplicationMode {
-    const MIN_LEN: usize = u8::MIN_LEN;
-    #[inline]
-    fn get(b: &mut Bytes) -> Option<Self> {
-        u8::get(b).and_then(ReplicationMode::from_u8)
-    }
-}
+simnet::wire_byte!(ReplicationMode: ReplicationMode::from_u8);
 
 rpc::wire_struct! {
     /// The shard → physical-node mapping for one cell. A config of no
@@ -395,7 +370,7 @@ mod tests {
             ReplicationMode::R2Immutable,
             ReplicationMode::R32,
         ] {
-            assert_eq!(ReplicationMode::from_u8(m.to_u8()), Some(m));
+            assert_eq!(ReplicationMode::from_u8(m as u8), Some(m));
         }
         assert_eq!(ReplicationMode::from_u8(0), None);
         assert_eq!(ReplicationMode::from_u8(9), None);

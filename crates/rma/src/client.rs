@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 
-use crate::codec::{BatchDone, BatchReadResp, BatchScarResp, RmaEnvelope, RmaStatus};
+use crate::codec::{BatchDone, BatchResp, RmaEnvelope, RmaStatus};
 
 /// One RMA response frame as per-sub-op results: a single op's one result,
 /// or a batch frame's results in request order.
@@ -28,10 +28,8 @@ impl RmaAnswer {
         let (op_id, single, batch) = match env {
             RmaEnvelope::ReadResp(r) => (r.op_id, Some((r.status, Bytes::new(), r.data)), vec![]),
             RmaEnvelope::ScarResp(r) => (r.op_id, Some((r.status, r.bucket, r.data)), vec![]),
-            RmaEnvelope::BatchReadResp(BatchReadResp { op_id, entries })
-            | RmaEnvelope::BatchScarResp(BatchScarResp { op_id, entries }) => {
-                (op_id, None, entries)
-            }
+            RmaEnvelope::BatchReadResp(BatchResp { op_id, entries })
+            | RmaEnvelope::BatchScarResp(BatchResp { op_id, entries }) => (op_id, None, entries),
             RmaEnvelope::ReadReq(_)
             | RmaEnvelope::ScarReq(_)
             | RmaEnvelope::BatchReadReq(_)

@@ -1,12 +1,23 @@
-//! RMA wire format.
+//! RMA wire format, written in [`simnet::wire`]'s field codec.
 //!
 //! Three operations cross the fabric: one-sided `READ` (the 2×R building
 //! block), `SCAR` (Scan-and-Read, the custom Pony Express op of §6.3), and
-//! their responses. Headers are small and fixed — the efficiency of RMA
-//! relative to RPC comes precisely from not carrying the full-featured
-//! envelope.
+//! their responses, each also doorbell-batched. Headers are small and
+//! fixed — the efficiency of RMA relative to RPC comes precisely from not
+//! carrying the full-featured envelope. A frame is the magic, a kind byte
+//! and one message: a [`wire_struct!`](simnet::wire_struct), or for the
+//! SCAR response and each batched answer, an [`Answer`]. The serving path
+//! writes region memory straight into one pooled frame (`*_parts`,
+//! [`BatchRespWriter`]).
+//!
+//! ```text
+//! frame:  magic u16 | kind u8 | message...
+//! answer: id u64 | status u8 | bucket_len u32 | data_len u32 | bucket | data
+//! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut, Pool};
+use bytes::{Bytes, BytesMut, Pool};
+use simnet::wire::{encode, encode_in, get_seq, Answer, Put, Wire};
+use simnet::{wire_enum, wire_struct};
 
 /// Magic tag identifying RMA frames (RPC frames use a different magic).
 pub const RMA_MAGIC: u16 = 0x4D52; // "RM"
@@ -20,85 +31,80 @@ const KIND_BATCH_READ_RESP: u8 = 6;
 const KIND_BATCH_SCAR_REQ: u8 = 7;
 const KIND_BATCH_SCAR_RESP: u8 = 8;
 
-/// Result status of an RMA operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum RmaStatus {
-    /// Data returned.
-    Ok = 0,
-    /// The addressed window has been revoked (e.g. index resize in
-    /// progress). The client must re-resolve via RPC.
-    WindowRevoked = 1,
-    /// The read exceeded window bounds.
-    OutOfBounds = 2,
-    /// The window generation did not match (stale client metadata).
-    BadGeneration = 3,
-    /// SCAR scanned the bucket and found no matching entry (a miss; the
-    /// bucket bytes are still returned so the client can validate).
-    NoMatch = 4,
-    /// The target does not expose RMA at all (e.g. WAN peer).
-    Unsupported = 5,
+wire_enum! {
+    /// Result status of an RMA operation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum RmaStatus {
+        /// Data returned.
+        Ok = 0,
+        /// The addressed window has been revoked (e.g. index resize in
+        /// progress). The client must re-resolve via RPC.
+        WindowRevoked = 1,
+        /// The read exceeded window bounds.
+        OutOfBounds = 2,
+        /// The window generation did not match (stale client metadata).
+        BadGeneration = 3,
+        /// SCAR scanned the bucket and found no matching entry (a miss; the
+        /// bucket bytes are still returned so the client can validate).
+        NoMatch = 4,
+        /// The target does not expose RMA at all (e.g. WAN peer).
+        Unsupported = 5,
+    }
+    else Unsupported
 }
 
-impl RmaStatus {
-    /// Decode from wire byte.
-    pub fn from_u8(v: u8) -> RmaStatus {
-        match v {
-            0 => RmaStatus::Ok,
-            1 => RmaStatus::WindowRevoked,
-            2 => RmaStatus::OutOfBounds,
-            3 => RmaStatus::BadGeneration,
-            4 => RmaStatus::NoMatch,
-            _ => RmaStatus::Unsupported,
-        }
+wire_struct! {
+    /// One-sided read request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ReadReq {
+        /// Client-chosen operation id.
+        pub op_id: u64,
+        /// Target window.
+        pub window: u32,
+        /// Expected window generation (guards against stale layout metadata).
+        pub generation: u32,
+        /// Byte offset within the window.
+        pub offset: u64,
+        /// Bytes to read.
+        pub len: u32,
     }
 }
 
-/// One-sided read request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadReq {
-    /// Client-chosen operation id.
-    pub op_id: u64,
-    /// Target window.
-    pub window: u32,
-    /// Expected window generation (guards against stale layout metadata).
-    pub generation: u32,
-    /// Byte offset within the window.
-    pub offset: u64,
-    /// Bytes to read.
-    pub len: u32,
+wire_struct! {
+    /// One-sided read response.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ReadResp {
+        /// Echoed op id.
+        pub op_id: u64,
+        /// Result status.
+        pub status: RmaStatus,
+        /// The bytes read (empty on failure).
+        pub data: Bytes,
+    }
 }
 
-/// One-sided read response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadResp {
-    /// Echoed op id.
-    pub op_id: u64,
-    /// Result status.
-    pub status: RmaStatus,
-    /// The bytes read (empty on failure).
-    pub data: Bytes,
-}
-
-/// Scan-and-Read request: fetch a bucket, scan it NIC-side for `key_hash`,
-/// and follow the matching entry's pointer into the data region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScarReq {
-    /// Client-chosen operation id.
-    pub op_id: u64,
-    /// Window holding the index region.
-    pub index_window: u32,
-    /// Expected generation of the index window.
-    pub index_generation: u32,
-    /// Bucket offset within the index window.
-    pub bucket_offset: u64,
-    /// Bucket length in bytes.
-    pub bucket_len: u32,
-    /// The KeyHash to scan for (full 128 bits).
-    pub key_hash: u128,
+wire_struct! {
+    /// Scan-and-Read request: fetch a bucket, scan it NIC-side for `key_hash`,
+    /// and follow the matching entry's pointer into the data region.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ScarReq {
+        /// Client-chosen operation id.
+        pub op_id: u64,
+        /// Window holding the index region.
+        pub index_window: u32,
+        /// Expected generation of the index window.
+        pub index_generation: u32,
+        /// Bucket offset within the index window.
+        pub bucket_offset: u64,
+        /// Bucket length in bytes.
+        pub bucket_len: u32,
+        /// The KeyHash to scan for (full 128 bits).
+        pub key_hash: u128,
+    }
 }
 
 /// Scan-and-Read response: the bucket bytes plus, on a hit, the data entry.
+/// On the wire, an [`Answer`] with the bucket as its head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScarResp {
     /// Echoed op id.
@@ -111,61 +117,70 @@ pub struct ScarResp {
     pub data: Bytes,
 }
 
-/// One sub-read inside a doorbell-batched read frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchReadEntry {
-    /// Caller-chosen sub-operation tag, echoed in the response entry.
-    pub sub: u64,
-    /// Target window.
-    pub window: u32,
-    /// Expected window generation.
-    pub generation: u32,
-    /// Byte offset within the window.
-    pub offset: u64,
-    /// Bytes to read.
-    pub len: u32,
+wire_struct! {
+    /// One sub-read inside a doorbell-batched read frame.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BatchReadEntry {
+        /// Caller-chosen sub-operation tag, echoed in the response entry.
+        pub sub: u64,
+        /// Target window.
+        pub window: u32,
+        /// Expected window generation.
+        pub generation: u32,
+        /// Byte offset within the window.
+        pub offset: u64,
+        /// Bytes to read.
+        pub len: u32,
+    }
 }
 
-/// Doorbell-batched read request: many one-sided reads against one host,
-/// posted with a single doorbell and carried in a single frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchReadReq {
-    /// Client-chosen operation id (one per frame, not per sub-read).
-    pub op_id: u64,
-    /// The coalesced sub-reads.
-    pub entries: Vec<BatchReadEntry>,
+wire_struct! {
+    /// Doorbell-batched read request: many one-sided reads against one host,
+    /// posted with a single doorbell and carried in a single frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BatchReadReq {
+        /// Client-chosen operation id (one per frame, not per sub-read).
+        pub op_id: u64,
+        /// The coalesced sub-reads.
+        pub entries: Vec<BatchReadEntry>,
+    }
 }
 
-/// One sub-scan inside a doorbell-batched SCAR frame. The index window and
-/// generation are frame-level (all sub-ops target the same host geometry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchScarEntry {
-    /// Caller-chosen sub-operation tag, echoed in the response entry.
-    pub sub: u64,
-    /// Bucket offset within the index window.
-    pub bucket_offset: u64,
-    /// Bucket length in bytes.
-    pub bucket_len: u32,
-    /// The KeyHash to scan for.
-    pub key_hash: u128,
+wire_struct! {
+    /// One sub-scan inside a doorbell-batched SCAR frame. The index window and
+    /// generation are frame-level (all sub-ops target the same host geometry).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BatchScarEntry {
+        /// Caller-chosen sub-operation tag, echoed in the response entry.
+        pub sub: u64,
+        /// Bucket offset within the index window.
+        pub bucket_offset: u64,
+        /// Bucket length in bytes.
+        pub bucket_len: u32,
+        /// The KeyHash to scan for.
+        pub key_hash: u128,
+    }
 }
 
-/// Doorbell-batched SCAR request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchScarReq {
-    /// Client-chosen operation id (one per frame).
-    pub op_id: u64,
-    /// Window holding the index region.
-    pub index_window: u32,
-    /// Expected generation of the index window.
-    pub index_generation: u32,
-    /// The coalesced sub-scans.
-    pub entries: Vec<BatchScarEntry>,
+wire_struct! {
+    /// Doorbell-batched SCAR request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BatchScarReq {
+        /// Client-chosen operation id (one per frame).
+        pub op_id: u64,
+        /// Window holding the index region.
+        pub index_window: u32,
+        /// Expected generation of the index window.
+        pub index_generation: u32,
+        /// The coalesced sub-scans.
+        pub entries: Vec<BatchScarEntry>,
+    }
 }
 
 /// One completed sub-op in a batched response. Reads leave `bucket` empty;
 /// SCAR responses carry the bucket (and data on a hit) exactly like their
-/// unbatched counterparts, so per-sub-op resolution is unchanged.
+/// unbatched counterparts, so per-sub-op resolution is unchanged. On the
+/// wire, an [`Answer`] with the bucket as its head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchDone {
     /// Echoed sub-operation tag.
@@ -178,19 +193,11 @@ pub struct BatchDone {
     pub data: Bytes,
 }
 
-/// Doorbell-batched read response: one status + payload per sub-read, all
-/// in one frame admitted through one completion.
+/// Doorbell-batched response, read or SCAR (the frame kind tells them
+/// apart): one status + payload per sub-op, all in one frame admitted
+/// through one completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchReadResp {
-    /// Echoed op id.
-    pub op_id: u64,
-    /// Per-sub-op results, in request order.
-    pub entries: Vec<BatchDone>,
-}
-
-/// Doorbell-batched SCAR response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchScarResp {
+pub struct BatchResp {
     /// Echoed op id.
     pub op_id: u64,
     /// Per-sub-op results, in request order.
@@ -211,85 +218,50 @@ pub enum RmaEnvelope {
     /// Doorbell-batched read request.
     BatchReadReq(BatchReadReq),
     /// Doorbell-batched read response.
-    BatchReadResp(BatchReadResp),
+    BatchReadResp(BatchResp),
     /// Doorbell-batched SCAR request.
     BatchScarReq(BatchScarReq),
     /// Doorbell-batched SCAR response.
-    BatchScarResp(BatchScarResp),
+    BatchScarResp(BatchResp),
 }
 
-/// Wire-header overhead of RMA frames, for fabric accounting.
-pub const RMA_HEADER_BYTES: u64 = 32;
+/// A frame of `kind` carrying `msg`, in a pooled buffer of its exact length.
+fn frame_in(kind: u8, msg: &impl Put, pool: &Pool) -> Bytes {
+    encode_in(&(RMA_MAGIC, kind, msg), pool)
+}
 
 /// Encode a read request into a pooled buffer.
 pub fn encode_read_req_in(r: &ReadReq, pool: &Pool) -> Bytes {
-    let mut b = pool.get(31);
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(KIND_READ_REQ);
-    b.put_u64_le(r.op_id);
-    b.put_u32_le(r.window);
-    b.put_u32_le(r.generation);
-    b.put_u64_le(r.offset);
-    b.put_u32_le(r.len);
-    b.freeze()
-}
-
-fn write_read_resp(b: &mut BytesMut, op_id: u64, status: RmaStatus, data: &[u8]) {
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(KIND_READ_RESP);
-    b.put_u64_le(op_id);
-    b.put_u8(status as u8);
-    b.put_u32_le(data.len() as u32);
-    b.extend_from_slice(data);
+    frame_in(KIND_READ_REQ, r, pool)
 }
 
 /// Encode a read response from an owned [`ReadResp`] (unpooled). Kept for
 /// the benchmark's pinned API; the serving path is [`encode_read_resp_parts`].
 pub fn encode_read_resp(r: &ReadResp) -> Bytes {
-    let mut b = BytesMut::with_capacity(16 + r.data.len());
-    write_read_resp(&mut b, r.op_id, r.status, &r.data);
-    b.freeze()
+    encode(&(RMA_MAGIC, KIND_READ_RESP, r))
 }
 
 /// Encode a read response directly from a borrowed data slice into a pooled
 /// buffer — the server's single-copy path (backend memory → wire frame).
 pub fn encode_read_resp_parts(op_id: u64, status: RmaStatus, data: &[u8], pool: &Pool) -> Bytes {
-    let mut b = pool.get(16 + data.len());
-    write_read_resp(&mut b, op_id, status, data);
-    b.freeze()
+    frame_in(KIND_READ_RESP, &(op_id, status, data), pool)
 }
 
 /// Encode a SCAR request into a pooled buffer.
 pub fn encode_scar_req_in(r: &ScarReq, pool: &Pool) -> Bytes {
-    let mut b = pool.get(47);
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(KIND_SCAR_REQ);
-    b.put_u64_le(r.op_id);
-    b.put_u32_le(r.index_window);
-    b.put_u32_le(r.index_generation);
-    b.put_u64_le(r.bucket_offset);
-    b.put_u32_le(r.bucket_len);
-    b.put_u128_le(r.key_hash);
-    b.freeze()
-}
-
-fn write_scar_resp(b: &mut BytesMut, op_id: u64, status: RmaStatus, bucket: &[u8], data: &[u8]) {
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(KIND_SCAR_RESP);
-    b.put_u64_le(op_id);
-    b.put_u8(status as u8);
-    b.put_u32_le(bucket.len() as u32);
-    b.put_u32_le(data.len() as u32);
-    b.extend_from_slice(bucket);
-    b.extend_from_slice(data);
+    frame_in(KIND_SCAR_REQ, r, pool)
 }
 
 /// Encode a SCAR response from an owned [`ScarResp`] (unpooled). Kept for
 /// the benchmark's pinned API; the serving path is [`encode_scar_resp_parts`].
 pub fn encode_scar_resp(r: &ScarResp) -> Bytes {
-    let mut b = BytesMut::with_capacity(20 + r.bucket.len() + r.data.len());
-    write_scar_resp(&mut b, r.op_id, r.status, &r.bucket, &r.data);
-    b.freeze()
+    let answer = Answer {
+        id: r.op_id,
+        status: r.status,
+        head: &r.bucket,
+        body: &r.data,
+    };
+    encode(&(RMA_MAGIC, KIND_SCAR_RESP, answer))
 }
 
 /// Encode a SCAR response directly from borrowed bucket/data slices into a
@@ -301,44 +273,23 @@ pub fn encode_scar_resp_parts(
     data: &[u8],
     pool: &Pool,
 ) -> Bytes {
-    let mut b = pool.get(20 + bucket.len() + data.len());
-    write_scar_resp(&mut b, op_id, status, bucket, data);
-    b.freeze()
+    let answer = Answer {
+        id: op_id,
+        status,
+        head: bucket,
+        body: data,
+    };
+    frame_in(KIND_SCAR_RESP, &answer, pool)
 }
 
 /// Encode a batched read request into a pooled buffer.
 pub fn encode_batch_read_req_in(r: &BatchReadReq, pool: &Pool) -> Bytes {
-    let mut b = pool.get(15 + 28 * r.entries.len());
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(KIND_BATCH_READ_REQ);
-    b.put_u64_le(r.op_id);
-    b.put_u32_le(r.entries.len() as u32);
-    for e in &r.entries {
-        b.put_u64_le(e.sub);
-        b.put_u32_le(e.window);
-        b.put_u32_le(e.generation);
-        b.put_u64_le(e.offset);
-        b.put_u32_le(e.len);
-    }
-    b.freeze()
+    frame_in(KIND_BATCH_READ_REQ, r, pool)
 }
 
 /// Encode a batched SCAR request into a pooled buffer.
 pub fn encode_batch_scar_req_in(r: &BatchScarReq, pool: &Pool) -> Bytes {
-    let mut b = pool.get(23 + 36 * r.entries.len());
-    b.put_u16_le(RMA_MAGIC);
-    b.put_u8(KIND_BATCH_SCAR_REQ);
-    b.put_u64_le(r.op_id);
-    b.put_u32_le(r.index_window);
-    b.put_u32_le(r.index_generation);
-    b.put_u32_le(r.entries.len() as u32);
-    for e in &r.entries {
-        b.put_u64_le(e.sub);
-        b.put_u64_le(e.bucket_offset);
-        b.put_u32_le(e.bucket_len);
-        b.put_u128_le(e.key_hash);
-    }
-    b.freeze()
+    frame_in(KIND_BATCH_SCAR_REQ, r, pool)
 }
 
 /// The one encoder for batched responses, incremental: the server appends
@@ -350,11 +301,10 @@ pub struct BatchRespWriter {
 
 impl BatchRespWriter {
     fn new(kind: u8, op_id: u64, count: usize, payload_hint: usize, pool: &Pool) -> Self {
-        let mut b = pool.get(15 + 17 * count + payload_hint);
-        b.put_u16_le(RMA_MAGIC);
-        b.put_u8(kind);
-        b.put_u64_le(op_id);
-        b.put_u32_le(count as u32);
+        let head = (RMA_MAGIC, kind, op_id, count as u32);
+        let answers = count * Answer::<RmaStatus>::MIN_LEN;
+        let mut b = pool.get(head.wire_len() + answers + payload_hint);
+        head.put(&mut b);
         BatchRespWriter { b }
     }
 
@@ -370,12 +320,13 @@ impl BatchRespWriter {
 
     /// Append one sub-op result.
     pub fn push(&mut self, sub: u64, status: RmaStatus, bucket: &[u8], data: &[u8]) {
-        self.b.put_u64_le(sub);
-        self.b.put_u8(status as u8);
-        self.b.put_u32_le(bucket.len() as u32);
-        self.b.put_u32_le(data.len() as u32);
-        self.b.extend_from_slice(bucket);
-        self.b.extend_from_slice(data);
+        let answer = Answer {
+            id: sub,
+            status,
+            head: bucket,
+            body: data,
+        };
+        answer.put(&mut self.b);
     }
 
     /// Finish the frame.
@@ -384,174 +335,48 @@ impl BatchRespWriter {
     }
 }
 
-fn decode_batch_done(buf: &mut Bytes) -> Option<(u64, Vec<BatchDone>)> {
-    if buf.len() < 12 {
-        return None;
-    }
-    let op_id = buf.get_u64_le();
-    let n = buf.get_u32_le() as usize;
-    // Each entry needs at least its 17-byte fixed header; reject counts the
-    // frame cannot possibly hold before trusting them for allocation.
-    if buf.len() < n.saturating_mul(17) {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.len() < 17 {
-            return None;
-        }
-        let sub = buf.get_u64_le();
-        let status = RmaStatus::from_u8(buf.get_u8());
-        let blen = buf.get_u32_le() as usize;
-        let dlen = buf.get_u32_le() as usize;
-        if buf.len() < blen.checked_add(dlen)? {
-            return None;
-        }
-        let bucket = buf.split_to(blen);
-        let data = buf.split_to(dlen);
-        entries.push(BatchDone {
-            sub,
-            status,
-            bucket,
-            data,
-        });
-    }
-    Some((op_id, entries))
+/// A batched response: the op id, then a counted run of [`Answer`]s.
+fn get_batch_resp(b: &mut Bytes) -> Option<BatchResp> {
+    Some(BatchResp {
+        op_id: u64::get(b)?,
+        entries: get_seq(b, |a: Answer<RmaStatus>| BatchDone {
+            sub: a.id,
+            status: a.status,
+            bucket: a.head,
+            data: a.body,
+        })?,
+    })
 }
 
-/// Decode an RMA frame; `None` for non-RMA payloads.
+/// Decode an RMA frame; `None` for non-RMA payloads. Bytes after the
+/// message are ignored.
 pub fn decode(mut buf: Bytes) -> Option<RmaEnvelope> {
-    if buf.len() < 3 {
-        return None;
-    }
-    if buf.get_u16_le() != RMA_MAGIC {
-        return None;
-    }
-    match buf.get_u8() {
-        KIND_READ_REQ => {
-            if buf.len() < 28 {
-                return None;
-            }
-            Some(RmaEnvelope::ReadReq(ReadReq {
-                op_id: buf.get_u64_le(),
-                window: buf.get_u32_le(),
-                generation: buf.get_u32_le(),
-                offset: buf.get_u64_le(),
-                len: buf.get_u32_le(),
-            }))
+    let b = &mut buf;
+    Some(match <(u16, u8)>::get(b)? {
+        (RMA_MAGIC, KIND_READ_REQ) => RmaEnvelope::ReadReq(Wire::get(b)?),
+        (RMA_MAGIC, KIND_READ_RESP) => RmaEnvelope::ReadResp(Wire::get(b)?),
+        (RMA_MAGIC, KIND_SCAR_REQ) => RmaEnvelope::ScarReq(Wire::get(b)?),
+        (RMA_MAGIC, KIND_SCAR_RESP) => {
+            let a = Answer::<RmaStatus>::get(b)?;
+            RmaEnvelope::ScarResp(ScarResp {
+                op_id: a.id,
+                status: a.status,
+                bucket: a.head,
+                data: a.body,
+            })
         }
-        KIND_READ_RESP => {
-            if buf.len() < 13 {
-                return None;
-            }
-            let op_id = buf.get_u64_le();
-            let status = RmaStatus::from_u8(buf.get_u8());
-            let len = buf.get_u32_le() as usize;
-            if buf.len() < len {
-                return None;
-            }
-            Some(RmaEnvelope::ReadResp(ReadResp {
-                op_id,
-                status,
-                data: buf.split_to(len),
-            }))
-        }
-        KIND_SCAR_REQ => {
-            if buf.len() < 44 {
-                return None;
-            }
-            Some(RmaEnvelope::ScarReq(ScarReq {
-                op_id: buf.get_u64_le(),
-                index_window: buf.get_u32_le(),
-                index_generation: buf.get_u32_le(),
-                bucket_offset: buf.get_u64_le(),
-                bucket_len: buf.get_u32_le(),
-                key_hash: buf.get_u128_le(),
-            }))
-        }
-        KIND_SCAR_RESP => {
-            if buf.len() < 17 {
-                return None;
-            }
-            let op_id = buf.get_u64_le();
-            let status = RmaStatus::from_u8(buf.get_u8());
-            let blen = buf.get_u32_le() as usize;
-            let dlen = buf.get_u32_le() as usize;
-            if buf.len() < blen + dlen {
-                return None;
-            }
-            let bucket = buf.split_to(blen);
-            let data = buf.split_to(dlen);
-            Some(RmaEnvelope::ScarResp(ScarResp {
-                op_id,
-                status,
-                bucket,
-                data,
-            }))
-        }
-        KIND_BATCH_READ_REQ => {
-            if buf.len() < 12 {
-                return None;
-            }
-            let op_id = buf.get_u64_le();
-            let n = buf.get_u32_le() as usize;
-            if buf.len() < n.saturating_mul(28) {
-                return None;
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(BatchReadEntry {
-                    sub: buf.get_u64_le(),
-                    window: buf.get_u32_le(),
-                    generation: buf.get_u32_le(),
-                    offset: buf.get_u64_le(),
-                    len: buf.get_u32_le(),
-                });
-            }
-            Some(RmaEnvelope::BatchReadReq(BatchReadReq { op_id, entries }))
-        }
-        KIND_BATCH_SCAR_REQ => {
-            if buf.len() < 20 {
-                return None;
-            }
-            let op_id = buf.get_u64_le();
-            let index_window = buf.get_u32_le();
-            let index_generation = buf.get_u32_le();
-            let n = buf.get_u32_le() as usize;
-            if buf.len() < n.saturating_mul(36) {
-                return None;
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(BatchScarEntry {
-                    sub: buf.get_u64_le(),
-                    bucket_offset: buf.get_u64_le(),
-                    bucket_len: buf.get_u32_le(),
-                    key_hash: buf.get_u128_le(),
-                });
-            }
-            Some(RmaEnvelope::BatchScarReq(BatchScarReq {
-                op_id,
-                index_window,
-                index_generation,
-                entries,
-            }))
-        }
-        KIND_BATCH_READ_RESP => {
-            let (op_id, entries) = decode_batch_done(&mut buf)?;
-            Some(RmaEnvelope::BatchReadResp(BatchReadResp { op_id, entries }))
-        }
-        KIND_BATCH_SCAR_RESP => {
-            let (op_id, entries) = decode_batch_done(&mut buf)?;
-            Some(RmaEnvelope::BatchScarResp(BatchScarResp { op_id, entries }))
-        }
-        _ => None,
-    }
+        (RMA_MAGIC, KIND_BATCH_READ_REQ) => RmaEnvelope::BatchReadReq(Wire::get(b)?),
+        (RMA_MAGIC, KIND_BATCH_READ_RESP) => RmaEnvelope::BatchReadResp(get_batch_resp(b)?),
+        (RMA_MAGIC, KIND_BATCH_SCAR_REQ) => RmaEnvelope::BatchScarReq(Wire::get(b)?),
+        (RMA_MAGIC, KIND_BATCH_SCAR_RESP) => RmaEnvelope::BatchScarResp(get_batch_resp(b)?),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     /// A batched response built the way the server builds it.
     fn batch_resp(w: BatchRespWriter, entries: &[BatchDone]) -> Bytes {
@@ -646,7 +471,7 @@ mod tests {
             decode(encode_batch_read_req_in(&req, &Pool::new())),
             Some(RmaEnvelope::BatchReadReq(req))
         );
-        let resp = BatchReadResp {
+        let resp = BatchResp {
             op_id: 42,
             entries: vec![
                 BatchDone {
@@ -697,7 +522,7 @@ mod tests {
             decode(encode_batch_scar_req_in(&req, &Pool::new())),
             Some(RmaEnvelope::BatchScarReq(req))
         );
-        let resp = BatchScarResp {
+        let resp = BatchResp {
             op_id: 7,
             entries: vec![
                 BatchDone {
@@ -758,5 +583,156 @@ mod tests {
         // RPC frames must not decode as RMA.
         let rpc_like = Bytes::from_static(b"\x50\x52\x01junk");
         assert_eq!(decode(rpc_like), None);
+    }
+
+    /// A fixed sample of every RMA encoder's frame, byte for byte as the
+    /// hand-written encoders that preceded the field codec wrote them.
+    #[test]
+    fn every_rma_frame_keeps_its_wire_bytes() {
+        let pool = Pool::new();
+        let b = Bytes::from_static;
+        let read_req = ReadReq {
+            op_id: 0x1122,
+            window: 2,
+            generation: 3,
+            offset: 4096,
+            len: 448,
+        };
+        let scar_req = ScarReq {
+            op_id: 0x3344,
+            index_window: 1,
+            index_generation: 7,
+            bucket_offset: 896,
+            bucket_len: 448,
+            key_hash: 0x0102_0304_0506_0708_090a_0b0c_0d0e_0f10,
+        };
+        let batch_read_req = BatchReadReq {
+            op_id: 42,
+            entries: vec![
+                BatchReadEntry {
+                    sub: 1,
+                    window: 2,
+                    generation: 3,
+                    offset: 64,
+                    len: 16,
+                },
+                BatchReadEntry {
+                    sub: 9,
+                    window: 2,
+                    generation: 4,
+                    offset: 4096,
+                    len: 8,
+                },
+            ],
+        };
+        let batch_scar_req = BatchScarReq {
+            op_id: 7,
+            index_window: 1,
+            index_generation: 5,
+            entries: vec![
+                BatchScarEntry {
+                    sub: 11,
+                    bucket_offset: 0,
+                    bucket_len: 64,
+                    key_hash: 0xdead,
+                },
+                BatchScarEntry {
+                    sub: 15,
+                    bucket_offset: 128,
+                    bucket_len: 64,
+                    key_hash: u128::MAX,
+                },
+            ],
+        };
+        let batch = |start: fn(u64, usize, usize, &Pool) -> BatchRespWriter, n: usize| {
+            let mut w = start(0x55, n, 9, &pool);
+            if n == 2 {
+                w.push(1, RmaStatus::Ok, b"", b"abc");
+                w.push(2, RmaStatus::NoMatch, b"bkt", b"");
+            }
+            w.finish()
+        };
+        let frames: [(&str, Bytes, &str); 12] = [
+            (
+                "ReadReq",
+                encode_read_req_in(&read_req, &pool),
+                "524d01221100000000000002000000030000000010000000000000c0010000",
+            ),
+            (
+                "ScarReq",
+                encode_scar_req_in(&scar_req, &pool),
+                "524d03443300000000000001000000070000008003000000000000c0010000\
+                 100f0e0d0c0b0a090807060504030201",
+            ),
+            (
+                "BatchReadReq",
+                encode_batch_read_req_in(&batch_read_req, &pool),
+                "524d052a00000000000000020000000100000000000000020000000300000040\
+                 0000000000000010000000090000000000000002000000040000000010000000\
+                 00000008000000",
+            ),
+            (
+                "BatchScarReq",
+                encode_batch_scar_req_in(&batch_scar_req, &pool),
+                "524d0707000000000000000100000005000000020000000b0000000000000000\
+                 0000000000000040000000adde00000000000000000000000000000f00000000\
+                 000000800000000000000040000000ffffffffffffffffffffffffffffffff",
+            ),
+            (
+                "ReadResp",
+                encode_read_resp(&ReadResp {
+                    op_id: 9,
+                    status: RmaStatus::Ok,
+                    data: b(b"payload"),
+                }),
+                "524d02090000000000000000070000007061796c6f6164",
+            ),
+            (
+                "ReadResp parts",
+                encode_read_resp_parts(10, RmaStatus::OutOfBounds, b"", &pool),
+                "524d020a000000000000000200000000",
+            ),
+            (
+                "ScarResp",
+                encode_scar_resp(&ScarResp {
+                    op_id: 5,
+                    status: RmaStatus::Ok,
+                    bucket: b(b"bucket"),
+                    data: b(b"data"),
+                }),
+                "524d0405000000000000000006000000040000006275636b657464617461",
+            ),
+            (
+                "ScarResp parts",
+                encode_scar_resp_parts(6, RmaStatus::NoMatch, b"bk", b"", &pool),
+                "524d040600000000000000040200000000000000626b",
+            ),
+            (
+                "BatchRespWriter::read_resp, 0 entries",
+                batch(BatchRespWriter::read_resp, 0),
+                "524d06550000000000000000000000",
+            ),
+            (
+                "BatchRespWriter::read_resp, 2 entries",
+                batch(BatchRespWriter::read_resp, 2),
+                "524d065500000000000000020000000100000000000000000000000003000000\
+                 6162630200000000000000040300000000000000626b74",
+            ),
+            (
+                "BatchRespWriter::scar_resp, 0 entries",
+                batch(BatchRespWriter::scar_resp, 0),
+                "524d08550000000000000000000000",
+            ),
+            (
+                "BatchRespWriter::scar_resp, 2 entries",
+                batch(BatchRespWriter::scar_resp, 2),
+                "524d085500000000000000020000000100000000000000000000000003000000\
+                 6162630200000000000000040300000000000000626b74",
+            ),
+        ];
+        for (name, frame, golden) in frames {
+            let hex: String = frame.iter().map(|x| format!("{x:02x}")).collect();
+            assert_eq!(hex, golden, "{name}");
+        }
     }
 }

@@ -18,7 +18,9 @@
 //! mutation observes a genuinely torn value — CliqueMap's checksum-based
 //! self-validation is exercised for real, not faked.
 //!
-//! A client encodes requests with [`codec`] under op ids of its own and
+//! The eight RMA frames (READ and SCAR, requests and responses, single
+//! and doorbell-batched) are written in [`simnet::wire`]'s field codec
+//! ([`codec`]). A client encodes requests under op ids of its own and
 //! reads each response through [`RmaAnswer`]; which ops are in flight is
 //! its own business.
 
@@ -34,9 +36,9 @@ pub mod transport;
 
 pub use client::RmaAnswer;
 pub use codec::{
-    decode, encode_read_resp, encode_scar_resp, BatchDone, BatchReadEntry, BatchReadReq,
-    BatchReadResp, BatchRespWriter, BatchScarEntry, BatchScarReq, BatchScarResp, ReadReq, ReadResp,
-    RmaEnvelope, RmaStatus, ScarReq, ScarResp, RMA_HEADER_BYTES, RMA_MAGIC,
+    decode, encode_read_resp, encode_scar_resp, BatchDone, BatchReadEntry, BatchReadReq, BatchResp,
+    BatchRespWriter, BatchScarEntry, BatchScarReq, ReadReq, ReadResp, RmaEnvelope, RmaStatus,
+    ScarReq, ScarResp, RMA_MAGIC,
 };
 pub use pony::{PonyCfg, PonyHost};
 pub use region::{BufferId, RegionTable, WindowId};

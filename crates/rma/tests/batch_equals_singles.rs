@@ -89,8 +89,8 @@ fn run(
     let parts = match decode(served.response).expect("valid frame") {
         RmaEnvelope::ReadResp(r) => vec![(r.op_id, (r.status, Vec::new(), r.data.to_vec()))],
         RmaEnvelope::ScarResp(r) => vec![(r.op_id, (r.status, r.bucket.to_vec(), r.data.to_vec()))],
-        RmaEnvelope::BatchReadResp(rma::BatchReadResp { entries, .. })
-        | RmaEnvelope::BatchScarResp(rma::BatchScarResp { entries, .. }) => entries
+        RmaEnvelope::BatchReadResp(rma::BatchResp { entries, .. })
+        | RmaEnvelope::BatchScarResp(rma::BatchResp { entries, .. }) => entries
             .into_iter()
             .map(|d| (d.sub, (d.status, d.bucket.to_vec(), d.data.to_vec())))
             .collect(),

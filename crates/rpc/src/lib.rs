@@ -9,10 +9,10 @@
 //!
 //! The crate provides the building blocks a simulated process composes:
 //!
-//! * [`codec`] — the field codec ([`codec::Wire`]) every message is
-//!   written in, and the binary envelope (version, method, auth, deadline)
-//!   written in it; evolution-tolerant (trailing extensions are skipped by
-//!   old decoders);
+//! * [`codec`] — the binary envelope (version, method, auth, deadline),
+//!   written in `simnet`'s field codec ([`codec::Wire`], re-exported with
+//!   [`wire_struct!`] for the bodies written in it); evolution-tolerant
+//!   (trailing extensions are skipped by old decoders);
 //! * [`Deferred`] — continuation storage keyed by CPU-completion tokens,
 //!   so handlers run *after* their modelled CPU cost;
 //! * [`RpcCostModel`] — where the 50 µs goes;
@@ -37,3 +37,4 @@ pub use codec::{
 pub use cost::RpcCostModel;
 pub use retry::RetryPolicy;
 pub use simnet::deferred::Deferred;
+pub use simnet::wire_struct;

@@ -28,6 +28,8 @@
 //! engine calls [`Node::on_event`] with [`Event`]s (start, frame arrival,
 //! timer, CPU completion) and the node acts on the world through [`Ctx`]
 //! (send frames, set timers, spawn CPU work, read TrueTime, record metrics).
+//! The RMA and RPC frames nodes send are written in one field codec,
+//! [`wire`].
 //!
 //! ```
 //! use simnet::{Sim, FabricCfg, HostCfg, Node, Event, Ctx};
@@ -64,6 +66,7 @@ pub mod stats;
 pub mod time;
 pub mod truetime;
 pub mod util;
+pub mod wire;
 
 pub use obs;
 

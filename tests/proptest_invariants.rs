@@ -241,6 +241,14 @@ proptest! {
         let b = Bytes::from(bytes);
         let _ = rpc::decode(b.clone());
         let _ = rma::decode(b.clone());
+        // The same bytes behind the RMA magic and each kind byte, so every
+        // RMA frame decoder sees them.
+        for kind in 1..=8u8 {
+            let mut framed = rma::RMA_MAGIC.to_le_bytes().to_vec();
+            framed.push(kind);
+            framed.extend_from_slice(&b);
+            let _ = rma::decode(Bytes::from(framed));
+        }
         let _ = parse_data_entry(&b);
         let _ = cliquemap::messages::SetReq::decode(b.clone());
         let _ = cliquemap::messages::EraseReq::decode(b.clone());
@@ -382,36 +390,83 @@ proptest! {
         }
     }
 
-    /// Every strict prefix of a valid RMA frame is cleanly rejected: the
-    /// payload lengths are explicit, so truncation can never mis-decode.
+    /// Every kind of RMA frame, batches of 0-3 entries included, survives
+    /// truncation and corruption: every strict prefix is cleanly rejected
+    /// (the lengths and counts are explicit, so truncation can never
+    /// mis-decode), and under every single-bit flip the decode does not
+    /// panic and yields `None` or a frame that accounts for no more bytes
+    /// than it holds.
     #[test]
     fn rma_truncated_frames_rejected(
-        kind in 0usize..4,
+        kind in 0usize..8,
+        n in 0usize..4,
         op_id in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 1..64),
-        cut_frac in 0.0f64..1.0,
     ) {
+        use rma::codec::*;
+        use rma::RmaEnvelope as E;
         let pool = bytes::Pool::new();
+        let part = |i: usize| &payload[..(i * 7) % payload.len()];
+        let batch = |mut w: BatchRespWriter| {
+            for i in 0..n {
+                w.push(i as u64, RmaStatus::from_u8(i as u8), part(i), part(i + 1));
+            }
+            w.finish()
+        };
         let frame = match kind {
-            0 => rma::codec::encode_read_req_in(&rma::ReadReq {
+            0 => encode_read_req_in(&ReadReq {
                 op_id, window: 3, generation: 7, offset: 40, len: payload.len() as u32,
             }, &pool),
-            1 => rma::codec::encode_read_resp_parts(op_id, rma::RmaStatus::Ok, &payload, &pool),
-            2 => rma::codec::encode_scar_req_in(&rma::ScarReq {
+            1 => encode_read_resp_parts(op_id, RmaStatus::Ok, &payload, &pool),
+            2 => encode_scar_req_in(&ScarReq {
                 op_id, index_window: 1, index_generation: 2, bucket_offset: 64,
                 bucket_len: 128, key_hash: 0xfeed,
             }, &pool),
-            _ => rma::codec::encode_scar_resp_parts(
-                op_id, rma::RmaStatus::NoMatch, &payload, &[], &pool,
-            ),
+            3 => encode_scar_resp_parts(op_id, RmaStatus::NoMatch, &payload, part(1), &pool),
+            4 => encode_batch_read_req_in(&BatchReadReq {
+                op_id,
+                entries: (0..n as u64).map(|sub| BatchReadEntry {
+                    sub, window: 3, generation: 7, offset: sub * 64, len: 64,
+                }).collect(),
+            }, &pool),
+            5 => encode_batch_scar_req_in(&BatchScarReq {
+                op_id, index_window: 1, index_generation: 2,
+                entries: (0..n as u64).map(|sub| BatchScarEntry {
+                    sub, bucket_offset: sub * 128, bucket_len: 128, key_hash: sub as u128,
+                }).collect(),
+            }, &pool),
+            6 => batch(BatchRespWriter::read_resp(op_id, n, payload.len(), &pool)),
+            _ => batch(BatchRespWriter::scar_resp(op_id, n, payload.len(), &pool)),
         };
-        prop_assert!(rma::decode(frame.clone()).is_some(), "full frame must decode");
-        let cut = ((frame.len() as f64) * cut_frac) as usize;
-        prop_assert!(cut < frame.len());
-        prop_assert!(
-            rma::decode(frame.slice(0..cut)).is_none(),
-            "truncated frame decoded ({} of {} bytes)", cut, frame.len()
-        );
+        // The bytes a decoded frame accounts for.
+        let accounted = |b: Bytes| -> Option<usize> {
+            let answers = |r: rma::BatchResp| {
+                15 + r.entries.iter().map(|e| 17 + e.bucket.len() + e.data.len()).sum::<usize>()
+            };
+            Some(match rma::decode(b)? {
+                E::ReadReq(_) => 31,
+                E::ReadResp(r) => 16 + r.data.len(),
+                E::ScarReq(_) => 47,
+                E::ScarResp(r) => 20 + r.bucket.len() + r.data.len(),
+                E::BatchReadReq(r) => 15 + 28 * r.entries.len(),
+                E::BatchScarReq(r) => 23 + 36 * r.entries.len(),
+                E::BatchReadResp(r) | E::BatchScarResp(r) => answers(r),
+            })
+        };
+        prop_assert_eq!(accounted(frame.clone()), Some(frame.len()), "kind {}: full frame", kind);
+        for cut in 0..frame.len() {
+            prop_assert!(
+                accounted(frame.slice(0..cut)).is_none(),
+                "kind {}: truncated frame decoded ({} of {} bytes)", kind, cut, frame.len()
+            );
+        }
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Some(n) = accounted(Bytes::from(flipped)) {
+                prop_assert!(n <= frame.len(), "kind {}: bit {} over-reads", kind, bit);
+            }
+        }
     }
 
     /// The frames whose decode feeds the client's quorum core — lookup
