@@ -165,6 +165,41 @@ pub fn scan_bucket(bucket: &[u8], key_hash: KeyHash) -> (Option<(usize, IndexEnt
     (None, n)
 }
 
+/// [`scan_bucket`] over a bucket held in two pieces, `head` then `tail` —
+/// how the index region holds one (its stored room, then the template) —
+/// with the answer the joined bytes give: the slot a room's end cuts is
+/// joined on the stack, and a miss has scanned every slot of both.
+pub fn scan_bucket_parts(
+    head: &[u8],
+    tail: &[u8],
+    key_hash: KeyHash,
+) -> (Option<(usize, IndexEntry)>, usize) {
+    let n = (head.len() + tail.len()).saturating_sub(BUCKET_HEADER_BYTES) / INDEX_ENTRY_BYTES;
+    let whole = bucket_assoc(head).min(n);
+    if let (Some(hit), scanned) = scan_bucket(&head[..bucket_size(whole).min(head.len())], key_hash)
+    {
+        return (Some(hit), scanned);
+    }
+    let mut joined = [0u8; INDEX_ENTRY_BYTES];
+    for i in whole..n {
+        let at = bucket_size(i);
+        let raw = match at.checked_sub(head.len()) {
+            Some(past) => &tail[past..past + INDEX_ENTRY_BYTES],
+            None => {
+                let (first, second) = joined.split_at_mut(head.len() - at);
+                first.copy_from_slice(&head[at..]);
+                second.copy_from_slice(&tail[..second.len()]);
+                &joined
+            }
+        };
+        let e = IndexEntry::decode(raw);
+        if e.key_hash == key_hash && e.is_occupied() {
+            return (Some((i, e)), i + 1);
+        }
+    }
+    (None, n)
+}
+
 /// Find the first vacant slot in a bucket.
 pub fn find_vacant(bucket: &[u8]) -> Option<usize> {
     let n = bucket_assoc(bucket);
@@ -315,6 +350,29 @@ mod tests {
         assert_eq!(scanned, 8);
         // Vacant slot search skips occupied ones.
         assert_eq!(find_vacant(&bucket), Some(0));
+    }
+
+    #[test]
+    fn a_bucket_in_two_pieces_scans_as_joined() {
+        let mut bucket = vec![0u8; bucket_size(5)];
+        for (slot, hash) in [(0, 7), (1, 8), (3, 9)] {
+            let e = IndexEntry {
+                key_hash: hash,
+                version: VersionNumber::new(hash as u64, 1, 1),
+                ptr: Pointer::default(),
+            };
+            e.encode_into(bucket_slot_mut(&mut bucket, slot));
+        }
+        for cut in 0..=bucket.len() {
+            let (head, tail) = bucket.split_at(cut);
+            for hash in [7, 8, 9, 10, 0] {
+                assert_eq!(
+                    scan_bucket_parts(head, tail, hash),
+                    scan_bucket(&bucket, hash),
+                    "cut {cut}, hash {hash}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -271,21 +271,41 @@ impl BackendStore {
     }
 
     /// A bucket is a tile of the index buffer: the store addresses it by
-    /// number, only RMA reads go through byte offsets.
+    /// number, only RMA reads go through byte offsets. What the store sees
+    /// is the bucket's stored room — its header and the slots writes have
+    /// reached — or the whole template when nobody wrote it; the slots past
+    /// a room are the template's, all vacant.
     fn bucket_raw(&self, bucket: u64) -> &[u8] {
         self.regions.tile(self.index_buffer, bucket as usize)
     }
 
-    fn bucket_raw_mut(&mut self, bucket: u64) -> &mut [u8] {
-        self.regions.tile_mut(self.index_buffer, bucket as usize)
+    /// The bucket's room, grown to hold its first `end` bytes.
+    fn bucket_raw_mut(&mut self, bucket: u64, end: usize) -> &mut [u8] {
+        self.regions
+            .tile_mut(self.index_buffer, bucket as usize, end)
     }
 
     fn write_slot(&mut self, bucket: u64, slot: usize, entry: &IndexEntry) {
-        entry.encode_into(layout::bucket_slot_mut(self.bucket_raw_mut(bucket), slot));
+        let end = layout::bucket_size(slot + 1);
+        entry.encode_into(layout::bucket_slot_mut(
+            self.bucket_raw_mut(bucket, end),
+            slot,
+        ));
     }
 
     fn set_overflow(&mut self, bucket: u64, overflowed: bool) {
-        layout::set_bucket_overflow(self.bucket_raw_mut(bucket), overflowed);
+        let header = self.bucket_raw_mut(bucket, layout::BUCKET_HEADER_BYTES);
+        layout::set_bucket_overflow(header, overflowed);
+    }
+
+    /// The first vacant slot of `bucket`, the one a full-width scan finds:
+    /// in its room, or else the first slot past the room.
+    fn first_vacant(&self, bucket: u64) -> Option<usize> {
+        let room = self.bucket_raw(bucket);
+        layout::find_vacant(room).or_else(|| {
+            let past = layout::bucket_assoc(room);
+            (past < self.cfg.assoc as usize).then_some(past)
+        })
     }
 
     /// Look up an index entry by hash (server-side, no RMA semantics).
@@ -366,7 +386,7 @@ impl BackendStore {
         let bucket = self.bucket_of(hash);
         match layout::scan_bucket(self.bucket_raw(bucket), hash).0 {
             Some((slot, e)) => Ok((bucket, slot, Some(e.ptr))),
-            None => match layout::find_vacant(self.bucket_raw(bucket)) {
+            None => match self.first_vacant(bucket) {
                 Some(slot) => Ok((bucket, slot, None)),
                 None => {
                     let slot = self.evict_from_bucket(bucket, hash)?;
@@ -737,7 +757,8 @@ impl BackendStore {
         self.stamp_all_buckets();
         for e in live {
             let bucket = self.bucket_of(e.key_hash);
-            let slot = layout::find_vacant(self.bucket_raw(bucket))
+            let slot = self
+                .first_vacant(bucket)
                 .expect("doubled index cannot overflow on re-placement");
             self.write_slot(bucket, slot, &e);
         }
@@ -808,9 +829,9 @@ impl BackendStore {
             .register_window(self.data_buffer, 0, target as u64);
         let generation = self.regions.window_generation(self.data_window);
         // Re-place every entry; the index keeps its geometry, only pointers
-        // change.
+        // change. Occupied slots all lie in their bucket's room.
         for b in 0..self.num_buckets {
-            for i in 0..self.cfg.assoc as usize {
+            for i in 0..layout::bucket_assoc(self.bucket_raw(b)) {
                 let slot = layout::bucket_slot(self.bucket_raw(b), i);
                 if IndexEntry::decode(slot).is_occupied() {
                     self.write_slot(b, i, &IndexEntry::default());
@@ -826,8 +847,7 @@ impl BackendStore {
             self.regions
                 .write(self.data_buffer, offset as usize, &bytes);
             let bucket = self.bucket_of(hash);
-            let slot =
-                layout::find_vacant(self.bucket_raw(bucket)).expect("index geometry unchanged");
+            let slot = self.first_vacant(bucket).expect("index geometry unchanged");
             self.write_slot(
                 bucket,
                 slot,
@@ -904,8 +924,8 @@ impl BackendStore {
 pub struct CliqueScarResolver;
 
 impl ScarResolver for CliqueScarResolver {
-    fn resolve(&self, bucket: &[u8], key_hash: u128) -> ScarOutcome {
-        let (hit, scanned) = layout::scan_bucket(bucket, key_hash);
+    fn resolve(&self, head: &[u8], tail: &[u8], key_hash: u128) -> ScarOutcome {
+        let (hit, scanned) = layout::scan_bucket_parts(head, tail, key_hash);
         match hit {
             Some((_, e)) => ScarOutcome::Hit {
                 window: e.ptr.window_id(),
@@ -1304,16 +1324,93 @@ mod tests {
         let hash = DefaultHasher.hash(b"k");
         let bucket = s.bucket_of(hash);
         let raw = s.bucket_raw(bucket).to_vec();
-        match CliqueScarResolver.resolve(&raw, hash) {
+        match CliqueScarResolver.resolve(&raw, &[], hash) {
             ScarOutcome::Hit { len, .. } => {
                 assert_eq!(len as usize, data_entry_size(1, 7));
             }
             other => panic!("{other:?}"),
         }
-        match CliqueScarResolver.resolve(&raw, hash ^ 1) {
+        match CliqueScarResolver.resolve(&raw, &[], hash ^ 1) {
             ScarOutcome::Miss { entries_scanned } => assert!(entries_scanned > 0),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// SCAR's scan of `bucket` for `hash`, over the pieces the index region
+    /// serves the bucket in.
+    fn scar_scan(s: &BackendStore, bucket: u64, hash: KeyHash) -> ScarOutcome {
+        let g = s.geometry();
+        let pieces = s
+            .regions()
+            .read_window_slice(
+                WindowId(g.index_window),
+                g.index_generation,
+                s.bucket_offset(bucket),
+                bucket_size(g.assoc as usize) as u32,
+            )
+            .expect("index window serves");
+        CliqueScarResolver.resolve(&pieces.head, pieces.tail, hash)
+    }
+
+    /// Every key of the one-bucket store `s` sits where the full-width
+    /// bucket `model` has it, SCAR's hit scans `slot + 1` entries and its
+    /// miss all of them.
+    fn assert_placed_as(s: &BackendStore, model: &[Option<KeyHash>]) {
+        for (slot, hash) in model.iter().enumerate() {
+            let Some(hash) = *hash else { continue };
+            assert_eq!(s.lookup(hash).map(|(_, at, _)| at), Some(slot));
+            match scar_scan(s, 0, hash) {
+                ScarOutcome::Hit {
+                    entries_scanned, ..
+                } => assert_eq!(entries_scanned, slot + 1),
+                miss => panic!("slot {slot}: {miss:?}"),
+            }
+        }
+        match scar_scan(s, 0, DefaultHasher.hash(b"absent")) {
+            ScarOutcome::Miss { entries_scanned } => assert_eq!(entries_scanned, model.len()),
+            hit => panic!("{hit:?}"),
+        }
+    }
+
+    /// Install `key` where a full-width bucket's first vacant slot is.
+    fn install_as_full_width(s: &mut BackendStore, model: &mut [Option<KeyHash>], key: &str) {
+        let hash = DefaultHasher.hash(key.as_bytes());
+        let want = model
+            .iter()
+            .position(Option::is_none)
+            .expect("a vacant slot");
+        assert_eq!(s.install(key.as_bytes(), b"v", hash, v(1)), Status::Ok);
+        model[want] = Some(hash);
+        assert_placed_as(s, model);
+    }
+
+    #[test]
+    fn a_bucket_fills_slot_by_slot_as_a_full_width_one_would() {
+        // One bucket: every key lands in it, its room growing slot by slot
+        // through every class up to the whole bucket.
+        let mut s = BackendStore::new(
+            StoreCfg {
+                num_buckets: 1,
+                data_capacity: 1 << 20,
+                max_data_capacity: 1 << 20,
+                slab_bytes: 4 << 10,
+                ..StoreCfg::default()
+            },
+            Box::new(LruPolicy::new()),
+        );
+        let assoc = s.assoc() as usize;
+        let mut model = vec![None; assoc];
+        assert_placed_as(&s, &model);
+        for i in 0..assoc {
+            install_as_full_width(&mut s, &mut model, &format!("k{i}"));
+        }
+        // Erase a middle slot: the next install refills it.
+        let hash = model[assoc / 2].take().expect("filled");
+        assert_eq!(s.erase(hash, v(2)), Status::Ok);
+        assert_placed_as(&s, &model);
+        install_as_full_width(&mut s, &mut model, "refill");
+        assert_eq!(s.live_entries(), assoc as u64);
+        assert_eq!(s.stats.assoc_conflicts, 0);
     }
 
     /// What a client's RMA read of `bucket` returns.

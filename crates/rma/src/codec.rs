@@ -16,7 +16,7 @@
 //! ```
 
 use bytes::{Bytes, BytesMut, Pool};
-use simnet::wire::{encode, encode_in, get_seq, Answer, Put, Wire};
+use simnet::wire::{encode, encode_in, get_seq, Answer, Put, Raw, Str, Wire};
 use simnet::{wire_enum, wire_struct};
 
 /// Magic tag identifying RMA frames (RPC frames use a different magic).
@@ -241,10 +241,11 @@ pub fn encode_read_resp(r: &ReadResp) -> Bytes {
     encode(&(RMA_MAGIC, KIND_READ_RESP, r))
 }
 
-/// Encode a read response directly from a borrowed data slice into a pooled
-/// buffer — the server's single-copy path (backend memory → wire frame).
-pub fn encode_read_resp_parts(op_id: u64, status: RmaStatus, data: &[u8], pool: &Pool) -> Bytes {
-    frame_in(KIND_READ_RESP, &(op_id, status, data), pool)
+/// Encode a read response directly from borrowed data, in however many
+/// pieces region memory holds it, into a pooled buffer — the server's
+/// single-copy path (backend memory → wire frame).
+pub fn encode_read_resp_parts(op_id: u64, status: RmaStatus, data: impl Raw, pool: &Pool) -> Bytes {
+    frame_in(KIND_READ_RESP, &(op_id, status, Str(data)), pool)
 }
 
 /// Encode a SCAR request into a pooled buffer.
@@ -264,13 +265,13 @@ pub fn encode_scar_resp(r: &ScarResp) -> Bytes {
     encode(&(RMA_MAGIC, KIND_SCAR_RESP, answer))
 }
 
-/// Encode a SCAR response directly from borrowed bucket/data slices into a
-/// pooled buffer — the server's single-copy path.
+/// Encode a SCAR response directly from borrowed bucket and data bytes into
+/// a pooled buffer — the server's single-copy path.
 pub fn encode_scar_resp_parts(
     op_id: u64,
     status: RmaStatus,
-    bucket: &[u8],
-    data: &[u8],
+    bucket: impl Raw,
+    data: impl Raw,
     pool: &Pool,
 ) -> Bytes {
     let answer = Answer {
@@ -320,6 +321,11 @@ impl BatchRespWriter {
 
     /// Append one sub-op result.
     pub fn push(&mut self, sub: u64, status: RmaStatus, bucket: &[u8], data: &[u8]) {
+        self.push_parts(sub, status, bucket, data);
+    }
+
+    /// Append one sub-op result whose bytes region memory holds in pieces.
+    pub fn push_parts(&mut self, sub: u64, status: RmaStatus, bucket: impl Raw, data: impl Raw) {
         let answer = Answer {
             id: sub,
             status,
@@ -734,5 +740,29 @@ mod tests {
             let hex: String = frame.iter().map(|x| format!("{x:02x}")).collect();
             assert_eq!(hex, golden, "{name}");
         }
+    }
+
+    /// A response written from two pieces per string (a bucket's stored
+    /// room and its template tail) is byte for byte the one written from
+    /// the joined bytes.
+    #[test]
+    fn pieces_encode_as_the_joined_bytes() {
+        let pool = Pool::new();
+        let (room, tail): (&[u8], &[u8]) = (b"room", b"tail");
+        assert_eq!(
+            encode_read_resp_parts(3, RmaStatus::Ok, (room, tail), &pool),
+            encode_read_resp_parts(3, RmaStatus::Ok, b"roomtail", &pool),
+        );
+        assert_eq!(
+            encode_scar_resp_parts(4, RmaStatus::Ok, (room, tail), (b"da", b"ta"), &pool),
+            encode_scar_resp_parts(4, RmaStatus::Ok, b"roomtail", b"data", &pool),
+        );
+        let mut split = BatchRespWriter::scar_resp(5, 2, 0, &pool);
+        let mut joined = BatchRespWriter::scar_resp(5, 2, 0, &pool);
+        split.push_parts(1, RmaStatus::NoMatch, (&[][..], room), (b"", b""));
+        joined.push(1, RmaStatus::NoMatch, room, b"");
+        split.push_parts(2, RmaStatus::Ok, (room, tail), (b"x", b""));
+        joined.push(2, RmaStatus::Ok, b"roomtail", b"x");
+        assert_eq!(split.finish(), joined.finish());
     }
 }

@@ -41,6 +41,6 @@ pub use codec::{
     ScarReq, ScarResp, RMA_MAGIC,
 };
 pub use pony::{PonyCfg, PonyHost};
-pub use region::{BufferId, RegionTable, WindowId};
+pub use region::{BufferId, Pieces, RegionTable, WindowId};
 pub use server::{serve, ScarOutcome, ScarResolver, Served};
 pub use transport::{Transport, TransportKind};

@@ -24,8 +24,13 @@
 //! makes one, absorbing any it overlaps), and growing the buffer only moves
 //! its length. A **tiled** buffer ([`RegionTable::alloc_tiled_buffer`]) —
 //! one tile repeated, the shape of a bucket array — keeps one shared
-//! template for every tile nobody has written and copies it out on a tile's
-//! first write.
+//! template, and of each written tile only its *room*: the prefix through
+//! its last written byte, in a class of 64 B doubling up to the tile, one
+//! arena per class. Past its room a tile reads as the template. A read
+//! comes back as [`Pieces`]: for one tile, its room's part and the
+//! template's part, both borrowed, which the response encoders write into
+//! one frame without joining them. [`RegionTable::reserved_bytes`] is what
+//! the host holds for all of it.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -45,37 +50,147 @@ pub struct WindowId(pub u32);
 /// Slot-table entry of a tile nobody has written.
 const UNWRITTEN: u32 = u32::MAX;
 
-/// `template` repeated `slots.len()` times, storing only the tiles that
-/// were written.
+/// Bits of a slot-table entry that number a room in its class's arena; the
+/// bits above them are the class.
+const RECORD_BITS: u32 = 27;
+
+/// The shortest room: a bucket header and its first slot.
+const MIN_ROOM: usize = 64;
+
+/// A written tile's slot-table entry as its class and its record there.
+fn unpack(slot: u32) -> (usize, usize) {
+    (
+        (slot >> RECORD_BITS) as usize,
+        (slot & ((1 << RECORD_BITS) - 1)) as usize,
+    )
+}
+
+/// The class of the shortest room that holds `end` bytes.
+fn class_of(end: usize) -> usize {
+    end.div_ceil(MIN_ROOM)
+        .max(1)
+        .next_power_of_two()
+        .trailing_zeros() as usize
+}
+
+/// The rooms of one class, back to back.
+#[derive(Debug)]
+struct Class {
+    /// Length of a room of this class: [`MIN_ROOM`] doubling per class, the
+    /// last class the whole tile.
+    room: usize,
+    rooms: Vec<u8>,
+    /// Records left behind by tiles that moved up a class: the next tile to
+    /// enter this class takes one before the arena grows.
+    free: Vec<u32>,
+}
+
+/// `template` repeated `slots.len()` times, storing of each written tile
+/// only its **room**: a prefix from byte 0 through its last written byte,
+/// rounded up to a room class. Past its room a tile reads as the template.
 #[derive(Debug)]
 struct Tiled {
     /// What an unwritten tile reads as; its length is the tile length.
     template: Box<[u8]>,
-    /// Per tile: [`UNWRITTEN`], or the position of its copy in `arena`.
+    /// Per tile: [`UNWRITTEN`], or its room's class above [`RECORD_BITS`]
+    /// and record in that class's arena below.
     slots: Vec<u32>,
-    /// The written tiles back to back, in first-write order.
-    arena: Vec<u8>,
+    /// One arena per room class, shortest first.
+    classes: Vec<Class>,
 }
 
 impl Tiled {
-    fn tile(&self, n: usize) -> &[u8] {
+    fn new(tile: &[u8], count: usize) -> Tiled {
+        Tiled {
+            template: tile.into(),
+            slots: vec![UNWRITTEN; count],
+            classes: (0..=class_of(tile.len()))
+                .map(|k| Class {
+                    room: (MIN_ROOM << k).min(tile.len()),
+                    rooms: Vec::new(),
+                    free: Vec::new(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Tile `n`'s room; empty when nobody wrote the tile.
+    fn room(&self, n: usize) -> &[u8] {
         match self.slots[n] {
-            UNWRITTEN => &self.template,
+            UNWRITTEN => &[],
             slot => {
-                let len = self.template.len();
-                &self.arena[slot as usize * len..][..len]
+                let (k, record) = unpack(slot);
+                let class = &self.classes[k];
+                &class.rooms[record * class.room..][..class.room]
             }
         }
     }
 
-    /// Tile `n` for writing: copies the template out on first use.
-    fn tile_mut(&mut self, n: usize) -> &mut [u8] {
-        let len = self.template.len();
-        if self.slots[n] == UNWRITTEN {
-            self.slots[n] = (self.arena.len() / len) as u32;
-            self.arena.extend_from_slice(&self.template);
+    /// `[at, end)` of tile `n`: the part its room holds, then the part the
+    /// template holds.
+    fn split(&self, n: usize, at: usize, end: usize) -> (&[u8], &[u8]) {
+        let room = self.room(n);
+        let cut = room.len().clamp(at, end);
+        (room.get(at..cut).unwrap_or(&[]), &self.template[cut..end])
+    }
+
+    /// Tile `n`'s room, first grown to hold at least `end` bytes: a tile
+    /// written for the first time, or past its room, moves into the class
+    /// that holds `end` with its room and the template's bytes after it,
+    /// and leaves its old record to the next tile that enters that class.
+    fn room_mut(&mut self, n: usize, end: usize) -> &mut [u8] {
+        let slot = self.slots[n];
+        let old = (slot != UNWRITTEN).then(|| unpack(slot));
+        let k = class_of(end).max(old.map_or(0, |(k, _)| k));
+        let room = self.classes[k].room;
+        if old.map(|(k, _)| k) != Some(k) {
+            let kept = self.room(n).len();
+            let (lower, upper) = self.classes.split_at_mut(k);
+            let into = &mut upper[0];
+            let record = into.free.pop().map_or_else(
+                || {
+                    into.rooms.resize(into.rooms.len() + room, 0);
+                    into.rooms.len() / room - 1
+                },
+                |r| r as usize,
+            );
+            let to = &mut into.rooms[record * room..][..room];
+            if let Some((from, at)) = old {
+                to[..kept].copy_from_slice(&lower[from].rooms[at * kept..][..kept]);
+                lower[from].free.push(at as u32);
+            }
+            to[kept..].copy_from_slice(&self.template[kept..room]);
+            self.slots[n] = (k as u32) << RECORD_BITS | record as u32;
         }
-        &mut self.arena[self.slots[n] as usize * len..][..len]
+        let (_, record) = unpack(self.slots[n]);
+        &mut self.classes[k].rooms[record * room..][..room]
+    }
+
+    /// Write `bytes` at `at` of every tile: into the template, and into each
+    /// room that holds any of those bytes.
+    fn write_every_tile(&mut self, at: usize, bytes: &[u8]) {
+        let end = at + bytes.len();
+        self.template[at..end].copy_from_slice(bytes);
+        for class in &mut self.classes {
+            if class.room > at {
+                let take = end.min(class.room) - at;
+                for r in class.rooms.chunks_exact_mut(class.room) {
+                    r[at..at + take].copy_from_slice(&bytes[..take]);
+                }
+            }
+        }
+    }
+
+    fn reserved_bytes(&self) -> usize {
+        let classes: usize = self
+            .classes
+            .iter()
+            .map(|c| c.rooms.capacity() + c.free.capacity() * size_of::<u32>())
+            .sum();
+        self.template.len()
+            + self.slots.capacity() * size_of::<u32>()
+            + self.classes.capacity() * size_of::<Class>()
+            + classes
     }
 }
 
@@ -410,6 +525,24 @@ impl Sparse {
         ((self.head << SEG_BITS | off) as u32, need)
     }
 
+    /// Host bytes this buffer holds: segments, page records and free holes
+    /// (a B-tree holds its keys about half full).
+    fn reserved_bytes(&self) -> usize {
+        let pages: usize = self
+            .pages
+            .iter()
+            .map(|p| {
+                p.starts.capacity() * size_of::<u16>() + p.spans.capacity() * size_of::<Span>()
+            })
+            .sum();
+        let segs: usize = self.segs.iter().map(Vec::capacity).sum();
+        self.pages.capacity() * size_of::<Page>()
+            + pages
+            + self.segs.capacity() * size_of::<Vec<u8>>()
+            + segs
+            + self.holes.len() * 2 * size_of::<(u32, u32)>()
+    }
+
     /// Slide every extent down over the garbage, in store order, and empty
     /// the segments left over. In place: an extent never moves up.
     fn compact(&mut self) {
@@ -448,6 +581,57 @@ impl Sparse {
     }
 }
 
+/// The bytes of a read, in two pieces: `head`, then `tail`. A read of one
+/// tile is its stored room's part and the template's part after it; a
+/// read of a data buffer is all `head`. Both borrow region memory, except
+/// that a read straddling tiles, or pages or extents of a data buffer,
+/// comes back as one owned `head` assembled the way a flat buffer reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pieces<'a> {
+    /// The first piece.
+    pub head: Cow<'a, [u8]>,
+    /// The bytes after `head`.
+    pub tail: &'a [u8],
+}
+
+impl<'a> Pieces<'a> {
+    /// No bytes.
+    pub const EMPTY: Pieces<'static> = Pieces {
+        head: Cow::Borrowed(&[]),
+        tail: &[],
+    };
+
+    /// Bytes in both pieces.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// Whether both pieces are empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Both pieces as borrowed slices, the form the response encoders take.
+    pub fn parts(&self) -> (&[u8], &'a [u8]) {
+        (&self.head, self.tail)
+    }
+
+    /// The bytes as one slice: borrowed when one piece holds them all.
+    pub fn joined(self) -> Cow<'a, [u8]> {
+        match (self.head, self.tail) {
+            (head, []) => head,
+            (Cow::Borrowed([]), tail) => Cow::Borrowed(tail),
+            (head, tail) => Cow::Owned([&head[..], tail].concat()),
+        }
+    }
+}
+
+impl<'a> From<Cow<'a, [u8]>> for Pieces<'a> {
+    fn from(head: Cow<'a, [u8]>) -> Pieces<'a> {
+        Pieces { head, tail: &[] }
+    }
+}
+
 #[derive(Debug)]
 enum Buffer {
     Sparse(Sparse),
@@ -464,26 +648,32 @@ impl Buffer {
     }
 
     /// The bytes of `[start, stop)`, which the caller has checked against
-    /// [`Self::len`]. Borrowed, unless the range straddles tiles, or pages
-    /// or extents of a sparse buffer: then the pieces are assembled into
-    /// the bytes a flat buffer would hold.
-    fn read(&self, start: usize, stop: usize) -> Cow<'_, [u8]> {
+    /// [`Self::len`].
+    fn read(&self, start: usize, stop: usize) -> Pieces<'_> {
         match self {
-            Buffer::Sparse(s) => s.read(start, stop),
+            Buffer::Sparse(s) => s.read(start, stop).into(),
             Buffer::Tiled(t) => {
                 let len = t.template.len();
                 let (n, at) = (start / len, start % len);
                 match stop - start {
                     // Nothing to read — possibly at the very end, past the
                     // last tile.
-                    0 => Cow::Borrowed(&[]),
-                    take if take <= len - at => Cow::Borrowed(&t.tile(n)[at..at + take]),
+                    0 => Pieces::EMPTY,
+                    take if take <= len - at => {
+                        let (head, tail) = t.split(n, at, at + take);
+                        Pieces {
+                            head: Cow::Borrowed(head),
+                            tail,
+                        }
+                    }
                     take => {
                         let mut out = Vec::with_capacity(take);
                         for (n, at, take) in pieces(len, start, stop) {
-                            out.extend_from_slice(&t.tile(n)[at..at + take]);
+                            let (head, tail) = t.split(n, at, at + take);
+                            out.extend_from_slice(head);
+                            out.extend_from_slice(tail);
                         }
-                        Cow::Owned(out)
+                        Cow::<[u8]>::Owned(out).into()
                     }
                 }
             }
@@ -499,10 +689,17 @@ impl Buffer {
                 let mut rest = bytes;
                 for (n, at, take) in pieces(t.template.len(), offset, offset + bytes.len()) {
                     let (piece, tail) = rest.split_at(take);
-                    t.tile_mut(n)[at..at + take].copy_from_slice(piece);
+                    t.room_mut(n, at + take)[at..at + take].copy_from_slice(piece);
                     rest = tail;
                 }
             }
+        }
+    }
+
+    fn reserved_bytes(&self) -> usize {
+        match self {
+            Buffer::Sparse(s) => s.reserved_bytes(),
+            Buffer::Tiled(t) => t.reserved_bytes(),
         }
     }
 }
@@ -558,15 +755,12 @@ impl RegionTable {
 
     /// Allocate a buffer that reads as `tile` repeated `count` times — as
     /// populated as any other to the model, while the host stores 4 bytes
-    /// per tile until a tile is first written.
+    /// per tile until a tile is first written, and then the tile's room.
     pub fn alloc_tiled_buffer(&mut self, tile: &[u8], count: usize) -> BufferId {
         assert!(!tile.is_empty(), "a tile holds at least one byte");
-        assert!(count < UNWRITTEN as usize, "too many tiles");
-        self.push_buffer(Buffer::Tiled(Tiled {
-            template: tile.into(),
-            slots: vec![UNWRITTEN; count],
-            arena: Vec::new(),
-        }))
+        assert!(count <= 1 << RECORD_BITS, "too many tiles");
+        assert!(class_of(tile.len()) < 31, "tile too long");
+        self.push_buffer(Buffer::Tiled(Tiled::new(tile, count)))
     }
 
     /// Grow a data buffer to `new_len` (models populating more of the
@@ -621,30 +815,48 @@ impl RegionTable {
     }
 
     /// Write `bytes` at offset `at` of every tile of a tiled buffer, written
-    /// or not: O(tiles written), the rest share the patched template.
+    /// or not: O(rooms stored), the rest read the patched template.
     pub fn write_every_tile(&mut self, id: BufferId, at: usize, bytes: &[u8]) {
-        let t = self.tiled_mut(id);
-        let len = t.template.len();
-        t.template[at..at + bytes.len()].copy_from_slice(bytes);
-        for tile in t.arena.chunks_exact_mut(len) {
-            tile[at..at + bytes.len()].copy_from_slice(bytes);
+        self.tiled_mut(id).write_every_tile(at, bytes);
+    }
+
+    /// The stored prefix of tile `n` of a tiled buffer (backend-local access
+    /// by tile number): its room, or the whole template when nobody wrote
+    /// it. The tile's bytes past it are the template's.
+    pub fn tile(&self, id: BufferId, n: usize) -> &[u8] {
+        let t = self.tiled(id);
+        match t.room(n) {
+            [] => &t.template,
+            room => room,
         }
     }
 
-    /// Tile `n` of a tiled buffer (backend-local access by tile number).
-    pub fn tile(&self, id: BufferId, n: usize) -> &[u8] {
-        self.tiled(id).tile(n)
-    }
-
-    /// Tile `n` of a tiled buffer, for writing in place.
-    pub fn tile_mut(&mut self, id: BufferId, n: usize) -> &mut [u8] {
-        self.tiled_mut(id).tile_mut(n)
+    /// Tile `n`'s room, grown to hold at least its first `end` bytes, for
+    /// writing in place.
+    pub fn tile_mut(&mut self, id: BufferId, n: usize, end: usize) -> &mut [u8] {
+        assert!(end <= self.tiled(id).template.len(), "write past a tile");
+        self.tiled_mut(id).room_mut(n, end)
     }
 
     /// Read bytes directly from a buffer (backend-local access, no RMA
     /// semantics). Panics on out-of-bounds (backend bug).
     pub fn read_buffer(&self, id: BufferId, offset: usize, len: usize) -> Cow<'_, [u8]> {
-        self.buffers[id.0 as usize].read(offset, offset + len)
+        self.buffers[id.0 as usize]
+            .read(offset, offset + len)
+            .joined()
+    }
+
+    /// Host bytes the table holds: slot tables and room arenas of tiled
+    /// buffers, segments and page records of data buffers, window records.
+    /// The model's DRAM is [`Self::resident_bytes`].
+    pub fn reserved_bytes(&self) -> usize {
+        self.buffers.capacity() * size_of::<Buffer>()
+            + self
+                .buffers
+                .iter()
+                .map(Buffer::reserved_bytes)
+                .sum::<usize>()
+            + self.windows.capacity() * size_of::<Window>()
     }
 
     /// Register an RMA window over `[base, base+len)` of a buffer. Returns
@@ -690,21 +902,21 @@ impl RegionTable {
         len: u32,
     ) -> Result<Bytes, RmaStatus> {
         self.read_window_slice(id, generation, offset, len)
-            .map(|data| Bytes::copy_from_slice(&data))
+            .map(|data| Bytes::copy_from_slice(&data.joined()))
     }
 
-    /// Borrowed-slice variant of [`RegionTable::read_window`]: the server's
-    /// copy-free path. The slice aliases live backend memory, so callers
-    /// must consume it (e.g. encode it into a response frame) before any
-    /// mutation of this table. Only a read that straddles tiles of a tiled
-    /// buffer, or pages or extents of a data buffer, comes back owned.
+    /// Borrowed variant of [`RegionTable::read_window`]: the server's
+    /// copy-free path. The pieces alias live backend memory, so callers
+    /// must consume them (e.g. encode them into a response frame) before
+    /// any mutation of this table. Only a read that straddles tiles of a
+    /// tiled buffer, or pages or extents of a data buffer, comes back owned.
     pub fn read_window_slice(
         &self,
         id: WindowId,
         generation: u32,
         offset: u64,
         len: u32,
-    ) -> Result<Cow<'_, [u8]>, RmaStatus> {
+    ) -> Result<Pieces<'_>, RmaStatus> {
         let Some(w) = self.windows.get(id.0 as usize) else {
             return Err(RmaStatus::WindowRevoked);
         };
@@ -882,7 +1094,10 @@ mod tests {
         assert_eq!(&t.read_window(w, gen, 3, 9).unwrap()[..], b"deabXYeab");
         assert!(matches!(
             t.read_window_slice(w, gen, 5, 5),
-            Ok(Cow::Borrowed(b"abXYe"))
+            Ok(Pieces {
+                head: Cow::Borrowed(b"abXYe"),
+                tail: []
+            })
         ));
         // Written and unwritten tiles both take a stamp.
         t.write_every_tile(b, 0, b"#");
@@ -890,7 +1105,7 @@ mod tests {
             &t.read_window(w, gen, 0, 20).unwrap()[..],
             b"#bcde#bXYe#bcde#bcde"
         );
-        t.tile_mut(b, 3)[4] = b'!';
+        t.tile_mut(b, 3, 5)[4] = b'!';
         assert_eq!(&t.read_buffer(b, 14, 6)[..], b"e#bcd!");
         assert_eq!(t.read_window(w, gen, 16, 5), Err(RmaStatus::OutOfBounds));
         assert_eq!(t.resident_bytes(), 20);

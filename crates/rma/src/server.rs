@@ -13,8 +13,6 @@
 //! where SCAR exists *because* Pony Express is programmable enough to host
 //! application-provided logic.
 
-use std::borrow::Cow;
-
 use bytes::{Bytes, Pool};
 
 use simnet::SimTime;
@@ -23,7 +21,7 @@ use crate::codec::{
     encode_read_resp_parts, encode_scar_resp_parts, BatchRespWriter, RmaEnvelope, RmaStatus,
     ScarReq,
 };
-use crate::region::{RegionTable, WindowId};
+use crate::region::{Pieces, RegionTable, WindowId};
 use crate::transport::Transport;
 
 /// Where a SCAR bucket scan landed.
@@ -53,8 +51,10 @@ pub enum ScarOutcome {
 /// KeyHash, locate the DataEntry pointer. Implemented by the CliqueMap
 /// backend (it owns the layout).
 pub trait ScarResolver {
-    /// Scan `bucket` for `key_hash`.
-    fn resolve(&self, bucket: &[u8], key_hash: u128) -> ScarOutcome;
+    /// Scan for `key_hash` the bucket whose bytes are `head` then `tail`
+    /// (its stored room and the template after it, as region memory holds
+    /// them).
+    fn resolve(&self, head: &[u8], tail: &[u8], key_hash: u128) -> ScarOutcome;
 }
 
 /// A served RMA operation: the encoded response and when it's ready.
@@ -67,12 +67,12 @@ pub struct Served {
 }
 
 /// What one sub-op resolved to: its wire status, the bucket and data
-/// segments borrowed from region memory (owned only when a read straddled
+/// pieces borrowed from region memory (owned only when a read straddled
 /// tiles), and how many IndexEntries the NIC examined (`None` when the op
 /// never reached a scan).
-type Resolved<'a> = (RmaStatus, Cow<'a, [u8]>, Cow<'a, [u8]>, Option<usize>);
+type Resolved<'a> = (RmaStatus, Pieces<'a>, Pieces<'a>, Option<usize>);
 
-const NO_BYTES: Cow<'static, [u8]> = Cow::Borrowed(&[]);
+const NO_BYTES: Pieces<'static> = Pieces::EMPTY;
 
 /// Resolve a one-sided read: the addressed bytes, or the status explaining
 /// why not.
@@ -82,7 +82,7 @@ fn resolve_read(
     generation: u32,
     offset: u64,
     len: u32,
-) -> (RmaStatus, Cow<'_, [u8]>) {
+) -> (RmaStatus, Pieces<'_>) {
     match regions.read_window_slice(window, generation, offset, len) {
         Ok(data) => (RmaStatus::Ok, data),
         Err(status) => (status, NO_BYTES),
@@ -110,7 +110,7 @@ fn resolve_scar<'a>(
     if status != RmaStatus::Ok {
         return (status, NO_BYTES, NO_BYTES, None);
     }
-    match resolver.resolve(&bucket, r.key_hash) {
+    match resolver.resolve(&bucket.head, bucket.tail, r.key_hash) {
         ScarOutcome::Miss { entries_scanned } => {
             (RmaStatus::NoMatch, bucket, NO_BYTES, Some(entries_scanned))
         }
@@ -156,7 +156,7 @@ pub fn serve(
                 resolve_read(regions, WindowId(r.window), r.generation, r.offset, r.len);
             Served {
                 ready_at: transport.admit_serve(now, data.len(), 0),
-                response: encode_read_resp_parts(r.op_id, status, &data, pool),
+                response: encode_read_resp_parts(r.op_id, status, data.parts(), pool),
             }
         }
         RmaEnvelope::ScarReq(r) => {
@@ -164,7 +164,13 @@ pub fn serve(
             let scans = scanned.map_or(0, |n| n.max(1));
             Served {
                 ready_at: transport.admit_serve(now, bucket.len() + data.len(), scans),
-                response: encode_scar_resp_parts(r.op_id, status, &bucket, &data, pool),
+                response: encode_scar_resp_parts(
+                    r.op_id,
+                    status,
+                    bucket.parts(),
+                    data.parts(),
+                    pool,
+                ),
             }
         }
         RmaEnvelope::BatchReadReq(r) => {
@@ -236,7 +242,7 @@ fn serve_batch<'a>(
     let ready_at = transport.admit_serve(now, total, scanned.max(min_scans));
     let mut w = writer(op_id, parts.len(), total, pool);
     for (sub, (status, bucket, data, _)) in parts {
-        w.push(sub, status, &bucket, &data);
+        w.push_parts(sub, status, bucket.parts(), data.parts());
     }
     Served {
         ready_at,
@@ -258,7 +264,8 @@ mod tests {
     }
 
     impl ScarResolver for ToyResolver {
-        fn resolve(&self, bucket: &[u8], key_hash: u128) -> ScarOutcome {
+        fn resolve(&self, head: &[u8], tail: &[u8], key_hash: u128) -> ScarOutcome {
+            let bucket = [head, tail].concat();
             let entry = 16 + 8 + 4;
             let n = bucket.len() / entry;
             for i in 0..n {

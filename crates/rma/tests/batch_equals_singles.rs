@@ -12,7 +12,9 @@ use rma::{
 use simnet::SimTime;
 
 const ENTRY: usize = 16 + 8 + 4; // (hash, data offset, data len)
-const BUCKET: u32 = 2 * ENTRY as u32;
+/// Three entries, two of them written: a tiled bucket's stored room (64 B)
+/// is shorter than the bucket, so its reads come in two pieces.
+const BUCKET: u32 = 3 * ENTRY as u32;
 const NOW: SimTime = SimTime(1_000);
 
 /// Toy layout: a bucket is a list of `(u128 hash, u64 offset, u32 len)`.
@@ -22,7 +24,8 @@ struct Toy {
 }
 
 impl ScarResolver for Toy {
-    fn resolve(&self, bucket: &[u8], key_hash: u128) -> ScarOutcome {
+    fn resolve(&self, head: &[u8], tail: &[u8], key_hash: u128) -> ScarOutcome {
+        let bucket = [head, tail].concat();
         let n = bucket.len() / ENTRY;
         for (i, e) in bucket.chunks_exact(ENTRY).enumerate() {
             if u128::from_le_bytes(e[..16].try_into().unwrap()) == key_hash {
@@ -168,7 +171,7 @@ proptest! {
                 };
                 let (part, _) = run(&RmaEnvelope::ScarReq(req), &regions, &toy, &mut t);
                 if !part[0].1.1.is_empty() {
-                    scanned += match toy.resolve(&part[0].1.1, e.key_hash) {
+                    scanned += match toy.resolve(&part[0].1.1, &[], e.key_hash) {
                         ScarOutcome::Hit { entries_scanned, .. } | ScarOutcome::Miss { entries_scanned } => entries_scanned,
                     };
                 }

@@ -47,7 +47,8 @@ impl Pair {
         let got = self
             .t
             .read_window_slice(self.w, generation, at as u64, len as u32)
-            .expect("inside the window");
+            .expect("inside the window")
+            .joined();
         assert!(&got[..] == want, "read_window_slice({at}, {len})");
     }
 

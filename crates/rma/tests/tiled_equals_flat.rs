@@ -1,7 +1,11 @@
 //! A tiled buffer is indistinguishable from a flat one: under any
 //! interleaving of writes and RMA reads it returns the bytes and statuses a
 //! plain `Vec<u8>` behind the same windows would, and reports the same
-//! (logical) length.
+//! (logical) length — while each written tile stores only its room (64 B
+//! doubling up to the tile), which the writes here grow through every
+//! class, patch past and read across.
+
+use std::borrow::Cow;
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -10,6 +14,7 @@ use rma::{RegionTable, RmaStatus, WindowId};
 /// The flat memory and window rules the tiled buffer must reproduce.
 struct Oracle {
     mem: Vec<u8>,
+    tile_len: usize,
     /// `(base, len, revoked)` per window, in registration order.
     windows: Vec<(u64, u64, bool)>,
 }
@@ -47,9 +52,19 @@ fn check_read(
     let want = o.read(w, stale, offset, len);
     let copied = t.read_window(id, generation, offset, len);
     let sliced = t.read_window_slice(id, generation, offset, len);
+    if let Ok(pieces) = &sliced {
+        // A read inside one tile borrows its room and the template.
+        let at = (o.windows[w].0 + offset) as usize;
+        if len > 0 && at % o.tile_len + len as usize <= o.tile_len {
+            prop_assert!(
+                matches!(pieces.head, Cow::Borrowed(_)),
+                "owned read in one tile"
+            );
+        }
+    }
     for (path, got) in [
         ("read_window", copied.map(|b| b.to_vec())),
-        ("read_window_slice", sliced.map(|b| b.into_owned())),
+        ("read_window_slice", sliced.map(|b| b.joined().into_owned())),
     ] {
         // Not `prop_assert_eq!`: a mismatch would print both buffers whole.
         prop_assert!(
@@ -62,6 +77,15 @@ fn check_read(
     Ok(())
 }
 
+/// Where a room of some class ends in a `tile_len`-byte tile, give or take
+/// a byte: the offsets at which writes change class and reads change piece.
+fn near_room_end(tile_len: usize, class: u64, nudge: u64) -> usize {
+    let end = (64usize << (class % 5)).min(tile_len);
+    (end + (nudge % 3) as usize)
+        .saturating_sub(1)
+        .min(tile_len - 1)
+}
+
 proptest! {
     #[test]
     fn tiled_buffer_equals_flat_oracle(
@@ -69,7 +93,7 @@ proptest! {
         count in 1usize..=12,
         seed_tile in proptest::collection::vec(any::<u8>(), 800usize),
         part in (any::<u64>(), any::<u64>()),
-        ops in proptest::collection::vec((0u8..10, any::<u64>(), any::<u64>(), any::<u8>()), 1..80),
+        ops in proptest::collection::vec((0u8..14, any::<u64>(), any::<u64>(), any::<u8>()), 1..120),
     ) {
         // Not a power of two (1 stays: every multi-byte access straddles),
         // so tile arithmetic cannot hide behind a shift.
@@ -79,7 +103,7 @@ proptest! {
 
         let mut t = RegionTable::new();
         let b = t.alloc_tiled_buffer(tile, count);
-        let mut o = Oracle { mem: tile.repeat(count), windows: Vec::new() };
+        let mut o = Oracle { mem: tile.repeat(count), tile_len, windows: Vec::new() };
         // Window 0: the whole buffer. 1: a range inside it. 2: reaches past
         // the populated end. 3: revoked.
         let base = part.0 % total;
@@ -100,9 +124,14 @@ proptest! {
                     t.write(b, at, &bytes);
                     o.mem[at..at + len].copy_from_slice(&bytes);
                 }
-                // The same bytes at the same place in every tile.
-                2 => {
-                    let at = (x % tile_len as u64) as usize;
+                // The same bytes at the same place in every tile: anywhere,
+                // or from around the end of a room class (past some rooms,
+                // inside others).
+                2 | 11 => {
+                    let at = match kind {
+                        2 => (x % tile_len as u64) as usize,
+                        _ => near_room_end(tile_len, x, y >> 32),
+                    };
                     let len = (y % (tile_len - at + 1) as u64) as usize;
                     let bytes = vec![fill; len];
                     t.write_every_tile(b, at, &bytes);
@@ -110,12 +139,41 @@ proptest! {
                         o.mem[n * tile_len + at..][..len].copy_from_slice(&bytes);
                     }
                 }
-                // In place, by tile number.
+                // In place, by tile number: the stored prefix is what the
+                // tile reads as, and holds the written byte.
                 3 => {
                     let (n, at) = ((x % count as u64) as usize, (y % tile_len as u64) as usize);
-                    t.tile_mut(b, n)[at] = fill;
+                    t.tile_mut(b, n, at + 1)[at] = fill;
                     o.mem[n * tile_len + at] = fill;
-                    prop_assert_eq!(t.tile(b, n), &o.mem[n * tile_len..][..tile_len]);
+                    let stored = t.tile(b, n);
+                    prop_assert!(stored.len() > at);
+                    prop_assert_eq!(stored, &o.mem[n * tile_len..][..stored.len()]);
+                }
+                // A few bytes inside one tile, anywhere in it or around a
+                // room's end: rooms grow through every class.
+                10 => {
+                    let n = (x % count as u64) as usize;
+                    let at = match fill % 2 {
+                        0 => (y % tile_len as u64) as usize,
+                        _ => near_room_end(tile_len, y, x >> 32),
+                    };
+                    let len = (1 + fill as usize % 8).min(tile_len - at);
+                    let bytes = vec![fill ^ 0x5a; len];
+                    t.write(b, n * tile_len + at, &bytes);
+                    o.mem[n * tile_len + at..][..len].copy_from_slice(&bytes);
+                }
+                // Reads across the end of a room (into the template), and
+                // across the boundary of two tiles.
+                12 | 13 => {
+                    let n = (x % count as u64) as usize;
+                    let (reach, len) = ((y % 70) as usize, 1 + (y >> 32) % 140);
+                    let around = match kind {
+                        12 => n * tile_len + near_room_end(tile_len, x >> 32, y >> 48),
+                        _ => n.max(1) * tile_len,
+                    };
+                    let offset = around.saturating_sub(reach) as u64;
+                    let len = len.min(total - offset) as u32;
+                    check_read(&t, &o, 0, false, offset, len)?;
                 }
                 // Reads: anywhere, zero-length, ending at the window's last
                 // byte and one past it, and from `u64::MAX`.
