@@ -5,8 +5,9 @@
 # one-wire-codec-for-every-frame, one-backend-builder, in-flight-continuation,
 # delayed-send, client-timers-are-tokens, one-op-record,
 # one-eviction-policy, one-recency-list, per-backend-row,
-# one-histogram and one-buffer-pool gates, lints, format, rustdoc, the
-# benchmark's smoke tests and the figure reproducibility gate.
+# one-histogram, one-buffer-pool and durable-has-no-dependencies gates,
+# lints, format, rustdoc, the benchmark's smoke tests and the figure
+# reproducibility gate.
 # Run from the repo root; any failure fails the script.
 #
 #   ./ci.sh
@@ -185,6 +186,20 @@ forbid "a lock or atomic in the frame-buffer pool (it is single-threaded)" \
     'Mutex|Atomic' third_party/bytes/src/lib.rs
 forbid "a pool per host (the Sim owns one: Sim::pool, Ctx::pool)" \
     'pools: Vec<Pool>|fn host_pool' crates/simnet/src
+
+echo "== durable stays dependency-free =="
+# The WAL engine is std-only under `#![forbid(unsafe_code)]`: its record
+# table, checksum and hashers are its own. A dependency (a build- or
+# target-specific one too) would also be a new edge in
+# benchmark/Cargo.lock, which the benchmark's own build pins.
+deps=$(awk '/^\[/ { dep = /^\[(target\..+\.)?(build-)?dependencies[].]/
+                   if (dep && !/^\[dependencies\]/) print; next }
+            dep && !/^[[:space:]]*(#|$)/' crates/durable/Cargo.toml)
+if [ -n "$deps" ]; then
+    echo "$deps"
+    echo "crates/durable/Cargo.toml declares a dependency" >&2
+    exit 1
+fi
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

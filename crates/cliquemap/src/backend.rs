@@ -333,6 +333,12 @@ impl BackendNode {
         &self.store
     }
 
+    /// The WAL's batches not yet durable, for harness inspection (`None`
+    /// without durability).
+    pub fn wal_batches(&self) -> Option<&durable::GroupCommit> {
+        self.wal.as_ref().map(|w| &w.gc)
+    }
+
     /// Mutable store access (test setup).
     pub fn store_mut(&mut self) -> &mut BackendStore {
         &mut self.store

@@ -198,6 +198,9 @@ pub struct Cell {
     /// [`CellSpec::durability`] was set). [`Cell::restart_backend`] hands
     /// the victim's media to its replacement, which replays it.
     pub media: Vec<Rc<RefCell<durable::Media>>>,
+    /// The one table every backend's log keeps its records in, so the
+    /// replicas of a SET log one buffer (`None` unless durable).
+    wal_records: Option<durable::RecordTable>,
     /// What the clients hold the same way: the hasher, interned configs
     /// and geometries, metric handles, and the lease caches' value table
     /// (only when `client.cache` is set).
@@ -231,6 +234,10 @@ impl Cell {
         // one corpus cache the same versions.
         let shared_values = spec.client.cache.as_ref().map(|_| SharedValues::new());
         let client_shared = ClientShared::new(spec.hasher.clone(), shared_values);
+        let wal_records = spec
+            .durability
+            .as_ref()
+            .map(|_| durable::RecordTable::new());
         let mut cell = Cell {
             sim,
             config_store,
@@ -241,6 +248,7 @@ impl Cell {
             client_hosts: Vec::new(),
             pony_pools: HashMap::new(),
             media: Vec::new(),
+            wal_records,
             client_shared,
             spec,
         };
@@ -322,8 +330,9 @@ impl Cell {
     /// only a shard gets media.
     fn add_backend(&mut self, shard: Option<u32>) -> (NodeId, HostId) {
         let host = self.sim.add_host(self.spec.host.clone());
-        if shard.is_some() && self.spec.durability.is_some() {
-            self.media.push(Rc::default());
+        if let Some(table) = self.wal_records.as_ref().filter(|_| shard.is_some()) {
+            let media = durable::Media::new(table.clone());
+            self.media.push(Rc::new(RefCell::new(media)));
         }
         let me = self.identity(shard, host, false);
         let node = BackendNode::new(self.spec.backend.clone(), me);
@@ -378,6 +387,12 @@ impl Cell {
     /// `client.cache` is off: nothing is built).
     pub fn shared_values(&self) -> Option<&SharedValues> {
         self.client_shared.values()
+    }
+
+    /// The table the backends' logs keep their records in (`None` when
+    /// the cell is not durable).
+    pub fn wal_records(&self) -> Option<&durable::RecordTable> {
+        self.wal_records.as_ref()
     }
 
     /// The tables every client of the cell shares.

@@ -54,8 +54,10 @@ impl DurableCfg {
 }
 
 /// Live WAL state owned by one backend process. The [`GroupCommit`]
-/// buffers are process RAM — a crash loses whatever hadn't fsynced, which
+/// batches are process RAM — a crash loses whatever hadn't fsynced, which
 /// is exactly the delta the post-restart Pull scan repairs from peers.
+/// Their records live in the media's [`durable::RecordTable`], which the
+/// cell's other logs share.
 #[derive(Debug)]
 pub(crate) struct WalEngine {
     pub cfg: DurableCfg,
@@ -66,9 +68,10 @@ pub(crate) struct WalEngine {
 
 impl WalEngine {
     pub(crate) fn new(cfg: DurableCfg) -> WalEngine {
+        let gc = GroupCommit::new(cfg.media.borrow().table().clone());
         WalEngine {
             cfg,
-            gc: GroupCommit::default(),
+            gc,
             trickle_inflight: None,
         }
     }

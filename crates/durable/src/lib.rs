@@ -19,7 +19,7 @@
 //!
 //! Durability state is split in two:
 //!
-//! * [`Media`] — what survives a crash: fsynced WAL bytes plus the
+//! * [`Media`] — what survives a crash: fsynced WAL records plus the
 //!   checkpoint snapshot. The owning process holds it behind
 //!   `Rc<RefCell<Media>>` so a revived node reattaches to the same media.
 //! * [`GroupCommit`] — what dies with the process: the in-RAM pending
@@ -39,12 +39,28 @@
 //! newer one in the same pending batch is absorbed by it, and a durable
 //! record whose key has a strictly newer *durable* one is dropped from the
 //! log. A crash still loses exactly the un-fsynced tail.
+//!
+//! ## One buffer per record
+//!
+//! A version names exactly one mutation, so the replicas of a key log
+//! byte-identical records. Batches and log segments hold handles into a
+//! [`RecordTable`] that every log of a cell shares: the first log to append
+//! a record encodes and checksums it once, every other log holding the
+//! same record holds the same buffer, and the buffer returns to its size
+//! class's free list when its last holder lets go. Every count a log
+//! reports — batch and prefix bytes, [`Media::wal_bytes`],
+//! [`Media::resident_bytes`] — is still that log's own, as if it held
+//! its copy.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 /// WAL record kind: a key/value set (or repair-set, CAS — anything that
 /// installs a value at a version).
@@ -55,9 +71,6 @@ pub const KIND_ERASE: u8 = 1;
 /// Fixed per-record framing bytes: `len` + `crc` + `kind` + `version` +
 /// `key_len`.
 pub const RECORD_HEADER: usize = 4 + 4 + 1 + 16 + 4;
-
-/// Body bytes before the key: `kind` + `version` + `key_len`.
-const BODY_FIXED: usize = RECORD_HEADER - 8;
 
 /// Offsets of the fixed fields within an encoded record.
 const CRC_AT: usize = 4;
@@ -87,7 +100,7 @@ impl Record {
 }
 
 /// One decoded WAL record borrowing its key and value from the log bytes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RecordRef<'a> {
     kind: u8,
     version: u128,
@@ -103,6 +116,10 @@ impl RecordRef<'_> {
             key: self.key.to_vec(),
             value: self.value.to_vec(),
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        RECORD_HEADER + self.key.len() + self.value.len()
     }
 }
 
@@ -151,28 +168,51 @@ fn hash64(body: &[u8]) -> u64 {
     h.wrapping_mul(0xff51_afd7_ed55_8ccd)
 }
 
+/// A record's framing: `len`, a zero `crc`, `kind`, `version`, `key_len`.
+fn header(kind: u8, version: u128, key: &[u8], value: &[u8]) -> [u8; RECORD_HEADER] {
+    let mut head = [0; RECORD_HEADER];
+    let total = RECORD_HEADER + key.len() + value.len();
+    head[..CRC_AT].copy_from_slice(&(total as u32).to_le_bytes());
+    head[KIND_AT] = kind;
+    head[VERSION_AT..KEY_LEN_AT].copy_from_slice(&version.to_le_bytes());
+    head[KEY_LEN_AT..].copy_from_slice(&(key.len() as u32).to_le_bytes());
+    head
+}
+
+/// Fill in the `crc` of `rec`, one whole record: [`record_checksum`] of its
+/// body. The encoders' one checksum pass.
+fn seal(rec: &mut [u8]) {
+    let crc = record_checksum(&rec[KIND_AT..]);
+    rec[CRC_AT..KIND_AT].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Write one record's wire form (see [`append_parts`]) into `out`, which
+/// is exactly its encoded length: each key and value byte is copied once,
+/// into `out`, and checksummed once there.
+fn encode_into(out: &mut [u8], kind: u8, version: u128, key: &[u8], value: &[u8]) {
+    let (head, body) = out.split_at_mut(RECORD_HEADER);
+    let (key_out, value_out) = body.split_at_mut(key.len());
+    head.copy_from_slice(&header(kind, version, key, value));
+    key_out.copy_from_slice(key);
+    value_out.copy_from_slice(value);
+    seal(out);
+}
+
 /// Append one record's wire form to `buf` straight from borrowed parts;
-/// returns the encoded length. This is the only encoder: each key and
-/// value byte is copied once, into `buf`, and checksummed once there.
+/// returns the encoded length. As [`encode_into`], each key and value
+/// byte is copied once and checksummed once.
 ///
 /// Layout (all integers little-endian):
 /// `[total_len u32][crc u32][kind u8][version u128][key_len u32][key][value]`
 /// where `total_len` counts everything including itself and `crc` is
 /// [`record_checksum`] over the body (everything after the `crc` field).
 pub fn append_parts(buf: &mut Vec<u8>, kind: u8, version: u128, key: &[u8], value: &[u8]) -> usize {
-    let total = RECORD_HEADER + key.len() + value.len();
-    buf.reserve(total);
-    buf.extend_from_slice(&(total as u32).to_le_bytes());
-    let crc_at = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
-    buf.push(kind);
-    buf.extend_from_slice(&version.to_le_bytes());
-    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    let at = buf.len();
+    buf.extend_from_slice(&header(kind, version, key, value));
     buf.extend_from_slice(key);
     buf.extend_from_slice(value);
-    let crc = record_checksum(&buf[crc_at + 4..]);
-    buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-    total
+    seal(&mut buf[at..]);
+    buf.len() - at
 }
 
 /// Append `rec`'s wire form to `buf` (see [`append_parts`]); returns the
@@ -183,9 +223,24 @@ pub fn append_record(buf: &mut Vec<u8>, rec: &Record) -> usize {
 
 #[cfg(test)]
 thread_local! {
-    /// Records decoded on this thread, so tests can bound how much of a
+    /// Records parsed on this thread, so tests can bound how much of a
     /// log an operation walks.
     static DECODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The fields of one whole record, its framing and checksum already
+/// trusted; `None` when its key length overruns it.
+fn parse(rec: &[u8]) -> Option<RecordRef<'_>> {
+    let key_len = u32::from_le_bytes(rec[KEY_LEN_AT..RECORD_HEADER].try_into().ok()?) as usize;
+    let (key, value) = rec[RECORD_HEADER..].split_at_checked(key_len)?;
+    #[cfg(test)]
+    DECODED.with(|d| d.set(d.get() + 1));
+    Some(RecordRef {
+        kind: rec[KIND_AT],
+        version: u128::from_le_bytes(rec[VERSION_AT..KEY_LEN_AT].try_into().ok()?),
+        key,
+        value,
+    })
 }
 
 /// Decode the record at the front of `bytes`: the record and its encoded
@@ -197,100 +252,12 @@ fn decode_front(bytes: &[u8]) -> Option<(RecordRef<'_>, usize)> {
     if total < RECORD_HEADER || bytes.len() < total {
         return None;
     }
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    let body = &bytes[8..total];
-    if record_checksum(body) != crc {
+    let rec = &bytes[..total];
+    let crc = u32::from_le_bytes(rec[CRC_AT..KIND_AT].try_into().ok()?);
+    if record_checksum(&rec[KIND_AT..]) != crc {
         return None;
     }
-    let key_len = u32::from_le_bytes(body[17..BODY_FIXED].try_into().ok()?) as usize;
-    let (key, value) = body[BODY_FIXED..].split_at_checked(key_len)?;
-    #[cfg(test)]
-    DECODED.with(|d| d.set(d.get() + 1));
-    let rec = RecordRef {
-        kind: body[0],
-        version: u128::from_le_bytes(body[1..17].try_into().ok()?),
-        key,
-        value,
-    };
-    Some((rec, total))
-}
-
-/// A superseded record still lying in the log: `(segment seq, offset, len)`.
-type Dead = (u64, usize, usize);
-
-/// One segment as a walk sees it: its bytes, its superseded records
-/// (ascending offsets) and the offset the walk starts at.
-type SegmentView<'a> = (&'a [u8], &'a [Dead], usize);
-
-/// Streaming decoder over a log held as a sequence of segments, each made
-/// of whole records: yields the intact live records in log order, steps
-/// over superseded ones without decoding them, and stops for good at the
-/// first torn record. The one WAL walker — [`decode_stream`],
-/// [`Media::prefix`], [`Media::flush_prefix`] and [`Media::recover`] all
-/// read the log through it, and none decodes more than it consumes.
-struct Walker<'a, I> {
-    segments: I,
-    buf: &'a [u8],
-    dead: &'a [Dead],
-    /// Offset in `buf` of the next record.
-    at: usize,
-    /// Segments entered so far: `buf` is segment `entered - 1`.
-    entered: usize,
-    /// Bytes of the intact records yielded so far.
-    consumed: usize,
-    /// Whether the walk ended at a torn record.
-    torn: bool,
-}
-
-impl<'a, I: Iterator<Item = SegmentView<'a>>> Walker<'a, I> {
-    fn new(segments: I) -> Walker<'a, I> {
-        Walker {
-            segments,
-            buf: &[],
-            dead: &[],
-            at: 0,
-            entered: 0,
-            consumed: 0,
-            torn: false,
-        }
-    }
-}
-
-impl<'a, I: Iterator<Item = SegmentView<'a>>> Iterator for Walker<'a, I> {
-    type Item = RecordRef<'a>;
-
-    fn next(&mut self) -> Option<RecordRef<'a>> {
-        if self.torn {
-            return None;
-        }
-        loop {
-            // Step over superseded records: every range lies at or after
-            // the offset a segment's walk starts at.
-            while let Some((&(_, off, len), rest)) = self.dead.split_first() {
-                if off != self.at {
-                    break;
-                }
-                self.at += len;
-                self.dead = rest;
-            }
-            if self.at < self.buf.len() {
-                break;
-            }
-            (self.buf, self.dead, self.at) = self.segments.next()?;
-            self.entered += 1;
-        }
-        match decode_front(&self.buf[self.at..]) {
-            Some((rec, total)) => {
-                self.at += total;
-                self.consumed += total;
-                Some(rec)
-            }
-            None => {
-                self.torn = true;
-                None
-            }
-        }
-    }
+    Some((parse(rec)?, total))
 }
 
 /// Outcome of decoding a WAL byte stream.
@@ -308,13 +275,13 @@ pub struct DecodeTail {
 /// panics on corrupt input: a truncated header, a truncated body, or a
 /// checksum mismatch ends the decode at the last good record.
 pub fn decode_stream(bytes: &[u8]) -> (Vec<Record>, DecodeTail) {
-    let mut walk = Walker::new(std::iter::once((bytes, &[][..], 0)));
-    let recs = walk.by_ref().map(|r| r.to_record()).collect();
-    let tail = DecodeTail {
-        consumed: walk.consumed,
-        torn: walk.torn,
-    };
-    (recs, tail)
+    let (mut recs, mut consumed) = (Vec::new(), 0);
+    while let Some((rec, total)) = decode_front(&bytes[consumed..]) {
+        recs.push(rec.to_record());
+        consumed += total;
+    }
+    let torn = consumed < bytes.len();
+    (recs, DecodeTail { consumed, torn })
 }
 
 /// The checkpoint map: key → (kind, version, value).
@@ -356,12 +323,303 @@ pub struct Recovery {
     pub torn_tail: bool,
 }
 
-/// A segment is rewritten once at least `1 / COMPACT_DIVISOR` of its bytes
-/// are garbage (superseded records, or checkpointed ones behind the
-/// cursor): a segment then never holds more than 4/3 of its live bytes.
+/// Hasher of the maps keyed by a hash this crate already mixed (a key
+/// hash, a record tag): the key is its own hash, so a lookup costs no
+/// second hash of it.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys are u64 hashes")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+/// A map keyed by a 64-bit hash.
+type HashIndex<V> = HashMap<u64, V, BuildHasherDefault<Prehashed>>;
+
+/// Heap bytes of `map`: hashbrown's buckets (a power of two, 7/8 of them
+/// usable from eight on), an entry and a control byte each, plus one
+/// 16-byte control group.
+fn map_bytes<V>(map: &HashIndex<V>) -> usize {
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let buckets = if cap < 8 { cap + 1 } else { cap / 7 * 8 };
+    buckets * (size_of::<(u64, V)>() + 1) + 16
+}
+
+#[cfg(test)]
+thread_local! {
+    /// ANDed into every [`index_hash`] on this thread, so a test can make
+    /// keys collide.
+    static INDEX_HASH_MASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+}
+
+fn index_hash(key: &[u8]) -> u64 {
+    let h = hash64(key);
+    #[cfg(test)]
+    let h = h & INDEX_HASH_MASK.with(|m| m.get());
+    h
+}
+
+/// The [`Table::shared`] key of a record: its key's [`index_hash`], its
+/// version and its kind in one word. Records with equal tags are told
+/// apart by their bytes.
+fn tag(key_hash: u64, version: u128, kind: u8) -> u64 {
+    let v = (version as u64) ^ ((version >> 64) as u64).rotate_left(32);
+    key_hash ^ (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(kind)).rotate_left(29)
+}
+
+/// Bytes of slot memory a size class carves at a time. A class whose
+/// slots are larger takes one slot's worth per record, and hands it back
+/// to the allocator when that record's last holder lets go.
+const CHUNK: usize = 32 << 10;
+
+/// The size class of a `len`-byte record: its index and its slots' bytes.
+/// Classes are 32 B apart up to 1 KiB, then 16 to a doubling, so a slot
+/// wastes less than 1/16 of a record longer than 512 B.
+fn class_of(len: usize) -> (usize, usize) {
+    if len <= 1024 {
+        let n = len.div_ceil(32).max(1);
+        return (n - 1, n * 32);
+    }
+    // 2^(b-1) < len <= 2^b, b >= 11: sixteen steps of 2^(b-5).
+    let b = (usize::BITS - (len - 1).leading_zeros()) as usize;
+    let n = (len - (1 << (b - 1))).div_ceil(1 << (b - 5));
+    (32 + (b - 11) * 16 + n - 1, (1 << (b - 1)) + (n << (b - 5)))
+}
+
+/// A record in a [`RecordTable`]: the number of its buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rec(u32);
+
+/// One buffer of a [`RecordTable`]: a slot of its size class, for good.
+#[derive(Debug, Clone, Copy)]
+struct Buf {
+    chunk: u32,
+    /// Offset of the slot in the chunk.
+    at: u32,
+    /// Encoded length of the record in the slot.
+    len: u32,
+    /// Batches and segments holding the record; 0 while the slot is free.
+    refs: u32,
+    /// [`index_hash`] of the record's key, kept for the logs' indexes.
+    key_hash: u64,
+}
+
+/// One size class's slots.
+#[derive(Debug, Default)]
+struct Class {
+    /// Buffers whose last holder let go.
+    free: Vec<u32>,
+    /// The chunk being carved and the offset of its next slot.
+    open: Option<(u32, u32)>,
+}
+
+#[derive(Default)]
+struct Table {
+    bufs: Vec<Buf>,
+    chunks: Vec<Box<[u8]>>,
+    classes: Vec<Class>,
+    /// [`tag`] → the live buffer that took it first. A record whose tag
+    /// another record holds gets a buffer of its own and goes unshared.
+    shared: HashIndex<u32>,
+    /// Live buffers, and the bytes of their records.
+    live: u64,
+    live_bytes: u64,
+}
+
+impl Table {
+    fn bytes(&self, r: Rec) -> &[u8] {
+        let b = self.bufs[r.0 as usize];
+        &self.chunks[b.chunk as usize][b.at as usize..][..b.len as usize]
+    }
+
+    fn record(&self, r: Rec) -> RecordRef<'_> {
+        parse(self.bytes(r)).expect("a stored record parses")
+    }
+
+    fn len(&self, r: Rec) -> usize {
+        self.bufs[r.0 as usize].len as usize
+    }
+
+    fn key_hash(&self, r: Rec) -> u64 {
+        self.bufs[r.0 as usize].key_hash
+    }
+
+    /// One more holder of `rec`: the live buffer that holds the same bytes
+    /// under its tag, else a fresh one holding a copy of `encoded` when
+    /// given, else `rec` encoded (its one checksum pass).
+    fn intern(&mut self, rec: RecordRef<'_>, key_hash: u64, encoded: Option<&[u8]>) -> Rec {
+        let tag = tag(key_hash, rec.version, rec.kind);
+        let held = self.shared.get(&tag).map(|&id| Rec(id));
+        if let Some(r) = held.filter(|&r| self.record(r) == rec) {
+            self.bufs[r.0 as usize].refs += 1;
+            return r;
+        }
+        let r = self.alloc(rec.encoded_len(), key_hash);
+        let b = self.bufs[r.0 as usize];
+        let out = &mut self.chunks[b.chunk as usize][b.at as usize..][..b.len as usize];
+        match encoded {
+            Some(bytes) => out.copy_from_slice(bytes),
+            None => encode_into(out, rec.kind, rec.version, rec.key, rec.value),
+        }
+        if held.is_none() {
+            self.shared.insert(tag, r.0);
+        }
+        r
+    }
+
+    /// A buffer of `len`'s class with one holder: a free one, else the
+    /// next slot of the class's open chunk, else the first of a new chunk.
+    fn alloc(&mut self, len: usize, key_hash: u64) -> Rec {
+        let (class, size) = class_of(len);
+        if self.classes.len() <= class {
+            self.classes.resize_with(class + 1, Class::default);
+        }
+        let c = &mut self.classes[class];
+        let id = match c.free.pop() {
+            Some(id) => {
+                let chunk = &mut self.chunks[self.bufs[id as usize].chunk as usize];
+                if chunk.is_empty() {
+                    *chunk = vec![0; size].into_boxed_slice();
+                }
+                id
+            }
+            None => {
+                let (chunk, at) = match c.open {
+                    Some((chunk, at))
+                        if at as usize + size <= self.chunks[chunk as usize].len() =>
+                    {
+                        (chunk, at)
+                    }
+                    _ => {
+                        let slots = (CHUNK / size).max(1);
+                        self.chunks.push(vec![0; slots * size].into_boxed_slice());
+                        (self.chunks.len() as u32 - 1, 0)
+                    }
+                };
+                c.open = Some((chunk, at + size as u32));
+                self.bufs.push(Buf {
+                    chunk,
+                    at,
+                    len: 0,
+                    refs: 0,
+                    key_hash: 0,
+                });
+                self.bufs.len() as u32 - 1
+            }
+        };
+        let b = &mut self.bufs[id as usize];
+        (b.len, b.refs, b.key_hash) = (len as u32, 1, key_hash);
+        self.live += 1;
+        self.live_bytes += len as u64;
+        Rec(id)
+    }
+
+    fn retain(&mut self, r: Rec) {
+        self.bufs[r.0 as usize].refs += 1;
+    }
+
+    /// One holder of `r` lets go; the last one frees its buffer.
+    fn release(&mut self, r: Rec) {
+        let b = &mut self.bufs[r.0 as usize];
+        b.refs -= 1;
+        if b.refs > 0 {
+            return;
+        }
+        let b = *b;
+        let rec = self.bytes(r);
+        let version = u128::from_le_bytes(rec[VERSION_AT..KEY_LEN_AT].try_into().expect("16 B"));
+        let tag = tag(b.key_hash, version, rec[KIND_AT]);
+        if self.shared.get(&tag) == Some(&r.0) {
+            self.shared.remove(&tag);
+        }
+        let (class, size) = class_of(b.len as usize);
+        if size > CHUNK {
+            self.chunks[b.chunk as usize] = Box::default();
+        }
+        self.classes[class].free.push(r.0);
+        self.live -= 1;
+        self.live_bytes -= u64::from(b.len);
+    }
+
+    fn reserved_bytes(&self) -> usize {
+        let chunks: usize = self.chunks.iter().map(|c| c.len()).sum();
+        let free: usize = self.classes.iter().map(|c| c.free.capacity()).sum();
+        self.bufs.capacity() * size_of::<Buf>()
+            + self.chunks.capacity() * size_of::<Box<[u8]>>()
+            + chunks
+            + self.classes.capacity() * size_of::<Class>()
+            + free * size_of::<u32>()
+            + map_bytes(&self.shared)
+    }
+}
+
+/// Encoded WAL records, each held once however many logs hold it: a
+/// cell's backends log the same record for every replica of a SET, and
+/// the table keeps one buffer for all of them. A cheap-clone handle; a
+/// [`GroupCommit`] and the [`Media`] it commits to should share one, and
+/// every log of a cell can.
+///
+/// A record is found by its key's hash, its version and its kind, and
+/// confirmed by its bytes: an equal version of other bytes, or a record
+/// whose tag another record holds, gets a buffer of its own. Buffers are
+/// slots of size classes carved from 32 KiB chunks; a freed slot waits on
+/// its class's free list for the next record of the class, so a log in
+/// steady state allocates nothing.
+#[derive(Clone, Default)]
+pub struct RecordTable(Rc<RefCell<Table>>);
+
+impl RecordTable {
+    /// An empty table.
+    pub fn new() -> RecordTable {
+        RecordTable::default()
+    }
+
+    /// Distinct records held.
+    pub fn records(&self) -> u64 {
+        self.0.borrow().live
+    }
+
+    /// Encoded bytes of the distinct records held: each once, however many
+    /// logs hold it.
+    pub fn bytes(&self) -> u64 {
+        self.0.borrow().live_bytes
+    }
+
+    /// Host bytes the table holds: its chunks (free slots and slack
+    /// included), buffer records, free lists and tag index.
+    pub fn reserved_bytes(&self) -> usize {
+        self.0.borrow().reserved_bytes()
+    }
+}
+
+impl fmt::Debug for RecordTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RecordTable")
+            .field("records", &self.records())
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
+
+/// A segment is compacted once at least `1 / COMPACT_DIVISOR` of its bytes
+/// are garbage (superseded or checkpointed records): a segment then never
+/// holds more than 4/3 of its live bytes.
 const COMPACT_DIVISOR: usize = 4;
 
-/// Where a durable record lies: `(segment seq, offset)`.
+/// Where a durable record lies: `(segment seq, position in the segment)`.
 type Loc = (u64, usize);
 
 /// One sealed batch as the log holds it.
@@ -370,47 +628,48 @@ struct Segment {
     /// Position in the log, unique for the media's life; ascending along
     /// the queue, so an index [`Loc`] outlives the removal of others.
     seq: u64,
-    /// Whole records as one fsync delivered them, less any rewritten away;
-    /// the newest segment may end in the torn record a power cut left.
-    buf: Vec<u8>,
-    /// Bytes of `buf` held by superseded records.
+    /// Its records in log order, as one fsync delivered them less any
+    /// compacted away; `None` where a record was superseded or
+    /// checkpointed since.
+    recs: Vec<Option<Rec>>,
+    /// Bytes the segment holds on the log: its records, dead ones not yet
+    /// compacted away included, and the torn suffix a power cut left on
+    /// the newest segment.
+    len: usize,
+    /// Bytes of `len` held by dead records.
     dead_bytes: usize,
 }
 
-/// The crash-surviving half of durability: fsynced WAL bytes plus the
+/// The crash-surviving half of durability: fsynced WAL records plus the
 /// checkpoint snapshot trickle flush maintains. Only
 /// [`Media::commit`] (a completed fsync) and [`Media::flush_prefix`] (a
 /// completed checkpoint write) mutate it, mirroring the device protocol.
 ///
-/// The log is a queue of sealed batch buffers, each as one fsync delivered
-/// it, plus a cursor into the oldest: a commit moves its batch in at the
-/// back, a trickle flush advances the cursor and drops whole batches off
-/// the front. It holds what recovery can install: versions are a total
-/// order and replay is version-gated, so once a strictly newer record of a
-/// key is durable the older one can never win, and a commit marks it dead.
-/// Readers step over dead records; a segment whose garbage reaches
-/// `1 / COMPACT_DIVISOR` is rewritten with its live records in log order.
-#[derive(Debug, Clone, Default)]
+/// The log is a queue of sealed batches, each as one fsync delivered it: a
+/// commit moves its batch in at the back, a trickle flush checkpoints
+/// records off the front. It holds what recovery can install: versions
+/// are a total order and replay is version-gated, so once a strictly newer
+/// record of a key is durable the older one can never win, and a commit
+/// marks it dead. Readers step over dead records; a segment whose garbage
+/// reaches `1 / COMPACT_DIVISOR` is compacted to its live records in log
+/// order. The records themselves live in a [`RecordTable`], which a dead
+/// record leaves at once.
+#[derive(Debug, Default)]
 pub struct Media {
+    table: RecordTable,
     /// Sealed batches, oldest first.
     segments: VecDeque<Segment>,
     /// Seq the next committed segment takes.
     next_seq: u64,
-    /// Offset of the oldest live record within `segments[0]` (everything
-    /// before it has been truncated into the snapshot).
-    head: usize,
     /// Bytes of torn record at the end of the newest segment.
     torn_bytes: usize,
     /// [`index_hash`] of a key → its newest durable record, for every key
     /// with a live record a later commit may supersede. As in
     /// [`GroupCommit`], a second key with the same hash is never indexed.
-    index: HashMap<u64, Loc>,
-    /// Every segment's superseded records, sorted; one list for the whole
-    /// log, so marking a record allocates nothing once it has grown.
-    dead: Vec<Dead>,
-    /// Live WAL bytes from the cursor on, torn suffix included.
+    index: HashIndex<Loc>,
+    /// Live WAL bytes, torn suffix included.
     wal_bytes: u64,
-    /// Intact live records from the cursor on.
+    /// Intact live records.
     wal_records: u64,
     /// Checkpoint: key → (kind, version, value). Tombstones are kept so a
     /// replayed erase still fences slower sets.
@@ -419,64 +678,46 @@ pub struct Media {
     truncated_bytes: u64,
 }
 
-/// Walk the live log from the cursor. A free function over the fields so a
-/// caller can hold the walk while it mutates the snapshot and the index.
-fn walk_log<'a>(
-    segments: &'a VecDeque<Segment>,
-    dead: &'a [Dead],
-    head: usize,
-) -> Walker<'a, impl Iterator<Item = SegmentView<'a>>> {
-    let (mut dead, mut at) = (dead, head);
-    Walker::new(segments.iter().map(move |s| {
-        let (own, rest) = dead.split_at(dead.partition_point(|d| d.0 <= s.seq));
-        dead = rest;
-        (&s.buf[..], own, std::mem::take(&mut at))
-    }))
-}
-
 /// Position in `segments` of the segment numbered `seq`.
 fn position(segments: &VecDeque<Segment>, seq: u64) -> usize {
     segments
         .binary_search_by_key(&seq, |s| s.seq)
-        .expect("an indexed or dead record lies in a queued segment")
+        .expect("an indexed record lies in a queued segment")
 }
 
-/// Rewrite `seg` without its garbage: the bytes before `from`, the `dead`
-/// ranges, none of them indexed. Live records keep their order, and index
-/// entries pointing at a moved record follow it; `torn` trailing bytes are
-/// kept unparsed.
-fn rewrite(
-    seg: &mut Segment,
-    from: usize,
-    dead: &[Dead],
-    torn: usize,
-    index: &mut HashMap<u64, Loc>,
-) {
-    let end = seg.buf.len();
-    let holes = dead.iter().map(|&(_, off, len)| (off, len));
-    let (mut read, mut write) = (from, 0);
-    for (hole, len) in holes.chain(std::iter::once((end, 0))) {
-        let parsed = if hole == end { end - torn } else { hole };
-        let mut at = read;
-        while at < parsed {
-            let (rec_len, _, key) = header_at(&seg.buf, at);
-            if let Some(loc) = index.get_mut(&index_hash(key)) {
-                if *loc == (seg.seq, at) {
-                    loc.1 = write + (at - read);
-                }
+/// Compact `seg` to its live records, in order; index entries of the
+/// records that move follow them.
+fn compact(seg: &mut Segment, table: &Table, index: &mut HashIndex<Loc>) {
+    let mut kept = 0;
+    for at in 0..seg.recs.len() {
+        let Some(r) = seg.recs[at] else { continue };
+        if let Some(loc) = index.get_mut(&table.key_hash(r)) {
+            if *loc == (seg.seq, at) {
+                loc.1 = kept;
             }
-            at += rec_len;
         }
-        seg.buf.copy_within(read..hole, write);
-        write += hole - read;
-        read = hole + len;
+        seg.recs[kept] = Some(r);
+        kept += 1;
     }
-    seg.buf.truncate(write);
-    seg.buf.shrink_to_fit();
+    seg.recs.truncate(kept);
+    seg.recs.shrink_to_fit();
+    seg.len -= seg.dead_bytes;
     seg.dead_bytes = 0;
 }
 
 impl Media {
+    /// An empty media whose records live in `table`.
+    pub fn new(table: RecordTable) -> Media {
+        let mut media = Media::default();
+        media.table = table;
+        media
+    }
+
+    /// The table this media's records live in.
+    pub fn table(&self) -> &RecordTable {
+        &self.table
+    }
+
     /// Whether nothing has ever been made durable (a cold, first-boot
     /// media).
     pub fn is_empty(&self) -> bool {
@@ -484,114 +725,102 @@ impl Media {
     }
 
     /// Apply a completed fsync: `encoded` (records of wire form) is now
-    /// durable.
+    /// durable. Its intact records are decoded with the checksum check and
+    /// held in the table; whatever follows the first torn record is the
+    /// batch's torn suffix, kept as a byte count.
     pub fn commit(&mut self, encoded: &[u8]) {
-        self.commit_batch(encoded.to_vec());
+        let mut recs = Vec::new();
+        let mut at = 0;
+        let mut table = self.table.0.borrow_mut();
+        while let Some((rec, total)) = decode_front(&encoded[at..]) {
+            let bytes = &encoded[at..at + total];
+            recs.push(Some(table.intern(rec, index_hash(rec.key), Some(bytes))));
+            at += total;
+        }
+        drop(table);
+        self.push_segment(recs, encoded.len() - at);
     }
 
-    /// [`Media::commit`] of a batch the caller no longer needs: the
-    /// buffer itself becomes the log's newest segment. A log that ends in
-    /// a torn record is first cut back to its last intact one — what
-    /// opening a real WAL for append does — so nothing acknowledged as
-    /// durable ever lands behind bytes recovery cannot cross.
+    /// Make `recs` (held for this media already) the log's newest segment,
+    /// followed by `torn` bytes of torn record. A log that ends in a torn
+    /// record is first cut back to its last intact one — what opening a
+    /// real WAL for append does — so nothing acknowledged as durable ever
+    /// lands behind bytes recovery cannot cross.
     ///
-    /// The batch's intact records are then walked in log order, each one
+    /// The batch's records are then walked in log order, each one
     /// superseding the durable record of its key it is strictly newer
     /// than; a record no newer than its key's, or whose key's hash another
     /// key holds in the index, supersedes nothing and stays (the
-    /// [`GroupCommit`] rule). Whatever follows the first torn record is the
-    /// batch's torn suffix.
-    pub fn commit_batch(&mut self, encoded: Vec<u8>) {
+    /// [`GroupCommit`] rule).
+    fn push_segment(&mut self, recs: Vec<Option<Rec>>, torn: usize) {
         if self.torn_bytes > 0 {
             let last = self
                 .segments
                 .back_mut()
                 .expect("torn bytes live in a segment");
-            last.buf.truncate(last.buf.len() - self.torn_bytes);
+            last.len -= self.torn_bytes;
             self.wal_bytes -= self.torn_bytes as u64;
-            self.torn_bytes = 0;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        let mut table = self.table.0.borrow_mut();
+        let len = recs.iter().flatten().map(|&r| table.len(r)).sum::<usize>() + torn;
+        let count = recs.len();
         self.segments.push_back(Segment {
             seq,
-            buf: encoded,
+            recs,
+            len,
             dead_bytes: 0,
         });
         let newest = self.segments.len() - 1;
-        let (mut at, mut superseded) = (0, false);
-        while let Some((rec, total)) = decode_front(&self.segments[newest].buf[at..]) {
+        for at in 0..count {
+            let r = self.segments[newest].recs[at].expect("a new record is live");
             self.wal_records += 1;
-            self.wal_bytes += total as u64;
-            let old = match self.index.entry(index_hash(rec.key)) {
+            self.wal_bytes += table.len(r) as u64;
+            let mut slot = match self.index.entry(table.key_hash(r)) {
                 Entry::Vacant(slot) => {
                     slot.insert((seq, at));
-                    None
+                    continue;
                 }
-                Entry::Occupied(mut slot) => {
-                    let (old_seq, old_at) = *slot.get();
-                    let i = position(&self.segments, old_seq);
-                    let (len, version, key) = header_at(&self.segments[i].buf, old_at);
-                    (key == rec.key && version < rec.version).then(|| {
-                        slot.insert((seq, at));
-                        (i, old_seq, old_at, len)
-                    })
-                }
+                Entry::Occupied(slot) => slot,
             };
-            if let Some((i, old_seq, old_at, len)) = old {
-                self.segments[i].dead_bytes += len;
-                self.dead.push((old_seq, old_at, len));
+            let (old_seq, old_at) = *slot.get();
+            let i = position(&self.segments, old_seq);
+            let old = self.segments[i].recs[old_at].expect("an indexed record is live");
+            let (was, now) = (table.record(old), table.record(r));
+            if was.key == now.key && was.version < now.version {
+                slot.insert((seq, at));
+                let len = table.len(old);
+                let seg = &mut self.segments[i];
+                seg.recs[old_at] = None;
+                seg.dead_bytes += len;
                 self.wal_records -= 1;
                 self.wal_bytes -= len as u64;
-                superseded = true;
+                table.release(old);
             }
-            at += total;
         }
-        self.torn_bytes = self.segments[newest].buf.len() - at;
-        self.wal_bytes += self.torn_bytes as u64;
-        if superseded {
-            self.dead.sort_unstable();
-        }
+        drop(table);
+        self.torn_bytes = torn;
+        self.wal_bytes += torn as u64;
         self.reclaim();
     }
 
-    /// Drop every segment that holds nothing live and rewrite every one
-    /// whose garbage reached `1 / COMPACT_DIVISOR`, taking their ranges
-    /// out of `dead`. Reclaiming log space costs no device time in this
-    /// model, as dropping a checkpointed segment never did.
+    /// Drop every segment that holds nothing live and compact every one
+    /// whose garbage reached `1 / COMPACT_DIVISOR`. Reclaiming log space
+    /// costs no device time in this model, as dropping a checkpointed
+    /// segment never did.
     fn reclaim(&mut self) {
-        let (mut i, mut read, mut kept) = (0, 0, 0);
-        while i < self.segments.len() {
-            let seg = &self.segments[i];
-            let start = read;
-            read += self.dead[read..].partition_point(|d| d.0 <= seg.seq);
-            let from = if i == 0 { self.head } else { 0 };
-            let garbage = from + seg.dead_bytes;
-            if garbage == seg.buf.len() {
-                self.segments.remove(i);
-                if i == 0 {
-                    self.head = 0;
-                }
-                continue;
+        let table = self.table.0.borrow();
+        let index = &mut self.index;
+        self.segments.retain_mut(|seg| {
+            if seg.dead_bytes == seg.len {
+                return false;
             }
-            if garbage * COMPACT_DIVISOR >= seg.buf.len() {
-                let torn = if i + 1 == self.segments.len() {
-                    self.torn_bytes
-                } else {
-                    0
-                };
-                let seg = &mut self.segments[i];
-                rewrite(seg, from, &self.dead[start..read], torn, &mut self.index);
-                if i == 0 {
-                    self.head = 0;
-                }
-            } else {
-                self.dead.copy_within(start..read, kept);
-                kept += read - start;
+            if seg.dead_bytes * COMPACT_DIVISOR >= seg.len {
+                compact(seg, &table, index);
             }
-            i += 1;
-        }
-        self.dead.truncate(kept);
+            true
+        });
     }
 
     /// Crash-model variant of [`Media::commit`]: only the first `keep`
@@ -614,9 +843,11 @@ impl Media {
     }
 
     /// Bytes the log's segments hold: [`Media::wal_bytes`] plus the
-    /// superseded and checkpointed records not yet rewritten away.
+    /// superseded and checkpointed records not yet compacted away. A
+    /// count of this log's own: records it shares with other logs in its
+    /// [`RecordTable`] count in full in each.
     pub fn resident_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.buf.len() as u64).sum()
+        self.segments.iter().map(|s| s.len as u64).sum()
     }
 
     /// Entries in the checkpoint snapshot.
@@ -629,25 +860,37 @@ impl Media {
         self.truncated_bytes
     }
 
+    /// The live log in order.
+    fn live(&self) -> impl Iterator<Item = Rec> + '_ {
+        self.segments
+            .iter()
+            .flat_map(|s| s.recs.iter().flatten().copied())
+    }
+
     /// Peek the oldest WAL prefix of at most `max_records` records:
     /// returns `(records, bytes)` without mutating anything. The trickle
     /// flusher sizes its checkpoint device write from this.
     pub fn prefix(&self, max_records: u64) -> (u64, u64) {
         let cap = usize::try_from(max_records).unwrap_or(usize::MAX);
-        let mut walk = walk_log(&self.segments, &self.dead, self.head);
-        let records = walk.by_ref().take(cap).count() as u64;
-        (records, walk.consumed as u64)
+        let table = self.table.0.borrow();
+        self.live()
+            .take(cap)
+            .fold((0, 0), |(n, bytes), r| (n + 1, bytes + table.len(r) as u64))
     }
 
     /// Apply a completed trickle flush: fold the oldest `max_records` WAL
     /// records into the snapshot (version-gated) and truncate them off the
     /// log front. Returns `(records, bytes)` retired.
     pub fn flush_prefix(&mut self, max_records: u64) -> (u64, u64) {
-        let (records, bytes, entered, at) = {
-            let mut walk = walk_log(&self.segments, &self.dead, self.head);
-            let mut records = 0u64;
-            while records < max_records {
-                let Some(rec) = walk.next() else { break };
+        let (mut records, mut bytes) = (0u64, 0u64);
+        let mut table = self.table.0.borrow_mut();
+        'walk: for seg in &mut self.segments {
+            for (at, slot) in seg.recs.iter_mut().enumerate() {
+                if records == max_records {
+                    break 'walk;
+                }
+                let Some(r) = *slot else { continue };
+                let rec = table.record(r);
                 apply_parts(
                     &mut self.snapshot,
                     rec.kind,
@@ -657,42 +900,28 @@ impl Media {
                 );
                 // A checkpointed record supersedes nothing in the log any
                 // more: the key's next record starts afresh.
-                let seq = self.segments[walk.entered - 1].seq;
-                let len = RECORD_HEADER + rec.key.len() + rec.value.len();
-                if let Entry::Occupied(slot) = self.index.entry(index_hash(rec.key)) {
-                    if *slot.get() == (seq, walk.at - len) {
-                        slot.remove();
+                if let Entry::Occupied(e) = self.index.entry(table.key_hash(r)) {
+                    if *e.get() == (seg.seq, at) {
+                        e.remove();
                     }
                 }
+                let len = table.len(r);
+                *slot = None;
+                seg.dead_bytes += len;
+                table.release(r);
                 records += 1;
+                bytes += len as u64;
             }
-            (records, walk.consumed, walk.entered, walk.at)
-        };
+        }
+        drop(table);
         if records == 0 {
             return (0, 0);
         }
-        // Advance the cursor to just past the last record flushed: drop the
-        // batches it leaves behind, and the dead ranges behind it.
-        self.segments.drain(..entered - 1);
-        self.head = at;
-        let front = self
-            .segments
-            .front_mut()
-            .expect("the cursor lies in a segment");
-        let behind = self
-            .dead
-            .partition_point(|&(seq, off, _)| (seq, off) < (front.seq, at));
-        for &(seq, _, len) in &self.dead[..behind] {
-            if seq == front.seq {
-                front.dead_bytes -= len;
-            }
-        }
-        self.dead.drain(..behind);
         self.wal_records -= records;
-        self.wal_bytes -= bytes as u64;
-        self.truncated_bytes += bytes as u64;
+        self.wal_bytes -= bytes;
+        self.truncated_bytes += bytes;
         self.reclaim();
-        (records, bytes as u64)
+        (records, bytes)
     }
 
     /// Directly install a snapshot entry, as if an earlier trickle flush
@@ -711,11 +940,12 @@ impl Media {
         for (key, (kind, version, value)) in &self.snapshot {
             visit(*kind, *version, key, value);
         }
-        let mut walk = walk_log(&self.segments, &self.dead, self.head);
-        for rec in walk.by_ref() {
+        let table = self.table.0.borrow();
+        for r in self.live() {
+            let rec = table.record(r);
             visit(rec.kind, rec.version, rec.key, rec.value);
         }
-        walk.torn
+        self.torn_bytes > 0
     }
 
     /// [`Media::for_each_record`] collected into owned [`Record`]s, for
@@ -736,6 +966,55 @@ impl Media {
             records,
             from_snapshot,
             torn_tail,
+        }
+    }
+
+    /// Host bytes the log holds of its own: the segment queue, each
+    /// segment's handles and the key index, plus the checkpoint snapshot
+    /// (its B-tree nodes estimated at 2/3 full). The records themselves are
+    /// the [`RecordTable`]'s.
+    pub fn reserved_bytes(&self) -> usize {
+        let handles: usize = self.segments.iter().map(|s| s.recs.capacity()).sum();
+        let entry = size_of::<(Vec<u8>, (u8, u128, Vec<u8>))>();
+        let snapshot: usize = self
+            .snapshot
+            .iter()
+            .map(|(k, (_, _, v))| entry * 3 / 2 + k.capacity() + v.capacity())
+            .sum();
+        self.segments.capacity() * size_of::<Segment>()
+            + handles * size_of::<Option<Rec>>()
+            + map_bytes(&self.index)
+            + snapshot
+    }
+}
+
+impl Clone for Media {
+    /// A second media holding the same records: every live record gains a
+    /// holder in the shared table.
+    fn clone(&self) -> Media {
+        let mut table = self.table.0.borrow_mut();
+        for r in self.live() {
+            table.retain(r);
+        }
+        Media {
+            table: self.table.clone(),
+            segments: self.segments.clone(),
+            next_seq: self.next_seq,
+            torn_bytes: self.torn_bytes,
+            index: self.index.clone(),
+            wal_bytes: self.wal_bytes,
+            wal_records: self.wal_records,
+            snapshot: self.snapshot.clone(),
+            truncated_bytes: self.truncated_bytes,
+        }
+    }
+}
+
+impl Drop for Media {
+    fn drop(&mut self) {
+        let mut table = self.table.0.borrow_mut();
+        for r in self.live() {
+            table.release(r);
         }
     }
 }
@@ -761,7 +1040,7 @@ pub struct GroupCommitStats {
 
 /// The in-RAM half of durability: a double-buffered group-commit batcher.
 ///
-/// Appends land in the *pending* buffer. [`GroupCommit::start_commit`]
+/// Appends land in the *pending* batch. [`GroupCommit::start_commit`]
 /// moves pending to *committing* — but only when no commit is in flight,
 /// so while the device chews on one fsync every new append coalesces into
 /// the next batch. That queueing is the whole amortization story: under
@@ -771,134 +1050,99 @@ pub struct GroupCommitStats {
 /// The pending batch is a dirty set, not an op log. Replay is
 /// version-gated ([`apply_record`]), so of one key's records in a batch
 /// only the newest can win; an append whose key is already pending at an
-/// older version therefore *absorbs* that record: it overwrites it in
-/// place when the encoded length is unchanged, and otherwise marks it dead
-/// and appends, the dead ranges being squeezed out when the batch is
-/// sealed. A batch is thus bounded by the distinct keys mutated during one
-/// device transaction, whatever the op rate, and recovers exactly what the
-/// unabsorbed batch would — per key; a *torn* absorbed batch is no longer
-/// a prefix of the op stream, only a subset of its keys' newest versions.
+/// older version therefore *absorbs* that record: it takes the old
+/// record's place when the encoded length is unchanged, and otherwise
+/// marks it dead and appends, the dead places being dropped when the batch
+/// is sealed. A batch is thus bounded by the distinct keys mutated during
+/// one device transaction, whatever the op rate, and recovers exactly what
+/// the unabsorbed batch would — per key; a *torn* absorbed batch is no
+/// longer a prefix of the op stream, only a subset of its keys' newest
+/// versions.
 ///
-/// Both buffers are process RAM: a crash loses them (the un-fsynced tail).
+/// Both batches are process RAM: a crash loses them (the un-fsynced
+/// tail), and dropping the batcher lets go of their records.
 #[derive(Debug, Default)]
 pub struct GroupCommit {
-    pending: Vec<u8>,
-    /// Live records in `pending`.
+    table: RecordTable,
+    /// The pending batch in log order; `None` where an absorbed record
+    /// lay until the seal.
+    pending: Vec<Option<Rec>>,
+    /// Live records in `pending`, and their encoded bytes.
     pending_records: u64,
-    /// [`index_hash`] of a pending key → offset in `pending` of that key's
-    /// newest record. A second key with the same hash is never indexed.
-    index: HashMap<u64, usize>,
-    /// `(offset, len)` of the absorbed records still lying in `pending`.
-    dead: Vec<(usize, usize)>,
-    committing: Vec<u8>,
-    committing_records: u64,
+    pending_bytes: u64,
+    /// [`index_hash`] of a pending key → position in `pending` of that
+    /// key's newest record. A second key with the same hash is never
+    /// indexed.
+    index: HashIndex<usize>,
+    committing: Vec<Rec>,
+    committing_bytes: u64,
     in_flight: bool,
     stats: GroupCommitStats,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// ANDed into every [`index_hash`] on this thread, so a test can make
-    /// keys collide.
-    static INDEX_HASH_MASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
-}
-
-fn index_hash(key: &[u8]) -> u64 {
-    let h = hash64(key);
-    #[cfg(test)]
-    let h = h & INDEX_HASH_MASK.with(|m| m.get());
-    h
-}
-
-/// Length, version and key of the record at `at` in a buffer this process
-/// encoded itself: the bytes never left RAM, so no checksum pass.
-fn header_at(buf: &[u8], at: usize) -> (usize, u128, &[u8]) {
-    let rec = &buf[at..];
-    let u32_at =
-        |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4-byte field")) as usize;
-    let version = rec[VERSION_AT..KEY_LEN_AT]
-        .try_into()
-        .expect("16-byte version");
-    (
-        u32_at(0),
-        u128::from_le_bytes(version),
-        &rec[RECORD_HEADER..RECORD_HEADER + u32_at(KEY_LEN_AT)],
-    )
-}
-
-/// Rewrite the encoded record `rec` as a newer version of the same key
-/// with a value of the same length: kind, version, value and checksum
-/// change, the framing and key stay.
-fn overwrite_record(rec: &mut [u8], kind: u8, version: u128, value: &[u8]) {
-    rec[KIND_AT] = kind;
-    rec[VERSION_AT..KEY_LEN_AT].copy_from_slice(&version.to_le_bytes());
-    let value_at = rec.len() - value.len();
-    rec[value_at..].copy_from_slice(value);
-    let crc = record_checksum(&rec[KIND_AT..]);
-    rec[CRC_AT..KIND_AT].copy_from_slice(&crc.to_le_bytes());
-}
-
 impl GroupCommit {
+    /// A batcher whose records live in `table` — its [`Media`]'s, so a
+    /// completed commit hands them over without a copy.
+    pub fn new(table: RecordTable) -> GroupCommit {
+        let mut gc = GroupCommit::default();
+        gc.table = table;
+        gc
+    }
+
     /// Append one record to the pending batch; returns the batch's new
     /// record count (how many records the next fsync will cover).
     pub fn append(&mut self, rec: &Record) -> u64 {
         self.append_parts(rec.kind, rec.version, &rec.key, &rec.value)
     }
 
-    /// [`GroupCommit::append`] from borrowed parts: the key and value are
-    /// copied exactly once, into the pending batch. The returned count
-    /// does not grow when the append absorbed a pending older version of
-    /// its key.
+    /// [`GroupCommit::append`] from borrowed parts: the record is encoded
+    /// into the table unless another log already holds it there. The
+    /// returned count does not grow when the append absorbed a pending
+    /// older version of its key.
     pub fn append_parts(&mut self, kind: u8, version: u128, key: &[u8], value: &[u8]) -> u64 {
         self.stats.appends += 1;
+        let rec = RecordRef {
+            kind,
+            version,
+            key,
+            value,
+        };
+        let key_hash = index_hash(key);
         let end = self.pending.len();
-        match self.index.entry(index_hash(key)) {
+        let mut table = self.table.0.borrow_mut();
+        match self.index.entry(key_hash) {
             Entry::Vacant(slot) => {
                 slot.insert(end);
             }
             Entry::Occupied(mut slot) => {
                 let at = *slot.get();
-                let (old_len, old_version, old_key) = header_at(&self.pending, at);
+                let old = self.pending[at].expect("an indexed record is live");
+                let was = table.record(old);
                 // Another key with this hash, or a late record no newer
                 // than the pending one, supersedes nothing: it is a plain
                 // append and the index keeps pointing at the newest.
-                if old_key == key && old_version < version {
+                if was.key == key && was.version < version {
                     self.stats.absorbed += 1;
-                    if old_len == RECORD_HEADER + key.len() + value.len() {
-                        let rec = &mut self.pending[at..at + old_len];
-                        overwrite_record(rec, kind, version, value);
+                    let old_len = was.encoded_len();
+                    let new = table.intern(rec, key_hash, None);
+                    table.release(old);
+                    self.pending_bytes += rec.encoded_len() as u64;
+                    self.pending_bytes -= old_len as u64;
+                    if old_len == rec.encoded_len() {
+                        self.pending[at] = Some(new);
                     } else {
-                        self.dead.push((at, old_len));
+                        self.pending[at] = None;
                         slot.insert(end);
-                        append_parts(&mut self.pending, kind, version, key, value);
+                        self.pending.push(Some(new));
                     }
                     return self.pending_records;
                 }
             }
         }
-        append_parts(&mut self.pending, kind, version, key, value);
+        self.pending.push(Some(table.intern(rec, key_hash, None)));
         self.pending_records += 1;
+        self.pending_bytes += rec.encoded_len() as u64;
         self.pending_records
-    }
-
-    /// Close the gaps absorbed records left in `pending`, live records
-    /// keeping their order: one left-to-right `copy_within` pass.
-    fn squeeze(&mut self) {
-        if self.dead.is_empty() {
-            return;
-        }
-        self.dead.sort_unstable();
-        // Sentinel hole: the last live run ends where the buffer does.
-        self.dead.push((self.pending.len(), 0));
-        let mut write = self.dead[0].0;
-        for hole in self.dead.windows(2) {
-            let live = hole[0].0 + hole[0].1..hole[1].0;
-            let moved = live.len();
-            self.pending.copy_within(live, write);
-            write += moved;
-        }
-        self.pending.truncate(write);
-        self.dead.clear();
     }
 
     /// Records waiting in the pending batch.
@@ -925,28 +1169,45 @@ impl GroupCommit {
         if self.in_flight || self.pending_records == 0 {
             return None;
         }
-        self.squeeze();
         self.index.clear();
-        std::mem::swap(&mut self.pending, &mut self.committing);
-        self.committing_records = self.pending_records;
+        self.committing.extend(self.pending.drain(..).flatten());
+        self.committing_bytes = std::mem::take(&mut self.pending_bytes);
         self.pending_records = 0;
-        self.pending.clear();
         self.in_flight = true;
-        Some((self.committing.len() as u64, self.committing_records))
+        Some((self.committing_bytes, self.committing.len() as u64))
     }
 
     /// The device transaction completed: the committing batch is durable.
-    /// Moves it into `media` (the sealed buffer becomes the log's newest
-    /// segment) and returns the number of records committed.
+    /// Hands its records to `media` as the log's newest segment — copies
+    /// of them when `media` holds records in another table — and returns
+    /// the number of records committed.
     pub fn finish_commit(&mut self, media: &mut Media) -> u64 {
         debug_assert!(self.in_flight, "finish_commit without start_commit");
-        let records = self.committing_records;
+        let records = self.committing.len() as u64;
         self.stats.commits += 1;
         self.stats.committed_records += records;
-        self.stats.committed_bytes += self.committing.len() as u64;
+        self.stats.committed_bytes += self.committing_bytes;
         self.stats.max_batch = self.stats.max_batch.max(records);
-        media.commit_batch(std::mem::take(&mut self.committing));
-        self.committing_records = 0;
+        if media.live().next().is_none() {
+            // A log holding no record takes the batcher's table.
+            media.table = self.table.clone();
+        }
+        let recs = if Rc::ptr_eq(&self.table.0, &media.table.0) {
+            self.committing.drain(..).map(Some).collect()
+        } else {
+            let mut from = self.table.0.borrow_mut();
+            let mut to = media.table.0.borrow_mut();
+            self.committing
+                .drain(..)
+                .map(|r| {
+                    let copy = to.intern(from.record(r), from.key_hash(r), Some(from.bytes(r)));
+                    from.release(r);
+                    Some(copy)
+                })
+                .collect()
+        };
+        media.push_segment(recs, 0);
+        self.committing_bytes = 0;
         self.in_flight = false;
         records
     }
@@ -954,6 +1215,40 @@ impl GroupCommit {
     /// Counter snapshot.
     pub fn stats(&self) -> GroupCommitStats {
         self.stats
+    }
+
+    /// Encoded bytes of the pending and the committing batch: the
+    /// batcher's count of its own, as [`Media::resident_bytes`] is the
+    /// log's.
+    pub fn held_bytes(&self) -> u64 {
+        self.pending_bytes + self.committing_bytes
+    }
+
+    /// Visit the committing batch's records, then the pending batch's, as
+    /// borrowed `(kind, version, key, value)` parts.
+    pub fn for_each_record(&self, mut visit: impl FnMut(u8, u128, &[u8], &[u8])) {
+        let table = self.table.0.borrow();
+        for &r in self.committing.iter().chain(self.pending.iter().flatten()) {
+            let rec = table.record(r);
+            visit(rec.kind, rec.version, rec.key, rec.value);
+        }
+    }
+
+    /// Host bytes the batcher holds of its own: both batches' handles and
+    /// the pending-key index. The records are the [`RecordTable`]'s.
+    pub fn reserved_bytes(&self) -> usize {
+        self.pending.capacity() * size_of::<Option<Rec>>()
+            + self.committing.capacity() * size_of::<Rec>()
+            + map_bytes(&self.index)
+    }
+}
+
+impl Drop for GroupCommit {
+    fn drop(&mut self) {
+        let mut table = self.table.0.borrow_mut();
+        for &r in self.pending.iter().flatten().chain(&self.committing) {
+            table.release(r);
+        }
     }
 }
 
@@ -1157,7 +1452,9 @@ mod tests {
         }
         assert_eq!(gc.pending_records(), 1_000);
         assert_eq!(gc.stats().absorbed, 99_000);
-        assert!(gc.pending.capacity() <= 2 * 1_000 * record_len);
+        // Each absorbed record took its predecessor's place and freed it.
+        assert_eq!(gc.pending.len(), 1_000);
+        assert_eq!(gc.table.bytes(), 1_000 * record_len as u64);
         assert_eq!(
             gc.start_commit(),
             Some((1_000 * record_len as u64, 1_000)),
@@ -1279,7 +1576,8 @@ mod tests {
         media.commit(&newer(1));
         assert_eq!(media.resident_bytes(), media.wal_bytes());
         assert_eq!(media.wal_bytes(), 8 * 35);
-        // Key 7's record moved 70 bytes down; its successor still finds it.
+        // Key 7's record moved two places down; its successor still finds
+        // it.
         media.commit(&newer(7));
         assert_eq!(media.wal_records(), 8);
         let order: Vec<(u8, u128)> = media
@@ -1320,8 +1618,9 @@ mod tests {
 
     #[test]
     fn bit_flips_yield_a_prefix_and_stop_for_good() {
-        // A multi-record batch as group commit seals it: "b" overwritten
-        // in place, "c" regrown (dead + append, squeezed), an erase.
+        // A multi-record batch as group commit seals it: "b" replaced in
+        // place, "c" regrown (dead + append, dropped at the seal), an
+        // erase.
         let mut gc = GroupCommit::default();
         gc.append_parts(KIND_SET, 1, b"a", b"value-a");
         gc.append_parts(KIND_SET, 2, b"b", b"value-b");
@@ -1330,7 +1629,14 @@ mod tests {
         gc.append_parts(KIND_SET, 5, b"c", b"a longer value");
         gc.append_parts(KIND_ERASE, 6, b"d", b"");
         gc.start_commit().expect("batch pending");
-        let log = gc.committing.clone();
+        let table = gc.table.0.borrow();
+        let log: Vec<u8> = gc
+            .committing
+            .iter()
+            .flat_map(|&r| table.bytes(r))
+            .copied()
+            .collect();
+        drop(table);
         let (intact, tail) = decode_stream(&log);
         assert!(!tail.torn);
         let keys: Vec<&[u8]> = intact.iter().map(|r| r.key.as_slice()).collect();
@@ -1412,5 +1718,228 @@ mod tests {
         }
         apply_record(&mut map, &rec(KIND_SET, 6, b"k", b"v6"));
         assert_eq!(map[&b"k".to_vec()].0, KIND_ERASE);
+    }
+
+    /// The record every holder below shares: key, version, value.
+    const SHARED: (&[u8], u128, &[u8]) = (b"k", 5, b"value");
+
+    /// The buffer on `table` holding [`SHARED`], and its holders (0 once
+    /// freed).
+    fn shared(table: &RecordTable) -> Option<(Rec, u32)> {
+        let (key, version, value) = SHARED;
+        let t = table.0.borrow();
+        let r = Rec(*t.shared.get(&tag(index_hash(key), version, KIND_SET))?);
+        let want = RecordRef {
+            kind: KIND_SET,
+            version,
+            key,
+            value,
+        };
+        assert_eq!(t.record(r), want);
+        Some((r, t.bufs[r.0 as usize].refs))
+    }
+
+    /// How one log lets go of the shared record.
+    #[derive(Debug, Clone, Copy)]
+    enum LetGo {
+        /// A batcher absorbs it into a newer record of its length...
+        Absorbed,
+        /// ...or of another length.
+        Regrown,
+        /// A batcher dies with its process.
+        Crashed,
+        /// A log marks it dead under a newer durable record, its segment
+        /// too live to compact...
+        Superseded,
+        /// ...or compacted for it.
+        Compacted,
+        /// A log checkpoints it.
+        Flushed,
+        /// A log is dropped.
+        Dropped,
+    }
+
+    const LET_GO: [LetGo; 7] = [
+        LetGo::Absorbed,
+        LetGo::Regrown,
+        LetGo::Crashed,
+        LetGo::Superseded,
+        LetGo::Compacted,
+        LetGo::Flushed,
+        LetGo::Dropped,
+    ];
+
+    enum Holder {
+        Batch(GroupCommit),
+        Log(Media),
+    }
+
+    /// A holder of the shared record on `table` that can let go of it `how`.
+    fn hold(table: &RecordTable, how: LetGo) -> Holder {
+        let (key, version, value) = SHARED;
+        let mut gc = GroupCommit::new(table.clone());
+        gc.append_parts(KIND_SET, version, key, value);
+        if matches!(how, LetGo::Absorbed | LetGo::Regrown | LetGo::Crashed) {
+            return Holder::Batch(gc);
+        }
+        // The shared record and 2 or 7 more of its length: a quarter of
+        // the segment's bytes dies with it, or an eighth.
+        let others = if matches!(how, LetGo::Compacted) {
+            2
+        } else {
+            7
+        };
+        for k in 0..others {
+            gc.append_parts(KIND_SET, version, &[b'a' + k], value);
+        }
+        let mut media = Media::new(table.clone());
+        gc.start_commit().expect("batch pending");
+        gc.finish_commit(&mut media);
+        Holder::Log(media)
+    }
+
+    /// `holder` lets go of the shared record `how`; what is left of it.
+    fn let_go(holder: Holder, how: LetGo) -> Option<Holder> {
+        let (key, version, _) = SHARED;
+        let newer = |value: &[u8]| encode_batch(&[rec(KIND_SET, version + 1, key, value)]);
+        match (holder, how) {
+            (Holder::Batch(mut gc), LetGo::Absorbed) => {
+                gc.append_parts(KIND_SET, version + 1, key, b"VALUE");
+                Some(Holder::Batch(gc))
+            }
+            (Holder::Batch(mut gc), LetGo::Regrown) => {
+                gc.append_parts(KIND_SET, version + 1, key, b"a longer value");
+                assert_eq!(gc.pending, [None, gc.pending[1]]);
+                Some(Holder::Batch(gc))
+            }
+            (Holder::Log(mut media), LetGo::Superseded | LetGo::Compacted) => {
+                let held = media.resident_bytes();
+                media.commit(&newer(b"VALUE"));
+                let compacted = matches!(how, LetGo::Compacted);
+                assert_eq!(media.resident_bytes() == held, compacted, "{how:?}");
+                Some(Holder::Log(media))
+            }
+            (Holder::Log(mut media), LetGo::Flushed) => {
+                assert_eq!(media.flush_prefix(1).0, 1);
+                Some(Holder::Log(media))
+            }
+            (Holder::Batch(_), LetGo::Crashed) | (Holder::Log(_), LetGo::Dropped) => None,
+            _ => unreachable!("{how:?} is not this holder's"),
+        }
+    }
+
+    /// Whether `holder` still reads the shared record where it left it.
+    fn still_holds(holder: &Holder) -> bool {
+        let (key, version, value) = SHARED;
+        match holder {
+            Holder::Batch(gc) => {
+                let t = gc.table.0.borrow();
+                let first = gc.pending[0].map(|r| t.record(r).to_record());
+                first == Some(rec(KIND_SET, version, key, value))
+            }
+            Holder::Log(media) => media.recover().records[0] == rec(KIND_SET, version, key, value),
+        }
+    }
+
+    #[test]
+    fn a_shared_record_lives_until_its_last_holder_lets_go() {
+        for first in LET_GO {
+            for second in LET_GO {
+                let table = RecordTable::new();
+                let (a, b) = (hold(&table, first), hold(&table, second));
+                let (r, holders) = shared(&table).expect("held");
+                assert_eq!(holders, 2, "{first:?}, {second:?}");
+                let a = let_go(a, first);
+                assert_eq!(shared(&table), Some((r, 1)), "{first:?}, {second:?}");
+                assert!(still_holds(&b), "{first:?}, {second:?}");
+                let b = let_go(b, second);
+                assert_eq!(shared(&table), None, "{first:?}, {second:?}");
+                // Its buffer waits for the next record of its class.
+                let t = table.0.borrow();
+                let class = class_of(t.len(r)).0;
+                assert!(t.classes[class].free.contains(&r.0));
+                drop(t);
+                drop((a, b));
+                assert_eq!(
+                    (table.records(), table.bytes()),
+                    (0, 0),
+                    "every buffer freed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_and_equal_version_records_get_buffers_of_their_own() {
+        // Every key hashes alike, so "j" at version 5 has the tag "k" at
+        // version 5 holds.
+        INDEX_HASH_MASK.with(|m| m.set(0));
+        let table = RecordTable::new();
+        let batches: [&[(&[u8], &[u8])]; 4] = [
+            &[(b"k", b"one")],
+            &[(b"j", b"one")],
+            &[(b"k", b"two")],
+            &[(b"k", b"one"), (b"j", b"one")],
+        ];
+        let mut logs = Vec::new();
+        for batch in batches {
+            let mut gc = GroupCommit::new(table.clone());
+            let mut media = Media::new(table.clone());
+            for (key, value) in batch {
+                gc.append_parts(KIND_SET, 5, key, value);
+            }
+            gc.start_commit().expect("batch pending");
+            gc.finish_commit(&mut media);
+            logs.push(media);
+        }
+        INDEX_HASH_MASK.with(|m| m.set(u64::MAX));
+        // "k" = "one" is shared; each "j" = "one" lost the tag to it and
+        // "k" = "two" is an equal version of other bytes.
+        assert_eq!(table.records(), 4);
+        for (media, batch) in logs.iter().zip(batches) {
+            let want: Vec<Record> = batch.iter().map(|(k, v)| rec(KIND_SET, 5, k, v)).collect();
+            assert_eq!(media.recover().records, want);
+        }
+        drop(logs);
+        assert_eq!(table.records(), 0);
+    }
+
+    #[test]
+    fn a_log_on_another_table_gets_copies_and_an_empty_one_takes_ours() {
+        let (ours, theirs) = (RecordTable::new(), RecordTable::new());
+        let mut gc = GroupCommit::new(ours.clone());
+        let commit = |gc: &mut GroupCommit, media: &mut Media, v: u128| {
+            gc.append_parts(KIND_SET, v, &[v as u8], b"value");
+            gc.start_commit().expect("batch pending");
+            gc.finish_commit(media);
+        };
+        // A log holding records in its own table gets copies.
+        let mut media = Media::new(theirs.clone());
+        media.commit(&encode_batch(&[rec(KIND_SET, 1, b"k", b"value")]));
+        commit(&mut gc, &mut media, 2);
+        assert_eq!((ours.records(), theirs.records()), (0, 2));
+        assert_eq!(media.recover().records[1], rec(KIND_SET, 2, &[2], b"value"));
+        // A log holding none takes the batcher's table.
+        let mut empty = Media::new(theirs.clone());
+        commit(&mut gc, &mut empty, 3);
+        assert!(Rc::ptr_eq(&empty.table().0, &ours.0));
+        assert_eq!((ours.records(), theirs.records()), (1, 2));
+    }
+
+    #[test]
+    fn size_classes_hold_their_records_and_tile_the_lengths() {
+        let mut last = class_of(RECORD_HEADER);
+        assert_eq!(last, (0, 32));
+        for len in RECORD_HEADER + 1..100_000 {
+            let (class, size) = class_of(len);
+            assert!(size >= len, "{len}");
+            if size != last.1 {
+                assert_eq!((class, len - 1), (last.0 + 1, last.1), "{len}");
+            }
+            if len > 512 {
+                assert!(16 * (size - len) < len, "{len} wastes {}", size - len);
+            }
+            last = (class, size);
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! The segment-queue [`Media`] against a flat reference model.
+//! The segment-queue [`Media`] against a flat reference model, two media
+//! sharing one record table.
 //!
 //! The oracle below is the log as the device wrote it: one `Vec<u8>`,
 //! `decode_stream` over the whole of it for every question, `drain` to
@@ -15,7 +16,9 @@
 
 use std::collections::BTreeMap;
 
-use durable::{append_record, apply_record, decode_stream, Media, Record, KIND_ERASE, KIND_SET};
+use durable::{
+    append_record, apply_record, decode_stream, Media, Record, RecordTable, KIND_ERASE, KIND_SET,
+};
 use proptest::prelude::*;
 
 type Map = BTreeMap<Vec<u8>, (u8, u128, Vec<u8>)>;
@@ -232,67 +235,92 @@ fn encode(batch: &[Record]) -> Vec<u8> {
     buf
 }
 
+/// Apply `op` to `media` and its oracle; a prefix's and a flush's answers
+/// must agree. `at` names the media and the step.
+fn apply(media: &mut Media, flat: &mut FlatMedia, op: &Op, at: &str) {
+    match op {
+        Op::Commit(batch) => {
+            let encoded = encode(batch);
+            media.commit(&encoded);
+            flat.commit(&encoded);
+        }
+        Op::CommitPartial(batch, keep_permille) => {
+            let encoded = encode(batch);
+            let keep = encoded.len() * keep_permille / 1000;
+            media.commit_partial(&encoded, keep);
+            flat.commit_partial(&encoded, keep);
+        }
+        Op::Prefix(n) => assert_eq!(media.prefix(*n), flat.prefix(*n), "{at}"),
+        Op::FlushPrefix(n) => assert_eq!(media.flush_prefix(*n), flat.flush_prefix(*n), "{at}"),
+        Op::InstallSnapshot(rec) => {
+            media.install_snapshot(rec.kind, rec.version, &rec.key, &rec.value);
+            flat.install_snapshot(rec);
+        }
+    }
+}
+
+/// Every answer `media` gives matches its oracle's.
+fn check(media: &Media, flat: &FlatMedia, at: &str) {
+    let got = media.recover();
+    let want = flat.recover();
+    assert_eq!(media.wal_bytes(), want.wal_bytes, "{at}");
+    assert_eq!(media.wal_records(), want.from_wal, "{at}");
+    assert_eq!(media.truncated_bytes(), flat.truncated_bytes, "{at}");
+    assert_eq!(media.snapshot_entries(), flat.snapshot.len() as u64, "{at}");
+    assert_eq!(
+        media.is_empty(),
+        want.wal_bytes == 0 && flat.snapshot.is_empty(),
+        "{at}"
+    );
+    assert_eq!(
+        (got.from_snapshot, got.from_wal, got.torn_tail),
+        (want.from_snapshot, want.from_wal, want.torn_tail),
+        "{at}"
+    );
+    assert!(
+        got.records == want.records,
+        "recovered records differ: {at}"
+    );
+    // What the counters promise is what a restart replays.
+    assert_eq!(media.wal_records(), got.from_wal, "{at}");
+    // Dropping superseded records never changes what replay builds.
+    assert!(
+        fold(&got.records) == want.uncompacted_fold,
+        "replay differs from the uncompacted log's: {at}"
+    );
+    // No segment keeps a quarter or more of its bytes as garbage.
+    assert!(
+        3 * media.resident_bytes() <= 4 * media.wal_bytes(),
+        "{at}: {} bytes held for {} live",
+        media.resident_bytes(),
+        media.wal_bytes()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Two media on one record table, each op applied to the first, the
+    /// second or both (so both hold the same records), each media checked
+    /// against an oracle of its own at every step.
     #[test]
-    fn media_matches_flat_model(ops in proptest::collection::vec(op(), 1..40)) {
-        let mut media = Media::default();
-        let mut flat = FlatMedia::default();
-        for (step, op) in ops.iter().enumerate() {
-            match op {
-                Op::Commit(batch) => {
-                    let encoded = encode(batch);
-                    media.commit(&encoded);
-                    flat.commit(&encoded);
+    fn media_matches_flat_model(ops in proptest::collection::vec((op(), 0usize..3), 1..40)) {
+        let table = RecordTable::new();
+        let mut media = [Media::new(table.clone()), Media::new(table.clone())];
+        let mut flat = [FlatMedia::default(), FlatMedia::default()];
+        for (step, (op, target)) in ops.iter().enumerate() {
+            for i in 0..2 {
+                let at = format!("media {i} step {step}");
+                if *target == 2 || *target == i {
+                    apply(&mut media[i], &mut flat[i], op, &at);
                 }
-                Op::CommitPartial(batch, keep_permille) => {
-                    let encoded = encode(batch);
-                    let keep = encoded.len() * keep_permille / 1000;
-                    media.commit_partial(&encoded, keep);
-                    flat.commit_partial(&encoded, keep);
-                }
-                Op::Prefix(n) => {
-                    prop_assert_eq!(media.prefix(*n), flat.prefix(*n), "step {}", step);
-                }
-                Op::FlushPrefix(n) => {
-                    prop_assert_eq!(media.flush_prefix(*n), flat.flush_prefix(*n), "step {}", step);
-                }
-                Op::InstallSnapshot(rec) => {
-                    media.install_snapshot(rec.kind, rec.version, &rec.key, &rec.value);
-                    flat.install_snapshot(rec);
-                }
+                check(&media[i], &flat[i], &at);
             }
-            let got = media.recover();
-            let want = flat.recover();
-            prop_assert_eq!(media.wal_bytes(), want.wal_bytes, "step {}", step);
-            prop_assert_eq!(media.wal_records(), want.from_wal, "step {}", step);
-            prop_assert_eq!(media.truncated_bytes(), flat.truncated_bytes, "step {}", step);
-            prop_assert_eq!(media.snapshot_entries(), flat.snapshot.len() as u64, "step {}", step);
-            prop_assert_eq!(media.is_empty(), want.wal_bytes == 0 && flat.snapshot.is_empty());
-            prop_assert_eq!(
-                (got.from_snapshot, got.from_wal, got.torn_tail),
-                (want.from_snapshot, want.from_wal, want.torn_tail),
-                "step {}",
-                step
-            );
-            prop_assert!(got.records == want.records, "recovered records differ at step {}", step);
-            // What the counters promise is what a restart replays.
-            prop_assert_eq!(media.wal_records(), got.from_wal, "step {}", step);
-            // Dropping superseded records never changes what replay builds.
-            prop_assert!(
-                fold(&got.records) == want.uncompacted_fold,
-                "replay differs from the uncompacted log's at step {}",
-                step
-            );
-            // No segment keeps a quarter or more of its bytes as garbage.
-            prop_assert!(
-                3 * media.resident_bytes() <= 4 * media.wal_bytes(),
-                "step {}: {} bytes held for {} live",
-                step,
-                media.resident_bytes(),
-                media.wal_bytes()
-            );
+            // The table holds each record the two logs hold once.
+            let held = media[0].wal_records() + media[1].wal_records();
+            prop_assert!(table.records() <= held, "step {}", step);
         }
+        drop(media);
+        prop_assert_eq!((table.records(), table.bytes()), (0, 0));
     }
 }
