@@ -5,7 +5,8 @@
 # one-wire-codec-for-every-frame, one-backend-builder, in-flight-continuation,
 # delayed-send, client-timers-are-tokens, one-op-record,
 # one-eviction-policy, one-recency-list, per-backend-row,
-# one-histogram, one-buffer-pool and durable-has-no-dependencies gates,
+# one-histogram, one-buffer-pool, durable-has-no-dependencies and
+# rma-shares-entries-at-one-point gates,
 # lints, format, rustdoc, the benchmark's smoke tests and the figure
 # reproducibility gate.
 # Run from the repo root; any failure fails the script.
@@ -198,6 +199,26 @@ deps=$(awk '/^\[/ { dep = /^\[(target\..+\.)?(build-)?dependencies[].]/
 if [ -n "$deps" ]; then
     echo "$deps"
     echo "crates/durable/Cargo.toml declares a dependency" >&2
+    exit 1
+fi
+
+echo "== rma depends on simnet and bytes only; entries are shared at one point =="
+# A data region holds handles on entry buffers it is given, never a
+# table of its own: `rma` builds on `simnet` and `bytes` alone (a build- or
+# target-specific dependency counts too), and `RegionTable::share` is
+# called from the store and nowhere else, so every shared buffer is the
+# cell's entry table's (crates/rma's own tests of the primitive aside).
+deps=$(awk '/^\[/ { dep = /^\[(target\..+\.)?(build-)?dependencies[].]/; next }
+            dep && !/^[[:space:]]*(#|$)/ { sub(/[[:space:]]*[.=].*/, ""); print }' \
+           crates/rma/Cargo.toml | grep -vxE 'simnet|bytes' || true)
+if [ -n "$deps" ]; then
+    echo "$deps"
+    echo "crates/rma/Cargo.toml declares a dependency beyond simnet and bytes" >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\.share\(' crates src tests examples |
+        grep -vE '^crates/cliquemap/src/store\.rs:|^crates/rma/(src/region\.rs|tests/)'; then
+    echo "RegionTable::share called outside crates/cliquemap/src/store.rs" >&2
     exit 1
 fi
 

@@ -26,7 +26,7 @@ use crate::hash::{KeyHash, KeyHasher};
 use crate::history::{self, Commit, Tap};
 use crate::messages::{self, method};
 use crate::repair::{self, Repair, Step};
-use crate::store::{BackendStore, CliqueScarResolver, PreparedSet, StoreCfg};
+use crate::store::{BackendStore, CliqueScarResolver, PreparedSet, SharedEntries, StoreCfg};
 use crate::version::{VersionGen, VersionNumber};
 use crate::wal::{DurableCfg, REPLAY_NS_PER_RECORD, TRICKLE_RECORDS};
 use crate::{MSG_COST, RPC_COST};
@@ -101,6 +101,10 @@ pub struct BackendIdentity {
     pub durable: Option<DurableCfg>,
     /// Key hasher shared with clients.
     pub hasher: Arc<dyn KeyHasher>,
+    /// The cell's committed DataEntries when it is replicated (`None`:
+    /// the store keeps its own): the store's data region holds the one
+    /// buffer per (key hash, version) the other replicas hold.
+    pub entries: Option<SharedEntries>,
     /// Pull repairs from the cohort right after (re)start (§5.4 en-masse).
     pub recover: bool,
     /// The cell's History tap: every commit is recorded through it while
@@ -295,7 +299,8 @@ impl BackendNode {
             ..cfg.store.clone()
         };
         let repair_id = REPAIR_CLIENT_ID.wrapping_add(store_cfg.shard);
-        let store = BackendStore::new(store_cfg, Box::new(crate::policy::LruPolicy::new()));
+        let store = BackendStore::new(store_cfg, Box::new(crate::policy::LruPolicy::new()))
+            .with_entries(me.entries);
         BackendNode {
             hasher: me.hasher,
             config_store: me.config_store,
@@ -578,10 +583,7 @@ impl BackendNode {
         let len = prepared.entry_bytes.len();
         let chunk_len = len.div_ceil(self.cfg.set_chunks.max(1) as usize);
         let next = (written + chunk_len).min(len);
-        self.store.write_data(
-            prepared.data_offset + written as u64,
-            &prepared.entry_bytes[written..next],
-        );
+        self.store.write_entry(&prepared, written, next);
         if next >= len {
             self.finish_set(ctx, src, req_id, prepared);
         } else {
@@ -1458,6 +1460,7 @@ mod tests {
             transport: Transport::pony(rma::PonyCfg::default()),
             durable,
             hasher: Arc::new(DefaultHasher),
+            entries: None,
             recover: false,
             history: Tap::default(),
         };

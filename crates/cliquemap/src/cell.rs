@@ -25,6 +25,7 @@ use crate::client_cache::SharedValues;
 use crate::config::{CellConfig, ConfigStoreNode, ReplicationMode};
 use crate::hash::{place, DefaultHasher, KeyHasher};
 use crate::history::{self, History};
+use crate::store::SharedEntries;
 use crate::wal::DurableCfg;
 use crate::workload::Workload;
 
@@ -201,6 +202,10 @@ pub struct Cell {
     /// The one table every backend's log keeps its records in, so the
     /// replicas of a SET log one buffer (`None` unless durable).
     wal_records: Option<durable::RecordTable>,
+    /// The one table every backend's data region keeps its committed
+    /// entries in, so the replicas of a SET hold one buffer (`None` unless
+    /// the cell is replicated).
+    entries: Option<SharedEntries>,
     /// What the clients hold the same way: the hasher, interned configs
     /// and geometries, metric handles, and the lease caches' value table
     /// (only when `client.cache` is set).
@@ -238,6 +243,7 @@ impl Cell {
             .durability
             .as_ref()
             .map(|_| durable::RecordTable::new());
+        let entries = (spec.replication.copies() > 1).then(SharedEntries::new);
         let mut cell = Cell {
             sim,
             config_store,
@@ -249,6 +255,7 @@ impl Cell {
             pony_pools: HashMap::new(),
             media: Vec::new(),
             wal_records,
+            entries,
             client_shared,
             spec,
         };
@@ -358,6 +365,7 @@ impl Cell {
             transport: self.transport(host),
             durable,
             hasher: self.spec.hasher.clone(),
+            entries: self.entries.clone(),
             recover,
             history: self.client_shared.history().clone(),
         }
@@ -393,6 +401,12 @@ impl Cell {
     /// the cell is not durable).
     pub fn wal_records(&self) -> Option<&durable::RecordTable> {
         self.wal_records.as_ref()
+    }
+
+    /// The table the backends' data regions keep their committed entries
+    /// in (`None` when the cell is not replicated).
+    pub fn shared_entries(&self) -> Option<&SharedEntries> {
+        self.entries.as_ref()
     }
 
     /// The tables every client of the cell shares.

@@ -43,14 +43,14 @@
 //! pool, with its last holder.
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::mem::size_of;
 use std::rc::Rc;
 
 use bytes::{Bytes, Pool};
-use simnet::{IdMap, SimDuration, SimTime};
+use simnet::{SimDuration, SimTime};
 
 use crate::hash::KeyHash;
+use crate::interned::Rows;
 use crate::lru::{Node, RecencyList};
 use crate::version::VersionNumber;
 
@@ -111,49 +111,7 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// What a [`SharedValues`] table holds and has done (the same
-/// size / hit / miss / evict surface [`CacheStats`] gives one cache).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SharedStats {
-    /// Distinct (key hash, version) pairs resident now.
-    pub entries: usize,
-    /// Most pairs ever resident at once.
-    pub entries_hwm: usize,
-    /// Value bytes held (one buffer per entry).
-    pub bytes: usize,
-    /// Fills that found their pair resident and took a claim on it.
-    pub shared: u64,
-    /// Fills that copied the value in (first holder of their pair).
-    pub copied: u64,
-    /// Claims given back, by eviction, invalidation, a newer version or a
-    /// dropped cache (`shared + copied − released` are held now; an entry
-    /// leaves with its last one).
-    pub released: u64,
-}
-
-#[derive(Debug, Default)]
-struct ValueTable {
-    /// The one buffer of each resident pair and how many cache entries
-    /// hold it (≥ 1, or the entry is gone).
-    map: IdMap<(KeyHash, VersionNumber), (Bytes, u32)>,
-    /// `map.capacity()` when it last grew (see [`ValueTable::make_room`]).
-    room: usize,
-    stats: SharedStats,
-}
-
-impl ValueTable {
-    /// Keep the map at most half full. Entries come and go at a steady
-    /// size, and hashbrown clears the tombstones that leaves behind in
-    /// place only below half of capacity — fuller, it reallocates to do it,
-    /// which would put an allocation into a cache that stopped growing.
-    fn make_room(&mut self) {
-        let need = 2 * (self.map.len() + 1);
-        if need > self.room {
-            self.map.reserve(need - self.map.len());
-            self.room = self.map.capacity();
-        }
-    }
-}
+pub use crate::interned::SharedStats;
 
 /// Cell-wide table of cached values, interned by (key hash, version): the
 /// caches of one cell share one buffer per distinct cached version. A
@@ -161,7 +119,7 @@ impl ValueTable {
 /// cap of its own — every entry has a holder, so it is bounded by the sum
 /// of the caches' resident entries (≤ clients × `capacity`).
 #[derive(Debug, Clone, Default)]
-pub struct SharedValues(Rc<RefCell<ValueTable>>);
+pub struct SharedValues(Rc<RefCell<Rows<Bytes>>>);
 
 /// A copy of `value` in the smallest class of `pool` that holds it.
 fn copy_in(pool: &Pool, value: &[u8]) -> Bytes {
@@ -178,59 +136,36 @@ impl SharedValues {
 
     /// Size and traffic counters.
     pub fn stats(&self) -> SharedStats {
-        self.0.borrow().stats
+        self.0.borrow().stats()
     }
 
     /// The value of (`hash`, `version`), if some cache holds the pair.
     fn get(&self, hash: KeyHash, version: VersionNumber) -> Option<Bytes> {
-        let table = self.0.borrow();
-        table
-            .map
-            .get(&(hash, version))
-            .map(|(bytes, _)| bytes.clone())
+        self.0.borrow().get((hash, version)).cloned()
     }
 
     /// One more cache entry holds the value of (`hash`, `version`): the
     /// resident buffer if some cache already holds the pair, else a copy
     /// of `value` in the smallest class of `pool` that holds it.
     fn acquire(&self, hash: KeyHash, version: VersionNumber, value: &[u8], pool: &Pool) {
-        let table = &mut *self.0.borrow_mut();
-        table.make_room();
-        match table.map.entry((hash, version)) {
-            Entry::Occupied(mut e) => {
-                let (bytes, refs) = e.get_mut();
+        let mut rows = self.0.borrow_mut();
+        let held = rows.acquire(
+            (hash, version),
+            || copy_in(pool, value),
+            |bytes| {
                 // The premise (§5.2): a version names exactly one SET.
                 debug_assert_eq!(&bytes[..], value, "one version, two values");
-                *refs += 1;
-                table.stats.shared += 1;
-            }
-            Entry::Vacant(e) => {
-                e.insert((copy_in(pool, value), 1));
-                let stats = &mut table.stats;
-                stats.copied += 1;
-                stats.bytes += value.len();
-                stats.entries += 1;
-                stats.entries_hwm = stats.entries_hwm.max(stats.entries);
-            }
-        }
+                true
+            },
+        );
+        debug_assert!(held.is_some());
     }
 
     /// One cache entry let go of (`hash`, `version`); the last release
     /// sends the buffer home to its pool.
     fn release(&self, hash: KeyHash, version: VersionNumber) {
-        let table = &mut *self.0.borrow_mut();
-        let Entry::Occupied(mut e) = table.map.entry((hash, version)) else {
-            debug_assert!(false, "released a value nobody acquired");
-            return;
-        };
-        let (bytes, refs) = e.get_mut();
-        *refs -= 1;
-        table.stats.released += 1;
-        if *refs == 0 {
-            table.stats.bytes -= bytes.len();
-            table.stats.entries -= 1;
-            e.remove();
-        }
+        let released = self.0.borrow_mut().release((hash, version), |_| true);
+        debug_assert!(released, "released a value nobody acquired");
     }
 }
 

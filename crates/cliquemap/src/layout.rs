@@ -237,17 +237,37 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// Serialize a DataEntry.
 pub fn encode_data_entry(key: &[u8], data: &[u8], version: VersionNumber) -> Vec<u8> {
+    let mut out = vec![0; data_entry_size(key.len(), data.len())];
+    encode_data_entry_into(&mut out, key, data, version);
+    out
+}
+
+/// Serialize a DataEntry into `out`, which is [`data_entry_size`] long.
+pub fn encode_data_entry_into(out: &mut [u8], key: &[u8], data: &[u8], version: VersionNumber) {
     assert!(key.len() <= u16::MAX as usize, "key too large");
     assert!(data.len() <= u32::MAX as usize, "value too large");
-    let mut out = Vec::with_capacity(data_entry_size(key.len(), data.len()));
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&version.to_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(data);
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    let (body, sum) = out.split_at_mut(out.len() - CHECKSUM_BYTES);
+    let (head, rest) = body.split_at_mut(DATA_ENTRY_HEADER_BYTES);
+    let (lens, stamp) = head.split_at_mut(6);
+    lens[..2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    lens[2..].copy_from_slice(&(data.len() as u32).to_le_bytes());
+    stamp.copy_from_slice(&version.to_bytes());
+    let (k, d) = rest.split_at_mut(key.len());
+    k.copy_from_slice(key);
+    d.copy_from_slice(data);
+    sum.copy_from_slice(&checksum(body).to_le_bytes());
+}
+
+/// Whether `entry` is the DataEntry [`encode_data_entry`] makes of `key`,
+/// `data` and `version` (its checksum follows from them).
+pub fn entry_holds(entry: &[u8], key: &[u8], data: &[u8], version: VersionNumber) -> bool {
+    let body = DATA_ENTRY_HEADER_BYTES + key.len();
+    entry.len() == data_entry_size(key.len(), data.len())
+        && entry[..2] == (key.len() as u16).to_le_bytes()
+        && entry[2..6] == (data.len() as u32).to_le_bytes()
+        && entry[6..DATA_ENTRY_HEADER_BYTES] == version.to_bytes()
+        && &entry[DATA_ENTRY_HEADER_BYTES..body] == key
+        && &entry[body..body + data.len()] == data
 }
 
 /// Validation failures when parsing a fetched DataEntry.

@@ -83,6 +83,7 @@ pub mod config;
 pub mod handoff;
 pub mod hash;
 pub mod history;
+pub mod interned;
 pub mod layout;
 pub mod lru;
 pub mod messages;

@@ -8,17 +8,30 @@
 //! — in particular, SET data bytes are written in **chunks across simulated
 //! time** between [`BackendStore::prepare_set`] and
 //! [`BackendStore::commit_set`], which is what makes torn RMA reads real.
+//!
+//! The replicas of a SET commit byte-identical DataEntries — an entry is
+//! its key, value and version, nothing of the backend — so a replicated
+//! cell keeps one buffer per committed (key hash, version) in a
+//! [`SharedEntries`] table its stores share: a store's data region borrows
+//! each chunk of a prepared entry from the entry's own buffer as it streams
+//! in, and at commit takes the cell's buffer for the pair, confirmed byte
+//! for byte, in place of it (the first replica's becomes the cell's).
+//! Every read is still the flat buffer's.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
 use rma::{BufferId, RegionTable, ScarOutcome, ScarResolver, WindowId};
 use rpc::Status;
-use simnet::IdMap;
+use simnet::{IdMap, IdSet};
 
 use crate::hash::KeyHash;
+use crate::interned::{Pair, Rows, SharedStats};
 use crate::layout::{
-    self, bucket_size, data_entry_size, encode_data_entry, parse_data_entry, IndexEntry, Pointer,
-    CHECKSUM_BYTES, DATA_ENTRY_HEADER_BYTES,
+    self, bucket_size, data_entry_size, encode_data_entry_into, parse_data_entry, IndexEntry,
+    Pointer, CHECKSUM_BYTES, DATA_ENTRY_HEADER_BYTES,
 };
 use crate::messages::{Geometry, ScanPage};
 use crate::policy::LruPolicy;
@@ -109,8 +122,9 @@ pub struct PreparedSet {
     pub key_hash: KeyHash,
     /// Version being installed.
     pub version: VersionNumber,
-    /// Serialized DataEntry (checksummed).
-    pub entry_bytes: Vec<u8>,
+    /// Serialized DataEntry (checksummed), in a buffer a data region can
+    /// share.
+    pub entry_bytes: Rc<[u8]>,
     /// Length of the key inside `entry_bytes`.
     pub key_len: usize,
     /// Where in the data buffer the entry is being written.
@@ -133,6 +147,67 @@ impl PreparedSet {
     pub fn value(&self) -> &[u8] {
         let end = self.entry_bytes.len() - CHECKSUM_BYTES;
         &self.entry_bytes[DATA_ENTRY_HEADER_BYTES + self.key_len..end]
+    }
+}
+
+/// The committed DataEntries of a replicated cell, one immutable buffer
+/// per (key hash, version) however many replicas commit the pair: each
+/// replica's data region holds a handle on the buffer, the table counts
+/// the stores that hold it, and the last one to let go takes the row
+/// away. A cheap-clone handle; the simulator is single-threaded.
+#[derive(Debug, Clone, Default)]
+pub struct SharedEntries(Rc<RefCell<Rows<Rc<[u8]>>>>);
+
+impl SharedEntries {
+    /// An empty table.
+    pub fn new() -> SharedEntries {
+        SharedEntries::default()
+    }
+
+    /// Size and traffic counters (`shared` counts replicas that found
+    /// their entry committed already, `copied` the first of each pair).
+    pub fn stats(&self) -> SharedStats {
+        self.0.borrow().stats()
+    }
+
+    /// Distinct committed (key hash, version) pairs held.
+    pub fn entries(&self) -> usize {
+        self.stats().entries
+    }
+
+    /// Entry bytes held, one buffer per pair.
+    pub fn bytes(&self) -> usize {
+        self.stats().bytes
+    }
+
+    /// Host bytes the table holds: its map, and each buffer with its
+    /// reference counts.
+    pub fn reserved_bytes(&self) -> usize {
+        let rows = self.0.borrow();
+        let bufs: usize = rows
+            .buffers()
+            .map(|b| b.len() + 2 * size_of::<usize>())
+            .sum();
+        rows.map_bytes() + bufs
+    }
+
+    /// A claim on `pair`'s buffer: the cell's when `same` confirms its
+    /// bytes, else — no row yet — `fresh()`, which becomes the cell's. `None`
+    /// when the pair's buffer holds other bytes (no claim is taken).
+    fn acquire(
+        &self,
+        pair: Pair,
+        fresh: impl FnOnce() -> Rc<[u8]>,
+        same: impl FnOnce(&[u8]) -> bool,
+    ) -> Option<Rc<[u8]>> {
+        let mut rows = self.0.borrow_mut();
+        rows.acquire(pair, fresh, |buf| same(buf)).cloned()
+    }
+
+    /// A store gives back its claim on `pair`.
+    fn release(&self, pair: Pair) {
+        let released = self.0.borrow_mut().release(pair, |_| true);
+        debug_assert!(released, "released an entry nobody committed");
     }
 }
 
@@ -162,6 +237,20 @@ pub struct BackendStore {
     /// MICA-style "send an RPC, still serve a hit" tradeoff of §4.2.
     overflow: IdMap<KeyHash, (Bytes, Bytes, VersionNumber)>,
     overflow_order: std::collections::VecDeque<KeyHash>,
+    /// The cell's committed entries, when it is replicated: the data
+    /// region holds these buffers instead of copies of its own.
+    entries: Option<SharedEntries>,
+    /// Prepared SETs by slot offset, with whether each holds a claim on
+    /// its pair's buffer in `entries`: one a commit keeps, an abort (or
+    /// the store going away) gives back. A few at a time.
+    inflight: Vec<(u64, Pair, bool)>,
+    /// Committed pairs whose buffer in `entries` held other bytes (a
+    /// version naming two values, which §5.2 rules out): the store keeps
+    /// its own, and has no claim to give back.
+    unshared: IdSet<Pair>,
+    /// [`POISON`], shared over a freed entry when the cell shares entries:
+    /// the entry's buffer keeps the rest.
+    poison: Rc<[u8]>,
     /// Stats counters.
     pub stats: StoreStats,
 }
@@ -214,10 +303,31 @@ impl BackendStore {
             resizing: false,
             overflow: IdMap::default(),
             overflow_order: std::collections::VecDeque::new(),
+            entries: None,
+            inflight: Vec::new(),
+            unshared: IdSet::default(),
+            poison: Rc::from(&POISON[..]),
             stats: StoreStats::default(),
         };
         store.stamp_all_buckets();
         store
+    }
+
+    /// This store, keeping the entries it commits in `entries`, the table
+    /// the other replicas of its cell share (`None`: an entry of its own
+    /// per commit). Set before the first SET.
+    pub fn with_entries(mut self, entries: Option<SharedEntries>) -> BackendStore {
+        debug_assert_eq!(
+            self.live_entries, 0,
+            "entries are shared from the first SET"
+        );
+        self.entries = entries;
+        self
+    }
+
+    /// The cell's entry table this store shares, if any.
+    pub fn shared_entries(&self) -> Option<&SharedEntries> {
+        self.entries.as_ref()
     }
 
     fn bucket_bytes(&self) -> usize {
@@ -258,6 +368,13 @@ impl BackendStore {
     /// Shared memory table, for serving RMA frames.
     pub fn regions(&self) -> &RegionTable {
         &self.regions
+    }
+
+    /// Host bytes the data region holds: its own extents and its handles
+    /// on entry buffers, not the buffers the cell's [`SharedEntries`]
+    /// table counts.
+    pub fn data_reserved_bytes(&self) -> usize {
+        self.regions.buffer_reserved_bytes(self.data_buffer)
     }
 
     /// Bucket index of a key hash.
@@ -358,11 +475,30 @@ impl BackendStore {
         let data_offset = self.alloc_with_eviction(len, hash)?;
         // One stored extent for the whole entry, made while its slot is
         // handed out: the streamed chunks land in it, and a read of the
-        // entry borrows it whole.
-        self.regions
-            .reserve(self.data_buffer, data_offset as usize, len);
-        let entry_bytes = encode_data_entry(key, value, version);
-        debug_assert_eq!(entry_bytes.len(), len);
+        // entry borrows it whole. When the cell shares entries the chunks
+        // are slices of the entry's buffer instead, which grow into one.
+        if self.entries.is_none() {
+            self.regions
+                .reserve(self.data_buffer, data_offset as usize, len);
+        }
+        let encode = || {
+            let mut entry: Rc<[u8]> = std::iter::repeat_n(0, len).collect();
+            let out = Rc::get_mut(&mut entry).expect("a new buffer");
+            encode_data_entry_into(out, key, value, version);
+            entry
+        };
+        // Encoded once per cell: a replica that finds the pair's buffer
+        // takes a claim on it instead.
+        let entry_bytes = match &self.entries {
+            None => encode(),
+            Some(table) => {
+                let same = |buf: &[u8]| layout::entry_holds(buf, key, value, version);
+                let claim = table.acquire((hash, version), encode, same);
+                self.inflight
+                    .push((data_offset, (hash, version), claim.is_some()));
+                claim.unwrap_or_else(encode)
+            }
+        };
         let ptr = Pointer {
             window: self.data_window.0,
             generation: self.regions.window_generation(self.data_window),
@@ -382,10 +518,10 @@ impl BackendStore {
 
     /// Find (or make) a slot for `hash` in its bucket: the existing mapping
     /// if present, else a vacant slot, else an associativity eviction.
-    fn resolve_slot(&mut self, hash: KeyHash) -> Result<(u64, usize, Option<Pointer>), Status> {
+    fn resolve_slot(&mut self, hash: KeyHash) -> Result<(u64, usize, Option<IndexEntry>), Status> {
         let bucket = self.bucket_of(hash);
         match layout::scan_bucket(self.bucket_raw(bucket), hash).0 {
-            Some((slot, e)) => Ok((bucket, slot, Some(e.ptr))),
+            Some((slot, e)) => Ok((bucket, slot, Some(e))),
             None => match self.first_vacant(bucket) {
                 Some(slot) => Ok((bucket, slot, None)),
                 None => {
@@ -415,7 +551,7 @@ impl BackendStore {
                 self.overflow_insert(victim, pair);
             }
         }
-        self.remove_entry(victim, bucket, slot, entry.ptr);
+        self.remove_entry(bucket, slot, entry);
         self.stats.evictions += 1;
         // Mark the bucket overflowed: clients may fall back to RPC (§4.2).
         self.set_overflow(bucket, true);
@@ -443,7 +579,7 @@ impl BackendStore {
                         self.policy.on_remove(victim);
                         continue;
                     };
-                    self.remove_entry(victim, bucket, slot, entry.ptr);
+                    self.remove_entry(bucket, slot, entry);
                     self.stats.evictions += 1;
                 }
             }
@@ -452,16 +588,46 @@ impl BackendStore {
     }
 
     /// Remove a live entry: clear the slot, poison + free its DataEntry.
-    fn remove_entry(&mut self, hash: KeyHash, bucket: u64, slot: usize, ptr: Pointer) {
+    fn remove_entry(&mut self, bucket: u64, slot: usize, entry: IndexEntry) {
         self.write_slot(bucket, slot, &IndexEntry::default());
-        // Poison the freed entry so in-flight pointer chases fail checksum
-        // validation instead of resurrecting the value.
-        let poison_len = POISON.len().min(ptr.len as usize);
-        self.regions
-            .write(self.data_buffer, ptr.offset as usize, &POISON[..poison_len]);
-        self.slab.free(ptr.offset, ptr.len as usize);
-        self.policy.on_remove(hash);
+        self.free_entry(&entry);
+        self.policy.on_remove(entry.key_hash);
         self.live_entries -= 1;
+    }
+
+    /// Let go of a DataEntry the index no longer points to: give the
+    /// cell's buffer back, poison the entry so in-flight pointer chases
+    /// fail checksum validation instead of resurrecting the value, and
+    /// free its slot.
+    fn free_entry(&mut self, e: &IndexEntry) {
+        self.release(e);
+        let (at, len) = (e.ptr.offset as usize, e.ptr.len as usize);
+        let poison_len = POISON.len().min(len);
+        if self.entries.is_some() {
+            self.regions
+                .share(self.data_buffer, at, &self.poison, 0, poison_len);
+        } else {
+            self.regions
+                .write(self.data_buffer, at, &POISON[..poison_len]);
+        }
+        self.slab.free(e.ptr.offset, len);
+    }
+
+    /// Commit `p`'s entry when the cell shares entries: the prepare's
+    /// claim on the cell's buffer (streamed in from it already) is the
+    /// committed entry's now.
+    fn publish(&mut self, p: &PreparedSet) {
+        if let Some((pair, false)) = self.take_inflight(p.data_offset) {
+            self.unshared.insert(pair);
+        }
+    }
+
+    /// The prepared SET at `offset` is committed or aborted: its pair, and
+    /// whether it holds a claim.
+    fn take_inflight(&mut self, offset: u64) -> Option<(Pair, bool)> {
+        let i = self.inflight.iter().position(|&(at, ..)| at == offset)?;
+        let (_, pair, claim) = self.inflight.swap_remove(i);
+        Some((pair, claim))
     }
 
     fn read_pair(&self, ptr: Pointer) -> Option<(Bytes, Bytes, VersionNumber)> {
@@ -504,6 +670,24 @@ impl BackendStore {
     /// Stream part of a prepared SET's DataEntry into the data buffer.
     pub fn write_data(&mut self, offset: u64, bytes: &[u8]) {
         self.regions.write(self.data_buffer, offset as usize, bytes);
+    }
+
+    /// Stream bytes `from..to` of a prepared SET's DataEntry into its slot:
+    /// copied, or — when the cell shares entries — borrowed from the
+    /// entry's buffer, the last piece settling what an older, longer entry
+    /// left after it.
+    pub fn write_entry(&mut self, p: &PreparedSet, from: usize, to: usize) {
+        let at = p.data_offset as usize + from;
+        if self.entries.is_none() {
+            return self.write_data(at as u64, &p.entry_bytes[from..to]);
+        }
+        let buf = &p.entry_bytes;
+        self.regions
+            .share(self.data_buffer, at, buf, from, to - from);
+        if to == buf.len() {
+            let end = p.data_offset as usize + to;
+            self.regions.settle_tail(self.data_buffer, end);
+        }
     }
 
     /// Publish a prepared SET: writes the IndexEntry (the ordering point),
@@ -554,14 +738,11 @@ impl BackendStore {
                 ptr: p.ptr,
             },
         );
-        if let Some(old) = old {
-            let poison_len = POISON.len().min(old.len as usize);
-            self.regions
-                .write(self.data_buffer, old.offset as usize, &POISON[..poison_len]);
-            self.slab.free(old.offset, old.len as usize);
-        } else {
-            self.live_entries += 1;
+        match old {
+            Some(old) => self.free_entry(&old),
+            None => self.live_entries += 1,
         }
+        self.publish(p);
         self.policy.on_insert(p.key_hash);
         self.tombstones.remove(p.key_hash);
         self.overflow_remove(p.key_hash);
@@ -582,7 +763,7 @@ impl BackendStore {
         match self.prepare_set(key, value, hash, version) {
             Err(status) => status,
             Ok(p) => {
-                self.write_data(p.data_offset, &p.entry_bytes);
+                self.write_entry(&p, 0, p.entry_bytes.len());
                 self.commit_set(&p)
             }
         }
@@ -591,6 +772,12 @@ impl BackendStore {
     /// Abandon a prepared SET (e.g. the backend is shutting down).
     pub fn abort_set(&mut self, p: &PreparedSet) {
         self.slab.free(p.data_offset, p.entry_bytes.len());
+        if let Some((pair, true)) = self.take_inflight(p.data_offset) {
+            self.entries
+                .as_ref()
+                .expect("claims are on it")
+                .release(pair);
+        }
     }
 
     /// ERASE: version-checked removal plus tombstone.
@@ -604,7 +791,7 @@ impl BackendStore {
             return Status::VersionRejected;
         }
         if let Some((bucket, slot, entry)) = self.lookup(hash) {
-            self.remove_entry(hash, bucket, slot, entry.ptr);
+            self.remove_entry(bucket, slot, entry);
         }
         self.overflow_remove(hash);
         self.tombstones.insert(hash, version);
@@ -821,7 +1008,9 @@ impl BackendStore {
             * self.cfg.slab_bytes;
         // Fresh data pool + window. Every window over the old pool — the
         // current one and each one `grow_data` left serving — is dead (the
-        // process restarted): reallocating revokes them all.
+        // process restarted): reallocating revokes them all, and lets go
+        // of the cell's entries (taken again as they are re-placed).
+        self.release_entries();
         self.regions.realloc_buffer(self.data_buffer, target);
         self.slab = crate::slab::SlabAllocator::with_slab_size(target, self.cfg.slab_bytes);
         self.data_window = self
@@ -844,25 +1033,61 @@ impl BackendStore {
                 .slab
                 .alloc(bytes.len())
                 .expect("compacted pool fits the live corpus");
-            self.regions
-                .write(self.data_buffer, offset as usize, &bytes);
             let bucket = self.bucket_of(hash);
             let slot = self.first_vacant(bucket).expect("index geometry unchanged");
+            let ptr = Pointer {
+                window: self.data_window.0,
+                generation,
+                offset,
+                len: bytes.len() as u32,
+            };
             self.write_slot(
                 bucket,
                 slot,
                 &IndexEntry {
                     key_hash: hash,
                     version,
-                    ptr: Pointer {
-                        window: self.data_window.0,
-                        generation,
-                        offset,
-                        len: bytes.len() as u32,
-                    },
+                    ptr,
                 },
             );
+            self.place_entry(hash, version, offset as usize, &bytes);
             self.live_entries += 1;
+        }
+    }
+
+    /// Write `bytes`, the committed entry of (`hash`, `version`), at `at`:
+    /// when the cell shares entries, as a claim on the pair's buffer.
+    fn place_entry(&mut self, hash: KeyHash, version: VersionNumber, at: usize, bytes: &[u8]) {
+        let Some(table) = &self.entries else {
+            return self.regions.write(self.data_buffer, at, bytes);
+        };
+        let pair = (hash, version);
+        let claim = table.acquire(pair, || Rc::from(bytes), |buf| buf == bytes);
+        let buf = claim.unwrap_or_else(|| {
+            self.unshared.insert(pair);
+            Rc::from(bytes)
+        });
+        self.regions.share(self.data_buffer, at, &buf, 0, buf.len());
+        self.regions.settle_tail(self.data_buffer, at + buf.len());
+    }
+
+    /// Give back this store's claim on the cell's buffer of `e`, if it
+    /// has one.
+    fn release(&mut self, e: &IndexEntry) {
+        let Some(table) = &self.entries else {
+            return;
+        };
+        let pair = (e.key_hash, e.version);
+        if self.unshared.is_empty() || !self.unshared.remove(&pair) {
+            table.release(pair);
+        }
+    }
+
+    /// Give back every committed entry's claim on the cell's buffer.
+    fn release_entries(&mut self) {
+        if self.entries.is_some() {
+            let live: Vec<IndexEntry> = self.occupied(0..self.num_buckets).collect();
+            live.iter().for_each(|e| self.release(e));
         }
     }
 
@@ -916,6 +1141,19 @@ impl BackendStore {
     /// Current bucket count.
     pub fn num_buckets(&self) -> u64 {
         self.num_buckets
+    }
+}
+
+impl Drop for BackendStore {
+    /// A store that goes away (its backend crashed and was rebuilt, or the
+    /// run ended) gives back its claims on the cell's entries; the region's
+    /// handles go with it.
+    fn drop(&mut self) {
+        self.release_entries();
+        if let Some(table) = &self.entries {
+            let claims = self.inflight.iter().filter(|(.., claim)| *claim);
+            claims.for_each(|&(_, pair, _)| table.release(pair));
+        }
     }
 }
 

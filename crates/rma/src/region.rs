@@ -34,6 +34,8 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::ops::Range;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -71,6 +73,14 @@ fn class_of(end: usize) -> usize {
         .max(1)
         .next_power_of_two()
         .trailing_zeros() as usize
+}
+
+/// Bytes a class arena holding `len` bytes of `room`-byte rooms grows by
+/// when full: 64 rooms, or an eighth of the arena once that is more. A
+/// bounded step, not doubling, so a full arena has at most an eighth of
+/// itself to spare.
+fn grow_step(len: usize, room: usize) -> usize {
+    (64 * room).max(len / 8 / room * room)
 }
 
 /// The rooms of one class, back to back.
@@ -149,7 +159,11 @@ impl Tiled {
             let into = &mut upper[0];
             let record = into.free.pop().map_or_else(
                 || {
-                    into.rooms.resize(into.rooms.len() + room, 0);
+                    let len = into.rooms.len();
+                    if len + room > into.rooms.capacity() {
+                        into.rooms.reserve_exact(grow_step(len, room));
+                    }
+                    into.rooms.resize(len + room, 0);
                     into.rooms.len() / room - 1
                 },
                 |r| r as usize,
@@ -223,9 +237,17 @@ fn seg_capacity(n: usize) -> usize {
     PAGE << n.min((SEG_BITS - PAGE.ilog2()) as usize)
 }
 
-/// Where an extent's bytes are: `at` is its segment number above
-/// [`SEG_BITS`] and its offset in that segment below. `room` bytes are
-/// kept there, those past `len` zero, so the extent can grow in place.
+/// The bit of [`Span::room`] that marks a shared extent; the bits below it
+/// are where the extent starts in its entry buffer.
+const SHARED: u32 = 1 << 31;
+
+/// Where an extent's bytes are. A **private** extent's are in the
+/// segments: `at` is its segment number above [`SEG_BITS`] and its offset
+/// in that segment below, and `room` bytes are kept there, those past `len`
+/// zero, so the extent can grow in place. A **shared** extent's are `len`
+/// bytes of an immutable entry buffer: `at` is its handle in
+/// [`Backing::bufs`], `room` is [`SHARED`] plus where in the buffer the
+/// extent starts.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     at: u32,
@@ -241,23 +263,31 @@ impl Span {
         )
     }
 
-    fn bytes(self, segs: &[Vec<u8>]) -> &[u8] {
-        let (seg, off) = Span::seg(self.at);
-        &segs[seg][off..off + self.len as usize]
+    fn is_shared(self) -> bool {
+        self.room & SHARED != 0
     }
 
-    /// `len` bytes from `off` bytes into this extent.
+    /// Where a shared extent starts in its entry buffer.
+    fn from(self) -> usize {
+        (self.room & !SHARED) as usize
+    }
+
+    /// `len` bytes from `off` bytes into this extent (a private part has no
+    /// room to spare).
     fn part(self, off: usize, len: usize) -> Span {
-        Span {
-            at: self.at + off as u32,
-            len: len as u32,
-            room: len as u32,
+        if self.is_shared() {
+            Span {
+                at: self.at,
+                len: len as u32,
+                room: self.room + off as u32,
+            }
+        } else {
+            Span {
+                at: self.at + off as u32,
+                len: len as u32,
+                room: len as u32,
+            }
         }
-    }
-
-    fn bytes_mut(self, segs: &mut [Vec<u8>]) -> &mut [u8] {
-        let (seg, off) = Span::seg(self.at);
-        &mut segs[seg][off..off + self.len as usize]
     }
 }
 
@@ -278,18 +308,82 @@ fn copy_span(segs: &mut [Vec<u8>], from: u32, to: u32, len: usize) {
     }
 }
 
+/// What a data buffer's extents keep their bytes in.
+#[derive(Debug, Default)]
+struct Backing {
+    /// Private extents' bytes, back to back.
+    segs: Vec<Vec<u8>>,
+    /// The entry buffers shared extents borrow, one handle per extent (two
+    /// slices of one buffer hold it twice); `None` where a handle is free.
+    bufs: Vec<Option<Rc<[u8]>>>,
+    /// Free handles.
+    free: Vec<u32>,
+}
+
+impl Backing {
+    fn buf(&self, handle: u32) -> &Rc<[u8]> {
+        self.bufs[handle as usize].as_ref().expect("a live handle")
+    }
+
+    fn bytes(&self, s: Span) -> &[u8] {
+        let len = s.len as usize;
+        if s.is_shared() {
+            &self.buf(s.at)[s.from()..s.from() + len]
+        } else {
+            let (seg, off) = Span::seg(s.at);
+            &self.segs[seg][off..off + len]
+        }
+    }
+
+    /// The bytes of private extent `s`.
+    fn bytes_mut(&mut self, s: Span) -> &mut [u8] {
+        debug_assert!(!s.is_shared(), "a shared extent is immutable");
+        let (seg, off) = Span::seg(s.at);
+        &mut self.segs[seg][off..off + s.len as usize]
+    }
+
+    /// A handle on `buf`.
+    fn hold(&mut self, buf: Rc<[u8]>) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.bufs[h as usize] = Some(buf);
+                h
+            }
+            None => {
+                self.bufs.push(Some(buf));
+                self.bufs.len() as u32 - 1
+            }
+        }
+    }
+
+    /// A second handle on what `handle` holds.
+    fn hold_again(&mut self, handle: u32) -> u32 {
+        let buf = self.buf(handle).clone();
+        self.hold(buf)
+    }
+
+    fn let_go(&mut self, handle: u32) {
+        self.bufs[handle as usize] = None;
+        self.free.push(handle);
+    }
+
+    /// Copy the bytes of `src` to position `to` of the segments, which
+    /// `src` does not overlap.
+    fn copy_to_seg(&mut self, src: Span, to: u32) {
+        let len = src.len as usize;
+        if src.is_shared() {
+            let (seg, off) = Span::seg(to);
+            let buf = self.bufs[src.at as usize].as_ref().expect("a live handle");
+            self.segs[seg][off..off + len].copy_from_slice(&buf[src.from()..src.from() + len]);
+        } else {
+            copy_span(&mut self.segs, src.at, to, len);
+        }
+    }
+}
+
 /// The smallest free hole worth keeping: anything shorter stays garbage
 /// until the next compaction.
 const HOLE: usize = 64;
-
-/// An absorbed extent's room becomes a hole for [`Sparse::place`] to
-/// reuse, or garbage when too small to be worth it.
-fn release(holes: &mut BTreeSet<(u32, u32)>, live: &mut usize, old: Span) {
-    *live -= old.room as usize;
-    if old.room as usize >= HOLE {
-        holes.insert((old.room, old.at));
-    }
-}
 
 /// One 64 KiB page of a [`Sparse`] buffer: the extents written into it.
 /// Extents are disjoint; two that merely touch stay two, so streaming an
@@ -309,15 +403,30 @@ impl Page {
         self.starts.partition_point(|&s| s as usize <= at)
     }
 
+    /// The extents `[at, end)` overlaps, as a range of their indexes.
+    fn overlaps(&self, at: usize, end: usize) -> Range<usize> {
+        let mut lo = self.upto(at);
+        if lo > 0 && at < self.starts[lo - 1] as usize + self.spans[lo - 1].len as usize {
+            lo -= 1;
+        }
+        // Few extents overlap one write: walk them.
+        let hi = lo
+            + self.starts[lo..]
+                .iter()
+                .take_while(|&&s| (s as usize) < end)
+                .count();
+        lo..hi
+    }
+
     /// `[at, end)` when one extent holds all of it, or zeros when no
     /// extent holds any of it; `None` when it is pieced from several.
-    fn slice<'a>(&self, segs: &'a [Vec<u8>], at: usize, end: usize) -> Option<&'a [u8]> {
+    fn slice<'a>(&self, back: &'a Backing, at: usize, end: usize) -> Option<&'a [u8]> {
         let n = self.upto(at);
         if n > 0 {
             let s = self.starts[n - 1] as usize;
             let span = self.spans[n - 1];
             if end <= s + span.len as usize {
-                return Some(&span.bytes(segs)[at - s..end - s]);
+                return Some(&back.bytes(span)[at - s..end - s]);
             }
             if at < s + span.len as usize {
                 return None;
@@ -331,43 +440,74 @@ impl Page {
 
     /// Copy what is written of `[at, at + out.len())` into `out`, which
     /// holds zeros.
-    fn copy_out(&self, segs: &[Vec<u8>], at: usize, out: &mut [u8]) {
+    fn copy_out(&self, back: &Backing, at: usize, out: &mut [u8]) {
         let end = at + out.len();
         let first = self.upto(at).saturating_sub(1);
-        for (&s, span) in self.starts[first..].iter().zip(&self.spans[first..]) {
+        for (&s, &span) in self.starts[first..].iter().zip(&self.spans[first..]) {
             let s = s as usize;
             if s >= end {
                 break;
             }
             let (from, to) = (at.max(s), end.min(s + span.len as usize));
             if from < to {
-                out[from - at..to - at].copy_from_slice(&span.bytes(segs)[from - s..to - s]);
+                out[from - at..to - at].copy_from_slice(&back.bytes(span)[from - s..to - s]);
             }
+        }
+    }
+
+    /// Put `new` in place of extents `range`: in place as far as the counts
+    /// match, then one insertion or removal per extent more or fewer.
+    fn replace(&mut self, range: Range<usize>, new: &[(usize, Span)]) {
+        let same = range.len().min(new.len());
+        for (k, &(s, span)) in new[..same].iter().enumerate() {
+            self.starts[range.start + k] = s as u16;
+            self.spans[range.start + k] = span;
+        }
+        let at = range.start + same;
+        for (k, &(s, span)) in new[same..].iter().enumerate() {
+            self.starts.insert(at + k, s as u16);
+            self.spans.insert(at + k, span);
+        }
+        if range.len() > same {
+            self.starts.drain(at..range.end);
+            self.spans.drain(at..range.end);
         }
     }
 }
 
 /// A zeroed range of bytes that stores only the extents written into it:
-/// pages index them, segments hold their bytes.
+/// pages index them; segments hold private extents' bytes, entry buffers
+/// shared ones'.
+///
+/// A **shared** extent is a slice of an immutable, refcounted entry buffer
+/// ([`RegionTable::share`]): a read borrows it as it borrows a segment, and
+/// nothing writes into it. A write inside it splits it — the parts before
+/// and after stay slices of the buffer, the written part becomes private —
+/// and [`RegionTable::reserve`] over it copies only the bytes of the
+/// reserved range. An entry shared in pieces as it streams in grows one
+/// extent. What an older, longer entry leaves past the end of a shorter
+/// one is copied into a buffer of the region's own, merged with what older
+/// ones left there, so past its entry a slot keeps one remnant and pins no
+/// dead buffer.
 #[derive(Debug)]
 struct Sparse {
     /// Logical length.
     len: usize,
     /// Pages up to the last one written; the rest read as zeros.
     pages: Vec<Page>,
-    /// The extents' bytes. A new extent takes the smallest free hole that
-    /// fits, else goes at the end of segment `head`; what an extent held
-    /// before it was grown or absorbed becomes a hole, and the slivers
-    /// holes leave are garbage until [`Sparse::compact`]. A segment, once
-    /// allocated, is kept until the buffer goes.
-    segs: Vec<Vec<u8>>,
+    /// The extents' bytes. A new private extent takes the smallest free
+    /// hole that fits, else goes at the end of segment `head`; what an
+    /// extent held before it was grown, absorbed or cut becomes a hole, and
+    /// the slivers holes leave are garbage until [`Sparse::compact`]. A
+    /// segment, once allocated, is kept until the buffer goes.
+    back: Backing,
     /// The segment new extents go to; those after it are empty.
     head: usize,
     /// Free holes as `(room, position)`, smallest first.
     holes: BTreeSet<(u32, u32)>,
-    /// Bytes filled in `segs`, garbage included.
+    /// Bytes filled in the segments, garbage included.
     used: usize,
-    /// Bytes of `segs` some extent keeps as its room.
+    /// Bytes of the segments some extent keeps as its room.
     live: usize,
 }
 
@@ -376,7 +516,7 @@ impl Sparse {
         Sparse {
             len,
             pages: Vec::new(),
-            segs: Vec::new(),
+            back: Backing::default(),
             head: 0,
             holes: BTreeSet::new(),
             used: 0,
@@ -390,7 +530,7 @@ impl Sparse {
         let end = at + (stop - start);
         if end <= PAGE {
             let one = match self.pages.get(n) {
-                Some(p) => p.slice(&self.segs, at, end),
+                Some(p) => p.slice(&self.back, at, end),
                 None => Some(&ZEROS[..end - at]),
             };
             if let Some(bytes) = one {
@@ -401,98 +541,265 @@ impl Sparse {
         let mut done = 0;
         for (n, at, take) in pieces(PAGE, start, stop) {
             if let Some(p) = self.pages.get(n) {
-                p.copy_out(&self.segs, at, &mut out[done..done + take]);
+                p.copy_out(&self.back, at, &mut out[done..done + take]);
             }
             done += take;
         }
         Cow::Owned(out)
     }
 
-    /// `[start, stop)` held by one extent per page it touches, made if
-    /// needed; `f` sees each page's piece with its offset from `start`.
-    fn cover(&mut self, start: usize, stop: usize, mut f: impl FnMut(usize, &mut [u8])) {
+    /// Pages through the one that holds byte `stop - 1`.
+    fn pages_to(&mut self, start: usize, stop: usize) {
         assert!(stop <= self.len, "write past the end of a buffer");
         let last = (stop.max(1) - 1) / PAGE;
         if start < stop && self.pages.len() <= last {
             self.pages.resize_with(last + 1, Page::default);
         }
-        for (n, at, take) in pieces(PAGE, start, stop) {
-            let span = self.extent(n, at, at + take);
-            f(n * PAGE + at - start, span.bytes_mut(&mut self.segs));
-        }
-        // Garbage stays under a sixteenth of what the segments hold.
+    }
+
+    /// Keep garbage under a sixteenth of what the segments hold.
+    fn tidy(&mut self) {
         if self.used - self.live > PAGE.max(self.used / 16) {
             self.compact();
         }
     }
 
-    /// Where `[at, end)` of page `n` is stored: in the extent that holds
-    /// it, or in a new one absorbing every extent it overlaps (the bytes
-    /// between them zero).
-    fn extent(&mut self, n: usize, at: usize, end: usize) -> Span {
+    /// `[start, stop)` held by one private extent per page it touches, made
+    /// if needed; `f` sees each page's piece with its offset from `start`.
+    /// `keep`: the range keeps what it reads as until `f` writes it (a
+    /// reserve); otherwise `f` overwrites all of it.
+    fn cover(
+        &mut self,
+        start: usize,
+        stop: usize,
+        keep: bool,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) {
+        self.pages_to(start, stop);
+        for (n, at, take) in pieces(PAGE, start, stop) {
+            let span = self.extent(n, at, at + take, keep);
+            f(n * PAGE + at - start, self.back.bytes_mut(span));
+        }
+        self.tidy();
+    }
+
+    /// Where `[at, end)` of page `n` can be written: in the private extent
+    /// that holds it, or in a new one absorbing every private extent it
+    /// overlaps (the bytes between them zero). A shared extent it overlaps
+    /// keeps its parts outside `[at, end)` as slices of its buffer. The new
+    /// extent holds what it read as, except — unless `keep` — inside
+    /// `[at, end)`, which the caller is about to write.
+    fn extent(&mut self, n: usize, at: usize, end: usize, keep: bool) -> Span {
         let page = &mut self.pages[n];
-        let mut lo = page.upto(at);
-        if lo > 0 {
-            let s = page.starts[lo - 1] as usize;
-            let span = page.spans[lo - 1];
-            if end <= s + span.len as usize {
-                return span.part(at - s, end - at);
+        let range = page.overlaps(at, end);
+        let (lo, hi) = (range.start, range.end);
+        let (mut start, mut stop) = (at, end);
+        if lo < hi {
+            let (first, last) = (page.spans[lo], page.spans[hi - 1]);
+            let s = page.starts[lo] as usize;
+            if hi == lo + 1 && !first.is_shared() && s <= at && end <= s + first.len as usize {
+                return first.part(at - s, end - at);
             }
-            if at < s + span.len as usize {
-                lo -= 1;
+            if !first.is_shared() {
+                start = start.min(s);
+            }
+            if !last.is_shared() {
+                stop = stop.max(page.starts[hi - 1] as usize + last.len as usize);
+            }
+            // A longer entry over a private extent with room to spare grows
+            // it in place: the bytes past its length are zero.
+            if hi == lo + 1
+                && s == start
+                && !first.is_shared()
+                && stop - start <= first.room as usize
+            {
+                let span = &mut page.spans[lo];
+                span.len = (stop - start) as u32;
+                return span.part(at - start, end - at);
             }
         }
-        let hi = lo + page.starts[lo..].partition_point(|&s| (s as usize) < end);
-        let (start, stop) = match hi.checked_sub(1) {
-            Some(last) if lo < hi => (
-                at.min(page.starts[lo] as usize),
-                end.max(page.starts[last] as usize + page.spans[last].len as usize),
-            ),
-            _ => (at, end),
-        };
-        // A longer entry over an extent with room to spare grows it in
-        // place: the bytes past its length are zero.
-        let need = stop - start;
-        if hi == lo + 1 && page.starts[lo] as usize == start && need <= page.spans[lo].room as usize
-        {
-            let span = &mut page.spans[lo];
-            span.len = need as u32;
-            return span.part(at - start, end - at);
+        let (to, room) = self.place(stop - start);
+        for i in lo..hi {
+            let (s, old) = (self.pages[n].starts[i] as usize, self.pages[n].spans[i]);
+            let (from, till) = (s.max(start), (s + old.len as usize).min(stop));
+            let mut copy = |a: usize, b: usize| {
+                if a < b {
+                    let part = old.part(a - s, b - a);
+                    self.back.copy_to_seg(part, to + (a - start) as u32);
+                }
+            };
+            if keep {
+                copy(from, till);
+            } else {
+                copy(from, till.min(at));
+                copy(from.max(end), till);
+            }
         }
-        let (to, room) = self.place(need);
         let merged = Span {
             at: to,
-            len: need as u32,
+            len: (stop - start) as u32,
             room: room as u32,
         };
-        // Copy what the absorbed extents held; then their room is free.
-        let page = &mut self.pages[n];
-        for (&s, &old) in page.starts[lo..hi].iter().zip(&page.spans[lo..hi]) {
-            copy_span(
-                &mut self.segs,
-                old.at,
-                to + (s as usize - start) as u32,
-                old.len as usize,
-            );
-            release(&mut self.holes, &mut self.live, old);
-        }
-        if lo == hi {
-            page.starts.insert(lo, start as u16);
-            page.spans.insert(lo, merged);
-        } else {
-            page.starts[lo] = start as u16;
-            page.spans[lo] = merged;
-            page.starts.drain(lo + 1..hi);
-            page.spans.drain(lo + 1..hi);
-        }
+        self.put(n, range, start, stop, Some(merged));
         merged.part(at - start, end - at)
+    }
+
+    /// Put `new` (if any) in place of `[at, end)` of page `n`, which
+    /// overlaps extents `range`. An extent wholly inside goes (a private
+    /// room is freed, a shared handle let go); one reaching outside keeps
+    /// what is outside in place: a private one frees the rest of its room,
+    /// a shared one's parts stay slices of its buffer.
+    fn put(&mut self, n: usize, range: Range<usize>, at: usize, end: usize, new: Option<Span>) {
+        let (mut before, mut after) = (None, None);
+        for i in range.clone() {
+            let (s, old) = (self.pages[n].starts[i] as usize, self.pages[n].spans[i]);
+            let e = s + old.len as usize;
+            let head = (s < at).then(|| old.part(0, at - s));
+            let mut tail = (e > end).then(|| old.part(end - s, e - end));
+            if old.is_shared() {
+                match (head, &mut tail) {
+                    (None, None) => self.back.let_go(old.at),
+                    (Some(_), Some(t)) => t.at = self.back.hold_again(old.at),
+                    _ => {}
+                }
+            } else {
+                // The room's bytes outside the kept parts are free.
+                let kept = head.map_or(0, |h| h.len as usize);
+                let (gap, rest) = match tail {
+                    Some(_) => (end - s, e - s),
+                    None => (old.room as usize, old.room as usize),
+                };
+                self.free(old.at + kept as u32, gap - kept);
+                self.free(old.at + rest as u32, old.room as usize - rest);
+            }
+            before = before.or(head.map(|h| (s, h)));
+            after = after.or(tail.map(|t| (end, t)));
+        }
+        let mut put = [(
+            0,
+            Span {
+                at: 0,
+                len: 0,
+                room: 0,
+            },
+        ); 3];
+        let mut k = 0;
+        for piece in [before, new.map(|span| (at, span)), after]
+            .into_iter()
+            .flatten()
+        {
+            put[k] = piece;
+            k += 1;
+        }
+        self.pages[n].replace(range, &put[..k]);
+    }
+
+    /// Make `[start, start + len)` the bytes `from..from + len` of `buf`
+    /// (see [`RegionTable::share`]).
+    fn share(&mut self, start: usize, buf: &Rc<[u8]>, from: usize, len: usize) {
+        self.pages_to(start, start + len);
+        let mut off = from;
+        for (n, at, take) in pieces(PAGE, start, start + len) {
+            self.share_piece(n, at, at + take, buf, off);
+            off += take;
+        }
+        self.tidy();
+    }
+
+    /// Make `[at, end)` of page `n` the bytes of `buf` from `from` on: the
+    /// piece streamed in just before it from the same buffer grows over
+    /// it, else it is an extent of its own.
+    fn share_piece(&mut self, n: usize, at: usize, end: usize, buf: &Rc<[u8]>, from: usize) {
+        let page = &self.pages[n];
+        let range = page.overlaps(at, end);
+        let is_buf = |span: Span| span.is_shared() && Rc::ptr_eq(self.back.buf(span.at), buf);
+        if let [span] = page.spans[range.clone()] {
+            if page.starts[range.start] as usize == at
+                && span.len as usize == end - at
+                && span.from() == from
+                && is_buf(span)
+            {
+                return;
+            }
+        }
+        let grows = range.start.checked_sub(1).filter(|&j| {
+            let prev = page.spans[j];
+            page.starts[j] as usize + prev.len as usize == at
+                && prev.from() + prev.len as usize == from
+                && is_buf(prev)
+        });
+        match grows {
+            Some(j) => {
+                self.put(n, range, at, end, None);
+                self.pages[n].spans[j].len += (end - at) as u32;
+            }
+            None => {
+                let span = Span {
+                    at: self.back.hold(buf.clone()),
+                    len: (end - at) as u32,
+                    room: SHARED | from as u32,
+                };
+                self.put(n, range, at, end, Some(span));
+            }
+        }
+    }
+
+    /// See [`RegionTable::settle_tail`]: when the extent that starts at
+    /// `pos` is the rest of another buffer (an older, longer entry's tail —
+    /// not one that starts there, like the next slot's entry), copy it into
+    /// a buffer of the region's own, with the remnant right after it when
+    /// nothing else holds that one.
+    fn settle(&mut self, pos: usize) {
+        let (n, at) = (pos / PAGE, pos % PAGE);
+        let Some(page) = self.pages.get(n) else {
+            return;
+        };
+        let Some(i) = page.upto(at).checked_sub(1) else {
+            return;
+        };
+        let tail = page.spans[i];
+        if page.starts[i] as usize != at || !tail.is_shared() || tail.from() == 0 {
+            return;
+        }
+        let mut stop = at + tail.len as usize;
+        let mut last = i + 1;
+        if let Some(&next) = page.spans.get(i + 1) {
+            if page.starts[i + 1] as usize == stop
+                && next.is_shared()
+                && Rc::strong_count(self.back.buf(next.at)) == 1
+            {
+                stop += next.len as usize;
+                last += 1;
+            }
+        }
+        let mut own: Rc<[u8]> = std::iter::repeat_n(0, stop - at).collect();
+        page.copy_out(&self.back, at, Rc::get_mut(&mut own).expect("a new buffer"));
+        let span = Span {
+            at: self.back.hold(own),
+            len: (stop - at) as u32,
+            room: SHARED,
+        };
+        self.put(n, i..last, at, stop, Some(span));
+    }
+
+    /// `room` bytes at `at` of the segments are no extent's any more: a
+    /// hole for [`Sparse::place`] to reuse, or garbage when too small to be
+    /// worth it.
+    fn free(&mut self, at: u32, room: usize) {
+        self.live -= room;
+        if room >= HOLE {
+            self.holes.insert((room as u32, at));
+        }
     }
 
     /// Zeroed room for `need` bytes: the smallest free hole that fits
     /// (what it has over [`HOLE`] to spare stays a hole), else the end of
-    /// the head segment (or of the next one).
+    /// the head segment (or of the next one). A room shorter than a hole
+    /// (the poison over a freed entry) goes at the head: it takes no hole
+    /// a longer one could use.
     fn place(&mut self, need: usize) -> (u32, usize) {
-        if let Some(&(room, to)) = self.holes.range((need as u32, 0)..).next() {
+        let fit = (need >= HOLE).then(|| self.holes.range((need as u32, 0)..).next());
+        if let Some(&(room, to)) = fit.flatten() {
             self.holes.remove(&(room, to));
             let mut room = room as usize;
             if room - need >= HOLE {
@@ -500,24 +807,25 @@ impl Sparse {
                 room = need;
             }
             let (seg, off) = Span::seg(to);
-            self.segs[seg][off..off + room].fill(0);
+            self.back.segs[seg][off..off + room].fill(0);
             self.live += room;
             return (to, room);
         }
-        while let Some(s) = self.segs.get(self.head) {
+        let segs = &mut self.back.segs;
+        while let Some(s) = segs.get(self.head) {
             if s.len() + need <= s.capacity() {
                 break;
             }
             self.head += 1;
         }
-        if self.head == self.segs.len() {
+        if self.head == segs.len() {
             assert!(
                 self.head < 1 << (32 - SEG_BITS),
                 "a data buffer stores at most 4 GiB"
             );
-            self.segs.push(Vec::with_capacity(seg_capacity(self.head)));
+            segs.push(Vec::with_capacity(seg_capacity(self.head)));
         }
-        let seg = &mut self.segs[self.head];
+        let seg = &mut segs[self.head];
         let off = seg.len();
         seg.resize(off + need, 0);
         self.used += need;
@@ -525,8 +833,10 @@ impl Sparse {
         ((self.head << SEG_BITS | off) as u32, need)
     }
 
-    /// Host bytes this buffer holds: segments, page records and free holes
-    /// (a B-tree holds its keys about half full).
+    /// Host bytes this buffer holds: segments, page records, free holes (a
+    /// B-tree holds its keys about half full), handles, and the entry
+    /// buffers nothing else holds. A buffer it shares is counted by
+    /// whatever shares it out.
     fn reserved_bytes(&self) -> usize {
         let pages: usize = self
             .pages
@@ -535,44 +845,61 @@ impl Sparse {
                 p.starts.capacity() * size_of::<u16>() + p.spans.capacity() * size_of::<Span>()
             })
             .sum();
-        let segs: usize = self.segs.iter().map(Vec::capacity).sum();
+        let segs: usize = self.back.segs.iter().map(Vec::capacity).sum();
+        let alone: usize = self
+            .back
+            .bufs
+            .iter()
+            .flatten()
+            .filter(|b| Rc::strong_count(b) == 1)
+            .map(|b| 2 * size_of::<usize>() + b.len())
+            .sum();
         self.pages.capacity() * size_of::<Page>()
             + pages
-            + self.segs.capacity() * size_of::<Vec<u8>>()
+            + self.back.segs.capacity() * size_of::<Vec<u8>>()
             + segs
             + self.holes.len() * 2 * size_of::<(u32, u32)>()
+            + self.back.bufs.capacity() * size_of::<Option<Rc<[u8]>>>()
+            + self.back.free.capacity() * size_of::<u32>()
+            + alone
     }
 
-    /// Slide every extent down over the garbage, in store order, and empty
-    /// the segments left over. In place: an extent never moves up.
+    /// Slide every private extent down over the garbage, in store order,
+    /// and empty the segments left over. In place: an extent never moves
+    /// up.
     fn compact(&mut self) {
         let mut order: Vec<(u32, u32, u32)> = Vec::with_capacity(self.pages.len());
         for (n, page) in self.pages.iter().enumerate() {
             for (i, span) in page.spans.iter().enumerate() {
-                order.push((span.at, n as u32, i as u32));
+                if !span.is_shared() {
+                    order.push((span.at, n as u32, i as u32));
+                }
             }
         }
         order.sort_unstable();
+        let segs = &mut self.back.segs;
         let (mut seg, mut off) = (0, 0);
         for (_, n, i) in order {
             let span = &mut self.pages[n as usize].spans[i as usize];
             let len = span.room as usize;
-            if off + len > self.segs[seg].capacity() {
-                self.segs[seg].truncate(off);
+            if off + len > segs[seg].capacity() {
+                segs[seg].truncate(off);
                 (seg, off) = (seg + 1, 0);
             }
             let to = (seg << SEG_BITS | off) as u32;
             if to != span.at {
-                if self.segs[seg].len() < off + len {
-                    self.segs[seg].resize(off + len, 0);
+                if segs[seg].len() < off + len {
+                    segs[seg].resize(off + len, 0);
                 }
-                copy_span(&mut self.segs, span.at, to, len);
+                copy_span(segs, span.at, to, len);
                 span.at = to;
             }
             off += len;
         }
-        self.segs[seg].truncate(off);
-        for rest in &mut self.segs[seg + 1..] {
+        if let Some(s) = segs.get_mut(seg) {
+            s.truncate(off);
+        }
+        for rest in segs.iter_mut().skip(seg + 1) {
             rest.clear();
         }
         self.head = seg;
@@ -682,7 +1009,7 @@ impl Buffer {
 
     fn write(&mut self, offset: usize, bytes: &[u8]) {
         match self {
-            Buffer::Sparse(s) => s.cover(offset, offset + bytes.len(), |from, to| {
+            Buffer::Sparse(s) => s.cover(offset, offset + bytes.len(), false, |from, to| {
                 to.copy_from_slice(&bytes[from..from + to.len()])
             }),
             Buffer::Tiled(t) => {
@@ -736,6 +1063,13 @@ impl RegionTable {
         match &self.buffers[id.0 as usize] {
             Buffer::Tiled(t) => t,
             Buffer::Sparse(_) => panic!("buffer {} is not tiled", id.0),
+        }
+    }
+
+    fn sparse_mut(&mut self, id: BufferId) -> &mut Sparse {
+        match &mut self.buffers[id.0 as usize] {
+            Buffer::Sparse(s) => s,
+            Buffer::Tiled(_) => panic!("buffer {} is tiled, not a data buffer", id.0),
         }
     }
 
@@ -808,10 +1142,27 @@ impl RegionTable {
     /// borrowed slice. For a range about to be written piece by piece (a
     /// DataEntry streamed into its slot). Panics on out-of-bounds.
     pub fn reserve(&mut self, id: BufferId, offset: usize, len: usize) {
-        let Buffer::Sparse(data) = &mut self.buffers[id.0 as usize] else {
-            panic!("buffer {} is tiled: reserve a data buffer", id.0);
-        };
-        data.cover(offset, offset + len, |_, _| {});
+        self.sparse_mut(id)
+            .cover(offset, offset + len, true, |_, _| {});
+    }
+
+    /// Make `[offset, offset + len)` of a data buffer the bytes
+    /// `from..from + len` of `buf`, an immutable entry buffer that others
+    /// may hold too: the region keeps a handle on it, not a copy. A read
+    /// borrows it as it borrows any extent; a write inside it later splits
+    /// it, the parts before and after staying slices of `buf`. An entry
+    /// shared piece by piece as it streams in is one extent of its buffer
+    /// (see also [`RegionTable::settle_tail`]). Panics on out-of-bounds.
+    pub fn share(&mut self, id: BufferId, offset: usize, buf: &Rc<[u8]>, from: usize, len: usize) {
+        self.sparse_mut(id).share(offset, buf, from, len);
+    }
+
+    /// An entry shared into a data buffer ends at `end`: when what follows
+    /// is an older, longer entry's tail, copy it into a buffer of the
+    /// region's own (merged with the remnant older ones left after it), so
+    /// the slot pins no dead buffer. What the buffer reads as is unchanged.
+    pub fn settle_tail(&mut self, id: BufferId, end: usize) {
+        self.sparse_mut(id).settle(end);
     }
 
     /// Write `bytes` at offset `at` of every tile of a tiled buffer, written
@@ -844,6 +1195,11 @@ impl RegionTable {
         self.buffers[id.0 as usize]
             .read(offset, offset + len)
             .joined()
+    }
+
+    /// Host bytes one buffer holds (its part of [`Self::reserved_bytes`]).
+    pub fn buffer_reserved_bytes(&self, id: BufferId) -> usize {
+        self.buffers[id.0 as usize].reserved_bytes()
     }
 
     /// Host bytes the table holds: slot tables and room arenas of tiled

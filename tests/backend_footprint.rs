@@ -8,6 +8,9 @@
 
 mod support;
 
+use cliquemap::backend::BackendNode;
+use cliquemap::cell::{Cell, CellSpec};
+use cliquemap::config::ReplicationMode;
 use cliquemap::hash::{DefaultHasher, KeyHasher};
 use cliquemap::layout::{bucket_size, data_entry_size};
 use cliquemap::policy::LruPolicy;
@@ -17,6 +20,7 @@ use cliquemap::version::VersionNumber;
 use rma::RegionTable;
 use simnet::SimRng;
 use support::{allocs, live_bytes, zeroed_bytes};
+use workloads::{Prefill, SizeDist};
 
 const KIB: i64 = 1 << 10;
 const DATA: usize = 64 << 10;
@@ -163,4 +167,70 @@ fn a_region_table_reports_what_it_holds() {
         (reported - held).abs() <= held / 10.0,
         "reports {reported} B, holds {held} B"
     );
+}
+
+/// A cell of `copies` replicas over four backends, its index small, each
+/// backend's data region roomy enough for its share of 2,000 keys of
+/// Figure 3's values, populated the way the figures populate a cell: every
+/// replica of a key installs it.
+fn populated_cell(replication: ReplicationMode) -> (Cell, usize) {
+    let sizes = SizeDist {
+        mu: 2_500f64.ln(),
+        sigma: 0.6,
+        min: 256,
+        max: 64 << 10,
+    };
+    let mut spec = CellSpec {
+        replication,
+        num_backends: 4,
+        clients_per_host: 1,
+        ..CellSpec::default()
+    };
+    spec.backend.store.num_buckets = 1024;
+    spec.backend.store.data_capacity = 16 << 20;
+    spec.backend.store.max_data_capacity = 16 << 20;
+    let mut cell = Cell::build(spec, Vec::new());
+    const KEYS: u64 = 2_000;
+    bench::populate_cell(&mut cell, "k", KEYS, &sizes);
+    let distinct = (0..KEYS)
+        .map(|i| {
+            let key = Prefill::key_name("k", i);
+            data_entry_size(key.len(), sizes.size_for_key(&key))
+        })
+        .sum();
+    (cell, distinct)
+}
+
+/// The replicas of a SET hold one buffer: at R=3 the data regions (their
+/// extents and handles) and the cell's entry table together hold at most
+/// 15 % over the distinct entry bytes, plus one open segment per backend —
+/// not three copies. An unreplicated cell builds no table.
+#[test]
+fn replicas_hold_one_entry_buffer() {
+    let (mut cell, distinct) = populated_cell(ReplicationMode::R32);
+    let table = cell
+        .shared_entries()
+        .expect("a replicated cell shares entries")
+        .clone();
+    assert_eq!(table.bytes(), distinct);
+    assert_eq!(table.entries(), 2_000);
+    let regions: usize = cell
+        .backends
+        .clone()
+        .into_iter()
+        .map(|b| {
+            cell.sim
+                .with_node::<BackendNode, _>(b, |n| n.store().data_reserved_bytes())
+                .expect("backend exists")
+        })
+        .sum();
+    let held = regions + table.reserved_bytes();
+    let bound = distinct + distinct * 15 / 100 + cell.backends.len() * (1 << 20);
+    assert!(
+        held <= bound,
+        "{held} B held for {distinct} distinct entry bytes (bound {bound} B)"
+    );
+
+    let (cell, _) = populated_cell(ReplicationMode::R1);
+    assert!(cell.shared_entries().is_none(), "R=1 builds no table");
 }
